@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"time"
 )
 
 // ErrCursorGone reports that a cursor's anchor document no longer
@@ -44,88 +43,51 @@ func parseAutoID(id string) (uint64, bool) {
 // insertion order. Anchors that are neither present nor auto-assigned
 // fail with ErrCursorGone.
 func (c *Collection) FindAfterContext(ctx context.Context, afterID string, filter Doc, limit int) ([]Doc, error) {
-	m, err := compileFilter(filter)
+	out := make([]Doc, 0)
+	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
+		from, err := c.resumeSeqLocked(ctx, afterID)
+		if err != nil {
+			return false, err
+		}
+		return c.scanLocked(ctx, filter, m, from, func(e *entry) bool {
+			out = append(out, cloneDoc(e.doc))
+			return limit <= 0 || len(out) < limit
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	h := c.h()
-	if h != nil && h.Query == nil {
-		h = nil
-	}
-	var begin time.Time
-	if h != nil {
-		begin = time.Now()
-	}
+	return out, nil
+}
 
-	c.mu.RLock()
-	start := 0
-	if afterID != "" {
-		pos := -1
-		for i, id := range c.order {
-			if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
-				if err := ctx.Err(); err != nil {
-					c.mu.RUnlock()
-					return nil, err
-				}
-			}
-			if id == afterID {
-				pos = i
-				break
-			}
-		}
-		if pos >= 0 {
-			start = pos + 1
-		} else {
-			ord, ok := parseAutoID(afterID)
-			if !ok {
-				c.mu.RUnlock()
-				return nil, fmt.Errorf("resume after %q: %w", afterID, ErrCursorGone)
-			}
-			start = len(c.order)
-			for i, id := range c.order {
-				if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
-					if err := ctx.Err(); err != nil {
-						c.mu.RUnlock()
-						return nil, err
-					}
-				}
-				if id == "" {
-					continue
-				}
-				if o, auto := parseAutoID(id); auto && o > ord {
-					start = i
-					break
-				}
-			}
-		}
+// resumeSeqLocked resolves a cursor anchor to the seq its page starts
+// at: 0 for no anchor, the slot after a live anchor, and for a deleted
+// auto-id anchor the first live auto-assigned id minted after it —
+// the one case that still scans order, since ordinals are a property
+// of the id strings, not of seq. Caller holds at least a read lock.
+func (c *Collection) resumeSeqLocked(ctx context.Context, afterID string) (uint64, error) {
+	if afterID == "" {
+		return 0, nil
 	}
-
-	out := make([]Doc, 0)
-	for i := start; i < len(c.order); i++ {
+	if e, ok := c.docs[afterID]; ok {
+		return e.seq + 1, nil
+	}
+	ord, ok := parseAutoID(afterID)
+	if !ok {
+		return 0, fmt.Errorf("resume after %q: %w", afterID, ErrCursorGone)
+	}
+	for i, e := range c.order {
 		if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
-				c.mu.RUnlock()
-				return nil, err
+				return 0, err
 			}
 		}
-		id := c.order[i]
-		if id == "" {
+		if e.doc == nil {
 			continue
 		}
-		if d, exists := c.docs[id]; exists && m.matches(d) {
-			out = append(out, cloneDoc(d))
-			if limit > 0 && len(out) == limit {
-				break
-			}
+		if o, auto := parseAutoID(e.id); auto && o > ord {
+			return e.seq, nil
 		}
 	}
-	c.mu.RUnlock()
-
-	if h != nil {
-		h.Query(c.name, time.Since(begin), false)
-	}
-	return out, nil
+	return c.nextSeq, nil
 }

@@ -7,9 +7,11 @@
 package docstore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -94,17 +96,21 @@ func (s *Store) Collections() []string {
 type Collection struct {
 	name string
 
-	mu      sync.RWMutex
-	docs    map[string]Doc
-	order   []string // insertion order of ids, for stable scans
+	mu   sync.RWMutex
+	docs map[string]*entry
+	// order is every entry in insertion order (ascending seq), for
+	// stable scans; deleted entries stay as tombstones (doc == nil)
+	// until half the slots are dead.
+	order   []*entry
+	nextSeq uint64
 	indexes map[string]*index
 	// indexList mirrors indexes as a slice so the insert/delete hot
-	// paths iterate without ranging a map per document.
+	// paths and the read planner iterate without ranging a map.
 	indexList []indexEntry
 
 	inserted uint64
 	updated  uint64
-	deleted  uint64
+	deleted  uint64 // tombstones in order since the last compaction
 
 	// hooks, commitLog and ingestObs alias the owning store's slots so
 	// SetHooks, SetCommitLog and SetIngestObserver apply to all
@@ -124,7 +130,7 @@ type indexEntry struct {
 func newCollection(name string, s *Store) *Collection {
 	return &Collection{
 		name:      name,
-		docs:      make(map[string]Doc),
+		docs:      make(map[string]*entry),
 		indexes:   make(map[string]*index),
 		hooks:     &s.hooks,
 		commitLog: &s.commitLog,
@@ -169,12 +175,7 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 		c.mu.Unlock()
 		return "", fmt.Errorf("insert %q: commit log: %w", id, err)
 	}
-	c.docs[id] = cp
-	c.order = append(c.order, id)
-	c.inserted++
-	for _, e := range c.indexList {
-		e.idx.add(id, cp[e.field])
-	}
+	c.appendLocked(id, cp)
 	// Fire the ingest observer inside the critical section that
 	// assigned the commit-log LSN, so observers see inserts in LSN
 	// order (see observer.go).
@@ -253,12 +254,7 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 	for i := 0; i < n; i++ {
 		d := docs[i]
 		id := d[IDField].(string)
-		c.docs[id] = d
-		c.order = append(c.order, id)
-		c.inserted++
-		for _, e := range c.indexList {
-			e.idx.add(id, d[e.field])
-		}
+		c.appendLocked(id, d)
 		ids = append(ids, id)
 	}
 	// One commit-log record covers the whole accepted prefix, so the
@@ -280,15 +276,29 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 	return ids, firstErr
 }
 
+// appendLocked stores a new document at the end of insertion order
+// and indexes it. Caller holds the write lock and has verified the id
+// is free.
+func (c *Collection) appendLocked(id string, d Doc) {
+	e := &entry{seq: c.nextSeq, id: id, doc: d}
+	c.nextSeq++
+	c.docs[id] = e
+	c.order = append(c.order, e)
+	c.inserted++
+	for _, ie := range c.indexList {
+		ie.idx.add(e, d[ie.field])
+	}
+}
+
 // Get returns a copy of the document with the given id.
 func (c *Collection) Get(id string) (Doc, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
+	e, ok := c.docs[id]
 	if !ok {
 		return nil, fmt.Errorf("get %q: %w", id, ErrNotFound)
 	}
-	return cloneDoc(d), nil
+	return cloneDoc(e.doc), nil
 }
 
 // Update merges fields into the document with the given id (shallow
@@ -298,7 +308,7 @@ func (c *Collection) Update(id string, fields Doc) error {
 		defer func(start time.Time) { h.Update(c.name, time.Since(start)) }(time.Now())
 	}
 	c.mu.Lock()
-	d, ok := c.docs[id]
+	e, ok := c.docs[id]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("update %q: %w", id, ErrNotFound)
@@ -313,10 +323,10 @@ func (c *Collection) Update(id string, fields Doc) error {
 			continue
 		}
 		if idx, has := c.indexes[k]; has {
-			idx.remove(id, d[k])
-			idx.add(id, v)
+			idx.remove(e, e.doc[k])
+			idx.add(e, v)
 		}
-		d[k] = cloneValue(v)
+		e.doc[k] = cloneValue(v)
 	}
 	c.updated++
 	c.mu.Unlock()
@@ -332,7 +342,7 @@ func (c *Collection) Unset(id string, fields ...string) error {
 		defer func(start time.Time) { h.Update(c.name, time.Since(start)) }(time.Now())
 	}
 	c.mu.Lock()
-	d, ok := c.docs[id]
+	e, ok := c.docs[id]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("unset %q: %w", id, ErrNotFound)
@@ -347,9 +357,9 @@ func (c *Collection) Unset(id string, fields ...string) error {
 			continue
 		}
 		if idx, has := c.indexes[k]; has {
-			idx.remove(id, d[k])
+			idx.remove(e, e.doc[k])
 		}
-		delete(d, k)
+		delete(e.doc, k)
 	}
 	c.updated++
 	c.mu.Unlock()
@@ -365,7 +375,7 @@ func (c *Collection) Delete(id string) error {
 		defer func(start time.Time) { h.Delete(c.name, time.Since(start)) }(time.Now())
 	}
 	c.mu.Lock()
-	d, ok := c.docs[id]
+	e, ok := c.docs[id]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("delete %q: %w", id, ErrNotFound)
@@ -375,7 +385,7 @@ func (c *Collection) Delete(id string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("delete %q: commit log: %w", id, err)
 	}
-	c.removeLocked(id, d)
+	c.removeLocked(e)
 	c.mu.Unlock()
 	if err := commitWait(tk); err != nil {
 		return fmt.Errorf("delete %q: commit: %w", id, err)
@@ -383,28 +393,26 @@ func (c *Collection) Delete(id string) error {
 	return nil
 }
 
-// removeLocked deletes an existing document: map entry, index entries
-// and its insertion-order slot (lazily compacted once half the slots
-// are dead). Caller holds the write lock and has verified existence.
-func (c *Collection) removeLocked(id string, d Doc) {
-	delete(c.docs, id)
-	for _, e := range c.indexList {
-		e.idx.remove(id, d[e.field])
+// removeLocked deletes an existing document: map entry, posting-list
+// entries and its insertion-order slot, which it turns into a
+// tombstone in place (lazily compacted once half the slots are dead;
+// posting lists hold only live entries and are keyed by seq, so
+// compaction leaves them alone). Caller holds the write lock.
+func (c *Collection) removeLocked(e *entry) {
+	delete(c.docs, e.id)
+	for _, ie := range c.indexList {
+		ie.idx.remove(e, e.doc[ie.field])
 	}
-	for i, oid := range c.order {
-		if oid == id {
-			c.order[i] = ""
-			break
-		}
-	}
+	e.doc = nil
 	c.deleted++
 	if int(c.deleted)*2 > len(c.order) {
 		kept := c.order[:0]
-		for _, oid := range c.order {
-			if oid != "" {
-				kept = append(kept, oid)
+		for _, oe := range c.order {
+			if oe.doc != nil {
+				kept = append(kept, oe)
 			}
 		}
+		clear(c.order[len(kept):])
 		c.order = kept
 		c.deleted = 0
 	}
@@ -433,6 +441,8 @@ func (c *Collection) Count(filter Doc) (int, error) {
 }
 
 // CountContext is Count with scan cancellation; see FindIDsContext.
+// Matches are counted in place over the chosen posting list; no ids or
+// documents are materialized.
 func (c *Collection) CountContext(ctx context.Context, filter Doc) (int, error) {
 	if len(filter) == 0 {
 		if err := ctx.Err(); err != nil {
@@ -442,14 +452,21 @@ func (c *Collection) CountContext(ctx context.Context, filter Doc) (int, error) 
 		defer c.mu.RUnlock()
 		return len(c.docs), nil
 	}
-	ids, err := c.FindIDsContext(ctx, filter)
+	n := 0
+	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
+		return c.scanLocked(ctx, filter, m, 0, func(*entry) bool {
+			n++
+			return true
+		})
+	})
 	if err != nil {
 		return 0, err
 	}
-	return len(ids), nil
+	return n, nil
 }
 
-// FindIDs returns the ids of matching documents in insertion order.
+// FindIDs returns the ids of matching documents in insertion order,
+// whether or not an index serves the filter.
 func (c *Collection) FindIDs(filter Doc) ([]string, error) {
 	return c.FindIDsContext(context.Background(), filter)
 }
@@ -459,15 +476,17 @@ func (c *Collection) FindIDs(filter Doc) ([]string, error) {
 // ctx.Err() once the context ends, so a slow query cannot hold the
 // collection read lock past its caller's deadline.
 func (c *Collection) FindIDsContext(ctx context.Context, filter Doc) ([]string, error) {
-	h := c.h()
-	if h == nil || h.Query == nil {
-		ids, _, err := c.findIDs(ctx, filter)
-		return ids, err
+	ids := make([]string, 0)
+	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
+		return c.scanLocked(ctx, filter, m, 0, func(e *entry) bool {
+			ids = append(ids, e.id)
+			return true
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	ids, indexUsed, err := c.findIDs(ctx, filter)
-	h.Query(c.name, time.Since(start), indexUsed)
-	return ids, err
+	return ids, nil
 }
 
 // scanCtxCheckEvery is how many scanned documents pass between context
@@ -476,60 +495,60 @@ func (c *Collection) FindIDsContext(ctx context.Context, filter Doc) ([]string, 
 // matcher calls.
 const scanCtxCheckEvery = 256
 
-// findIDs implements FindIDs and additionally reports whether a
-// secondary index pruned the scan.
-func (c *Collection) findIDs(ctx context.Context, filter Doc) ([]string, bool, error) {
+// view is the frame every filtered read runs in: it compiles filter,
+// runs fn under the read lock and reports the query to the Query hook.
+// fn returns whether a secondary index pruned its scan.
+func (c *Collection) view(ctx context.Context, filter Doc, fn func(m *matcher) (indexUsed bool, err error)) error {
 	m, err := compileFilter(filter)
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		return err
 	}
+	start := time.Now()
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-
-	// Use an equality index when the filter pins an indexed field.
-	if ids, ok := c.indexCandidatesLocked(filter); ok {
-		out := make([]string, 0, len(ids))
-		for i, id := range ids {
-			if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
-				if err := ctx.Err(); err != nil {
-					return nil, true, err
-				}
-			}
-			if d, exists := c.docs[id]; exists && m.matches(d) {
-				out = append(out, id)
-			}
-		}
-		sort.Strings(out)
-		return out, true, nil
+	indexUsed, err := fn(m)
+	c.mu.RUnlock()
+	if h := c.h(); h != nil && h.Query != nil {
+		h.Query(c.name, time.Since(start), indexUsed)
 	}
-
-	out := make([]string, 0)
-	for i, id := range c.order {
-		if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, false, err
-			}
-		}
-		if id == "" {
-			continue
-		}
-		if d, exists := c.docs[id]; exists && m.matches(d) {
-			out = append(out, id)
-		}
-	}
-	return out, false, nil
+	return err
 }
 
-// indexCandidatesLocked returns candidate ids from the most selective
-// applicable equality index. Caller holds at least a read lock.
-func (c *Collection) indexCandidatesLocked(filter Doc) ([]string, bool) {
-	best := -1
-	var bestIDs []string
-	for field, idx := range c.indexes {
-		v, ok := filter[field]
+// scanLocked calls visit, in insertion order, for every live entry with
+// seq >= from that matches m, until visit returns false. It walks the
+// most selective posting list when filter pins an indexed field and the
+// whole order otherwise, and reports which. Caller holds at least a
+// read lock; visit must not retain the entry past it.
+func (c *Collection) scanLocked(ctx context.Context, filter Doc, m *matcher, from uint64, visit func(*entry) bool) (indexUsed bool, err error) {
+	list, indexUsed := c.indexCandidatesLocked(filter)
+	if !indexUsed {
+		list = c.order
+	}
+	list = list[searchSeq(list, from):]
+	for i, e := range list {
+		if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
+			if err := ctx.Err(); err != nil {
+				return indexUsed, err
+			}
+		}
+		if e.doc != nil && m.matches(e.doc) && !visit(e) {
+			break
+		}
+	}
+	return indexUsed, nil
+}
+
+// indexCandidatesLocked returns the shortest posting list among the
+// equality indexes filter pins: the candidates in insertion order. It
+// is the index's own slice — valid, and read-only, while the caller
+// holds the lock.
+func (c *Collection) indexCandidatesLocked(filter Doc) ([]*entry, bool) {
+	var best []*entry
+	found := false
+	for _, ie := range c.indexList {
+		v, ok := filter[ie.field]
 		if !ok {
 			continue
 		}
@@ -539,13 +558,12 @@ func (c *Collection) indexCandidatesLocked(filter Doc) ([]string, bool) {
 		if _, isPred := v.(Predicate); isPred {
 			continue // predicates scan (funcs are not index keys)
 		}
-		ids := idx.lookup(v)
-		if best == -1 || len(ids) < best {
-			best = len(ids)
-			bestIDs = ids
+		list := ie.idx.lookup(v)
+		if !found || len(list) < len(best) {
+			best, found = list, true
 		}
 	}
-	return bestIDs, best >= 0
+	return best, found
 }
 
 // FindOptions control Find result shaping.
@@ -569,64 +587,95 @@ func (c *Collection) Find(filter Doc, opts FindOptions) ([]Doc, error) {
 	return c.FindContext(context.Background(), filter, opts)
 }
 
-// FindContext is Find with scan cancellation; see FindIDsContext.
+// FindContext is Find with scan cancellation; see FindIDsContext. The
+// stored documents are ordered and paged in place; only the returned
+// page is copied out.
 func (c *Collection) FindContext(ctx context.Context, filter Doc, opts FindOptions) ([]Doc, error) {
-	ids, err := c.FindIDsContext(ctx, filter)
+	var docs []Doc
+	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
+		// Without a sort, insertion order is the result order and the
+		// scan stops at the end of the page.
+		want := 0
+		if opts.SortField == "" && opts.Limit > 0 {
+			want = max(opts.Skip, 0) + opts.Limit
+		}
+		var hits []*entry
+		indexUsed, err := c.scanLocked(ctx, filter, m, 0, func(e *entry) bool {
+			hits = append(hits, e)
+			return len(hits) != want
+		})
+		if err != nil {
+			return indexUsed, err
+		}
+		if opts.SortField != "" {
+			sortEntries(hits, opts.SortField, opts.SortDesc)
+		}
+		if opts.Skip > 0 {
+			hits = hits[min(opts.Skip, len(hits)):]
+		}
+		if opts.Limit > 0 && len(hits) > opts.Limit {
+			hits = hits[:opts.Limit]
+		}
+		docs = make([]Doc, len(hits))
+		for i, e := range hits {
+			// An unlimited page copies every match, which can dwarf the
+			// scan, so the copy honors the deadline at the scan's cadence.
+			if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
+				if err := ctx.Err(); err != nil {
+					return indexUsed, err
+				}
+			}
+			docs[i] = copyOut(e.doc, opts.Projection)
+		}
+		return indexUsed, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.mu.RLock()
-	docs := make([]Doc, 0, len(ids))
-	for i, id := range ids {
-		// The materialization loop clones every matched document and
-		// can dwarf the id scan on wide results, so it honors the
-		// deadline at the same cadence the scan does — without this a
-		// cancelled query would keep cloning (and keep the read lock)
-		// to completion.
-		if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				c.mu.RUnlock()
-				return nil, err
-			}
-		}
-		if d, ok := c.docs[id]; ok {
-			docs = append(docs, cloneDoc(d))
-		}
-	}
-	c.mu.RUnlock()
-
-	if opts.SortField != "" {
-		field := opts.SortField
-		sort.SliceStable(docs, func(i, j int) bool {
-			less := compareValues(docs[i][field], docs[j][field]) < 0
-			if opts.SortDesc {
-				return !less && compareValues(docs[i][field], docs[j][field]) != 0
-			}
-			return less
-		})
-	}
-	if opts.Skip > 0 {
-		if opts.Skip >= len(docs) {
-			docs = nil
-		} else {
-			docs = docs[opts.Skip:]
-		}
-	}
-	if opts.Limit > 0 && len(docs) > opts.Limit {
-		docs = docs[:opts.Limit]
-	}
-	if len(opts.Projection) > 0 {
-		for i, d := range docs {
-			p := Doc{IDField: d[IDField]}
-			for _, f := range opts.Projection {
-				if v, ok := d[f]; ok {
-					p[f] = v
-				}
-			}
-			docs[i] = p
-		}
-	}
 	return docs, nil
+}
+
+// sortEntries orders hits by field in either direction, equal keys
+// keeping insertion order: (key, seq) is a total order, so an unstable
+// sort gives the stable answer. Keys are read out of the documents
+// once, not once per comparison.
+func sortEntries(hits []*entry, field string, desc bool) {
+	type keyed struct {
+		key any
+		e   *entry
+	}
+	ks := make([]keyed, len(hits))
+	for i, e := range hits {
+		ks[i] = keyed{e.doc[field], e}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		c := compareValues(a.key, b.key)
+		if desc {
+			c = -c
+		}
+		if c == 0 {
+			c = cmp.Compare(a.e.seq, b.e.seq)
+		}
+		return c
+	})
+	for i, k := range ks {
+		hits[i] = k.e
+	}
+}
+
+// copyOut returns the caller's private copy of a stored document,
+// restricted to projection (plus the _id) when one is given.
+func copyOut(d Doc, projection []string) Doc {
+	if len(projection) == 0 {
+		return cloneDoc(d)
+	}
+	p := Doc{IDField: d[IDField]}
+	for _, f := range projection {
+		if v, ok := d[f]; ok {
+			p[f] = cloneValue(v)
+		}
+	}
+	return p
 }
 
 // FindOne returns the first matching document.
@@ -651,16 +700,25 @@ func (c *Collection) EnsureIndex(field string) {
 	// Logged so a recovered store rebuilds indexes created after the
 	// last checkpoint; best effort, like Drop.
 	tk, lerr := c.logLocked(&Mutation{Op: OpEnsureIndex, Collection: c.name, Names: []string{field}})
-	idx := newIndex()
-	for id, d := range c.docs {
-		idx.add(id, d[field])
-	}
-	c.indexes[field] = idx
-	c.indexList = append(c.indexList, indexEntry{field: field, idx: idx})
+	c.addIndexLocked(field)
 	c.mu.Unlock()
 	if lerr == nil {
 		_ = commitWait(tk)
 	}
+}
+
+// addIndexLocked builds the index on field from the documents already
+// stored. It walks order, not the id map, so every posting list comes
+// out sorted by seq. Caller holds the write lock.
+func (c *Collection) addIndexLocked(field string) {
+	idx := newIndex()
+	for _, e := range c.order {
+		if e.doc != nil {
+			idx.add(e, e.doc[field])
+		}
+	}
+	c.indexes[field] = idx
+	c.indexList = append(c.indexList, indexEntry{field: field, idx: idx})
 }
 
 // Stats reports collection counters.

@@ -71,17 +71,15 @@ func (c *Collection) snapshot() collectionSnapshot {
 		Inserted: c.inserted,
 		Updated:  c.updated,
 	}
-	for id, d := range c.docs {
-		out.Docs[id] = cloneDoc(d)
-	}
-	out.Order = make([]string, 0, len(c.order))
-	for _, id := range c.order {
-		if id != "" {
-			out.Order = append(out.Order, id)
+	out.Order = make([]string, 0, len(c.docs))
+	for _, e := range c.order {
+		if e.doc != nil {
+			out.Docs[e.id] = cloneDoc(e.doc)
+			out.Order = append(out.Order, e.id)
 		}
 	}
-	for field := range c.indexes {
-		out.Indexes = append(out.Indexes, field)
+	for _, ie := range c.indexList {
+		out.Indexes = append(out.Indexes, ie.field)
 	}
 	return out
 }
@@ -118,10 +116,20 @@ func (s *Store) restore(r io.Reader, exact bool) error {
 	}
 	for _, cs := range snap.Collections {
 		c := newCollection(cs.Name, s)
-		c.order = make([]string, len(cs.Order))
-		copy(c.order, cs.Order)
-		for id, d := range cs.Docs {
-			c.docs[id] = cloneDoc(d)
+		c.order = make([]*entry, 0, len(cs.Order))
+		for _, id := range cs.Order {
+			if d, ok := cs.Docs[id]; ok {
+				// The decoder gave us fresh memory; no defensive clone.
+				e := &entry{seq: c.nextSeq, id: id, doc: d}
+				c.nextSeq++
+				c.docs[id] = e
+				c.order = append(c.order, e)
+				// Advance the process-wide id counter past every
+				// restored auto-assigned id, so new inserts in this
+				// process cannot collide with ids minted by the process
+				// that wrote the snapshot.
+				advanceIDCounter(id)
+			}
 		}
 		c.inserted = cs.Inserted
 		if c.inserted == 0 {
@@ -130,25 +138,12 @@ func (s *Store) restore(r io.Reader, exact bool) error {
 			c.inserted = uint64(len(cs.Docs))
 		}
 		c.updated = cs.Updated
+		// Indexes are not stored, only their fields: rebuild each from
+		// the restored order.
 		for _, field := range cs.Indexes {
-			idx := newIndex()
-			for id, d := range c.docs {
-				idx.add(id, d[field])
-			}
-			c.indexes[field] = idx
-			// indexList must mirror the map: inserts and deletes walk
-			// the list, so an index restored only into the map would
-			// silently go stale for every post-restore mutation.
-			c.indexList = append(c.indexList, indexEntry{field: field, idx: idx})
+			c.addIndexLocked(field)
 		}
 		s.collections[cs.Name] = c
-		// Advance the process-wide id counter past every restored
-		// auto-assigned id, so new inserts in this process cannot
-		// collide with ids minted by the process that wrote the
-		// snapshot.
-		for id := range c.docs {
-			advanceIDCounter(id)
-		}
 	}
 	return nil
 }

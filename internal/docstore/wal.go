@@ -196,20 +196,15 @@ func (c *Collection) replayInsert(id string, doc Doc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	advanceIDCounter(id)
-	if old, ok := c.docs[id]; ok {
-		for _, e := range c.indexList {
-			e.idx.remove(id, old[e.field])
-			e.idx.add(id, doc[e.field])
+	if e, ok := c.docs[id]; ok {
+		for _, ie := range c.indexList {
+			ie.idx.remove(e, e.doc[ie.field])
+			ie.idx.add(e, doc[ie.field])
 		}
-		c.docs[id] = doc
+		e.doc = doc
 		return
 	}
-	c.docs[id] = doc
-	c.order = append(c.order, id)
-	c.inserted++
-	for _, e := range c.indexList {
-		e.idx.add(id, doc[e.field])
-	}
+	c.appendLocked(id, doc)
 }
 
 // replayUpdate merges recovered fields into an existing document; a
@@ -218,7 +213,7 @@ func (c *Collection) replayInsert(id string, doc Doc) {
 func (c *Collection) replayUpdate(id string, fields Doc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.docs[id]
+	e, ok := c.docs[id]
 	if !ok {
 		return
 	}
@@ -227,10 +222,10 @@ func (c *Collection) replayUpdate(id string, fields Doc) {
 			continue
 		}
 		if idx, has := c.indexes[k]; has {
-			idx.remove(id, d[k])
-			idx.add(id, v)
+			idx.remove(e, e.doc[k])
+			idx.add(e, v)
 		}
-		d[k] = v // gob gave us fresh memory; no defensive clone needed
+		e.doc[k] = v // gob gave us fresh memory; no defensive clone needed
 	}
 	c.updated++
 }
@@ -239,7 +234,7 @@ func (c *Collection) replayUpdate(id string, fields Doc) {
 func (c *Collection) replayUnset(id string, fields []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.docs[id]
+	e, ok := c.docs[id]
 	if !ok {
 		return
 	}
@@ -248,9 +243,9 @@ func (c *Collection) replayUnset(id string, fields []string) {
 			continue
 		}
 		if idx, has := c.indexes[k]; has {
-			idx.remove(id, d[k])
+			idx.remove(e, e.doc[k])
 		}
-		delete(d, k)
+		delete(e.doc, k)
 	}
 	c.updated++
 }
@@ -259,9 +254,7 @@ func (c *Collection) replayUnset(id string, fields []string) {
 func (c *Collection) replayDelete(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return
+	if e, ok := c.docs[id]; ok {
+		c.removeLocked(e)
 	}
-	c.removeLocked(id, d)
 }

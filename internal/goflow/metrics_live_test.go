@@ -1,9 +1,13 @@
 package goflow
 
 import (
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
@@ -82,5 +86,71 @@ func TestLiveMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestLiveWebSocketThroughInstrumentedHandler upgrades a WebSocket
+// through NewInstrumentedHTTPHandler — the handler goflow-server mounts
+// — not the bare one: the obs status recorder must pass the hijack
+// through (it used to answer 500) and count the upgrade as a 1xx.
+func TestLiveWebSocketThroughInstrumentedHandler(t *testing.T) {
+	broker := mq.NewBroker()
+	store := docstore.NewStore()
+	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := server.Login("SC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.StartIngest(); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	Instrument(reg, server, store)
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, reg))
+	t.Cleanup(func() {
+		ts.Close()
+		server.Shutdown()
+		broker.Close()
+	})
+
+	ws := dialWS(t, ts, "/v1/live/ws?app=SC")
+	publishLiveObs(t, broker, cl, "FR75013", 55)
+	var ev LiveEvent
+	if err := json.Unmarshal(ws.mustReadText(t), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.App != "SC" || ev.Zone != "FR75013" {
+		t.Fatalf("ws event = %+v", ev)
+	}
+
+	// The request is counted when its handler returns, i.e. once the
+	// socket is gone.
+	ws.writeFrame(t, wsOpClose, nil)
+	ws.conn.Close()
+	want := `http_requests_total{route="GET /v1/live/ws",class="1xx"} 1`
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(text), want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics never showed %s", want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -35,8 +35,17 @@ type ShedderConfig struct {
 type Shedder struct {
 	cfg ShedderConfig
 
-	mu      sync.Mutex
-	samples []latencySample // ring-ish: pruned by time on each touch
+	mu sync.Mutex
+	// samples[head:] is the moving window, oldest first; expired
+	// samples are dropped by advancing head on each touch, and the dead
+	// prefix is cut off once it is the larger half.
+	samples []latencySample
+	head    int
+	// reached[k-1] counts window samples of at least k×Target. Admit
+	// needs only min(⌊p99/Target⌋, numShedRanks), and the nearest-rank
+	// p99 is >= k×Target exactly when at least n-rank+1 samples are, so
+	// these counters decide as the sorted window would, in O(1).
+	reached [numShedRanks]int
 }
 
 type latencySample struct {
@@ -71,7 +80,23 @@ func (s *Shedder) Observe(d time.Duration) {
 	s.mu.Lock()
 	s.pruneLocked(now)
 	s.samples = append(s.samples, latencySample{at: now, d: d})
+	s.tallyLocked(d, +1)
 	s.mu.Unlock()
+}
+
+// tallyLocked adds delta to the counter of every multiple of Target a
+// sample of d reaches: ⌊d/Target⌋ of them, capped at numShedRanks —
+// the pressure a p99 of d would exert.
+func (s *Shedder) tallyLocked(d time.Duration, delta int) {
+	for k := min(d/s.cfg.Target, numShedRanks); k > 0; k-- {
+		s.reached[k-1] += delta
+	}
+}
+
+// p99Rank is the 1-based nearest-rank index of the p99 among n sorted
+// samples: ceil(0.99*n).
+func p99Rank(n int) int {
+	return min((n*99+99)/100, n)
 }
 
 // Admit reports whether work of class c should run now. On rejection
@@ -81,19 +106,19 @@ func (s *Shedder) Admit(c Class) error {
 	if s.cfg.Target <= 0 {
 		return nil
 	}
-	p99 := s.P99()
-	if p99 <= 0 {
-		return nil
-	}
+	s.mu.Lock()
+	s.pruneLocked(s.cfg.Now())
+	n := len(s.samples) - s.head
 	// Pressure 1 sheds the least important rank (analytics and live),
 	// 2 also sheds queries, 3 sheds everything including ingest.
-	pressure := int(p99 / s.cfg.Target)
-	if pressure <= 0 {
-		return nil
+	pressure := 0
+	if n >= s.cfg.MinSamples {
+		atOrAbove := n - p99Rank(n) + 1 // samples at or above the p99
+		for pressure < numShedRanks && s.reached[pressure] >= atOrAbove {
+			pressure++
+		}
 	}
-	if pressure > numShedRanks {
-		pressure = numShedRanks
-	}
+	s.mu.Unlock()
 	// Class c is shed when its rank from the bottom is < pressure.
 	if shedRank(c) < pressure {
 		return Reject(ErrOverloaded, s.cfg.RetryAfter)
@@ -127,33 +152,27 @@ func (s *Shedder) P99() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked(s.cfg.Now())
-	n := len(s.samples)
+	window := s.samples[s.head:]
+	n := len(window)
 	if n < s.cfg.MinSamples {
 		return 0
 	}
-	// Copy-and-sort: windows are small (bounded by request rate *
-	// Window) and Admit is consulted once per request, so simplicity
-	// beats quickselect.
 	ds := make([]time.Duration, n)
-	for i, smp := range s.samples {
+	for i, smp := range window {
 		ds[i] = smp.d
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	// Nearest-rank p99: ceil(0.99*n)-th smallest.
-	idx := (n*99+99)/100 - 1
-	if idx >= n {
-		idx = n - 1
-	}
-	return ds[idx]
+	return ds[p99Rank(n)-1]
 }
 
 func (s *Shedder) pruneLocked(now time.Time) {
 	cutoff := now.Add(-s.cfg.Window)
-	i := 0
-	for i < len(s.samples) && s.samples[i].at.Before(cutoff) {
-		i++
+	for s.head < len(s.samples) && s.samples[s.head].at.Before(cutoff) {
+		s.tallyLocked(s.samples[s.head].d, -1)
+		s.head++
 	}
-	if i > 0 {
-		s.samples = append(s.samples[:0], s.samples[i:]...)
+	if s.head*2 > len(s.samples) {
+		s.samples = append(s.samples[:0], s.samples[s.head:]...)
+		s.head = 0
 	}
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"net"
 	"net/http"
 	"strconv"
 )
@@ -41,6 +43,21 @@ func (sr *statusRecorder) Flush() {
 		f.Flush()
 	}
 }
+
+// Hijack forwards a connection takeover (the WebSocket upgrade) and
+// records it as 101: after it the handler writes the handshake on the
+// raw connection, past this recorder.
+func (sr *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	conn, rw, err := http.NewResponseController(sr.ResponseWriter).Hijack()
+	if err == nil && sr.status == 0 {
+		sr.status = http.StatusSwitchingProtocols
+	}
+	return conn, rw, err
+}
+
+// Unwrap lets http.ResponseController reach the underlying writer's
+// deadline and full-duplex controls.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 // statusClass folds a status code into "2xx".."5xx".
 func statusClass(code int) string {
