@@ -157,8 +157,8 @@ func run() error {
 	}
 	if local.WAL() != nil {
 		records, d := local.ReplayInfo()
-		fmt.Printf("goflow-server: wal %s replayed %d records in %v (lsn %d, policy %s)\n",
-			*walDir, records, d.Round(time.Millisecond), local.WAL().LastLSN(), policy)
+		fmt.Printf("goflow-server: wal %s replayed %d records (%d legacy gob) in %v (lsn %d, policy %s)\n",
+			*walDir, records, store.FormatStats().DecodedGob, d.Round(time.Millisecond), local.WAL().LastLSN(), policy)
 	}
 	if sdb := local.Series(); sdb != nil {
 		st := sdb.Stats()

@@ -27,8 +27,9 @@ import (
 // dumpEngine renders an engine's entire document state canonically:
 // one JSON line per doc, prefixed by its collection, sorted. Two
 // engines with identical logical state produce byte-identical dumps
-// regardless of iteration or arrival order (gob snapshots themselves
-// are not byte-stable, so state equality is asserted here instead).
+// regardless of iteration or arrival order. (Snapshot files are
+// byte-stable too since the document codec; this dump stays as the
+// independent reference.)
 func dumpEngine(t *testing.T, eng storage.Engine) string {
 	t.Helper()
 	var lines []string

@@ -1,0 +1,564 @@
+package docstore
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// Document codec: the one binary encoding of Doc and Mutation, used
+// for WAL record payloads (and through them replication batches) and
+// for snapshot files (persist.go). DESIGN.md §9 "Document codec" has
+// the rationale; the layout is
+//
+//	mutation  = 0x00 version op str(collection) str(id) body
+//	body      = doc                      insert (the document), update (the fields)
+//	          | uvarint(n) n*doc         insert-many
+//	          | uvarint(n) n*str         unset, ensure-index (the names)
+//	          |                          delete, drop
+//	doc       = uvarint(n) n*(str(key) value), keys strictly ascending
+//	str       = uvarint(len<<1) bytes    first use in this record: takes the next dictionary index
+//	          | uvarint(index<<1|1)      every later use
+//	value     = tag [operand]            see the tag constants
+//
+// All varints are minimal-length. The dictionary is per record, so
+// every record decodes on its own. The decoder accepts exactly what
+// the encoder can emit (sorted keys, no repeated literal, no padded
+// varint, no trailing byte): a payload that decodes re-encodes to
+// itself.
+
+const (
+	// codecMarker opens every payload. A gob stream starts with the
+	// non-zero length of its first message, so the first byte alone
+	// tells a legacy record from a current one.
+	codecMarker  = 0x00
+	codecVersion = 1
+)
+
+// Value tags: the closed set of dynamic types a document may hold.
+const (
+	tagNil     byte = iota
+	tagFalse        // bool
+	tagTrue         // bool
+	tagInt          // int: zigzag varint
+	tagInt64        // int64: zigzag varint
+	tagFloat64      // float64: 8 bytes, IEEE 754 bits little-endian
+	tagString       // string: str
+	tagBytes        // []byte: uvarint(len) bytes
+	tagTime         // time.Time: zigzag(unix s) uvarint(ns) zigzag(zone offset s); no monotonic reading, no zone name
+	tagMap          // map[string]any: doc
+	tagSlice        // []any: uvarint(n) n*value
+)
+
+// Errors of the codec, matched with errors.Is.
+var (
+	// ErrUnsupportedValue: a document holds a value whose dynamic type
+	// is outside the tag set. Raised while logging, so the mutation is
+	// refused before it is applied.
+	ErrUnsupportedValue = errors.New("docstore: value type outside the document codec")
+	// ErrCorrupt: bytes that are not a well-formed encoding.
+	ErrCorrupt = errors.New("docstore: corrupt encoding")
+	// ErrCodecVersion: a well-formed header of a version this reader
+	// does not know (written by a newer binary).
+	ErrCodecVersion = errors.New("docstore: unknown codec version")
+)
+
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// encoder holds the per-record state of one encoding: output, string
+// dictionary and key-sorting scratch.
+type encoder struct {
+	buf  []byte
+	dict map[string]uint64
+	keys []string // a stack: each nested map sorts its keys above its parent's
+	prev []string // the sorted keys of the last map encoded, kept across records
+}
+
+var encoderPool = sync.Pool{New: func() any { return &encoder{dict: make(map[string]uint64)} }}
+
+func getEncoder() *encoder { return encoderPool.Get().(*encoder) }
+
+func (e *encoder) reset() {
+	e.buf = e.buf[:0]
+	clear(e.dict)
+}
+
+func (e *encoder) release() {
+	e.reset()
+	clear(e.keys[:cap(e.keys)])
+	encoderPool.Put(e)
+}
+
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
+
+func (e *encoder) str(s string) {
+	if i, ok := e.dict[s]; ok {
+		e.uvarint(i<<1 | 1)
+		return
+	}
+	e.dict[s] = uint64(len(e.dict))
+	e.uvarint(uint64(len(s)) << 1)
+	e.buf = append(e.buf, s...)
+}
+
+func (e *encoder) doc(d Doc) error {
+	// The documents of a batch mostly share one field set: when the
+	// last map's sorted keys are exactly d's, nothing is sorted.
+	base := len(e.keys)
+	if hasExactly(d, e.prev) {
+		e.keys = append(e.keys, e.prev...)
+	} else {
+		for k := range d {
+			e.keys = append(e.keys, k)
+		}
+		slices.Sort(e.keys[base:])
+		e.prev = append(e.prev[:0], e.keys[base:]...)
+	}
+	keys := e.keys[base:]
+	e.uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.str(k)
+		if err := e.value(d[k]); err != nil {
+			return fmt.Errorf("field %q: %w", k, err)
+		}
+	}
+	e.keys = e.keys[:base]
+	return nil
+}
+
+// hasExactly reports whether d's key set is keys (which are distinct).
+func hasExactly(d Doc, keys []string) bool {
+	if len(d) != len(keys) {
+		return false
+	}
+	for _, k := range keys {
+		if _, ok := d[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (e *encoder) value(v any) error {
+	switch t := v.(type) {
+	case nil:
+		e.buf = append(e.buf, tagNil)
+	case bool:
+		if t {
+			e.buf = append(e.buf, tagTrue)
+		} else {
+			e.buf = append(e.buf, tagFalse)
+		}
+	case int:
+		e.buf = append(e.buf, tagInt)
+		e.varint(int64(t))
+	case int64:
+		e.buf = append(e.buf, tagInt64)
+		e.varint(t)
+	case float64:
+		e.buf = binary.LittleEndian.AppendUint64(append(e.buf, tagFloat64), math.Float64bits(t))
+	case string:
+		e.buf = append(e.buf, tagString)
+		e.str(t)
+	case []byte:
+		e.buf = append(e.buf, tagBytes)
+		e.uvarint(uint64(len(t)))
+		e.buf = append(e.buf, t...)
+	case time.Time:
+		_, off := t.Zone()
+		e.buf = append(e.buf, tagTime)
+		e.varint(t.Unix())
+		e.uvarint(uint64(t.Nanosecond()))
+		e.varint(int64(off))
+	case map[string]any:
+		e.buf = append(e.buf, tagMap)
+		return e.doc(t)
+	case []any:
+		e.buf = append(e.buf, tagSlice)
+		e.uvarint(uint64(len(t)))
+		for i, el := range t {
+			if err := e.value(el); err != nil {
+				return fmt.Errorf("[%d]: %w", i, err)
+			}
+		}
+	default:
+		return fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
+	}
+	return nil
+}
+
+func (e *encoder) mutation(m *Mutation) error {
+	e.buf = append(e.buf, codecMarker, codecVersion, byte(m.Op))
+	e.str(m.Collection)
+	e.str(m.ID)
+	switch m.Op {
+	case OpInsert:
+		return e.doc(m.Doc)
+	case OpUpdate:
+		return e.doc(m.Fields)
+	case OpInsertMany:
+		e.uvarint(uint64(len(m.Docs)))
+		for i, d := range m.Docs {
+			if err := e.doc(d); err != nil {
+				return fmt.Errorf("document %d: %w", i, err)
+			}
+		}
+	case OpUnset, OpEnsureIndex:
+		e.uvarint(uint64(len(m.Names)))
+		for _, n := range m.Names {
+			e.str(n)
+		}
+	case OpDelete, OpDrop:
+	default:
+		return fmt.Errorf("docstore: unknown mutation op %d", m.Op)
+	}
+	return nil
+}
+
+// Interning. A recovered store holds the same few field names and
+// enumeration-like values (app, mode, provider, zone …) once per
+// document; the decoder shares one copy of each instead. The tables are
+// process-wide caches, built lazily and read without locks
+// (copy-on-write), bounded by the three constants below: a field name
+// past the first maxInternFields, a field's value past its first
+// maxInternValues distinct ones, or any string longer than
+// maxInternLen is simply allocated per document as before. A field
+// whose values overflow (ids, free text) stops being tracked.
+const (
+	maxInternFields = 256
+	maxInternValues = 256
+	maxInternLen    = 64
+)
+
+// cowMap is a string-keyed map that is replaced, never modified, on
+// insert, so readers need no lock.
+type cowMap[V any] struct {
+	mu sync.Mutex // serialises writers
+	m  atomic.Pointer[map[string]V]
+}
+
+// get looks up a key still in the input buffer; the conversion in the
+// index expression does not allocate.
+func (c *cowMap[V]) get(b []byte) (v V, ok bool) {
+	if m := c.m.Load(); m != nil {
+		v, ok = (*m)[string(b)]
+	}
+	return v, ok
+}
+
+// add stores v under s unless s is present (the stored value wins) or
+// the map already holds limit entries (full is reported).
+func (c *cowMap[V]) add(s string, v V, limit int) (stored V, full bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var old map[string]V
+	if m := c.m.Load(); m != nil {
+		old = *m
+	}
+	if cur, ok := old[s]; ok {
+		return cur, false
+	}
+	if len(old) >= limit {
+		return v, true
+	}
+	next := make(map[string]V, len(old)+1)
+	for k, ov := range old {
+		next[k] = ov
+	}
+	next[s] = v
+	c.m.Store(&next)
+	return v, false
+}
+
+// internField is one known field name and the string values seen under
+// it, each held already boxed so that storing it in a document copies
+// an interface word pair instead of allocating a string header.
+type internField struct {
+	name   string
+	values cowMap[any]
+	closed atomic.Bool // values overflowed: no longer tracked
+}
+
+var internFields cowMap[*internField]
+
+// fieldFor returns the shared entry for a field name, or nil when the
+// name is too long or the table is full.
+func fieldFor(raw []byte) *internField {
+	if f, ok := internFields.get(raw); ok {
+		return f
+	}
+	if len(raw) > maxInternLen {
+		return nil
+	}
+	s := string(raw)
+	f, full := internFields.add(s, &internField{name: s}, maxInternFields)
+	if full {
+		return nil
+	}
+	return f
+}
+
+// box returns s as an interface value, shared with every earlier
+// document that held the same value under this field when tracked.
+func (f *internField) box(raw []byte) any {
+	if f == nil || len(raw) > maxInternLen || f.closed.Load() {
+		return string(raw)
+	}
+	if v, ok := f.values.get(raw); ok {
+		return v
+	}
+	s := string(raw)
+	v, full := f.values.add(s, any(s), maxInternValues)
+	if full {
+		// A decoder already past the closed check may still add one
+		// entry to the emptied map; it is never read again.
+		f.closed.Store(true)
+		f.values.m.Store(nil)
+	}
+	return v
+}
+
+// dictEntry is one string of the record being decoded, with the shared
+// forms it has been resolved to so far.
+type dictEntry struct {
+	s     string
+	field *internField // once used as a field name
+	boxed any          // once used as a value
+}
+
+// decoder holds the per-record state of one decoding. The first
+// failure sticks in err and empties the input, so the readers return
+// zero values from then on and callers check once.
+type decoder struct {
+	b    []byte // unread input
+	err  error
+	dict []dictEntry
+	seen map[string]struct{} // literals so far: a repeat should have been an index
+	// The last non-UTC zone built, so a batch stamped in one zone
+	// shares one Location.
+	zoneOff int64
+	zone    *time.Location
+}
+
+var decoderPool = sync.Pool{New: func() any { return &decoder{seen: make(map[string]struct{})} }}
+
+func getDecoder(b []byte) *decoder {
+	d := decoderPool.Get().(*decoder)
+	d.b = b
+	return d
+}
+
+func (d *decoder) release() {
+	clear(d.dict)
+	clear(d.seen)
+	*d = decoder{dict: d.dict[:0], seen: d.seen}
+	decoderPool.Put(d)
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = corruptf(format, args...)
+	}
+	d.b = nil
+}
+
+// take returns the next n bytes, which the caller has checked are there.
+func (d *decoder) take(n uint64) []byte {
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
+		d.fail("truncated, overlong or padded varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// count reads an element count (or a byte length, minBytes 1) and
+// checks it against the input left, every element taking at least
+// minBytes, before anything is sized by it.
+func (d *decoder) count(minBytes int) uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b)/minBytes) {
+		d.fail("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
+	}
+	return n
+}
+
+// String positions: what a string is read as decides what it shares.
+const (
+	posPlain = iota // ids, unset names: a private copy
+	posKey          // field and collection names: the field table
+	posValue        // string values: the enclosing field's value table
+)
+
+// str reads one string and resolves it for its position (f is the
+// enclosing field of a posValue). The entry is valid until the next
+// call.
+func (d *decoder) str(pos int, f *internField) *dictEntry {
+	u := d.uvarint()
+	var e *dictEntry
+	switch {
+	case u&1 == 1 && u>>1 < uint64(len(d.dict)):
+		e = &d.dict[u>>1]
+	case u&1 == 1 || u>>1 > uint64(len(d.b)):
+		d.fail("string index or length %d outside the dictionary (%d) or the input", u>>1, len(d.dict))
+		return &dictEntry{}
+	default:
+		raw := d.take(u >> 1)
+		if _, dup := d.seen[string(raw)]; dup {
+			d.fail("literal %q repeated", raw)
+			return &dictEntry{}
+		}
+		d.dict = append(d.dict, dictEntry{})
+		e = &d.dict[len(d.dict)-1]
+		switch pos {
+		case posKey:
+			if e.field = fieldFor(raw); e.field != nil {
+				e.s = e.field.name
+			}
+		case posValue:
+			e.boxed = f.box(raw)
+			e.s = e.boxed.(string)
+		}
+		if pos == posPlain || (pos == posKey && e.field == nil) {
+			e.s = string(raw)
+		}
+		d.seen[e.s] = struct{}{}
+	}
+	if pos == posValue && e.boxed == nil {
+		e.boxed = e.s // first met as a name
+	}
+	return e
+}
+
+func (d *decoder) doc() Doc {
+	n := d.count(2)
+	out := make(Doc, n)
+	prev := ""
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		k := d.str(posKey, nil)
+		if i > 0 && k.s <= prev {
+			d.fail("field %q out of order after %q", k.s, prev)
+		}
+		prev = k.s
+		out[prev] = d.value(k.field)
+	}
+	return out
+}
+
+// value reads one tagged value; f is the field it sits under, for
+// string interning (elements of a slice inherit the slice's field).
+func (d *decoder) value(f *internField) any {
+	if len(d.b) == 0 {
+		d.fail("truncated")
+		return nil
+	}
+	switch tag := d.take(1)[0]; tag {
+	case tagNil:
+		return nil
+	case tagFalse:
+		return false
+	case tagTrue:
+		return true
+	case tagInt:
+		v := d.varint()
+		if int64(int(v)) != v {
+			d.fail("int %d overflows this platform", v)
+		}
+		return int(v)
+	case tagInt64:
+		return d.varint()
+	case tagFloat64:
+		if len(d.b) < 8 {
+			d.fail("truncated float64")
+			return nil
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(d.take(8)))
+	case tagString:
+		return d.str(posValue, f).boxed
+	case tagBytes:
+		return bytes.Clone(d.take(d.count(1)))
+	case tagTime:
+		sec, nsec, off := d.varint(), d.uvarint(), d.varint()
+		if nsec >= 1e9 || int64(int(off)) != off {
+			d.fail("time out of range (ns %d, zone offset %d)", nsec, off)
+			return nil
+		}
+		t := time.Unix(sec, int64(nsec))
+		if off == 0 {
+			return t.UTC()
+		}
+		if d.zone == nil || d.zoneOff != off {
+			d.zoneOff, d.zone = off, time.FixedZone("", int(off))
+		}
+		return t.In(d.zone)
+	case tagMap:
+		return d.doc()
+	case tagSlice:
+		out := make([]any, d.count(1))
+		for i := 0; i < len(out) && d.err == nil; i++ {
+			out[i] = d.value(f)
+		}
+		return out
+	default:
+		d.fail("unknown value tag %d", tag)
+		return nil
+	}
+}
+
+func (d *decoder) mutation() (*Mutation, error) {
+	if len(d.b) < 2 {
+		return nil, corruptf("truncated")
+	}
+	if v := d.b[0]; v != codecVersion {
+		return nil, fmt.Errorf("%w: mutation version %d", ErrCodecVersion, v)
+	}
+	m := &Mutation{Op: MutationOp(d.b[1]), format: formatBin}
+	d.b = d.b[2:]
+	m.Collection = d.str(posKey, nil).s
+	m.ID = d.str(posPlain, nil).s
+	switch m.Op {
+	case OpInsert:
+		m.Doc = d.doc()
+	case OpUpdate:
+		m.Fields = d.doc()
+	case OpInsertMany:
+		m.Docs = make([]Doc, d.count(1))
+		for i := 0; i < len(m.Docs) && d.err == nil; i++ {
+			m.Docs[i] = d.doc()
+		}
+	case OpUnset, OpEnsureIndex:
+		m.Names = make([]string, d.count(1))
+		for i := 0; i < len(m.Names) && d.err == nil; i++ {
+			m.Names[i] = d.str(posPlain, nil).s
+		}
+	case OpDelete, OpDrop:
+	default:
+		d.fail("unknown mutation op %d", m.Op)
+	}
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	return m, d.err
+}

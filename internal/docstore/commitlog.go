@@ -69,6 +69,37 @@ type Mutation struct {
 	Docs       []Doc
 	Fields     Doc
 	Names      []string
+
+	// format is set by DecodeMutation: which encoding the record was
+	// read from, counted when it is applied (see FormatStats).
+	format payloadFormat
+}
+
+// payloadFormat names an on-disk encoding of mutations and snapshots.
+type payloadFormat uint8
+
+const (
+	formatGob payloadFormat = iota + 1 // legacy: read, never written
+	formatBin                          // codec.go, version 1
+)
+
+// FormatStats counts what this store has read back, by the encoding it
+// was in — how an operator tells when the first checkpoint after an
+// upgrade has retired the last legacy bytes.
+type FormatStats struct {
+	// DecodedGob and DecodedBin count applied mutations that came out
+	// of DecodeMutation (WAL replay and replication apply).
+	DecodedGob, DecodedBin uint64
+	// RestoredGob and RestoredBin count snapshots restored.
+	RestoredGob, RestoredBin uint64
+}
+
+// FormatStats snapshots the store's read-format counters.
+func (s *Store) FormatStats() FormatStats {
+	return FormatStats{
+		DecodedGob: s.decoded[formatGob].Load(), DecodedBin: s.decoded[formatBin].Load(),
+		RestoredGob: s.restored[formatGob].Load(), RestoredBin: s.restored[formatBin].Load(),
+	}
 }
 
 // CommitTicket is the pending-durability handle of one logged

@@ -48,6 +48,10 @@ type Store struct {
 	// ingestObs is shared with every collection; see
 	// SetIngestObserver.
 	ingestObs atomic.Pointer[ingestObsBox]
+
+	// decoded and restored count applied records and restored
+	// snapshots by payloadFormat; see FormatStats.
+	decoded, restored [formatBin + 1]atomic.Uint64
 }
 
 // NewStore returns an empty store.

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,19 +13,20 @@ import (
 	"time"
 
 	"github.com/urbancivics/goflow/internal/faults"
+	"github.com/urbancivics/goflow/internal/wal"
 )
 
 // Seeded property test: any store the generator can produce must
-// survive a snapshot round trip bit-exactly — documents, insertion
-// order, and index definitions. Failures reproduce from the seed in
-// the subtest name.
+// survive a snapshot round trip and a WAL round trip bit-exactly —
+// documents, insertion order, and index definitions. Failures
+// reproduce from the seed in the subtest name.
 
 // genValue draws one random document value covering every kind the
-// store persists, including nested composites.
+// store persists, including nested composites (which may be empty).
 func genValue(rng *rand.Rand, depth int) any {
-	kinds := 6
+	kinds := 11
 	if depth >= 2 {
-		kinds = 4 // cap nesting
+		kinds = 9 // cap nesting
 	}
 	switch rng.Intn(kinds) {
 	case 0:
@@ -36,6 +38,18 @@ func genValue(rng *rand.Rand, depth int) any {
 	case 3:
 		return time.Unix(1_450_000_000+int64(rng.Intn(10_000_000)), 0).UTC()
 	case 4:
+		return rng.Intn(2000) - 1000
+	case 5:
+		return rng.Int63() - 1<<62
+	case 6:
+		b := make([]byte, rng.Intn(5))
+		rng.Read(b)
+		return b
+	case 7:
+		return nil
+	case 8:
+		return time.Unix(1_450_000_000+int64(rng.Intn(10_000_000)), int64(rng.Intn(1e9))).In(time.FixedZone("", 2*3600))
+	case 9:
 		n := rng.Intn(3)
 		m := map[string]any{}
 		for i := 0; i < n; i++ {
@@ -58,6 +72,14 @@ func genValue(rng *rand.Rand, depth int) any {
 func genStore(t *testing.T, rng *rand.Rand) *Store {
 	t.Helper()
 	s := NewStore()
+	genInto(t, rng, s)
+	return s
+}
+
+// genInto is genStore over a store the caller prepared (say, with a
+// commit log attached).
+func genInto(t *testing.T, rng *rand.Rand, s *Store) {
+	t.Helper()
 	fields := []string{"model", "spl", "zone", "ok"}
 	for ci, cols := 0, 1+rng.Intn(3); ci < cols; ci++ {
 		c := s.Collection(fmt.Sprintf("col%d", ci))
@@ -89,7 +111,16 @@ func genStore(t *testing.T, rng *rand.Rand) *Store {
 			}
 		}
 	}
-	return s
+}
+
+// snapshotBytes is the store's snapshot file as a byte slice.
+func snapshotBytes(t *testing.T, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // assertStoresDeepEqual compares collections, docs, insertion order and
@@ -139,6 +170,40 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertStoresDeepEqual(t, s, restored)
+			// Equal stores are equal bytes: nothing in the file depends
+			// on map iteration order or on which process wrote it.
+			if !bytes.Equal(snapshotBytes(t, s), snapshotBytes(t, restored)) {
+				t.Fatal("snapshot of the restored store differs from the snapshot it was restored from")
+			}
+		})
+	}
+}
+
+// TestWALRoundTripProperty is the same property through the log: a
+// store recovered from the WAL records of a generated history is the
+// store that wrote them, and snapshots to the same bytes.
+func TestWALRoundTripProperty(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			w := openWAL(t, dir, wal.Options{Policy: wal.FsyncNone})
+			s := NewStore()
+			AttachWAL(s, w)
+			genInto(t, rand.New(rand.NewSource(seed)), s)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2 := openWAL(t, dir, wal.Options{})
+			defer w2.Close()
+			recovered := NewStore()
+			if _, err := RecoverWAL(recovered, w2); err != nil {
+				t.Fatal(err)
+			}
+			assertStoresDeepEqual(t, s, recovered)
+			if !bytes.Equal(snapshotBytes(t, s), snapshotBytes(t, recovered)) {
+				t.Fatal("snapshot of the recovered store differs from the live store's")
+			}
 		})
 	}
 }
@@ -170,10 +235,16 @@ func TestSaveFileTornWriteKeepsPreviousSnapshot(t *testing.T) {
 		}
 	}
 
-	budgets := []int{0, 1, len(good) / 2, len(good) - 1}
-	for _, budget := range budgets {
-		budget := budget
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+	// Named by position (.5 = half the file, -1 = all but its last
+	// byte), not by byte count: the file's length moves with the ids the
+	// process has minted so far.
+	budgets := []struct {
+		name string
+		n    int
+	}{{"0", 0}, {"1", 1}, {".5", len(good) / 2}, {"-1", len(good) - 1}}
+	for _, b := range budgets {
+		budget := b.n
+		t.Run("budget="+b.name, func(t *testing.T) {
 			err := s.SaveFileVia(path, func(w io.Writer) io.Writer {
 				return faults.NewWriter(w, budget)
 			})

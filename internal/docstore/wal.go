@@ -43,8 +43,8 @@ func AttachWAL(s *Store, w *wal.WAL) {
 }
 
 // walCommitLog adapts *wal.WAL to the CommitLog seam: each Mutation is
-// gob-encoded as the payload of one WAL record whose type byte is the
-// mutation op.
+// encoded (codec.go) as the payload of one WAL record whose type byte
+// is the mutation op.
 type walCommitLog struct{ w *wal.WAL }
 
 // Log implements CommitLog. It serializes the mutation immediately
@@ -64,24 +64,38 @@ func (l walCommitLog) Log(m *Mutation) (CommitTicket, error) {
 	return t, nil
 }
 
-// EncodeMutation gob-encodes a mutation into a WAL record payload.
-// Each record carries its own encoder stream: self-contained records
-// cost some bytes in type descriptors but keep every record
+// EncodeMutation encodes a mutation into a WAL record payload. Each
+// record carries its own string dictionary: self-contained records
+// cost a one-document record its field names but keep every record
 // independently decodable, which is what lets recovery truncate at an
 // arbitrary torn record — and what lets a replication follower apply
-// shipped records one by one. Exported for the cluster layer.
+// shipped records one by one. A document value outside the codec's
+// types fails with ErrUnsupportedValue. Exported for the cluster layer.
 func EncodeMutation(m *Mutation) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	e := getEncoder()
+	defer e.release()
+	if err := e.mutation(m); err != nil {
 		return nil, fmt.Errorf("docstore: encode wal mutation: %w", err)
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(e.buf), nil
 }
 
 // DecodeMutation decodes one WAL record payload back into a Mutation
-// (the inverse of EncodeMutation).
+// (the inverse of EncodeMutation). It also reads the gob payloads
+// every binary before the document codec wrote, so a log or a
+// replication leader of that vintage stays readable; nothing writes
+// them any more.
 func DecodeMutation(payload []byte) (*Mutation, error) {
-	var m Mutation
+	if len(payload) > 0 && payload[0] == codecMarker {
+		d := getDecoder(payload[1:])
+		defer d.release()
+		m, err := d.mutation()
+		if err != nil {
+			return nil, fmt.Errorf("docstore: decode wal mutation: %w", err)
+		}
+		return m, nil
+	}
+	m := Mutation{format: formatGob}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
 		return nil, fmt.Errorf("docstore: decode wal mutation: %w", err)
 	}
@@ -143,6 +157,9 @@ func (s *Store) ApplyMutation(m *Mutation) error { return s.ApplyMutationAt(0, m
 // log must apply records in LSN order — observer ordering comes from
 // the single replay goroutine here, not from a lock.
 func (s *Store) ApplyMutationAt(lsn uint64, m *Mutation) error {
+	if m.format != 0 {
+		s.decoded[m.format].Add(1)
+	}
 	switch m.Op {
 	case OpInsert:
 		if m.ID == "" {
@@ -225,7 +242,7 @@ func (c *Collection) replayUpdate(id string, fields Doc) {
 			idx.remove(e, e.doc[k])
 			idx.add(e, v)
 		}
-		e.doc[k] = v // gob gave us fresh memory; no defensive clone needed
+		e.doc[k] = v // the decoder gave us fresh memory; no defensive clone needed
 	}
 	c.updated++
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkInsertWithWAL measures observation ingest throughput through
-// the full mutation path — clone, index, gob-encode, WAL append, group
+// the full mutation path — clone, index, encode, WAL append, group
 // commit — under each fsync policy, plus the no-WAL in-memory baseline.
 func BenchmarkInsertWithWAL(b *testing.B) {
 	run := func(b *testing.B, s *Store, writers int) {

@@ -2,6 +2,7 @@ package goflow
 
 import (
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/urbancivics/goflow/internal/docstore"
@@ -568,6 +569,26 @@ func (m *Metrics) InstrumentStore(s *docstore.Store) {
 		Delete: func(col string, d time.Duration) {
 			m.opDuration.With(col, "delete").ObserveDuration(d)
 		},
+	})
+	// Which encoding this node has read back: legacy gob until the
+	// first checkpoint after an upgrade retires it, bin1 from then on.
+	// The store counts from its creation — before this registry
+	// existed — so each collect adds what is new since the last.
+	decoded := m.reg.CounterVec("docstore_wal_decoded_records_total",
+		"WAL and replication records decoded and applied, by payload format.", "format")
+	restored := m.reg.CounterVec("docstore_snapshots_restored_total",
+		"Snapshots restored, by file format.", "format")
+	var mu sync.Mutex
+	var last docstore.FormatStats
+	m.reg.OnCollect(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		now := s.FormatStats()
+		decoded.With("gob").Add(now.DecodedGob - last.DecodedGob)
+		decoded.With("bin1").Add(now.DecodedBin - last.DecodedBin)
+		restored.With("gob").Add(now.RestoredGob - last.RestoredGob)
+		restored.With("bin1").Add(now.RestoredBin - last.RestoredBin)
+		last = now
 	})
 }
 

@@ -1,6 +1,7 @@
 package goflow
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
+	"github.com/urbancivics/goflow/internal/wal"
 )
 
 func TestExchangeAndQueueClasses(t *testing.T) {
@@ -190,6 +192,71 @@ func TestRouteCacheMetricsExposition(t *testing.T) {
 		!strings.Contains(text, "mq_route_cache_invalidations_total") {
 		t.Errorf("/metrics should report nonzero invalidations; got:\n%s",
 			grepLines(text, "route_cache"))
+	}
+}
+
+// TestFormatMetricsExposition checks the read-format counters: records
+// and snapshots the store read back before the registry existed show
+// up on the first scrape, under the format they were in, and a second
+// scrape does not count them again.
+func TestFormatMetricsExposition(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := docstore.NewStore()
+	docstore.AttachWAL(src, w)
+	for i := 0; i < 3; i++ {
+		if _, err := src.Collection("c").Insert(docstore.Doc{"n": i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store := docstore.NewStore()
+	if err := store.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := docstore.RecoverWAL(store, w); err != nil {
+		t.Fatal(err)
+	}
+	broker := mq.NewBroker()
+	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		server.Shutdown()
+		broker.Close()
+	})
+	reg := obs.NewRegistry()
+	Instrument(reg, server, store)
+	for scrape := 0; scrape < 2; scrape++ {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			`docstore_wal_decoded_records_total{format="bin1"} 3`,
+			`docstore_wal_decoded_records_total{format="gob"} 0`,
+			`docstore_snapshots_restored_total{format="bin1"} 1`,
+			`docstore_snapshots_restored_total{format="gob"} 0`,
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("scrape %d: /metrics missing %q; got:\n%s", scrape, want, grepLines(buf.String(), "format="))
+			}
+		}
 	}
 }
 

@@ -54,6 +54,7 @@ func percentile(ds []time.Duration, p int) time.Duration {
 }
 
 func TestOverloadGracefulDegradation(t *testing.T) {
+	const shedTarget = 40 * time.Millisecond
 	before := stableGoroutines(t)
 
 	clk := newAdmClock()
@@ -63,7 +64,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 		Store:  docstore.NewStore(),
 		Admission: AdmissionConfig{
 			RatePerDevice:   -1, // fairness is tested elsewhere; this suite isolates shedding
-			ShedTarget:      10 * time.Millisecond,
+			ShedTarget:      shedTarget,
 			Concurrency:     map[guard.Class]int{guard.ClassIngest: 16, guard.ClassQuery: 8, guard.ClassAnalytics: 4},
 			BreakerFailures: 3,
 			BreakerOpenFor:  time.Second,
@@ -76,13 +77,16 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	}
 
 	// Synthetic guarded backend: handler latency follows a seeded
-	// schedule standing in for a store at 10x load — between 1x and
-	// 2.5x the shed target, so pressure reaches the analytics and
-	// query ranks but never the ingest rank.
+	// schedule standing in for a store at 10x load — between 1.2x and
+	// 2.2x the shed target, so pressure reaches the analytics and
+	// query ranks but never the ingest rank (3x). The handlers sleep on
+	// the wall clock, so the target is sized to leave the ingest rank
+	// 0.8 x target = 32 ms of scheduler delay before a loaded 2-vCPU
+	// runner can shed it.
 	rng := rand.New(rand.NewSource(42))
 	delays := make([]time.Duration, 512)
 	for i := range delays {
-		delays[i] = 12*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+		delays[i] = shedTarget*12/10 + time.Duration(rng.Int63n(int64(shedTarget)))
 	}
 	var delayIdx atomic.Int64
 	backendDelay := func() time.Duration {

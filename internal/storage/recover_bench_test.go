@@ -1,0 +1,97 @@
+package storage
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/urbancivics/goflow/internal/wal"
+)
+
+// recoverObservation is a document shaped like the ones the ingest
+// path stores (goflow.DataManager.toDocAnon).
+func recoverObservation(i int) Doc {
+	at := recBase.Add(time.Duration(i) * 1700 * time.Millisecond)
+	return Doc{
+		"appId":        "SC",
+		"userId":       fmt.Sprintf("anon-%032x", i%200),
+		"deviceModel":  fmt.Sprintf("Model-%d", i%23),
+		"appVersion":   "1.3." + fmt.Sprint(i%4),
+		"mode":         []string{"manual", "journey", "background"}[i%3],
+		"spl":          40 + float64(i%400)/10,
+		"activity":     []string{"still", "walking", "vehicle", "bicycle", "unknown"}[i%5],
+		"activityConf": float64(i%100) / 100,
+		"sensedAt":     at,
+		"receivedAt":   at.Add(1500 * time.Millisecond),
+		"localized":    true,
+		"provider":     []string{"gps", "network", "fused"}[i%3],
+		"lat":          48.8 + float64(i%1000)/1e4,
+		"lon":          2.3 + float64(i%977)/1e4,
+		"accuracyM":    5 + float64(i%60),
+		"zone":         fmt.Sprintf("FR751%02d", i%20+1),
+	}
+}
+
+// BenchmarkRecover50k is crash recovery as `dashboard-read` sets it
+// up: 50 000 observation-shaped documents logged in bodies of 500 and
+// never checkpointed, the ingest path's seven indexes, the series view
+// attached — then OpenLocal replays the log. It reports documents per
+// second, the log's bytes per document and the live heap a recovered
+// engine holds.
+func BenchmarkRecover50k(b *testing.B) {
+	const n, perBody = 50_000, 500
+	dir := b.TempDir()
+	opts := LocalOptions{WALDir: dir, Policy: wal.FsyncNone, Series: &SeriesOptions{}}
+	l, err := OpenLocal(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range []string{"deviceModel", "appId", "userId", "provider", "mode", "appVersion", "zone"} {
+		l.EnsureIndex("observations", f)
+	}
+	for off := 0; off < n; off += perBody {
+		body := make([]Doc, perBody)
+		for i := range body {
+			body[i] = recoverObservation(off + i)
+		}
+		if _, err := l.InsertMany("observations", body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.WAL().Sync(); err != nil {
+		b.Fatal(err)
+	}
+	logBytes := l.WAL().Stats().Bytes
+	if err := l.Close(); err != nil { // no checkpoint: the next open replays everything
+		b.Fatal(err)
+	}
+	l = nil
+
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := OpenLocal(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if got := r.Stats("observations").Docs; got != n {
+			b.Fatalf("recovered %d documents, want %d", got, n)
+		}
+		if i == b.N-1 {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(ms.HeapAlloc-before)/(1<<20), "live-MiB")
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+	b.ReportMetric(float64(logBytes)/n, "logB/doc")
+}
