@@ -375,17 +375,10 @@ func (f *Follower) apply(records []mq.ReplRecord) error {
 		if rec.LSN != applied+1 {
 			return fmt.Errorf("cluster: gap in shipped log: have %d, got %d", applied, rec.LSN)
 		}
-		m, err := docstore.DecodeMutation(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if m.Op == 0 {
-			m.Op = docstore.MutationOp(rec.Type)
-		}
-		// ApplyMutationAt carries the leader's LSN into the ingest
+		// ApplyRecord carries the leader's LSN into the ingest
 		// observer, so a follower's series view stays watermarked in
 		// step with its store.
-		if err := store.ApplyMutationAt(rec.LSN, m); err != nil {
+		if err := store.ApplyRecord(rec.LSN, rec.Type, rec.Payload); err != nil {
 			return err
 		}
 		tk, err := w.Append(rec.Type, rec.Payload)

@@ -110,8 +110,24 @@ func (e *encoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
+// packed writes a document from its stored form, whose names are
+// already in the order a doc is written in: the same bytes as doc gives
+// for the same document, with no key to collect or sort.
+func (e *encoder) packed(p *packed) error {
+	e.uvarint(uint64(len(p.vals)))
+	for i, k := range p.shape.names {
+		e.str(k)
+		if err := e.value(p.vals[i]); err != nil {
+			return fmt.Errorf("field %q: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// doc writes a document held as a map: update fields, nested values,
+// and the documents of a mutation built outside the store.
 func (e *encoder) doc(d Doc) error {
-	// The documents of a batch mostly share one field set: when the
+	// Maps met one after another mostly share one field set: when the
 	// last map's sorted keys are exactly d's, nothing is sorted.
 	base := len(e.keys)
 	if hasExactly(d, e.prev) {
@@ -196,19 +212,36 @@ func (e *encoder) value(v any) error {
 	return nil
 }
 
+// inserted writes document i of an insert or insert-many, from
+// whichever form m carries its documents in.
+func (e *encoder) inserted(m *Mutation, i int) error {
+	switch {
+	case m.packed != nil:
+		return e.packed(&m.packed[i])
+	case m.Op == OpInsert:
+		return e.doc(m.Doc)
+	default:
+		return e.doc(m.Docs[i])
+	}
+}
+
 func (e *encoder) mutation(m *Mutation) error {
 	e.buf = append(e.buf, codecMarker, codecVersion, byte(m.Op))
 	e.str(m.Collection)
 	e.str(m.ID)
 	switch m.Op {
 	case OpInsert:
-		return e.doc(m.Doc)
+		return e.inserted(m, 0)
 	case OpUpdate:
 		return e.doc(m.Fields)
 	case OpInsertMany:
-		e.uvarint(uint64(len(m.Docs)))
-		for i, d := range m.Docs {
-			if err := e.doc(d); err != nil {
+		n := len(m.Docs)
+		if m.packed != nil {
+			n = len(m.packed)
+		}
+		e.uvarint(uint64(n))
+		for i := 0; i < n; i++ {
+			if err := e.inserted(m, i); err != nil {
 				return fmt.Errorf("document %d: %w", i, err)
 			}
 		}
@@ -253,6 +286,13 @@ func (c *cowMap[V]) get(b []byte) (v V, ok bool) {
 		v, ok = (*m)[string(b)]
 	}
 	return v, ok
+}
+
+func (c *cowMap[V]) len() int {
+	if m := c.m.Load(); m != nil {
+		return len(*m)
+	}
+	return 0
 }
 
 // add stores v under s unless s is present (the stored value wins) or
@@ -343,6 +383,11 @@ type decoder struct {
 	err  error
 	dict []dictEntry
 	seen map[string]struct{} // literals so far: a repeat should have been an index
+	// shapes, when set, has the documents of an insert decoded straight
+	// into stored form (see stored) and finds them their shapes; names
+	// is the scratch their keys are gathered in.
+	shapes *shapeCache
+	names  []string
 	// The last non-UTC zone built, so a batch stamped in one zone
 	// shares one Location.
 	zoneOff int64
@@ -360,7 +405,8 @@ func getDecoder(b []byte) *decoder {
 func (d *decoder) release() {
 	clear(d.dict)
 	clear(d.seen)
-	*d = decoder{dict: d.dict[:0], seen: d.seen}
+	clear(d.names)
+	*d = decoder{dict: d.dict[:0], seen: d.seen, names: d.names[:0]}
 	decoderPool.Put(d)
 }
 
@@ -467,6 +513,30 @@ func (d *decoder) doc() Doc {
 	return out
 }
 
+// stored reads a document into stored form. Its keys arrive in the
+// order a shape keeps them, so they are the shape's names as read: no
+// map is built and nothing is sorted. It applies every check doc does.
+func (d *decoder) stored() packed {
+	n := d.count(2)
+	vals := make([]any, n)
+	d.names = d.names[:0]
+	for i := range vals {
+		if d.err != nil {
+			break
+		}
+		k := d.str(posKey, nil)
+		if i > 0 && k.s <= d.names[i-1] {
+			d.fail("field %q out of order after %q", k.s, d.names[i-1])
+		}
+		d.names = append(d.names, k.s)
+		vals[i] = d.value(k.field)
+	}
+	if d.err != nil {
+		return packed{}
+	}
+	return packed{shape: d.shapes.find(d.names), vals: vals}
+}
+
 // value reads one tagged value; f is the field it sits under, for
 // string interning (elements of a slice inherit the slice's field).
 func (d *decoder) value(f *internField) any {
@@ -540,13 +610,24 @@ func (d *decoder) mutation() (*Mutation, error) {
 	m.ID = d.str(posPlain, nil).s
 	switch m.Op {
 	case OpInsert:
-		m.Doc = d.doc()
+		if d.shapes != nil {
+			m.packed = []packed{d.stored()}
+		} else {
+			m.Doc = d.doc()
+		}
 	case OpUpdate:
 		m.Fields = d.doc()
 	case OpInsertMany:
-		m.Docs = make([]Doc, d.count(1))
-		for i := 0; i < len(m.Docs) && d.err == nil; i++ {
-			m.Docs[i] = d.doc()
+		if n := int(d.count(1)); d.shapes != nil {
+			m.packed = make([]packed, n)
+			for i := 0; i < n && d.err == nil; i++ {
+				m.packed[i] = d.stored()
+			}
+		} else {
+			m.Docs = make([]Doc, n)
+			for i := 0; i < n && d.err == nil; i++ {
+				m.Docs[i] = d.doc()
+			}
 		}
 	case OpUnset, OpEnsureIndex:
 		m.Names = make([]string, d.count(1))

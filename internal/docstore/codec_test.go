@@ -161,13 +161,14 @@ func TestDecodeRefusesUnknownVersionAndOp(t *testing.T) {
 // documents), well under 64 bytes each. The allocation counter is
 // process-wide, so a reading over budget is taken again — what the
 // decoder allocates repeats, what another goroutine did beside it does
-// not.
-func decodeOverAllocates(payload []byte) (m *Mutation, over bool, err error) {
+// not. With shapes set it is the decoder of the apply path that is
+// measured, the one that builds stored documents instead of maps.
+func decodeOverAllocates(payload []byte, shapes *shapeCache) (m *Mutation, over bool, err error) {
 	budget := uint64(64*len(payload)) + 16<<10
 	for try := 0; try < 3; try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err = DecodeMutation(payload)
+		m, err = decodeMutation(payload, shapes)
 		runtime.ReadMemStats(&after)
 		if after.TotalAlloc-before.TotalAlloc <= budget {
 			return m, false, err
@@ -192,12 +193,14 @@ func TestDecodeLengthsCheckedBeforeAllocating(t *testing.T) {
 		"string index":  append(head(OpInsert), 1, 0, tagString, 0xff, 0x01),
 	}
 	for name, payload := range hostile {
-		_, over, err := decodeOverAllocates(payload)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
-		}
-		if over {
-			t.Errorf("%s: decoding %d bytes allocated far more than their length", name, len(payload))
+		for _, shapes := range []*shapeCache{nil, {}} {
+			_, over, err := decodeOverAllocates(payload, shapes)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+			}
+			if over {
+				t.Errorf("%s: decoding %d bytes allocated far more than their length", name, len(payload))
+			}
 		}
 	}
 }
@@ -217,8 +220,10 @@ func TestDecodeAcceptsOnlyCanonicalForm(t *testing.T) {
 		"trailing byte":      {1, 2, 'a', tagNil, 0},
 		"truncated":          {1, 2, 'a'},
 	} {
-		if _, err := DecodeMutation(append(bytes.Clone(head), body...)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		for _, shapes := range []*shapeCache{nil, {}} {
+			if _, err := decodeMutation(append(bytes.Clone(head), body...), shapes); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+			}
 		}
 	}
 	if _, err := DecodeMutation(append(bytes.Clone(head), 2, 2, 'a', tagNil, 2, 'b', tagString, 3)); err != nil {
@@ -228,7 +233,10 @@ func TestDecodeAcceptsOnlyCanonicalForm(t *testing.T) {
 
 // FuzzMutationDecode: arbitrary bytes never panic and never allocate
 // more than a small multiple of their length, and whatever decodes
-// re-encodes to the same bytes.
+// re-encodes to the same bytes. All of it holds for both decoders — the
+// one that builds maps and the one that builds stored documents — and
+// they accept the same payloads and read the same documents out of
+// them.
 func FuzzMutationDecode(f *testing.F) {
 	for _, m := range everyOp() {
 		payload, err := EncodeMutation(m)
@@ -244,21 +252,48 @@ func FuzzMutationDecode(f *testing.F) {
 		if len(payload) == 0 || payload[0] != codecMarker {
 			return // gob's decoder is the standard library's to fuzz
 		}
-		m, over, err := decodeOverAllocates(payload)
-		if over {
-			t.Fatalf("decoding %d bytes allocated far more than their length", len(payload))
+		m, over, err := decodeOverAllocates(payload, nil)
+		stored, storedOver, storedErr := decodeOverAllocates(payload, &shapeCache{})
+		if over || storedOver {
+			t.Fatalf("decoding %d bytes allocated far more than their length (into maps: %v, into stored form: %v)", len(payload), over, storedOver)
+		}
+		if (err == nil) != (storedErr == nil) {
+			t.Fatalf("the decoders disagree: into maps %v, into stored form %v", err, storedErr)
 		}
 		if err != nil {
 			return
 		}
-		again, err := EncodeMutation(m)
-		if err != nil {
-			t.Fatalf("decoded mutation does not re-encode: %v", err)
+		for _, dm := range []*Mutation{m, stored} {
+			again, err := EncodeMutation(dm)
+			if err != nil {
+				t.Fatalf("decoded mutation does not re-encode: %v", err)
+			}
+			if !bytes.Equal(again, payload) {
+				t.Fatalf("not canonical:\n in  %x\n out %x", payload, again)
+			}
 		}
-		if !bytes.Equal(again, payload) {
-			t.Fatalf("not canonical:\n in  %x\n out %x", payload, again)
+		if got := unpacked(stored); !reflect.DeepEqual(got, m) {
+			t.Fatalf("the decoders read different mutations:\n into stored form %+v\n into maps        %+v", got, m)
 		}
 	})
+}
+
+// unpacked returns m with the documents it carries in stored form
+// turned back into the maps DecodeMutation gives.
+func unpacked(m *Mutation) *Mutation {
+	out := *m
+	out.packed = nil
+	for i := range m.packed {
+		if m.Op == OpInsert {
+			out.Doc = m.packed[i].doc()
+		} else {
+			out.Docs = append(out.Docs, m.packed[i].doc())
+		}
+	}
+	if m.Op == OpInsertMany && out.Docs == nil {
+		out.Docs = []Doc{}
+	}
+	return &out
 }
 
 // TestDecodeConcurrentInterning runs the decoders a sharded or

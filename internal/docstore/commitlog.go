@@ -61,6 +61,11 @@ func (op MutationOp) String() string {
 //	OpDelete      ID
 //	OpDrop        (collection only)
 //	OpEnsureIndex Names[0] (the indexed field)
+//
+// The mutations a store hands its CommitLog carry the documents of an
+// insert in stored form instead of Doc and Docs; EncodeMutation, which
+// is how a commit log serializes any mutation, writes the same bytes
+// from either.
 type Mutation struct {
 	Op         MutationOp
 	Collection string
@@ -70,7 +75,13 @@ type Mutation struct {
 	Fields     Doc
 	Names      []string
 
-	// format is set by DecodeMutation: which encoding the record was
+	// packed, when not nil, is the documents of an insert (one) or an
+	// insert-many in stored form, and Doc and Docs are unset: what a
+	// collection logs, and what a record is decoded to on its way to be
+	// applied.
+	packed []packed
+
+	// format is set when a record is decoded: which encoding it was
 	// read from, counted when it is applied (see FormatStats).
 	format payloadFormat
 }
@@ -87,8 +98,8 @@ const (
 // was in — how an operator tells when the first checkpoint after an
 // upgrade has retired the last legacy bytes.
 type FormatStats struct {
-	// DecodedGob and DecodedBin count applied mutations that came out
-	// of DecodeMutation (WAL replay and replication apply).
+	// DecodedGob and DecodedBin count the records ApplyRecord decoded
+	// and applied (WAL replay and replication apply).
 	DecodedGob, DecodedBin uint64
 	// RestoredGob and RestoredBin count snapshots restored.
 	RestoredGob, RestoredBin uint64

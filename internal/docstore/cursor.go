@@ -50,7 +50,7 @@ func (c *Collection) FindAfterContext(ctx context.Context, afterID string, filte
 			return false, err
 		}
 		return c.scanLocked(ctx, filter, m, from, func(e *entry) bool {
-			out = append(out, cloneDoc(e.doc))
+			out = append(out, e.doc())
 			return limit <= 0 || len(out) < limit
 		})
 	})
@@ -82,7 +82,7 @@ func (c *Collection) resumeSeqLocked(ctx context.Context, afterID string) (uint6
 				return 0, err
 			}
 		}
-		if e.doc == nil {
+		if !e.live() {
 			continue
 		}
 		if o, auto := parseAutoID(e.id); auto && o > ord {

@@ -52,6 +52,9 @@ type Store struct {
 	// decoded and restored count applied records and restored
 	// snapshots by payloadFormat; see FormatStats.
 	decoded, restored [formatBin + 1]atomic.Uint64
+
+	// applyShapes finds the shapes of the documents ApplyRecord decodes.
+	applyShapes shapeCache
 }
 
 // NewStore returns an empty store.
@@ -103,10 +106,13 @@ type Collection struct {
 	mu   sync.RWMutex
 	docs map[string]*entry
 	// order is every entry in insertion order (ascending seq), for
-	// stable scans; deleted entries stay as tombstones (doc == nil)
+	// stable scans; deleted entries stay as tombstones (see entry.live)
 	// until half the slots are dead.
 	order   []*entry
 	nextSeq uint64
+	// shapes finds the stored form's shape for documents that arrive as
+	// maps; see shape.go.
+	shapes  shapeCache
 	indexes map[string]*index
 	// indexList mirrors indexes as a slice so the insert/delete hot
 	// paths and the read planner iterate without ranging a map.
@@ -155,36 +161,37 @@ func nextID() string {
 }
 
 // Insert stores a copy of doc. When doc carries no _id one is
-// assigned; the id is returned. Inserting an existing _id fails with
-// ErrDuplicateID. With a commit log attached the insert is durable
-// when Insert returns nil (see SetCommitLog for the failure
-// semantics).
+// assigned (to the copy: doc is only read); the id is returned.
+// Inserting an existing _id fails with ErrDuplicateID. With a commit
+// log attached the insert is durable when Insert returns nil (see
+// SetCommitLog for the failure semantics).
 func (c *Collection) Insert(doc Doc) (string, error) {
 	if h := c.h(); h != nil && h.Insert != nil {
 		defer func(start time.Time) { h.Insert(c.name, time.Since(start)) }(time.Now())
 	}
-	cp := cloneDoc(doc)
-	id, _ := cp[IDField].(string)
+	id, _ := doc[IDField].(string)
 	if id == "" {
 		id = nextID()
-		cp[IDField] = id
 	}
+	// Packed before it is logged: the record is encoded from the stored
+	// form, whose fields are already in the codec's order.
+	stored := []packed{c.shapes.pack(doc, id, true)}
 	c.mu.Lock()
 	if _, exists := c.docs[id]; exists {
 		c.mu.Unlock()
 		return "", fmt.Errorf("insert %q: %w", id, ErrDuplicateID)
 	}
-	tk, err := c.logLocked(&Mutation{Op: OpInsert, Collection: c.name, ID: id, Doc: cp})
+	tk, err := c.logLocked(&Mutation{Op: OpInsert, Collection: c.name, ID: id, packed: stored})
 	if err != nil {
 		c.mu.Unlock()
 		return "", fmt.Errorf("insert %q: commit log: %w", id, err)
 	}
-	c.appendLocked(id, cp)
+	c.appendLocked(id, stored[0])
 	// Fire the ingest observer inside the critical section that
 	// assigned the commit-log LSN, so observers see inserts in LSN
 	// order (see observer.go).
 	if fn := c.obsFn(); fn != nil {
-		fn(ticketLSN(tk), []Doc{cp})
+		fn(ticketLSN(tk), Batch{stored})
 	}
 	c.mu.Unlock()
 	if err := commitWait(tk); err != nil {
@@ -200,10 +207,11 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 // of the batch duration, so per-op counters and totals stay
 // consistent with a sequence of Insert calls.
 //
-// Unlike Insert, InsertMany takes ownership of the documents: they
-// are stored directly (ids are assigned in place) instead of being
-// defensively copied, so callers must hand over freshly built docs
-// and not retain or mutate them afterwards.
+// Unlike Insert, InsertMany takes ownership of the documents: ids are
+// assigned in place and the values — nested maps and slices included —
+// are stored directly instead of being defensively copied, so callers
+// must hand over freshly built docs and not retain or mutate them
+// afterwards.
 func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 	if len(docs) == 0 {
 		return nil, nil
@@ -245,27 +253,29 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 		}
 		seen[id] = struct{}{}
 	}
+	ids := make([]string, n)
+	stored := make([]packed, n)
+	for i := range stored {
+		ids[i] = docs[i][IDField].(string)
+		stored[i] = c.shapes.pack(docs[i], ids[i], false)
+	}
 	var tk CommitTicket
 	if n > 0 {
 		var lerr error
-		tk, lerr = c.logLocked(&Mutation{Op: OpInsertMany, Collection: c.name, Docs: docs[:n]})
+		tk, lerr = c.logLocked(&Mutation{Op: OpInsertMany, Collection: c.name, packed: stored})
 		if lerr != nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("insert many: commit log: %w", lerr)
 		}
 	}
-	ids := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		d := docs[i]
-		id := d[IDField].(string)
-		c.appendLocked(id, d)
-		ids = append(ids, id)
+	for i, p := range stored {
+		c.appendLocked(ids[i], p)
 	}
 	// One commit-log record covers the whole accepted prefix, so the
 	// observer gets the prefix as one call under that record's LSN —
 	// the batch is the unit of replay idempotence (see observer.go).
 	if fn := c.obsFn(); fn != nil && n > 0 {
-		fn(ticketLSN(tk), docs[:n])
+		fn(ticketLSN(tk), Batch{stored})
 	}
 	c.mu.Unlock()
 	if err := commitWait(tk); err != nil && firstErr == nil {
@@ -283,14 +293,14 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 // appendLocked stores a new document at the end of insertion order
 // and indexes it. Caller holds the write lock and has verified the id
 // is free.
-func (c *Collection) appendLocked(id string, d Doc) {
-	e := &entry{seq: c.nextSeq, id: id, doc: d}
+func (c *Collection) appendLocked(id string, p packed) {
+	e := &entry{seq: c.nextSeq, id: id, packed: p}
 	c.nextSeq++
 	c.docs[id] = e
 	c.order = append(c.order, e)
 	c.inserted++
 	for _, ie := range c.indexList {
-		ie.idx.add(e, d[ie.field])
+		ie.idx.add(e, e.value(ie.field))
 	}
 }
 
@@ -302,7 +312,7 @@ func (c *Collection) Get(id string) (Doc, error) {
 	if !ok {
 		return nil, fmt.Errorf("get %q: %w", id, ErrNotFound)
 	}
-	return cloneDoc(e.doc), nil
+	return e.doc(), nil
 }
 
 // Update merges fields into the document with the given id (shallow
@@ -322,22 +332,25 @@ func (c *Collection) Update(id string, fields Doc) error {
 		c.mu.Unlock()
 		return fmt.Errorf("update %q: commit log: %w", id, err)
 	}
-	for k, v := range fields {
-		if k == IDField {
-			continue
-		}
-		if idx, has := c.indexes[k]; has {
-			idx.remove(e, e.doc[k])
-			idx.add(e, v)
-		}
-		e.doc[k] = cloneValue(v)
-	}
-	c.updated++
+	c.setLocked(e, fields)
 	c.mu.Unlock()
 	if err := commitWait(tk); err != nil {
 		return fmt.Errorf("update %q: commit: %w", id, err)
 	}
 	return nil
+}
+
+// setLocked merges copies of fields into a stored document and moves
+// it between posting lists to match. Caller holds the write lock.
+func (c *Collection) setLocked(e *entry, fields Doc) {
+	for k, v := range fields {
+		if idx, has := c.indexes[k]; has && k != IDField {
+			idx.remove(e, e.value(k))
+			idx.add(e, v)
+		}
+	}
+	e.set(&c.shapes, fields)
+	c.updated++
 }
 
 // Unset removes fields from a document.
@@ -356,21 +369,24 @@ func (c *Collection) Unset(id string, fields ...string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("unset %q: commit log: %w", id, err)
 	}
-	for _, k := range fields {
-		if k == IDField {
-			continue
-		}
-		if idx, has := c.indexes[k]; has {
-			idx.remove(e, e.doc[k])
-		}
-		delete(e.doc, k)
-	}
-	c.updated++
+	c.unsetLocked(e, fields)
 	c.mu.Unlock()
 	if err := commitWait(tk); err != nil {
 		return fmt.Errorf("unset %q: commit: %w", id, err)
 	}
 	return nil
+}
+
+// unsetLocked removes fields from a stored document and from their
+// posting lists. Caller holds the write lock.
+func (c *Collection) unsetLocked(e *entry, fields []string) {
+	for _, k := range fields {
+		if idx, has := c.indexes[k]; has && k != IDField {
+			idx.remove(e, e.value(k))
+		}
+	}
+	e.unset(&c.shapes, fields)
+	c.updated++
 }
 
 // Delete removes the document with the given id.
@@ -405,14 +421,14 @@ func (c *Collection) Delete(id string) error {
 func (c *Collection) removeLocked(e *entry) {
 	delete(c.docs, e.id)
 	for _, ie := range c.indexList {
-		ie.idx.remove(e, e.doc[ie.field])
+		ie.idx.remove(e, e.value(ie.field))
 	}
-	e.doc = nil
+	e.packed = packed{}
 	c.deleted++
 	if int(c.deleted)*2 > len(c.order) {
 		kept := c.order[:0]
 		for _, oe := range c.order {
-			if oe.doc != nil {
+			if oe.live() {
 				kept = append(kept, oe)
 			}
 		}
@@ -537,7 +553,7 @@ func (c *Collection) scanLocked(ctx context.Context, filter Doc, m *matcher, fro
 				return indexUsed, err
 			}
 		}
-		if e.doc != nil && m.matches(e.doc) && !visit(e) {
+		if e.live() && m.matches(&e.packed) && !visit(e) {
 			break
 		}
 	}
@@ -629,7 +645,7 @@ func (c *Collection) FindContext(ctx context.Context, filter Doc, opts FindOptio
 					return indexUsed, err
 				}
 			}
-			docs[i] = copyOut(e.doc, opts.Projection)
+			docs[i] = e.project(opts.Projection)
 		}
 		return indexUsed, nil
 	})
@@ -650,7 +666,7 @@ func sortEntries(hits []*entry, field string, desc bool) {
 	}
 	ks := make([]keyed, len(hits))
 	for i, e := range hits {
-		ks[i] = keyed{e.doc[field], e}
+		ks[i] = keyed{e.value(field), e}
 	}
 	slices.SortFunc(ks, func(a, b keyed) int {
 		c := compareValues(a.key, b.key)
@@ -665,21 +681,6 @@ func sortEntries(hits []*entry, field string, desc bool) {
 	for i, k := range ks {
 		hits[i] = k.e
 	}
-}
-
-// copyOut returns the caller's private copy of a stored document,
-// restricted to projection (plus the _id) when one is given.
-func copyOut(d Doc, projection []string) Doc {
-	if len(projection) == 0 {
-		return cloneDoc(d)
-	}
-	p := Doc{IDField: d[IDField]}
-	for _, f := range projection {
-		if v, ok := d[f]; ok {
-			p[f] = cloneValue(v)
-		}
-	}
-	return p
 }
 
 // FindOne returns the first matching document.
@@ -717,8 +718,8 @@ func (c *Collection) EnsureIndex(field string) {
 func (c *Collection) addIndexLocked(field string) {
 	idx := newIndex()
 	for _, e := range c.order {
-		if e.doc != nil {
-			idx.add(e, e.doc[field])
+		if e.live() {
+			idx.add(e, e.value(field))
 		}
 	}
 	c.indexes[field] = idx

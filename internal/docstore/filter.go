@@ -34,7 +34,7 @@ type Predicate func(v any) bool
 type matcher struct {
 	preds []fieldPred
 	// docPreds evaluate against the whole document ($or branches).
-	docPreds []func(d Doc) bool
+	docPreds []func(d *packed) bool
 }
 
 type fieldPred struct {
@@ -45,7 +45,7 @@ type fieldPred struct {
 // compileOr compiles {"$or": [filter, filter, ...]}: the document
 // matches when any branch matches. Branches are full filters and may
 // nest operators (or further $or clauses).
-func compileOr(arg any) (func(d Doc) bool, error) {
+func compileOr(arg any) (func(d *packed) bool, error) {
 	list, ok := arg.([]any)
 	if !ok || len(list) == 0 {
 		return nil, fmt.Errorf("docstore: $or wants a non-empty list of filters, got %T", arg)
@@ -62,7 +62,7 @@ func compileOr(arg any) (func(d Doc) bool, error) {
 		}
 		branches = append(branches, bm)
 	}
-	return func(d Doc) bool {
+	return func(d *packed) bool {
 		for _, b := range branches {
 			if b.matches(d) {
 				return true
@@ -189,9 +189,9 @@ func compileOp(op string, arg any) (func(v any, present bool) bool, error) {
 	}
 }
 
-func (m *matcher) matches(d Doc) bool {
+func (m *matcher) matches(d *packed) bool {
 	for _, fp := range m.preds {
-		v, present := d[fp.field]
+		v, present := d.get(fp.field)
 		if !fp.pred(v, present) {
 			return false
 		}

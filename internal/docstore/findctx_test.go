@@ -80,10 +80,10 @@ func TestInsertObserverSeesLSNOrder(t *testing.T) {
 		ns  []any
 	}
 	var got []seen
-	s.SetIngestObserver("obs", func(lsn uint64, docs []Doc) {
-		ns := make([]any, len(docs))
-		for i, d := range docs {
-			ns[i] = d["n"]
+	s.SetIngestObserver("obs", func(lsn uint64, docs Batch) {
+		ns := make([]any, docs.Len())
+		for i := range ns {
+			ns[i] = docs.Field(i, "n")
 		}
 		got = append(got, seen{lsn, ns})
 	})

@@ -15,10 +15,14 @@ type entry struct {
 	// order compaction and orders any two entries of a collection.
 	seq uint64
 	id  string
-	// doc is nil once the document is deleted; the entry then stays in
-	// Collection.order as a tombstone until compaction.
-	doc Doc
+	// The document, in stored form (shape.go). Its shape is nil once the
+	// document is deleted; the entry then stays in Collection.order as a
+	// tombstone until compaction.
+	packed
 }
+
+// live reports whether the entry still holds a document.
+func (e *entry) live() bool { return e.shape != nil }
 
 // searchSeq returns the first position in list, which is sorted by
 // seq, whose entry has seq >= want.

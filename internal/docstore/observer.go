@@ -12,9 +12,12 @@ package docstore
 // LSN — so observers see documents in exactly the LSN order the WAL
 // records them. That is what lets a derived view checkpoint a single
 // high-water LSN and have replay re-feed precisely the records the
-// checkpoint missed (see series.DB.AppendBatch). The observed
-// documents are the stored ones, not copies: observers must extract
-// what they need and not retain or mutate them.
+// checkpoint missed (see series.DB.AppendBatch). The observer is handed
+// a Batch, a read-only view of the documents in their stored form, not
+// maps and not copies — replay builds no map just to show a derived
+// view three fields — and the view is valid only during the call: an
+// observer reads the fields it needs and retains neither the Batch nor
+// a map or slice it got out of one.
 //
 // Granularity contract: the observer fires exactly once per mutation
 // — one document for Insert, the whole accepted prefix for InsertMany
@@ -34,7 +37,18 @@ package docstore
 // the LSN of the commit-log record that carried them (0 when no
 // commit log is attached, or on backfill scans). All documents of a
 // call share that LSN; see the granularity contract above.
-type IngestObserver func(lsn uint64, docs []Doc)
+type IngestObserver func(lsn uint64, docs Batch)
+
+// Batch is the documents of one insert mutation as an IngestObserver
+// sees them.
+type Batch struct{ docs []packed }
+
+// Len is the number of documents.
+func (b Batch) Len() int { return len(b.docs) }
+
+// Field returns the value document i holds under name, nil when it has
+// no such field. A map or slice value is the stored one.
+func (b Batch) Field(i int, name string) any { return b.docs[i].value(name) }
 
 // ingestObsBox wraps the observer map for atomic.Pointer storage.
 type ingestObsBox struct{ byCol map[string]IngestObserver }

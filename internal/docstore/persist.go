@@ -110,10 +110,10 @@ func (c *Collection) encodeSnapshot(e *encoder) error {
 	}
 	e.uvarint(uint64(len(c.docs)))
 	for _, en := range c.order {
-		if en.doc == nil {
+		if !en.live() {
 			continue
 		}
-		if err := e.doc(en.doc); err != nil {
+		if err := e.packed(&en.packed); err != nil {
 			return fmt.Errorf("document %q: %w", en.id, err)
 		}
 	}
@@ -219,6 +219,7 @@ func readFull(r io.Reader, b []byte) error {
 func (s *Store) decodeSnapshot(body []byte) (*Collection, error) {
 	d := &decoder{b: body, seen: make(map[string]struct{})} // not from the pool; see Snapshot
 	c := newCollection(d.str(posKey, nil).s, s)
+	d.shapes = &c.shapes
 	c.inserted, c.updated = d.uvarint(), d.uvarint()
 	fields := make([]string, d.count(1))
 	for i := 0; i < len(fields) && d.err == nil; i++ {
@@ -227,8 +228,11 @@ func (s *Store) decodeSnapshot(body []byte) (*Collection, error) {
 	n := d.count(1)
 	c.order = make([]*entry, 0, n)
 	for ; n > 0 && d.err == nil; n-- {
-		doc := d.doc()
-		id, _ := doc[IDField].(string)
+		doc := d.stored()
+		if d.err != nil {
+			break
+		}
+		id, _ := doc.value(IDField).(string)
 		if _, dup := c.docs[id]; dup || id == "" {
 			d.fail("document %d: missing or repeated _id %q", len(c.order), id)
 		}
@@ -250,8 +254,8 @@ func (s *Store) decodeSnapshot(body []byte) (*Collection, error) {
 
 // restoreLocked appends a restored document without counting it as an
 // insert. Caller owns the collection (it is not yet published).
-func (c *Collection) restoreLocked(id string, d Doc) {
-	e := &entry{seq: c.nextSeq, id: id, doc: d}
+func (c *Collection) restoreLocked(id string, p packed) {
+	e := &entry{seq: c.nextSeq, id: id, packed: p}
 	c.nextSeq++
 	c.docs[id] = e
 	c.order = append(c.order, e)
@@ -276,7 +280,7 @@ func (s *Store) readLegacySnapshot(r io.Reader) ([]*Collection, error) {
 		c.order = make([]*entry, 0, len(cs.Order))
 		for _, id := range cs.Order {
 			if d, ok := cs.Docs[id]; ok {
-				c.restoreLocked(id, d) // the decoder gave us fresh memory; no defensive clone
+				c.restoreLocked(id, c.shapes.pack(d, id, false)) // the decoder gave us fresh memory; no defensive clone
 			}
 		}
 		c.inserted = cs.Inserted

@@ -1,0 +1,957 @@
+package docstore
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/urbancivics/goflow/internal/wal"
+)
+
+// Tests of the stored form (shape.go). The twin test in
+// index_prop_test.go holds an indexed collection to an index-less one,
+// but both keep their documents packed; here the other side is a model
+// that never packs anything.
+
+// refModel is that reference: the documents as plain maps, their ids
+// in insertion order, and every read spelled out over the maps, sharing
+// nothing with the store above the comparison of two values.
+type refModel struct {
+	docs  map[string]Doc
+	order []string
+}
+
+func newRefModel() *refModel { return &refModel{docs: map[string]Doc{}} }
+
+func (m *refModel) insert(id string, d Doc) {
+	cp := cloneDoc(d)
+	cp[IDField] = id
+	m.docs[id] = cp
+	m.order = append(m.order, id)
+}
+
+func (m *refModel) update(id string, fields Doc) {
+	for k, v := range fields {
+		if k != IDField {
+			m.docs[id][k] = cloneValue(v)
+		}
+	}
+}
+
+func (m *refModel) unset(id string, names ...string) {
+	for _, k := range names {
+		if k != IDField {
+			delete(m.docs[id], k)
+		}
+	}
+}
+
+func (m *refModel) remove(ids ...string) {
+	for _, id := range ids {
+		delete(m.docs, id)
+	}
+	m.order = slices.DeleteFunc(m.order, func(id string) bool { return m.docs[id] == nil })
+}
+
+// refMatches is the filter language over a map.
+func refMatches(filter, d Doc) bool {
+	for field, cond := range filter {
+		if field == "$or" {
+			if !slices.ContainsFunc(cond.([]any), func(b any) bool { return refMatches(b.(map[string]any), d) }) {
+				return false
+			}
+			continue
+		}
+		v, present := d[field]
+		ops, isOps := cond.(map[string]any)
+		if !isOps {
+			ops = map[string]any{"$eq": cond}
+		}
+		for op, arg := range ops {
+			ordered := present && typeRank(v) == typeRank(arg)
+			var ok bool
+			switch op {
+			case "$eq":
+				ok = present && compareValues(v, arg) == 0
+			case "$ne":
+				ok = !present || compareValues(v, arg) != 0
+			case "$gte":
+				ok = ordered && compareValues(v, arg) >= 0
+			case "$lt":
+				ok = ordered && compareValues(v, arg) < 0
+			case "$in":
+				ok = present && slices.ContainsFunc(arg.([]any), func(e any) bool { return compareValues(v, e) == 0 })
+			case "$exists":
+				ok = present == arg.(bool)
+			case "$prefix":
+				s, isStr := v.(string)
+				ok = isStr && strings.HasPrefix(s, arg.(string))
+			default:
+				panic("refMatches: operator " + op + " is not in the model")
+			}
+			if !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// matching returns the model's own maps, in insertion order.
+func (m *refModel) matching(filter Doc) []Doc {
+	out := []Doc{}
+	for _, id := range m.order {
+		if d := m.docs[id]; refMatches(filter, d) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func (m *refModel) ids(filter Doc) []string {
+	ids := []string{}
+	for _, d := range m.matching(filter) {
+		ids = append(ids, d[IDField].(string))
+	}
+	return ids
+}
+
+func (m *refModel) find(filter Doc, opts FindOptions) []Doc {
+	hits := m.matching(filter)
+	if f := opts.SortField; f != "" {
+		sort.SliceStable(hits, func(i, j int) bool {
+			c := compareValues(hits[i][f], hits[j][f])
+			if opts.SortDesc {
+				c = -c
+			}
+			return c < 0
+		})
+	}
+	hits = hits[min(max(opts.Skip, 0), len(hits)):]
+	if opts.Limit > 0 {
+		hits = hits[:min(opts.Limit, len(hits))]
+	}
+	out := []Doc{}
+	for _, d := range hits {
+		if len(opts.Projection) == 0 {
+			out = append(out, cloneDoc(d))
+			continue
+		}
+		p := Doc{IDField: d[IDField]}
+		for _, f := range opts.Projection {
+			if v, ok := d[f]; ok {
+				p[f] = cloneValue(v)
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// after is FindAfterContext for a live anchor (or none).
+func (m *refModel) after(anchor string, filter Doc, limit int) []Doc {
+	out := []Doc{}
+	past := anchor == ""
+	for _, id := range m.order {
+		if d := m.docs[id]; past && refMatches(filter, d) && (limit <= 0 || len(out) < limit) {
+			out = append(out, cloneDoc(d))
+		}
+		past = past || id == anchor
+	}
+	return out
+}
+
+// storedRun is one seeded program over a collection and its model.
+type storedRun struct {
+	t   *testing.T
+	rng *rand.Rand
+	col string
+	dir string // the WAL's
+	// snapshot is the file a replay of the whole log starts from ("" =
+	// from nothing): the legacy fixture's log does not reach back to LSN 1.
+	snapshot string
+	w        *wal.WAL
+	store    *Store
+	ref      *refModel
+	gone     []string // ids deleted
+	nextKey  int
+	// shapes is every field set a stored document has been seen with,
+	// and the shape it had it under.
+	shapes map[string]*shape
+}
+
+func (p *storedRun) c() *Collection { return p.store.Collection(p.col) }
+
+func (p *storedRun) must(err error) {
+	p.t.Helper()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+func (p *storedRun) pick() (string, bool) {
+	if len(p.ref.order) == 0 {
+		return "", false
+	}
+	return p.ref.order[p.rng.Intn(len(p.ref.order))], true
+}
+
+// newDoc draws a document over the twin test's fields: sometimes with
+// an id of its own, sometimes with nested values, sometimes with a
+// field no other document has, sometimes nearly empty.
+func (p *storedRun) newDoc() Doc {
+	d := propDoc(p.rng)
+	switch p.rng.Intn(6) {
+	case 0:
+		d["nested"] = genValue(p.rng, 0)
+	case 1:
+		d[fmt.Sprintf("own%d", p.rng.Intn(4))] = genValue(p.rng, 1)
+	case 2:
+		d = Doc{"only": p.rng.Intn(3)}
+	}
+	if p.rng.Intn(2) == 0 {
+		p.nextKey++
+		d[IDField] = fmt.Sprintf("k%d", p.nextKey)
+	}
+	return d
+}
+
+func (p *storedRun) remove(ids ...string) {
+	p.ref.remove(ids...)
+	p.gone = append(p.gone, ids...)
+}
+
+func (p *storedRun) step() {
+	t, rng := p.t, p.rng
+	switch r := rng.Intn(100); {
+	case r < 20: // Insert reads its argument and leaves it as it was
+		d := p.newDoc()
+		before := cloneDoc(d)
+		id, err := p.c().Insert(d)
+		p.must(err)
+		if !reflect.DeepEqual(d, before) {
+			t.Fatalf("Insert changed its argument:\n got %v\nwant %v", d, before)
+		}
+		p.ref.insert(id, d)
+	case r < 32: // InsertMany takes its documents over: the model gets copies
+		batch := make([]Doc, 1+rng.Intn(8))
+		copies := make([]Doc, len(batch))
+		for i := range batch {
+			batch[i] = p.newDoc()
+			copies[i] = cloneDoc(batch[i])
+		}
+		ids, err := p.c().InsertMany(batch)
+		p.must(err)
+		for i, id := range ids {
+			p.ref.insert(id, copies[i])
+		}
+	case r < 52: // Update: fields the document has, fields it lacks, both at once
+		if id, ok := p.pick(); ok {
+			fields := Doc{}
+			for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+				f := propFields[rng.Intn(len(propFields))]
+				fields[f] = propValue(rng, f)
+			}
+			if rng.Intn(3) == 0 {
+				fields[fmt.Sprintf("new%d", rng.Intn(3))] = genValue(rng, 0)
+			}
+			if rng.Intn(10) == 0 {
+				fields[IDField] = "ignored"
+			}
+			p.must(p.c().Update(id, fields))
+			p.ref.update(id, fields)
+		}
+	case r < 64: // Unset: a field it has, one it lacks, one twice, all it has
+		if id, ok := p.pick(); ok {
+			var names []string
+			switch rng.Intn(4) {
+			case 0:
+				names = []string{"never-set"}
+			case 1:
+				for k := range p.ref.docs[id] {
+					names = append(names, k) // the _id too, which stays
+				}
+			case 2:
+				f := propFields[rng.Intn(len(propFields))]
+				names = []string{f, f}
+			default:
+				names = []string{propFields[rng.Intn(len(propFields))], "never-set"}
+			}
+			p.must(p.c().Unset(id, names...))
+			p.ref.unset(id, names...)
+		}
+	case r < 74: // Delete
+		if id, ok := p.pick(); ok {
+			p.must(p.c().Delete(id))
+			p.remove(id)
+		}
+	case r < 79: // DeleteMany
+		filter := propFilter(rng)
+		if filter == nil {
+			filter = Doc{"b": propValue(rng, "b")}
+		}
+		ids := p.ref.ids(filter)
+		n, err := p.c().DeleteMany(filter)
+		p.must(err)
+		if n != len(ids) {
+			t.Fatalf("DeleteMany(%v) removed %d documents, the model %d", filter, n, len(ids))
+		}
+		p.remove(ids...)
+	case r < 82: // delete most of the collection: forces order compaction
+		var ids []string
+		for _, id := range p.ref.order {
+			if rng.Intn(10) < 7 {
+				ids = append(ids, id)
+			}
+		}
+		for _, id := range ids {
+			p.must(p.c().Delete(id))
+		}
+		p.remove(ids...)
+	case r < 85:
+		p.c().EnsureIndex([]string{"a", "b", "c", "new0"}[rng.Intn(4)])
+	case r < 93: // snapshot -> restore into a fresh store
+		var buf bytes.Buffer
+		p.must(p.store.Snapshot(&buf))
+		restored := NewStore()
+		p.must(restored.RestoreExact(&buf))
+		p.store.SetCommitLog(nil)
+		AttachWAL(restored, p.w)
+		p.store = restored
+	default: // replay the whole log into a fresh store
+		p.store.SetCommitLog(nil)
+		p.must(p.w.Close())
+		p.w = openWAL(t, p.dir, wal.Options{Policy: wal.FsyncNone})
+		recovered := NewStore()
+		if p.snapshot != "" {
+			p.must(recovered.LoadFile(p.snapshot))
+		}
+		_, err := RecoverWAL(recovered, p.w)
+		p.must(err)
+		AttachWAL(recovered, p.w)
+		p.store = recovered
+	}
+}
+
+// check holds every read of the collection to the model, and the
+// stored documents to the form's invariants.
+func (p *storedRun) check() {
+	t, rng, c := p.t, p.rng, p.c()
+	t.Helper()
+	ctx := context.Background()
+	equal := func(what string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n store %v\n model %v", what, got, want)
+		}
+	}
+	all, err := c.Find(nil, FindOptions{})
+	p.must(err)
+	equal("every document, in insertion order", all, p.ref.find(nil, FindOptions{}))
+
+	if id, ok := p.pick(); ok {
+		d, err := c.Get(id)
+		p.must(err)
+		equal("Get "+id, d, p.ref.docs[id])
+	}
+	if len(p.gone) > 0 {
+		id := p.gone[rng.Intn(len(p.gone))]
+		if _, err := c.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of deleted %s: %v, want ErrNotFound", id, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		filter := propFilter(rng)
+		where := fmt.Sprintf("filter %v: ", filter)
+		ids, err := c.FindIDs(filter)
+		p.must(err)
+		equal(where+"FindIDs", ids, p.ref.ids(filter))
+		n, err := c.Count(filter)
+		p.must(err)
+		equal(where+"Count", n, len(ids))
+		for j := 0; j < 2; j++ {
+			opts := propFindOptions(rng)
+			docs, err := c.Find(filter, opts)
+			p.must(err)
+			equal(where+fmt.Sprintf("Find %+v", opts), docs, p.ref.find(filter, opts))
+		}
+		// One page from a live anchor, then a cursor walk from the start.
+		limit := []int{1, 3, 7, 0}[rng.Intn(4)]
+		page := func(anchor string) []Doc {
+			t.Helper()
+			docs, err := c.FindAfterContext(ctx, anchor, filter, limit)
+			p.must(err)
+			equal(where+fmt.Sprintf("FindAfter(%q, limit %d)", anchor, limit), docs, p.ref.after(anchor, filter, limit))
+			return docs
+		}
+		if id, ok := p.pick(); ok {
+			page(id)
+		}
+		for docs := page(""); limit > 0 && len(docs) == limit; {
+			docs = page(docs[limit-1][IDField].(string))
+		}
+	}
+
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	slots := map[*any]string{}
+	for _, e := range c.order {
+		if !e.live() {
+			continue
+		}
+		names := e.shape.names
+		if len(names) != len(e.vals) || !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+			t.Fatalf("document %s: %d values under names %q", e.id, len(e.vals), names)
+		}
+		set := strings.Join(names, "\x00")
+		if sh, seen := p.shapes[set]; seen && sh != e.shape {
+			t.Fatalf("document %s: field set %q is held under a second shape", e.id, names)
+		}
+		p.shapes[set] = e.shape
+		if other, shared := slots[&e.vals[0]]; shared {
+			t.Fatalf("documents %s and %s share one value slice", other, e.id)
+		}
+		slots[&e.vals[0]] = e.id
+	}
+}
+
+// TestStoredFormMatchesMapModel runs seeded programs of every mutation,
+// snapshot restores and whole-log replays against a collection and the
+// map model, comparing every kind of read after every step. The last
+// program starts from the committed legacy-gob fixture, so its log
+// replays are of gob records (maps, packed as they are applied) with a
+// binary tail.
+func TestStoredFormMatchesMapModel(t *testing.T) {
+	steps := 250
+	if testing.Short() {
+		steps = 80
+	}
+	run := func(p *storedRun) {
+		defer func() { _ = p.w.Close() }()
+		p.check()
+		for i := 0; i < steps; i++ {
+			p.step()
+			p.check()
+		}
+		if len(p.shapes) < 8 {
+			t := p.t
+			t.Fatalf("the program met %d field sets: too few to say anything about sharing", len(p.shapes))
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			p := &storedRun{t: t, rng: rand.New(rand.NewSource(seed)), col: propCol, dir: t.TempDir(),
+				store: NewStore(), ref: newRefModel(), shapes: map[string]*shape{}}
+			p.w = openWAL(t, p.dir, wal.Options{Policy: wal.FsyncNone})
+			AttachWAL(p.store, p.w)
+			p.c().EnsureIndex("a")
+			run(p)
+		})
+	}
+	t.Run("legacy-gob", func(t *testing.T) {
+		// gob restores a time in the machine's zone when the offsets
+		// agree; the model's are parsed into fixed zones.
+		defer func(l *time.Location) { time.Local = l }(time.Local)
+		time.Local = time.UTC
+		const fixture = "testdata/legacy-gob"
+		dir := t.TempDir()
+		files, err := filepath.Glob(filepath.Join(fixture, "data", "*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("fixture data: %v, %v", files, err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := &storedRun{t: t, rng: rand.New(rand.NewSource(99)), col: "observations", dir: dir,
+			snapshot: filepath.Join(dir, "snapshot.gob"), store: NewStore(), ref: newRefModel(), shapes: map[string]*shape{}}
+		p.must(p.store.LoadFile(p.snapshot))
+		p.w = openWAL(t, dir, wal.Options{Policy: wal.FsyncNone})
+		_, err = RecoverWAL(p.store, p.w)
+		p.must(err)
+		if fs := p.store.FormatStats(); fs.DecodedGob == 0 || fs.RestoredGob != 1 || fs.DecodedBin != 0 {
+			t.Fatalf("the fixture was read as %+v, want a gob snapshot and gob records only", fs)
+		}
+		AttachWAL(p.store, p.w)
+		// The model starts from the fixture's own account of the store.
+		golden, err := os.ReadFile(filepath.Join(fixture, "golden.json"))
+		p.must(err)
+		var cols []struct {
+			Name string
+			Docs []map[string]any
+		}
+		p.must(json.Unmarshal(golden, &cols))
+		for _, col := range cols {
+			for _, d := range col.Docs {
+				if col.Name == p.col {
+					d = untyped(t, d).(map[string]any)
+					p.ref.insert(d[IDField].(string), d)
+				}
+			}
+		}
+		if len(p.ref.order) == 0 {
+			t.Fatal("golden.json lists no document of " + p.col)
+		}
+		// One value the golden dump cannot describe: gob reads an empty
+		// []byte back as nil, the codec as empty, and "bytes:" is either.
+		p.must(p.c().Unset("kinds", "empty-bytes"))
+		p.ref.unset("kinds", "empty-bytes")
+		run(p)
+	})
+}
+
+// untyped is the inverse of the fixture's typed dump ("int64:7").
+func untyped(t *testing.T, v any) any {
+	t.Helper()
+	switch tv := v.(type) {
+	case map[string]any:
+		for k, e := range tv {
+			tv[k] = untyped(t, e)
+		}
+	case []any:
+		for i, e := range tv {
+			tv[i] = untyped(t, e)
+		}
+	case string:
+		kind, val, _ := strings.Cut(tv, ":")
+		var out any
+		var err error
+		switch kind {
+		case "nil":
+		case "bool":
+			out, err = strconv.ParseBool(val)
+		case "int":
+			out, err = strconv.Atoi(val)
+		case "int64":
+			out, err = strconv.ParseInt(val, 10, 64)
+		case "float64":
+			out, err = strconv.ParseFloat(val, 64)
+		case "string":
+			out = val
+		case "bytes":
+			out, err = hex.DecodeString(val)
+		case "time":
+			var at time.Time
+			if at, err = time.Parse(time.RFC3339Nano, val); err == nil {
+				if _, off := at.Zone(); off == 0 {
+					out = at.UTC()
+				} else {
+					out = at.In(time.FixedZone("", off))
+				}
+			}
+		default:
+			err = errors.New("unknown kind")
+		}
+		if err != nil {
+			t.Fatalf("golden value %q: %v", tv, err)
+		}
+		return out
+	}
+	return v
+}
+
+// TestStoredFormAliasing: nothing a caller holds — the map it passed
+// to Insert, a value it passed to Update, a document any read returned
+// — reaches into the store, at the top level or below it.
+func TestStoredFormAliasing(t *testing.T) {
+	fresh := func() Doc {
+		return Doc{"zone": "z1", "n": 1.0, "loc": map[string]any{"lat": 48.85, "tags": []any{"a", "b"}}, "list": []any{map[string]any{"k": "v"}, 2.0}}
+	}
+	// scribble overwrites everything reachable from d.
+	var scribble func(v any)
+	scribble = func(v any) {
+		switch tv := v.(type) {
+		case map[string]any:
+			for k, e := range tv {
+				scribble(e)
+				tv[k] = "scribbled"
+			}
+			tv["added"] = true
+		case []any:
+			for i, e := range tv {
+				scribble(e)
+				tv[i] = "scribbled"
+			}
+		}
+	}
+	c := NewStore().Collection("c")
+	c.EnsureIndex("zone")
+	want := fresh()
+	want[IDField] = "d"
+	assertStored := func(after string) {
+		t.Helper()
+		got, err := c.Get("d")
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s the store holds\n %v (%v)\nwant\n %v", after, got, err, want)
+		}
+	}
+
+	in := fresh()
+	in[IDField] = "d"
+	if _, err := c.Insert(in); err != nil {
+		t.Fatal(err)
+	}
+	scribble(in)
+	assertStored("scribbling over the map passed to Insert")
+
+	reads := map[string]func() (Doc, error){
+		"Get":     func() (Doc, error) { return c.Get("d") },
+		"FindOne": func() (Doc, error) { return c.FindOne(Doc{"zone": "z1"}) },
+		"Find": func() (Doc, error) {
+			docs, err := c.Find(Doc{"zone": "z1"}, FindOptions{SortField: "n"})
+			return docs[0], err
+		},
+		"Find with a projection": func() (Doc, error) {
+			docs, err := c.Find(nil, FindOptions{Projection: []string{"loc", "list"}})
+			return docs[0], err
+		},
+		"FindAfter": func() (Doc, error) {
+			docs, err := c.FindAfterContext(context.Background(), "", nil, 1)
+			return docs[0], err
+		},
+	}
+	for name, read := range reads {
+		d, err := read()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		scribble(d)
+		assertStored("scribbling over the document " + name + " returned")
+	}
+
+	fields := Doc{"loc": map[string]any{"lat": 1.0, "path": []any{map[string]any{"x": 1.0}}}, "extra": []any{"e"}}
+	if err := c.Update("d", fields); err != nil {
+		t.Fatal(err)
+	}
+	want["loc"], want["extra"] = cloneValue(fields["loc"]), cloneValue(fields["extra"])
+	scribble(fields)
+	assertStored("scribbling over the fields passed to Update")
+
+	// InsertMany is the documented exception on the way in — it takes
+	// the documents over, assigning ids in place — and no exception on
+	// the way out.
+	handed := []Doc{fresh(), fresh()}
+	ids, err := c.InsertMany(handed)
+	if err != nil || len(ids) != 2 || handed[0][IDField] != ids[0] || handed[1][IDField] != ids[1] {
+		t.Fatalf("InsertMany = %v, %v; documents now %v", ids, err, handed)
+	}
+	got, err := c.Get(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble(got)
+	if again, _ := c.Get(ids[0]); !reflect.DeepEqual(again, handed[0]) || reflect.DeepEqual(again, got) {
+		t.Fatalf("scribbling over a document read back changed the one InsertMany stored: %v", again)
+	}
+}
+
+// TestStoredFormConcurrentShapeTransitions (for -race): readers page,
+// sort and count while a writer moves documents between shapes. Every
+// update sets the pair (k, twin), and extra with them when present, to
+// one number, so a reader that saw half an update can tell.
+func TestStoredFormConcurrentShapeTransitions(t *testing.T) {
+	c := NewStore().Collection("c")
+	c.EnsureIndex("zone")
+	const docs = 64
+	ids := make([]string, docs)
+	for i := range ids {
+		id, err := c.Insert(Doc{"zone": fmt.Sprintf("z%d", i%4), "k": 0.0, "twin": 0.0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	rounds := 400
+	if testing.Short() {
+		rounds = 100
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := context.Background()
+			whole := func(d Doc) {
+				if x, has := d["extra"]; d["k"] != d["twin"] || (has && x != d["k"]) {
+					t.Errorf("torn document: %v", d)
+				}
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				filter := Doc{"zone": fmt.Sprintf("z%d", (g+i)%4)}
+				page, err := c.Find(filter, FindOptions{SortField: "k", Limit: 10})
+				if err != nil {
+					t.Error(err)
+				}
+				for _, d := range page {
+					whole(d)
+				}
+				if n, err := c.Count(Doc{"zone": filter["zone"], "extra": map[string]any{"$exists": true}}); err != nil || n > docs {
+					t.Errorf("count = %d, %v", n, err)
+				}
+				for anchor := ""; ; {
+					page, err := c.FindAfterContext(ctx, anchor, filter, 5)
+					if err != nil {
+						t.Error(err)
+					}
+					if len(page) == 0 {
+						break
+					}
+					for _, d := range page {
+						whole(d)
+					}
+					anchor = page[len(page)-1][IDField].(string)
+				}
+			}
+		}(g)
+	}
+	for i := 1; i <= rounds; i++ {
+		id, n := ids[i%docs], float64(i)
+		var err error
+		// A document is visited every 64 rounds, so it meets the three
+		// cases in turn.
+		switch i % 3 {
+		case 0: // gains a field and moves to the wider shape, then is written in place there
+			if err = c.Update(id, Doc{"k": n, "twin": n, "extra": n}); err == nil {
+				err = c.Update(id, Doc{"k": -n, "twin": -n, "extra": -n})
+			}
+		case 1: // loses the field again, or never had it
+			err = c.Unset(id, "extra", "never-set")
+		default: // written in place in the narrow shape
+			err = c.Update(id, Doc{"k": n, "twin": n})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestShapeRegistryIsBounded: documents with pairwise-distinct field
+// names — the workload that defeats shape sharing — fill the registry
+// to its constant and no further, and are stored, found, snapshotted
+// and restored like any others; so is a document whose names alone
+// exceed what the registry will key.
+func TestShapeRegistryIsBounded(t *testing.T) {
+	savedShapes, savedFields := shapes.m.Load(), internFields.m.Load()
+	t.Cleanup(func() {
+		shapes.m.Store(savedShapes)
+		internFields.m.Store(savedFields)
+	})
+	const n = 10_000
+	s := NewStore()
+	c := s.Collection("wide")
+	c.EnsureIndex("zone")
+	for i := 0; i < n; i++ {
+		d := Doc{IDField: fmt.Sprintf("w%d", i), "zone": fmt.Sprintf("z%d", i%7), fmt.Sprintf("field-%d", i): float64(i)}
+		if i%2 == 0 {
+			if _, err := c.Insert(d); err != nil {
+				t.Fatal(err)
+			}
+		} else if _, err := c.InsertMany([]Doc{d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ShapeCount(); got != maxShapes {
+		t.Fatalf("%d documents of distinct field sets registered %d shapes, want the bound %d", n, got, maxShapes)
+	}
+	long := strings.Repeat("x", maxShapeKey+1)
+	if _, err := c.Insert(Doc{IDField: "long", long: true}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(c *Collection) {
+		t.Helper()
+		for _, i := range []int{0, 1, maxShapes - 1, maxShapes, maxShapes + 1, n - 1} {
+			want := Doc{IDField: fmt.Sprintf("w%d", i), "zone": fmt.Sprintf("z%d", i%7), fmt.Sprintf("field-%d", i): float64(i)}
+			if got, err := c.Get(want[IDField].(string)); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("document %d = %v, %v; want %v", i, got, err, want)
+			}
+			field := fmt.Sprintf("field-%d", i)
+			if ids, err := c.FindIDs(Doc{"zone": want["zone"], field: map[string]any{"$exists": true}}); err != nil || !reflect.DeepEqual(ids, []string{want[IDField].(string)}) {
+				t.Fatalf("documents with %s = %v, %v", field, ids, err)
+			}
+		}
+		if got, err := c.Get("long"); err != nil || !reflect.DeepEqual(got, Doc{IDField: "long", long: true}) {
+			t.Fatalf("the document with the long field name = %v, %v", got, err)
+		}
+		if cnt, err := c.Count(Doc{"zone": "z3"}); err != nil || cnt != (n+3)/7 {
+			t.Fatalf("count of z3 = %d, %v; want %d", cnt, err, (n+3)/7)
+		}
+	}
+	check(c)
+	// Past the bound an update still finds its way between shapes.
+	last := fmt.Sprintf("w%d", n-1)
+	if err := c.Update(last, Doc{"more": 1.0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Unset(last, "more"); err != nil {
+		t.Fatal(err)
+	}
+	restored := NewStore()
+	if err := restored.Restore(bytes.NewReader(snapshotBytes(t, s))); err != nil {
+		t.Fatal(err)
+	}
+	check(restored.Collection("wide"))
+	if got := ShapeCount(); got != maxShapes {
+		t.Fatalf("the registry grew to %d shapes past its bound", got)
+	}
+}
+
+// TestShapesInternedOnceUnderConcurrency (for -race): goroutines that
+// meet the same new field sets at the same time — shards recovering
+// side by side — come away with one shape per set.
+func TestShapesInternedOnceUnderConcurrency(t *testing.T) {
+	saved := shapes.m.Load()
+	t.Cleanup(func() { shapes.m.Store(saved) })
+	const workers, sets = 8, 40
+	got := make([][]*shape, workers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var sc shapeCache
+			for i := 0; i < sets; i++ {
+				got[g] = append(got[g], sc.find([]string{IDField, fmt.Sprintf("once-%d", i), "zone"}))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i, sh := range got[g] {
+			if sh != got[0][i] {
+				t.Fatalf("worker %d holds its own shape for field set %d", g, i)
+			}
+		}
+	}
+}
+
+// recordingLog is a commit log that keeps each payload as the store's
+// own mutations encode.
+type recordingLog struct{ payloads *[][]byte }
+
+func (l recordingLog) Log(m *Mutation) (CommitTicket, error) {
+	p, err := EncodeMutation(m)
+	*l.payloads = append(*l.payloads, p)
+	return nopTicket{}, err
+}
+
+// TestStoredFormEncodesCanonically: the store encodes its records and
+// its snapshots from the stored form, and they are byte for byte what
+// the map encoder — EncodeMutation over Doc, encoder.doc — writes for
+// the same documents. The format did not move, so its version did not.
+func TestStoredFormEncodesCanonically(t *testing.T) {
+	paris := time.FixedZone("", 2*3600)
+	docs := []Doc{
+		kindsDoc(),
+		{"zone": "FR75101", "spl": 61.5, "sensedAt": time.Date(2016, 6, 21, 18, 30, 15, 5, paris), "localized": false},
+		{"zone": "FR75101", "spl": 48.0, "sensedAt": time.Date(2016, 6, 21, 18, 31, 0, 0, time.UTC), "localized": true,
+			"loc": map[string]any{"lon": 2.35, "lat": 48.85, "tags": []any{"a", 1, nil}}},
+		{"zone": "FR75102", "spl": 70.0, "sensedAt": time.Date(2016, 6, 21, 18, 32, 0, 0, paris), "localized": false},
+		{},
+	}
+	for i, d := range docs {
+		d[IDField] = fmt.Sprintf("doc-%d", i)
+	}
+	update := Doc{"zone": "FR75103", "note": map[string]any{"b": 1, "a": []any{}}}
+	var logged [][]byte
+	s := NewStore()
+	s.SetCommitLog(recordingLog{&logged})
+	c := s.Collection("obs")
+	c.EnsureIndex("zone")
+	if _, err := c.Insert(docs[0]); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Doc{cloneDoc(docs[1]), cloneDoc(docs[2]), cloneDoc(docs[3])}
+	if _, err := c.InsertMany(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert(docs[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Update("doc-1", update); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Unset("doc-2", "loc", "never-set"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Delete("doc-3"); err != nil {
+		t.Fatal(err)
+	}
+
+	golden := []*Mutation{
+		{Op: OpEnsureIndex, Collection: "obs", Names: []string{"zone"}},
+		{Op: OpInsert, Collection: "obs", ID: "doc-0", Doc: docs[0]},
+		{Op: OpInsertMany, Collection: "obs", Docs: docs[1:4]},
+		{Op: OpInsert, Collection: "obs", ID: "doc-4", Doc: docs[4]},
+		{Op: OpUpdate, Collection: "obs", ID: "doc-1", Fields: update},
+		{Op: OpUnset, Collection: "obs", ID: "doc-2", Names: []string{"loc", "never-set"}},
+		{Op: OpDelete, Collection: "obs", ID: "doc-3"},
+	}
+	if len(logged) != len(golden) {
+		t.Fatalf("the store logged %d records, want %d", len(logged), len(golden))
+	}
+	for i, m := range golden {
+		want, err := EncodeMutation(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(logged[i], want) {
+			t.Errorf("record %d (%s):\n stored form %x\n map encoder %x", i, m.Op, logged[i], want)
+		}
+	}
+
+	// The snapshot the map encoder would write of what the store now
+	// holds, laid out as persist.go documents the file.
+	after := []Doc{docs[0], cloneDoc(docs[1]), cloneDoc(docs[2]), docs[4]}
+	after[1]["zone"], after[1]["note"] = update["zone"], update["note"]
+	delete(after[2], "loc")
+	e := &encoder{dict: make(map[string]uint64)}
+	e.str("obs")
+	e.uvarint(5) // inserted
+	e.uvarint(2) // updated
+	e.uvarint(1)
+	e.str("zone")
+	e.uvarint(uint64(len(after)))
+	for _, d := range after {
+		if err := e.doc(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := append([]byte(snapshotMagic), codecVersion)
+	want = binary.LittleEndian.AppendUint32(want, 1)
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
+	want = binary.LittleEndian.AppendUint64(want, uint64(len(e.buf)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(e.buf, castagnoli))
+	want = append(want, e.buf...)
+	if got := snapshotBytes(t, s); !bytes.Equal(got, want) {
+		t.Errorf("snapshot:\n stored form %x\n map encoder %x", got, want)
+	}
+}

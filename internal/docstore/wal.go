@@ -81,14 +81,22 @@ func EncodeMutation(m *Mutation) ([]byte, error) {
 }
 
 // DecodeMutation decodes one WAL record payload back into a Mutation
-// (the inverse of EncodeMutation). It also reads the gob payloads
-// every binary before the document codec wrote, so a log or a
-// replication leader of that vintage stays readable; nothing writes
-// them any more.
+// whose documents are maps (the inverse of EncodeMutation). It also
+// reads the gob payloads every binary before the document codec wrote,
+// so a log or a replication leader of that vintage stays readable;
+// nothing writes them any more. Applying a record does not go through
+// here: see Store.ApplyRecord.
 func DecodeMutation(payload []byte) (*Mutation, error) {
+	return decodeMutation(payload, nil)
+}
+
+// decodeMutation decodes a record payload; with shapes set, the
+// documents of a binary insert come back in stored form (m.packed).
+func decodeMutation(payload []byte, shapes *shapeCache) (*Mutation, error) {
 	if len(payload) > 0 && payload[0] == codecMarker {
 		d := getDecoder(payload[1:])
 		defer d.release()
+		d.shapes = shapes
 		m, err := d.mutation()
 		if err != nil {
 			return nil, fmt.Errorf("docstore: decode wal mutation: %w", err)
@@ -121,14 +129,7 @@ func RecoverWAL(s *Store, w *wal.WAL) (WALRecovery, error) {
 	start := time.Now()
 	n := 0
 	err := w.Replay(func(lsn uint64, typ byte, payload []byte) error {
-		m, err := DecodeMutation(payload)
-		if err != nil {
-			return fmt.Errorf("lsn %d: %w", lsn, err)
-		}
-		if m.Op == 0 {
-			m.Op = MutationOp(typ)
-		}
-		if err := s.ApplyMutationAt(lsn, m); err != nil {
+		if err := s.ApplyRecord(lsn, typ, payload); err != nil {
 			return fmt.Errorf("lsn %d: %w", lsn, err)
 		}
 		n++
@@ -140,50 +141,49 @@ func RecoverWAL(s *Store, w *wal.WAL) (WALRecovery, error) {
 	return WALRecovery{Records: n, Duration: time.Since(start)}, nil
 }
 
-// ApplyMutation applies one recovered or replicated mutation with the
-// idempotent semantics documented at the top of this file, bypassing
-// hooks and the commit log. It is the apply side of both WAL recovery
-// and log-shipping replication: a follower decodes each shipped record
-// with DecodeMutation and applies it here, and because application is
-// idempotent a re-shipped record (after a follower reconnect) simply
-// converges. Equivalent to ApplyMutationAt with an unknown (zero)
-// LSN.
-func (s *Store) ApplyMutation(m *Mutation) error { return s.ApplyMutationAt(0, m) }
-
-// ApplyMutationAt is ApplyMutation for a record whose WAL LSN is
-// known: replayed and replicated inserts additionally fire the
-// collection's ingest observer with that LSN, so derived views (the
-// series engine) recover in step with the store. Callers replaying a
-// log must apply records in LSN order — observer ordering comes from
-// the single replay goroutine here, not from a lock.
-func (s *Store) ApplyMutationAt(lsn uint64, m *Mutation) error {
-	if m.format != 0 {
-		s.decoded[m.format].Add(1)
+// ApplyRecord decodes one WAL record — type byte and payload, read
+// back from the local log or shipped by a replication leader — and
+// applies it with the idempotent semantics documented at the top of
+// this file, bypassing hooks and the commit log. It is the one apply
+// path of WAL recovery and of log-shipping replication; because
+// application is idempotent, a re-shipped record (after a follower
+// reconnect) simply converges. The documents of an insert are decoded
+// straight into the stored form; only the records of a legacy gob log
+// pass through maps.
+//
+// lsn is the record's WAL LSN (0 when unknown): replayed and
+// replicated inserts fire the collection's ingest observer with it, so
+// derived views (the series engine) recover in step with the store.
+// Callers replaying a log must apply records in LSN order — observer
+// ordering comes from the single replay goroutine here, not from a
+// lock.
+func (s *Store) ApplyRecord(lsn uint64, typ byte, payload []byte) error {
+	m, err := decodeMutation(payload, &s.applyShapes)
+	if err != nil {
+		return err
 	}
+	if m.Op == 0 {
+		m.Op = MutationOp(typ)
+	}
+	s.decoded[m.format].Add(1)
 	switch m.Op {
-	case OpInsert:
-		if m.ID == "" {
-			return errors.New("docstore: replay insert without id")
-		}
+	case OpInsert, OpInsertMany:
 		c := s.Collection(m.Collection)
-		c.replayInsert(m.ID, m.Doc)
-		if fn := c.obsFn(); fn != nil {
-			fn(lsn, []Doc{m.Doc})
-		}
-	case OpInsertMany:
-		c := s.Collection(m.Collection)
-		for _, d := range m.Docs {
-			id, _ := d[IDField].(string)
-			if id == "" {
-				return errors.New("docstore: replay insert-many without id")
+		c.packLegacy(m)
+		for i := range m.packed {
+			// Every document the store logs carries the id it is stored
+			// under, which for a single insert is also the record's.
+			id, _ := m.packed[i].value(IDField).(string)
+			if id == "" || (m.Op == OpInsert && id != m.ID) {
+				return fmt.Errorf("docstore: replay %s without its id", m.Op)
 			}
-			c.replayInsert(id, d)
+			c.replayInsert(id, m.packed[i])
 		}
 		// One call for the whole record, mirroring live InsertMany: the
 		// batch shares the record's LSN and must reach derived views as
 		// a unit (see observer.go).
 		if fn := c.obsFn(); fn != nil {
-			fn(lsn, m.Docs)
+			fn(lsn, Batch{m.packed})
 		}
 	case OpUpdate:
 		s.Collection(m.Collection).replayUpdate(m.ID, m.Fields)
@@ -206,22 +206,40 @@ func (s *Store) ApplyMutationAt(lsn uint64, m *Mutation) error {
 	return nil
 }
 
+// packLegacy packs the documents of an insert or insert-many that was
+// decoded from a gob record, which come as maps, so that replay applies
+// one form.
+func (c *Collection) packLegacy(m *Mutation) {
+	if m.packed != nil {
+		return
+	}
+	if m.Op == OpInsert {
+		m.packed = []packed{c.shapes.pack(m.Doc, m.ID, false)}
+		return
+	}
+	m.packed = make([]packed, len(m.Docs))
+	for i, d := range m.Docs {
+		id, _ := d[IDField].(string)
+		m.packed[i] = c.shapes.pack(d, id, false)
+	}
+}
+
 // replayInsert puts a recovered document. An id the snapshot already
 // covers is replaced in place, preserving its insertion-order slot and
 // without recounting it.
-func (c *Collection) replayInsert(id string, doc Doc) {
+func (c *Collection) replayInsert(id string, p packed) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	advanceIDCounter(id)
 	if e, ok := c.docs[id]; ok {
 		for _, ie := range c.indexList {
-			ie.idx.remove(e, e.doc[ie.field])
-			ie.idx.add(e, doc[ie.field])
+			ie.idx.remove(e, e.value(ie.field))
+			ie.idx.add(e, p.value(ie.field))
 		}
-		e.doc = doc
+		e.packed = p
 		return
 	}
-	c.appendLocked(id, doc)
+	c.appendLocked(id, p)
 }
 
 // replayUpdate merges recovered fields into an existing document; a
@@ -230,41 +248,18 @@ func (c *Collection) replayInsert(id string, doc Doc) {
 func (c *Collection) replayUpdate(id string, fields Doc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.docs[id]
-	if !ok {
-		return
+	if e, ok := c.docs[id]; ok {
+		c.setLocked(e, fields)
 	}
-	for k, v := range fields {
-		if k == IDField {
-			continue
-		}
-		if idx, has := c.indexes[k]; has {
-			idx.remove(e, e.doc[k])
-			idx.add(e, v)
-		}
-		e.doc[k] = v // the decoder gave us fresh memory; no defensive clone needed
-	}
-	c.updated++
 }
 
 // replayUnset removes recovered fields from an existing document.
 func (c *Collection) replayUnset(id string, fields []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.docs[id]
-	if !ok {
-		return
+	if e, ok := c.docs[id]; ok {
+		c.unsetLocked(e, fields)
 	}
-	for _, k := range fields {
-		if k == IDField {
-			continue
-		}
-		if idx, has := c.indexes[k]; has {
-			idx.remove(e, e.doc[k])
-		}
-		delete(e.doc, k)
-	}
-	c.updated++
 }
 
 // replayDelete removes a recovered document if it still exists.

@@ -578,9 +578,15 @@ func (m *Metrics) InstrumentStore(s *docstore.Store) {
 		"WAL and replication records decoded and applied, by payload format.", "format")
 	restored := m.reg.CounterVec("docstore_snapshots_restored_total",
 		"Snapshots restored, by file format.", "format")
+	// How many distinct field sets the stored documents of this process
+	// have: tens while documents share shapes, the registry's bound when
+	// a workload gives every document its own and so defeats the sharing
+	// the stored form's size rests on.
+	shapes := m.reg.Gauge("docstore_shapes", "Document shapes (distinct field sets) registered by the process.")
 	var mu sync.Mutex
 	var last docstore.FormatStats
 	m.reg.OnCollect(func() {
+		shapes.Set(float64(docstore.ShapeCount()))
 		mu.Lock()
 		defer mu.Unlock()
 		now := s.FormatStats()

@@ -3,6 +3,7 @@ package goflow
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -198,7 +199,8 @@ func TestRouteCacheMetricsExposition(t *testing.T) {
 // TestFormatMetricsExposition checks the read-format counters: records
 // and snapshots the store read back before the registry existed show
 // up on the first scrape, under the format they were in, and a second
-// scrape does not count them again.
+// scrape does not count them again. Beside them sits docstore_shapes,
+// the process's shape count (at least the one these documents have).
 func TestFormatMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncNone})
@@ -242,6 +244,9 @@ func TestFormatMetricsExposition(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	Instrument(reg, server, store)
+	if docstore.ShapeCount() == 0 {
+		t.Fatal("no shape registered by a store that holds documents")
+	}
 	for scrape := 0; scrape < 2; scrape++ {
 		var buf bytes.Buffer
 		if err := reg.WritePrometheus(&buf); err != nil {
@@ -252,9 +257,10 @@ func TestFormatMetricsExposition(t *testing.T) {
 			`docstore_wal_decoded_records_total{format="gob"} 0`,
 			`docstore_snapshots_restored_total{format="bin1"} 1`,
 			`docstore_snapshots_restored_total{format="gob"} 0`,
+			fmt.Sprintf("docstore_shapes %d\n", docstore.ShapeCount()),
 		} {
 			if !strings.Contains(buf.String(), want) {
-				t.Errorf("scrape %d: /metrics missing %q; got:\n%s", scrape, want, grepLines(buf.String(), "format="))
+				t.Errorf("scrape %d: /metrics missing %q; got:\n%s", scrape, want, grepLines(buf.String(), "docstore_"))
 			}
 		}
 	}

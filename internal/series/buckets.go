@@ -65,14 +65,26 @@ func (db *DB) AllBuckets(ctx context.Context, from, to time.Time) (map[string][]
 
 // zoneBucketsLocked copies the zone's buckets in [af, at) out of the
 // rollup map, sorted ascending. The Aggs are value copies so callers
-// hold no reference into the live view. Caller holds a lock.
+// hold no reference into the live view. The result is allocated once,
+// at its final size: a Bucket is over half a kilobyte, and a whole-city
+// sweep that grew every zone's slice by doubling spent most of what it
+// allocated on copies it threw away. Caller holds a lock.
 func (db *DB) zoneBucketsLocked(zone string, af, at int64) []Bucket {
 	zm := db.rollups[zone]
 	if len(zm) == 0 || af >= at {
 		return nil
 	}
-	var out []Bucket
 	if n := (at - af) / db.bucketMs; n < int64(len(zm)) {
+		present := 0
+		for b := af; b < at; b += db.bucketMs {
+			if _, ok := zm[b]; ok {
+				present++
+			}
+		}
+		if present == 0 {
+			return nil
+		}
+		out := make([]Bucket, 0, present)
 		for b := af; b < at; b += db.bucketMs {
 			if a, ok := zm[b]; ok {
 				out = append(out, Bucket{Start: b, Agg: *a})
@@ -81,6 +93,7 @@ func (db *DB) zoneBucketsLocked(zone string, af, at int64) []Bucket {
 		// Iterating aligned starts in order: already sorted.
 		return out
 	}
+	out := make([]Bucket, 0, len(zm))
 	for b, a := range zm {
 		if b >= af && b < at {
 			out = append(out, Bucket{Start: b, Agg: *a})

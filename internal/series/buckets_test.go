@@ -107,6 +107,37 @@ func TestZoneBucketsCopiesAggregates(t *testing.T) {
 	}
 }
 
+// TestBucketReadersAllocateTheirResultOnce: a Bucket is over half a
+// kilobyte, so the readers size each zone's slice before filling it
+// instead of growing it by doubling — a 3 h window over a long-lived
+// zone, which is what every forecast sweep reads, is one allocation of
+// exactly its buckets, and an empty window is none.
+func TestBucketReadersAllocateTheirResultOnce(t *testing.T) {
+	db := New(Options{RollupBucket: 5 * time.Minute})
+	zones := []string{"a", "b", "c", "d", "e"}
+	for i, p := range genPoints(19, 20000, 12*time.Hour, zones) {
+		db.Append(uint64(i+1), p)
+	}
+	ctx := context.Background()
+	from, to := testBase.Add(4*time.Hour), testBase.Add(7*time.Hour)
+	got, err := db.ZoneBuckets(ctx, "a", from, to)
+	if err != nil || len(got) != 36 || cap(got) != len(got) {
+		t.Fatalf("3 h of a dense zone: %d buckets in a slice of %d (err %v), want 36 in 36", len(got), cap(got), err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = db.ZoneBuckets(ctx, "a", from, to) }); n != 1 {
+		t.Errorf("ZoneBuckets over a zone with data: %v allocations, want 1", n)
+	}
+	empty := testBase.Add(20 * time.Hour)
+	if n := testing.AllocsPerRun(20, func() { _, _ = db.ZoneBuckets(ctx, "a", empty, empty.Add(3*time.Hour)) }); n != 0 {
+		t.Errorf("ZoneBuckets over an empty window: %v allocations, want 0", n)
+	}
+	// One slice per zone, plus the result map and its buckets.
+	base := testing.AllocsPerRun(20, func() { _, _ = db.AllBuckets(ctx, empty, empty.Add(3*time.Hour)) })
+	if n := testing.AllocsPerRun(20, func() { _, _ = db.AllBuckets(ctx, from, to) }); n > base+float64(len(zones))+2 {
+		t.Errorf("AllBuckets over %d zones: %v allocations against %v for an empty window, want one more per zone", len(zones), n, base)
+	}
+}
+
 func TestCheckpointRetentionUsesInjectedClock(t *testing.T) {
 	// Retention at checkpoints must age data on the injected clock —
 	// a simulated deployment runs months of simulated time in seconds

@@ -453,16 +453,22 @@ func alignUp(ts, width int64) int64 {
 // zone). The bool is false for documents that do not carry a sensing
 // time and a sound level.
 func PointFromObservation(doc map[string]any) (Point, bool) {
-	ts, ok := docTime(doc["sensedAt"])
+	return PointFromFields(doc["sensedAt"], doc["spl"], doc["zone"])
+}
+
+// PointFromFields is PointFromObservation for a caller that holds the
+// three fields it reads, not a map of them.
+func PointFromFields(sensedAt, spl, zone any) (Point, bool) {
+	ts, ok := docTime(sensedAt)
 	if !ok {
 		return Point{}, false
 	}
-	v, ok := docNum(doc["spl"])
+	v, ok := docNum(spl)
 	if !ok {
 		return Point{}, false
 	}
-	zone, _ := doc["zone"].(string)
-	return Point{TS: ts.UnixMilli(), Value: v, Zone: zone}, true
+	z, _ := zone.(string)
+	return Point{TS: ts.UnixMilli(), Value: v, Zone: z}, true
 }
 
 func docTime(v any) (time.Time, bool) {

@@ -122,7 +122,7 @@ func (a *userAPI) myObservations(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	docs, err := a.server.Data.Retrieve(goflow.Query{
+	docs, err := a.server.Data.RetrieveContext(r.Context(), goflow.Query{
 		AppID:  AppID,
 		UserID: client.AnonID,
 		Limit:  10000,
@@ -141,7 +141,7 @@ func (a *userAPI) myExposure(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	docs, err := a.server.Data.Retrieve(goflow.Query{AppID: AppID, UserID: client.AnonID})
+	docs, err := a.server.Data.RetrieveContext(r.Context(), goflow.Query{AppID: AppID, UserID: client.AnonID})
 	if err != nil {
 		writeUserErr(w, http.StatusInternalServerError, err.Error())
 		return

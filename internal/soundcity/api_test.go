@@ -2,9 +2,12 @@ package soundcity
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,11 +19,12 @@ import (
 )
 
 type userAPIEnv struct {
-	server *goflow.Server
-	broker *mq.Broker
-	store  *docstore.Store
-	ts     *httptest.Server
-	client *goflow.Client
+	server  *goflow.Server
+	broker  *mq.Broker
+	store   *docstore.Store
+	handler http.Handler
+	ts      *httptest.Server
+	client  *goflow.Client
 }
 
 func newUserAPIEnv(t *testing.T) *userAPIEnv {
@@ -48,7 +52,7 @@ func newUserAPIEnv(t *testing.T) *userAPIEnv {
 	}
 	ts := httptest.NewServer(handler)
 	t.Cleanup(ts.Close)
-	return &userAPIEnv{server: server, broker: broker, store: store, ts: ts, client: client}
+	return &userAPIEnv{server: server, broker: broker, store: store, handler: handler, ts: ts, client: client}
 }
 
 func (e *userAPIEnv) get(t *testing.T, path, credential string) (*http.Response, map[string]any) {
@@ -155,6 +159,40 @@ func TestUserAPIMyExposure(t *testing.T) {
 	resp, _ = env.get(t, "/me/exposure", fresh.ID)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("fresh user exposure = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestUserAPIReadsFollowTheRequestContext: the two handlers that read a
+// user's whole history stop with the request — a client that hung up,
+// or a request the admission timeout already answered, must not go on
+// to scan and copy thousands of documents nobody will read.
+func TestUserAPIReadsFollowTheRequestContext(t *testing.T) {
+	env := newUserAPIEnv(t)
+	env.seedObservations(t, 30)
+	var queries atomic.Int64
+	env.store.SetHooks(docstore.Hooks{Query: func(string, time.Duration, bool) { queries.Add(1) }})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, path := range []string{"/me/observations", "/me/exposure"} {
+		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+		req.Header.Set("X-Client-ID", env.client.ID)
+		rec := httptest.NewRecorder()
+		env.handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), context.Canceled.Error()) {
+			t.Errorf("%s under a cancelled request = %d %s, want 500 naming the cancellation", path, rec.Code, rec.Body)
+		}
+	}
+	if n := queries.Load(); n != 0 {
+		t.Errorf("cancelled requests still ran %d store scans", n)
+	}
+	// The same requests, alive, are served.
+	for _, path := range []string{"/me/observations", "/me/exposure"} {
+		if resp, _ := env.get(t, path, env.client.ID); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s = %d, want 200", path, resp.StatusCode)
+		}
+	}
+	if queries.Load() == 0 {
+		t.Error("live requests ran no store scan: the hook this test counts on is not wired")
 	}
 }
 

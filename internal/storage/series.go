@@ -90,10 +90,10 @@ func (l *Local) AttachSeries(db *series.DB, col string) {
 // the rest of the batch.
 func (l *Local) observeSeries(col string) {
 	db := l.series
-	l.store.SetIngestObserver(col, func(lsn uint64, docs []docstore.Doc) {
-		pts := make([]series.Point, 0, len(docs))
-		for _, doc := range docs {
-			if p, ok := series.PointFromObservation(doc); ok {
+	l.store.SetIngestObserver(col, func(lsn uint64, docs docstore.Batch) {
+		pts := make([]series.Point, 0, docs.Len())
+		for i := 0; i < docs.Len(); i++ {
+			if p, ok := series.PointFromFields(docs.Field(i, "sensedAt"), docs.Field(i, "spl"), docs.Field(i, "zone")); ok {
 				pts = append(pts, p)
 			}
 		}
