@@ -65,7 +65,7 @@ func TestClusterMergedForecastEqualsMergedRollupForecast(t *testing.T) {
 	// Hand-merge the shard buckets in the same fixed shard order the
 	// Router uses.
 	window := asOf.Add(-predict.DefaultWindow)
-	merged := make(map[string]map[int64]*series.Agg)
+	merged := make(map[string]map[int64]*series.Bucket)
 	for _, s := range shards {
 		rr := s.(storage.RollupReader)
 		m, has, err := rr.SeriesAllBuckets(ctx, window, asOf)
@@ -75,16 +75,17 @@ func TestClusterMergedForecastEqualsMergedRollupForecast(t *testing.T) {
 		for zone, bs := range m {
 			zm := merged[zone]
 			if zm == nil {
-				zm = make(map[int64]*series.Agg)
+				zm = make(map[int64]*series.Bucket)
 				merged[zone] = zm
 			}
 			for i := range bs {
 				a := zm[bs[i].Start]
 				if a == nil {
-					a = &series.Agg{}
+					a = &series.Bucket{Start: bs[i].Start}
 					zm[bs[i].Start] = a
 				}
-				a.Merge(&bs[i].Agg)
+				a.Count += bs[i].Count
+				a.Energy += bs[i].Energy
 			}
 		}
 	}
@@ -105,13 +106,13 @@ func TestClusterMergedForecastEqualsMergedRollupForecast(t *testing.T) {
 			t.Fatalf("zone %s: router %d buckets, hand-merge %d", zone, len(rb), len(zm))
 		}
 		hand := make([]series.Bucket, 0, len(zm))
-		for _, b := range rb { // same starts, hand-merged aggs
+		for _, b := range rb { // same starts, hand-merged buckets
 			a, ok := zm[b.Start]
 			if !ok {
 				t.Fatalf("zone %s: router bucket %d missing from hand-merge", zone, b.Start)
 			}
-			hand = append(hand, series.Bucket{Start: b.Start, Agg: *a})
-			if b.Agg != *a {
+			hand = append(hand, *a)
+			if b != *a {
 				t.Fatalf("zone %s bucket %d: router merge differs from hand merge", zone, b.Start)
 			}
 		}

@@ -100,11 +100,11 @@ func (r *Router) SeriesNoisemap(ctx context.Context, from, to time.Time) (map[st
 // SeriesZoneBuckets implements storage.RollupReader: each shard's
 // bucket series merged bucket-by-bucket. Shards are visited in fixed
 // index order — not the concurrent fan-out — so float summation order
-// inside each merged Agg is identical run to run and the forecaster
+// inside each merged bucket is identical run to run and the forecaster
 // fitted over the result is bit-deterministic (the property the
 // cluster-merge forecast test pins).
 func (r *Router) SeriesZoneBuckets(ctx context.Context, zone string, from, to time.Time) ([]series.Bucket, bool, error) {
-	merged := make(map[int64]*series.Agg)
+	merged := make(map[int64]*series.Bucket)
 	for _, s := range r.shards {
 		rr, is := s.(storage.RollupReader)
 		if !is {
@@ -125,7 +125,7 @@ func (r *Router) SeriesZoneBuckets(ctx context.Context, zone string, from, to ti
 // SeriesAllBuckets implements storage.RollupReader: the whole-city
 // forecast sweep input, merged per zone in fixed shard order.
 func (r *Router) SeriesAllBuckets(ctx context.Context, from, to time.Time) (map[string][]series.Bucket, bool, error) {
-	merged := make(map[string]map[int64]*series.Agg)
+	merged := make(map[string]map[int64]*series.Bucket)
 	for _, s := range r.shards {
 		rr, is := s.(storage.RollupReader)
 		if !is {
@@ -141,7 +141,7 @@ func (r *Router) SeriesAllBuckets(ctx context.Context, from, to time.Time) (map[
 		for zone, bs := range m {
 			zm := merged[zone]
 			if zm == nil {
-				zm = make(map[int64]*series.Agg)
+				zm = make(map[int64]*series.Bucket)
 				merged[zone] = zm
 			}
 			mergeBuckets(zm, bs)
@@ -154,24 +154,29 @@ func (r *Router) SeriesAllBuckets(ctx context.Context, from, to time.Time) (map[
 	return out, true, nil
 }
 
-func mergeBuckets(into map[int64]*series.Agg, bs []series.Bucket) {
+// mergeBuckets folds one shard's buckets in. A Bucket carries the two
+// Agg fields a level needs and merging adds both, exactly as Agg.Merge
+// adds them; with the fixed shard order above, the merged energy is the
+// same float on every run.
+func mergeBuckets(into map[int64]*series.Bucket, bs []series.Bucket) {
 	for i := range bs {
-		a := into[bs[i].Start]
-		if a == nil {
-			a = &series.Agg{}
-			into[bs[i].Start] = a
+		b := into[bs[i].Start]
+		if b == nil {
+			b = &series.Bucket{Start: bs[i].Start}
+			into[bs[i].Start] = b
 		}
-		a.Merge(&bs[i].Agg)
+		b.Count += bs[i].Count
+		b.Energy += bs[i].Energy
 	}
 }
 
-func sortedBuckets(m map[int64]*series.Agg) []series.Bucket {
+func sortedBuckets(m map[int64]*series.Bucket) []series.Bucket {
 	if len(m) == 0 {
 		return nil
 	}
 	out := make([]series.Bucket, 0, len(m))
-	for start, a := range m {
-		out = append(out, series.Bucket{Start: start, Agg: *a})
+	for _, b := range m {
+		out = append(out, *b)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out

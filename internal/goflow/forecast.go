@@ -3,7 +3,6 @@ package goflow
 import (
 	"net/http"
 	"sort"
-	"time"
 
 	"github.com/urbancivics/goflow/internal/predict"
 )
@@ -49,14 +48,16 @@ func (h *apiHandler) zoneForecast(w http.ResponseWriter, r *http.Request) {
 }
 
 // noisemapForecast serves the whole-city forecast sweep, sorted by
-// zone id.
+// zone id. The answer is stamped with the instant the sweep ran at,
+// whether or not any zone was warm enough to forecast.
 func (h *apiHandler) noisemapForecast(w http.ResponseWriter, r *http.Request) {
 	f := h.server.Predict
 	if f == nil {
 		errPredictDisabled(w)
 		return
 	}
-	fcs, err := f.Sweep(r.Context())
+	asOf := f.Now()
+	fcs, err := f.SweepAt(r.Context(), asOf)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -66,13 +67,9 @@ func (h *apiHandler) noisemapForecast(w http.ResponseWriter, r *http.Request) {
 		zones = append(zones, fc)
 	}
 	sort.Slice(zones, func(i, j int) bool { return zones[i].Zone < zones[j].Zone })
-	var generatedAt, target time.Time
-	if len(zones) > 0 {
-		generatedAt, target = zones[0].GeneratedAt, zones[0].Target
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"generatedAt": generatedAt,
-		"target":      target,
+		"generatedAt": asOf,
+		"target":      asOf.Add(f.Horizon()),
 		"horizon":     f.Horizon().String(),
 		"count":       len(zones),
 		"zones":       zones,

@@ -119,6 +119,48 @@ func TestForecastEndpoints(t *testing.T) {
 	}
 }
 
+// TestNoisemapForecastColdCity: with no warm zone there is no forecast
+// to borrow a timestamp from, and the answer used to be stamped year
+// 0001. It is stamped with the sweep's own instant, like a warm one.
+func TestNoisemapForecastColdCity(t *testing.T) {
+	broker := mq.NewBroker()
+	engine := storage.NewLocal(docstore.NewStore())
+	engine.AttachSeries(series.New(series.Options{}), ObservationsCollection)
+	server, err := NewServer(ServerConfig{
+		Broker:  broker,
+		Data:    engine,
+		Clock:   simclock.NewSim(forecastTestAsOf),
+		Predict: &predict.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		server.Shutdown()
+		broker.Close()
+	})
+	rec := httptest.NewRecorder()
+	NewHTTPHandler(server).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/noisemap/forecast", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("cold city forecast = %d: %s", rec.Code, rec.Body.String())
+	}
+	var sweep struct {
+		GeneratedAt time.Time `json:"generatedAt"`
+		Target      time.Time `json:"target"`
+		Count       int       `json:"count"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&sweep); err != nil {
+		t.Fatal(err)
+	}
+	if sweep.Count != 0 {
+		t.Fatalf("empty series forecast %d zones", sweep.Count)
+	}
+	if !sweep.GeneratedAt.Equal(forecastTestAsOf) || !sweep.Target.Equal(forecastTestAsOf.Add(predict.DefaultHorizon)) {
+		t.Fatalf("cold city stamped generatedAt %v target %v, want the simulated now %v and now+%v",
+			sweep.GeneratedAt, sweep.Target, forecastTestAsOf, predict.DefaultHorizon)
+	}
+}
+
 func TestForecastEndpointsDisabled(t *testing.T) {
 	broker := mq.NewBroker()
 	server, err := NewServer(ServerConfig{Broker: broker, Store: docstore.NewStore()})

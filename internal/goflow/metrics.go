@@ -408,6 +408,10 @@ func (m *Metrics) InstrumentSeries(db *series.DB) {
 		"Chunks decoded by series queries.")
 	skipped := m.reg.Counter("series_chunks_skipped_total",
 		"Chunks pruned by the sparse min/max index.")
+	memo := m.reg.CounterVec("series_window_memo_total",
+		"Whole partition windows read by series queries, by result: hit = served from the window's memo, fill = re-merged from its buckets first (a point landed in it since the last read).",
+		"result")
+	memoHit, memoFill := memo.With("hit"), memo.With("fill")
 	retChunks := m.reg.Counter("series_retention_chunks_total",
 		"Raw chunks dropped by retention.")
 	retPoints := m.reg.Counter("series_retention_points_total",
@@ -440,6 +444,10 @@ func (m *Metrics) InstrumentSeries(db *series.DB) {
 			queryDur.With(kind).ObserveDuration(d)
 			scanned.Add(uint64(sc))
 			skipped.Add(uint64(sk))
+		},
+		WindowMemo: func(hits, fills int) {
+			memoHit.Add(uint64(hits))
+			memoFill.Add(uint64(fills))
 		},
 		Retention: func(c, p int) {
 			retChunks.Add(uint64(c))

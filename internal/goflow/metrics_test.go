@@ -2,6 +2,7 @@ package goflow
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
+	"github.com/urbancivics/goflow/internal/series"
 	"github.com/urbancivics/goflow/internal/wal"
 )
 
@@ -264,6 +266,51 @@ func TestFormatMetricsExposition(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWindowMemoMetricsExposition checks series_window_memo_total: both
+// results are exposed from the first scrape, a day-wide read fills the
+// windows it spans once and hits them afterwards, and a late point
+// makes exactly its own window fill again — the ratio that tells an
+// operator late uploads are churning old hours.
+func TestWindowMemoMetricsExposition(t *testing.T) {
+	db := series.New(series.Options{})
+	reg := obs.NewRegistry()
+	NewMetrics(reg).InstrumentSeries(db)
+	expect := func(step string, hit, fill int) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`series_window_memo_total{result="hit"} %d`+"\n", hit),
+			fmt.Sprintf(`series_window_memo_total{result="fill"} %d`+"\n", fill),
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s: /metrics missing %q; got:\n%s", step, want, grepLines(buf.String(), "series_window_memo"))
+			}
+		}
+	}
+	expect("before any read", 0, 0)
+
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for h := 0; h < 6; h++ {
+		db.Append(uint64(h+1), series.Point{TS: base.Add(time.Duration(h) * time.Hour).UnixMilli(), Value: 60, Zone: "z"})
+	}
+	day := func() {
+		t.Helper()
+		if _, err := db.Noisemap(context.Background(), base, base.Add(24*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	day()
+	expect("first day read", 0, 6)
+	day()
+	expect("second day read", 6, 6)
+	db.Append(7, series.Point{TS: base.Add(2*time.Hour + time.Minute).UnixMilli(), Value: 70, Zone: "z"})
+	day()
+	expect("after a late point", 11, 7)
 }
 
 // grepLines returns the lines of s containing substr (test-failure

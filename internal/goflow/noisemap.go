@@ -84,34 +84,28 @@ func (dm *DataManager) ZoneNoise(ctx context.Context, zone string, from, to time
 // Noisemap summarizes every zone's sound level over [from, to),
 // sorted by zone id.
 func (dm *DataManager) Noisemap(ctx context.Context, from, to time.Time) ([]NoiseStats, error) {
-	var (
-		byZone map[string]*series.Agg
-		source = "scan"
-	)
+	var out []NoiseStats
 	if sq, ok := dm.data.(storage.SeriesQuerier); ok {
 		m, has, err := sq.SeriesNoisemap(ctx, from, to)
 		if err != nil {
 			return nil, fmt.Errorf("noisemap: %w", err)
 		}
 		if has {
-			byZone = make(map[string]*series.Agg, len(m))
+			out = make([]NoiseStats, 0, len(m))
 			for z, a := range m {
-				cp := a
-				byZone[z] = &cp
+				out = append(out, noiseStats(z, &a, "rollup"))
 			}
-			source = "rollup"
 		}
 	}
-	if byZone == nil {
-		var err error
-		byZone, err = dm.scanNoise(ctx, "", from, to)
+	if out == nil {
+		byZone, err := dm.scanNoise(ctx, "", from, to)
 		if err != nil {
 			return nil, err
 		}
-	}
-	out := make([]NoiseStats, 0, len(byZone))
-	for z, a := range byZone {
-		out = append(out, noiseStats(z, a, source))
+		out = make([]NoiseStats, 0, len(byZone))
+		for z, a := range byZone {
+			out = append(out, noiseStats(z, a, "scan"))
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Zone < out[j].Zone })
 	return out, nil

@@ -64,6 +64,10 @@ func (f *Forecaster) Model() Model { return f.model }
 // Horizon returns the forecast horizon.
 func (f *Forecaster) Horizon() time.Duration { return f.model.cfg.Horizon }
 
+// Now reads the forecaster's clock: the instant a caller passes to
+// SweepAt when it must stamp an answer with the sweep's own asOf.
+func (f *Forecaster) Now() time.Time { return f.clock.Now() }
+
 // ZoneForecast forecasts one zone at the clock's current instant. ok
 // is false for cold zones (insufficient history in the window).
 func (f *Forecaster) ZoneForecast(ctx context.Context, zone string) (Forecast, bool, error) {

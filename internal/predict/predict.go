@@ -140,10 +140,10 @@ func (m Model) ForecastZone(zone string, buckets []series.Bucket, asOf time.Time
 	halfBucket := float64(cfg.Bucket.Milliseconds()) / 2
 	for i := range buckets {
 		b := &buckets[i]
-		if b.Agg.Count == 0 || b.Start >= asOfMs {
+		if b.Count == 0 || b.Start >= asOfMs {
 			continue
 		}
-		v := b.Agg.LAeq()
+		v := b.LAeq()
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}

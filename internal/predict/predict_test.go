@@ -24,8 +24,9 @@ func mkBuckets(levels []float64, n int) []series.Bucket {
 			a.Add(l)
 		}
 		out = append(out, series.Bucket{
-			Start: start.Add(time.Duration(i) * 5 * time.Minute).UnixMilli(),
-			Agg:   a,
+			Start:  start.Add(time.Duration(i) * 5 * time.Minute).UnixMilli(),
+			Count:  a.Count,
+			Energy: a.Energy,
 		})
 	}
 	return out
@@ -80,10 +81,10 @@ func TestForecastColdZoneNotNaN(t *testing.T) {
 			{Start: t0.Add(-5 * time.Minute).UnixMilli()},
 		}},
 		{"zero-count with junk sums", []series.Bucket{
-			{Start: t0.Add(-20 * time.Minute).UnixMilli(), Agg: series.Agg{Sum: 100}},
-			{Start: t0.Add(-15 * time.Minute).UnixMilli(), Agg: series.Agg{Sum: 100}},
-			{Start: t0.Add(-10 * time.Minute).UnixMilli(), Agg: series.Agg{Sum: 100}},
-			{Start: t0.Add(-5 * time.Minute).UnixMilli(), Agg: series.Agg{Sum: 100}},
+			{Start: t0.Add(-20 * time.Minute).UnixMilli(), Energy: 100},
+			{Start: t0.Add(-15 * time.Minute).UnixMilli(), Energy: 100},
+			{Start: t0.Add(-10 * time.Minute).UnixMilli(), Energy: 100},
+			{Start: t0.Add(-5 * time.Minute).UnixMilli(), Energy: 100},
 		}},
 	}
 	for _, tc := range cases {
@@ -101,11 +102,9 @@ func TestForecastSkipsNonFiniteBuckets(t *testing.T) {
 	// be skipped, not poison the fit.
 	m := NewModel(Config{})
 	buckets := mkBuckets([]float64{60, 60, 60, 60, 60, 60}, 10)
-	bad1 := series.Agg{Count: 5, Energy: 0} // LAeq = -Inf
-	bad2 := series.Agg{Count: 5, Energy: math.NaN()}
 	buckets = append(buckets,
-		series.Bucket{Start: t0.Add(-90 * time.Minute).UnixMilli(), Agg: bad1},
-		series.Bucket{Start: t0.Add(-95 * time.Minute).UnixMilli(), Agg: bad2},
+		series.Bucket{Start: t0.Add(-90 * time.Minute).UnixMilli(), Count: 5, Energy: 0}, // LAeq = -Inf
+		series.Bucket{Start: t0.Add(-95 * time.Minute).UnixMilli(), Count: 5, Energy: math.NaN()},
 	)
 	fc, ok := m.ForecastZone("z", buckets, t0)
 	if !ok {
@@ -131,7 +130,7 @@ func TestForecastIgnoresFutureBuckets(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		loud.Add(100)
 	}
-	buckets = append(buckets, series.Bucket{Start: t0.UnixMilli(), Agg: loud})
+	buckets = append(buckets, series.Bucket{Start: t0.UnixMilli(), Count: loud.Count, Energy: loud.Energy})
 	fc, ok := m.ForecastZone("z", buckets, t0)
 	if !ok {
 		t.Fatal("expected forecast")
@@ -148,10 +147,8 @@ func TestForecastDegenerateRegressionFallsBackToEWMA(t *testing.T) {
 		a.Add(58)
 	}
 	start := t0.Add(-5 * time.Minute).UnixMilli()
-	buckets := []series.Bucket{
-		{Start: start, Agg: a}, {Start: start, Agg: a},
-		{Start: start, Agg: a}, {Start: start, Agg: a},
-	}
+	b := series.Bucket{Start: start, Count: a.Count, Energy: a.Energy}
+	buckets := []series.Bucket{b, b, b, b}
 	fc, ok := NewModel(Config{}).ForecastZone("z", buckets, t0)
 	if !ok {
 		t.Fatal("expected forecast")

@@ -31,8 +31,9 @@ func (s corridorSource) bucketsFor(level float64, asOf time.Time) []series.Bucke
 			a.Add(level)
 		}
 		out = append(out, series.Bucket{
-			Start: asOf.Add(-time.Duration(i) * 5 * time.Minute).UnixMilli(),
-			Agg:   a,
+			Start:  asOf.Add(-time.Duration(i) * 5 * time.Minute).UnixMilli(),
+			Count:  a.Count,
+			Energy: a.Energy,
 		})
 	}
 	return out

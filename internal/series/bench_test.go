@@ -11,7 +11,10 @@ import (
 // The benchmark pair behind BENCH_series.json: the same one-hour zone
 // window answered from the continuous rollups versus forced through
 // the compressed chunks. The docstore full-scan baseline lives in
-// internal/storage (it needs documents, not points).
+// internal/storage (it needs documents, not points). Beside them, the
+// question a dashboard actually asks: the whole city over an unaligned
+// trailing day, on a quiet store and with a point landing in the
+// current hour between reads.
 
 // benchFill appends n seeded points spread across zones and time.
 func benchFill(db *DB, n int, spread time.Duration, zones int) {
@@ -37,6 +40,8 @@ func BenchmarkSeriesQuery(b *testing.B) {
 	const spread = 7 * 24 * time.Hour
 	lo := testBase.Add(72 * time.Hour)
 	hi := lo.Add(time.Hour)
+	dayHi := testBase.Add(96*time.Hour + 37*time.Minute + 11*time.Second)
+	dayLo := dayHi.Add(-24 * time.Hour)
 	for _, n := range benchSizes {
 		// Rollup path: 5-minute buckets, the aligned window is pure
 		// aggregate merging.
@@ -54,6 +59,29 @@ func BenchmarkSeriesQuery(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Noisemap(context.Background(), lo, hi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+
+		// The REST default: an unaligned trailing 24 h over every zone.
+		b.Run(fmt.Sprintf("n=%d/path=rollup-noisemap-day", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Noisemap(context.Background(), dayLo, dayHi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// The same read while the city keeps reporting: one point lands
+		// in the day's last whole hour before every read, so each read
+		// pays for re-merging the one window ingest keeps dirtying.
+		b.Run(fmt.Sprintf("n=%d/path=rollup-day-under-ingest", n), func(b *testing.B) {
+			b.ReportAllocs()
+			late := Point{TS: dayHi.Add(-time.Hour).UnixMilli(), Value: 61.5, Zone: "FR75001"}
+			for i := 0; i < b.N; i++ {
+				db.Append(uint64(n+i+1), late)
+				if _, err := db.Noisemap(context.Background(), dayLo, dayHi); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,22 +2,30 @@ package series
 
 import (
 	"context"
-	"sort"
 	"time"
 )
 
 // Bucket readers: the forecasting path. Where ZoneAggregate collapses
 // a window into one Agg, the predictor needs the window's buckets as a
-// time series — one Agg per (zone, RollupBucket) — to fit a trend.
-// Both readers answer purely from the continuous aggregates; raw
-// chunks are never touched, so they stay O(window buckets) regardless
-// of how many points the store holds.
+// time series — one level per (zone, RollupBucket) — to fit a trend.
+// Both readers answer purely from the continuous aggregates, through
+// the window memos' bucket series (memo.go); raw chunks are never
+// touched, so they stay O(window buckets) regardless of how many
+// points the store holds.
 
-// Bucket is one continuous-aggregate bucket of one zone.
+// Bucket is one continuous-aggregate bucket of one zone, narrowed to
+// what a level over time needs — 24 bytes a bucket where the whole Agg,
+// histogram included, is 536. Two partial Buckets of one start (two
+// shards) merge by adding both fields, as Agg.Merge adds them.
 type Bucket struct {
-	Start int64 // bucket start, Unix ms
-	Agg   Agg
+	Start  int64   // bucket start, Unix ms
+	Count  uint64  // observations in the bucket
+	Energy float64 // Σ 10^(v/10) over them, as in Agg.Energy
 }
+
+// LAeq is the bucket's equivalent continuous sound level, the same
+// expression as Agg.LAeq (0 when empty).
+func (b *Bucket) LAeq() float64 { return laeq(b.Count, b.Energy) }
 
 // ZoneBuckets returns one zone's rollup buckets whose start falls in
 // [from, to), ascending by start. Buckets with no data are absent, so
@@ -31,11 +39,12 @@ func (db *DB) ZoneBuckets(ctx context.Context, zone string, from, to time.Time) 
 	af := alignDown(from.UnixMilli(), db.bucketMs)
 	at := to.UnixMilli()
 
+	var use memoUse
 	db.mu.RLock()
-	out := db.zoneBucketsLocked(zone, af, at)
+	out := db.zoneBucketsLocked(zone, af, at, &use)
 	db.mu.RUnlock()
 
-	db.queryHook("buckets", start, 0, 0)
+	db.queryHook("buckets", start, 0, 0, use)
 	return out, nil
 }
 
@@ -50,56 +59,43 @@ func (db *DB) AllBuckets(ctx context.Context, from, to time.Time) (map[string][]
 	af := alignDown(from.UnixMilli(), db.bucketMs)
 	at := to.UnixMilli()
 
+	var use memoUse
 	db.mu.RLock()
 	out := make(map[string][]Bucket, len(db.rollups))
 	for zone := range db.rollups {
-		if bs := db.zoneBucketsLocked(zone, af, at); len(bs) > 0 {
+		if bs := db.zoneBucketsLocked(zone, af, at, &use); len(bs) > 0 {
 			out[zone] = bs
 		}
 	}
 	db.mu.RUnlock()
 
-	db.queryHook("buckets-all", start, 0, 0)
+	db.queryHook("buckets-all", start, 0, 0, use)
 	return out, nil
 }
 
-// zoneBucketsLocked copies the zone's buckets in [af, at) out of the
-// rollup map, sorted ascending. The Aggs are value copies so callers
-// hold no reference into the live view. The result is allocated once,
-// at its final size: a Bucket is over half a kilobyte, and a whole-city
-// sweep that grew every zone's slice by doubling spent most of what it
-// allocated on copies it threw away. Caller holds a lock.
-func (db *DB) zoneBucketsLocked(zone string, af, at int64) []Bucket {
+// zoneBucketsLocked copies the zone's buckets with start in [af, at)
+// out of the memos of the windows the range overlaps, ascending.
+// Callers hold no reference into the engine, and the copy is allocated
+// once, at its final size: a whole-city sweep makes one per zone.
+// Caller holds a lock.
+func (db *DB) zoneBucketsLocked(zone string, af, at int64, use *memoUse) []Bucket {
 	zm := db.rollups[zone]
 	if len(zm) == 0 || af >= at {
 		return nil
 	}
-	if n := (at - af) / db.bucketMs; n < int64(len(zm)) {
-		present := 0
-		for b := af; b < at; b += db.bucketMs {
-			if _, ok := zm[b]; ok {
-				present++
-			}
-		}
-		if present == 0 {
-			return nil
-		}
-		out := make([]Bucket, 0, present)
-		for b := af; b < at; b += db.bucketMs {
-			if a, ok := zm[b]; ok {
-				out = append(out, Bucket{Start: b, Agg: *a})
-			}
-		}
-		// Iterating aligned starts in order: already sorted.
-		return out
+	var buf [8]*windowMemo
+	memos := db.windowsLocked(buf[:0], zone, zm, alignDown(af, db.windowMs), at, use)
+	n := 0
+	for _, m := range memos {
+		n += len(m.in(af, at))
 	}
-	out := make([]Bucket, 0, len(zm))
-	for b, a := range zm {
-		if b >= af && b < at {
-			out = append(out, Bucket{Start: b, Agg: *a})
-		}
+	if n == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	out := make([]Bucket, 0, n)
+	for _, m := range memos {
+		out = append(out, m.in(af, at)...)
+	}
 	return out
 }
 

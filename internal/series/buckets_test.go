@@ -33,7 +33,7 @@ func TestZoneBucketsWindowedAndSorted(t *testing.T) {
 		if i > 0 && got[i-1].Start >= b.Start {
 			t.Fatalf("buckets out of order at %d: %d then %d", i, got[i-1].Start, b.Start)
 		}
-		if b.Agg.Count == 0 {
+		if b.Count == 0 {
 			t.Fatalf("empty bucket %d materialized", i)
 		}
 		// Each bucket must equal the aligned single-bucket aggregate —
@@ -43,7 +43,7 @@ func TestZoneBucketsWindowedAndSorted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Agg != one {
+		if b.Count != one.Count || b.Energy != one.Energy || b.LAeq() != one.LAeq() {
 			t.Fatalf("bucket %d disagrees with ZoneAggregate over the same window", i)
 		}
 	}
@@ -92,7 +92,7 @@ func TestZoneBucketsEmptyWindowAndZone(t *testing.T) {
 }
 
 func TestZoneBucketsCopiesAggregates(t *testing.T) {
-	// The returned Aggs must be snapshots: mutating the live view
+	// The returned buckets must be snapshots: mutating the live view
 	// after the read must not change what the caller holds.
 	db := New(Options{})
 	db.Append(1, Point{TS: testBase.UnixMilli(), Value: 60, Zone: "a"})
@@ -100,10 +100,13 @@ func TestZoneBucketsCopiesAggregates(t *testing.T) {
 	if err != nil || len(bs) != 1 {
 		t.Fatalf("want 1 bucket, got %v err %v", bs, err)
 	}
-	before := bs[0].Agg
+	before := bs[0]
 	db.Append(2, Point{TS: testBase.UnixMilli() + 1, Value: 90, Zone: "a"})
-	if bs[0].Agg != before {
-		t.Fatal("bucket aggregate aliased the live rollup map")
+	if bs[0] != before {
+		t.Fatal("bucket aliased the live rollup view")
+	}
+	if again, _ := db.ZoneBuckets(context.Background(), "a", testBase, testBase.Add(time.Hour)); len(again) != 1 || again[0].Count != 2 {
+		t.Fatalf("the read after the append must see it: %+v", again)
 	}
 }
 

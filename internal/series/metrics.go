@@ -14,6 +14,11 @@ type Hooks struct {
 	// and skipped count the chunks decoded vs pruned by the sparse
 	// index.
 	Query func(kind string, d time.Duration, scanned, skipped int)
+	// WindowMemo fires beside Query for a read that touched whole
+	// partition windows: how many were served from their memo (hits)
+	// and how many had to be re-merged from their buckets first
+	// (fills) because a point had landed in them since the last read.
+	WindowMemo func(hits, fills int)
 	// Retention fires when ApplyRetention drops raw chunks.
 	Retention func(chunks, points int)
 	// Rebuild fires when the rollups are rebuilt from chunks.

@@ -153,6 +153,7 @@ func Open(opts Options) (*DB, error) {
 			}
 			db.rollups[zone] = dst
 		}
+		db.resetMemosLocked()
 	} else {
 		db.rebuildRollupsLocked()
 		if h := db.h(); h != nil && h.Rebuild != nil {
@@ -275,6 +276,7 @@ func (db *DB) ResetTo(lsn uint64) error {
 	db.mu.Lock()
 	db.parts = make(map[int64]*partition)
 	db.rollups = make(map[string]map[int64]*Agg)
+	db.resetMemosLocked()
 	db.watermark = lsn
 	db.retentionFloor = 0
 	db.points = 0

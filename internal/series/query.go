@@ -6,8 +6,9 @@ import (
 )
 
 // Query path. The common analytics windows align to rollup buckets and
-// are answered purely from the continuous aggregates — O(buckets) map
-// lookups, no raw data touched. Arbitrary windows split into an
+// are answered purely from the continuous aggregates — one memoized
+// sum per whole partition window plus the buckets of the two ragged
+// ends (memo.go), no raw data touched. Arbitrary windows split into an
 // aligned core (rollups) plus up to two sub-bucket edges, which scan
 // only the chunks the sparse index cannot rule out.
 
@@ -29,12 +30,13 @@ func (db *DB) ZoneAggregate(ctx context.Context, zone string, from, to time.Time
 
 	db.mu.RLock()
 	scanned, skipped := 0, 0
+	var use memoUse
 	var err error
 	if af >= at {
 		// No fully covered bucket: the whole range is one edge scan.
 		scanned, skipped, err = db.scanLocked(ctx, zone, lo, hi, &agg, 0)
 	} else {
-		db.sumRollupsLocked(zone, af, at, &agg)
+		db.sumRollupsLocked(zone, af, at, &agg, &use)
 		scanned, skipped, err = db.scanLocked(ctx, zone, lo, af, &agg, 0)
 		if err == nil {
 			var s2, k2 int
@@ -44,7 +46,7 @@ func (db *DB) ZoneAggregate(ctx context.Context, zone string, from, to time.Time
 		}
 	}
 	db.mu.RUnlock()
-	db.queryHook("zone", start, scanned, skipped)
+	db.queryHook("zone", start, scanned, skipped, use)
 	if err != nil {
 		return Agg{}, err
 	}
@@ -56,27 +58,28 @@ func (db *DB) ZoneAggregate(ctx context.Context, zone string, from, to time.Time
 // are absent from the result.
 func (db *DB) Noisemap(ctx context.Context, from, to time.Time) (map[string]Agg, error) {
 	start := time.Now()
-	out := make(map[string]Agg)
 	lo, hi := from.UnixMilli(), to.UnixMilli()
 	if lo >= hi {
-		return out, nil
+		return map[string]Agg{}, nil
 	}
 	af, at := alignUp(lo, db.bucketMs), alignDown(hi, db.bucketMs)
 
+	db.mu.RLock()
+	out := make(map[string]Agg, len(db.rollups))
 	addEdge := func(ts int64, v float64, zone string) {
 		a := out[zone]
 		a.Add(v)
 		out[zone] = a
 	}
-	db.mu.RLock()
 	scanned, skipped := 0, 0
+	var use memoUse
 	var err error
 	if af >= at {
 		scanned, skipped, err = db.scanAllLocked(ctx, lo, hi, addEdge, 0)
 	} else {
 		for zone := range db.rollups {
 			var agg Agg
-			db.sumRollupsLocked(zone, af, at, &agg)
+			db.sumRollupsLocked(zone, af, at, &agg, &use)
 			if agg.Count > 0 {
 				out[zone] = agg
 			}
@@ -90,7 +93,7 @@ func (db *DB) Noisemap(ctx context.Context, from, to time.Time) (map[string]Agg,
 		}
 	}
 	db.mu.RUnlock()
-	db.queryHook("noisemap", start, scanned, skipped)
+	db.queryHook("noisemap", start, scanned, skipped, use)
 	if err != nil {
 		return nil, err
 	}
@@ -98,25 +101,32 @@ func (db *DB) Noisemap(ctx context.Context, from, to time.Time) (map[string]Agg,
 }
 
 // sumRollupsLocked merges every rollup bucket of zone in [af, at)
-// (both bucket-aligned) into agg. When the window holds fewer buckets
-// than the zone has, it walks the window and point-looks-up each
-// bucket; otherwise it iterates the zone's bucket map — whichever
-// touches fewer entries. Caller holds a lock.
-func (db *DB) sumRollupsLocked(zone string, af, at int64, agg *Agg) {
+// (both bucket-aligned) into agg, always in the same order: the
+// buckets before the first whole partition window, each whole window
+// from its memo, the buckets after the last. Caller holds a lock.
+func (db *DB) sumRollupsLocked(zone string, af, at int64, agg *Agg, use *memoUse) {
 	zm := db.rollups[zone]
 	if zm == nil {
 		return
 	}
-	if n := (at - af) / db.bucketMs; n < int64(len(zm)) {
-		for b := af; b < at; b += db.bucketMs {
-			if a, ok := zm[b]; ok {
-				agg.Merge(a)
-			}
-		}
-		return
+	w0, w1 := alignUp(af, db.windowMs), alignDown(at, db.windowMs)
+	if w0 >= w1 {
+		// No whole window inside: under two windows' worth of buckets.
+		w0, w1 = at, at
 	}
-	for b, a := range zm {
-		if b >= af && b < at {
+	for b := af; b < w0; b += db.bucketMs {
+		if a := zm[b]; a != nil {
+			agg.Merge(a)
+		}
+	}
+	if w0 < w1 {
+		var buf [32]*windowMemo // a day of hourly windows, on the stack
+		for _, m := range db.windowsLocked(buf[:0], zone, zm, w0, w1, use) {
+			agg.Merge(&m.sum)
+		}
+	}
+	for b := w1; b < at; b += db.bucketMs {
+		if a := zm[b]; a != nil {
 			agg.Merge(a)
 		}
 	}
@@ -188,8 +198,15 @@ func (db *DB) scanChunksLocked(ctx context.Context, lo, hi int64, checkedAlready
 	return scanned, skipped, nil
 }
 
-func (db *DB) queryHook(kind string, start time.Time, scanned, skipped int) {
-	if h := db.h(); h != nil && h.Query != nil {
+func (db *DB) queryHook(kind string, start time.Time, scanned, skipped int, use memoUse) {
+	h := db.h()
+	if h == nil {
+		return
+	}
+	if h.Query != nil {
 		h.Query(kind, time.Since(start), scanned, skipped)
+	}
+	if h.WindowMemo != nil && use != (memoUse{}) {
+		h.WindowMemo(use.hits, use.fills)
 	}
 }

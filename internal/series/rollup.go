@@ -56,16 +56,27 @@ func (a *Agg) Add(v float64) {
 	a.Sum += v
 	a.SumSq += v * v
 	a.Energy += math.Pow(10, v/10)
-	bin := int((v - HistMin) / HistBinWidth)
-	if bin < 0 {
-		bin = 0
-	} else if bin >= HistBins {
-		bin = HistBins - 1
-	}
-	a.Hist[bin]++
+	a.Hist[histBin(v)]++
 }
 
-// Merge folds another aggregate in.
+// histBin is the histogram bin of v, clamped to the edge bins. It
+// never decreases as v grows, which is what lets Merge bound the bins
+// an aggregate can have touched by its Min and Max.
+func histBin(v float64) int {
+	if !(v >= HistMin) { // below the range, or NaN
+		return 0
+	}
+	if v >= HistMin+HistBins*HistBinWidth {
+		return HistBins - 1
+	}
+	return int((v - HistMin) / HistBinWidth)
+}
+
+// Merge folds another aggregate in. Only the bins between o's Min and
+// Max are added — every value o saw lies there, a handful of the 120
+// for a five-minute bucket — unless that bound cannot be trusted: Min
+// and Max do not order, or a NaN went in (it leaves Min and Max alone
+// once they are set, but not Sum).
 func (a *Agg) Merge(o *Agg) {
 	if o.Count == 0 {
 		return
@@ -84,7 +95,11 @@ func (a *Agg) Merge(o *Agg) {
 	a.Sum += o.Sum
 	a.SumSq += o.SumSq
 	a.Energy += o.Energy
-	for i := range a.Hist {
+	lo, hi := 0, HistBins-1
+	if o.Min <= o.Max && !math.IsNaN(o.Sum) {
+		lo, hi = histBin(o.Min), histBin(o.Max)
+	}
+	for i := lo; i <= hi; i++ {
 		a.Hist[i] += o.Hist[i]
 	}
 }
@@ -100,11 +115,13 @@ func (a *Agg) Mean() float64 {
 
 // LAeq returns the equivalent continuous sound level: the energetic
 // mean of the aggregated values (0 when empty).
-func (a *Agg) LAeq() float64 {
-	if a.Count == 0 {
+func (a *Agg) LAeq() float64 { return laeq(a.Count, a.Energy) }
+
+func laeq(count uint64, energy float64) float64 {
+	if count == 0 {
 		return 0
 	}
-	return 10 * math.Log10(a.Energy/float64(a.Count))
+	return 10 * math.Log10(energy/float64(count))
 }
 
 // Stddev returns the population standard deviation (0 when empty).

@@ -130,6 +130,10 @@ type DB struct {
 	// ms) → aggregate. Nested maps keep the per-bucket update at
 	// ingest and the per-bucket lookup at query time O(1).
 	rollups map[string]map[int64]*Agg
+	// memos is derived from rollups: zone → partition window start →
+	// what that window's buckets add up to (memo.go). A slot exists for
+	// every window that holds a bucket.
+	memos map[string]map[int64]*memoSlot
 
 	// watermark is the highest WAL LSN whose observations reached this
 	// DB. Appends at or below it are replays of already-observed
@@ -157,6 +161,7 @@ func New(opts Options) *DB {
 		bucketMs: opts.RollupBucket.Milliseconds(),
 		parts:    make(map[int64]*partition),
 		rollups:  make(map[string]map[int64]*Agg),
+		memos:    make(map[string]map[int64]*memoSlot),
 	}
 }
 
@@ -227,6 +232,7 @@ func (db *DB) AppendBatch(lsn uint64, pts []Point) {
 			zm[bucket] = a
 		}
 		a.Add(p.Value)
+		db.dirtyLocked(p.Zone, start)
 		db.points++
 	}
 	db.mu.Unlock()
@@ -420,6 +426,7 @@ func (db *DB) rebuildRollupsLocked() {
 			_ = pt.active.snapshot().points(add)
 		}
 	}
+	db.resetMemosLocked()
 }
 
 // h loads the hooks (nil when none are attached).
