@@ -11,6 +11,7 @@ package goflow_test
 // Ablations: go test -bench=Ablation .
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -765,7 +766,7 @@ func BenchmarkExportNDJSON(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n, err := server.Data.Export(io.Discard, soundcity.AppID, soundcity.AppID, goflow.Query{}, goflow.NDJSON)
+		n, err := server.Data.Export(context.Background(), io.Discard, soundcity.AppID, soundcity.AppID, goflow.Query{}, goflow.NDJSON)
 		if err != nil || n != limit {
 			b.Fatalf("export = %d, %v", n, err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -85,13 +86,13 @@ func run() error {
 	}
 
 	// 4. Query the crowd-sensed data back.
-	docs, err := server.Data.Retrieve(goflow.Query{AppID: soundcity.AppID, Provider: "gps"})
+	rows, err := server.Data.Retrieve(context.Background(), goflow.Query{AppID: soundcity.AppID, Provider: "gps"})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("stored %d GPS observations:\n", len(docs))
-	for _, d := range docs {
-		fmt.Printf("  %.1f dB(A) at zone %v by %v\n", d["spl"], d["zone"], d["userId"])
+	fmt.Printf("stored %d GPS observations:\n", len(rows))
+	for _, r := range rows {
+		fmt.Printf("  %.1f dB(A) at zone %v by %v\n", r.Value("spl"), r.Value("zone"), r.Value("userId"))
 	}
 	return nil
 }

@@ -1123,6 +1123,10 @@ func (e *nodeEngine) FindContext(ctx context.Context, col string, filter storage
 	return e.n.local.FindContext(ctx, col, filter, opts)
 }
 
+func (e *nodeEngine) FindRows(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]docstore.Row, error) {
+	return e.n.local.FindRows(ctx, col, filter, opts)
+}
+
 func (e *nodeEngine) CountContext(ctx context.Context, col string, filter storage.Doc) (int, error) {
 	return e.n.local.CountContext(ctx, col, filter)
 }

@@ -280,6 +280,8 @@ func TestElectionChaosFailover(t *testing.T) {
 					t.Fatalf("acked doc %s lost across failover: %v", id, err)
 				}
 			}
+			// ... and reads the same as rows or as documents.
+			dumpEngine(t, newEng)
 
 			if partitionNemesis {
 				// The deposed leader returns from its partition fenced:

@@ -485,6 +485,10 @@ func (e *followerEngine) FindContext(ctx context.Context, col string, filter sto
 	return e.local.FindContext(ctx, col, filter, opts)
 }
 
+func (e *followerEngine) FindRows(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]docstore.Row, error) {
+	return e.local.FindRows(ctx, col, filter, opts)
+}
+
 func (e *followerEngine) CountContext(ctx context.Context, col string, filter storage.Doc) (int, error) {
 	return e.local.CountContext(ctx, col, filter)
 }

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"github.com/urbancivics/goflow/internal/docstore"
-	"github.com/urbancivics/goflow/internal/storage"
-)
+import "github.com/urbancivics/goflow/internal/docstore"
 
 // Streaming k-way merge for fanned-out sorted scans. Each shard
 // returns its partial result already sorted (the docstore sorts
@@ -21,12 +18,12 @@ import (
 type mergeCursor struct {
 	shard int
 	pos   int
-	docs  []storage.Doc
+	rows  []docstore.Row
 }
 
 // mergeSortedRuns merges per-shard runs sorted on field (descending
 // when desc) into one sorted slice.
-func mergeSortedRuns(partials [][]storage.Doc, field string, desc bool) []storage.Doc {
+func mergeSortedRuns(partials [][]docstore.Row, field string, desc bool) []docstore.Row {
 	total, nonEmpty := 0, 0
 	for _, p := range partials {
 		total += len(p)
@@ -45,7 +42,7 @@ func mergeSortedRuns(partials [][]storage.Doc, field string, desc bool) []storag
 		}
 	}
 	less := func(a, b mergeCursor) bool {
-		c := docstore.CompareValues(a.docs[a.pos][field], b.docs[b.pos][field])
+		c := docstore.CompareValues(a.rows[a.pos].Value(field), b.rows[b.pos].Value(field))
 		if c == 0 {
 			return a.shard < b.shard
 		}
@@ -57,18 +54,18 @@ func mergeSortedRuns(partials [][]storage.Doc, field string, desc bool) []storag
 	h := make([]mergeCursor, 0, nonEmpty)
 	for s, p := range partials {
 		if len(p) > 0 {
-			h = append(h, mergeCursor{shard: s, docs: p})
+			h = append(h, mergeCursor{shard: s, rows: p})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, less)
 	}
-	out := make([]storage.Doc, 0, total)
+	out := make([]docstore.Row, 0, total)
 	for len(h) > 0 {
 		cur := &h[0]
-		out = append(out, cur.docs[cur.pos])
+		out = append(out, cur.rows[cur.pos])
 		cur.pos++
-		if cur.pos == len(cur.docs) {
+		if cur.pos == len(cur.rows) {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}

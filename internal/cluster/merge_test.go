@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -53,20 +54,52 @@ func genRuns(rng *rand.Rand, shards, maxLen, keySpace int, desc bool) [][]storag
 	return runs
 }
 
+// rowRuns stores every run in a scratch collection of its own and reads
+// it back, in the run's order, as the rows the merge takes. The stored
+// documents are copies under minted ids; the maps stay the reference's.
+func rowRuns(tb testing.TB, runs [][]storage.Doc) [][]docstore.Row {
+	tb.Helper()
+	out := make([][]docstore.Row, len(runs))
+	for s, docs := range runs {
+		if docs == nil {
+			continue
+		}
+		col := docstore.NewStore().Collection("run")
+		for _, d := range docs {
+			if _, err := col.Insert(d); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		rows, err := col.FindRowsContext(context.Background(), nil, docstore.FindOptions{})
+		if err != nil || len(rows) != len(docs) {
+			tb.Fatalf("run %d read back as %d rows of %d: %v", s, len(rows), len(docs), err)
+		}
+		out[s] = rows
+	}
+	return out
+}
+
+// sansID is a merged row as the document that was stored.
+func sansID(r docstore.Row) storage.Doc {
+	d := r.Doc(nil)
+	delete(d, docstore.IDField)
+	return d
+}
+
 func TestMergeSortedRunsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 50; trial++ {
 		shards := 1 + rng.Intn(6)
 		desc := trial%2 == 1
 		runs := genRuns(rng, shards, 40, 5, desc)
-		got := mergeSortedRuns(runs, "k", desc)
+		got := mergeSortedRuns(rowRuns(t, runs), "k", desc)
 		want := referenceMerge(runs, "k", desc)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: length %d, want %d", trial, len(got), len(want))
 		}
 		for i := range want {
-			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
-				t.Fatalf("trial %d (desc=%v): doc %d:\nwant %v\ngot  %v", trial, desc, i, want[i], got[i])
+			if fmt.Sprint(sansID(got[i])) != fmt.Sprint(want[i]) {
+				t.Fatalf("trial %d (desc=%v): doc %d:\nwant %v\ngot  %v", trial, desc, i, want[i], sansID(got[i]))
 			}
 		}
 	}
@@ -76,11 +109,12 @@ func TestMergeSortedRunsEdgeCases(t *testing.T) {
 	if got := mergeSortedRuns(nil, "k", false); got != nil {
 		t.Fatalf("nil runs: %v", got)
 	}
-	if got := mergeSortedRuns([][]storage.Doc{{}, {}}, "k", false); got != nil {
+	if got := mergeSortedRuns(rowRuns(t, [][]storage.Doc{{}, {}}), "k", false); got != nil {
 		t.Fatalf("empty runs: %v", got)
 	}
 	single := []storage.Doc{{"k": 1}, {"k": 2}}
-	if got := mergeSortedRuns([][]storage.Doc{nil, single, nil}, "k", false); len(got) != 2 {
+	got := mergeSortedRuns(rowRuns(t, [][]storage.Doc{nil, single, nil}), "k", false)
+	if len(got) != 2 || got[0].Value("k") != 1 || got[1].Value("k") != 2 {
 		t.Fatalf("single non-empty run not passed through: %v", got)
 	}
 }
@@ -105,7 +139,7 @@ func benchRuns(shards, perShard int) [][]storage.Doc {
 }
 
 func BenchmarkMergeSortedRuns(b *testing.B) {
-	runs := benchRuns(4, 25000)
+	runs := rowRuns(b, benchRuns(4, 25000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mergeSortedRuns(runs, "k", false)

@@ -248,46 +248,44 @@ func (r *Router) DeleteMany(col string, filter storage.Doc) (int, error) {
 	return total, err
 }
 
-// FindContext implements storage.Engine: fan the scan out, then merge.
+// FindContext implements storage.Engine: FindRows, copied out.
+func (r *Router) FindContext(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]storage.Doc, error) {
+	rows, err := r.FindRows(ctx, col, filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]storage.Doc, len(rows))
+	for i, row := range rows {
+		docs[i] = row.Doc(opts.Projection)
+	}
+	return docs, nil
+}
+
+// FindRows implements storage.Engine: fan the scan out, then merge.
 // Each shard is asked for Skip+Limit results (it cannot know how many
 // of its documents survive the global skip), the sorted partial
 // results are merged with the docstore ordering, and the global
-// skip/limit applies to the merged stream.
-func (r *Router) FindContext(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]storage.Doc, error) {
+// skip/limit applies to the merged stream. A row is the whole document,
+// so the merge has its sort key whatever the projection.
+func (r *Router) FindRows(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]docstore.Row, error) {
 	if len(r.shards) == 1 {
-		return r.shards[0].FindContext(ctx, col, filter, opts)
+		return r.shards[0].FindRows(ctx, col, filter, opts)
 	}
 	per := opts
 	per.Skip = 0
 	if opts.Limit > 0 {
 		per.Limit = opts.Skip + opts.Limit
 	}
-	// The merge needs the sort field's value; if the projection strips
-	// it, fetch it anyway and remove it after merging.
-	stripSort := false
-	if opts.SortField != "" && len(opts.Projection) > 0 {
-		found := false
-		for _, f := range opts.Projection {
-			if f == opts.SortField {
-				found = true
-				break
-			}
-		}
-		if !found {
-			per.Projection = append(append([]string{}, opts.Projection...), opts.SortField)
-			stripSort = true
-		}
-	}
-	partials := make([][]storage.Doc, len(r.shards))
+	partials := make([][]docstore.Row, len(r.shards))
 	err := r.fanOutIndexed(func(i int, s storage.Engine) error {
-		docs, err := s.FindContext(ctx, col, filter, per)
-		partials[i] = docs
+		rows, err := s.FindRows(ctx, col, filter, per)
+		partials[i] = rows
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var merged []storage.Doc
+	var merged []docstore.Row
 	if opts.SortField != "" {
 		// Each partial is already sorted: stream-merge the runs
 		// (merge.go) instead of re-sorting the concatenation. Ties
@@ -300,19 +298,10 @@ func (r *Router) FindContext(ctx context.Context, col string, filter storage.Doc
 		}
 	}
 	if opts.Skip > 0 {
-		if opts.Skip >= len(merged) {
-			merged = nil
-		} else {
-			merged = merged[opts.Skip:]
-		}
+		merged = merged[min(opts.Skip, len(merged)):]
 	}
 	if opts.Limit > 0 && len(merged) > opts.Limit {
 		merged = merged[:opts.Limit]
-	}
-	if stripSort {
-		for _, d := range merged {
-			delete(d, opts.SortField)
-		}
 	}
 	return merged, nil
 }

@@ -25,11 +25,11 @@ func newTestRouter(t *testing.T, n int) *cluster.Router {
 	return r
 }
 
-// TestRouterConformance: a Router over 1 and over 3 shards must be
+// TestRouterConformance: a Router over 1, 3 and 4 shards must be
 // indistinguishable from the single-node engine through the Engine
 // interface.
 func TestRouterConformance(t *testing.T) {
-	for _, n := range []int{1, 3} {
+	for _, n := range []int{1, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			enginetest.Run(t, func(t *testing.T) storage.Engine {
 				return newTestRouter(t, n)

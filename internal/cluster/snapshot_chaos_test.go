@@ -38,10 +38,19 @@ func dumpEngine(t *testing.T, eng storage.Engine) string {
 		if err != nil {
 			t.Fatalf("dump %s: %v", col, err)
 		}
-		for _, d := range docs {
+		// Followers and elected nodes come through here: the row read each
+		// of them delegates is the same read, written out as the same bytes.
+		rows, err := eng.FindRows(t.Context(), col, nil, docstore.FindOptions{})
+		if err != nil || len(rows) != len(docs) {
+			t.Fatalf("dump %s: %d rows for %d documents: %v", col, len(rows), len(docs), err)
+		}
+		for i, d := range docs {
 			data, err := json.Marshal(d) // map marshal sorts keys
 			if err != nil {
 				t.Fatal(err)
+			}
+			if row, err := rows[i].AppendJSON(nil, nil); err != nil || string(row) != string(data) {
+				t.Fatalf("dump %s: row %d is %s (%v), document %s", col, i, row, err, data)
 			}
 			lines = append(lines, col+"\t"+string(data))
 		}

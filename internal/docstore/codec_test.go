@@ -285,9 +285,9 @@ func unpacked(m *Mutation) *Mutation {
 	out.packed = nil
 	for i := range m.packed {
 		if m.Op == OpInsert {
-			out.Doc = m.packed[i].doc()
+			out.Doc = Row{m.packed[i]}.Doc(nil)
 		} else {
-			out.Docs = append(out.Docs, m.packed[i].doc())
+			out.Docs = append(out.Docs, Row{m.packed[i]}.Doc(nil))
 		}
 	}
 	if m.Op == OpInsertMany && out.Docs == nil {

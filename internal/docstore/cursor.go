@@ -43,21 +43,17 @@ func parseAutoID(id string) (uint64, bool) {
 // insertion order. Anchors that are neither present nor auto-assigned
 // fail with ErrCursorGone.
 func (c *Collection) FindAfterContext(ctx context.Context, afterID string, filter Doc, limit int) ([]Doc, error) {
-	out := make([]Doc, 0)
-	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
-		from, err := c.resumeSeqLocked(ctx, afterID)
-		if err != nil {
-			return false, err
-		}
-		return c.scanLocked(ctx, filter, m, from, func(e *entry) bool {
-			out = append(out, e.doc())
-			return limit <= 0 || len(out) < limit
-		})
-	})
+	rows, err := c.FindRowsAfterContext(ctx, afterID, filter, limit)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return rowDocs(ctx, rows, nil)
+}
+
+// FindRowsAfterContext is FindAfterContext returning rows (see Row)
+// instead of copies.
+func (c *Collection) FindRowsAfterContext(ctx context.Context, afterID string, filter Doc, limit int) ([]Row, error) {
+	return c.findRows(ctx, afterID, filter, FindOptions{Limit: limit})
 }
 
 // resumeSeqLocked resolves a cursor anchor to the seq its page starts

@@ -307,12 +307,16 @@ func (c *Collection) appendLocked(id string, p packed) {
 // Get returns a copy of the document with the given id.
 func (c *Collection) Get(id string) (Doc, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	e, ok := c.docs[id]
+	var row Row
+	if ok {
+		row = Row{e.packed}
+	}
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("get %q: %w", id, ErrNotFound)
 	}
-	return e.doc(), nil
+	return row.Doc(nil), nil
 }
 
 // Update merges fields into the document with the given id (shallow
@@ -474,7 +478,8 @@ func (c *Collection) CountContext(ctx context.Context, filter Doc) (int, error) 
 	}
 	n := 0
 	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
-		return c.scanLocked(ctx, filter, m, 0, func(*entry) bool {
+		list, indexUsed := c.planLocked(filter, 0)
+		return indexUsed, scan(ctx, list, m, func(*entry) bool {
 			n++
 			return true
 		})
@@ -498,7 +503,8 @@ func (c *Collection) FindIDs(filter Doc) ([]string, error) {
 func (c *Collection) FindIDsContext(ctx context.Context, filter Doc) ([]string, error) {
 	ids := make([]string, 0)
 	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
-		return c.scanLocked(ctx, filter, m, 0, func(e *entry) bool {
+		list, indexUsed := c.planLocked(filter, 0)
+		return indexUsed, scan(ctx, list, m, func(e *entry) bool {
 			ids = append(ids, e.id)
 			return true
 		})
@@ -536,34 +542,38 @@ func (c *Collection) view(ctx context.Context, filter Doc, fn func(m *matcher) (
 	return err
 }
 
-// scanLocked calls visit, in insertion order, for every live entry with
-// seq >= from that matches m, until visit returns false. It walks the
-// most selective posting list when filter pins an indexed field and the
-// whole order otherwise, and reports which. Caller holds at least a
-// read lock; visit must not retain the entry past it.
-func (c *Collection) scanLocked(ctx context.Context, filter Doc, m *matcher, from uint64, visit func(*entry) bool) (indexUsed bool, err error) {
-	list, indexUsed := c.indexCandidatesLocked(filter)
+// planLocked picks what a read of filter walks: the most selective
+// posting list when filter pins an indexed field and the whole order
+// otherwise — it reports which — cut to the entries with seq >= from.
+// Either is in insertion order and the collection's own slice: valid,
+// and read-only, while the caller holds the lock.
+func (c *Collection) planLocked(filter Doc, from uint64) (list []*entry, indexUsed bool) {
+	list, indexUsed = c.indexCandidatesLocked(filter)
 	if !indexUsed {
 		list = c.order
 	}
-	list = list[searchSeq(list, from):]
+	return list[searchSeq(list, from):], indexUsed
+}
+
+// scan calls visit, in order, for every live entry of list that matches
+// m, until visit returns false. The caller holds the lock list is read
+// under; visit must not retain the entry past it.
+func scan(ctx context.Context, list []*entry, m *matcher, visit func(*entry) bool) error {
 	for i, e := range list {
 		if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
-				return indexUsed, err
+				return err
 			}
 		}
 		if e.live() && m.matches(&e.packed) && !visit(e) {
 			break
 		}
 	}
-	return indexUsed, nil
+	return nil
 }
 
 // indexCandidatesLocked returns the shortest posting list among the
-// equality indexes filter pins: the candidates in insertion order. It
-// is the index's own slice — valid, and read-only, while the caller
-// holds the lock.
+// equality indexes filter pins: the candidates in insertion order.
 func (c *Collection) indexCandidatesLocked(filter Doc) ([]*entry, bool) {
 	var best []*entry
 	found := false
@@ -607,24 +617,56 @@ func (c *Collection) Find(filter Doc, opts FindOptions) ([]Doc, error) {
 	return c.FindContext(context.Background(), filter, opts)
 }
 
-// FindContext is Find with scan cancellation; see FindIDsContext. The
-// stored documents are ordered and paged in place; only the returned
-// page is copied out.
+// FindContext is Find with scan cancellation; see FindIDsContext. It
+// is FindRowsContext with the page copied out as documents, after the
+// collection's lock is released.
 func (c *Collection) FindContext(ctx context.Context, filter Doc, opts FindOptions) ([]Doc, error) {
-	var docs []Doc
+	rows, err := c.FindRowsContext(ctx, filter, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rowDocs(ctx, rows, opts.Projection)
+}
+
+// FindRowsContext returns the documents matching filter as rows,
+// ordered and paged by opts like FindContext's but not copied: see Row
+// for what that allows. opts.Projection does not apply — a row is the
+// whole document; Row.Doc and Row.AppendJSON take the restriction.
+func (c *Collection) FindRowsContext(ctx context.Context, filter Doc, opts FindOptions) ([]Row, error) {
+	return c.findRows(ctx, "", filter, opts)
+}
+
+// findRows is the one walk behind every read that returns documents:
+// scan from the anchor (see resumeSeqLocked), order, page. The stored
+// documents are ordered and paged in place; the page leaves as views.
+func (c *Collection) findRows(ctx context.Context, afterID string, filter Doc, opts FindOptions) ([]Row, error) {
+	var rows []Row
 	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
+		from, err := c.resumeSeqLocked(ctx, afterID)
+		if err != nil {
+			return false, err
+		}
+		list, indexUsed := c.planLocked(filter, from)
 		// Without a sort, insertion order is the result order and the
 		// scan stops at the end of the page.
 		want := 0
 		if opts.SortField == "" && opts.Limit > 0 {
 			want = max(opts.Skip, 0) + opts.Limit
 		}
-		var hits []*entry
-		indexUsed, err := c.scanLocked(ctx, filter, m, 0, func(e *entry) bool {
+		// The hit list is sized once where its size is known: a page's
+		// worth when the scan stops there, and a posting list's when one
+		// is walked whole, since most of a posting list matches.
+		room := 0
+		if want > 0 {
+			room = min(want, len(list))
+		} else if indexUsed {
+			room = len(list)
+		}
+		hits := make([]*entry, 0, room)
+		if err := scan(ctx, list, m, func(e *entry) bool {
 			hits = append(hits, e)
 			return len(hits) != want
-		})
-		if err != nil {
+		}); err != nil {
 			return indexUsed, err
 		}
 		if opts.SortField != "" {
@@ -636,23 +678,16 @@ func (c *Collection) FindContext(ctx context.Context, filter Doc, opts FindOptio
 		if opts.Limit > 0 && len(hits) > opts.Limit {
 			hits = hits[:opts.Limit]
 		}
-		docs = make([]Doc, len(hits))
+		rows = make([]Row, len(hits))
 		for i, e := range hits {
-			// An unlimited page copies every match, which can dwarf the
-			// scan, so the copy honors the deadline at the scan's cadence.
-			if i&(scanCtxCheckEvery-1) == scanCtxCheckEvery-1 {
-				if err := ctx.Err(); err != nil {
-					return indexUsed, err
-				}
-			}
-			docs[i] = e.project(opts.Projection)
+			rows[i] = Row{e.packed}
 		}
 		return indexUsed, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return docs, nil
+	return rows, nil
 }
 
 // sortEntries orders hits by field in either direction, equal keys

@@ -1,7 +1,6 @@
 package docstore
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -71,57 +70,11 @@ func observationStore(tb testing.TB, n int, indexes []string) (*Collection, []st
 	return col, zones
 }
 
-var readPathSink int
-
-// BenchmarkReadPath times the three document reads the REST API serves
-// from the observations collection — a sorted page, a count and a
-// cursor page, each for one {appId, zone} — against a 50 k-document
-// store, rotating over the zones so both the heavy head and the light
-// tail of the skew are read.
-func BenchmarkReadPath(b *testing.B) {
-	col, zones := observationStore(b, 50_000, productionIndexes)
-	ctx := context.Background()
-	filter := func(i int) Doc { return Doc{"appId": "SC", "zone": zones[i%len(zones)]} }
-
-	b.Run("find_page", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			docs, err := col.FindContext(ctx, filter(i), FindOptions{SortField: "sensedAt", Limit: 100})
-			if err != nil {
-				b.Fatal(err)
-			}
-			readPathSink += len(docs)
-		}
-	})
-	b.Run("count", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n, err := col.CountContext(ctx, filter(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			readPathSink += n
-		}
-	})
-	b.Run("cursor_page", func(b *testing.B) {
-		// Each read is a zone's second page: it resumes after an anchor
-		// in the middle of the collection, as a page walk does.
-		anchors := make([]string, len(zones))
-		for i := range zones {
-			first, err := col.FindAfterContext(ctx, "", filter(i), 50)
-			if err != nil || len(first) != 50 {
-				b.Fatalf("first page of %s: %d docs, %v", zones[i], len(first), err)
-			}
-			anchors[i] = first[49][IDField].(string)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			docs, err := col.FindAfterContext(ctx, anchors[i%len(zones)], filter(i), 50)
-			if err != nil {
-				b.Fatal(err)
-			}
-			readPathSink += len(docs)
-		}
-	})
-}
+// ObservationStore and ProductionIndexes hand the store to
+// BenchmarkReadPath, which lives in the external test package
+// (readpath_page_bench_test.go) because it writes pages out through the
+// REST layer's page writer, and internal/goflow imports this package.
+var (
+	ObservationStore  = observationStore
+	ProductionIndexes = productionIndexes
+)

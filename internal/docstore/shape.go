@@ -10,15 +10,20 @@ import (
 // hash table per document is most of what a stored observation would
 // weigh. A stored document is a pointer to a shape — its field names,
 // sorted, shared by every document of the process with the same field
-// set — and one slice holding its values in that order. Callers never
-// see the form: reads build them a Doc (see packed.doc), writes are
-// packed on the way in. DESIGN.md §9 "Stored form" has the rationale.
+// set — and one slice holding its values in that order. Writes are
+// packed on the way in; reads hand the form out as a read-only Row
+// (row.go) or build a Doc from one. DESIGN.md §9 "Stored form" has the
+// rationale.
 
 // shape is a set of field names in ascending order. It is immutable
 // once built, so any number of documents, collections and goroutines
 // share one.
 type shape struct {
 	names []string
+	// quoted is each name as a JSON object key, colon included, for
+	// Row.AppendJSON. It is built when the registry takes the shape and
+	// is nil for a private one, which is not worth caching for.
+	quoted []string
 }
 
 // index returns the slot of name, or -1 when the shape lacks it.
@@ -58,11 +63,15 @@ func internShape(names []string) *shape {
 		return sh
 	}
 	sh := &shape{names: slices.Clone(names)}
-	if len(key) > maxShapeKey {
+	if len(key) > maxShapeKey || shapes.len() >= maxShapes {
 		return sh
 	}
-	sh, _ = shapes.add(string(key), sh, maxShapes)
-	return sh
+	sh.quoted = quoteNames(sh.names)
+	stored, full := shapes.add(string(key), sh, maxShapes)
+	if full { // the last free slot went to a concurrent intern
+		sh.quoted = nil
+	}
+	return stored
 }
 
 // shapeCache is the shapes its owner's documents last had, tried
@@ -168,57 +177,31 @@ func (p *packed) value(name string) any {
 	return v
 }
 
-// doc returns the document as a Doc the caller owns: nested maps and
-// slices are deep copies.
-func (p *packed) doc() Doc {
-	out := make(Doc, len(p.vals))
-	for i, name := range p.shape.names {
-		out[name] = cloneValue(p.vals[i])
-	}
-	return out
-}
-
-// project is doc restricted to the given fields, plus the _id, when
-// there are any.
-func (p *packed) project(fields []string) Doc {
-	if len(fields) == 0 {
-		return p.doc()
-	}
-	out := Doc{IDField: p.value(IDField)}
-	for _, f := range fields {
-		if v, ok := p.get(f); ok {
-			out[f] = cloneValue(v)
-		}
-	}
-	return out
-}
-
 // set merges deep copies of fields into the document, the _id
-// excepted. A field the document has is written in its slot; fields it
-// lacks move it to the shape that has them too.
+// excepted. The document's value slice is never written: rows handed
+// out by earlier reads alias it (see Row), and an update is rare where
+// a read is not, so the update pays for a new slice — of the same shape
+// when the document has every field, of the shape that has the new ones
+// too otherwise — which takes the old one's place.
 func (p *packed) set(sc *shapeCache, fields Doc) {
 	var added []string
-	for k, v := range fields {
-		if k == IDField {
-			continue
-		}
-		if i := p.shape.index(k); i >= 0 {
-			p.vals[i] = cloneValue(v)
-		} else {
+	for k := range fields {
+		if k != IDField && p.shape.index(k) < 0 {
 			added = append(added, k)
 		}
 	}
-	if len(added) == 0 {
-		return
+	next := packed{shape: p.shape}
+	if len(added) > 0 {
+		names := append(added, p.shape.names...)
+		slices.Sort(names)
+		next.shape = sc.find(names)
 	}
-	names := append(added, p.shape.names...)
-	slices.Sort(names)
-	next := packed{shape: sc.find(names), vals: make([]any, len(names))}
-	for i, name := range names {
-		if v, kept := p.get(name); kept {
-			next.vals[i] = v
+	next.vals = make([]any, len(next.shape.names))
+	for i, name := range next.shape.names {
+		if v, given := fields[name]; given && name != IDField {
+			next.vals[i] = cloneValue(v)
 		} else {
-			next.vals[i] = cloneValue(fields[name])
+			next.vals[i] = p.value(name)
 		}
 	}
 	*p = next

@@ -664,6 +664,145 @@ func TestStoredFormAliasing(t *testing.T) {
 	if again, _ := c.Get(ids[0]); !reflect.DeepEqual(again, handed[0]) || reflect.DeepEqual(again, got) {
 		t.Fatalf("scribbling over a document read back changed the one InsertMany stored: %v", again)
 	}
+
+	// A row is the stored form itself, so for rows the promise runs the
+	// other way: nothing the store does to a document afterwards reaches
+	// a row a reader holds, at the top level or below it.
+	t.Run("a held row outlives writes", func(t *testing.T) {
+		ctx := context.Background()
+		c := NewStore().Collection("rows")
+		c.EnsureIndex("zone")
+		in := fresh()
+		in[IDField] = "d"
+		if _, err := c.Insert(in); err != nil {
+			t.Fatal(err)
+		}
+		found, err := c.FindRowsContext(ctx, Doc{"zone": "z1"}, FindOptions{SortField: "n"})
+		if err != nil || len(found) != 1 {
+			t.Fatalf("FindRowsContext = %d rows, %v", len(found), err)
+		}
+		after, err := c.FindRowsAfterContext(ctx, "", nil, 1)
+		if err != nil || len(after) != 1 {
+			t.Fatalf("FindRowsAfterContext = %d rows, %v", len(after), err)
+		}
+		want := found[0].Doc(nil)
+		wantJSON, err := found[0].AppendJSON(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writes := []struct {
+			name string
+			do   func() error
+		}{
+			{"an Update of a field it has", func() error { return c.Update("d", Doc{"n": 2.0, "zone": "z2"}) }},
+			{"an Update replacing its nested values", func() error {
+				return c.Update("d", Doc{"loc": map[string]any{"lat": 0.0}, "list": []any{"other"}})
+			}},
+			{"an Update adding a field", func() error { return c.Update("d", Doc{"extra": []any{"e"}}) }},
+			{"an Unset", func() error { return c.Unset("d", "loc", "n") }},
+			{"a Delete", func() error { return c.Delete("d") }},
+		}
+		for _, w := range writes {
+			if err := w.do(); err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+			for _, held := range []Row{found[0], after[0]} {
+				got, err := held.AppendJSON(nil, nil)
+				if err != nil || !bytes.Equal(got, wantJSON) || !reflect.DeepEqual(held.Doc(nil), want) {
+					t.Fatalf("after %s the held row reads\n %s (%v)\nwant\n %s", w.name, got, err, wantJSON)
+				}
+			}
+		}
+		if _, err := c.Get("d"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("the writes did not reach the store: %v", err)
+		}
+	})
+
+	// The same under -race: readers encode rows they hold, and rows they
+	// have just read, while a writer updates, narrows, widens and finally
+	// deletes the very documents.
+	t.Run("rows encoded while their documents change", func(t *testing.T) {
+		ctx := context.Background()
+		c := NewStore().Collection("rows")
+		const docs = 32
+		for i := 0; i < docs; i++ {
+			d := fresh()
+			d[IDField], d["n"] = fmt.Sprintf("d%02d", i), float64(i)
+			if _, err := c.Insert(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held, err := c.FindRowsContext(ctx, nil, FindOptions{})
+		if err != nil || len(held) != docs {
+			t.Fatalf("FindRowsContext = %d rows, %v", len(held), err)
+		}
+		want := make([][]byte, docs)
+		for i, r := range held {
+			if want[i], err = r.AppendJSON(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []byte
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					for i, r := range held {
+						var err error
+						if buf, err = r.AppendJSON(buf[:0], nil); err != nil || !bytes.Equal(buf, want[i]) {
+							t.Errorf("held row %d now reads %s (%v), want %s", i, buf, err, want[i])
+							return
+						}
+					}
+					now, err := c.FindRowsContext(ctx, nil, FindOptions{SortField: "n", Limit: 8})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, r := range now {
+						if buf, err = r.AppendJSON(buf[:0], nil); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		defer func() {
+			close(done)
+			wg.Wait()
+		}()
+		rounds := 300
+		if testing.Short() {
+			rounds = 100
+		}
+		for i := 0; i < rounds; i++ {
+			id, n := fmt.Sprintf("d%02d", i%docs), float64(-i)
+			var err error
+			switch i % 3 {
+			case 0:
+				err = c.Update(id, Doc{"n": n, "loc": map[string]any{"lat": n, "tags": []any{n}}})
+			case 1:
+				err = c.Unset(id, "list")
+			default:
+				err = c.Update(id, Doc{"list": []any{map[string]any{"k": n}}, "zone": "moved"})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := c.DeleteMany(nil); err != nil || n != docs {
+			t.Fatalf("DeleteMany = %d, %v", n, err)
+		}
+	})
 }
 
 // TestStoredFormConcurrentShapeTransitions (for -race): readers page,
@@ -806,6 +945,19 @@ func TestShapeRegistryIsBounded(t *testing.T) {
 		}
 	}
 	check(c)
+	// A row of a shape the registry took is written out from the keys
+	// cached on the shape, one past the bound from none — as the same
+	// bytes (see TestRowAppendJSONMatchesEncodingJSON).
+	for id, registered := range map[string]bool{"w0": true, fmt.Sprintf("w%d", n-1): false, "long": false} {
+		rows, err := c.FindRowsContext(context.Background(), Doc{IDField: id}, FindOptions{})
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("row %s: %d rows, %v", id, len(rows), err)
+		}
+		if cached := rows[0].p.shape.quoted != nil; cached != registered {
+			t.Fatalf("row %s: keys cached = %v, shape registered = %v", id, cached, registered)
+		}
+		assertRowEncodesLikeEncodingJSON(t, rows[0])
+	}
 	// Past the bound an update still finds its way between shapes.
 	last := fmt.Sprintf("w%d", n-1)
 	if err := c.Update(last, Doc{"more": 1.0}); err != nil {

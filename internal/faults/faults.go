@@ -70,13 +70,13 @@ type Plan struct {
 // Counts aggregates the faults an injector has fired, for test
 // assertions ("this run really did reset the link 3 times").
 type Counts struct {
-	Conns      uint64
-	Drops      uint64
-	Delays     uint64
+	Conns       uint64
+	Drops       uint64
+	Delays      uint64
 	Corruptions uint64
-	Partials   uint64
-	Resets     uint64
-	Partitions uint64
+	Partials    uint64
+	Resets      uint64
+	Partitions  uint64
 }
 
 // Injector wraps connections with a shared Plan and a seeded fault

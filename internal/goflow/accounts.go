@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -61,6 +62,12 @@ type DataPolicy struct {
 	// SharedFields of stored observation documents (e.g. "spl",
 	// "zone", "sensedAt"). The anonymized user id is never shared.
 	SharedFields []string `json:"sharedFields"`
+}
+
+// Shares reports whether the policy shares a field of an observation
+// document with other applications; user ids are never shared.
+func (p DataPolicy) Shares(field string) bool {
+	return field != "userId" && slices.Contains(p.SharedFields, field)
 }
 
 // App is a registered crowd-sensing application.

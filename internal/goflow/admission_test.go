@@ -77,7 +77,7 @@ func TestIngestEndpointStoresBatch(t *testing.T) {
 	if body["stored"] != float64(2) {
 		t.Fatalf("stored = %v, want 2", body["stored"])
 	}
-	n, err := server.Data.Count(Query{AppID: "SC"})
+	n, err := server.Data.Count(t.Context(), Query{AppID: "SC"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestIngestPayloadCap413(t *testing.T) {
 	if !strings.Contains(body["error"], "payload too large") {
 		t.Fatalf("413 body = %v, want the typed error", body)
 	}
-	if n, _ := server.Data.Count(Query{AppID: "SC"}); n != 0 {
+	if n, _ := server.Data.Count(t.Context(), Query{AppID: "SC"}); n != 0 {
 		t.Fatalf("oversized body stored %d observations", n)
 	}
 }

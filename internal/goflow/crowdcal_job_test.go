@@ -1,6 +1,9 @@
 package goflow
 
 import (
+	"context"
+	"errors"
+	"maps"
 	"math"
 	"testing"
 	"time"
@@ -45,9 +48,12 @@ func TestCrowdCalibrateJob(t *testing.T) {
 	if job.State != JobDone {
 		t.Fatalf("job state = %v (error %q)", job.State, job.Error)
 	}
-	summary, ok := job.Result.(map[string]int)
-	if !ok || summary["models"] != 3 {
-		t.Fatalf("job result = %v", job.Result)
+	// The job reads its observations as rows, in one context-bounded
+	// read; its result over this store is what the paged document reads
+	// it replaced gave.
+	want := map[string]int{"models": 3, "observations": 540, "iterations": 2}
+	if summary, ok := job.Result.(map[string]int); !ok || !maps.Equal(summary, want) {
+		t.Fatalf("job result = %v, want %v", job.Result, want)
 	}
 
 	// The calibration collection holds crowd entries whose relative
@@ -66,11 +72,10 @@ func TestCrowdCalibrateJob(t *testing.T) {
 		}
 		got[model] = bias
 	}
-	if d := got["MODEL-C"] - got["MODEL-A"]; math.Abs(d-8) > 0.5 {
-		t.Fatalf("C-A bias gap = %.2f, want ~8", d)
-	}
-	if math.Abs(got["MODEL-B"]) > 0.5 {
-		t.Fatalf("median model bias = %.2f, want ~0 (gauge)", got["MODEL-B"])
+	for model, bias := range biases {
+		if math.Abs(got[model]-bias) > 1e-9 {
+			t.Fatalf("bias of %s = %v, want %v (zero-median gauge)", model, got[model], bias)
+		}
 	}
 
 	// Re-running updates in place instead of duplicating.
@@ -109,5 +114,20 @@ func TestCrowdCalibrateJobInsufficientData(t *testing.T) {
 	}
 	if job.State != JobFailed {
 		t.Fatalf("job state = %v, want failed (insufficient overlap)", job.State)
+	}
+}
+
+// TestJobsHonorTheirContext: the built-in jobs that read observations
+// read them under the job's context — a cancelled job stops at the
+// store, it does not scan the app to the end first.
+func TestJobsHonorTheirContext(t *testing.T) {
+	_, dm := newJobs(t, 1)
+	seedCrossModelObservations(t, dm)
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	for _, name := range []string{"count-observations", "crowd-calibrate"} {
+		if res, err := builtinJobs()[name](ctx, dm, "SC"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s under a cancelled context = %v, %v; want context.Canceled", name, res, err)
+		}
 	}
 }

@@ -200,18 +200,14 @@ func (q Query) toFilter() docstore.Doc {
 	return f
 }
 
-// Retrieve returns matching observation documents sorted by sensing
-// time.
-func (dm *DataManager) Retrieve(q Query) ([]docstore.Doc, error) {
-	return dm.RetrieveContext(context.Background(), q)
-}
-
-// RetrieveContext is Retrieve bounded by ctx: the deadline propagates
-// into the docstore scan, so a query outliving its HTTP handler (or
-// the admission timeout) is cancelled instead of holding the
-// collection lock to completion.
-func (dm *DataManager) RetrieveContext(ctx context.Context, q Query) ([]docstore.Doc, error) {
-	docs, err := dm.data.FindContext(ctx, ObservationsCollection, q.toFilter(), docstore.FindOptions{
+// Retrieve returns the observations matching q, sorted by sensing time,
+// as rows: read-only views of the stored documents (docstore.Row), so a
+// page costs what is done with it — encoded, rebuilt as observations —
+// and not a map per document first. ctx bounds the scan: a query
+// outliving its HTTP handler (or the admission timeout) is cancelled
+// instead of holding the collection lock to completion.
+func (dm *DataManager) Retrieve(ctx context.Context, q Query) ([]docstore.Row, error) {
+	rows, err := dm.data.FindRows(ctx, ObservationsCollection, q.toFilter(), docstore.FindOptions{
 		SortField: "sensedAt",
 		Skip:      q.Skip,
 		Limit:     q.Limit,
@@ -219,7 +215,7 @@ func (dm *DataManager) RetrieveContext(ctx context.Context, q Query) ([]docstore
 	if err != nil {
 		return nil, fmt.Errorf("retrieve: %w", err)
 	}
-	return docs, nil
+	return rows, nil
 }
 
 // ErrCursorUnsupported reports a storage engine without a stable
@@ -227,103 +223,48 @@ func (dm *DataManager) RetrieveContext(ctx context.Context, q Query) ([]docstore
 // The HTTP layer maps it to 501 — clients fall back to offset pages.
 var ErrCursorUnsupported = errors.New("goflow: cursor pagination not supported by this storage engine")
 
-// RetrieveAfterContext returns up to q.Limit observations strictly
-// after the document afterID ("" = from the beginning) together with
-// the last returned document's id — the anchor for the next cursor.
-// Cursor reads keep the engine's stable scan order (insertion order),
-// not the sensedAt sort of offset reads: the no-gap/no-duplicate
-// resume guarantee needs a total order that new inserts only append
-// to, and arrival order is exactly that.
-func (dm *DataManager) RetrieveAfterContext(ctx context.Context, afterID string, q Query) ([]docstore.Doc, string, error) {
+// RetrieveAfter returns up to q.Limit observations strictly after the
+// document afterID ("" = from the beginning) together with the last
+// returned document's id — the anchor for the next cursor. Cursor
+// reads keep the engine's stable scan order (insertion order), not the
+// sensedAt sort of offset reads: the no-gap/no-duplicate resume
+// guarantee needs a total order that new inserts only append to, and
+// arrival order is exactly that.
+func (dm *DataManager) RetrieveAfter(ctx context.Context, afterID string, q Query) ([]docstore.Row, string, error) {
 	sc, ok := dm.data.(storage.CursorScanner)
 	if !ok {
 		return nil, "", ErrCursorUnsupported
 	}
-	docs, err := sc.ScanAfter(ctx, ObservationsCollection, afterID, q.toFilter(), q.Limit)
+	rows, err := sc.ScanRowsAfter(ctx, ObservationsCollection, afterID, q.toFilter(), q.Limit)
 	if err != nil {
 		return nil, "", fmt.Errorf("retrieve after: %w", err)
 	}
 	lastID := ""
-	if len(docs) > 0 {
-		lastID, _ = docs[len(docs)-1][docstore.IDField].(string)
+	if len(rows) > 0 {
+		lastID, _ = rows[len(rows)-1].Value(docstore.IDField).(string)
 	}
-	return docs, lastID, nil
+	return rows, lastID, nil
 }
 
-// RetrieveSharedAfterContext is RetrieveAfterContext under the owning
-// app's open-data policy. The next-cursor anchor is captured before
-// the policy projection strips the _id field.
-func (dm *DataManager) RetrieveSharedAfterContext(ctx context.Context, ownerApp, requestingApp, afterID string, q Query) ([]docstore.Doc, string, error) {
-	q.AppID = ownerApp
-	docs, lastID, err := dm.RetrieveAfterContext(ctx, afterID, q)
-	if err != nil {
-		return nil, "", err
-	}
-	if requestingApp != ownerApp {
-		app, aerr := dm.accounts.App(ownerApp)
-		if aerr != nil {
-			return nil, "", aerr
-		}
-		docs = applyPolicy(docs, app.Policy)
-	}
-	return docs, lastID, nil
-}
-
-// Count returns the number of matching observations.
-func (dm *DataManager) Count(q Query) (int, error) {
-	return dm.CountContext(context.Background(), q)
-}
-
-// CountContext is Count bounded by ctx.
-func (dm *DataManager) CountContext(ctx context.Context, q Query) (int, error) {
+// Count returns the number of observations matching q.
+func (dm *DataManager) Count(ctx context.Context, q Query) (int, error) {
 	return dm.data.CountContext(ctx, ObservationsCollection, q.toFilter())
 }
 
-// RetrieveShared returns matching observations of appID as visible to
-// requestingApp under the owning app's open-data policy: foreign apps
-// see only the declared shared fields and never the contributor id.
-func (dm *DataManager) RetrieveShared(ownerApp, requestingApp string, q Query) ([]docstore.Doc, error) {
-	return dm.RetrieveSharedContext(context.Background(), ownerApp, requestingApp, q)
-}
-
-// RetrieveSharedContext is RetrieveShared bounded by ctx.
-func (dm *DataManager) RetrieveSharedContext(ctx context.Context, ownerApp, requestingApp string, q Query) ([]docstore.Doc, error) {
-	q.AppID = ownerApp
-	docs, err := dm.RetrieveContext(ctx, q)
-	if err != nil {
-		return nil, err
-	}
+// Visible returns which fields of ownerApp's observations requestingApp
+// may see, as the predicate docstore.Row.AppendJSON takes: nil — every
+// field — for the owner itself, the owner's open-data policy for
+// anyone else. The projection happens where a row is written out;
+// retrieval is the same for both.
+func (dm *DataManager) Visible(ownerApp, requestingApp string) (keep func(field string) bool, err error) {
 	if requestingApp == ownerApp {
-		return docs, nil
+		return nil, nil
 	}
 	app, err := dm.accounts.App(ownerApp)
 	if err != nil {
 		return nil, err
 	}
-	return applyPolicy(docs, app.Policy), nil
-}
-
-// applyPolicy projects documents to an app's shared fields; user ids
-// are never shared.
-func applyPolicy(docs []docstore.Doc, policy DataPolicy) []docstore.Doc {
-	shared := make(map[string]bool, len(policy.SharedFields))
-	for _, f := range policy.SharedFields {
-		if f == "userId" {
-			continue
-		}
-		shared[f] = true
-	}
-	out := make([]docstore.Doc, len(docs))
-	for i, d := range docs {
-		p := docstore.Doc{}
-		for k, v := range d {
-			if shared[k] {
-				p[k] = v
-			}
-		}
-		out[i] = p
-	}
-	return out
+	return app.Policy.Shares, nil
 }
 
 // DeleteUserData erases a contributor's stored observations (right to
@@ -332,47 +273,72 @@ func (dm *DataManager) DeleteUserData(anonID string) (int, error) {
 	return dm.data.DeleteMany(ObservationsCollection, docstore.Doc{"userId": anonID})
 }
 
-// ObservationFromDoc rebuilds a sensing.Observation from its stored
-// document form (the inverse of the ingest flattening). Server-side
-// analyses — background jobs, the SoundCity exposure dashboards —
-// use it to run the sensing-layer algorithms on stored data.
-func ObservationFromDoc(d docstore.Doc) (*sensing.Observation, error) {
+// observationFields are the fields ObservationFromRow reads; the
+// constants are their positions in the list.
+var observationFields = docstore.NewFields(
+	"userId", "deviceModel", "appVersion", "mode", "spl", "activity", "activityConf",
+	"sensedAt", "receivedAt", "localized", "lat", "lon", "accuracyM", "provider")
+
+const (
+	ofUserID = iota
+	ofDeviceModel
+	ofAppVersion
+	ofMode
+	ofSPL
+	ofActivity
+	ofActivityConf
+	ofSensedAt
+	ofReceivedAt
+	ofLocalized
+	ofLat
+	ofLon
+	ofAccuracyM
+	ofProvider
+)
+
+// ObservationFromRow rebuilds a sensing.Observation from its stored
+// form (the inverse of the ingest flattening). Server-side analyses —
+// background jobs, the SoundCity exposure dashboards — use it to run
+// the sensing-layer algorithms on stored data. Where the fields sit in
+// a row is looked up once per shape (docstore.Fields), not per row.
+func ObservationFromRow(r docstore.Row) (*sensing.Observation, error) {
+	d := observationFields.In(r)
 	o := &sensing.Observation{}
 	var ok bool
-	if o.UserID, ok = d["userId"].(string); !ok {
+	if o.UserID, ok = d.At(ofUserID).(string); !ok {
 		return nil, errors.New("goflow: document without userId")
 	}
-	if o.DeviceModel, ok = d["deviceModel"].(string); !ok {
+	if o.DeviceModel, ok = d.At(ofDeviceModel).(string); !ok {
 		return nil, errors.New("goflow: document without deviceModel")
 	}
-	o.AppVersion, _ = d["appVersion"].(string)
-	modeStr, _ := d["mode"].(string)
+	o.AppVersion, _ = d.At(ofAppVersion).(string)
+	modeStr, _ := d.At(ofMode).(string)
 	mode, err := sensing.ParseMode(modeStr)
 	if err != nil {
 		return nil, err
 	}
 	o.Mode = mode
-	if o.SPL, ok = docFloat(d["spl"]); !ok {
+	if o.SPL, ok = docFloat(d.At(ofSPL)); !ok {
 		return nil, errors.New("goflow: document without spl")
 	}
-	actStr, _ := d["activity"].(string)
+	actStr, _ := d.At(ofActivity).(string)
 	if act, err := sensing.ParseActivity(actStr); err == nil {
 		o.Activity = act
 	} else {
 		o.Activity = sensing.ActivityUnknown
 	}
-	if conf, ok := docFloat(d["activityConf"]); ok {
+	if conf, ok := docFloat(d.At(ofActivityConf)); ok {
 		o.ActivityConfidence = conf
 	}
-	if o.SensedAt, ok = d["sensedAt"].(time.Time); !ok {
+	if o.SensedAt, ok = d.At(ofSensedAt).(time.Time); !ok {
 		return nil, errors.New("goflow: document without sensedAt")
 	}
-	o.ReceivedAt, _ = d["receivedAt"].(time.Time)
-	if localized, _ := d["localized"].(bool); localized {
-		lat, latOK := docFloat(d["lat"])
-		lon, lonOK := docFloat(d["lon"])
-		acc, accOK := docFloat(d["accuracyM"])
-		providerStr, _ := d["provider"].(string)
+	o.ReceivedAt, _ = d.At(ofReceivedAt).(time.Time)
+	if localized, _ := d.At(ofLocalized).(bool); localized {
+		lat, latOK := docFloat(d.At(ofLat))
+		lon, lonOK := docFloat(d.At(ofLon))
+		acc, accOK := docFloat(d.At(ofAccuracyM))
+		providerStr, _ := d.At(ofProvider).(string)
 		provider, err := sensing.ParseProvider(providerStr)
 		if latOK && lonOK && accOK && err == nil {
 			o.Loc = &sensing.Location{

@@ -1,6 +1,7 @@
 package goflow
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -48,16 +49,16 @@ func TestIngestStoresAnonymizedDoc(t *testing.T) {
 	if id == "" {
 		t.Fatal("ingest must return a doc id")
 	}
-	docs, err := dm.Retrieve(Query{AppID: "SC"})
-	if err != nil || len(docs) != 1 {
-		t.Fatalf("retrieve: %d docs, %v", len(docs), err)
+	rows, err := dm.Retrieve(t.Context(), Query{AppID: "SC"})
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("retrieve: %d rows, %v", len(rows), err)
 	}
-	d := docs[0]
-	if d["userId"] != accounts.Anonymize("client-1") {
+	d := rows[0]
+	if d.Value("userId") != accounts.Anonymize("client-1") {
 		t.Fatal("stored user id must be the anonymized id")
 	}
-	if d["zone"] == nil || d["provider"] != "network" || d["localized"] != true {
-		t.Fatalf("stored doc incomplete: %v", d)
+	if d.Value("zone") == nil || d.Value("provider") != "network" || d.Value("localized") != true {
+		t.Fatalf("stored doc incomplete: %v", d.Doc(nil))
 	}
 }
 
@@ -110,16 +111,16 @@ func TestRetrieveFilters(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			docs, err := dm.Retrieve(tt.q)
+			rows, err := dm.Retrieve(t.Context(), tt.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(docs) != tt.want {
-				t.Fatalf("got %d docs, want %d", len(docs), tt.want)
+			if len(rows) != tt.want {
+				t.Fatalf("got %d rows, want %d", len(rows), tt.want)
 			}
 		})
 	}
-	n, err := dm.Count(Query{AppID: "SC"})
+	n, err := dm.Count(t.Context(), Query{AppID: "SC"})
 	if err != nil || n != 3 {
 		t.Fatalf("Count = %d, %v", n, err)
 	}
@@ -135,13 +136,13 @@ func TestRetrieveSortedBySensedAt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	docs, err := dm.Retrieve(Query{AppID: "SC"})
+	rows, err := dm.Retrieve(t.Context(), Query{AppID: "SC"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(docs); i++ {
-		prev, ok1 := docs[i-1]["sensedAt"].(time.Time)
-		cur, ok2 := docs[i]["sensedAt"].(time.Time)
+	for i := 1; i < len(rows); i++ {
+		prev, ok1 := rows[i-1].Value("sensedAt").(time.Time)
+		cur, ok2 := rows[i].Value("sensedAt").(time.Time)
 		if !ok1 || !ok2 || cur.Before(prev) {
 			t.Fatal("results must be sorted by sensing time")
 		}
@@ -159,21 +160,35 @@ func TestRetrieveSharedAppliesPolicy(t *testing.T) {
 	if _, err := dm.Ingest("SC", "c1", obsAt(t, "A", 61, true, at), at); err != nil {
 		t.Fatal(err)
 	}
-	// The owner sees everything.
-	own, err := dm.RetrieveShared("SC", "SC", Query{})
-	if err != nil || len(own) != 1 {
-		t.Fatalf("owner retrieve: %d, %v", len(own), err)
+	rows, err := dm.Retrieve(t.Context(), Query{AppID: "SC"})
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("retrieve: %d, %v", len(rows), err)
 	}
-	if own[0]["deviceModel"] != "A" {
+	// visibleTo is the document requester receives: the row written out
+	// under the predicate Visible gives for it.
+	visibleTo := func(requester string) map[string]any {
+		t.Helper()
+		keep, err := dm.Visible("SC", requester)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := rows[0].AppendJSON(nil, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d map[string]any
+		if err := json.Unmarshal(raw, &d); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// The owner sees everything.
+	if visibleTo("SC")["deviceModel"] != "A" {
 		t.Fatal("owner must see full documents")
 	}
 	// A foreign app sees only the shared fields, never the user.
-	foreign, err := dm.RetrieveShared("SC", "OTHER", Query{})
-	if err != nil || len(foreign) != 1 {
-		t.Fatalf("foreign retrieve: %d, %v", len(foreign), err)
-	}
-	d := foreign[0]
-	if d["spl"] != 61.0 || d["zone"] == nil {
+	d := visibleTo("OTHER")
+	if len(d) != 2 || d["spl"] != 61.0 || d["zone"] == nil {
 		t.Fatalf("shared fields missing: %v", d)
 	}
 	if _, has := d["deviceModel"]; has {
@@ -199,7 +214,7 @@ func TestDeleteUserData(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("DeleteUserData = %d, %v, want 3", n, err)
 	}
-	total, err := dm.Count(Query{AppID: "SC"})
+	total, err := dm.Count(t.Context(), Query{AppID: "SC"})
 	if err != nil || total != 1 {
 		t.Fatalf("remaining = %d, %v", total, err)
 	}

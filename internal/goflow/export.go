@@ -1,6 +1,7 @@
 package goflow
 
 import (
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -44,94 +45,126 @@ func ParseExportFormat(s string) (ExportFormat, error) {
 // exportPageSize bounds per-page memory during exports.
 const exportPageSize = 2000
 
+// exportFlushBytes is how much NDJSON an export gathers before it hands
+// it to the writer, and exportCheckRows how many CSV rows pass between
+// looks at the context: inside a page, an export finds out at this
+// cadence that nobody is reading any more.
+const (
+	exportFlushBytes = 64 << 10
+	exportCheckRows  = 256
+)
+
 // Export streams the observations matching q (its Limit/Skip are
 // overridden for paging) of ownerApp as visible to requestingApp, in
-// the given format. It returns the number of documents written.
-func (dm *DataManager) Export(w io.Writer, ownerApp, requestingApp string, q Query, format ExportFormat) (int, error) {
-	switch format {
-	case NDJSON:
-		return dm.exportPaged(ownerApp, requestingApp, q, func(docs []docstore.Doc) error {
-			enc := json.NewEncoder(w)
-			for _, d := range docs {
-				if err := enc.Encode(d); err != nil {
-					return fmt.Errorf("encode document: %w", err)
-				}
-			}
-			return nil
-		})
-	case CSV:
-		return dm.exportCSV(w, ownerApp, requestingApp, q)
-	default:
+// the given format, straight from the stored rows. It returns the
+// number of documents written. When ctx ends — the client hung up — the
+// export stops, between pages or inside one, with ctx's error.
+func (dm *DataManager) Export(ctx context.Context, w io.Writer, ownerApp, requestingApp string, q Query, format ExportFormat) (int, error) {
+	if format != NDJSON && format != CSV {
 		return 0, errors.New("goflow: invalid export format")
 	}
-}
-
-// exportPaged walks result pages through the policy-applying
-// retrieval path.
-func (dm *DataManager) exportPaged(ownerApp, requestingApp string, q Query, emit func([]docstore.Doc) error) (int, error) {
+	keep, err := dm.Visible(ownerApp, requestingApp)
+	if err != nil {
+		return 0, err
+	}
+	q.AppID = ownerApp
+	q.Limit = exportPageSize
+	bp := pageBuffers.Get().(*[]byte)
+	defer putPageBuffer(bp)
+	var table csvExport
 	written := 0
-	skip := 0
-	for {
-		page := q
-		page.Skip = skip
-		page.Limit = exportPageSize
-		docs, err := dm.RetrieveShared(ownerApp, requestingApp, page)
+	for q.Skip = 0; ; q.Skip += exportPageSize {
+		rows, err := dm.Retrieve(ctx, q)
 		if err != nil {
 			return written, err
 		}
-		if len(docs) == 0 {
-			return written, nil
+		if format == NDJSON {
+			*bp, err = writeNDJSON(ctx, w, (*bp)[:0], rows, keep)
+		} else {
+			err = table.write(ctx, w, rows, keep)
 		}
-		if err := emit(docs); err != nil {
+		if err != nil {
 			return written, err
 		}
-		written += len(docs)
-		skip += len(docs)
-		if len(docs) < exportPageSize {
+		written += len(rows)
+		if len(rows) < exportPageSize {
 			return written, nil
 		}
 	}
 }
 
-// exportCSV streams CSV with a stable column set: the union of the
-// first page's fields, sorted (documents are homogeneous per app in
-// practice).
-func (dm *DataManager) exportCSV(w io.Writer, ownerApp, requestingApp string, q Query) (int, error) {
-	cw := csv.NewWriter(w)
-	var columns []string
-	written, err := dm.exportPaged(ownerApp, requestingApp, q, func(docs []docstore.Doc) error {
-		if columns == nil {
-			fieldSet := make(map[string]bool)
-			for _, d := range docs {
-				for k := range d {
-					fieldSet[k] = true
+// writeNDJSON writes rows one JSON document per line, gathered in buf,
+// which it returns for reuse.
+func writeNDJSON(ctx context.Context, w io.Writer, buf []byte, rows []docstore.Row, keep func(string) bool) ([]byte, error) {
+	for i, r := range rows {
+		var err error
+		if buf, err = r.AppendJSON(buf, keep); err != nil {
+			return buf, fmt.Errorf("encode document: %w", err)
+		}
+		buf = append(buf, '\n')
+		if len(buf) < exportFlushBytes && i < len(rows)-1 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return buf, err
+		}
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		buf = buf[:0]
+	}
+	return buf, nil
+}
+
+// csvExport writes pages of rows as CSV with a stable column set: the
+// union of the first page's fields, sorted (documents are homogeneous
+// per app in practice).
+type csvExport struct {
+	cw      *csv.Writer
+	columns *docstore.Fields
+	record  []string
+}
+
+func (t *csvExport) write(ctx context.Context, w io.Writer, rows []docstore.Row, keep func(string) bool) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	if t.cw == nil {
+		t.cw = csv.NewWriter(w)
+		fieldSet := make(map[string]bool)
+		for _, r := range rows {
+			for _, name := range r.Names() {
+				if keep == nil || keep(name) {
+					fieldSet[name] = true
 				}
 			}
-			columns = make([]string, 0, len(fieldSet))
-			for k := range fieldSet {
-				columns = append(columns, k)
-			}
-			sort.Strings(columns)
-			if err := cw.Write(columns); err != nil {
-				return err
-			}
 		}
-		row := make([]string, len(columns))
-		for _, d := range docs {
-			for i, col := range columns {
-				row[i] = csvCell(d[col])
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+		header := make([]string, 0, len(fieldSet))
+		for name := range fieldSet {
+			header = append(header, name)
 		}
-		return nil
-	})
-	if err != nil {
-		return written, err
+		sort.Strings(header)
+		if err := t.cw.Write(header); err != nil {
+			return err
+		}
+		t.columns, t.record = docstore.NewFields(header...), make([]string, len(header))
 	}
-	cw.Flush()
-	return written, cw.Error()
+	for i, r := range rows {
+		if i%exportCheckRows == exportCheckRows-1 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		vals := t.columns.In(r)
+		for c := range t.record {
+			t.record[c] = csvCell(vals.At(c))
+		}
+		if err := t.cw.Write(t.record); err != nil {
+			return err
+		}
+	}
+	t.cw.Flush()
+	return t.cw.Error()
 }
 
 // csvCell renders a document value for CSV.

@@ -33,7 +33,7 @@ func seededDataManager(t *testing.T, n int) (*DataManager, *Accounts) {
 func TestExportNDJSON(t *testing.T) {
 	dm, _ := seededDataManager(t, 25)
 	var buf bytes.Buffer
-	n, err := dm.Export(&buf, "SC", "SC", Query{}, NDJSON)
+	n, err := dm.Export(t.Context(), &buf, "SC", "SC", Query{}, NDJSON)
 	if err != nil || n != 25 {
 		t.Fatalf("Export = %d, %v", n, err)
 	}
@@ -57,7 +57,7 @@ func TestExportNDJSON(t *testing.T) {
 func TestExportCSV(t *testing.T) {
 	dm, _ := seededDataManager(t, 10)
 	var buf bytes.Buffer
-	n, err := dm.Export(&buf, "SC", "SC", Query{}, CSV)
+	n, err := dm.Export(t.Context(), &buf, "SC", "SC", Query{}, CSV)
 	if err != nil || n != 10 {
 		t.Fatalf("Export = %d, %v", n, err)
 	}
@@ -90,7 +90,7 @@ func TestExportPagination(t *testing.T) {
 	// More documents than one export page: paging must cover all.
 	dm, _ := seededDataManager(t, exportPageSize+50)
 	var buf bytes.Buffer
-	n, err := dm.Export(&buf, "SC", "SC", Query{}, NDJSON)
+	n, err := dm.Export(t.Context(), &buf, "SC", "SC", Query{}, NDJSON)
 	if err != nil || n != exportPageSize+50 {
 		t.Fatalf("Export = %d, %v, want %d", n, err, exportPageSize+50)
 	}
@@ -99,7 +99,7 @@ func TestExportPagination(t *testing.T) {
 func TestExportAppliesPolicyForForeignApps(t *testing.T) {
 	dm, _ := seededDataManager(t, 5)
 	var buf bytes.Buffer
-	if _, err := dm.Export(&buf, "SC", "OTHER", Query{}, NDJSON); err != nil {
+	if _, err := dm.Export(t.Context(), &buf, "SC", "OTHER", Query{}, NDJSON); err != nil {
 		t.Fatal(err)
 	}
 	scanner := bufio.NewScanner(&buf)
@@ -124,7 +124,7 @@ func TestExportFilterApplies(t *testing.T) {
 	dm, _ := seededDataManager(t, 20)
 	loc := true
 	var buf bytes.Buffer
-	n, err := dm.Export(&buf, "SC", "SC", Query{Localized: &loc}, NDJSON)
+	n, err := dm.Export(t.Context(), &buf, "SC", "SC", Query{Localized: &loc}, NDJSON)
 	if err != nil || n != 10 {
 		t.Fatalf("filtered export = %d, %v, want 10", n, err)
 	}

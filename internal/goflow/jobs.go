@@ -101,13 +101,13 @@ func builtinJobs() map[string]JobFunc {
 	return map[string]JobFunc{
 		// count-observations reports the app's total and localized
 		// observation counts.
-		"count-observations": func(_ context.Context, dm *DataManager, appID string) (any, error) {
-			total, err := dm.Count(Query{AppID: appID})
+		"count-observations": func(ctx context.Context, dm *DataManager, appID string) (any, error) {
+			total, err := dm.Count(ctx, Query{AppID: appID})
 			if err != nil {
 				return nil, err
 			}
 			loc := true
-			localized, err := dm.Count(Query{AppID: appID, Localized: &loc})
+			localized, err := dm.Count(ctx, Query{AppID: appID, Localized: &loc})
 			if err != nil {
 				return nil, err
 			}
@@ -137,33 +137,22 @@ func builtinJobs() map[string]JobFunc {
 // results.
 const CalibrationCollection = "calibration"
 
-// crowdCalibrateJob reconstructs the app's observations page by page
-// and feeds them to the crowd-calibration algorithm.
+// crowdCalibrateJob reconstructs the app's observations, in sensing
+// order, and feeds them to the crowd-calibration algorithm. It reads
+// them in one go: a row is a view of the stored document, far smaller
+// than the observation built from it.
 func crowdCalibrateJob(ctx context.Context, dm *DataManager, appID string) (any, error) {
-	const page = 5000
-	var obs []*sensing.Observation
-	skip := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		default:
-		}
-		docs, err := dm.Retrieve(Query{AppID: appID, Skip: skip, Limit: page})
+	rows, err := dm.Retrieve(ctx, Query{AppID: appID})
+	if err != nil {
+		return nil, err
+	}
+	obs := make([]*sensing.Observation, 0, len(rows))
+	for _, r := range rows {
+		o, err := ObservationFromRow(r)
 		if err != nil {
-			return nil, err
+			continue // tolerate legacy documents
 		}
-		for _, d := range docs {
-			o, err := ObservationFromDoc(d)
-			if err != nil {
-				continue // tolerate legacy documents
-			}
-			obs = append(obs, o)
-		}
-		if len(docs) < page {
-			break
-		}
-		skip += len(docs)
+		obs = append(obs, o)
 	}
 	res, err := sensing.CrowdCalibrate(obs, sensing.CrowdCalOptions{})
 	if err != nil {

@@ -122,7 +122,7 @@ func TestJobPurgeUnlocalized(t *testing.T) {
 	if err != nil || job.State != JobDone {
 		t.Fatalf("job = %+v, %v", job, err)
 	}
-	n, err := dm.Count(Query{AppID: "SC"})
+	n, err := dm.Count(t.Context(), Query{AppID: "SC"})
 	if err != nil || n != 1 {
 		t.Fatalf("after purge count = %d", n)
 	}

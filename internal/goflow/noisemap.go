@@ -124,18 +124,18 @@ func (dm *DataManager) scanNoise(ctx context.Context, zone string, from, to time
 	if zone != "" {
 		filter["zone"] = zone
 	}
-	docs, err := dm.data.FindContext(ctx, ObservationsCollection, filter, docstore.FindOptions{})
+	rows, err := dm.data.FindRows(ctx, ObservationsCollection, filter, docstore.FindOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("noise scan: %w", err)
 	}
 	byZone := map[string]*series.Agg{}
-	for _, d := range docs {
+	for _, r := range rows {
 		// Missing zone buckets under "", exactly like
 		// series.PointFromObservation — the two paths must produce the
 		// same zone set or switching an engine to rollups would change
 		// the noisemap's rows, not just its latency.
-		z, _ := d["zone"].(string)
-		spl, ok := docFloat(d["spl"])
+		z, _ := r.Value("zone").(string)
+		spl, ok := docFloat(r.Value("spl"))
 		if !ok {
 			continue
 		}

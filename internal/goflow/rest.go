@@ -312,6 +312,11 @@ func (h *apiHandler) ingestObservations(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusCreated, map[string]int{"stored": stored})
 }
 
+// observations serves one bounded page of an app's observations — by
+// offset, sorted by sensing time, or with ?cursor= in arrival order
+// (see observationsCursor) — to the app itself or, under its open-data
+// policy, to ?requester=. The page leaves through
+// WriteObservationPage, which encodes it whole before it answers.
 func (h *apiHandler) observations(w http.ResponseWriter, r *http.Request) {
 	appID := r.PathValue("app")
 	q := queryFromRequest(r, appID)
@@ -322,19 +327,21 @@ func (h *apiHandler) observations(w http.ResponseWriter, r *http.Request) {
 	if requester == "" {
 		requester = appID
 	}
-	if r.URL.Query().Has("cursor") {
-		h.observationsCursor(w, r, appID, requester, q)
-		return
-	}
-	docs, err := h.server.Data.RetrieveSharedContext(r.Context(), appID, requester, q)
+	keep, err := h.server.Data.Visible(appID, requester)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":        len(docs),
-		"observations": docs,
-	})
+	if r.URL.Query().Has("cursor") {
+		h.observationsCursor(w, r, q, keep)
+		return
+	}
+	rows, err := h.server.Data.Retrieve(r.Context(), q)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	WriteObservationPage(w, rows, keep, "")
 }
 
 // observationsCursor serves the cursor form of the observations read:
@@ -342,7 +349,9 @@ func (h *apiHandler) observations(w http.ResponseWriter, r *http.Request) {
 // every page carries nextCursor while more data may follow. This is
 // the catch-up half of the live layer's exactly-once story — a client
 // whose stream dropped replays what it missed from its last anchor.
-func (h *apiHandler) observationsCursor(w http.ResponseWriter, r *http.Request, appID, requester string, q Query) {
+// The anchor is the last row's _id whether or not the requester's
+// policy lets the id itself through.
+func (h *apiHandler) observationsCursor(w http.ResponseWriter, r *http.Request, q Query, keep func(string) bool) {
 	afterID := ""
 	if token := r.URL.Query().Get("cursor"); token != "" {
 		id, err := DecodeCursor(token)
@@ -352,7 +361,7 @@ func (h *apiHandler) observationsCursor(w http.ResponseWriter, r *http.Request, 
 		}
 		afterID = id
 	}
-	docs, lastID, err := h.server.Data.RetrieveSharedAfterContext(r.Context(), appID, requester, afterID, q)
+	rows, lastID, err := h.server.Data.RetrieveAfter(r.Context(), afterID, q)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -360,19 +369,20 @@ func (h *apiHandler) observationsCursor(w http.ResponseWriter, r *http.Request, 
 	if h.server.Live != nil {
 		h.server.Live.RecordCatchup()
 	}
-	resp := map[string]any{
-		"count":        len(docs),
-		"observations": docs,
-	}
+	nextCursor := ""
 	if lastID != "" {
-		resp["nextCursor"] = EncodeCursor(lastID)
+		nextCursor = EncodeCursor(lastID)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteObservationPage(w, rows, keep, nextCursor)
 }
 
 // exportObservations streams the full matching result set as NDJSON
 // or CSV (the "packaging solutions" of Figure 2), applying the
-// owner's open-data policy for foreign requesters.
+// owner's open-data policy for foreign requesters. Unlike a page, an
+// export is an unbounded stream and is sent as it is encoded: a
+// failure after the first bytes — an unencodable document, a store
+// error on a later page — cannot change the 200 already sent and shows
+// as a stream that stops short.
 func (h *apiHandler) exportObservations(w http.ResponseWriter, r *http.Request) {
 	appID := r.PathValue("app")
 	format, err := ParseExportFormat(r.URL.Query().Get("format"))
@@ -385,22 +395,19 @@ func (h *apiHandler) exportObservations(w http.ResponseWriter, r *http.Request) 
 		requester = appID
 	}
 	q := queryFromRequest(r, appID)
-	q.Limit, q.Skip = 0, 0 // the export pages internally
 	switch format {
 	case CSV:
 		w.Header().Set("Content-Type", "text/csv")
 	default:
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	if _, err := h.server.Data.Export(w, appID, requester, q, format); err != nil {
-		// Headers are already sent; the broken stream is the signal.
-		return
-	}
+	// The request's context ends the export when the client hangs up.
+	_, _ = h.server.Data.Export(r.Context(), w, appID, requester, q, format)
 }
 
 func (h *apiHandler) observationCount(w http.ResponseWriter, r *http.Request) {
 	appID := r.PathValue("app")
-	n, err := h.server.Data.CountContext(r.Context(), queryFromRequest(r, appID))
+	n, err := h.server.Data.Count(r.Context(), queryFromRequest(r, appID))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -59,17 +59,17 @@ func TestServerBrokerPathIngest(t *testing.T) {
 	if err := server.WaitIdle(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	docs, err := server.Data.Retrieve(Query{AppID: "SC"})
-	if err != nil || len(docs) != 1 {
-		t.Fatalf("stored %d docs, %v", len(docs), err)
+	rows, err := server.Data.Retrieve(t.Context(), Query{AppID: "SC"})
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("stored %d docs, %v", len(rows), err)
 	}
-	if docs[0]["userId"] != server.Accounts.Anonymize(cl.ID) {
+	if rows[0].Value("userId") != server.Accounts.Anonymize(cl.ID) {
 		t.Fatal("broker-path ingest must anonymize")
 	}
 	// ReceivedAt follows the broker publish timestamp (virtual time).
-	received, ok := docs[0]["receivedAt"].(time.Time)
+	received, ok := rows[0].Value("receivedAt").(time.Time)
 	if !ok || !received.Equal(obs.SensedAt.Add(4*time.Second)) {
-		t.Fatalf("receivedAt = %v", docs[0]["receivedAt"])
+		t.Fatalf("receivedAt = %v", rows[0].Value("receivedAt"))
 	}
 	if st := server.Analytics.Summary(); st.Ingested != 1 {
 		t.Fatalf("analytics ingested = %d", st.Ingested)
@@ -119,7 +119,7 @@ func TestServerIgnoresNonObservationDatatypes(t *testing.T) {
 	if err := server.WaitIdle(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	n, err := server.Data.Count(Query{AppID: "SC"})
+	n, err := server.Data.Count(t.Context(), Query{AppID: "SC"})
 	if err != nil || n != 0 {
 		t.Fatalf("feedback stored as observation: %d", n)
 	}

@@ -106,9 +106,9 @@ func (n *trieNode) match(key []string, emit func(dest)) {
 // exIndex is an exchange's compiled routing index. Only the field for
 // the exchange's type is populated.
 type exIndex struct {
-	all    []dest           // Fanout: every destination
+	all    []dest            // Fanout: every destination
 	direct map[string][]dest // Direct: exact pattern -> destinations
-	root   *trieNode        // Topic: compiled pattern trie
+	root   *trieNode         // Topic: compiled pattern trie
 }
 
 // newExIndex compiles the binding list for an exchange type.

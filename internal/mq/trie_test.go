@@ -69,25 +69,25 @@ func TestTrieEdgeCases(t *testing.T) {
 		pattern, key string
 		want         bool
 	}{
-		{"a.#.b", "a.b", true},         // '#' absorbs zero words
-		{"a.#.b", "a.x.b", true},       // one word
-		{"a.#.b", "a.x.y.b", true},     // several words
-		{"a.#.b", "a.b.x", false},      // must still end in b
-		{"a.#.b", "a", false},          //
-		{"#", "", true},                // '#' alone matches the empty key
-		{"#.#", "a", true},             // duplicate emission path
-		{"*", "", false},               // '*' needs exactly one word
-		{"*", "a", true},               //
-		{"", "", true},                 // empty pattern, empty key
-		{"", "a", false},               //
-		{"a..b", "a..b", true},         // empty segment is a literal word
-		{"a..b", "a.b", false},         //
-		{"a.*.b", "a..b", true},        // '*' matches an empty word
-		{"a.#", "a", true},             // trailing hash, zero words
-		{"a.#", "a.b.c", true},         //
-		{"#.a", "a", true},             // leading hash, zero words
-		{"a.", "a.", true},             // trailing dot = trailing empty word
-		{"a.", "a", false},             //
+		{"a.#.b", "a.b", true},     // '#' absorbs zero words
+		{"a.#.b", "a.x.b", true},   // one word
+		{"a.#.b", "a.x.y.b", true}, // several words
+		{"a.#.b", "a.b.x", false},  // must still end in b
+		{"a.#.b", "a", false},      //
+		{"#", "", true},            // '#' alone matches the empty key
+		{"#.#", "a", true},         // duplicate emission path
+		{"*", "", false},           // '*' needs exactly one word
+		{"*", "a", true},           //
+		{"", "", true},             // empty pattern, empty key
+		{"", "a", false},           //
+		{"a..b", "a..b", true},     // empty segment is a literal word
+		{"a..b", "a.b", false},     //
+		{"a.*.b", "a..b", true},    // '*' matches an empty word
+		{"a.#", "a", true},         // trailing hash, zero words
+		{"a.#", "a.b.c", true},     //
+		{"#.a", "a", true},         // leading hash, zero words
+		{"a.", "a.", true},         // trailing dot = trailing empty word
+		{"a.", "a", false},         //
 	}
 	for _, c := range cases {
 		root := buildTrie([]string{c.pattern})

@@ -122,7 +122,7 @@ func (a *userAPI) myObservations(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	docs, err := a.server.Data.RetrieveContext(r.Context(), goflow.Query{
+	rows, err := a.server.Data.Retrieve(r.Context(), goflow.Query{
 		AppID:  AppID,
 		UserID: client.AnonID,
 		Limit:  10000,
@@ -131,7 +131,7 @@ func (a *userAPI) myObservations(w http.ResponseWriter, r *http.Request) {
 		writeUserErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeUserJSON(w, map[string]any{"count": len(docs), "observations": docs})
+	goflow.WriteObservationPage(w, rows, nil, "")
 }
 
 // myExposure computes the caller's quantified-self report from their
@@ -141,14 +141,14 @@ func (a *userAPI) myExposure(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	docs, err := a.server.Data.RetrieveContext(r.Context(), goflow.Query{AppID: AppID, UserID: client.AnonID})
+	rows, err := a.server.Data.Retrieve(r.Context(), goflow.Query{AppID: AppID, UserID: client.AnonID})
 	if err != nil {
 		writeUserErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	obs := make([]*sensing.Observation, 0, len(docs))
-	for _, d := range docs {
-		o, err := goflow.ObservationFromDoc(d)
+	obs := make([]*sensing.Observation, 0, len(rows))
+	for _, row := range rows {
+		o, err := goflow.ObservationFromRow(row)
 		if err != nil {
 			continue // tolerate legacy documents
 		}

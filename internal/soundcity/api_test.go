@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -57,6 +58,17 @@ func newUserAPIEnv(t *testing.T) *userAPIEnv {
 
 func (e *userAPIEnv) get(t *testing.T, path, credential string) (*http.Response, map[string]any) {
 	t.Helper()
+	resp, raw := e.getRaw(t, path, credential)
+	var body map[string]any
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return resp, body
+}
+
+// getRaw is get for tests that hold a body to its bytes.
+func (e *userAPIEnv) getRaw(t *testing.T, path, credential string) (*http.Response, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, e.ts.URL+path, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +81,11 @@ func (e *userAPIEnv) get(t *testing.T, path, credential string) (*http.Response,
 		t.Fatal(err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	var body map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatalf("decode: %v", err)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return resp, body
+	return resp, raw
 }
 
 func (e *userAPIEnv) seedObservations(t *testing.T, n int) {
@@ -134,6 +146,33 @@ func TestUserAPIMyObservations(t *testing.T) {
 	if int(body["count"].(float64)) != 6 {
 		t.Fatalf("count = %v, want 6 (own only)", body["count"])
 	}
+	// The body is written from rows, and is byte for byte what
+	// encoding/json writes for the same documents held as maps.
+	rows, err := env.server.Data.Retrieve(t.Context(), goflow.Query{
+		AppID: AppID, UserID: env.server.Accounts.Anonymize(env.client.ID), Limit: 10000,
+	})
+	if err != nil || len(rows) != 6 {
+		t.Fatalf("reference read: %d rows, %v", len(rows), err)
+	}
+	docs := make([]docstore.Doc, len(rows))
+	for i, r := range rows {
+		docs[i] = r.Doc(nil)
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(map[string]any{"count": len(docs), "observations": docs}); err != nil {
+		t.Fatal(err)
+	}
+	if _, raw := env.getRaw(t, "/me/observations", env.client.ID); !bytes.Equal(raw, want.Bytes()) {
+		t.Fatalf("/me/observations:\n got %s\nwant %s", raw, want.Bytes())
+	}
+	// A user without contributions reads an empty list, not null.
+	fresh, err := env.server.Login(AppID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, raw := env.getRaw(t, "/me/observations", fresh.ID); string(raw) != `{"count":0,"observations":[]}`+"\n" {
+		t.Fatalf("/me/observations of a fresh user: %s", raw)
+	}
 }
 
 func TestUserAPIMyExposure(t *testing.T) {
@@ -150,6 +189,14 @@ func TestUserAPIMyExposure(t *testing.T) {
 	monthly, ok := body["monthly"].([]any)
 	if !ok || len(monthly) == 0 {
 		t.Fatalf("exposure monthly = %v", body["monthly"])
+	}
+	// The report is computed from observations rebuilt out of rows; over
+	// this store it is, to the last digit, what it was computed from maps.
+	const want = `"daily":[{"day":"2016-03-10","laeqDb":63.967786314423776,"peakDb":69,"band":2,"measurements":15},` +
+		`{"day":"2016-03-11","laeqDb":67.99347206780674,"peakDb":74,"band":3,"measurements":15}],` +
+		`"monthly":[{"month":"2016-03","laeqDb":66.43127825147403,"band":3,"days":2,"measurements":30}]}` + "\n"
+	if _, raw := env.getRaw(t, "/me/exposure", env.client.ID); !bytes.HasSuffix(raw, []byte(want)) {
+		t.Fatalf("exposure report:\n got %s\nwant ...%s", raw, want)
 	}
 	// A user without contributions gets 404.
 	fresh, err := env.server.Login(AppID)
@@ -281,24 +328,43 @@ func TestUserAPIMyJourneys(t *testing.T) {
 	}
 }
 
-func TestObservationFromDocRoundTrip(t *testing.T) {
+func TestObservationFromRowRoundTrip(t *testing.T) {
 	env := newUserAPIEnv(t)
-	env.seedObservations(t, 2)
-	docs, err := env.server.Data.Retrieve(goflow.Query{AppID: AppID})
-	if err != nil || len(docs) != 2 {
-		t.Fatalf("retrieve: %d, %v", len(docs), err)
+	env.seedObservations(t, 4)
+	rows, err := env.server.Data.Retrieve(t.Context(), goflow.Query{AppID: AppID})
+	if err != nil || len(rows) != 4 {
+		t.Fatalf("retrieve: %d, %v", len(rows), err)
 	}
-	for _, d := range docs {
-		o, err := goflow.ObservationFromDoc(d)
+	// Localized and unlocalized observations are stored under two
+	// shapes; the rebuilt ones are the seeded ones under either.
+	base := time.Date(2016, 3, 10, 9, 0, 0, 0, time.UTC)
+	for i, r := range rows {
+		o, err := goflow.ObservationFromRow(r)
 		if err != nil {
-			t.Fatalf("docToObservation: %v", err)
+			t.Fatalf("row %d: %v", i, err)
 		}
-		if o.DeviceModel != "LGE NEXUS 5" {
-			t.Fatalf("model = %q", o.DeviceModel)
+		if o.UserID != env.server.Accounts.Anonymize(env.client.ID) || o.DeviceModel != "LGE NEXUS 5" ||
+			o.Mode != sensing.Opportunistic || o.SPL != 55+float64(i) || o.Activity != sensing.ActivityStill ||
+			o.ActivityConfidence != 0.9 || !o.SensedAt.Equal(base.Add(time.Duration(i)*time.Hour)) {
+			t.Fatalf("row %d rebuilt as %+v", i, o)
+		}
+		if o.Localized() != (i%2 == 0) {
+			t.Fatalf("row %d: localized = %v", i, o.Localized())
+		}
+		if o.Loc != nil && (*o.Loc != sensing.Location{Point: geo.Point{Lat: 48.85, Lon: 2.35}, AccuracyM: 20, Provider: sensing.ProviderGPS}) {
+			t.Fatalf("row %d: location = %+v", i, *o.Loc)
 		}
 	}
 	// Corrupt documents are rejected, not panicking.
-	if _, err := goflow.ObservationFromDoc(docstore.Doc{"userId": "u"}); err == nil {
+	scratch := docstore.NewStore().Collection("scratch")
+	if _, err := scratch.Insert(docstore.Doc{"userId": "u"}); err != nil {
+		t.Fatal(err)
+	}
+	corrupt, err := scratch.FindRowsContext(t.Context(), nil, docstore.FindOptions{})
+	if err != nil || len(corrupt) != 1 {
+		t.Fatalf("scratch read: %d, %v", len(corrupt), err)
+	}
+	if _, err := goflow.ObservationFromRow(corrupt[0]); err == nil {
 		t.Fatal("incomplete document must fail")
 	}
 }

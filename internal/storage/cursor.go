@@ -1,6 +1,10 @@
 package storage
 
-import "context"
+import (
+	"context"
+
+	"github.com/urbancivics/goflow/internal/docstore"
+)
 
 // CursorScanner is the optional pagination surface a storage engine
 // exposes when it can resume a scan from an _id anchor. Callers
@@ -15,11 +19,19 @@ type CursorScanner interface {
 	// afterID starts from the beginning. A vanished, unrecoverable
 	// anchor fails with docstore.ErrCursorGone.
 	ScanAfter(ctx context.Context, col, afterID string, filter Doc, limit int) ([]Doc, error)
+	// ScanRowsAfter is ScanAfter without the copies (see
+	// Engine.FindRows).
+	ScanRowsAfter(ctx context.Context, col, afterID string, filter Doc, limit int) ([]docstore.Row, error)
 }
 
 // ScanAfter implements CursorScanner.
 func (l *Local) ScanAfter(ctx context.Context, col, afterID string, filter Doc, limit int) ([]Doc, error) {
 	return l.store.Collection(col).FindAfterContext(ctx, afterID, filter, limit)
+}
+
+// ScanRowsAfter implements CursorScanner.
+func (l *Local) ScanRowsAfter(ctx context.Context, col, afterID string, filter Doc, limit int) ([]docstore.Row, error) {
+	return l.store.Collection(col).FindRowsAfterContext(ctx, afterID, filter, limit)
 }
 
 var _ CursorScanner = (*Local)(nil)

@@ -53,6 +53,10 @@ type Engine interface {
 	// FindContext returns copies of the documents matching filter,
 	// shaped by opts, aborting with ctx.Err() past the deadline.
 	FindContext(ctx context.Context, col string, filter Doc, opts docstore.FindOptions) ([]Doc, error)
+	// FindRows is FindContext without the copies: the same documents in
+	// the same order as read-only views of the stored ones (see
+	// docstore.Row), whole whatever opts.Projection says.
+	FindRows(ctx context.Context, col string, filter Doc, opts docstore.FindOptions) ([]docstore.Row, error)
 	// CountContext returns the number of documents matching filter.
 	CountContext(ctx context.Context, col string, filter Doc) (int, error)
 	// EnsureIndex creates an equality index on field (idempotent).

@@ -27,6 +27,7 @@ func Run(t *testing.T, mk func(t *testing.T) storage.Engine) {
 	t.Run("IndexedFind", func(t *testing.T) { testIndexedFind(t, mk(t)) })
 	t.Run("CountAndDeleteMany", func(t *testing.T) { testCountAndDeleteMany(t, mk(t)) })
 	t.Run("ContextCancel", func(t *testing.T) { testContextCancel(t, mk(t)) })
+	t.Run("RowsAgreeWithDocs", func(t *testing.T) { testRowsAgreeWithDocs(t, mk(t)) })
 }
 
 func testInsertGetDelete(t *testing.T, e storage.Engine) {
@@ -244,5 +245,96 @@ func testContextCancel(t *testing.T, e storage.Engine) {
 	}
 	if _, err := e.CountContext(ctx, "obs", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Count on cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// testRowsAgreeWithDocs: the row reads are the document reads without
+// the copies — the same documents in the same order under every
+// combination of filter, sort (ties included), skip and limit, whole
+// whatever the projection — and stop on a cancelled context alike.
+func testRowsAgreeWithDocs(t *testing.T, e storage.Engine) {
+	defer func() { _ = e.Close() }()
+	ctx := context.Background()
+	e.EnsureIndex("obs", "zone")
+	base := time.Date(2016, 5, 1, 12, 0, 0, 0, time.UTC)
+	for i := 0; i < 48; i++ {
+		// The sort key ties in runs of six, across shard keys; every
+		// eighth document lacks it and sorts first.
+		d := storage.Doc{"device": fmt.Sprintf("d%d", i%7), "zone": fmt.Sprintf("z%d", i%3), "seq": i,
+			"loc": map[string]any{"lat": 48.0 + float64(i)}}
+		if i%8 != 0 {
+			d["sensedAt"] = base.Add(time.Duration(i*5%48/6) * time.Minute)
+		}
+		if _, err := e.Insert("obs", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string, rows []docstore.Row, docs []storage.Doc, projection []string) {
+		t.Helper()
+		if len(rows) != len(docs) {
+			t.Fatalf("%s: %d rows for %d documents", what, len(rows), len(docs))
+		}
+		for i, r := range rows {
+			if got := r.Doc(projection); fmt.Sprint(got) != fmt.Sprint(docs[i]) {
+				t.Fatalf("%s: row %d is %v, document %v", what, i, got, docs[i])
+			}
+			if r.Value("seq") == nil || r.Value("device") == nil {
+				t.Fatalf("%s: row %d is not the whole document: %v", what, i, r.Names())
+			}
+		}
+	}
+	for _, filter := range []storage.Doc{nil, {"zone": "z1"}, {"device": "d3"}, {"seq": map[string]any{"$gte": 20}}, {"zone": "nowhere"}} {
+		for _, opts := range []docstore.FindOptions{
+			{}, {Limit: 5}, {Skip: 4, Limit: 9}, {Skip: 100},
+			{SortField: "sensedAt"}, {SortField: "sensedAt", SortDesc: true},
+			{SortField: "sensedAt", Skip: 3, Limit: 10}, {SortField: "sensedAt", SortDesc: true, Skip: 7, Limit: 2},
+			{SortField: "sensedAt", Limit: 6, Projection: []string{"seq", "absent"}}, {Projection: []string{"zone"}},
+		} {
+			what := fmt.Sprintf("filter %v opts %+v", filter, opts)
+			docs, err := e.FindContext(ctx, "obs", filter, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			rows, err := e.FindRows(ctx, "obs", filter, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			same(what, rows, docs, opts.Projection)
+		}
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := e.FindRows(cancelled, "obs", storage.Doc{"device": "d1"}, docstore.FindOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindRows on cancelled ctx = %v, want context.Canceled", err)
+	}
+
+	sc, ok := e.(storage.CursorScanner)
+	if !ok {
+		return
+	}
+	for _, filter := range []storage.Doc{nil, {"zone": "z2"}} {
+		anchor := ""
+		for page := 0; ; page++ {
+			what := fmt.Sprintf("filter %v page %d after %q", filter, page, anchor)
+			docs, err := sc.ScanAfter(ctx, "obs", anchor, filter, 7)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			rows, err := sc.ScanRowsAfter(ctx, "obs", anchor, filter, 7)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			same(what, rows, docs, nil)
+			if len(rows) == 0 {
+				break
+			}
+			anchor, _ = rows[len(rows)-1].Value(docstore.IDField).(string)
+		}
+	}
+	if _, err := sc.ScanRowsAfter(ctx, "obs", "no-such-anchor", nil, 1); !errors.Is(err, docstore.ErrCursorGone) {
+		t.Fatalf("ScanRowsAfter a vanished anchor = %v, want ErrCursorGone", err)
+	}
+	if _, err := sc.ScanRowsAfter(cancelled, "obs", "", nil, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScanRowsAfter on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

@@ -219,6 +219,11 @@ func (l *Local) FindContext(ctx context.Context, col string, filter Doc, opts do
 	return l.store.Collection(col).FindContext(ctx, filter, opts)
 }
 
+// FindRows implements Engine.
+func (l *Local) FindRows(ctx context.Context, col string, filter Doc, opts docstore.FindOptions) ([]docstore.Row, error) {
+	return l.store.Collection(col).FindRowsContext(ctx, filter, opts)
+}
+
 // CountContext implements Engine.
 func (l *Local) CountContext(ctx context.Context, col string, filter Doc) (int, error) {
 	return l.store.Collection(col).CountContext(ctx, filter)

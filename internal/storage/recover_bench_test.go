@@ -1,11 +1,13 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/wal"
 )
 
@@ -89,6 +91,19 @@ func TestResidentBytesPerDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	// A page is read and written out before the heap is: what a read
+	// leaves behind — the keys quoted on each shape, slots looked up per
+	// shape — is resident too, and is per shape, not per document.
+	rows, err := l.FindRows(context.Background(), "observations", Doc{"zone": "FR75101"}, docstore.FindOptions{SortField: "sensedAt", Limit: 100})
+	if err != nil || len(rows) != 100 {
+		t.Fatalf("page read: %d rows, %v", len(rows), err)
+	}
+	var page []byte
+	for _, r := range rows {
+		if page, err = r.AppendJSON(page, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	perDoc := (float64(liveHeap()) - float64(before)) / n
 	if got := l.Stats("observations").Docs; got != n {
 		t.Fatalf("recovered %d documents, want %d", got, n)
