@@ -30,6 +30,7 @@ import (
 	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/soundcity"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 // benchScale keeps per-iteration figure regeneration fast while large
@@ -452,7 +453,7 @@ const ingestResetEvery = 1 << 15
 func freshIngestServer(b *testing.B) *goflow.Server {
 	b.Helper()
 	broker := mq.NewBroker()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: docstore.NewStore()})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore())})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -747,7 +748,7 @@ func BenchmarkAblationAdaptiveScheduling(b *testing.B) {
 func BenchmarkExportNDJSON(b *testing.B) {
 	broker := mq.NewBroker()
 	defer broker.Close()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: docstore.NewStore()})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore())})
 	if err != nil {
 		b.Fatal(err)
 	}

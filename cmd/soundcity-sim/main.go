@@ -26,6 +26,7 @@ import (
 	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/soundcity"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 func main() {
@@ -45,7 +46,7 @@ func run() error {
 	broker := mq.NewBroker()
 	defer broker.Close()
 	store := docstore.NewStore()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: store})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/soundcity"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func run() error {
 	broker := mq.NewBroker()
 	defer broker.Close()
 	store := docstore.NewStore()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: store})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		return err
 	}

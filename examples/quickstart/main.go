@@ -17,6 +17,7 @@ import (
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/soundcity"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func run() error {
 	// 1. The middleware: broker + GoFlow server + document store.
 	broker := mq.NewBroker()
 	defer broker.Close()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: docstore.NewStore()})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore())})
 	if err != nil {
 		return err
 	}

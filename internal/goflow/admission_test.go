@@ -16,6 +16,7 @@ import (
 	"github.com/urbancivics/goflow/internal/guard"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 // admClock is a mutable fake clock shared by the guard chain.
@@ -45,7 +46,7 @@ func newGuardedServer(t *testing.T, admission AdmissionConfig) (*Server, *httpte
 	broker := mq.NewBroker()
 	server, err := NewServer(ServerConfig{
 		Broker:    broker,
-		Store:     docstore.NewStore(),
+		Data:      storage.NewLocal(docstore.NewStore()),
 		Admission: admission,
 	})
 	if err != nil {
@@ -243,7 +244,7 @@ func TestAdmissionBreakerTripsAndRecovers(t *testing.T) {
 	broker := mq.NewBroker()
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
-		Store:  docstore.NewStore(),
+		Data:   storage.NewLocal(docstore.NewStore()),
 		Admission: AdmissionConfig{
 			BreakerFailures: 3,
 			BreakerOpenFor:  time.Second,
@@ -317,7 +318,7 @@ func TestDeadlinePropagationEndToEnd(t *testing.T) {
 	store := docstore.NewStore()
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
-		Store:  store,
+		Data:   storage.NewLocal(store),
 		Admission: AdmissionConfig{
 			Timeout: 50 * time.Millisecond,
 		},

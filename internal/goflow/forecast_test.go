@@ -163,7 +163,7 @@ func TestNoisemapForecastColdCity(t *testing.T) {
 
 func TestForecastEndpointsDisabled(t *testing.T) {
 	broker := mq.NewBroker()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: docstore.NewStore()})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore())})
 	if err != nil {
 		t.Fatal(err)
 	}

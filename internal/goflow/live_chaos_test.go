@@ -16,6 +16,7 @@ import (
 	"github.com/urbancivics/goflow/internal/faults"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 // Chaos suite for the live layer: the REST+stream listener is wrapped
@@ -125,7 +126,7 @@ func runLiveChaos(t *testing.T, seed int64) {
 	in := faults.New(seed, plan)
 
 	broker := mq.NewBroker()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: docstore.NewStore()})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore())})
 	if err != nil {
 		t.Fatal(err)
 	}

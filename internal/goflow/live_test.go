@@ -54,7 +54,7 @@ func goflowStableGoroutines(t *testing.T) int {
 func newLiveAPI(t *testing.T, cfg LiveConfig) (*Server, *mq.Broker, *httptest.Server, *Client) {
 	t.Helper()
 	broker := mq.NewBroker()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: docstore.NewStore(), Live: cfg})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore()), Live: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +589,7 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 	broker := mq.NewBroker()
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
-		Store:  docstore.NewStore(),
+		Data:   storage.NewLocal(docstore.NewStore()),
 		Live:   LiveConfig{Buffer: 1, SendBudget: 5 * time.Second, Now: clk.Now},
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 func jsonBody(t *testing.T, v any) io.Reader {
@@ -33,7 +34,7 @@ func TestGuardAndFlowMetricsExposition(t *testing.T) {
 	store := docstore.NewStore()
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
-		Store:  store,
+		Data:   storage.NewLocal(store),
 		Admission: AdmissionConfig{
 			RatePerDevice: 1,
 			RateBurst:     1,

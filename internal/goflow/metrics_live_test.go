@@ -12,6 +12,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 // TestLiveMetricsExposition checks the live_* families flow into
@@ -23,7 +24,7 @@ func TestLiveMetricsExposition(t *testing.T) {
 	store := docstore.NewStore()
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
-		Store:  store,
+		Data:   storage.NewLocal(store),
 		// Buffer 1 with an instant budget: the second undrained event
 		// drops and sheds, exercising every counter.
 		Live: LiveConfig{Buffer: 1, SendBudget: -1},
@@ -96,7 +97,7 @@ func TestLiveMetricsExposition(t *testing.T) {
 func TestLiveWebSocketThroughInstrumentedHandler(t *testing.T) {
 	broker := mq.NewBroker()
 	store := docstore.NewStore()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/series"
+	"github.com/urbancivics/goflow/internal/storage"
 	"github.com/urbancivics/goflow/internal/wal"
 )
 
@@ -42,7 +43,7 @@ func TestExchangeAndQueueClasses(t *testing.T) {
 func TestMetricsEndToEnd(t *testing.T) {
 	broker := mq.NewBroker()
 	store := docstore.NewStore()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 func TestRouteCacheMetricsExposition(t *testing.T) {
 	broker := mq.NewBroker()
 	store := docstore.NewStore()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestFormatMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	broker := mq.NewBroker()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

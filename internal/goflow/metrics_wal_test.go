@@ -8,6 +8,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
+	"github.com/urbancivics/goflow/internal/storage"
 	"github.com/urbancivics/goflow/internal/wal"
 )
 
@@ -25,7 +26,7 @@ func TestMetricsWALExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	docstore.AttachWAL(store, w)
-	server, err := NewServer(ServerConfig{Broker: broker, Store: store})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

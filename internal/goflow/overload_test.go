@@ -14,6 +14,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/guard"
 	"github.com/urbancivics/goflow/internal/mq"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 // Chaos-style overload suite: a 10x sustained burst against the
@@ -61,7 +62,7 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	broker := mq.NewBroker()
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
-		Store:  docstore.NewStore(),
+		Data:   storage.NewLocal(docstore.NewStore()),
 		Admission: AdmissionConfig{
 			RatePerDevice:   -1, // fairness is tested elsewhere; this suite isolates shedding
 			ShedTarget:      shedTarget,

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/geo"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/predict"
@@ -71,13 +70,11 @@ func (s *Server) SetIngestHooks(onIngest func(appID string), onReject func()) {
 type ServerConfig struct {
 	// Broker is the messaging substrate (required).
 	Broker *mq.Broker
-	// Store is the document store. Exactly one of Store and Data must
-	// be set.
-	Store *docstore.Store
-	// Data is a storage engine (a WAL-backed Local, a cluster Router,
-	// a replicated leader) to use instead of Store. When set, the
-	// server runs against it unchanged — sharding and replication are
-	// invisible above the Engine seam.
+	// Data is the storage engine (required): a Local — storage.NewLocal
+	// over a bare store, or a WAL-backed one from storage.OpenLocal —,
+	// a cluster Router or an election node. The server runs against it
+	// unchanged; sharding and replication are invisible above the
+	// Engine seam.
 	Data storage.Engine
 	// Zones derives observation zone ids; nil defaults to the Paris
 	// grid.
@@ -110,11 +107,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Broker == nil {
 		return nil, errors.New("goflow: server needs a broker")
 	}
-	if cfg.Store == nil && cfg.Data == nil {
-		return nil, errors.New("goflow: server needs a store or a storage engine")
-	}
-	if cfg.Store != nil && cfg.Data != nil {
-		return nil, errors.New("goflow: set either Store or Data, not both")
+	if cfg.Data == nil {
+		return nil, errors.New("goflow: server needs a storage engine")
 	}
 	if cfg.Zones == nil {
 		cfg.Zones = geo.ParisZones()
@@ -133,11 +127,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := cfg.Data
-	if data == nil {
-		data = storage.NewLocal(cfg.Store)
-	}
-	dm := NewDataManagerEngine(data, accounts, cfg.Zones)
+	dm := NewDataManagerEngine(cfg.Data, accounts, cfg.Zones)
 	s := &Server{
 		Accounts:  accounts,
 		Channels:  channels,
@@ -151,7 +141,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		clock:     cfg.Clock,
 	}
 	if cfg.Predict != nil {
-		src, ok := data.(predict.Source)
+		src, ok := cfg.Data.(predict.Source)
 		if !ok {
 			return nil, errors.New("goflow: forecasting needs a storage engine with a series view (bucket rollup reads)")
 		}

@@ -7,12 +7,13 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 func newTestServer(t *testing.T) (*Server, *mq.Broker) {
 	t.Helper()
 	broker := mq.NewBroker()
-	server, err := NewServer(ServerConfig{Broker: broker, Store: docstore.NewStore()})
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func newTestServer(t *testing.T) (*Server, *mq.Broker) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Store: docstore.NewStore()}); err == nil {
+	if _, err := NewServer(ServerConfig{Data: storage.NewLocal(docstore.NewStore())}); err == nil {
 		t.Fatal("server without broker must fail")
 	}
 	if _, err := NewServer(ServerConfig{Broker: mq.NewBroker()}); err == nil {

@@ -17,6 +17,7 @@ import (
 	"github.com/urbancivics/goflow/internal/goflow"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 type userAPIEnv struct {
@@ -32,7 +33,7 @@ func newUserAPIEnv(t *testing.T) *userAPIEnv {
 	t.Helper()
 	broker := mq.NewBroker()
 	store := docstore.NewStore()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: store})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

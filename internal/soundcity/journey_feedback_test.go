@@ -9,6 +9,7 @@ import (
 	"github.com/urbancivics/goflow/internal/goflow"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/storage"
 )
 
 func journeyObs(t *testing.T, n int) []*sensing.Observation {
@@ -92,7 +93,7 @@ func journeyEnv(t *testing.T) (*goflow.Server, *mq.Broker, *docstore.Store, *Jou
 	t.Helper()
 	broker := mq.NewBroker()
 	store := docstore.NewStore()
-	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Store: store})
+	server, err := goflow.NewServer(goflow.ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
 	if err != nil {
 		t.Fatal(err)
 	}

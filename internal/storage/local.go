@@ -23,8 +23,8 @@ import (
 type Local struct {
 	store *docstore.Store
 	wal   *wal.WAL
-	// snapshotPath is where Checkpoint publishes snapshots ("" = no
-	// snapshot persistence).
+	// snapshotPath is where Checkpoint publishes snapshots:
+	// <WALDir>/snapshot.gob, or "" without a WAL.
 	snapshotPath string
 
 	// series is the optional time-partitioned view with continuous
@@ -52,11 +52,9 @@ type Local struct {
 
 // LocalOptions configure OpenLocal.
 type LocalOptions struct {
-	// SnapshotPath is the snapshot file, loaded on open when present
-	// and rewritten by Checkpoint. Empty with a WALDir defaults to
-	// <WALDir>/snapshot.gob; empty without one disables snapshots.
-	SnapshotPath string
-	// WALDir enables the write-ahead log in this directory.
+	// WALDir enables the write-ahead log in this directory, with the
+	// snapshot Checkpoint publishes (and OpenLocal loads) beside it at
+	// <WALDir>/snapshot.gob. Empty keeps the store memory-only.
 	WALDir string
 	// Policy is the WAL fsync policy (default grouped).
 	Policy wal.FsyncPolicy
@@ -74,8 +72,9 @@ type LocalOptions struct {
 }
 
 // NewLocal wraps an existing store as an Engine with no persistence of
-// its own — the adapter the single-node server path and tests use when
-// the store's durability is managed elsewhere (or not at all).
+// its own — how a bare store is handed to goflow.NewServer (examples,
+// the simulator, tests) when its durability is managed elsewhere (or
+// not at all).
 func NewLocal(store *docstore.Store) *Local {
 	return &Local{store: store}
 }
@@ -86,12 +85,10 @@ func NewLocal(store *docstore.Store) *Local {
 // durability model requires (snapshot first, log tail second, attach
 // last) packaged behind one call.
 func OpenLocal(opts LocalOptions) (*Local, error) {
-	l := &Local{store: docstore.NewStore(), snapshotPath: opts.SnapshotPath}
-	if l.snapshotPath == "" && opts.WALDir != "" {
+	l := &Local{store: docstore.NewStore()}
+	if opts.WALDir != "" {
 		l.snapshotPath = filepath.Join(opts.WALDir, "snapshot.gob")
-	}
-	if l.snapshotPath != "" {
-		if err := os.MkdirAll(filepath.Dir(l.snapshotPath), 0o755); err != nil {
+		if err := os.MkdirAll(opts.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("storage: snapshot dir: %w", err)
 		}
 		switch err := l.store.LoadFile(l.snapshotPath); {
@@ -245,20 +242,12 @@ func (l *Local) Stats(col string) docstore.Stats {
 // Checkpoint implements Engine: rotate the WAL, publish a snapshot and
 // truncate the sealed segments the snapshot covers (bounded by
 // SetTruncateBound when replication needs history retained). Without a
-// snapshot path it is a no-op; without a WAL it just saves a snapshot.
+// WAL there is nothing to publish, and only the series view (if any)
+// checkpoints.
 func (l *Local) Checkpoint() error {
 	l.checkpointMu.Lock()
 	defer l.checkpointMu.Unlock()
-	if l.snapshotPath == "" {
-		if l.series != nil {
-			return l.series.Checkpoint()
-		}
-		return nil
-	}
 	if l.wal == nil {
-		if err := l.store.SaveFile(l.snapshotPath); err != nil {
-			return err
-		}
 		if l.series != nil {
 			return l.series.Checkpoint()
 		}
