@@ -412,6 +412,10 @@ func (m *Metrics) InstrumentSeries(db *series.DB) {
 		"Whole partition windows read by series queries, by result: hit = served from the window's memo, fill = re-merged from its buckets first (a point landed in it since the last read).",
 		"result")
 	memoHit, memoFill := memo.With("hit"), memo.With("fill")
+	edge := m.reg.CounterVec("series_edge_points_total",
+		"Raw points decoded by the sub-bucket edges of series queries, by result: decoded = every point read, kept = those inside the asked range.",
+		"result")
+	edgeDecoded, edgeKept := edge.With("decoded"), edge.With("kept")
 	retChunks := m.reg.Counter("series_retention_chunks_total",
 		"Raw chunks dropped by retention.")
 	retPoints := m.reg.Counter("series_retention_points_total",
@@ -448,6 +452,10 @@ func (m *Metrics) InstrumentSeries(db *series.DB) {
 		WindowMemo: func(hits, fills int) {
 			memoHit.Add(uint64(hits))
 			memoFill.Add(uint64(fills))
+		},
+		EdgePoints: func(decoded, kept int) {
+			edgeDecoded.Add(uint64(decoded))
+			edgeKept.Add(uint64(kept))
 		},
 		Retention: func(c, p int) {
 			retChunks.Add(uint64(c))

@@ -314,6 +314,52 @@ func TestWindowMemoMetricsExposition(t *testing.T) {
 	expect("after a late point", 11, 7)
 }
 
+// TestEdgePointsMetricsExposition checks series_edge_points_total: both
+// results are exposed from the first scrape, an aligned read decodes
+// nothing, and an unaligned one-zone read decodes that zone's run only —
+// the other zone's points in the same partition are never counted.
+func TestEdgePointsMetricsExposition(t *testing.T) {
+	db := series.New(series.Options{})
+	reg := obs.NewRegistry()
+	NewMetrics(reg).InstrumentSeries(db)
+	expect := func(step string, decoded, kept int) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`series_edge_points_total{result="decoded"} %d`+"\n", decoded),
+			fmt.Sprintf(`series_edge_points_total{result="kept"} %d`+"\n", kept),
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("%s: /metrics missing %q; got:\n%s", step, want, grepLines(buf.String(), "series_edge_points"))
+			}
+		}
+	}
+	expect("before any read", 0, 0)
+
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for m := 0; m < 10; m++ {
+		at := base.Add(time.Duration(m) * time.Minute).UnixMilli()
+		db.Append(uint64(2*m+1), series.Point{TS: at, Value: 60, Zone: "a"})
+		db.Append(uint64(2*m+2), series.Point{TS: at, Value: 70, Zone: "b"})
+	}
+	read := func(from, to time.Time) {
+		t.Helper()
+		if _, err := db.ZoneAggregate(context.Background(), "a", from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(base, base.Add(time.Hour))
+	expect("aligned read", 0, 0)
+	// [00:02:30, 00:12:30): the left edge decodes zone a's run (10
+	// points) and keeps minutes 3 and 4; the right edge [10:00, 12:30)
+	// misses the run's time bounds and decodes nothing.
+	read(base.Add(150*time.Second), base.Add(750*time.Second))
+	expect("unaligned read", 10, 2)
+}
+
 // grepLines returns the lines of s containing substr (test-failure
 // diagnostics).
 func grepLines(s, substr string) string {

@@ -12,9 +12,10 @@ import (
 // window answered from the continuous rollups versus forced through
 // the compressed chunks. The docstore full-scan baseline lives in
 // internal/storage (it needs documents, not points). Beside them, the
-// question a dashboard actually asks: the whole city over an unaligned
+// questions a dashboard actually asks: the whole city over an unaligned
 // trailing day, on a quiet store and with a point landing in the
-// current hour between reads.
+// current hour between reads, and one zone over the trailing hour to
+// the second.
 
 // benchFill appends n seeded points spread across zones and time.
 func benchFill(db *DB, n int, spread time.Duration, zones int) {
@@ -42,6 +43,7 @@ func BenchmarkSeriesQuery(b *testing.B) {
 	hi := lo.Add(time.Hour)
 	dayHi := testBase.Add(96*time.Hour + 37*time.Minute + 11*time.Second)
 	dayLo := dayHi.Add(-24 * time.Hour)
+	hourLo := dayHi.Add(-time.Hour)
 	for _, n := range benchSizes {
 		// Rollup path: 5-minute buckets, the aligned window is pure
 		// aggregate merging.
@@ -59,6 +61,17 @@ func BenchmarkSeriesQuery(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := db.Noisemap(context.Background(), lo, hi); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+
+		// The dashboard's zone read: the trailing hour to the second, so
+		// both ends are sub-bucket edges in different partitions.
+		b.Run(fmt.Sprintf("n=%d/path=zone-hour-unaligned", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.ZoneAggregate(context.Background(), "FR75001", hourLo, dayHi); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -105,18 +118,27 @@ func BenchmarkSeriesQuery(b *testing.B) {
 }
 
 // BenchmarkAppend prices the ingest-side work: chunk encoding plus
-// rollup maintenance per observation.
+// rollup maintenance per observation, into one zone and spread over the
+// dashboard's ~150 (every zone's run grows on its own).
 func BenchmarkAppend(b *testing.B) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
-	rng := rand.New(rand.NewSource(7))
-	base := testBase.UnixMilli()
-	ms := (7 * 24 * time.Hour).Milliseconds()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		db.Append(uint64(i+1), Point{
-			TS:    base + rng.Int63n(ms),
-			Value: 20 + rng.Float64()*90,
-			Zone:  "FR75001",
+	for _, zones := range []int{1, 150} {
+		b.Run(fmt.Sprintf("zones=%d", zones), func(b *testing.B) {
+			db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
+			zs := make([]string, zones)
+			for i := range zs {
+				zs[i] = fmt.Sprintf("FR75%03d", i+1)
+			}
+			rng := rand.New(rand.NewSource(7))
+			base := testBase.UnixMilli()
+			ms := (7 * 24 * time.Hour).Milliseconds()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db.Append(uint64(i+1), Point{
+					TS:    base + rng.Int63n(ms),
+					Value: 20 + rng.Float64()*90,
+					Zone:  zs[i%zones],
+				})
+			}
 		})
 	}
 }

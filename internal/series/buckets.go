@@ -44,7 +44,7 @@ func (db *DB) ZoneBuckets(ctx context.Context, zone string, from, to time.Time) 
 	out := db.zoneBucketsLocked(zone, af, at, &use)
 	db.mu.RUnlock()
 
-	db.queryHook("buckets", start, 0, 0, use)
+	db.queryHook("buckets", start, &edgeScan{}, use)
 	return out, nil
 }
 
@@ -69,7 +69,7 @@ func (db *DB) AllBuckets(ctx context.Context, from, to time.Time) (map[string][]
 	}
 	db.mu.RUnlock()
 
-	db.queryHook("buckets-all", start, 0, 0, use)
+	db.queryHook("buckets-all", start, &edgeScan{}, use)
 	return out, nil
 }
 

@@ -458,7 +458,8 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 
 // TestWindowMemoConcurrentReaders runs readers on all four read paths
 // while an appender keeps landing points in the windows they read, so
-// memos are dropped and refilled under them (-race). An answer may
+// memos are dropped and refilled and chunks grow and seal under them
+// (-race). An answer may
 // predate an append but must be whole: Σ Hist == Count, counts never
 // shrink, bucket series stay ascending. Once the appender stops, the
 // tiered answer equals the flat merge.
@@ -512,28 +513,34 @@ func TestWindowMemoConcurrentReaders(t *testing.T) {
 		}
 		return n, nil
 	}
-	wg.Add(4)
-	go reader(func() (uint64, error) {
-		a, err := db.ZoneAggregate(ctx, "FR75001", time.UnixMilli(lo), time.UnixMilli(hi))
-		if err != nil {
-			return 0, err
-		}
-		return a.Count, whole(&a)
-	})
-	go reader(func() (uint64, error) {
-		m, err := db.Noisemap(ctx, time.UnixMilli(lo), time.UnixMilli(hi))
-		if err != nil {
-			return 0, err
-		}
-		var n uint64
-		for _, a := range m {
-			if err := whole(&a); err != nil {
+	// Aligned, the answers come from the window memos; unaligned, their
+	// edges also decode the runs of sealed chunks and of the active one
+	// that appends keep growing and sealing.
+	wg.Add(6)
+	for _, r := range [][2]time.Time{{time.UnixMilli(lo), time.UnixMilli(hi)}, {from, to}} {
+		from, to := r[0], r[1]
+		go reader(func() (uint64, error) {
+			a, err := db.ZoneAggregate(ctx, "FR75001", from, to)
+			if err != nil {
 				return 0, err
 			}
-			n += a.Count
-		}
-		return n, nil
-	})
+			return a.Count, whole(&a)
+		})
+		go reader(func() (uint64, error) {
+			m, err := db.Noisemap(ctx, from, to)
+			if err != nil {
+				return 0, err
+			}
+			var n uint64
+			for _, a := range m {
+				if err := whole(&a); err != nil {
+					return 0, err
+				}
+				n += a.Count
+			}
+			return n, nil
+		})
+	}
 	go reader(func() (uint64, error) {
 		bs, err := db.ZoneBuckets(ctx, "FR75002", from, to)
 		if err != nil {

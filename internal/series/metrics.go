@@ -19,6 +19,10 @@ type Hooks struct {
 	// and how many had to be re-merged from their buckets first
 	// (fills) because a point had landed in them since the last read.
 	WindowMemo func(hits, fills int)
+	// EdgePoints fires beside Query for a read whose sub-bucket edges
+	// decoded raw points: how many were decoded, and how many of those
+	// fell inside the range and were kept.
+	EdgePoints func(decoded, kept int)
 	// Retention fires when ApplyRetention drops raw chunks.
 	Retention func(chunks, points int)
 	// Rebuild fires when the rollups are rebuilt from chunks.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -17,7 +18,10 @@ import (
 // Persistence. A checkpoint publishes three kinds of file under Dir:
 //
 //	chunks/<part>-<seq>.chk   one per sealed chunk, written once
-//	                          (chunks are immutable)
+//	                          (chunks are immutable), or twice for a
+//	                          chunk Open read in the interleaved layout
+//	                          — the rewrite holds the same points, so
+//	                          whichever version a crash leaves is valid
 //	rollups-<epoch>.gob       the continuous aggregates + watermark
 //	manifest.gob              the commit point: chunk list, rollups
 //	                          file name, watermark, retention floor
@@ -74,8 +78,119 @@ type chunkFile struct {
 	Count          int
 	MinTS, MaxTS   int64
 	MinVal, MaxVal float64
-	Zones          []string
-	Data           []byte
+	// Runs is the run table; Data holds the runs' streams back to back
+	// in table order.
+	Runs []runFile
+	// Zones is set only in files written before runs existed, whose
+	// Data is one stream of every zone's points in append order, each
+	// point's two deltas followed by its uvarint index into Zones.
+	Zones []string
+	Data  []byte
+}
+
+// runFile is one run table entry: a Run less its stream.
+type runFile struct {
+	Zone         string
+	Count        int
+	MinTS, MaxTS int64
+	// Len is the stream's length in bytes.
+	Len int
+}
+
+// file is the chunk's on-disk form.
+func (c *Chunk) file() *chunkFile {
+	cf := &chunkFile{
+		Part: c.Part, Seq: c.Seq, Count: c.Count,
+		MinTS: c.MinTS, MaxTS: c.MaxTS,
+		MinVal: c.MinVal, MaxVal: c.MaxVal,
+		Runs: make([]runFile, len(c.Runs)),
+		Data: make([]byte, 0, c.bytes()),
+	}
+	for i, r := range c.Runs {
+		cf.Runs[i] = runFile{Zone: r.Zone, Count: r.Count, MinTS: r.MinTS, MaxTS: r.MaxTS, Len: len(r.Data)}
+		cf.Data = append(cf.Data, r.Data...)
+	}
+	return cf
+}
+
+// decodeChunkFile parses the payload of one chunk file. It decodes
+// every point and re-encodes them into a fresh chunk: a file in the run
+// layout must be exactly what that gives back — run table, streams and
+// header — or it is an error, so a table that disagrees with its bytes
+// never reaches a query. A file written before runs existed
+// (interleaved, no table) comes back in the run layout, legacy set so
+// the caller writes it out again.
+func decodeChunkFile(body []byte) (ch *Chunk, legacy bool, err error) {
+	var cf chunkFile
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&cf); err != nil {
+		return nil, false, fmt.Errorf("decode: %w", err)
+	}
+	if cf.Count <= 0 {
+		return nil, false, fmt.Errorf("chunk %d/%d: %d points", cf.Part, cf.Seq, cf.Count)
+	}
+	b := newChunkBuilder(cf.Part)
+	legacy = len(cf.Runs) == 0
+	if legacy {
+		err = legacyPoints(&cf, b.put)
+	} else {
+		err = runPoints(&cf, b.put)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("chunk %d/%d: %w", cf.Part, cf.Seq, err)
+	}
+	ch = b.seal(cf.Seq)
+	if !legacy && !reflect.DeepEqual(ch.file(), &cf) {
+		return nil, false, fmt.Errorf("chunk %d/%d: run table disagrees with its data", cf.Part, cf.Seq)
+	}
+	return ch, legacy, nil
+}
+
+// runPoints decodes a run-layout file's streams, calling put once per
+// point, run by run.
+func runPoints(cf *chunkFile, put func(ts, centi int64, zone string)) error {
+	data := cf.Data
+	for _, rf := range cf.Runs {
+		if rf.Len < 0 || rf.Len > len(data) {
+			return fmt.Errorf("zone %q: run of %d bytes past the data's end", rf.Zone, rf.Len)
+		}
+		r := Run{Zone: rf.Zone, Count: rf.Count, Data: data[:rf.Len]}
+		if err := r.each(cf.Part, func(ts, centi int64) { put(ts, centi, r.Zone) }); err != nil {
+			return err
+		}
+		data = data[rf.Len:]
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d bytes after the last run", len(data))
+	}
+	return nil
+}
+
+// legacyPoints decodes an interleaved file's stream, calling put once
+// per point in append order.
+func legacyPoints(cf *chunkFile, put func(ts, centi int64, zone string)) error {
+	data := cf.Data
+	ts, delta, val := cf.Part, int64(0), int64(0)
+	for i := 0; i < cf.Count; i++ {
+		var f [3]uint64
+		for j := range f {
+			v, n := binary.Uvarint(data)
+			if n <= 0 {
+				return fmt.Errorf("truncated point %d", i)
+			}
+			f[j], data = v, data[n:]
+		}
+		if f[2] >= uint64(len(cf.Zones)) {
+			return fmt.Errorf("zone index %d out of dictionary (%d) at point %d", f[2], len(cf.Zones), i)
+		}
+		delta += unzigzag(f[0])
+		ts += delta
+		val += unzigzag(f[1])
+		put(ts, val, cf.Zones[f[2]])
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("%d bytes after point %d", len(data), cf.Count)
+	}
+	return nil
 }
 
 // rollupFile is the on-disk form of the continuous aggregates.
@@ -88,8 +203,9 @@ type rollupFile struct {
 // nothing is there yet). A missing or corrupt rollups file is
 // rebuilt from the chunks (lossy only when retention has already aged
 // raw data out); a corrupt chunk file is a hard error, like a corrupt
-// sealed WAL segment. Stray files from interrupted checkpoints are
-// removed.
+// sealed WAL segment. Chunk files written before the run layout are
+// converted to it here, once, and rewritten by the next checkpoint.
+// Stray files from interrupted checkpoints are removed.
 func Open(opts Options) (*DB, error) {
 	db := New(opts)
 	if opts.Dir == "" {
@@ -112,18 +228,20 @@ func Open(opts Options) (*DB, error) {
 	db.retentionFloor = man.RetentionFloor
 	db.points = man.Points
 	for _, ref := range man.Chunks {
-		var cf chunkFile
-		path := filepath.Join(opts.Dir, chunksDir, ref.file())
-		if err := readGobFrame(path, &cf); err != nil {
+		body, err := readFrame(filepath.Join(opts.Dir, chunksDir, ref.file()))
+		if err != nil {
 			return nil, fmt.Errorf("series: chunk %s: %w", ref.file(), err)
 		}
-		ch := &Chunk{
-			Part: cf.Part, Seq: cf.Seq, Count: cf.Count,
-			MinTS: cf.MinTS, MaxTS: cf.MaxTS,
-			MinVal: cf.MinVal, MaxVal: cf.MaxVal,
-			Zones: cf.Zones, Data: cf.Data,
-			saved: true,
+		ch, legacy, err := decodeChunkFile(body)
+		if err == nil && (ch.Part != ref.Part || ch.Seq != ref.Seq) {
+			err = fmt.Errorf("holds chunk %d/%d", ch.Part, ch.Seq)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("series: chunk %s: %w", ref.file(), err)
+		}
+		// A legacy chunk is rewritten in the run layout by the next
+		// checkpoint, under the same name.
+		ch.saved = !legacy
 		pt := db.parts[ch.Part]
 		if pt == nil {
 			pt = &partition{start: ch.Part}
@@ -186,7 +304,7 @@ func (db *DB) CheckpointVia(wrap func(io.Writer) io.Writer) error {
 
 	db.mu.Lock()
 	for _, pt := range db.parts {
-		if pt.active != nil && pt.active.count > 0 {
+		if pt.active != nil && pt.active.Count > 0 {
 			db.sealLocked(pt)
 		}
 	}
@@ -221,14 +339,8 @@ func (db *DB) CheckpointVia(wrap func(io.Writer) io.Writer) error {
 	db.mu.Unlock()
 
 	for _, ch := range unsaved {
-		cf := chunkFile{
-			Part: ch.Part, Seq: ch.Seq, Count: ch.Count,
-			MinTS: ch.MinTS, MaxTS: ch.MaxTS,
-			MinVal: ch.MinVal, MaxVal: ch.MaxVal,
-			Zones: ch.Zones, Data: ch.Data,
-		}
 		path := filepath.Join(db.opts.Dir, chunksDir, chunkRef{Part: ch.Part, Seq: ch.Seq}.file())
-		if err := writeGobFrame(path, &cf, wrap); err != nil {
+		if err := writeGobFrame(path, ch.file(), wrap); err != nil {
 			return fmt.Errorf("series: chunk %d/%d: %w", ch.Part, ch.Seq, err)
 		}
 	}
@@ -369,24 +481,33 @@ func writeGobFrame(path string, payload any, wrap func(io.Writer) io.Writer) err
 // readGobFrame reads and verifies a CRC-framed gob payload. Missing
 // files return the raw os.IsNotExist-able error.
 func readGobFrame(path string, out any) error {
-	raw, err := os.ReadFile(path)
+	body, err := readFrame(path)
 	if err != nil {
 		return err
-	}
-	if len(raw) < 12 || !bytes.Equal(raw[0:4], frameMagic[:]) {
-		return fmt.Errorf("%s: bad frame header", filepath.Base(path))
-	}
-	n := binary.LittleEndian.Uint32(raw[4:8])
-	sum := binary.LittleEndian.Uint32(raw[8:12])
-	body := raw[12:]
-	if uint32(len(body)) != n {
-		return fmt.Errorf("%s: truncated payload (%d of %d bytes)", filepath.Base(path), len(body), n)
-	}
-	if crc32.Checksum(body, castagnoli) != sum {
-		return fmt.Errorf("%s: crc mismatch", filepath.Base(path))
 	}
 	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(out); err != nil {
 		return fmt.Errorf("%s: decode: %w", filepath.Base(path), err)
 	}
 	return nil
+}
+
+// readFrame reads a CRC-framed file and returns its verified payload.
+func readFrame(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) < 12 || !bytes.Equal(raw[0:4], frameMagic[:]) {
+		return nil, fmt.Errorf("%s: bad frame header", filepath.Base(path))
+	}
+	n := binary.LittleEndian.Uint32(raw[4:8])
+	sum := binary.LittleEndian.Uint32(raw[8:12])
+	body := raw[12:]
+	if uint32(len(body)) != n {
+		return nil, fmt.Errorf("%s: truncated payload (%d of %d bytes)", filepath.Base(path), len(body), n)
+	}
+	if crc32.Checksum(body, castagnoli) != sum {
+		return nil, fmt.Errorf("%s: crc mismatch", filepath.Base(path))
+	}
+	return body, nil
 }

@@ -2,6 +2,7 @@ package series
 
 import (
 	"context"
+	"fmt"
 	"time"
 )
 
@@ -9,8 +10,8 @@ import (
 // are answered purely from the continuous aggregates — one memoized
 // sum per whole partition window plus the buckets of the two ragged
 // ends (memo.go), no raw data touched. Arbitrary windows split into an
-// aligned core (rollups) plus up to two sub-bucket edges, which scan
-// only the chunks the sparse index cannot rule out.
+// aligned core (rollups) plus up to two sub-bucket edges, which decode
+// only the runs the sparse index cannot rule out.
 
 // queryCtxCheckEvery is how many chunk decodes pass between context
 // checks during an edge scan. A chunk is up to MaxChunkPoints, so the
@@ -29,24 +30,21 @@ func (db *DB) ZoneAggregate(ctx context.Context, zone string, from, to time.Time
 	af, at := alignUp(lo, db.bucketMs), alignDown(hi, db.bucketMs)
 
 	db.mu.RLock()
-	scanned, skipped := 0, 0
+	s := edgeScan{ctx: ctx}
 	var use memoUse
 	var err error
 	if af >= at {
 		// No fully covered bucket: the whole range is one edge scan.
-		scanned, skipped, err = db.scanLocked(ctx, zone, lo, hi, &agg, 0)
+		err = db.zoneEdgeLocked(&s, zone, lo, hi, &agg)
 	} else {
 		db.sumRollupsLocked(zone, af, at, &agg, &use)
-		scanned, skipped, err = db.scanLocked(ctx, zone, lo, af, &agg, 0)
+		err = db.zoneEdgeLocked(&s, zone, lo, af, &agg)
 		if err == nil {
-			var s2, k2 int
-			s2, k2, err = db.scanLocked(ctx, zone, at, hi, &agg, scanned)
-			scanned += s2
-			skipped += k2
+			err = db.zoneEdgeLocked(&s, zone, at, hi, &agg)
 		}
 	}
 	db.mu.RUnlock()
-	db.queryHook("zone", start, scanned, skipped, use)
+	db.queryHook("zone", start, &s, use)
 	if err != nil {
 		return Agg{}, err
 	}
@@ -66,16 +64,11 @@ func (db *DB) Noisemap(ctx context.Context, from, to time.Time) (map[string]Agg,
 
 	db.mu.RLock()
 	out := make(map[string]Agg, len(db.rollups))
-	addEdge := func(ts int64, v float64, zone string) {
-		a := out[zone]
-		a.Add(v)
-		out[zone] = a
-	}
-	scanned, skipped := 0, 0
+	s := edgeScan{ctx: ctx}
 	var use memoUse
 	var err error
 	if af >= at {
-		scanned, skipped, err = db.scanAllLocked(ctx, lo, hi, addEdge, 0)
+		err = db.cityEdgeLocked(&s, lo, hi, out)
 	} else {
 		for zone := range db.rollups {
 			var agg Agg
@@ -84,16 +77,13 @@ func (db *DB) Noisemap(ctx context.Context, from, to time.Time) (map[string]Agg,
 				out[zone] = agg
 			}
 		}
-		scanned, skipped, err = db.scanAllLocked(ctx, lo, af, addEdge, 0)
+		err = db.cityEdgeLocked(&s, lo, af, out)
 		if err == nil {
-			var s2, k2 int
-			s2, k2, err = db.scanAllLocked(ctx, at, hi, addEdge, scanned)
-			scanned += s2
-			skipped += k2
+			err = db.cityEdgeLocked(&s, at, hi, out)
 		}
 	}
 	db.mu.RUnlock()
-	db.queryHook("noisemap", start, scanned, skipped, use)
+	db.queryHook("noisemap", start, &s, use)
 	if err != nil {
 		return nil, err
 	}
@@ -132,79 +122,129 @@ func (db *DB) sumRollupsLocked(zone string, af, at int64, agg *Agg, use *memoUse
 	}
 }
 
-// scanLocked decodes the chunks of one zone that may overlap [lo, hi)
-// and folds matching points into agg, skipping chunks the sparse
-// index rules out by time range or zone set. checkedAlready offsets
-// the periodic context check so consecutive scans of one query share
-// the cadence. Caller holds a lock. Returns (scanned, skipped)
-// chunk counts.
-func (db *DB) scanLocked(ctx context.Context, zone string, lo, hi int64, agg *Agg, checkedAlready int) (scanned, skipped int, err error) {
-	return db.scanChunksLocked(ctx, lo, hi, checkedAlready,
-		func(ch *Chunk) bool { return ch.hasZone(zone) },
-		func(ts int64, v float64, z string) {
-			if z == zone && ts >= lo && ts < hi {
-				agg.Add(v)
-			}
-		})
+// edgeScan is one query's walk over the raw chunks of its sub-bucket
+// edges, counting its work for the hooks.
+type edgeScan struct {
+	ctx context.Context
+	// scanned and skipped count the chunks decoded vs ruled out by the
+	// sparse index.
+	scanned, skipped int
+	// decoded and kept count the points decoded vs folded into the
+	// answer.
+	decoded, kept int
 }
 
-// scanAllLocked is scanLocked over every zone.
-func (db *DB) scanAllLocked(ctx context.Context, lo, hi int64, add func(ts int64, v float64, zone string), checkedAlready int) (scanned, skipped int, err error) {
-	return db.scanChunksLocked(ctx, lo, hi, checkedAlready,
-		func(*Chunk) bool { return true },
-		func(ts int64, v float64, z string) {
-			if ts >= lo && ts < hi {
-				add(ts, v, z)
-			}
-		})
-}
-
-// scanChunksLocked drives an edge scan: for every partition
-// overlapping [lo, hi), decode the chunks that pass both the time
-// bounds and the caller's zone test, checking the context every
-// queryCtxCheckEvery decodes.
-func (db *DB) scanChunksLocked(ctx context.Context, lo, hi int64, checkedAlready int, want func(*Chunk) bool, visit func(ts int64, v float64, zone string)) (scanned, skipped int, err error) {
-	if lo >= hi {
-		return 0, 0, nil
-	}
-	scan := func(ch *Chunk) error {
-		if !ch.overlaps(lo, hi) || !want(ch) {
-			skipped++
-			return nil
+// edgeChunksLocked calls fn for every chunk of the partition windows
+// overlapping [lo, hi): windows ascending, sealed chunks in seal order,
+// the active chunk last. An edge is under two buckets wide, so this is
+// one or two map lookups, and every zone's points reach fn in the same
+// order on every call: windows in time order, append order within a
+// window. Caller holds a lock.
+func (db *DB) edgeChunksLocked(lo, hi int64, fn func(*Chunk) error) error {
+	for w := alignDown(lo, db.windowMs); w < hi; w += db.windowMs {
+		pt := db.parts[w]
+		if pt == nil {
+			continue
 		}
-		if (checkedAlready+scanned)%queryCtxCheckEvery == queryCtxCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
+		for _, ch := range pt.sealed {
+			if err := fn(ch); err != nil {
 				return err
 			}
 		}
-		scanned++
-		return ch.points(visit)
-	}
-	for start, pt := range db.parts {
-		if start+db.windowMs <= lo || start >= hi {
-			continue // the partition window misses the range entirely
-		}
-		for _, ch := range pt.sealed {
-			if err := scan(ch); err != nil {
-				return scanned, skipped, err
-			}
-		}
-		if pt.active != nil && pt.active.count > 0 {
-			if err := scan(pt.active.snapshot()); err != nil {
-				return scanned, skipped, err
+		if pt.active != nil && pt.active.Count > 0 {
+			if err := fn(&pt.active.Chunk); err != nil {
+				return err
 			}
 		}
 	}
-	return scanned, skipped, nil
+	return nil
 }
 
-func (db *DB) queryHook(kind string, start time.Time, scanned, skipped int, use memoUse) {
+// zoneEdgeLocked folds zone's points with sensing time in [lo, hi) into
+// agg, decoding only that zone's run of a chunk, and only when the
+// run's own time bounds reach the edge. Caller holds a lock.
+func (db *DB) zoneEdgeLocked(s *edgeScan, zone string, lo, hi int64, agg *Agg) error {
+	return db.edgeChunksLocked(lo, hi, func(ch *Chunk) error {
+		r := ch.run(zone)
+		if r == nil || !r.overlaps(lo, hi) {
+			s.skipped++
+			return nil
+		}
+		if err := s.next(); err != nil {
+			return err
+		}
+		return s.fold(ch, r, lo, hi, agg)
+	})
+}
+
+// cityEdgeLocked folds every zone's points with sensing time in
+// [lo, hi) into out: one map read and one write per run that holds any.
+// Caller holds a lock.
+func (db *DB) cityEdgeLocked(s *edgeScan, lo, hi int64, out map[string]Agg) error {
+	return db.edgeChunksLocked(lo, hi, func(ch *Chunk) error {
+		if !ch.overlaps(lo, hi) {
+			s.skipped++
+			return nil
+		}
+		if err := s.next(); err != nil {
+			return err
+		}
+		for i := range ch.Runs {
+			r := &ch.Runs[i]
+			if !r.overlaps(lo, hi) {
+				continue
+			}
+			agg := out[r.Zone]
+			n := agg.Count
+			if err := s.fold(ch, r, lo, hi, &agg); err != nil {
+				return err
+			}
+			if agg.Count > n {
+				out[r.Zone] = agg
+			}
+		}
+		return nil
+	})
+}
+
+// next counts one more chunk decode, checking the context every
+// queryCtxCheckEvery.
+func (s *edgeScan) next() error {
+	if s.scanned%queryCtxCheckEvery == queryCtxCheckEvery-1 {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	s.scanned++
+	return nil
+}
+
+// fold decodes run r of ch and adds its points in [lo, hi) to agg.
+func (s *edgeScan) fold(ch *Chunk, r *Run, lo, hi int64, agg *Agg) error {
+	n := agg.Count
+	err := r.each(ch.Part, func(ts, centi int64) {
+		if ts >= lo && ts < hi {
+			agg.Add(float64(centi) / 100)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("series: chunk %d/%d: %w", ch.Part, ch.Seq, err)
+	}
+	s.decoded += r.Count
+	s.kept += int(agg.Count - n)
+	return nil
+}
+
+func (db *DB) queryHook(kind string, start time.Time, s *edgeScan, use memoUse) {
 	h := db.h()
 	if h == nil {
 		return
 	}
 	if h.Query != nil {
-		h.Query(kind, time.Since(start), scanned, skipped)
+		h.Query(kind, time.Since(start), s.scanned, s.skipped)
+	}
+	if h.EdgePoints != nil && s.decoded > 0 {
+		h.EdgePoints(s.decoded, s.kept)
 	}
 	if h.WindowMemo != nil && use != (memoUse{}) {
 		h.WindowMemo(use.hits, use.fills)

@@ -4,12 +4,12 @@
 // grows. Three structures work together:
 //
 //   - Immutable sealed chunks per (partition window) hold the raw
-//     points in a columnar encoding — delta-of-delta timestamps and
-//     delta-encoded centi-dB values, both zigzag-varint, with a
-//     per-chunk zone dictionary (chunk.go). ~5 bytes/point instead of
-//     ~350 bytes/document.
-//   - A per-chunk sparse index (min/max timestamp plus the zone
-//     dictionary itself) lets range queries skip whole chunks without
+//     points in a columnar encoding, one run per zone — delta-of-delta
+//     timestamps and delta-encoded centi-dB values, both zigzag-varint
+//     (chunk.go). ~6 bytes/point instead of ~350 bytes/document.
+//   - A per-chunk sparse index (min/max timestamp, plus each zone's
+//     run with its own time bounds) lets range queries skip whole
+//     chunks, and single-zone queries every other zone, without
 //     decoding a byte.
 //   - Continuous aggregates: per-(zone, bucket) rollups maintained
 //     incrementally at ingest (rollup.go), so the common analytics
@@ -215,10 +215,10 @@ func (db *DB) AppendBatch(lsn uint64, pts []Point) {
 			pt.active = newChunkBuilder(start)
 		}
 		pt.active.add(p)
-		if pt.active.count >= db.opts.MaxChunkPoints {
+		if pt.active.Count >= db.opts.MaxChunkPoints {
 			ch := db.sealLocked(pt)
 			sealedPoints += ch.Count
-			sealedBytes += len(ch.Data)
+			sealedBytes += ch.bytes()
 		}
 		zm := db.rollups[p.Zone]
 		if zm == nil {
@@ -310,7 +310,7 @@ func (db *DB) ApplyRetention(cutoff time.Time) int {
 			}
 			if pt.active != nil {
 				dropped++
-				droppedPoints += pt.active.count
+				droppedPoints += pt.active.Count
 			}
 			delete(db.parts, start)
 			continue
@@ -362,7 +362,7 @@ func (db *DB) Stats() Stats {
 	for _, pt := range db.parts {
 		st.SealedChunks += len(pt.sealed)
 		for _, ch := range pt.sealed {
-			st.SealedBytes += int64(len(ch.Data))
+			st.SealedBytes += int64(ch.bytes())
 		}
 	}
 	for _, zm := range db.rollups {
@@ -395,10 +395,11 @@ func (db *DB) sortedParts() []*partition {
 }
 
 // rebuildRollupsLocked recomputes the continuous aggregates from the
-// raw chunks, in original append order (partitions in time order,
-// chunks in seal order, active last) so float sums come out
-// bit-identical to the incrementally maintained ones. Used when the
-// persisted rollups are unreadable; note that raw data aged out by
+// raw chunks, each zone's points in original append order (partitions
+// in time order, chunks in seal order, active last, a zone's run in
+// append order) so float sums come out bit-identical to the
+// incrementally maintained ones. Used when the persisted rollups are
+// unreadable; note that raw data aged out by
 // retention cannot be rebuilt — with retention active, rollup
 // durability rests on the (CRC-checked, atomically replaced) rollups
 // file.
@@ -423,7 +424,7 @@ func (db *DB) rebuildRollupsLocked() {
 			_ = ch.points(add)
 		}
 		if pt.active != nil {
-			_ = pt.active.snapshot().points(add)
+			_ = pt.active.points(add)
 		}
 	}
 	db.resetMemosLocked()
