@@ -117,6 +117,9 @@ func openNode(o *options, open func(string, bool) (*storage.Local, error), m *cl
 		AdvertiseAddr: self,
 		LeaseTTL:      o.leaseTTL,
 		Metrics:       m,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(out, "goflow-server: "+format+"\n", args...)
+		},
 		OnLead: func(term uint64) {
 			select {
 			case leads <- term:

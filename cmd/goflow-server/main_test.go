@@ -47,13 +47,14 @@ func TestFlagCount(t *testing.T) {
 // on the same directory and counts what was acknowledged.
 func TestRunBootsEveryShape(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
-		dirs []string // must exist under -wal-dir after the first run
+		name   string
+		args   []string
+		dirs   []string // must exist under -wal-dir after the first run
+		cursor int      // status of a ?cursor= walk: only the router has no global scan order
 	}{
-		{name: "single", args: []string{"-series", "-predict"}},
-		{name: "shards=2", args: []string{"-shards", "2", "-series", "-predict"}, dirs: []string{"shard-0", "shard-1"}},
-		{name: "election", args: []string{"-election", "n1=127.0.0.1:0", "-node-name", "n1", "-lease-ttl", "100ms", "-series"}},
+		{name: "single", args: []string{"-series", "-predict"}, cursor: http.StatusOK},
+		{name: "shards=2", args: []string{"-shards", "2", "-series", "-predict"}, dirs: []string{"shard-0", "shard-1"}, cursor: http.StatusNotImplemented},
+		{name: "election", args: []string{"-election", "n1=127.0.0.1:0", "-node-name", "n1", "-lease-ttl", "100ms", "-series"}, cursor: http.StatusOK},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -70,8 +71,21 @@ func TestRunBootsEveryShape(t *testing.T) {
 				}
 				time.Sleep(20 * time.Millisecond)
 			}
-			if strings.Contains(tc.name, "election") && !strings.Contains(s.log.String(), "ingest started") {
-				t.Fatalf("elected node did not start ingest:\n%s", s.log)
+			if strings.Contains(tc.name, "election") {
+				for _, line := range []string{"cluster: node n1: leading at term 1", "ingest started"} {
+					if !strings.Contains(s.log.String(), line) {
+						t.Fatalf("election log lacks %q:\n%s", line, s.log)
+					}
+				}
+			}
+			var page struct {
+				Observations []struct{ SPL float64 }
+			}
+			if code := s.get(t, "/v1/apps/SC/observations?cursor=", &page); code != tc.cursor {
+				t.Fatalf("cursor page = %d, want %d", code, tc.cursor)
+			}
+			if tc.cursor == http.StatusOK && (len(page.Observations) != 1 || page.Observations[0].SPL != 61) {
+				t.Fatalf("cursor page = %+v, want the posted observation", page)
 			}
 			if err := s.halt(t); err != nil {
 				t.Fatalf("run: %v\n%s", err, s.log)

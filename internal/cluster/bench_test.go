@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/cluster"
 	"github.com/urbancivics/goflow/internal/storage"
 	"github.com/urbancivics/goflow/internal/wal"
 )
@@ -16,12 +15,13 @@ import (
 // shipped payload volume, so the reported MB/s is catch-up bandwidth.
 func BenchmarkFollowerCatchup(b *testing.B) {
 	dir := b.TempDir()
-	ldr := newLeader(b, filepath.Join(dir, "leader"), cluster.LeaderOptions{})
+	ldr := startTestLeader(b, openShard(b, filepath.Join(dir, "leader")), leaderOptions{})
 	defer func() { _ = ldr.Close() }()
+	lw := ldr.local
 	const corpus = 5000
 	var payloadBytes int64
 	for i := 0; i < corpus; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{
+		if _, err := lw.Insert("obs", storage.Doc{
 			"device": fmt.Sprintf("d%d", i%16),
 			"seq":    i,
 			"spl":    55.5 + float64(i%40),
@@ -30,30 +30,26 @@ func BenchmarkFollowerCatchup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	payloadBytes = int64(ldr.WAL().Stats().Bytes)
-	target := ldr.WAL().LastLSN()
+	payloadBytes = int64(lw.WAL().Stats().Bytes)
+	target := lw.WAL().LastLSN()
 	b.SetBytes(payloadBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := cluster.StartFollower(openShard(b, filepath.Join(dir, fmt.Sprintf("f%d", i))), cluster.FollowerOptions{
-			Name: "bench", Addr: ldr.Addr(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for f.AppliedLSN() < target {
+		f := startTestFollower(b, openShard(b, filepath.Join(dir, fmt.Sprintf("f%d", i))), followerOptions{Name: "bench", Addr: ldr.addr()})
+		for f.appliedLSN() < target {
 			time.Sleep(time.Millisecond)
 		}
 		b.StopTimer()
-		_ = f.Close()
+		_ = closeFollower(f)
 		b.StartTimer()
 	}
 }
 
 // BenchmarkReplicatedIngest measures the per-write cost of replication
 // against the single-node baseline: mode=local is a plain WAL engine,
-// mode=async ships to a follower without waiting, mode=sync waits for
-// the follower ack on every write.
+// mode=async ships to a follower without waiting for it (the async
+// quorum only a one-member group still runs, where there is no
+// follower), mode=sync waits for the follower ack on every write.
 func BenchmarkReplicatedIngest(b *testing.B) {
 	for _, mode := range []string{"local", "async", "sync"} {
 		b.Run("mode="+mode, func(b *testing.B) {
@@ -67,26 +63,22 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				defer func() { _ = l.Close() }()
 				eng = l
 			default:
 				sync := 0
 				if mode == "sync" {
 					sync = 1
 				}
-				ldr := newLeader(b, filepath.Join(dir, "leader"), cluster.LeaderOptions{
+				ldr := startTestLeader(b, openShard(b, filepath.Join(dir, "leader")), leaderOptions{
 					SyncFollowers: sync,
 					Heartbeat:     2 * time.Millisecond,
 				})
-				f, err := cluster.StartFollower(openShard(b, filepath.Join(dir, "follower")), cluster.FollowerOptions{
-					Name: "f1", Addr: ldr.Addr(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer func() { _ = f.Close() }()
-				eng = ldr
+				defer func() { _ = ldr.Close() }()
+				f := startTestFollower(b, openShard(b, filepath.Join(dir, "follower")), followerOptions{Name: "f1", Addr: ldr.addr()})
+				defer func() { _ = closeFollower(f) }()
+				eng = ldr.local
 			}
-			defer func() { _ = eng.Close() }()
 			doc := storage.Doc{"device": "d1", "spl": 61.5}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -127,7 +119,7 @@ func BenchmarkShardedBulkIngest(b *testing.B) {
 					}
 					shards[i] = l
 				}
-				r, err := cluster.NewRouter(shards, cluster.RouterOptions{
+				r, err := NewRouter(shards, RouterOptions{
 					Keys: map[string]string{"obs": "device"},
 				})
 				if err != nil {

@@ -2,29 +2,28 @@ package cluster
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
-	"github.com/urbancivics/goflow/internal/series"
 	"github.com/urbancivics/goflow/internal/storage"
 	"github.com/urbancivics/goflow/internal/wal"
 )
 
-// Lease-based leader election. Every member of a replication group
-// runs a Node: one listener speaking the whole replication protocol
-// (fetch streams and snapshot transfers dispatch into the embedded
-// Leader when this node leads; votes and pings are answered by the
-// node itself), plus a state machine driven by a single tick loop.
+// Lease-based leader election. Node is the package's one way to
+// replicate: every member of a replication group runs one, and the
+// leader and follower halves of log shipping (leader.go, follower.go,
+// replserver.go, snapshot.go) are its internals. A Node owns one
+// listener speaking the whole replication protocol (fetch streams and
+// snapshot transfers dispatch into its leader while it leads; votes
+// and pings are answered by the node itself), plus a state machine
+// driven by a single tick loop.
 //
-// The lease rides on the PR 6 fetch/ack protocol — no new heartbeat
+// The lease rides on the fetch/ack protocol — no separate heartbeat
 // channel. A leader's lease is "a quorum of followers fetched from me
 // recently": every fetch refreshes that follower's contact time, and
 // when majority-1 fresh contacts cannot be counted within LeaseTTL the
@@ -39,9 +38,10 @@ import (
 //  1. A voter whose own lease is still valid denies every vote — a
 //     healthy leader cannot be deposed by an impatient candidate.
 //  2. A vote is granted only to a candidate whose (durable LSN, name)
-//     is at least the voter's — with SyncFollowers >= majority-1,
-//     every acknowledged write lives on a member of any possible
-//     election majority, whose vote denial blocks behind candidates.
+//     is at least the voter's — with the leader's ack quorum at
+//     majority-1, every acknowledged write lives on a member of any
+//     possible election majority, whose vote denial blocks behind
+//     candidates.
 //  3. The old leader fences at LeaseTTL, strictly before any follower
 //     candidacy at 2×TTL can succeed — so by the time a successor can
 //     win, the old timeline has already stopped acknowledging writes.
@@ -100,14 +100,10 @@ type NodeOptions struct {
 	// LeaseTTL is the leader lease duration (default 2s). Followers
 	// suspect the leader after 2×TTL without contact; the leader
 	// fences itself after TTL without a quorum of follower contacts.
+	// Replication heartbeats run at TTL/4, session retries at TTL/8,
+	// and a silent follower's ack stops pinning the leader's log after
+	// 10×TTL.
 	LeaseTTL time.Duration
-	// Shard is announced in replication hellos (bookkeeping only).
-	Shard int
-	// SyncFollowers overrides the ack quorum (default majority-1 —
-	// the minimum that makes the zero-acked-loss invariant hold
-	// across elections; see rule 2 above). Values below the default
-	// weaken the invariant and are clamped up.
-	SyncFollowers int
 	// Dial overrides the transport (nil = TCP with a LeaseTTL-bounded
 	// timeout).
 	Dial func(addr string) (net.Conn, error)
@@ -118,18 +114,14 @@ type NodeOptions struct {
 	// wins an election and its leader engine is serving — the server
 	// wiring starts ingest here.
 	OnLead func(term uint64)
-	// AckTimeout / Heartbeat / AckRetention / SnapChunkBytes /
-	// FetchRecords / FetchBytes / RetryInterval / WrapSnapshot / Logf
-	// pass through to the embedded Leader and Follower.
-	AckTimeout     time.Duration
-	Heartbeat      time.Duration
-	AckRetention   time.Duration
-	SnapChunkBytes int
-	FetchRecords   int
-	FetchBytes     int
-	RetryInterval  time.Duration
-	WrapSnapshot   func(w io.Writer) io.Writer
-	Logf           func(format string, args ...any)
+	// AckTimeout bounds how long a write waits for its follower quorum
+	// while this node leads (default 5s). The quorum is majority-1 of
+	// the group — the minimum that makes the zero-acked-loss invariant
+	// hold across elections (rule 2 above).
+	AckTimeout time.Duration
+	// Logf receives the node's election and replication lines; nil
+	// discards them.
+	Logf func(format string, args ...any)
 	// Metrics receives cluster counters when non-nil.
 	Metrics *Metrics
 }
@@ -156,11 +148,12 @@ type Node struct {
 	led        bool
 	leaderName string
 	leaderAddr string
-	leader     *Leader
-	follower   *Follower
-	// lastFollower is the most recently stopped follower, retained so a
-	// won election can route through its Promote path.
-	lastFollower *Follower
+	leader     *leader
+	follower   *follower
+	// lastFollower is the most recently detached follower: a won
+	// election stops it (again — stop is idempotent) and counts the
+	// promotion.
+	lastFollower *follower
 	staleSince   time.Time // when we last had (or lost) leader contact
 	// lastGrant renews the voter's lease: having just voted a leader
 	// in, this node denies other candidacies until the winner's
@@ -169,7 +162,7 @@ type Node struct {
 	lastGrant time.Time
 	// leadSince grants a fresh leader grace before the self-fencing
 	// check bites: followers need up to a probe cycle to attach, and
-	// until they do FreshContacts is legitimately zero. The grace
+	// until they do freshContacts is legitimately zero. The grace
 	// (1.5×TTL) is strictly shorter than the 2×TTL follower lease, so
 	// a leader that really is cut off still fences before any
 	// successor can be elected.
@@ -198,19 +191,11 @@ func StartNode(local *storage.Local, opt NodeOptions) (*Node, error) {
 	if opt.AdvertiseAddr == "" {
 		opt.AdvertiseAddr = opt.Listener.Addr().String()
 	}
-	if opt.Heartbeat <= 0 || opt.Heartbeat > opt.LeaseTTL/4 {
-		// Fetch cadence bounds contact freshness on both lease halves;
-		// it must beat the lease by a wide margin.
-		opt.Heartbeat = opt.LeaseTTL / 4
-	}
 	if opt.Dial == nil {
 		ttl := opt.LeaseTTL
 		opt.Dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, ttl)
 		}
-	}
-	if min := majority(len(opt.Peers)+1) - 1; opt.SyncFollowers < min {
-		opt.SyncFollowers = min
 	}
 	seed := opt.Seed
 	if seed == 0 {
@@ -283,10 +268,10 @@ func (n *Node) ForceElection() {
 }
 
 // Engine exposes the node as a storage engine: reads always serve the
-// local replica; writes route to the leader engine when leading (where
-// fencing applies) and fail with a typed, hint-carrying NotLeaderError
-// otherwise.
-func (n *Node) Engine() storage.Engine { return &nodeEngine{n: n} }
+// local replica; writes go through the leader's commit log when leading
+// (where fencing applies) and fail with a typed, hint-carrying
+// NotLeaderError otherwise.
+func (n *Node) Engine() storage.Engine { return &nodeEngine{Local: n.local, n: n} }
 
 // Close stops the node and closes the local engine.
 func (n *Node) Close() error {
@@ -305,16 +290,16 @@ func (n *Node) Close() error {
 	close(n.quit)
 	_ = n.opt.Listener.Close()
 	if f != nil {
-		f.Stop()
+		f.stop()
 	}
 	n.wg.Wait()
 	if l != nil {
-		return l.Close() // closes the Local too
+		l.close()
 	}
 	return n.local.Close()
 }
 
-// logf writes a diagnostic line.
+// logf writes a diagnostic line; a nil Logf discards it.
 func (n *Node) logf(format string, args ...any) {
 	if n.opt.Logf != nil {
 		n.opt.Logf(format, args...)
@@ -322,15 +307,22 @@ func (n *Node) logf(format string, args ...any) {
 }
 
 // persistLocked saves the durable election state; the caller holds mu.
-// Persist-before-act: a vote or term bump that is not on disk before
-// the wire sees it could be forgotten by a restart and double-granted.
-func (n *Node) persistLocked() {
-	_ = wal.SaveManifest(n.local.WAL().Dir(), wal.Manifest{
-		Term: n.term, VotedFor: n.votedFor, Led: n.led,
-	})
+// Persist-before-act: a vote, candidacy or win that is not on disk
+// before the wire sees it could be forgotten by a restart and repeated
+// (two votes in one term), so those callers back out on an error. A
+// term adopted in memory may stay there when its save fails — terms
+// only rise — and the failure is logged here.
+func (n *Node) persistLocked() error {
 	if m := n.opt.Metrics; m != nil {
 		m.Term.Set(float64(n.term))
 	}
+	err := wal.SaveManifest(n.local.WAL().Dir(), wal.Manifest{
+		Term: n.term, VotedFor: n.votedFor, Led: n.led,
+	})
+	if err != nil {
+		n.logf("cluster: node %s: cannot persist election state at term %d: %v", n.opt.Name, n.term, err)
+	}
+	return err
 }
 
 // ---- tick loop: lease checks, probing, candidacy ----
@@ -379,11 +371,11 @@ func (n *Node) checkLeaderLease() {
 	if l == nil || need <= 0 || grace {
 		return // singleton group, or followers still attaching
 	}
-	if l.FreshContacts(n.opt.LeaseTTL) >= need {
+	if l.freshContacts(n.opt.LeaseTTL) >= need {
 		return
 	}
 	n.logf("cluster: node %s: leader lease expired at term %d (quorum contact lost); fencing", n.opt.Name, term)
-	l.Depose(term, "", "") // OnDepose moves the state machine to Fenced
+	l.depose(term, "", "") // OnDepose moves the state machine to Fenced
 }
 
 // checkFollowerLease watches the leader from below: a silent leader is
@@ -394,13 +386,13 @@ func (n *Node) checkFollowerLease(force bool) {
 	n.mu.Lock()
 	f := n.follower
 	if f != nil {
-		if contact := f.LastContact(); now.Sub(contact) > n.electAfter() {
+		if contact := f.lastContact(); now.Sub(contact) > n.electAfter() {
 			n.follower = nil
 			n.lastFollower = f
 			n.leaderName, n.leaderAddr = "", ""
 			n.staleSince = contact
 			n.mu.Unlock()
-			f.Stop()
+			f.stop()
 			n.logf("cluster: node %s: leader silent for %v; probing for a successor", n.opt.Name, now.Sub(contact))
 		} else if !force {
 			n.mu.Unlock()
@@ -412,7 +404,7 @@ func (n *Node) checkFollowerLease(force bool) {
 			n.leaderName, n.leaderAddr = "", ""
 			n.staleSince = now.Add(-n.electAfter())
 			n.mu.Unlock()
-			f.Stop()
+			f.stop()
 		}
 	} else {
 		n.mu.Unlock()
@@ -505,30 +497,22 @@ func (n *Node) adoptLeader(name, addr string, term uint64) {
 		n.mu.Unlock()
 		return
 	}
-	if term > n.term {
-		n.term = term
-		n.votedFor = ""
-		n.persistLocked()
-	}
+	n.adoptTermLocked(term)
 	n.leaderName, n.leaderAddr = name, addr
 	fterm := n.term
 	forceSnap := n.led // divergence marker: resync through a snapshot
 	n.mu.Unlock()
 
-	f, err := StartFollower(n.local, FollowerOptions{
+	f, err := startFollower(n.local, followerOptions{
 		Name:          n.opt.Name,
 		Addr:          addr,
-		Shard:         n.opt.Shard,
 		Dial:          n.opt.Dial,
-		FetchRecords:  n.opt.FetchRecords,
-		FetchBytes:    n.opt.FetchBytes,
-		RetryInterval: n.retryInterval(),
+		RetryInterval: n.opt.LeaseTTL / 8,
 		Term:          fterm,
 		OnTerm:        n.observeWireTerm,
 		OnSnapshot:    n.onSnapshotRestored,
 		ForceSnapshot: forceSnap,
-		WrapSnapshot:  n.opt.WrapSnapshot,
-		Logf:          n.opt.Logf,
+		Logf:          n.logf,
 		Metrics:       n.opt.Metrics,
 	})
 	if err != nil {
@@ -539,7 +523,7 @@ func (n *Node) adoptLeader(name, addr string, term uint64) {
 	n.mu.Lock()
 	if n.closed || n.state != StateFollowing {
 		n.mu.Unlock()
-		f.Stop()
+		f.stop()
 		return
 	}
 	n.follower = f
@@ -547,21 +531,21 @@ func (n *Node) adoptLeader(name, addr string, term uint64) {
 	n.mu.Unlock()
 }
 
-func (n *Node) retryInterval() time.Duration {
-	if n.opt.RetryInterval > 0 {
-		return n.opt.RetryInterval
-	}
-	return n.opt.LeaseTTL / 8
-}
-
 // observeWireTerm records a higher term the follower saw on the wire.
 func (n *Node) observeWireTerm(term uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.adoptTermLocked(term)
+}
+
+// adoptTermLocked raises the term to one seen on the wire, with no vote
+// cast in it yet; the caller holds mu. The save is best effort: a term
+// only in memory is safe to act on because terms only rise, and
+// persistLocked logs the failure.
+func (n *Node) adoptTermLocked(term uint64) {
 	if term > n.term {
-		n.term = term
-		n.votedFor = ""
-		n.persistLocked()
+		n.term, n.votedFor = term, ""
+		_ = n.persistLocked()
 	}
 }
 
@@ -574,7 +558,9 @@ func (n *Node) onSnapshotRestored(lsn uint64) {
 	defer n.mu.Unlock()
 	if n.led {
 		n.led = false
-		n.persistLocked()
+		// Best effort: a Led the disk still holds costs one more
+		// snapshot bootstrap after a restart, nothing else.
+		_ = n.persistLocked()
 	}
 }
 
@@ -651,8 +637,13 @@ func (n *Node) election(force bool) {
 	}
 	n.term++
 	n.votedFor = n.opt.Name
+	if n.persistLocked() != nil {
+		// A self-vote the disk does not hold is not a candidacy.
+		n.votedFor = ""
+		n.mu.Unlock()
+		return
+	}
 	n.state = StateCandidate
-	n.persistLocked()
 	term := n.term
 	n.mu.Unlock()
 
@@ -695,17 +686,14 @@ func (n *Node) election(force bool) {
 	if n.state == StateCandidate {
 		n.state = StateFollowing
 	}
-	if higher > n.term {
-		n.term = higher
-		n.votedFor = ""
-		n.persistLocked()
-	}
+	n.adoptTermLocked(higher)
 	n.mu.Unlock()
 }
 
-// lead installs this node as the leader for term: promote the local
-// replica (if it was following), wire the leader engine in, announce,
-// and hand the write path to the caller via OnLead.
+// lead installs this node as the leader for term: persist the Led
+// divergence marker, stop the replica's follower (if it was following),
+// build the leader over the node's Local, announce, and hand the write
+// path to the caller via OnLead.
 func (n *Node) lead(term uint64) {
 	n.mu.Lock()
 	if n.closed || n.state != StateCandidate || n.term != term {
@@ -718,6 +706,17 @@ func (n *Node) lead(term uint64) {
 		n.mu.Unlock()
 		return
 	}
+	// Led goes to disk before the first write can: a restart that
+	// forgot it would trust a log tail the group may never have
+	// acknowledged.
+	led := n.led
+	n.led = true
+	if n.persistLocked() != nil {
+		n.led = led
+		n.state = StateFollowing
+		n.mu.Unlock()
+		return
+	}
 	f := n.follower
 	if f == nil {
 		f = n.lastFollower
@@ -725,17 +724,16 @@ func (n *Node) lead(term uint64) {
 	n.follower, n.lastFollower = nil, nil
 	n.mu.Unlock()
 	if f != nil {
-		f.Promote() // the PR 6 promotion path: stop tailing, attach the WAL
+		f.stop()
 	}
-	ldr, err := NewLeader(n.local, nil, LeaderOptions{
-		SyncFollowers:  n.opt.SyncFollowers,
-		AckTimeout:     n.opt.AckTimeout,
-		Heartbeat:      n.opt.Heartbeat,
-		Term:           term,
-		OnDepose:       n.onDeposed,
-		AckRetention:   n.ackRetention(),
-		SnapChunkBytes: n.opt.SnapChunkBytes,
-		Metrics:        n.opt.Metrics,
+	ldr, err := newLeader(n.local, leaderOptions{
+		SyncFollowers: majority(len(n.opt.Peers)+1) - 1,
+		AckTimeout:    n.opt.AckTimeout,
+		Heartbeat:     n.opt.LeaseTTL / 4,
+		Term:          term,
+		OnDepose:      n.onDeposed,
+		AckRetention:  10 * n.opt.LeaseTTL,
+		Metrics:       n.opt.Metrics,
 	})
 	if err != nil {
 		n.logf("cluster: node %s: cannot start leader engine: %v", n.opt.Name, err)
@@ -749,18 +747,19 @@ func (n *Node) lead(term uint64) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		_ = ldr.Close()
+		ldr.close()
 		return
 	}
 	n.state = StateLeading
 	n.leader = ldr
-	n.led = true
 	n.leadSince = time.Now()
 	n.leaderName, n.leaderAddr = n.opt.Name, n.opt.AdvertiseAddr
-	n.persistLocked()
 	n.mu.Unlock()
 	if m := n.opt.Metrics; m != nil {
 		m.Elections.Inc()
+		if f != nil {
+			m.Promotions.Inc()
+		}
 	}
 	n.logf("cluster: node %s: leading at term %d", n.opt.Name, term)
 	// Announce, so followers retarget without waiting out a probe
@@ -778,16 +777,6 @@ func (n *Node) lead(term uint64) {
 	}
 }
 
-// ackRetention defaults dead-follower ack expiry to 10 lease TTLs, so
-// a long-dead follower eventually stops pinning WAL history and
-// rejoins via snapshot transfer.
-func (n *Node) ackRetention() time.Duration {
-	if n.opt.AckRetention > 0 {
-		return n.opt.AckRetention
-	}
-	return 10 * n.opt.LeaseTTL
-}
-
 // onDeposed is the leader's OnDepose hook: move the state machine to
 // Fenced (terminal).
 func (n *Node) onDeposed(newTerm uint64) {
@@ -796,17 +785,13 @@ func (n *Node) onDeposed(newTerm uint64) {
 	if n.state == StateFenced {
 		return
 	}
-	if newTerm > n.term {
-		n.term = newTerm
-		n.votedFor = ""
-	}
+	n.adoptTermLocked(newTerm)
 	n.state = StateFenced
 	// The hint must not point at this (now-fenced) node; the successor
 	// is learned through pings.
 	if n.leaderName == n.opt.Name {
 		n.leaderName, n.leaderAddr = "", ""
 	}
-	n.persistLocked()
 	n.logf("cluster: node %s: fenced at term %d", n.opt.Name, n.term)
 }
 
@@ -880,12 +865,7 @@ func (n *Node) serveReplication(nc net.Conn, r *bufio.Reader, first *mq.ReplFram
 		})
 		return
 	}
-	release, ok := l.Track(nc)
-	if !ok {
-		return
-	}
-	defer release()
-	l.ServeSession(nc, r, first)
+	l.serveSession(nc, r, first)
 }
 
 // onVoteRequest applies the vote rules (see the package comment).
@@ -909,7 +889,7 @@ func (n *Node) onVoteRequest(req *mq.ReplFrame) *mq.ReplFrame {
 		n.mu.Unlock()
 		return resp
 	}
-	var deposeLeader *Leader
+	var deposeLeader *leader
 	n.mu.Lock()
 	grant := false
 	switch {
@@ -927,17 +907,20 @@ func (n *Node) onVoteRequest(req *mq.ReplFrame) *mq.ReplFrame {
 		// writes this node holds. The term is still real evidence of
 		// an election in progress: adopt it, so this node's own
 		// (better-qualified) candidacy does not start a term behind.
-		if req.Term > n.term {
-			n.term = req.Term
-			n.votedFor = ""
-			n.persistLocked()
-		}
+		n.adoptTermLocked(req.Term)
 	default:
-		grant = true
 		if req.Term > n.term {
-			n.term = req.Term
+			n.term, n.votedFor = req.Term, ""
 		}
+		prev := n.votedFor
 		n.votedFor = req.Candidate
+		if n.persistLocked() != nil {
+			// A grant the disk does not hold could be repeated for a
+			// rival after a restart: deny it and keep no new vote.
+			n.votedFor = prev
+			break
+		}
+		grant = true
 		// Granting resets this node's own election clock too: having
 		// just helped elect someone, it must give the winner a full
 		// lease to show up before campaigning itself — otherwise a
@@ -953,12 +936,11 @@ func (n *Node) onVoteRequest(req *mq.ReplFrame) *mq.ReplFrame {
 			// down; its own in-flight lead() will see the term moved.
 			n.state = StateFollowing
 		}
-		n.persistLocked()
 	}
 	resp := &mq.ReplFrame{Op: mq.ReplOpVoteResp, Granted: grant, Term: n.term}
 	n.mu.Unlock()
 	if deposeLeader != nil {
-		deposeLeader.Depose(req.Term, req.Candidate, "")
+		deposeLeader.depose(req.Term, req.Candidate, "")
 	}
 	return resp
 }
@@ -987,7 +969,7 @@ func (n *Node) leaseValidLocked() bool {
 		// leader's denial never reaches anyone anyway.
 		return n.leader != nil
 	case StateFollowing:
-		if n.follower != nil && time.Since(n.follower.LastContact()) <= n.electAfter() {
+		if n.follower != nil && time.Since(n.follower.lastContact()) <= n.electAfter() {
 			return true
 		}
 		// A fresh vote grant counts as leader evidence until the
@@ -1000,12 +982,11 @@ func (n *Node) leaseValidLocked() bool {
 
 // onPing answers leadership probes and absorbs announcements.
 func (n *Node) onPing(req *mq.ReplFrame) *mq.ReplFrame {
-	var deposeLeader *Leader
-	var stopFollower *Follower
+	var deposeLeader *leader
+	var stopFollower *follower
 	n.mu.Lock()
 	if req.Term > n.term {
-		n.term = req.Term
-		n.votedFor = ""
+		n.adoptTermLocked(req.Term)
 		if req.LeaderName != "" && req.LeaderName != n.opt.Name {
 			if n.state == StateLeading && n.leader != nil {
 				deposeLeader = n.leader
@@ -1018,7 +999,6 @@ func (n *Node) onPing(req *mq.ReplFrame) *mq.ReplFrame {
 			// should point clients at the successor.
 			n.leaderName, n.leaderAddr = req.LeaderName, req.LeaderAddr
 		}
-		n.persistLocked()
 	} else if req.Term == n.term && req.LeaderName != "" && req.LeaderName != n.opt.Name &&
 		n.state == StateFollowing && n.leaderName == "" {
 		// Same-term announcement (we probably voted for the winner).
@@ -1033,27 +1013,35 @@ func (n *Node) onPing(req *mq.ReplFrame) *mq.ReplFrame {
 	reqTerm := req.Term
 	n.mu.Unlock()
 	if deposeLeader != nil {
-		deposeLeader.Depose(reqTerm, req.LeaderName, req.LeaderAddr)
+		deposeLeader.depose(reqTerm, req.LeaderName, req.LeaderAddr)
 	}
 	if stopFollower != nil {
-		stopFollower.Stop()
+		stopFollower.stop()
 	}
 	return resp
 }
 
 // ---- engine ----
 
-// nodeEngine routes reads to the local replica and writes to the
-// current leader engine (or a typed redirect error).
-type nodeEngine struct{ n *Node }
+// nodeEngine is the node as a storage engine. Every read is the local
+// replica's own, whichever role the node is in: documents, rows,
+// counts, series, buckets and cursor scans. Only what depends on the
+// role is overridden — the writes and index builds, which need this
+// node to lead, and Close.
+type nodeEngine struct {
+	*storage.Local
+	n *Node
+}
 
-// writeTarget resolves the engine writes go through right now.
-func (e *nodeEngine) writeTarget() (storage.Engine, error) {
+// writeTarget resolves where writes go right now: the Local while this
+// node leads — the leader's commit log, fencing included, sits on that
+// Local's store — and a typed redirect otherwise.
+func (e *nodeEngine) writeTarget() (*storage.Local, error) {
 	n := e.n
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.leader != nil {
-		return n.leader, nil // fencing applies inside the commit log
+		return e.Local, nil
 	}
 	if n.leaderName != "" && n.leaderName != n.opt.Name {
 		return nil, &NotLeaderError{Leader: n.leaderName, Addr: n.leaderAddr, Err: ErrNotLeader}
@@ -1117,47 +1105,10 @@ func (e *nodeEngine) EnsureIndex(col, field string) {
 	}
 }
 
-func (e *nodeEngine) Get(col, id string) (storage.Doc, error) { return e.n.local.Get(col, id) }
-
-func (e *nodeEngine) FindContext(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]storage.Doc, error) {
-	return e.n.local.FindContext(ctx, col, filter, opts)
-}
-
-func (e *nodeEngine) FindRows(ctx context.Context, col string, filter storage.Doc, opts docstore.FindOptions) ([]docstore.Row, error) {
-	return e.n.local.FindRows(ctx, col, filter, opts)
-}
-
-func (e *nodeEngine) CountContext(ctx context.Context, col string, filter storage.Doc) (int, error) {
-	return e.n.local.CountContext(ctx, col, filter)
-}
-
-func (e *nodeEngine) Collections() []string { return e.n.local.Collections() }
-
-func (e *nodeEngine) Stats(col string) docstore.Stats { return e.n.local.Stats(col) }
-
-func (e *nodeEngine) Checkpoint() error { return e.n.local.Checkpoint() }
-
+// Close stops the node and closes its Local.
 func (e *nodeEngine) Close() error { return e.n.Close() }
 
-// Series queries are reads and serve from the local replica's series
-// view, whichever role the node is in — same shape as followerEngine.
-
-func (e *nodeEngine) SeriesZoneAggregate(ctx context.Context, zone string, from, to time.Time) (series.Agg, bool, error) {
-	return e.n.local.SeriesZoneAggregate(ctx, zone, from, to)
-}
-
-func (e *nodeEngine) SeriesNoisemap(ctx context.Context, from, to time.Time) (map[string]series.Agg, bool, error) {
-	return e.n.local.SeriesNoisemap(ctx, from, to)
-}
-
-func (e *nodeEngine) SeriesStats() (series.Stats, bool) {
-	return e.n.local.SeriesStats()
-}
-
-func (e *nodeEngine) SeriesZoneBuckets(ctx context.Context, zone string, from, to time.Time) ([]series.Bucket, bool, error) {
-	return e.n.local.SeriesZoneBuckets(ctx, zone, from, to)
-}
-
-func (e *nodeEngine) SeriesAllBuckets(ctx context.Context, from, to time.Time) (map[string][]series.Bucket, bool, error) {
-	return e.n.local.SeriesAllBuckets(ctx, from, to)
-}
+var (
+	_ storage.Engine        = (*nodeEngine)(nil)
+	_ storage.CursorScanner = (*nodeEngine)(nil)
+)

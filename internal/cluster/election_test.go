@@ -1,17 +1,19 @@
-package cluster_test
+package cluster
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/cluster"
+	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/storage"
+	"github.com/urbancivics/goflow/internal/storage/enginetest"
 )
 
 // chaosNet is the nemesis: a partitionable in-process network. Every
@@ -107,7 +109,7 @@ func (l *chaosListener) Accept() (net.Conn, error) {
 type testGroup struct {
 	cn    *chaosNet
 	names []string
-	nodes map[string]*cluster.Node
+	nodes map[string]*Node
 	addrs map[string]string
 }
 
@@ -116,7 +118,7 @@ func startGroup(t *testing.T, dir string, seed int64, ttl time.Duration) *testGr
 	g := &testGroup{
 		cn:    newChaosNet(),
 		names: []string{"n1", "n2", "n3"},
-		nodes: map[string]*cluster.Node{},
+		nodes: map[string]*Node{},
 		addrs: map[string]string{},
 	}
 	listeners := map[string]net.Listener{}
@@ -135,7 +137,7 @@ func startGroup(t *testing.T, dir string, seed int64, ttl time.Duration) *testGr
 				peers[p] = g.addrs[p]
 			}
 		}
-		node, err := cluster.StartNode(openShard(t, filepath.Join(dir, name)), cluster.NodeOptions{
+		node, err := StartNode(openShard(t, filepath.Join(dir, name)), NodeOptions{
 			Name:          name,
 			Peers:         peers,
 			Listener:      &chaosListener{Listener: listeners[name], cn: g.cn, name: name},
@@ -170,7 +172,7 @@ func waitLeader(t *testing.T, g *testGroup, exclude string, timeout time.Duratio
 			if name == exclude {
 				continue
 			}
-			if g.nodes[name].State() == cluster.StateLeading {
+			if g.nodes[name].State() == StateLeading {
 				return name, time.Since(start)
 			}
 		}
@@ -289,14 +291,14 @@ func TestElectionChaosFailover(t *testing.T) {
 				// term — not a second timeline.
 				g.cn.heal(leader)
 				old := g.nodes[leader]
-				if st := old.State(); st != cluster.StateFenced {
+				if st := old.State(); st != StateFenced {
 					t.Fatalf("deposed leader state = %v, want fenced", st)
 				}
 				_, err := old.Engine().Insert("obs", storage.Doc{"device": "zombie"})
-				if !errors.Is(err, cluster.ErrStaleTerm) {
+				if !errors.Is(err, ErrStaleTerm) {
 					t.Fatalf("deposed leader write error = %v, want ErrStaleTerm", err)
 				}
-				if !errors.Is(err, cluster.ErrNotLeader) {
+				if !errors.Is(err, ErrNotLeader) {
 					t.Fatalf("stale-term write should also match ErrNotLeader, got %v", err)
 				}
 			}
@@ -330,7 +332,7 @@ func TestForceElectionOverride(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for g.nodes[challenger].State() != cluster.StateLeading {
+	for g.nodes[challenger].State() != StateLeading {
 		if time.Now().After(deadline) {
 			t.Fatalf("forced election never promoted %s (state %v, term %d)",
 				challenger, g.nodes[challenger].State(), g.nodes[challenger].Term())
@@ -342,7 +344,97 @@ func TestForceElectionOverride(t *testing.T) {
 		t.Fatalf("forced election term %d did not advance past %d", term, termBefore)
 	}
 	// The old leader is deposed, not split-brained.
-	if st := g.nodes[leader].State(); st == cluster.StateLeading {
+	if st := g.nodes[leader].State(); st == StateLeading {
 		t.Fatalf("old leader still leading after forced election")
 	}
+}
+
+// startLeadingNode starts a one-member group with a short lease and
+// waits for it to elect itself.
+func startLeadingNode(t *testing.T) *Node {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := StartNode(openShard(t, t.TempDir()), NodeOptions{Name: "n1", Listener: ln, LeaseTTL: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n.State() != StateLeading {
+		if time.Now().After(deadline) {
+			_ = n.Close()
+			t.Fatal("a one-member group never elected itself")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestNodeConformance: an elected node is indistinguishable from the
+// single-node engine through the Engine interface, cursor walks
+// included.
+func TestNodeConformance(t *testing.T) {
+	enginetest.Run(t, func(t *testing.T) storage.Engine { return startLeadingNode(t).Engine() })
+}
+
+// TestUnpersistedElectionStateIsNotActedOn: with node.manifest
+// unwritable (a non-empty directory where its rename lands), a vote is
+// not granted and a one-member group does not lead — persist before
+// act is what keeps a restart from voting twice in one term.
+func TestUnpersistedElectionStateIsNotActedOn(t *testing.T) {
+	block := func(t *testing.T, n *Node) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(n.local.WAL().Dir(), "node.manifest", "blocker"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("vote", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An unreachable peer and a minute-long lease keep the node from
+		// campaigning itself while it is asked for its vote.
+		n, err := StartNode(openShard(t, t.TempDir()), NodeOptions{
+			Name: "n2", Peers: map[string]string{"n3": "127.0.0.1:1"}, Listener: ln, LeaseTTL: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = n.Close() }()
+		block(t, n)
+		resp, err := n.roundTrip(ln.Addr().String(), &mq.ReplFrame{Op: mq.ReplOpVote, Term: 1, Candidate: "n1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Op != mq.ReplOpVoteResp || resp.Granted {
+			t.Fatalf("vote answer %+v, want a denial", resp)
+		}
+		n.mu.Lock()
+		voted := n.votedFor
+		n.mu.Unlock()
+		if voted != "" {
+			t.Fatalf("denied vote kept votedFor %q", voted)
+		}
+	})
+	t.Run("lead", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const ttl = 50 * time.Millisecond
+		n, err := StartNode(openShard(t, t.TempDir()), NodeOptions{Name: "n1", Listener: ln, LeaseTTL: ttl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = n.Close() }()
+		block(t, n)
+		// An election is due every 2×TTL from here on; give it several.
+		time.Sleep(10 * ttl)
+		if st := n.State(); st == StateLeading {
+			t.Fatalf("node leads at term %d with no durable record of it", n.Term())
+		}
+	})
 }

@@ -24,8 +24,8 @@ type NotLeaderError struct {
 	Leader string
 	// Addr is that leader's address ("" = unknown).
 	Addr string
-	// Err is the underlying cause: ErrNotLeader (an unpromoted
-	// follower) or ErrStaleTerm (a fenced, deposed leader).
+	// Err is the underlying cause: ErrNotLeader (a node that does not
+	// lead) or ErrStaleTerm (a fenced, deposed leader).
 	Err error
 }
 

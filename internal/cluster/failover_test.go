@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"errors"
@@ -8,10 +8,22 @@ import (
 	"testing"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/cluster"
 	"github.com/urbancivics/goflow/internal/faults"
 	"github.com/urbancivics/goflow/internal/storage"
+	"github.com/urbancivics/goflow/internal/wal"
 )
+
+// promote does what Node.lead does with a won election: stop the
+// follower, build a leader over its Local at the next term.
+func promote(t testing.TB, f *follower) *leader {
+	t.Helper()
+	f.stop()
+	l, err := newLeader(f.local, leaderOptions{Term: f.term.Load() + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
 
 // TestFailoverZeroAckedLoss is the headline durability claim of the
 // replication design, proven under seeded chaos: a leader ingesting
@@ -28,7 +40,7 @@ func TestFailoverZeroAckedLoss(t *testing.T) {
 			before := stableGoroutines(t)
 			dir := t.TempDir()
 
-			ldr := newLeader(t, filepath.Join(dir, "leader"), cluster.LeaderOptions{
+			ldr := startTestLeader(t, openShard(t, filepath.Join(dir, "leader")), leaderOptions{
 				SyncFollowers: 1,
 				AckTimeout:    250 * time.Millisecond,
 				Heartbeat:     5 * time.Millisecond,
@@ -39,14 +51,11 @@ func TestFailoverZeroAckedLoss(t *testing.T) {
 			inj := faults.New(seed, faults.Plan{
 				PartitionAfterWrites: 10 + int(seed%25),
 			})
-			f, err := cluster.StartFollower(openShard(t, filepath.Join(dir, "follower")), cluster.FollowerOptions{
-				Name: "f1", Addr: ldr.Addr(),
+			f := startTestFollower(t, openShard(t, filepath.Join(dir, "follower")), followerOptions{
+				Name: "f1", Addr: ldr.addr(),
 				Dial:          inj.Dialer(nil),
 				RetryInterval: 24 * time.Hour, // one session: a partitioned link stays dead
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 
 			// Ingest until the partition bites: writers record every
 			// acknowledged id and stop at the first unacknowledged write
@@ -61,12 +70,12 @@ func TestFailoverZeroAckedLoss(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < 400; i++ {
-						id, err := ldr.Insert("obs", storage.Doc{
+						id, err := ldr.local.Insert("obs", storage.Doc{
 							"device": fmt.Sprintf("w%d-d%d", w, i%3),
 							"seq":    i,
 						})
 						if err != nil {
-							if !errors.Is(err, cluster.ErrAckTimeout) {
+							if !errors.Is(err, ErrAckTimeout) {
 								t.Errorf("writer %d: unexpected error %v", w, err)
 							}
 							return
@@ -88,7 +97,8 @@ func TestFailoverZeroAckedLoss(t *testing.T) {
 			// Leader is dead. Promote the replica and verify the
 			// acknowledged history survived, then that it takes writes.
 			_ = ldr.Close()
-			eng := f.Promote()
+			promoted := promote(t, f)
+			eng := promoted.local
 			for _, id := range acked {
 				if _, err := eng.Get("obs", id); err != nil {
 					t.Fatalf("acked doc %s lost in failover: %v", id, err)
@@ -100,6 +110,7 @@ func TestFailoverZeroAckedLoss(t *testing.T) {
 			t.Logf("seed %d: %d acked writes, %d injected partitions, all survived",
 				seed, len(acked), inj.Counts().Partitions)
 
+			promoted.close()
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -118,28 +129,24 @@ func TestShardedFailover(t *testing.T) {
 	const seed = 11
 	dir := t.TempDir()
 
-	ldr0 := newLeader(t, filepath.Join(dir, "s0-leader"), cluster.LeaderOptions{
+	ldr0 := startTestLeader(t, openShard(t, filepath.Join(dir, "s0-leader")), leaderOptions{
 		SyncFollowers: 1,
 		AckTimeout:    250 * time.Millisecond,
 		Heartbeat:     5 * time.Millisecond,
 	})
 	inj := faults.New(seed, faults.Plan{PartitionAfterWrites: 12})
-	f0, err := cluster.StartFollower(openShard(t, filepath.Join(dir, "s0-follower")), cluster.FollowerOptions{
-		Name: "s0-f1", Addr: ldr0.Addr(),
+	f0 := startTestFollower(t, openShard(t, filepath.Join(dir, "s0-follower")), followerOptions{
+		Name: "s0-f1", Addr: ldr0.addr(),
 		Dial:          inj.Dialer(nil),
 		RetryInterval: 24 * time.Hour,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard1 := openShard(t, filepath.Join(dir, "s1"))
 	// Shard 1 is unreplicated in this test; attach its WAL directly.
-	shard1Eng, err := cluster.NewLeader(shard1, nil, cluster.LeaderOptions{})
+	shard1, err := storage.OpenLocal(storage.LocalOptions{WALDir: filepath.Join(dir, "s1"), Policy: wal.FsyncGrouped})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := map[string]string{"obs": "device"}
-	router, err := cluster.NewRouter([]storage.Engine{ldr0, shard1Eng}, cluster.RouterOptions{Keys: keys})
+	router, err := NewRouter([]storage.Engine{ldr0.local, shard1}, RouterOptions{Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +159,7 @@ func TestShardedFailover(t *testing.T) {
 		}
 		ids, err := router.InsertMany("obs", docs)
 		if err != nil {
-			if !errors.Is(err, cluster.ErrAckTimeout) {
+			if !errors.Is(err, ErrAckTimeout) {
 				t.Fatalf("batch %d: %v", i, err)
 			}
 			// Unacknowledged batch: ids gives no durability promise.
@@ -170,8 +177,9 @@ func TestShardedFailover(t *testing.T) {
 	// Fail shard 0 over and rebuild the router around the promoted
 	// replica.
 	_ = ldr0.Close()
-	promoted := f0.Promote()
-	router2, err := cluster.NewRouter([]storage.Engine{promoted, shard1Eng}, cluster.RouterOptions{Keys: keys})
+	promoted := promote(t, f0)
+	defer promoted.close()
+	router2, err := NewRouter([]storage.Engine{promoted.local, shard1}, RouterOptions{Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}

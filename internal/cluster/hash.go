@@ -1,16 +1,17 @@
 // Package cluster turns the single-node storage engine into a sharded,
-// replicated document store. It stacks three independent pieces on the
-// storage.Engine seam:
+// replicated document store. It puts two pieces on the storage.Engine
+// seam:
 //
 //   - Router partitions collections across N engine shards by a
 //     per-collection shard key (the anonymized device id for
 //     observations, the geo zone for spatial collections), fanning out
 //     batch inserts and merging sorted scans;
-//   - Leader wraps one shard's Local engine with a replication-aware
-//     commit log, so acknowledging a write can require follower acks;
-//   - Follower tails a leader's WAL over the mq wire layer (sealed
-//     segments for catch-up, long-polled live records afterwards),
-//     serves reads, and can be promoted when the leader dies.
+//   - Node is one member of a self-healing replication group, the one
+//     way to replicate: the group elects a leader, whose commit log
+//     makes acknowledging a write wait for a majority's follower acks,
+//     while the other members tail its WAL over the mq wire layer
+//     (sealed segments for catch-up, long-polled live records
+//     afterwards), serve reads, and elect a successor when it dies.
 //
 // The paper's deployment leaned on a MongoDB replica set for exactly
 // these two properties — write scaling by sharding and survival of a

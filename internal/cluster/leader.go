@@ -19,25 +19,27 @@ import (
 // may not survive, exactly like a write whose fsync never returned.
 var ErrAckTimeout = errors.New("cluster: follower ack quorum timed out")
 
-// LeaderOptions configure NewLeader.
-type LeaderOptions struct {
+// Batch bounds: a fetch asking for more (or for nothing in particular)
+// gets at most this many records or bytes in one batch.
+const (
+	maxBatchRecords = 1024
+	maxBatchBytes   = 1 << 20
+)
+
+// leaderOptions configure newLeader.
+type leaderOptions struct {
 	// SyncFollowers is how many followers must acknowledge a record
-	// before its commit ticket resolves. 0 replicates asynchronously:
-	// writes are acknowledged on local fsync alone, and an unlucky
-	// failover can lose the unshipped tail.
+	// before its commit ticket resolves. Node sets majority-1 of its
+	// group: 0 for a one-member group, whose writes are acknowledged on
+	// local fsync alone.
 	SyncFollowers int
 	// AckTimeout bounds the quorum wait (default 5s).
 	AckTimeout time.Duration
 	// Heartbeat caps a long-polled fetch: a caught-up follower gets an
 	// empty batch after at most this long, carrying the leader's
-	// durable LSN as a liveness signal (default 500ms).
+	// durable LSN as a liveness signal.
 	Heartbeat time.Duration
-	// BatchRecords / BatchBytes bound one shipped batch (defaults
-	// 1024 records, 1 MiB).
-	BatchRecords int
-	BatchBytes   int
-	// Term is the election term this leader serves at (0 for a
-	// standalone, non-elected leader — term checks are skipped then).
+	// Term is the election term this leader serves at (at least 1).
 	Term uint64
 	// OnDepose, when non-nil, fires once when the leader learns of a
 	// higher term and fences itself (the election node uses it to move
@@ -55,16 +57,14 @@ type LeaderOptions struct {
 	Metrics *Metrics
 }
 
-// Leader is a shard's write side: the Local engine plus a
-// replication-aware commit log and a log-shipping server. All Engine
-// methods come from the embedded Local — writes flow through the
-// store's commit-log seam, which the leader has rewired so that Wait
-// means "fsynced locally AND acknowledged by the follower quorum".
-type Leader struct {
-	*storage.Local
-
-	opt  LeaderOptions
-	acks *ackTracker
+// leader is an elected node's write side: its Local's commit log
+// rewired so that a ticket's Wait means "fsynced locally AND
+// acknowledged by the follower quorum", the ack tracker behind that
+// quorum, and the replication sessions Node.serveConn hands it.
+type leader struct {
+	local *storage.Local
+	opt   leaderOptions
+	acks  *ackTracker
 
 	// term and fenced implement write fencing: once a higher term is
 	// observed (a successor was elected, or this leader's own lease
@@ -72,45 +72,36 @@ type Leader struct {
 	// rejected with ErrStaleTerm — the mutation is never applied.
 	term     atomic.Uint64
 	fenced   atomic.Bool
-	deposeMu sync.Mutex // serializes Depose so OnDepose fires once
+	deposeMu sync.Mutex // serializes depose so OnDepose fires once
 	deposed  bool
 	// hintName/hintAddr point at the successor when known, so fencing
 	// rejections can carry a redirect hint.
 	hintName, hintAddr string
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	serveWG  sync.WaitGroup
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // live sessions, torn down on depose and close
+	closed bool
 }
 
-// NewLeader wires a Local engine (opened with NoAttach so its commit
-// log slot is free, and with a WAL — the log is what gets shipped)
-// into a replicating leader, and starts serving replication streams on
-// ln. The follower set is open: any follower that connects and acks is
-// counted toward quorums and the truncation bound.
-func NewLeader(local *storage.Local, ln net.Listener, opt LeaderOptions) (*Leader, error) {
+// newLeader installs a replicating leader on local, which must be
+// opened with NoAttach (its commit log slot is free) and with a WAL
+// (the log is what gets shipped). The WAL must run a syncing fsync
+// policy: under FsyncNone the durable LSN never advances on the append
+// path, so nothing ships and followers starve. The follower set is
+// open: any follower that fetches is counted toward quorums and the
+// truncation bound.
+func newLeader(local *storage.Local, opt leaderOptions) (*leader, error) {
 	if local.WAL() == nil {
 		return nil, errors.New("cluster: leader requires a WAL-backed engine")
 	}
 	if opt.AckTimeout <= 0 {
 		opt.AckTimeout = 5 * time.Second
 	}
-	if opt.Heartbeat <= 0 {
-		opt.Heartbeat = 500 * time.Millisecond
-	}
-	if opt.BatchRecords <= 0 {
-		opt.BatchRecords = 1024
-	}
-	if opt.BatchBytes <= 0 {
-		opt.BatchBytes = 1 << 20
-	}
 	if opt.SnapChunkBytes <= 0 {
 		opt.SnapChunkBytes = 256 << 10
 	}
-	l := &Leader{
-		Local: local,
+	l := &leader{
+		local: local,
 		opt:   opt,
 		acks:  newAckTracker(opt.AckRetention),
 		conns: map[net.Conn]struct{}{},
@@ -120,49 +111,25 @@ func NewLeader(local *storage.Local, ln net.Listener, opt LeaderOptions) (*Leade
 	// Checkpoints must not truncate history a known follower has yet
 	// to acknowledge; with no followers the bound is "no constraint".
 	local.SetTruncateBound(func() uint64 { return l.acks.minAcked() })
-	if ln != nil {
-		l.listener = ln
-		l.serveWG.Add(1)
-		go l.serve(ln)
-	}
 	return l, nil
 }
 
-// Addr returns the replication listener address ("" when not serving).
-func (l *Leader) Addr() string {
-	if l.listener == nil {
-		return ""
-	}
-	return l.listener.Addr().String()
-}
-
-// FollowerAcked reports a named follower's acknowledged LSN (0 when it
-// has never acked).
-func (l *Leader) FollowerAcked(name string) uint64 { return l.acks.get(name) }
-
-// Term returns the leader's election term (0 on a standalone leader).
-func (l *Leader) Term() uint64 { return l.term.Load() }
-
-// Fenced reports whether the leader has been deposed and rejects
-// writes.
-func (l *Leader) Fenced() bool { return l.fenced.Load() }
-
-// FreshContacts counts followers heard from within the window — the
+// freshContacts counts followers heard from within the window — the
 // leader-side half of the lease: a leader that cannot count a quorum
 // of fresh follower contacts must assume a successor is being elected
 // and fence itself.
-func (l *Leader) FreshContacts(window time.Duration) int {
+func (l *leader) freshContacts(window time.Duration) int {
 	return l.acks.contactsSince(time.Now().Add(-window))
 }
 
-// Depose fences the leader at newTerm: every write from here on is
+// depose fences the leader at newTerm: every write from here on is
 // rejected with ErrStaleTerm, replication sessions are torn down, and
 // OnDepose fires exactly once. successor names the new leader when
 // known ("" when the leader is deposing itself on lease expiry).
 // Fencing is terminal for this in-process leader — rejoining the
 // group means restarting the node, which bootstraps from the new
 // leader (snapshot transfer discards any unacknowledged tail).
-func (l *Leader) Depose(newTerm uint64, successor, successorAddr string) {
+func (l *leader) depose(newTerm uint64, successor, successorAddr string) {
 	l.deposeMu.Lock()
 	if newTerm > l.term.Load() {
 		l.term.Store(newTerm)
@@ -190,38 +157,29 @@ func (l *Leader) Depose(newTerm uint64, successor, successorAddr string) {
 }
 
 // hint returns the successor redirect, if known.
-func (l *Leader) hint() (name, addr string) {
+func (l *leader) hint() (name, addr string) {
 	l.deposeMu.Lock()
 	defer l.deposeMu.Unlock()
 	return l.hintName, l.hintAddr
 }
 
-// Close implements storage.Engine: stop the replication server, drop
-// the commit log, and close the Local engine.
-func (l *Leader) Close() error {
+// close ends every replication session and wakes the writes still
+// waiting for their quorum (they fail with ErrAckTimeout). The Local
+// stays open: its owner closes it.
+func (l *leader) close() {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
 	l.closed = true
-	ln := l.listener
 	for c := range l.conns {
 		_ = c.Close()
 	}
 	l.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	l.serveWG.Wait()
 	l.acks.close()
-	return l.Local.Close()
 }
 
 // leaderCommitLog is the replication-aware commit log: every mutation
 // becomes a WAL record whose ticket also waits for the follower-ack
 // quorum.
-type leaderCommitLog struct{ l *Leader }
+type leaderCommitLog struct{ l *leader }
 
 // Log implements docstore.CommitLog. A fenced leader rejects here —
 // before the mutation is applied or logged — so a deposed leader can
@@ -239,17 +197,17 @@ func (cl *leaderCommitLog) Log(m *docstore.Mutation) (docstore.CommitTicket, err
 	if err != nil {
 		return nil, err
 	}
-	tk, err := cl.l.WAL().Append(byte(m.Op), payload)
+	tk, err := cl.l.local.WAL().Append(byte(m.Op), payload)
 	if err != nil {
 		return nil, err
 	}
 	return &replTicket{l: cl.l, walTk: tk}, nil
 }
 
-// replTicket resolves when the record is durable locally and, in sync
-// mode, acknowledged by the follower quorum.
+// replTicket resolves when the record is durable locally and, unless
+// the quorum is 0, acknowledged by the follower quorum.
 type replTicket struct {
-	l     *Leader
+	l     *leader
 	walTk *wal.Ticket
 }
 
@@ -412,9 +370,3 @@ func (a *ackTracker) close() {
 	a.cond.Broadcast()
 	a.mu.Unlock()
 }
-
-// A leader's WAL must run a syncing fsync policy (grouped or always):
-// under FsyncNone the durable LSN never advances on the append path,
-// so ReadFrom ships nothing and followers starve. The server wiring
-// rejects the combination.
-var _ storage.Engine = (*Leader)(nil)

@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"bufio"
@@ -7,10 +7,10 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/cluster"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/storage"
 	"github.com/urbancivics/goflow/internal/wal"
@@ -45,28 +45,102 @@ func openShard(t testing.TB, dir string) *storage.Local {
 	return l
 }
 
-func newLeader(t testing.TB, dir string, opt cluster.LeaderOptions) *cluster.Leader {
+// testLeader is a leader at term 1 (unless the options say otherwise)
+// with a test-only accept loop of its own: each connection's first
+// frame is read and the session handed to the leader, the way
+// Node.serveConn does for an elected one.
+type testLeader struct {
+	*leader
+	ln net.Listener
+	wg sync.WaitGroup
+}
+
+func startTestLeader(t testing.TB, local *storage.Local, opt leaderOptions) *testLeader {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	if opt.Term == 0 {
+		opt.Term = 1
 	}
 	if opt.Heartbeat == 0 {
 		opt.Heartbeat = 25 * time.Millisecond
 	}
-	ldr, err := cluster.NewLeader(openShard(t, dir), ln, opt)
+	l, err := newLeader(local, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ldr
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := &testLeader{leader: l, ln: ln}
+	tl.wg.Add(1)
+	go func() {
+		defer tl.wg.Done()
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			tl.wg.Add(1)
+			go func() {
+				defer tl.wg.Done()
+				defer func() { _ = nc.Close() }()
+				r := bufio.NewReader(nc)
+				if first, _, err := mq.ReadReplFrame(r); err == nil {
+					l.serveSession(nc, r, first)
+				}
+			}()
+		}
+	}()
+	return tl
 }
 
-func waitCaughtUp(t testing.TB, f *cluster.Follower, lsn uint64) {
+// addr is where followers dial the leader.
+func (tl *testLeader) addr() string { return tl.ln.Addr().String() }
+
+// Close stops accepting, ends the leader's sessions and closes its
+// Local — the order Node.Close takes.
+func (tl *testLeader) Close() error {
+	_ = tl.ln.Close()
+	tl.close()
+	tl.wg.Wait()
+	return tl.local.Close()
+}
+
+// startTestFollower starts a follower at term 1 over plain TCP with a
+// 100ms retry, logging to the test, unless opt says otherwise.
+func startTestFollower(t testing.TB, local *storage.Local, opt followerOptions) *follower {
+	t.Helper()
+	if opt.Term == 0 {
+		opt.Term = 1
+	}
+	if opt.Dial == nil {
+		opt.Dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
+	}
+	if opt.RetryInterval == 0 {
+		opt.RetryInterval = 100 * time.Millisecond
+	}
+	if opt.Logf == nil {
+		opt.Logf = t.Logf
+	}
+	f, err := startFollower(local, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// closeFollower stops f and closes its Local.
+func closeFollower(f *follower) error {
+	f.stop()
+	return f.local.Close()
+}
+
+func waitCaughtUp(t testing.TB, f *follower, lsn uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for f.AppliedLSN() < lsn {
+	for f.appliedLSN() < lsn {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at lsn %d, want %d", f.AppliedLSN(), lsn)
+			t.Fatalf("follower stuck at lsn %d, want %d", f.appliedLSN(), lsn)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -78,47 +152,45 @@ func waitCaughtUp(t testing.TB, f *cluster.Follower, lsn uint64) {
 func TestReplicationCatchUpAndLiveTail(t *testing.T) {
 	before := stableGoroutines(t)
 	dir := t.TempDir()
-	ldr := newLeader(t, filepath.Join(dir, "leader"), cluster.LeaderOptions{})
+	ldr := startTestLeader(t, openShard(t, filepath.Join(dir, "leader")), leaderOptions{})
+	lw := ldr.local
 
 	// History written before the follower exists: catch-up path.
-	ldr.EnsureIndex("obs", "device")
+	lw.EnsureIndex("obs", "device")
 	for i := 0; i < 200; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"device": fmt.Sprintf("d%d", i%5), "seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"device": fmt.Sprintf("d%d", i%5), "seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f, err := cluster.StartFollower(openShard(t, filepath.Join(dir, "follower")), cluster.FollowerOptions{
-		Name: "f1", Addr: ldr.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCaughtUp(t, f, ldr.WAL().LastLSN())
+	f := startTestFollower(t, openShard(t, filepath.Join(dir, "follower")), followerOptions{Name: "f1", Addr: ldr.addr()})
+	waitCaughtUp(t, f, lw.WAL().LastLSN())
 
-	eng := f.Engine()
+	// The replica serves reads, and the engine of a node with no leader
+	// in it refuses writes.
+	eng := (&Node{local: f.local}).Engine()
 	if n, err := eng.CountContext(t.Context(), "obs", nil); err != nil || n != 200 {
 		t.Fatalf("replica count = %d, %v; want 200", n, err)
 	}
-	if _, err := eng.Insert("obs", storage.Doc{"device": "dX"}); !errors.Is(err, cluster.ErrNotLeader) {
+	if _, err := eng.Insert("obs", storage.Doc{"device": "dX"}); !errors.Is(err, ErrNotLeader) {
 		t.Fatalf("write on follower = %v, want ErrNotLeader", err)
 	}
 
 	// Live tail: new writes stream without a reconnect.
 	for i := 200; i < 300; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"device": "live", "seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"device": "live", "seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitCaughtUp(t, f, ldr.WAL().LastLSN())
+	waitCaughtUp(t, f, lw.WAL().LastLSN())
 	if n, _ := eng.CountContext(t.Context(), "obs", storage.Doc{"device": "live"}); n != 100 {
 		t.Fatalf("replica missed live-tail docs: %d/100", n)
 	}
 	// The leader has learned the follower's progress.
-	if acked := ldr.FollowerAcked("f1"); acked == 0 {
+	if acked := ldr.acks.get("f1"); acked == 0 {
 		t.Fatal("leader never saw a follower ack")
 	}
 
-	if err := f.Close(); err != nil {
+	if err := closeFollower(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := ldr.Close(); err != nil {
@@ -134,40 +206,35 @@ func TestReplicationCatchUpAndLiveTail(t *testing.T) {
 // instead of refetching history.
 func TestFollowerRestartResumes(t *testing.T) {
 	dir := t.TempDir()
-	ldr := newLeader(t, filepath.Join(dir, "leader"), cluster.LeaderOptions{})
+	ldr := startTestLeader(t, openShard(t, filepath.Join(dir, "leader")), leaderOptions{})
 	defer func() { _ = ldr.Close() }()
+	lw := ldr.local
 	for i := 0; i < 100; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fdir := filepath.Join(dir, "follower")
-	f, err := cluster.StartFollower(openShard(t, fdir), cluster.FollowerOptions{Name: "f1", Addr: ldr.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCaughtUp(t, f, ldr.WAL().LastLSN())
-	resumeFrom := f.AppliedLSN()
-	if err := f.Close(); err != nil {
+	f := startTestFollower(t, openShard(t, fdir), followerOptions{Name: "f1", Addr: ldr.addr()})
+	waitCaughtUp(t, f, lw.WAL().LastLSN())
+	resumeFrom := f.appliedLSN()
+	if err := closeFollower(f); err != nil {
 		t.Fatal(err)
 	}
 
 	// Leader keeps writing while the follower is down.
 	for i := 100; i < 150; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	f2, err := cluster.StartFollower(openShard(t, fdir), cluster.FollowerOptions{Name: "f1", Addr: ldr.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = f2.Close() }()
-	if got := f2.AppliedLSN(); got != resumeFrom {
+	f2 := startTestFollower(t, openShard(t, fdir), followerOptions{Name: "f1", Addr: ldr.addr()})
+	defer func() { _ = closeFollower(f2) }()
+	if got := f2.appliedLSN(); got != resumeFrom {
 		t.Fatalf("restarted follower resumed at lsn %d, want its durable %d", got, resumeFrom)
 	}
-	waitCaughtUp(t, f2, ldr.WAL().LastLSN())
-	if n, _ := f2.Engine().CountContext(t.Context(), "obs", nil); n != 150 {
+	waitCaughtUp(t, f2, lw.WAL().LastLSN())
+	if n, _ := f2.local.CountContext(t.Context(), "obs", nil); n != 150 {
 		t.Fatalf("restarted replica count = %d, want 150", n)
 	}
 }
@@ -177,47 +244,39 @@ func TestFollowerRestartResumes(t *testing.T) {
 // gone, writes time out unacknowledged.
 func TestSyncReplicationAcks(t *testing.T) {
 	dir := t.TempDir()
-	ldr := newLeader(t, filepath.Join(dir, "leader"), cluster.LeaderOptions{
+	ldr := startTestLeader(t, openShard(t, filepath.Join(dir, "leader")), leaderOptions{
 		SyncFollowers: 1,
 		AckTimeout:    300 * time.Millisecond,
 	})
 	defer func() { _ = ldr.Close() }()
-	f, err := cluster.StartFollower(openShard(t, filepath.Join(dir, "follower")), cluster.FollowerOptions{
-		Name: "f1", Addr: ldr.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lw := ldr.local
+	f := startTestFollower(t, openShard(t, filepath.Join(dir, "follower")), followerOptions{Name: "f1", Addr: ldr.addr()})
 
-	id, err := ldr.Insert("obs", storage.Doc{"device": "d1"})
+	id, err := lw.Insert("obs", storage.Doc{"device": "d1"})
 	if err != nil {
 		t.Fatalf("sync insert with live follower: %v", err)
 	}
 	// The ack implies the follower durably has the record.
-	if f.AppliedLSN() < ldr.WAL().LastLSN() {
-		t.Fatalf("insert acked at leader lsn %d but follower applied only %d", ldr.WAL().LastLSN(), f.AppliedLSN())
+	if f.appliedLSN() < lw.WAL().LastLSN() {
+		t.Fatalf("insert acked at leader lsn %d but follower applied only %d", lw.WAL().LastLSN(), f.appliedLSN())
 	}
-	if _, err := f.Engine().Get("obs", id); err != nil {
+	if _, err := f.local.Get("obs", id); err != nil {
 		t.Fatalf("acked doc missing on follower: %v", err)
 	}
 
 	// No follower: the quorum cannot form and the write must not be
 	// acknowledged.
-	f.Stop()
-	if _, err := ldr.Insert("obs", storage.Doc{"device": "d2"}); !errors.Is(err, cluster.ErrAckTimeout) {
+	f.stop()
+	if _, err := lw.Insert("obs", storage.Doc{"device": "d2"}); !errors.Is(err, ErrAckTimeout) {
 		t.Fatalf("insert without follower = %v, want ErrAckTimeout", err)
 	}
-	_ = f.Close()
+	_ = closeFollower(f)
 }
 
 // TestLeaderCheckpointRetainsFollowerTail: a leader checkpoint must
 // not truncate WAL segments a known lagging follower still needs.
 func TestLeaderCheckpointRetainsFollowerTail(t *testing.T) {
 	dir := t.TempDir()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	local, err := storage.OpenLocal(storage.LocalOptions{
 		WALDir:       filepath.Join(dir, "leader"),
 		Policy:       wal.FsyncGrouped,
@@ -227,14 +286,11 @@ func TestLeaderCheckpointRetainsFollowerTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldr, err := cluster.NewLeader(local, ln, cluster.LeaderOptions{Heartbeat: 25 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ldr := startTestLeader(t, local, leaderOptions{})
 	defer func() { _ = ldr.Close() }()
 
 	for i := 0; i < 50; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"seq": i}); err != nil {
+		if _, err := local.Insert("obs", storage.Doc{"seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +298,7 @@ func TestLeaderCheckpointRetainsFollowerTail(t *testing.T) {
 	// spoken by hand over the wire protocol so the stall point is
 	// deterministic (a real Follower keeps fetching until caught up).
 	const acked = 10
-	nc, err := net.Dial("tcp", ldr.Addr())
+	nc, err := net.Dial("tcp", ldr.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +311,7 @@ func TestLeaderCheckpointRetainsFollowerTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := mq.WriteReplFrame(nc, &mq.ReplFrame{
-		Op: mq.ReplOpFetch, From: acked + 1, AppliedLSN: acked, MaxRecords: 10,
+		Op: mq.ReplOpFetch, From: acked + 1, AppliedLSN: acked, MaxRecords: 10, Term: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -263,15 +319,15 @@ func TestLeaderCheckpointRetainsFollowerTail(t *testing.T) {
 	if batch, _, err := mq.ReadReplFrame(br); err != nil || batch.Op != mq.ReplOpBatch {
 		t.Fatalf("fetch reply: %v %v", batch, err)
 	}
-	if got := ldr.FollowerAcked("slow"); got != acked {
+	if got := ldr.acks.get("slow"); got != acked {
 		t.Fatalf("leader tracked ack %d, want %d", got, acked)
 	}
 
-	if err := ldr.Checkpoint(); err != nil {
+	if err := local.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Everything past the stalled follower's ack must still be readable.
-	recs, err := ldr.WAL().ReadFrom(acked+1, 1000, 1<<20)
+	recs, err := local.WAL().ReadFrom(acked+1, 1000, 1<<20)
 	if err != nil {
 		t.Fatalf("post-checkpoint catch-up read: %v", err)
 	}

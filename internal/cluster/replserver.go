@@ -17,80 +17,31 @@ import (
 // stream is follower-driven pull, so the leader holds no per-follower
 // send state beyond the ack tracker.
 //
-// Two session kinds share the listener: a hello opens a fetch stream
-// (log tailing), a snap opens a snapshot transfer (checkpoint
-// streaming for a follower the truncated log can no longer serve).
-// An election Node owns its own listener and dispatches these same
-// two ops into ServeSession, so the standalone accept loop below is
-// only used by non-elected (PR 6 style) leaders.
+// Two session kinds arrive through the node's listener: a hello opens
+// a fetch stream (log tailing), a snap opens a snapshot transfer
+// (checkpoint streaming for a follower the truncated log can no longer
+// serve). Node.serveConn reads the first frame and, while this node
+// leads, hands the connection to serveSession.
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func (l *Leader) serve(ln net.Listener) {
-	defer l.serveWG.Done()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !l.track(nc) {
-			_ = nc.Close()
-			return
-		}
-		go func() {
-			defer l.serveWG.Done()
-			defer l.untrack(nc)
-			r := bufio.NewReader(nc)
-			first, _, err := mq.ReadReplFrame(r)
-			if err != nil {
-				return
-			}
-			l.ServeSession(nc, r, first)
-		}()
-	}
-}
-
-// track registers a connection for teardown on Close/Depose; false
-// means the leader is closed.
-func (l *Leader) track(nc net.Conn) bool {
+// serveSession runs one replication session whose first frame has
+// already been read: a fetch stream for hello, a snapshot transfer for
+// snap. The connection is torn down on depose and close; otherwise the
+// caller owns its lifecycle. It returns when the session ends.
+func (l *leader) serveSession(nc net.Conn, r *bufio.Reader, first *mq.ReplFrame) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
-		return false
+		l.mu.Unlock()
+		return
 	}
 	l.conns[nc] = struct{}{}
-	l.serveWG.Add(1)
-	return true
-}
-
-func (l *Leader) untrack(nc net.Conn) {
-	l.mu.Lock()
-	delete(l.conns, nc)
 	l.mu.Unlock()
-	_ = nc.Close()
-}
-
-// Track registers an externally accepted connection (an election
-// Node's dispatcher) so Depose/Close tear it down; the returned
-// release must be called when the session ends. ok is false when the
-// leader is closed.
-func (l *Leader) Track(nc net.Conn) (release func(), ok bool) {
-	if !l.track(nc) {
-		return nil, false
-	}
-	return func() {
-		l.serveWG.Done()
+	defer func() {
 		l.mu.Lock()
 		delete(l.conns, nc)
 		l.mu.Unlock()
-	}, true
-}
-
-// ServeSession runs one replication session whose first frame has
-// already been read: a fetch stream for hello, a snapshot transfer for
-// snap. It returns when the session ends; the caller owns the
-// connection lifecycle.
-func (l *Leader) ServeSession(nc net.Conn, r *bufio.Reader, first *mq.ReplFrame) {
+	}()
 	switch first.Op {
 	case mq.ReplOpHello:
 		l.serveFetch(nc, r, first)
@@ -110,7 +61,7 @@ func replError(nc net.Conn, code, msg string, decorate func(*mq.ReplFrame)) {
 
 // serveFetch is the fetch/batch stream: every fetch acks follower
 // progress, every batch carries the leader's term and durable LSN.
-func (l *Leader) serveFetch(nc net.Conn, r *bufio.Reader, hello *mq.ReplFrame) {
+func (l *leader) serveFetch(nc net.Conn, r *bufio.Reader, hello *mq.ReplFrame) {
 	follower := hello.Follower
 	if follower == "" {
 		follower = nc.RemoteAddr().String()
@@ -123,7 +74,7 @@ func (l *Leader) serveFetch(nc net.Conn, r *bufio.Reader, hello *mq.ReplFrame) {
 		})
 		return
 	}
-	w := l.WAL()
+	w := l.local.WAL()
 	if _, err := mq.WriteReplFrame(nc, &mq.ReplFrame{
 		Op: mq.ReplOpHello, Shard: hello.Shard, LeaderLSN: w.DurableLSN(), Term: l.term.Load(),
 	}); err != nil {
@@ -139,20 +90,19 @@ func (l *Leader) serveFetch(nc net.Conn, r *bufio.Reader, hello *mq.ReplFrame) {
 		// and must fence before serving (or accepting) anything else.
 		// A lower-term fetch is a follower that missed the election
 		// that elected us; it adopts our term from the error frame.
-		if term := l.term.Load(); term != 0 && req.Term != 0 {
-			if req.Term > term {
-				l.Depose(req.Term, "", "")
-				replError(nc, mq.ReplErrStaleTerm, "leader deposed by higher term", func(f *mq.ReplFrame) {
-					f.Term = req.Term
-				})
-				return
-			}
-			if req.Term < term {
-				replError(nc, mq.ReplErrStaleTerm, "fetch from older term", func(f *mq.ReplFrame) {
-					f.Term = term
-				})
-				return
-			}
+		term := l.term.Load()
+		if req.Term > term {
+			l.depose(req.Term, "", "")
+			replError(nc, mq.ReplErrStaleTerm, "leader deposed by higher term", func(f *mq.ReplFrame) {
+				f.Term = req.Term
+			})
+			return
+		}
+		if req.Term < term {
+			replError(nc, mq.ReplErrStaleTerm, "fetch from older term", func(f *mq.ReplFrame) {
+				f.Term = term
+			})
+			return
 		}
 		if l.fenced.Load() {
 			name, addr := l.hint()
@@ -175,11 +125,11 @@ func (l *Leader) serveFetch(nc net.Conn, r *bufio.Reader, hello *mq.ReplFrame) {
 			return
 		}
 		maxRecs, maxBytes := req.MaxRecords, req.MaxBytes
-		if maxRecs <= 0 || maxRecs > l.opt.BatchRecords {
-			maxRecs = l.opt.BatchRecords
+		if maxRecs <= 0 || maxRecs > maxBatchRecords {
+			maxRecs = maxBatchRecords
 		}
-		if maxBytes <= 0 || maxBytes > l.opt.BatchBytes {
-			maxBytes = l.opt.BatchBytes
+		if maxBytes <= 0 || maxBytes > maxBatchBytes {
+			maxBytes = maxBatchBytes
 		}
 		recs, err := l.readBatch(req.From, maxRecs, maxBytes)
 		if err != nil {
@@ -207,12 +157,12 @@ func (l *Leader) serveFetch(nc net.Conn, r *bufio.Reader, hello *mq.ReplFrame) {
 // position tells the follower to snapshot-bootstrap (with the LSN the
 // leader's checkpoint covers), a corrupt sealed segment is localized
 // by file and offset, anything else is opaque.
-func (l *Leader) writeFetchError(nc net.Conn, err error) {
+func (l *leader) writeFetchError(nc net.Conn, err error) {
 	var corrupt *wal.CorruptionError
 	switch {
 	case errors.Is(err, wal.ErrTruncated):
 		replError(nc, mq.ReplErrTruncated, err.Error(), func(f *mq.ReplFrame) {
-			f.SnapLSN = l.CheckpointLSN()
+			f.SnapLSN = l.local.CheckpointLSN()
 		})
 	case errors.As(err, &corrupt):
 		replError(nc, mq.ReplErrCorrupt, err.Error(), func(f *mq.ReplFrame) {
@@ -230,7 +180,7 @@ func (l *Leader) writeFetchError(nc net.Conn, err error) {
 // into place cannot tear this one mid-stream; the follower detects a
 // changed snapshot between resumed sessions by SnapLSN/SnapSize and
 // restarts from offset 0.
-func (l *Leader) serveSnapshot(nc net.Conn, req *mq.ReplFrame) {
+func (l *leader) serveSnapshot(nc net.Conn, req *mq.ReplFrame) {
 	if l.fenced.Load() {
 		name, addr := l.hint()
 		replError(nc, mq.ReplErrNotLeader, "leader deposed", func(f *mq.ReplFrame) {
@@ -238,7 +188,7 @@ func (l *Leader) serveSnapshot(nc net.Conn, req *mq.ReplFrame) {
 		})
 		return
 	}
-	f, lsn, size, err := l.ExportSnapshot()
+	f, lsn, size, err := l.local.ExportSnapshot()
 	if err != nil {
 		replError(nc, mq.ReplErrNoSnapshot, err.Error(), nil)
 		return
@@ -285,8 +235,8 @@ func (l *Leader) serveSnapshot(nc net.Conn, req *mq.ReplFrame) {
 // up to the heartbeat interval when the follower is caught up. The
 // notify channel is armed before the read, so a commit landing between
 // the read and the wait cannot be missed.
-func (l *Leader) readBatch(from uint64, maxRecs, maxBytes int) ([]wal.Record, error) {
-	w := l.WAL()
+func (l *leader) readBatch(from uint64, maxRecs, maxBytes int) ([]wal.Record, error) {
+	w := l.local.WAL()
 	deadline := time.Now().Add(l.opt.Heartbeat)
 	for {
 		notify := w.DurableNotify()

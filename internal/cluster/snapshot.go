@@ -36,7 +36,7 @@ type snapMeta struct {
 }
 
 // stagingPaths returns the staging file and meta sidecar paths.
-func (f *Follower) stagingPaths() (staging, meta string, ok bool) {
+func (f *follower) stagingPaths() (staging, meta string, ok bool) {
 	base := f.local.SnapshotPath()
 	if base == "" {
 		return "", "", false
@@ -47,7 +47,7 @@ func (f *Follower) stagingPaths() (staging, meta string, ok bool) {
 // bootstrapSnapshot runs one snapshot-transfer attempt: resume (or
 // start) the download, and import when complete. Any error leaves the
 // stage on disk for the next attempt.
-func (f *Follower) bootstrapSnapshot(ctx context.Context) error {
+func (f *follower) bootstrapSnapshot(ctx context.Context) error {
 	staging, metaPath, ok := f.stagingPaths()
 	if !ok {
 		return fmt.Errorf("cluster: follower %s has no snapshot path; cannot bootstrap", f.opt.Name)
@@ -183,7 +183,7 @@ func (f *Follower) bootstrapSnapshot(ctx context.Context) error {
 	if f.opt.OnSnapshot != nil {
 		f.opt.OnSnapshot(meta.SnapLSN)
 	}
-	f.logf("cluster: follower %s: snapshot bootstrap complete at lsn %d (%d bytes)",
+	f.opt.Logf("cluster: follower %s: snapshot bootstrap complete at lsn %d (%d bytes)",
 		f.opt.Name, meta.SnapLSN, total)
 	return nil
 }

@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/cluster"
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/faults"
 	"github.com/urbancivics/goflow/internal/mq"
@@ -38,8 +37,8 @@ func dumpEngine(t *testing.T, eng storage.Engine) string {
 		if err != nil {
 			t.Fatalf("dump %s: %v", col, err)
 		}
-		// Followers and elected nodes come through here: the row read each
-		// of them delegates is the same read, written out as the same bytes.
+		// Replicas and elected nodes come through here: the row read each
+		// of them serves is the same read, written out as the same bytes.
 		rows, err := eng.FindRows(t.Context(), col, nil, docstore.FindOptions{})
 		if err != nil || len(rows) != len(docs) {
 			t.Fatalf("dump %s: %d rows for %d documents: %v", col, len(rows), len(docs), err)
@@ -83,63 +82,46 @@ func openSnapShard(t testing.TB, dir string) *storage.Local {
 // record live.
 func TestSnapshotRejoinAfterTruncation(t *testing.T) {
 	dir := t.TempDir()
-	mts := cluster.NewMetrics(obs.NewRegistry())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ldr, err := cluster.NewLeader(openSnapShard(t, filepath.Join(dir, "leader")), ln, cluster.LeaderOptions{
-		Heartbeat:    25 * time.Millisecond,
+	mts := NewMetrics(obs.NewRegistry())
+	ldr := startTestLeader(t, openSnapShard(t, filepath.Join(dir, "leader")), leaderOptions{
 		AckRetention: 100 * time.Millisecond,
 		Metrics:      mts,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer func() { _ = ldr.Close() }()
+	lw := ldr.local
 
 	for i := 0; i < 200; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"device": fmt.Sprintf("d%d", i%7), "seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"device": fmt.Sprintf("d%d", i%7), "seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fdir := filepath.Join(dir, "laggard")
-	f1, err := cluster.StartFollower(openSnapShard(t, fdir), cluster.FollowerOptions{
-		Name: "laggard", Addr: ldr.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCaughtUp(t, f1, ldr.WAL().LastLSN())
-	if err := f1.Close(); err != nil {
+	f1 := startTestFollower(t, openSnapShard(t, fdir), followerOptions{Name: "laggard", Addr: ldr.addr()})
+	waitCaughtUp(t, f1, lw.WAL().LastLSN())
+	if err := closeFollower(f1); err != nil {
 		t.Fatal(err)
 	}
 
 	// History moves on while the follower is down; its ack entry
 	// expires, so the checkpoint is free to truncate its tail away.
 	for i := 200; i < 400; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"device": "late", "seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"device": "late", "seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	time.Sleep(150 * time.Millisecond) // > AckRetention: the laggard's bound expires
-	if err := ldr.Checkpoint(); err != nil {
+	if err := lw.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Prove the log really is gone below the checkpoint — otherwise
 	// this test would silently degrade into a plain catch-up.
-	if _, err := ldr.WAL().ReadFrom(201, 10, 1<<20); err == nil {
+	if _, err := lw.WAL().ReadFrom(201, 10, 1<<20); err == nil {
 		t.Fatal("leader retained the laggard's tail; checkpoint did not truncate")
 	}
 
-	f2, err := cluster.StartFollower(openSnapShard(t, fdir), cluster.FollowerOptions{
-		Name: "laggard", Addr: ldr.Addr(), Metrics: mts, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = f2.Close() }()
-	waitCaughtUp(t, f2, ldr.WAL().LastLSN())
+	f2 := startTestFollower(t, openSnapShard(t, fdir), followerOptions{Name: "laggard", Addr: ldr.addr(), Metrics: mts})
+	defer func() { _ = closeFollower(f2) }()
+	waitCaughtUp(t, f2, lw.WAL().LastLSN())
 	if mts.SnapshotRestores.Value() == 0 {
 		t.Fatal("rejoin did not go through a snapshot bootstrap")
 	}
@@ -149,25 +131,20 @@ func TestSnapshotRejoinAfterTruncation(t *testing.T) {
 
 	// The log tail above the snapshot still ships normally.
 	for i := 400; i < 430; i++ {
-		if _, err := ldr.Insert("obs", storage.Doc{"device": "tail", "seq": i}); err != nil {
+		if _, err := lw.Insert("obs", storage.Doc{"device": "tail", "seq": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitCaughtUp(t, f2, ldr.WAL().LastLSN())
-	if n, err := f2.Engine().CountContext(t.Context(), "obs", nil); err != nil || n != 430 {
+	waitCaughtUp(t, f2, lw.WAL().LastLSN())
+	if n, err := f2.local.CountContext(t.Context(), "obs", nil); err != nil || n != 430 {
 		t.Fatalf("rejoined replica count = %d, %v; want 430", n, err)
 	}
 
 	// Byte-equality against a follower that never missed a record.
-	fresh, err := cluster.StartFollower(openSnapShard(t, filepath.Join(dir, "fresh")), cluster.FollowerOptions{
-		Name: "fresh", Addr: ldr.Addr(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = fresh.Close() }()
-	waitCaughtUp(t, fresh, ldr.WAL().LastLSN())
-	if got, want := dumpEngine(t, f2.Engine()), dumpEngine(t, fresh.Engine()); got != want {
+	fresh := startTestFollower(t, openSnapShard(t, filepath.Join(dir, "fresh")), followerOptions{Name: "fresh", Addr: ldr.addr()})
+	defer func() { _ = closeFollower(fresh) }()
+	waitCaughtUp(t, fresh, lw.WAL().LastLSN())
+	if got, want := dumpEngine(t, f2.local), dumpEngine(t, fresh.local); got != want {
 		t.Fatalf("snapshot-rejoined state differs from fresh replica:\nrejoined %d bytes, fresh %d bytes", len(got), len(want))
 	}
 }
@@ -224,24 +201,17 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			mts := cluster.NewMetrics(obs.NewRegistry())
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			ldr, err := cluster.NewLeader(openSnapShard(t, filepath.Join(dir, "leader")), ln, cluster.LeaderOptions{
-				Heartbeat:      25 * time.Millisecond,
+			mts := NewMetrics(obs.NewRegistry())
+			ldr := startTestLeader(t, openSnapShard(t, filepath.Join(dir, "leader")), leaderOptions{
 				SnapChunkBytes: 4096,
 				Metrics:        mts,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			defer func() { _ = ldr.Close() }()
+			lw := ldr.local
 
 			// Enough payload that the snapshot spans many chunks.
 			for i := 0; i < 300; i++ {
-				if _, err := ldr.Insert("obs", storage.Doc{
+				if _, err := lw.Insert("obs", storage.Doc{
 					"device": fmt.Sprintf("dev-%03d", i%11),
 					"seq":    i,
 					"note":   strings.Repeat("x", 64),
@@ -251,10 +221,10 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 			}
 			// Checkpoint with no followers known: the whole log below the
 			// snapshot is dropped, so any joiner must transfer.
-			if err := ldr.Checkpoint(); err != nil {
+			if err := lw.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			st, err := os.Stat(ldr.SnapshotPath())
+			st, err := os.Stat(lw.SnapshotPath())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +232,7 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 			// A log tail above the snapshot, so the rejoin also proves the
 			// snapshot-then-tail handoff.
 			for i := 300; i < 320; i++ {
-				if _, err := ldr.Insert("obs", storage.Doc{"device": "tail", "seq": i}); err != nil {
+				if _, err := lw.Insert("obs", storage.Doc{"device": "tail", "seq": i}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -276,8 +246,8 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 			// retry before the "crash" lands fails its first write, so the
 			// stage is frozen exactly at the tear point until the restart.
 			attempts := 0
-			f1, err := cluster.StartFollower(openSnapShard(t, fdir), cluster.FollowerOptions{
-				Name: "joiner", Addr: ldr.Addr(),
+			f1 := startTestFollower(t, openSnapShard(t, fdir), followerOptions{
+				Name: "joiner", Addr: ldr.addr(),
 				RetryInterval: 25 * time.Millisecond,
 				WrapSnapshot: func(w io.Writer) io.Writer {
 					attempts++
@@ -286,12 +256,8 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 					}
 					return faults.NewWriter(w, 0)
 				},
-				Logf: t.Logf,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			staging := filepath.Join(fdir, filepath.Base(ldr.SnapshotPath())+".incoming")
+			staging := filepath.Join(fdir, filepath.Base(lw.SnapshotPath())+".incoming")
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				if st, err := os.Stat(staging); err == nil && st.Size() >= int64(budget) {
@@ -302,7 +268,7 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			if err := f1.Close(); err != nil {
+			if err := closeFollower(f1); err != nil {
 				t.Fatal(err)
 			}
 			st, err = os.Stat(staging)
@@ -317,8 +283,8 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 			// Attempt 2: restart on the same directory, snooping the wire.
 			var mu sync.Mutex
 			var sent bytes.Buffer
-			f2, err := cluster.StartFollower(openSnapShard(t, fdir), cluster.FollowerOptions{
-				Name: "joiner", Addr: ldr.Addr(), Metrics: mts, Logf: t.Logf,
+			f2 := startTestFollower(t, openSnapShard(t, fdir), followerOptions{
+				Name: "joiner", Addr: ldr.addr(), Metrics: mts,
 				Dial: func(addr string) (net.Conn, error) {
 					nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 					if err != nil {
@@ -327,11 +293,8 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 					return &snoopConn{Conn: nc, mu: &mu, buf: &sent}, nil
 				},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = f2.Close() }()
-			waitCaughtUp(t, f2, ldr.WAL().LastLSN())
+			defer func() { _ = closeFollower(f2) }()
+			waitCaughtUp(t, f2, lw.WAL().LastLSN())
 			if mts.SnapshotRestores.Value() != 1 {
 				t.Fatalf("snapshot restores = %d, want 1", mts.SnapshotRestores.Value())
 			}
@@ -352,18 +315,13 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 			}
 
 			// Converged, and byte-identical to a replica that never tore.
-			if n, err := f2.Engine().CountContext(t.Context(), "obs", nil); err != nil || n != 320 {
+			if n, err := f2.local.CountContext(t.Context(), "obs", nil); err != nil || n != 320 {
 				t.Fatalf("rejoined replica count = %d, %v; want 320", n, err)
 			}
-			fresh, err := cluster.StartFollower(openSnapShard(t, filepath.Join(dir, "fresh")), cluster.FollowerOptions{
-				Name: "fresh", Addr: ldr.Addr(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = fresh.Close() }()
-			waitCaughtUp(t, fresh, ldr.WAL().LastLSN())
-			if got, want := dumpEngine(t, f2.Engine()), dumpEngine(t, fresh.Engine()); got != want {
+			fresh := startTestFollower(t, openSnapShard(t, filepath.Join(dir, "fresh")), followerOptions{Name: "fresh", Addr: ldr.addr()})
+			defer func() { _ = closeFollower(fresh) }()
+			waitCaughtUp(t, fresh, lw.WAL().LastLSN())
+			if got, want := dumpEngine(t, f2.local), dumpEngine(t, fresh.local); got != want {
 				t.Fatalf("torn-and-resumed state differs from fresh replica:\nrejoined %d bytes, fresh %d bytes", len(got), len(want))
 			}
 		})

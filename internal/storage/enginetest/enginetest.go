@@ -1,8 +1,9 @@
 // Package enginetest is the conformance suite for storage.Engine
 // implementations. Every engine — the single-node Local, the sharded
-// Router, a replicated shard leader — must behave identically through
-// the Engine interface; this suite is the executable definition of
-// "identically". New engines call Run with a constructor.
+// Router, an elected replication-group node (cluster.Node's Engine) —
+// must behave identically through the Engine interface; this suite is
+// the executable definition of "identically". New engines call Run with
+// a constructor.
 package enginetest
 
 import (
