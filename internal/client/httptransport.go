@@ -2,7 +2,6 @@ package client
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,16 +42,10 @@ var _ Transport = (*HTTPTransport)(nil)
 // DefaultMaxRetryAfter caps honored Retry-After hints.
 const DefaultMaxRetryAfter = 30 * time.Second
 
-// httpIngestRequest mirrors the REST ingest body.
-type httpIngestRequest struct {
-	ClientID     string                 `json:"clientId"`
-	Observations []*sensing.Observation `json:"observations"`
-}
-
 // Send implements Transport: one POST per batch, with a single
 // Retry-After-honoring retry on 429.
 func (t *HTTPTransport) Send(batch []*sensing.Observation, at time.Time) error {
-	body, err := json.Marshal(httpIngestRequest{ClientID: t.ClientID, Observations: batch})
+	body, err := (&sensing.IngestBody{ClientID: t.ClientID, Observations: batch}).AppendJSON(nil)
 	if err != nil {
 		return fmt.Errorf("encode batch: %w", err)
 	}

@@ -18,11 +18,11 @@ type scriptedIngest struct {
 	statuses   []int // consumed one per request; last repeats
 	retryAfter int   // Retry-After seconds attached to 429/503
 	attempts   int
-	bodies     []httpIngestRequest
+	bodies     []sensing.IngestBody
 }
 
 func (s *scriptedIngest) handler(w http.ResponseWriter, r *http.Request) {
-	var req httpIngestRequest
+	var req sensing.IngestBody
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.t.Errorf("bad ingest body: %v", err)
 	}

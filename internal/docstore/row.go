@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
+
+	"github.com/urbancivics/goflow/internal/jsonenc"
 )
 
 // Row is one stored document handed out as it is stored — its shape and
@@ -89,7 +89,7 @@ func (r Row) AppendJSON(dst []byte, keep func(name string) bool) ([]byte, error)
 		if sh.quoted != nil {
 			dst = append(dst, sh.quoted[i]...)
 		} else {
-			dst = append(appendJSONString(dst, name), ':')
+			dst = append(jsonenc.AppendString(dst, name), ':')
 		}
 		var err error
 		if dst, err = appendJSONValue(dst, r.p.vals[i]); err != nil {
@@ -104,20 +104,20 @@ func (r Row) AppendJSON(dst []byte, keep func(name string) bool) ([]byte, error)
 func quoteNames(names []string) []string {
 	quoted := make([]string, len(names))
 	for i, name := range names {
-		quoted[i] = string(append(appendJSONString(nil, name), ':'))
+		quoted[i] = string(append(jsonenc.AppendString(nil, name), ':'))
 	}
 	return quoted
 }
 
 // appendJSONValue appends v as encoding/json encodes it. The kinds an
-// observation is made of are written directly; a value that needs one
-// of the encoder's rarer rules — or that it refuses — is left to it.
+// observation is made of are written directly, by jsonenc's rules for
+// the scalars; any other kind is left to the encoder.
 func appendJSONValue(dst []byte, v any) ([]byte, error) {
 	switch t := v.(type) {
 	case nil:
 		return append(dst, "null"...), nil
 	case string:
-		return appendJSONString(dst, t), nil
+		return jsonenc.AppendString(dst, t), nil
 	case bool:
 		return strconv.AppendBool(dst, t), nil
 	case int:
@@ -125,56 +125,15 @@ func appendJSONValue(dst []byte, v any) ([]byte, error) {
 	case int64:
 		return strconv.AppendInt(dst, t, 10), nil
 	case float64:
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			break // the encoder's error
-		}
-		// The encoder's number format: exponents below 1e-6 and from
-		// 1e21 up, written e-7 and not e-07.
-		format := byte('f')
-		if abs := math.Abs(t); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		dst = strconv.AppendFloat(dst, t, format, -1, 64)
-		if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-		return dst, nil
+		return jsonenc.AppendFloat(dst, t)
 	case time.Time:
-		// Time.MarshalJSON is RFC 3339 with nanoseconds for every time
-		// that format can express.
-		const day = 24 * 60 * 60
-		if _, offset := t.Zone(); offset%60 != 0 || offset <= -day || offset >= day {
-			break
-		}
-		if y := t.Year(); y < 0 || y > 9999 {
-			break
-		}
-		dst = append(dst, '"')
-		dst = t.AppendFormat(dst, time.RFC3339Nano)
-		return append(dst, '"'), nil
+		return jsonenc.AppendTime(dst, t)
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return dst, err
 	}
 	return append(dst, raw...), nil
-}
-
-// appendJSONString appends s as a JSON string. Printable ASCII without
-// the characters the encoder escapes (the JSON ones and, as it is
-// HTML-safe by default, <, > and &) is copied between quotes; anything
-// else takes the encoder's own path.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			raw, _ := json.Marshal(s) // a string always encodes
-			return append(dst, raw...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // Fields is a fixed list of field names to read out of rows. Where a

@@ -16,6 +16,7 @@ import (
 	"github.com/urbancivics/goflow/internal/guard"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
+	"github.com/urbancivics/goflow/internal/simclock"
 	"github.com/urbancivics/goflow/internal/storage"
 )
 
@@ -67,7 +68,7 @@ func TestIngestEndpointStoresBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
-	req := ingestRequest{
+	req := sensing.IngestBody{
 		ClientID:     "phone-1",
 		Observations: []*sensing.Observation{obsAt(t, "A", 55, true, at), obsAt(t, "B", 60, false, at)},
 	}
@@ -92,9 +93,85 @@ func TestIngestEndpointStoresBatch(t *testing.T) {
 		t.Fatalf("unknown app ingest = %d, want 404", resp.StatusCode)
 	}
 	// Missing fields.
-	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/apps/SC/observations", ingestRequest{})
+	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/apps/SC/observations", sensing.IngestBody{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty ingest = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestIngestRejectsTrailingData: a body is one JSON value. Two bodies
+// sent back to back, or one followed by garbage, are a bad request and
+// store nothing — not the first value stored and the rest dropped.
+func TestIngestRejectsTrailingData(t *testing.T) {
+	server, ts := newAPI(t)
+	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	one, err := json.Marshal(map[string]any{"clientId": "phone-1", "observations": []*sensing.Observation{obsAt(t, "A", 55, true, at)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"two bodies":       append(append([]byte(nil), one...), one...),
+		"trailing garbage": append(append([]byte(nil), one...), "garbage"...),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/apps/SC/observations", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n, _ := server.Data.Count(t.Context(), Query{AppID: "SC"}); n != 0 {
+		t.Fatalf("rejected bodies stored %d observations", n)
+	}
+}
+
+// TestIngestStampsReceiveInstant: a REST upload is received when the
+// server reads it. The stored receivedAt is the server clock's instant,
+// whether the client sent none (it used to become sensedAt, hiding the
+// upload delay) or one of its own.
+func TestIngestStampsReceiveInstant(t *testing.T) {
+	now := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	broker := mq.NewBroker()
+	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(docstore.NewStore()), Clock: simclock.NewSim(now)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		server.Shutdown()
+		broker.Close()
+	})
+	ts := httptest.NewServer(NewHTTPHandler(server))
+	t.Cleanup(ts.Close)
+	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	late := obsAt(t, "A", 55, true, now.Add(-10*time.Minute))
+	claimed := obsAt(t, "B", 60, false, now.Add(-2*time.Hour))
+	claimed.ReceivedAt = now.Add(-time.Hour)
+	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/apps/SC/observations",
+		map[string]any{"clientId": "phone-1", "observations": []*sensing.Observation{late, claimed}})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("ingest = %d %v", resp.StatusCode, body)
+	}
+	rows, err := server.Data.Retrieve(t.Context(), Query{AppID: "SC"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("stored %d observations, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if got, _ := r.Value("receivedAt").(time.Time); !got.Equal(now) {
+			t.Errorf("%v sensed at %v: receivedAt %v, want the server's %v", r.Value("deviceModel"), r.Value("sensedAt"), got, now)
+		}
+	}
+	if st, _ := server.Analytics.ForApp("SC"); !st.LastIngest.Equal(now) {
+		t.Fatalf("LastIngest = %v, want %v", st.LastIngest, now)
 	}
 }
 
@@ -142,7 +219,7 @@ func TestAdmissionRateLimit429(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
-	body := ingestRequest{ClientID: "c", Observations: []*sensing.Observation{obsAt(t, "A", 50, false, at)}}
+	body := sensing.IngestBody{ClientID: "c", Observations: []*sensing.Observation{obsAt(t, "A", 50, false, at)}}
 
 	post := func(device string) *http.Response {
 		t.Helper()
@@ -203,7 +280,7 @@ func TestAdmissionShedsAnalyticsFirst(t *testing.T) {
 		t.Fatalf("query under 1x pressure = %d, want 200", resp.StatusCode)
 	}
 	at := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
-	body := ingestRequest{ClientID: "c", Observations: []*sensing.Observation{obsAt(t, "A", 50, false, at)}}
+	body := sensing.IngestBody{ClientID: "c", Observations: []*sensing.Observation{obsAt(t, "A", 50, false, at)}}
 	resp, _ = doJSON(t, http.MethodPost, ts.URL+"/v1/apps/SC/observations", body)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("ingest under 1x pressure = %d, want 201", resp.StatusCode)

@@ -64,7 +64,7 @@ func TestGuardAndFlowMetricsExposition(t *testing.T) {
 	post := func() int {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", "/v1/apps/SC/observations",
-			jsonBody(t, ingestRequest{ClientID: "c", Observations: []*sensing.Observation{o}}))
+			jsonBody(t, sensing.IngestBody{ClientID: "c", Observations: []*sensing.Observation{o}}))
 		req.Header.Set("X-Device-ID", "dev-1")
 		handler.ServeHTTP(rec, req)
 		return rec.Code

@@ -1,11 +1,13 @@
 package goflow
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/urbancivics/goflow/internal/cluster"
@@ -264,25 +266,33 @@ func queryFromRequest(r *http.Request, appID string) Query {
 // observations fits comfortably; anything larger is a bug or abuse.
 const maxIngestBytes = 1 << 20
 
-type ingestRequest struct {
-	ClientID     string                 `json:"clientId"`
-	Observations []*sensing.Observation `json:"observations"`
-}
+// ingestBufs recycles the buffers ingest bodies are read into. The
+// body cap also bounds what a pooled buffer holds on to.
+var ingestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // ingestObservations stores a batch of sensed observations uploaded
 // over HTTP — the fallback transport for clients that cannot hold a
 // broker connection. The body is hard-capped: overload protection
-// starts at the socket, not after an unbounded read.
+// starts at the socket, not after an unbounded read. It is read whole
+// and decoded whole, so anything after the body's one JSON value is a
+// bad request, not data to drop. Every observation is stamped with the
+// server's receive instant, whatever the client sent as receivedAt.
 func (h *apiHandler) ingestObservations(w http.ResponseWriter, r *http.Request) {
 	appID := r.PathValue("app")
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf := ingestBufs.Get().(*bytes.Buffer)
+	defer ingestBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, ErrPayloadTooLarge)
 			return
 		}
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body"})
+		return
+	}
+	req, err := sensing.DecodeIngestBody(buf.Bytes())
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body"})
 		return
 	}
@@ -293,6 +303,12 @@ func (h *apiHandler) ingestObservations(w http.ResponseWriter, r *http.Request) 
 	if _, err := h.server.Accounts.App(appID); err != nil {
 		writeErr(w, err)
 		return
+	}
+	receivedAt := h.server.clock.Now()
+	for _, o := range req.Observations {
+		if o != nil {
+			o.ReceivedAt = receivedAt
+		}
 	}
 	stored, err := h.server.BulkIngest(appID, req.ClientID, req.Observations)
 	if err != nil {

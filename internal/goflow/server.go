@@ -322,8 +322,10 @@ func (s *Server) Shutdown() {
 // health probe stays green), the ingest consumer is cancelled and its
 // loop waited for, and background jobs are stopped. A ctx that ends
 // before the ingest loop drains returns ctx.Err() with the consumer
-// already cancelled — the loop finishes in the background, and
-// unacked deliveries are requeued by the broker either way.
+// already cancelled; the loop finishes in the background. Messages the
+// loop has not taken stay in the GoFlow queue, which is in memory only:
+// the broker has already acknowledged them to their publishers, and
+// they are lost if the process exits before a consumer stores them.
 func (s *Server) ShutdownContext(ctx context.Context) error {
 	s.Guard.SetDraining(true)
 	// End live streams first: each client gets a going-away close and

@@ -8,7 +8,6 @@
 package sensing
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -96,7 +95,10 @@ type Observation struct {
 	ActivityConfidence float64 `json:"activityConfidence"`
 	// SensedAt is the on-phone measurement instant.
 	SensedAt time.Time `json:"sensedAt"`
-	// ReceivedAt is set by the GoFlow server on ingest.
+	// ReceivedAt is set by the GoFlow server on ingest: the broker's
+	// publish instant for a broker message, the server's receive
+	// instant for a REST upload; a value the client sent is ignored.
+	// Only the simulations' in-process BulkIngest keeps it.
 	ReceivedAt time.Time `json:"receivedAt,omitempty"`
 }
 
@@ -133,17 +135,3 @@ func (o *Observation) Validate() error {
 
 // Localized reports whether the observation carries a location fix.
 func (o *Observation) Localized() bool { return o.Loc != nil }
-
-// Encode marshals the observation to JSON for broker transport.
-func (o *Observation) Encode() ([]byte, error) {
-	return json.Marshal(o)
-}
-
-// DecodeObservation unmarshals an observation from broker transport.
-func DecodeObservation(data []byte) (*Observation, error) {
-	var o Observation
-	if err := json.Unmarshal(data, &o); err != nil {
-		return nil, fmt.Errorf("decode observation: %w", err)
-	}
-	return &o, nil
-}
