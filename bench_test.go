@@ -270,7 +270,7 @@ func BenchmarkAblationTopicVsFanout(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := broker.Publish("x", keys[i%len(keys)], nil, body); err != nil {
+			if _, err := broker.PublishAt("x", keys[i%len(keys)], nil, body, time.Now()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -368,11 +368,11 @@ func BenchmarkBrokerPublishTopicChain(b *testing.B) {
 		}
 	}()
 	body := []byte(`{"spl":61.5,"deviceModel":"LGE NEXUS 5"}`)
-	key := goflow.RoutingKey("SC", "mob1", "obs", "FR75013")
+	key := client.RoutingKey("SC", "mob1", "FR75013")
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := broker.Publish(ex, key, nil, body); err != nil {
+		if _, err := broker.PublishAt(ex, key, nil, body, time.Now()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -417,7 +417,7 @@ func BenchmarkBrokerPublishBatch(b *testing.B) {
 				}
 			}()
 			body := []byte(`{"spl":61.5,"deviceModel":"LGE NEXUS 5"}`)
-			key := goflow.RoutingKey("SC", "mob1", "obs", "FR75013")
+			key := client.RoutingKey("SC", "mob1", "FR75013")
 			at := time.Date(2016, 3, 1, 9, 0, 0, 0, time.UTC)
 			items := make([]mq.PublishItem, size)
 			for i := range items {
@@ -903,7 +903,7 @@ func BenchmarkBrokerPublishInstrumented(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := broker.Publish("x", "k", nil, body); err != nil {
+			if _, err := broker.PublishAt("x", "k", nil, body, time.Now()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -240,8 +240,10 @@ loop:
 
 	// Drain in dependency order: admission (503 + Retry-After, health
 	// stays green), live streams (they would hold Shutdown open), HTTP,
-	// ingest and jobs, broker sessions, and the final checkpoint only
-	// after every writer has stopped. The deferred Close ends the WAL.
+	// broker sessions, then ingest — which first stores everything the
+	// broker acknowledged into GF — and jobs, and the final checkpoint
+	// only after every writer has stopped. The deferred Close ends the
+	// WAL.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	server.Guard.SetDraining(true)
@@ -249,11 +251,11 @@ loop:
 	if err := httpServer.Shutdown(ctx); err != nil {
 		return errors.Join(failed, err)
 	}
+	mqServer.Close()
 	if err := server.ShutdownContext(ctx); err != nil {
 		fmt.Fprintf(out, "goflow-server: ingest drain: %v\n", err)
 	}
 	stopForecasts()
-	mqServer.Close()
 	stopCheckpoints()
 	if err := eng.Checkpoint(); err != nil {
 		return errors.Join(failed, fmt.Errorf("final checkpoint: %w", err))

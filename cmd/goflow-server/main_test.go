@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	gfclient "github.com/urbancivics/goflow/internal/client"
 	"github.com/urbancivics/goflow/internal/geo"
+	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
 )
 
@@ -135,6 +137,51 @@ func TestRunReturnsFinalCheckpointError(t *testing.T) {
 	}
 }
 
+// TestHaltStoresAcknowledgedPublishes: a stop signal right after a
+// burst of broker publishes loses none the broker acknowledged. The
+// listener closes before ingest stops, and ingest stores everything GF
+// holds before its consumer goes.
+func TestHaltStoresAcknowledgedPublishes(t *testing.T) {
+	dir := t.TempDir()
+	s := boot(t, "-wal-dir", dir)
+	resp, err := client.Post(s.base+"/v1/apps/SC/login", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var login struct{ ID, Exchange string }
+	err = json.NewDecoder(resp.Body).Decode(&login)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("login = %d, %v", resp.StatusCode, err)
+	}
+	conn, err := mq.Dial(s.mqAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	phone := gfclient.NewMQTransport(conn, login.Exchange, "SC", login.ID)
+	acked := 0
+	for acked < 2000 {
+		batch := make([]*sensing.Observation, 50)
+		for i := range batch {
+			batch[i] = observation(login.ID, 40+float64((acked+i)%50))
+		}
+		if err := phone.Send(batch, time.Now()); err != nil {
+			t.Fatalf("publish after %d acknowledged: %v", acked, err)
+		}
+		acked += len(batch)
+	}
+	if err := s.halt(t); err != nil {
+		t.Fatalf("run: %v\n%s", err, s.log)
+	}
+
+	s = boot(t, "-wal-dir", dir)
+	var count struct{ Count int }
+	if code := s.get(t, "/v1/apps/SC/observations/count", &count); code != http.StatusOK || count.Count < acked {
+		t.Fatalf("stored %d of %d acknowledged publishes (status %d)\n%s", count.Count, acked, code, s.log)
+	}
+}
+
 // TestRunRejects: flag combinations no engine serves, and every flag
 // the one assembly deleted, fail before anything is opened.
 func TestRunRejects(t *testing.T) {
@@ -187,6 +234,7 @@ func (l *logBuffer) String() string {
 // booted is one run in the background.
 type booted struct {
 	base   string
+	mqAddr string
 	log    *logBuffer
 	stop   chan os.Signal
 	done   chan error
@@ -194,7 +242,10 @@ type booted struct {
 	halted bool
 }
 
-var restAddr = regexp.MustCompile(`REST on (\S+),`)
+var (
+	restAddr = regexp.MustCompile(`REST on (\S+),`)
+	mqAddr   = regexp.MustCompile(`broker on (\S+),`)
+)
 
 // boot starts run on loopback ports with args and waits for its REST
 // address; the test's cleanup stops it if the test did not.
@@ -208,6 +259,7 @@ func boot(t *testing.T, args ...string) *booted {
 	for {
 		if m := restAddr.FindStringSubmatch(s.log.String()); m != nil {
 			s.base = "http://" + m[1]
+			s.mqAddr = mqAddr.FindStringSubmatch(s.log.String())[1]
 			return s
 		}
 		select {
@@ -255,16 +307,20 @@ func (s *booted) get(t *testing.T, path string, v any) int {
 	return resp.StatusCode
 }
 
-// postObservation uploads one localized observation over REST.
-func (s *booted) postObservation(t *testing.T) int {
-	t.Helper()
-	o := &sensing.Observation{
-		UserID: "u1", DeviceModel: "LGE NEXUS 5", AppVersion: "1.3",
-		Mode: sensing.Opportunistic, SPL: 61, Activity: sensing.ActivityStill, ActivityConfidence: 0.9,
+// observation is one localized observation, sensed a minute ago.
+func observation(userID string, spl float64) *sensing.Observation {
+	return &sensing.Observation{
+		UserID: userID, DeviceModel: "LGE NEXUS 5", AppVersion: "1.3",
+		Mode: sensing.Opportunistic, SPL: spl, Activity: sensing.ActivityStill, ActivityConfidence: 0.9,
 		SensedAt: time.Now().UTC().Add(-time.Minute).Truncate(time.Second),
 		Loc:      &sensing.Location{Point: geo.Point{Lat: 48.8566, Lon: 2.3522}, AccuracyM: 30, Provider: sensing.ProviderNetwork},
 	}
-	body, err := json.Marshal(map[string]any{"clientId": "phone-1", "observations": []*sensing.Observation{o}})
+}
+
+// postObservation uploads one localized observation over REST.
+func (s *booted) postObservation(t *testing.T) int {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{"clientId": "phone-1", "observations": []*sensing.Observation{observation("u1", 61)}})
 	if err != nil {
 		t.Fatal(err)
 	}

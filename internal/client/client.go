@@ -161,9 +161,6 @@ func (u *Uploader) Record(o *sensing.Observation) error {
 	return nil
 }
 
-// Pending returns the number of queued observations.
-func (u *Uploader) Pending() int { return len(u.queue) }
-
 // ShouldEmit reports whether the policy calls for an emission attempt
 // now: the queue holds at least BufferSize observations, or a
 // previous attempt failed and anything is still queued (the paper's

@@ -151,8 +151,8 @@ func TestDisconnectedRetriesNextCycle(t *testing.T) {
 	if err != nil || sent != 0 {
 		t.Fatalf("offline flush: sent=%d err=%v", sent, err)
 	}
-	if u.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", u.Pending())
+	if len(u.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(u.queue))
 	}
 	// Next cycle records another measurement, then both go out.
 	now = now.Add(5 * time.Minute)
@@ -209,7 +209,7 @@ func TestTransportFailureKeepsQueue(t *testing.T) {
 	if _, err := u.Flush(now, true); err == nil {
 		t.Fatal("transport failure must surface")
 	}
-	if u.Pending() != 1 {
+	if len(u.queue) != 1 {
 		t.Fatal("failed send must keep the observation queued")
 	}
 	tr.Fail = false
@@ -232,8 +232,8 @@ func TestMaxQueueDropsOldest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if u.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", u.Pending())
+	if len(u.queue) != 3 {
+		t.Fatalf("pending = %d, want 3", len(u.queue))
 	}
 	if u.Stats().Dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", u.Stats().Dropped)

@@ -169,7 +169,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	if _, err := up.Flush(at, true); err == nil {
 		t.Fatal("flush through a throttled transport must surface the error")
 	}
-	if up.Pending() != 1 {
-		t.Fatalf("pending after failed flush = %d, want 1 (batch kept)", up.Pending())
+	if len(up.queue) != 1 {
+		t.Fatalf("pending after failed flush = %d, want 1 (batch kept)", len(up.queue))
 	}
 }

@@ -24,7 +24,6 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 
 	var mu sync.Mutex
 	var conns []net.Conn
-	reconnected := make(chan int, 8)
 	conn, err := mq.DialResilient(srv.Addr(), mq.ReconnectConfig{
 		Dialer: func(addr string) (net.Conn, error) {
 			nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -39,19 +38,18 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		Seed:        1,
 		RPCTimeout:  2 * time.Second,
-		Hooks:       mq.ConnHooks{Reconnected: func(a int) { reconnected <- a }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	if err := conn.DeclareExchange("E.mob1", mq.Fanout); err != nil {
+	if err := broker.DeclareExchange("E.mob1", mq.Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.DeclareQueue("Q.goflow", mq.QueueOptions{}); err != nil {
+	if err := broker.DeclareQueue("Q.goflow", mq.QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.BindQueue("Q.goflow", "E.mob1", ""); err != nil {
+	if err := broker.BindQueue("Q.goflow", "E.mob1", ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,10 +64,12 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 			nc := conns[len(conns)-1]
 			mu.Unlock()
 			_ = nc.Close()
-			select {
-			case <-reconnected:
-			case <-time.After(5 * time.Second):
-				t.Fatal("reconnect did not complete")
+			deadline := time.Now().Add(5 * time.Second)
+			for conn.Stats().Reconnects < 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("reconnect did not complete")
+				}
+				time.Sleep(time.Millisecond)
 			}
 		}
 		batch := make([]*sensing.Observation, 0, perBatch)
@@ -87,14 +87,9 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 	}
 
 	// Drain the server-side queue and verify exactly-once arrival.
-	sub, err := mq.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sub.Close() })
 	seen := make(map[int]bool)
 	for len(seen) < batches*perBatch {
-		d, ok, err := sub.Get("Q.goflow")
+		d, ok, err := broker.Get("Q.goflow")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +105,11 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 			t.Fatalf("observation %d uploaded twice", v)
 		}
 		seen[v] = true
-		if err := sub.Ack("Q.goflow", d.Tag); err != nil {
+		if err := broker.AckGet("Q.goflow", d.Tag); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, err := sub.Get("Q.goflow"); err != nil || ok {
+	if _, ok, err := broker.Get("Q.goflow"); err != nil || ok {
 		t.Fatalf("queue should be empty after drain (ok=%v err=%v)", ok, err)
 	}
 	if st := conn.Stats(); st.Reconnects < 1 {

@@ -87,7 +87,7 @@ func TestMQTransportPublishErrorSurfaces(t *testing.T) {
 	if _, err := u.Flush(time.Now(), true); err == nil {
 		t.Fatal("publish to missing exchange must fail")
 	}
-	if u.Pending() != 1 {
+	if len(u.queue) != 1 {
 		t.Fatal("batch must stay queued after failure")
 	}
 }

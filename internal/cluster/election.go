@@ -237,25 +237,11 @@ func majority(n int) int { return n/2 + 1 }
 // timeline is fenced before a new one can be chosen.
 func (n *Node) electAfter() time.Duration { return 2 * n.opt.LeaseTTL }
 
-// State returns the node's current election state.
-func (n *Node) State() NodeState {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.state
-}
-
 // Term returns the node's current term.
 func (n *Node) Term() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.term
-}
-
-// Leader returns the believed leader's name and address ("" unknown).
-func (n *Node) Leader() (name, addr string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaderName, n.leaderAddr
 }
 
 // ForceElection triggers an immediate candidacy, bypassing the lease

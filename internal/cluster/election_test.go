@@ -172,7 +172,7 @@ func waitLeader(t *testing.T, g *testGroup, exclude string, timeout time.Duratio
 			if name == exclude {
 				continue
 			}
-			if g.nodes[name].State() == StateLeading {
+			if stateOf(g.nodes[name]) == StateLeading {
 				return name, time.Since(start)
 			}
 		}
@@ -181,7 +181,7 @@ func waitLeader(t *testing.T, g *testGroup, exclude string, timeout time.Duratio
 	states := map[string]string{}
 	for _, name := range g.names {
 		if name != exclude {
-			states[name] = g.nodes[name].State().String()
+			states[name] = stateOf(g.nodes[name]).String()
 		}
 	}
 	t.Fatalf("no leader elected within %v (excluding %s); states: %v", timeout, exclude, states)
@@ -291,7 +291,7 @@ func TestElectionChaosFailover(t *testing.T) {
 				// term — not a second timeline.
 				g.cn.heal(leader)
 				old := g.nodes[leader]
-				if st := old.State(); st != StateFenced {
+				if st := stateOf(old); st != StateFenced {
 					t.Fatalf("deposed leader state = %v, want fenced", st)
 				}
 				_, err := old.Engine().Insert("obs", storage.Doc{"device": "zombie"})
@@ -332,10 +332,10 @@ func TestForceElectionOverride(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for g.nodes[challenger].State() != StateLeading {
+	for stateOf(g.nodes[challenger]) != StateLeading {
 		if time.Now().After(deadline) {
 			t.Fatalf("forced election never promoted %s (state %v, term %d)",
-				challenger, g.nodes[challenger].State(), g.nodes[challenger].Term())
+				challenger, stateOf(g.nodes[challenger]), g.nodes[challenger].Term())
 		}
 		g.nodes[challenger].ForceElection()
 		time.Sleep(50 * time.Millisecond)
@@ -344,7 +344,7 @@ func TestForceElectionOverride(t *testing.T) {
 		t.Fatalf("forced election term %d did not advance past %d", term, termBefore)
 	}
 	// The old leader is deposed, not split-brained.
-	if st := g.nodes[leader].State(); st == StateLeading {
+	if st := stateOf(g.nodes[leader]); st == StateLeading {
 		t.Fatalf("old leader still leading after forced election")
 	}
 }
@@ -362,7 +362,7 @@ func startLeadingNode(t *testing.T) *Node {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for n.State() != StateLeading {
+	for stateOf(n) != StateLeading {
 		if time.Now().After(deadline) {
 			_ = n.Close()
 			t.Fatal("a one-member group never elected itself")
@@ -433,8 +433,15 @@ func TestUnpersistedElectionStateIsNotActedOn(t *testing.T) {
 		block(t, n)
 		// An election is due every 2×TTL from here on; give it several.
 		time.Sleep(10 * ttl)
-		if st := n.State(); st == StateLeading {
+		if st := stateOf(n); st == StateLeading {
 			t.Fatalf("node leads at term %d with no durable record of it", n.Term())
 		}
 	})
+}
+
+// stateOf reads n's election state.
+func stateOf(n *Node) NodeState {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.state
 }

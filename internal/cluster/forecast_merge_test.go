@@ -31,9 +31,7 @@ func seedShardedSeries(t *testing.T, n int, seed int64) (*cluster.Router, []stor
 	t.Helper()
 	shards := make([]storage.Engine, n)
 	for i := range shards {
-		l := storage.NewLocal(docstore.NewStore())
-		l.AttachSeries(series.New(series.Options{}), "observations")
-		shards[i] = l
+		shards[i] = seriesEngine(t)
 	}
 	r, err := cluster.NewRouter(shards, cluster.RouterOptions{})
 	if err != nil {
@@ -158,8 +156,7 @@ func TestClusterMergedForecastEqualsMergedRollupForecast(t *testing.T) {
 func TestRouterBucketsUnavailableWithoutSeries(t *testing.T) {
 	// One shard without a series view: the Router must report
 	// "no series" so callers fall back, never a partial answer.
-	l1 := storage.NewLocal(docstore.NewStore())
-	l1.AttachSeries(series.New(series.Options{}), "observations")
+	l1 := seriesEngine(t)
 	l2 := storage.NewLocal(docstore.NewStore())
 	r, err := cluster.NewRouter([]storage.Engine{l1, l2}, cluster.RouterOptions{})
 	if err != nil {
@@ -172,4 +169,15 @@ func TestRouterBucketsUnavailableWithoutSeries(t *testing.T) {
 	if _, has, err := r.SeriesZoneBuckets(ctx, "FR75001", forecastBase, forecastBase.Add(time.Hour)); has || err != nil {
 		t.Fatalf("partial series cluster: has=%v err=%v, want has=false", has, err)
 	}
+}
+
+// seriesEngine is a memory-only engine with a series view, opened the
+// way the server opens one.
+func seriesEngine(t testing.TB) *storage.Local {
+	t.Helper()
+	l, err := storage.OpenLocal(storage.LocalOptions{Series: &storage.SeriesOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }

@@ -64,13 +64,6 @@ func NewRouter(shards []storage.Engine, opts RouterOptions) (*Router, error) {
 	return &Router{shards: shards, keys: keys, metrics: opts.Metrics}, nil
 }
 
-// ShardCount returns the number of shards.
-func (r *Router) ShardCount() int { return len(r.shards) }
-
-// Shard exposes one underlying shard engine (for checkpoint loops and
-// tests).
-func (r *Router) Shard(i int) storage.Engine { return r.shards[i] }
-
 // shardFor routes one document: hash of the shard-key field's value,
 // or shard 0 when the collection is unsharded or the document does not
 // carry the key field.

@@ -10,7 +10,7 @@ import (
 	"github.com/urbancivics/goflow/internal/storage/enginetest"
 )
 
-func newTestRouter(t *testing.T, n int) *cluster.Router {
+func newTestRouter(t *testing.T, n int) (*cluster.Router, []storage.Engine) {
 	t.Helper()
 	shards := make([]storage.Engine, n)
 	for i := range shards {
@@ -22,7 +22,7 @@ func newTestRouter(t *testing.T, n int) *cluster.Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	return r, shards
 }
 
 // TestRouterConformance: a Router over 1, 3 and 4 shards must be
@@ -32,7 +32,8 @@ func TestRouterConformance(t *testing.T) {
 	for _, n := range []int{1, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			enginetest.Run(t, func(t *testing.T) storage.Engine {
-				return newTestRouter(t, n)
+				r, _ := newTestRouter(t, n)
+				return r
 			})
 		})
 	}
@@ -41,7 +42,7 @@ func TestRouterConformance(t *testing.T) {
 // TestRouterKeyLocality: all documents of one shard key land on the
 // same shard, and that shard is where per-key scans find them.
 func TestRouterKeyLocality(t *testing.T) {
-	r := newTestRouter(t, 4)
+	r, shards := newTestRouter(t, 4)
 	defer func() { _ = r.Close() }()
 	perDevice := 25
 	for d := 0; d < 8; d++ {
@@ -56,7 +57,7 @@ func TestRouterKeyLocality(t *testing.T) {
 		device := fmt.Sprintf("device-%d", d)
 		want := cluster.ShardFor(device, 4)
 		for s := 0; s < 4; s++ {
-			n, err := r.Shard(s).CountContext(t.Context(), "obs", storage.Doc{"device": device})
+			n, err := shards[s].CountContext(t.Context(), "obs", storage.Doc{"device": device})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,19 +74,19 @@ func TestRouterKeyLocality(t *testing.T) {
 // TestRouterUnshardedPinned: collections without a shard key (metadata)
 // live wholly on shard 0.
 func TestRouterUnshardedPinned(t *testing.T) {
-	r := newTestRouter(t, 4)
+	r, shards := newTestRouter(t, 4)
 	defer func() { _ = r.Close() }()
 	for i := 0; i < 10; i++ {
 		if _, err := r.Insert("accounts", storage.Doc{"name": fmt.Sprintf("u%d", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n, err := r.Shard(0).CountContext(t.Context(), "accounts", nil)
+	n, err := shards[0].CountContext(t.Context(), "accounts", nil)
 	if err != nil || n != 10 {
 		t.Fatalf("shard 0 holds %d metadata docs (%v), want 10", n, err)
 	}
 	for s := 1; s < 4; s++ {
-		if n, _ := r.Shard(s).CountContext(t.Context(), "accounts", nil); n != 0 {
+		if n, _ := shards[s].CountContext(t.Context(), "accounts", nil); n != 0 {
 			t.Fatalf("metadata leaked onto shard %d", s)
 		}
 	}
@@ -94,7 +95,7 @@ func TestRouterUnshardedPinned(t *testing.T) {
 // TestRouterInsertManyFanout: a mixed-key batch spreads across shards
 // and the returned ids line up positionally with the input docs.
 func TestRouterInsertManyFanout(t *testing.T) {
-	r := newTestRouter(t, 4)
+	r, shards := newTestRouter(t, 4)
 	defer func() { _ = r.Close() }()
 	docs := make([]storage.Doc, 200)
 	for i := range docs {
@@ -120,7 +121,7 @@ func TestRouterInsertManyFanout(t *testing.T) {
 	// The batch genuinely fanned out.
 	populated := 0
 	for s := 0; s < 4; s++ {
-		if n, _ := r.Shard(s).CountContext(t.Context(), "obs", nil); n > 0 {
+		if n, _ := shards[s].CountContext(t.Context(), "obs", nil); n > 0 {
 			populated++
 		}
 	}

@@ -72,7 +72,7 @@ func BenchmarkMutationCodec(b *testing.B) {
 		b.Run("decode/"+tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := DecodeMutation(payload)
+				m, err := decodeMutation(payload, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,7 +54,7 @@ func TestCodecRoundTripEveryOpAndKind(t *testing.T) {
 		if payload[0] != 0 {
 			t.Fatalf("%s: payload starts %#x, want the 0x00 marker", m.Op, payload[0])
 		}
-		got, err := DecodeMutation(payload)
+		got, err := decodeMutation(payload, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m.Op, err)
 		}
@@ -121,7 +122,7 @@ func TestUnsupportedValueRefusedBeforeApply(t *testing.T) {
 			t.Fatalf("update %s: err = %v, want ErrUnsupportedValue", name, err)
 		}
 	}
-	if n, _ := c.Count(nil); n != 1 {
+	if n, _ := c.CountContext(context.Background(), nil); n != 1 {
 		t.Fatalf("collection holds %d documents after refused writes, want 1", n)
 	}
 	if d, _ := c.Get("ok"); d["v"] != 1 {
@@ -142,15 +143,15 @@ func TestDecodeRefusesUnknownVersionAndOp(t *testing.T) {
 	}
 	newer := bytes.Clone(payload)
 	newer[1]++
-	if _, err := DecodeMutation(newer); !errors.Is(err, ErrCodecVersion) {
+	if _, err := decodeMutation(newer, nil); !errors.Is(err, ErrCodecVersion) {
 		t.Fatalf("version %d: err = %v, want ErrCodecVersion", newer[1], err)
 	}
 	badOp := bytes.Clone(payload)
 	badOp[2] = 99
-	if _, err := DecodeMutation(badOp); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeMutation(badOp, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("op 99: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := DecodeMutation(nil); err == nil {
+	if _, err := decodeMutation(nil, nil); err == nil {
 		t.Fatal("empty payload decoded")
 	}
 }
@@ -226,7 +227,7 @@ func TestDecodeAcceptsOnlyCanonicalForm(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DecodeMutation(append(bytes.Clone(head), 2, 2, 'a', tagNil, 2, 'b', tagString, 3)); err != nil {
+	if _, err := decodeMutation(append(bytes.Clone(head), 2, 2, 'a', tagNil, 2, 'b', tagString, 3), nil); err != nil {
 		t.Fatalf("control payload (a: nil, b: \"a\" by index): %v", err)
 	}
 }
@@ -279,7 +280,7 @@ func FuzzMutationDecode(f *testing.F) {
 }
 
 // unpacked returns m with the documents it carries in stored form
-// turned back into the maps DecodeMutation gives.
+// turned back into the maps decodeMutation gives.
 func unpacked(m *Mutation) *Mutation {
 	out := *m
 	out.packed = nil
@@ -321,7 +322,7 @@ func TestDecodeConcurrentInterning(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, p := range payloads {
-				m, err := DecodeMutation(p)
+				m, err := decodeMutation(p, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -354,7 +355,7 @@ func TestDecodeConcurrentInterning(t *testing.T) {
 	if b["raceApp"] != "SC" || len(b) != 4 {
 		t.Fatalf("mutating one decoded document changed another: %v", b)
 	}
-	if again, _ := DecodeMutation(payloads[0]); again.Docs[0]["raceApp"] != "SC" {
+	if again, _ := decodeMutation(payloads[0], nil); again.Docs[0]["raceApp"] != "SC" {
 		t.Fatalf("mutating a decoded document changed the interned value: %v", again.Docs[0])
 	}
 }
@@ -373,7 +374,7 @@ func TestInterningIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := DecodeMutation(p)
+		m, err := decodeMutation(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

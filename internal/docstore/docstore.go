@@ -74,12 +74,13 @@ func (s *Store) Collection(name string) *Collection {
 	return c
 }
 
-// Drop removes a collection and its documents.
-func (s *Store) Drop(name string) {
+// drop removes a collection and its documents. Nothing serves it; the
+// tests use it to put the log's drop record through replay.
+func (s *Store) drop(name string) {
 	s.mu.Lock()
 	delete(s.collections, name)
 	s.mu.Unlock()
-	// Best effort: Drop has no error return, so a commit-log failure
+	// Best effort: drop has no error return, so a commit-log failure
 	// here cannot be surfaced; the in-memory drop stands either way.
 	if tk, err := s.logStore(&Mutation{Op: OpDrop, Collection: name}); err == nil {
 		_ = commitWait(tk)
@@ -147,9 +148,6 @@ func newCollection(name string, s *Store) *Collection {
 		ingestObs: &s.ingestObs,
 	}
 }
-
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
 
 var _idCounter atomic.Uint64
 
@@ -458,14 +456,9 @@ func (c *Collection) DeleteMany(filter Doc) (int, error) {
 	return n, nil
 }
 
-// Count returns the number of documents matching filter (nil matches
-// all).
-func (c *Collection) Count(filter Doc) (int, error) {
-	return c.CountContext(context.Background(), filter)
-}
-
-// CountContext is Count with scan cancellation; see FindIDsContext.
-// Matches are counted in place over the chosen posting list; no ids or
+// CountContext returns the number of documents matching filter (nil
+// matches all), with scan cancellation; see FindIDsContext. Matches
+// are counted in place over the chosen posting list; no ids or
 // documents are materialized.
 func (c *Collection) CountContext(ctx context.Context, filter Doc) (int, error) {
 	if len(filter) == 0 {
@@ -718,8 +711,9 @@ func sortEntries(hits []*entry, field string, desc bool) {
 	}
 }
 
-// FindOne returns the first matching document.
-func (c *Collection) FindOne(filter Doc) (Doc, error) {
+// findOne returns the first matching document, ErrNotFound when none
+// matches.
+func (c *Collection) findOne(filter Doc) (Doc, error) {
 	docs, err := c.Find(filter, FindOptions{Limit: 1})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -111,7 +112,7 @@ func TestDeleteAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := c.Count(nil)
+	n, err := c.CountContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestFilters(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := c.Count(tt.filter)
+			got, err := c.CountContext(context.Background(), tt.filter)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,10 +183,10 @@ func TestFilters(t *testing.T) {
 
 func TestFilterUnknownOperator(t *testing.T) {
 	c := NewStore().Collection("obs")
-	if _, err := c.Count(Doc{"x": map[string]any{"$regex": "a"}}); err == nil {
+	if _, err := c.CountContext(context.Background(), Doc{"x": map[string]any{"$regex": "a"}}); err == nil {
 		t.Fatal("unknown operator must fail")
 	}
-	if _, err := c.Count(Doc{"x": map[string]any{"$in": "not-a-list"}}); err == nil {
+	if _, err := c.CountContext(context.Background(), Doc{"x": map[string]any{"$in": "not-a-list"}}); err == nil {
 		t.Fatal("$in with non-list must fail")
 	}
 }
@@ -195,7 +196,7 @@ func TestRangeOperatorsDoNotCrossTypes(t *testing.T) {
 	if _, err := c.Insert(Doc{"v": "text"}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.Count(Doc{"v": map[string]any{"$gt": 5.0}})
+	n, err := c.CountContext(context.Background(), Doc{"v": map[string]any{"$gt": 5.0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +251,13 @@ func TestFindSortSkipLimitProjection(t *testing.T) {
 
 func TestFindOneAndNotFound(t *testing.T) {
 	c := NewStore().Collection("obs")
-	if _, err := c.FindOne(Doc{"x": 1}); !errors.Is(err, ErrNotFound) {
+	if _, err := c.findOne(Doc{"x": 1}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("FindOne on empty = %v, want ErrNotFound", err)
 	}
 	if _, err := c.Insert(Doc{"x": 1}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.FindOne(Doc{"x": 1})
+	d, err := c.findOne(Doc{"x": 1})
 	if err != nil || d["x"] != 1 {
 		t.Fatalf("FindOne = %v, %v", d, err)
 	}
@@ -274,7 +275,7 @@ func TestIndexConsistency(t *testing.T) {
 	}
 	assertCount := func(model string, want int) {
 		t.Helper()
-		n, err := c.Count(Doc{"model": model})
+		n, err := c.CountContext(context.Background(), Doc{"model": model})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +301,7 @@ func TestIndexConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.EnsureIndex("k")
-	n, err := c2.Count(Doc{"k": "v"})
+	n, err := c2.CountContext(context.Background(), Doc{"k": "v"})
 	if err != nil || n != 1 {
 		t.Fatalf("backfilled index count = %d, %v", n, err)
 	}
@@ -313,7 +314,7 @@ func TestIndexNumericCanonicalization(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Query with float must hit the int-stored doc through the index.
-	n, err := c.Count(Doc{"n": 3.0})
+	n, err := c.CountContext(context.Background(), Doc{"n": 3.0})
 	if err != nil || n != 1 {
 		t.Fatalf("cross-width numeric index lookup = %d, %v", n, err)
 	}
@@ -330,7 +331,7 @@ func TestDeleteMany(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("DeleteMany = %d, %v, want 3", n, err)
 	}
-	total, err := c.Count(nil)
+	total, err := c.CountContext(context.Background(), nil)
 	if err != nil || total != 3 {
 		t.Fatalf("remaining = %d, %v", total, err)
 	}
@@ -345,7 +346,7 @@ func TestStoreCollectionsAndDrop(t *testing.T) {
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Collections() = %v", got)
 	}
-	s.Drop("a")
+	s.drop("a")
 	if got := s.Collections(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("after drop: %v", got)
 	}
@@ -372,7 +373,7 @@ func TestConcurrentInsertAndFind(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	n, err := c.Count(nil)
+	n, err := c.CountContext(context.Background(), nil)
 	if err != nil || n != 800 {
 		t.Fatalf("final count = %d, %v", n, err)
 	}
@@ -454,7 +455,7 @@ func TestInsertManyStopsAtError(t *testing.T) {
 	if len(ids) != 1 {
 		t.Fatalf("ids before failure = %v", ids)
 	}
-	if n, _ := c.Count(nil); n != 1 {
+	if n, _ := c.CountContext(context.Background(), nil); n != 1 {
 		t.Fatalf("stored %d docs, want 1 (b must not be inserted)", n)
 	}
 }
@@ -528,7 +529,7 @@ func TestOrFilter(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := c.Count(tt.filter)
+			got, err := c.CountContext(context.Background(), tt.filter)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -541,16 +542,16 @@ func TestOrFilter(t *testing.T) {
 
 func TestOrFilterValidation(t *testing.T) {
 	c := NewStore().Collection("obs")
-	if _, err := c.Count(Doc{"$or": "not-a-list"}); err == nil {
+	if _, err := c.CountContext(context.Background(), Doc{"$or": "not-a-list"}); err == nil {
 		t.Fatal("$or with non-list must fail")
 	}
-	if _, err := c.Count(Doc{"$or": []any{}}); err == nil {
+	if _, err := c.CountContext(context.Background(), Doc{"$or": []any{}}); err == nil {
 		t.Fatal("empty $or must fail")
 	}
-	if _, err := c.Count(Doc{"$or": []any{"not-a-filter"}}); err == nil {
+	if _, err := c.CountContext(context.Background(), Doc{"$or": []any{"not-a-filter"}}); err == nil {
 		t.Fatal("$or with non-filter branch must fail")
 	}
-	if _, err := c.Count(Doc{"$or": []any{
+	if _, err := c.CountContext(context.Background(), Doc{"$or": []any{
 		map[string]any{"x": map[string]any{"$regex": "a"}},
 	}}); err == nil {
 		t.Fatal("$or branch with unknown operator must fail")

@@ -139,7 +139,7 @@ func assertReadsAgree(t *testing.T, rng *rand.Rand, got, want *Collection, filte
 	if g, w := render(t, gotIDs), render(t, wantIDs); g != w {
 		t.Fatalf("%s: FindIDs\n indexed %s\n twin    %s", where, g, w)
 	}
-	n, err := got.Count(filter)
+	n, err := got.CountContext(context.Background(), filter)
 	if err != nil || n != len(wantIDs) {
 		t.Fatalf("%s: Count = %d, %v; twin finds %d", where, n, err, len(wantIDs))
 	}
@@ -387,7 +387,7 @@ func TestIndexedReadsMatchIndexlessTwin(t *testing.T) {
 						if _, err := col.Find(filter, propFindOptions(rng)); err != nil {
 							t.Error(err)
 						}
-						if _, err := col.Count(filter); err != nil {
+						if _, err := col.CountContext(context.Background(), filter); err != nil {
 							t.Error(err)
 						}
 						docs, err := col.FindAfterContext(ctx, anchor, filter, 5)

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -262,7 +263,7 @@ func TestSaveFileTornWriteKeepsPreviousSnapshot(t *testing.T) {
 			if err := check.LoadFile(path); err != nil {
 				t.Fatalf("previous snapshot unreadable after torn write: %v", err)
 			}
-			if _, err := check.Collection("col0").FindOne(Doc{"model": "anchor"}); err != nil {
+			if _, err := check.Collection("col0").findOne(Doc{"model": "anchor"}); err != nil {
 				t.Fatalf("previous snapshot lost data: %v", err)
 			}
 			// No temp-file debris accumulates.
@@ -284,11 +285,11 @@ func TestSaveFileTornWriteKeepsPreviousSnapshot(t *testing.T) {
 	if err := after.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	n, err := after.Collection("col0").Count(nil)
+	n, err := after.Collection("col0").CountContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Collection("col0").Count(nil)
+	want, err := s.Collection("col0").CountContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 	"time"
@@ -83,7 +84,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	assertStoresEqual(t, s, restored)
 	// Nested values survive.
-	d, err := restored.Collection("observations").FindOne(Doc{"model": "B"})
+	d, err := restored.Collection("observations").findOne(Doc{"model": "B"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSnapshotRestoresIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The index works for lookups after restore.
-	n, err := restored.Collection("observations").Count(Doc{"model": "A"})
+	n, err := restored.Collection("observations").CountContext(context.Background(), Doc{"model": "A"})
 	if err != nil || n != 1 {
 		t.Fatalf("indexed count after restore = %d, %v", n, err)
 	}
@@ -161,7 +162,7 @@ func TestSnapshotReplacesSameNamedCollections(t *testing.T) {
 	if err := target.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n, err := target.Collection("observations").Count(Doc{"model": "STALE"})
+	n, err := target.Collection("observations").CountContext(context.Background(), Doc{"model": "STALE"})
 	if err != nil || n != 0 {
 		t.Fatalf("stale docs survived restore: %d", n)
 	}

@@ -107,11 +107,11 @@ func TestBulkDeleteKeepsReadsConsistent(t *testing.T) {
 		filters = append(filters, Doc{"appId": "SC", "zone": z}, Doc{"zone": z, "userId": "u017"})
 	}
 	for _, filter := range filters {
-		want, err := plain.Count(filter)
+		want, err := plain.CountContext(context.Background(), filter)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := indexed.Count(filter); err != nil || got != want {
+		if got, err := indexed.CountContext(context.Background(), filter); err != nil || got != want {
 			t.Fatalf("Count(%v) = %d, %v; twin has %d", filter, got, err, want)
 		}
 		for _, opts := range []FindOptions{{Skip: 150, Limit: 300}, {SortField: "sensedAt", Limit: 100}, {SortField: "spl", SortDesc: true, Skip: 30, Limit: 50}} {

@@ -382,7 +382,7 @@ func (p *storedRun) check() {
 		ids, err := c.FindIDs(filter)
 		p.must(err)
 		equal(where+"FindIDs", ids, p.ref.ids(filter))
-		n, err := c.Count(filter)
+		n, err := c.CountContext(context.Background(), filter)
 		p.must(err)
 		equal(where+"Count", n, len(ids))
 		for j := 0; j < 2; j++ {
@@ -617,7 +617,7 @@ func TestStoredFormAliasing(t *testing.T) {
 
 	reads := map[string]func() (Doc, error){
 		"Get":     func() (Doc, error) { return c.Get("d") },
-		"FindOne": func() (Doc, error) { return c.FindOne(Doc{"zone": "z1"}) },
+		"FindOne": func() (Doc, error) { return c.findOne(Doc{"zone": "z1"}) },
 		"Find": func() (Doc, error) {
 			docs, err := c.Find(Doc{"zone": "z1"}, FindOptions{SortField: "n"})
 			return docs[0], err
@@ -851,7 +851,7 @@ func TestStoredFormConcurrentShapeTransitions(t *testing.T) {
 				for _, d := range page {
 					whole(d)
 				}
-				if n, err := c.Count(Doc{"zone": filter["zone"], "extra": map[string]any{"$exists": true}}); err != nil || n > docs {
+				if n, err := c.CountContext(context.Background(), Doc{"zone": filter["zone"], "extra": map[string]any{"$exists": true}}); err != nil || n > docs {
 					t.Errorf("count = %d, %v", n, err)
 				}
 				for anchor := ""; ; {
@@ -940,7 +940,7 @@ func TestShapeRegistryIsBounded(t *testing.T) {
 		if got, err := c.Get("long"); err != nil || !reflect.DeepEqual(got, Doc{IDField: "long", long: true}) {
 			t.Fatalf("the document with the long field name = %v, %v", got, err)
 		}
-		if cnt, err := c.Count(Doc{"zone": "z3"}); err != nil || cnt != (n+3)/7 {
+		if cnt, err := c.CountContext(context.Background(), Doc{"zone": "z3"}); err != nil || cnt != (n+3)/7 {
 			t.Fatalf("count of z3 = %d, %v; want %d", cnt, err, (n+3)/7)
 		}
 	}

@@ -80,18 +80,12 @@ func EncodeMutation(m *Mutation) ([]byte, error) {
 	return bytes.Clone(e.buf), nil
 }
 
-// DecodeMutation decodes one WAL record payload back into a Mutation
-// whose documents are maps (the inverse of EncodeMutation). It also
-// reads the gob payloads every binary before the document codec wrote,
-// so a log or a replication leader of that vintage stays readable;
-// nothing writes them any more. Applying a record does not go through
-// here: see Store.ApplyRecord.
-func DecodeMutation(payload []byte) (*Mutation, error) {
-	return decodeMutation(payload, nil)
-}
-
-// decodeMutation decodes a record payload; with shapes set, the
-// documents of a binary insert come back in stored form (m.packed).
+// decodeMutation decodes one WAL record payload back into a Mutation
+// (the inverse of EncodeMutation). Without shapes its documents are
+// maps; with shapes set, the documents of a binary insert come back in
+// stored form (m.packed). It also reads the gob payloads every binary
+// before the document codec wrote, so a log or a replication leader of
+// that vintage stays readable; nothing writes them any more.
 func decodeMutation(payload []byte, shapes *shapeCache) (*Mutation, error) {
 	if len(payload) > 0 && payload[0] == codecMarker {
 		d := getDecoder(payload[1:])

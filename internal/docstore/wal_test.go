@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -91,7 +92,7 @@ func TestWALMutationRoundtrip(t *testing.T) {
 	if _, err := live.Collection("scratch").Insert(Doc{"tmp": 1}); err != nil {
 		t.Fatal(err)
 	}
-	live.Drop("scratch")
+	live.drop("scratch")
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestWALFailureRejectsWrites(t *testing.T) {
 	if _, err := obs.Insert(Doc{"db": 1}); err == nil {
 		t.Fatal("insert over torn log acknowledged")
 	}
-	before, err := obs.Count(nil)
+	before, err := obs.CountContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestWALFailureRejectsWrites(t *testing.T) {
 	if _, err := obs.Insert(Doc{"db": 2}); err == nil {
 		t.Fatal("insert after sticky log failure acknowledged")
 	}
-	if after, err := obs.Count(nil); err != nil || after != before {
+	if after, err := obs.CountContext(context.Background(), nil); err != nil || after != before {
 		t.Fatalf("doc count changed %d -> %d after refused insert (err %v)", before, after, err)
 	}
 }

@@ -14,15 +14,18 @@ import (
 // Chaos suite: a mobile client publishes observation batches through a
 // fault-injected link while a clean backend consumer drains the queue.
 // Whatever the nemesis does — resets, drops, delays, partitions — every
-// observation must arrive exactly once: the reconnect/replay machinery
-// supplies the at-least-once half and the broker's idempotency-token
+// observation must arrive exactly once: reconnect and publish retry
+// supply the at-least-once half and the broker's idempotency-token
 // dedup supplies the at-most-once half.
 //
 // Every schedule is reproducible: re-run a failing case with the seed
 // from its subtest name / log line.
 
+// 96 observations in batches of 4 put 24 publish frames on the
+// uplink: enough for every frame-counting schedule below to force its
+// minimum number of outages.
 const (
-	chaosObservations = 60
+	chaosObservations = 96
 	chaosBatch        = 4
 )
 
@@ -52,24 +55,6 @@ func TestChaosExactlyOnceDelivery(t *testing.T) {
 	}
 }
 
-// retryTopo retries a topology declaration across injected outages
-// (declares fail fast with typed errors instead of retrying like
-// publishes do, so the application — here, the test — decides).
-func retryTopo(t *testing.T, c *mq.Conn, op string, f func() error) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		err := f()
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %v", op, err)
-		}
-		_ = c.WaitConnected(time.Second)
-	}
-}
-
 func runChaos(t *testing.T, seed int64, plan faults.Plan, minReconnects uint64, wantDedup bool) {
 	t.Logf("chaos schedule seed=%d plan=%+v — reproduce by fixing this seed", seed, plan)
 	broker := mq.NewBroker()
@@ -95,9 +80,17 @@ func runChaos(t *testing.T, seed int64, plan faults.Plan, minReconnects uint64, 
 	}
 	defer func() { _ = pub.Close() }()
 
-	retryTopo(t, pub, "declare exchange", func() error { return pub.DeclareExchange("E.chaos", mq.Fanout) })
-	retryTopo(t, pub, "declare queue", func() error { return pub.DeclareQueue("Q.chaos", mq.QueueOptions{}) })
-	retryTopo(t, pub, "bind queue", func() error { return pub.BindQueue("Q.chaos", "E.chaos", "") })
+	// The server provisions the topology in process, as goflow.Channels
+	// does when a client registers.
+	if err := broker.DeclareExchange("E.chaos", mq.Fanout); err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.DeclareQueue("Q.chaos", mq.QueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := broker.BindQueue("Q.chaos", "E.chaos", ""); err != nil {
+		t.Fatal(err)
+	}
 
 	// The backend consumer uses a clean link: the faults under test are
 	// on the mobile uplink.
@@ -175,14 +168,11 @@ func runChaos(t *testing.T, seed int64, plan faults.Plan, minReconnects uint64, 
 
 	st := pub.Stats()
 	cts := inj.Counts()
-	t.Logf("delivered %d exactly-once: reconnects=%d replayed=%d publishRetries=%d dedupHits=%d faults=%+v",
-		chaosObservations, st.Reconnects, st.ReplayedTopology, st.PublishRetries,
+	t.Logf("delivered %d exactly-once: reconnects=%d publishRetries=%d dedupHits=%d faults=%+v",
+		chaosObservations, st.Reconnects, st.PublishRetries,
 		broker.Stats().PublishDedupHits, cts)
 	if st.Reconnects < minReconnects {
 		t.Errorf("schedule forced %d reconnects, want >= %d", st.Reconnects, minReconnects)
-	}
-	if minReconnects > 0 && st.ReplayedTopology == 0 {
-		t.Error("reconnects happened but no topology was replayed")
 	}
 	if wantDedup && broker.Stats().PublishDedupHits == 0 {
 		t.Error("lost-response schedule produced no idempotency dedup hits")

@@ -79,16 +79,16 @@ func (b BBox) Contains(p Point) bool {
 		p.Lon >= b.Min.Lon && p.Lon <= b.Max.Lon
 }
 
-// Center returns the box center.
-func (b BBox) Center() Point {
+// center returns the box center.
+func (b BBox) center() Point {
 	return Point{
 		Lat: (b.Min.Lat + b.Max.Lat) / 2,
 		Lon: (b.Min.Lon + b.Max.Lon) / 2,
 	}
 }
 
-// Expand grows the box so it contains p.
-func (b BBox) Expand(p Point) BBox {
+// expand grows the box so it contains p.
+func (b BBox) expand(p Point) BBox {
 	out := b
 	out.Min.Lat = math.Min(out.Min.Lat, p.Lat)
 	out.Min.Lon = math.Min(out.Min.Lon, p.Lon)

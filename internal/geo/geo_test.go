@@ -89,7 +89,7 @@ func TestBBoxContainsAndCenter(t *testing.T) {
 	if b.Contains(Point{47.99, 2.5}) {
 		t.Error("point below box should not be contained")
 	}
-	c := b.Center()
+	c := b.center()
 	if c.Lat != 48.5 || c.Lon != 2.5 {
 		t.Errorf("Center() = %v, want (48.5, 2.5)", c)
 	}
@@ -97,7 +97,7 @@ func TestBBoxContainsAndCenter(t *testing.T) {
 
 func TestBBoxExpand(t *testing.T) {
 	b := BBox{Min: Point{48, 2}, Max: Point{49, 3}}
-	out := b.Expand(Point{50, 1})
+	out := b.expand(Point{50, 1})
 	if out.Max.Lat != 50 || out.Min.Lon != 1 {
 		t.Errorf("Expand() = %+v, want max.lat=50 min.lon=1", out)
 	}

@@ -161,8 +161,8 @@ func (a *Accounts) App(id string) (*App, error) {
 	return &cp, nil
 }
 
-// Apps returns all registered app ids sorted.
-func (a *Accounts) Apps() []string {
+// appIDs returns all registered app ids sorted.
+func (a *Accounts) appIDs() []string {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	ids := make([]string, 0, len(a.apps))

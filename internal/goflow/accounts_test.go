@@ -121,9 +121,9 @@ func TestAppsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := a.Apps()
+	got := a.appIDs()
 	if len(got) != 3 || got[0] != "aa" || got[2] != "zz" {
-		t.Fatalf("Apps() = %v", got)
+		t.Fatalf("appIDs() = %v", got)
 	}
 }
 

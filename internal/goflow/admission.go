@@ -191,9 +191,6 @@ func (a *Admission) SetHooks(h AdmissionHooks) { a.hooks = h }
 // during graceful shutdown.
 func (a *Admission) SetDraining(v bool) { a.draining.Store(v) }
 
-// Draining reports the flag.
-func (a *Admission) Draining() bool { return a.draining.Load() }
-
 // Breaker exposes the query-path breaker (nil when disabled).
 func (a *Admission) Breaker() *guard.Breaker { return a.breaker }
 

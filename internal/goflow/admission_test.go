@@ -15,6 +15,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/guard"
 	"github.com/urbancivics/goflow/internal/mq"
+	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/simclock"
 	"github.com/urbancivics/goflow/internal/storage"
@@ -57,7 +58,7 @@ func newGuardedServer(t *testing.T, admission AdmissionConfig) (*Server, *httpte
 		server.Shutdown()
 		broker.Close()
 	})
-	ts := httptest.NewServer(NewHTTPHandler(server))
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, obs.NewRegistry()))
 	t.Cleanup(ts.Close)
 	return server, ts
 }
@@ -145,7 +146,7 @@ func TestIngestStampsReceiveInstant(t *testing.T) {
 		server.Shutdown()
 		broker.Close()
 	})
-	ts := httptest.NewServer(NewHTTPHandler(server))
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, obs.NewRegistry()))
 	t.Cleanup(ts.Close)
 	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
 		t.Fatal(err)
@@ -467,7 +468,7 @@ func TestShutdownContextDrains(t *testing.T) {
 	if err := server.ShutdownContext(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if !server.Guard.Draining() {
+	if !server.Guard.draining.Load() {
 		t.Fatal("shutdown did not flip the draining flag")
 	}
 	if err := server.ShutdownContext(ctx); err != nil {

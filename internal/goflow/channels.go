@@ -148,9 +148,10 @@ func (c *Channels) Unsubscribe(appID, clientID, datatype, zone string) error {
 	return c.broker.UnbindQueue(ClientQueue(clientID), LocationExchange(zone), sel)
 }
 
-// RoutingKey builds the canonical crowd-sensing routing key:
-// "<app>.<client>.<datatype>.<zone>".
-func RoutingKey(appID, clientID, datatype, zone string) string {
+// routingKey builds the canonical crowd-sensing routing key:
+// "<app>.<client>.<datatype>.<zone>" (client.RoutingKey is its
+// observation case, the one phones publish).
+func routingKey(appID, clientID, datatype, zone string) string {
 	if zone == "" {
 		zone = "ZZ"
 	}

@@ -2,6 +2,7 @@ package goflow
 
 import (
 	"testing"
+	"time"
 
 	"github.com/urbancivics/goflow/internal/mq"
 )
@@ -31,7 +32,7 @@ func TestChannelsProvisionTopology(t *testing.T) {
 	}
 	// A message published on the client exchange with the client's id
 	// must land in the GoFlow queue.
-	n, err := broker.Publish(ex, RoutingKey("SC", "mob1", "obs", "FR75013"), nil, []byte("m"))
+	n, err := broker.PublishAt(ex, routingKey("SC", "mob1", "obs", "FR75013"), nil, []byte("m"), time.Now())
 	if err != nil || n != 1 {
 		t.Fatalf("publish through topology: n=%d err=%v", n, err)
 	}
@@ -52,7 +53,7 @@ func TestChannelsClientIDFilterBlocksSpoofing(t *testing.T) {
 	}
 	// mob1's exchange refuses keys claiming another client id: the
 	// shared-secret binding of the paper.
-	n, err := broker.Publish(ex, RoutingKey("SC", "mob2", "obs", "FR75013"), nil, []byte("m"))
+	n, err := broker.PublishAt(ex, routingKey("SC", "mob2", "obs", "FR75013"), nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("spoofed publish delivered %d (err=%v), want 0", n, err)
 	}
@@ -78,7 +79,7 @@ func TestChannelsSubscriptionRouting(t *testing.T) {
 	}
 	publish := func(datatype, zone string) int {
 		t.Helper()
-		n, err := broker.Publish(pubEx, RoutingKey("SC", "mob1", datatype, zone), nil, []byte("m"))
+		n, err := broker.PublishAt(pubEx, routingKey("SC", "mob1", datatype, zone), nil, []byte("m"), time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestChannelsMultipleSubscribersShareLocationExchange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := broker.Publish(pubEx, RoutingKey("SC", "mob1", "feedback", "FR75013"), nil, []byte("m"))
+	n, err := broker.PublishAt(pubEx, routingKey("SC", "mob1", "feedback", "FR75013"), nil, []byte("m"), time.Now())
 	if err != nil || n != 3 { // GF + two subscriber queues
 		t.Fatalf("delivered to %d queues, want 3", n)
 	}
@@ -144,7 +145,7 @@ func TestChannelsDeprovisionClient(t *testing.T) {
 	if err := c.DeprovisionClient("mob1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := broker.Publish(ex, "any", nil, nil); err == nil {
+	if _, err := broker.PublishAt(ex, "any", nil, nil, time.Now()); err == nil {
 		t.Fatal("publish to deprovisioned exchange must fail")
 	}
 	if _, err := broker.QueueStats(q); err == nil {
@@ -153,7 +154,7 @@ func TestChannelsDeprovisionClient(t *testing.T) {
 }
 
 func TestRoutingKeyZoneDefault(t *testing.T) {
-	if got := RoutingKey("SC", "c", "obs", ""); got != "SC.c.obs.ZZ" {
+	if got := routingKey("SC", "c", "obs", ""); got != "SC.c.obs.ZZ" {
 		t.Fatalf("RoutingKey = %q", got)
 	}
 }

@@ -60,7 +60,7 @@ func TestCrowdCalibrateJob(t *testing.T) {
 	// spacing matches the seeded biases (zero-median gauge).
 	got := make(map[string]float64, 3)
 	for model := range biases {
-		docs, err := dm.Engine().FindContext(t.Context(), CalibrationCollection,
+		docs, err := dm.data.FindContext(t.Context(), CalibrationCollection,
 			docstore.Doc{"appId": "SC", "model": model, "source": "crowd"}, docstore.FindOptions{Limit: 1})
 		if err != nil || len(docs) == 0 {
 			t.Fatalf("calibration doc for %s: %v", model, err)
@@ -88,7 +88,7 @@ func TestCrowdCalibrateJob(t *testing.T) {
 	if err != nil || job2.State != JobDone {
 		t.Fatalf("rerun state = %v, %v", job2.State, err)
 	}
-	n, err := dm.Engine().CountContext(t.Context(), CalibrationCollection, docstore.Doc{"appId": "SC", "source": "crowd"})
+	n, err := dm.data.CountContext(t.Context(), CalibrationCollection, docstore.Doc{"appId": "SC", "source": "crowd"})
 	if err != nil || n != 3 {
 		t.Fatalf("calibration docs after rerun = %d, want 3", n)
 	}

@@ -46,9 +46,6 @@ func NewDataManagerEngine(data storage.Engine, accounts *Accounts, zones *geo.Zo
 	return &DataManager{data: data, accounts: accounts, zones: zones}
 }
 
-// Engine exposes the storage engine, for jobs and server wiring.
-func (dm *DataManager) Engine() storage.Engine { return dm.data }
-
 // Ingest validates, anonymizes and stores one observation published
 // by clientID for appID; it returns the stored document id.
 func (dm *DataManager) Ingest(appID, clientID string, o *sensing.Observation, receivedAt time.Time) (string, error) {

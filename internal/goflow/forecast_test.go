@@ -13,7 +13,6 @@ import (
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/predict"
-	"github.com/urbancivics/goflow/internal/series"
 	"github.com/urbancivics/goflow/internal/simclock"
 	"github.com/urbancivics/goflow/internal/storage"
 )
@@ -26,9 +25,8 @@ var forecastTestAsOf = time.Date(2026, 5, 6, 9, 0, 0, 0, time.UTC)
 func newForecastServer(t *testing.T) (http.Handler, *obs.Registry, string) {
 	t.Helper()
 	broker := mq.NewBroker()
-	store := docstore.NewStore()
-	engine := storage.NewLocal(store)
-	engine.AttachSeries(series.New(series.Options{}), ObservationsCollection)
+	engine := seriesEngine(t)
+	store := engine.Store()
 	server, err := NewServer(ServerConfig{
 		Broker:  broker,
 		Data:    engine,
@@ -124,8 +122,7 @@ func TestForecastEndpoints(t *testing.T) {
 // 0001. It is stamped with the sweep's own instant, like a warm one.
 func TestNoisemapForecastColdCity(t *testing.T) {
 	broker := mq.NewBroker()
-	engine := storage.NewLocal(docstore.NewStore())
-	engine.AttachSeries(series.New(series.Options{}), ObservationsCollection)
+	engine := seriesEngine(t)
 	server, err := NewServer(ServerConfig{
 		Broker:  broker,
 		Data:    engine,
@@ -140,7 +137,7 @@ func TestNoisemapForecastColdCity(t *testing.T) {
 		broker.Close()
 	})
 	rec := httptest.NewRecorder()
-	NewHTTPHandler(server).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/noisemap/forecast", nil))
+	NewInstrumentedHTTPHandler(server, obs.NewRegistry()).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/noisemap/forecast", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cold city forecast = %d: %s", rec.Code, rec.Body.String())
 	}
@@ -171,7 +168,7 @@ func TestForecastEndpointsDisabled(t *testing.T) {
 		server.Shutdown()
 		broker.Close()
 	})
-	handler := NewHTTPHandler(server)
+	handler := NewInstrumentedHTTPHandler(server, obs.NewRegistry())
 	for _, path := range []string{"/v1/zones/FR75001/forecast", "/v1/noisemap/forecast"} {
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -206,4 +203,15 @@ func TestPredictMetricsExposed(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// seriesEngine is a memory-only engine with a series view, opened the
+// way the server opens one.
+func seriesEngine(t testing.TB) *storage.Local {
+	t.Helper()
+	l, err := storage.OpenLocal(storage.LocalOptions{Series: &storage.SeriesOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }

@@ -199,8 +199,8 @@ func (j *Jobs) Register(name string, fn JobFunc) {
 	j.registry[name] = fn
 }
 
-// Names lists registered script names, sorted.
-func (j *Jobs) Names() []string {
+// names lists registered script names, sorted.
+func (j *Jobs) names() []string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	names := make([]string, 0, len(j.registry))

@@ -130,7 +130,7 @@ func TestJobPurgeUnlocalized(t *testing.T) {
 
 func TestJobNamesSorted(t *testing.T) {
 	j, _ := newJobs(t, 1)
-	names := j.Names()
+	names := j.names()
 	if len(names) < 2 {
 		t.Fatalf("builtin jobs missing: %v", names)
 	}

@@ -15,6 +15,7 @@ import (
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/faults"
 	"github.com/urbancivics/goflow/internal/mq"
+	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/storage"
 )
@@ -145,7 +146,7 @@ func runLiveChaos(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: NewHTTPHandler(server)}
+	httpSrv := &http.Server{Handler: NewInstrumentedHTTPHandler(server, obs.NewRegistry())}
 	go func() { _ = httpSrv.Serve(in.Listener(ln)) }()
 	addr := ln.Addr().String()
 

@@ -20,6 +20,7 @@ import (
 
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
+	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/series"
 	"github.com/urbancivics/goflow/internal/storage"
@@ -68,7 +69,7 @@ func newLiveAPI(t *testing.T, cfg LiveConfig) (*Server, *mq.Broker, *httptest.Se
 	if err := server.StartIngest(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHTTPHandler(server))
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, obs.NewRegistry()))
 	t.Cleanup(func() {
 		ts.Close()
 		server.Shutdown()
@@ -88,7 +89,7 @@ func publishLiveObs(t *testing.T, broker *mq.Broker, cl *Client, zone string, sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := RoutingKey("SC", cl.ID, "obs", zone)
+	key := routingKey("SC", cl.ID, "obs", zone)
 	if _, err := broker.PublishAt(cl.Exchange, key, nil, body, at); err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +493,8 @@ func TestLiveWebSocketShedCloseCode(t *testing.T) {
 	// drain a one-slot mailbox through a socket, so the shed fires
 	// deterministically in practice.
 	server, broker, ts, cl := newLiveAPI(t, LiveConfig{Buffer: 1, SendBudget: -1})
+	reg := obs.NewRegistry()
+	NewMetrics(reg).InstrumentLive(server)
 	ws := dialWS(t, ts, "/v1/live/ws?app=SC")
 
 	o := obsAt(t, "A", 50, true, time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
@@ -501,7 +504,7 @@ func TestLiveWebSocketShedCloseCode(t *testing.T) {
 	}
 	batch := make([]mq.PublishItem, 256)
 	for i := range batch {
-		batch[i] = mq.PublishItem{RoutingKey: RoutingKey("SC", cl.ID, "obs", "FR75013"), Body: body}
+		batch[i] = mq.PublishItem{RoutingKey: routingKey("SC", cl.ID, "obs", "FR75013"), Body: body}
 	}
 	if _, err := broker.PublishBatch(cl.Exchange, batch); err != nil {
 		t.Fatal(err)
@@ -525,9 +528,8 @@ func TestLiveWebSocketShedCloseCode(t *testing.T) {
 		}
 		break
 	}
-	stats := broker.LiveStats()
-	if stats.Shed != 1 {
-		t.Fatalf("LiveStats.Shed = %d, want 1", stats.Shed)
+	if shed := reg.Counter("live_shed_total", "").Value(); shed != 1 {
+		t.Fatalf("live_shed_total = %d, want 1", shed)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for server.Live.Sockets() != 0 {
@@ -599,6 +601,8 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 		server.Shutdown()
 		broker.Close()
 	})
+	reg := obs.NewRegistry()
+	NewMetrics(reg).InstrumentLive(server)
 
 	slow, err := server.Live.Subscribe([]string{"SC.#"})
 	if err != nil {
@@ -612,7 +616,7 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 
 	publish := func(n int) {
 		t.Helper()
-		if _, err := broker.Publish(GoFlowExchange, "SC.c1.obs.Z1", nil, []byte{byte(n)}); err != nil {
+		if _, err := broker.PublishAt(GoFlowExchange, "SC.c1.obs.Z1", nil, []byte{byte(n)}, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -674,9 +678,9 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 	if got := len(slow.C()); got != 1 {
 		t.Fatalf("slow mailbox holds %d events, want 1", got)
 	}
-	st := broker.LiveStats()
-	if st.Shed != 1 || st.Dropped != 3 {
-		t.Fatalf("LiveStats = %+v, want Shed 1, Dropped 3", st)
+	sheds, drops := reg.Counter("live_shed_total", "").Value(), reg.Counter("live_dropped_total", "").Value()
+	if sheds != 1 || drops != 3 {
+		t.Fatalf("live_shed_total = %d, live_dropped_total = %d; want 1, 3", sheds, drops)
 	}
 }
 
@@ -726,7 +730,7 @@ func TestLiveCursorUnsupportedEngine(t *testing.T) {
 	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHTTPHandler(server))
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, obs.NewRegistry()))
 	t.Cleanup(ts.Close)
 	resp, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/apps/SC/observations?cursor=", nil)
 	if resp.StatusCode != http.StatusNotImplemented {

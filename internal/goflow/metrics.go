@@ -45,12 +45,6 @@ type Metrics struct {
 	routeMisses        *obs.Counter
 	routeInvalidations *obs.Counter
 
-	// Client-connection resilience (reconnect/replay/retry machinery
-	// of mq.DialResilient), fed through InstrumentConn.
-	reconnects       *obs.Counter
-	replayedTopology *obs.Counter
-	publishRetries   *obs.Counter
-
 	// Docstore families, labeled by collection (one per app, bounded).
 	opDuration *obs.HistogramVec
 	queries    *obs.CounterVec
@@ -112,12 +106,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Publishes that walked the binding indexes."),
 		routeInvalidations: reg.Counter("mq_route_cache_invalidations_total",
 			"Route-cache flushes caused by topology changes."),
-		reconnects: reg.Counter("mq_reconnects_total",
-			"Client reconnects completed with topology replay."),
-		replayedTopology: reg.Counter("mq_replayed_topology_total",
-			"Topology journal entries and consumers replayed on reconnect."),
-		publishRetries: reg.Counter("mq_publish_retries_total",
-			"Publish frames re-sent after a transport failure."),
 		opDuration: reg.HistogramVec("docstore_op_duration_seconds",
 			"Document store operation latency.", nil, "collection", "op"),
 		queries: reg.CounterVec("docstore_queries_total",
@@ -319,23 +307,6 @@ func (m *Metrics) InstrumentAdmission(a *Admission) {
 			m.breakerState.Set(v)
 		}
 	})
-}
-
-// InstrumentConn installs resilience hooks on a client connection
-// opened with mq.DialResilient, feeding the mq_reconnects_total,
-// mq_replayed_topology_total and mq_publish_retries_total families.
-func (m *Metrics) InstrumentConn(c *mq.Conn) {
-	c.SetConnHooks(m.ConnHooks())
-}
-
-// ConnHooks returns hooks feeding the resilience counters; pass them
-// in ReconnectConfig.Hooks or install with InstrumentConn.
-func (m *Metrics) ConnHooks() mq.ConnHooks {
-	return mq.ConnHooks{
-		Reconnected:      func(int) { m.reconnects.Inc() },
-		TopologyReplayed: func(n int) { m.replayedTopology.Add(uint64(n)) },
-		PublishRetried:   m.publishRetries.Inc,
-	}
 }
 
 // InstrumentWAL registers the wal_* families and feeds them from the

@@ -93,10 +93,10 @@ func TestGuardAndFlowMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := broker.Publish("x", "flow", nil, []byte("m")); err != nil {
+		if _, err := broker.PublishAt("x", "flow", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := broker.Publish("x", "over", nil, []byte("m")); err != nil {
+		if _, err := broker.PublishAt("x", "over", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

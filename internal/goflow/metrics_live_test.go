@@ -48,10 +48,10 @@ func TestLiveMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := broker.Publish(GoFlowExchange, "SC.c1.obs.Z1", nil, []byte("a")); err != nil {
+	if _, err := broker.PublishAt(GoFlowExchange, "SC.c1.obs.Z1", nil, []byte("a"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := broker.Publish(GoFlowExchange, "SC.c1.obs.Z1", nil, []byte("b")); err != nil {
+	if _, err := broker.PublishAt(GoFlowExchange, "SC.c1.obs.Z1", nil, []byte("b"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -70,7 +70,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := RoutingKey("SC", cl.ID, "obs", "FR75013")
+	key := routingKey("SC", cl.ID, "obs", "FR75013")
 	if _, err := broker.PublishAt(cl.Exchange, key, nil, body, o.SensedAt); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestRouteCacheMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := RoutingKey("SC", cl.ID, "obs", "FR75013")
+	key := routingKey("SC", cl.ID, "obs", "FR75013")
 	at := time.Date(2016, 3, 1, 9, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
 		if _, err := broker.PublishAt(cl.Exchange, key, nil, []byte("{}"), at); err != nil {

@@ -8,8 +8,6 @@ import (
 
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/geo"
-	"github.com/urbancivics/goflow/internal/series"
-	"github.com/urbancivics/goflow/internal/storage"
 )
 
 // TestNoisemapScanAndRollupAgree pins the identical-answers invariant
@@ -23,9 +21,7 @@ func TestNoisemapScanAndRollupAgree(t *testing.T) {
 	accounts := newAccounts(t)
 	scanDM := NewDataManager(docstore.NewStore(), accounts, geo.ParisZones())
 
-	engine := storage.NewLocal(docstore.NewStore())
-	engine.AttachSeries(series.New(series.Options{}), "observations")
-	rollupDM := NewDataManagerEngine(engine, accounts, geo.ParisZones())
+	rollupDM := NewDataManagerEngine(seriesEngine(t), accounts, geo.ParisZones())
 
 	base := time.Date(2016, 3, 1, 10, 0, 0, 0, time.UTC)
 	for i := 0; i < 40; i++ {

@@ -253,7 +253,7 @@ func TestObservationPageUnencodableDocument(t *testing.T) {
 				// Ingest validates; the bad value arrives the way a legacy or
 				// foreign writer's would, underneath it.
 				if i == tc.bad {
-					if err := server.Data.Engine().Update(ObservationsCollection, id, docstore.Doc{"spl": math.NaN()}); err != nil {
+					if err := server.Data.data.Update(ObservationsCollection, id, docstore.Doc{"spl": math.NaN()}); err != nil {
 						t.Fatal(err)
 					}
 				}

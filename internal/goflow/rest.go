@@ -41,13 +41,6 @@ type apiHandler struct {
 	server *Server
 }
 
-// NewHTTPHandler exposes the server's REST API.
-func NewHTTPHandler(s *Server) http.Handler {
-	mux := http.NewServeMux()
-	(&apiHandler{server: s}).register(mux)
-	return mux
-}
-
 // register mounts the API routes on mux, each behind the admission
 // chain for its priority class: ingest outranks channel/data queries,
 // which outrank analytics and export — under overload the server
@@ -79,11 +72,12 @@ func (h *apiHandler) register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/live/latest", g(guard.ClassQuery, h.liveLatest))
 }
 
-// NewInstrumentedHTTPHandler is NewHTTPHandler plus observability: the
-// API routes are wrapped in the obs HTTP middleware (request counts by
-// route pattern and status class, latency histograms, response bytes,
-// in-flight gauge) and the registry itself is exposed at GET /metrics
-// (Prometheus text format) and GET /metrics.json. Route labels use the
+// NewInstrumentedHTTPHandler exposes the server's REST API with its
+// observability: the API routes are wrapped in the obs HTTP middleware
+// (request counts by route pattern and status class, latency
+// histograms, response bytes, in-flight gauge) and the registry itself
+// is exposed at GET /metrics (Prometheus text format) and GET
+// /metrics.json. Route labels use the
 // registered patterns — "/v1/apps/{app}/observations", not raw URLs —
 // so label cardinality stays bounded no matter how many apps exist.
 func NewInstrumentedHTTPHandler(s *Server, reg *obs.Registry) http.Handler {

@@ -13,6 +13,7 @@ import (
 	"github.com/urbancivics/goflow/internal/cluster"
 	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/mq"
+	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/storage"
 )
@@ -20,7 +21,7 @@ import (
 func newAPI(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	server, _ := newTestServer(t)
-	ts := httptest.NewServer(NewHTTPHandler(server))
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, obs.NewRegistry()))
 	t.Cleanup(ts.Close)
 	return server, ts
 }
@@ -332,7 +333,7 @@ func TestRESTBulkIngestNotLeader(t *testing.T) {
 	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHTTPHandler(server))
+	ts := httptest.NewServer(NewInstrumentedHTTPHandler(server, obs.NewRegistry()))
 	t.Cleanup(ts.Close)
 
 	resp, body := doJSON(t, http.MethodPost, ts.URL+"/v1/apps/SC/observations", map[string]any{

@@ -319,13 +319,15 @@ func (s *Server) Shutdown() {
 
 // ShutdownContext drains the server gracefully: the admission layer
 // flips to draining (new API requests get 503 + Retry-After while the
-// health probe stays green), the ingest consumer is cancelled and its
-// loop waited for, and background jobs are stopped. A ctx that ends
-// before the ingest loop drains returns ctx.Err() with the consumer
-// already cancelled; the loop finishes in the background. Messages the
-// loop has not taken stay in the GoFlow queue, which is in memory only:
-// the broker has already acknowledged them to their publishers, and
-// they are lost if the process exits before a consumer stores them.
+// health probe stays green), the ingest loop stores everything the
+// GoFlow queue holds, its consumer is cancelled and the loop waited
+// for, and background jobs are stopped. The queue is in memory only
+// and the broker has already acknowledged its messages to their
+// publishers, so the caller stops new publishes first (closes the
+// broker's listener) and the drain stores what is left. A ctx that
+// ends before the queue or the loop drains returns ctx.Err() with the
+// consumer cancelled; the loop finishes in the background, and what
+// the queue still holds is lost when the process exits.
 func (s *Server) ShutdownContext(ctx context.Context) error {
 	s.Guard.SetDraining(true)
 	// End live streams first: each client gets a going-away close and
@@ -341,7 +343,11 @@ func (s *Server) ShutdownContext(ctx context.Context) error {
 	s.done = nil
 	s.mu.Unlock()
 	if consumer != nil {
+		err := s.drainIngest(ctx)
 		consumer.Cancel()
+		if err != nil {
+			return err
+		}
 		select {
 		case <-done:
 		case <-ctx.Done():
@@ -350,4 +356,23 @@ func (s *Server) ShutdownContext(ctx context.Context) error {
 	}
 	s.Jobs.Shutdown()
 	return nil
+}
+
+// drainIngest waits until the GoFlow queue holds nothing the ingest
+// loop has not stored: no message ready and none delivered but not
+// yet acknowledged.
+func (s *Server) drainIngest(ctx context.Context) error {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for {
+		st, err := s.broker.QueueStatsFast(GoFlowQueue)
+		if err != nil || st.Ready+st.Unacked == 0 {
+			return nil // err: the broker is closed and its queues with it
+		}
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }

@@ -53,7 +53,7 @@ func TestServerBrokerPathIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := RoutingKey("SC", cl.ID, "obs", "FR75013")
+	key := routingKey("SC", cl.ID, "obs", "FR75013")
 	if _, err := broker.PublishAt(cl.Exchange, key, nil, body, obs.SensedAt.Add(4*time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestServerRejectsMalformedMessages(t *testing.T) {
 	if err := server.StartIngest(); err != nil {
 		t.Fatal(err)
 	}
-	key := RoutingKey("SC", cl.ID, "obs", "ZZ")
-	if _, err := broker.Publish(cl.Exchange, key, nil, []byte("{broken")); err != nil {
+	key := routingKey("SC", cl.ID, "obs", "ZZ")
+	if _, err := broker.PublishAt(cl.Exchange, key, nil, []byte("{broken"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.WaitIdle(5 * time.Second); err != nil {
@@ -113,8 +113,8 @@ func TestServerIgnoresNonObservationDatatypes(t *testing.T) {
 	if err := server.StartIngest(); err != nil {
 		t.Fatal(err)
 	}
-	key := RoutingKey("SC", cl.ID, "feedback", "FR75013")
-	if _, err := broker.Publish(cl.Exchange, key, nil, []byte(`{"annoyance":7}`)); err != nil {
+	key := routingKey("SC", cl.ID, "feedback", "FR75013")
+	if _, err := broker.PublishAt(cl.Exchange, key, nil, []byte(`{"annoyance":7}`), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := server.WaitIdle(5 * time.Second); err != nil {
@@ -198,7 +198,7 @@ func TestServerShutdownStopsIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := broker.Publish(cl.Exchange, RoutingKey("SC", cl.ID, "obs", "ZZ"), nil, body); err != nil {
+	if _, err := broker.PublishAt(cl.Exchange, routingKey("SC", cl.ID, "obs", "ZZ"), nil, body, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)

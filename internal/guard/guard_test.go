@@ -99,7 +99,7 @@ func TestRateLimiterUnlimitedAndEviction(t *testing.T) {
 	l.Allow("b")
 	clk.Advance(time.Second)
 	l.Allow("c") // evicts "a", the stalest
-	if got := l.Keys(); got != 2 {
+	if got := l.keys(); got != 2 {
 		t.Fatalf("Keys = %d, want 2 after eviction", got)
 	}
 	// "a" was evicted, so it gets a fresh full bucket.
@@ -110,10 +110,10 @@ func TestRateLimiterUnlimitedAndEviction(t *testing.T) {
 
 func TestSemaphoreTryAcquireAndQueueBound(t *testing.T) {
 	s := NewSemaphore(1, 1)
-	if !s.TryAcquire() {
+	if !s.tryAcquire() {
 		t.Fatal("first TryAcquire failed")
 	}
-	if s.TryAcquire() {
+	if s.tryAcquire() {
 		t.Fatal("second TryAcquire succeeded with limit 1")
 	}
 
@@ -152,12 +152,12 @@ func TestSemaphoreAcquireContextCancel(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Acquire = %v, want context.Canceled", err)
 	}
-	if got := s.Waiting(); got != 0 {
+	if got := s.waiting(); got != 0 {
 		t.Fatalf("Waiting after cancel = %d, want 0", got)
 	}
 	// The held slot is still usable and releasable.
 	s.Release()
-	if !s.TryAcquire() {
+	if !s.tryAcquire() {
 		t.Fatal("slot lost after cancelled waiter")
 	}
 }
@@ -190,9 +190,9 @@ func TestSemaphoreFIFOHandoff(t *testing.T) {
 func waitForWaiters(t *testing.T, s *Semaphore, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Waiting() < n {
+	for s.waiting() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d queued waiters (have %d)", n, s.Waiting())
+			t.Fatalf("timed out waiting for %d queued waiters (have %d)", n, s.waiting())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -91,8 +91,8 @@ func (l *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(need / l.cfg.Rate * float64(time.Second))
 }
 
-// Keys returns the number of tracked keys (for tests and gauges).
-func (l *RateLimiter) Keys() int {
+// keys returns the number of tracked keys.
+func (l *RateLimiter) keys() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.buckets)

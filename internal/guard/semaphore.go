@@ -31,9 +31,9 @@ func NewSemaphore(limit, maxWait int) *Semaphore {
 	return &Semaphore{slots: limit, limit: limit, maxWait: maxWait}
 }
 
-// TryAcquire takes a slot without waiting. It returns false when all
+// tryAcquire takes a slot without waiting. It returns false when all
 // slots are busy.
-func (s *Semaphore) TryAcquire() bool {
+func (s *Semaphore) tryAcquire() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.slots > 0 {
@@ -112,8 +112,8 @@ func (s *Semaphore) InUse() int {
 	return s.limit - s.slots
 }
 
-// Waiting returns the current wait-queue length (for gauges).
-func (s *Semaphore) Waiting() int {
+// waiting returns the current wait-queue length.
+func (s *Semaphore) waiting() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.waiters)

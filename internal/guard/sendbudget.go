@@ -37,9 +37,6 @@ func NewSendBudget(grace time.Duration, now func() time.Time) *SendBudget {
 	return &SendBudget{grace: grace, now: now}
 }
 
-// Grace returns the configured full-queue tolerance.
-func (b *SendBudget) Grace() time.Duration { return b.grace }
-
 // Sent records a successful enqueue: the queue had room, so the
 // consumer is draining and any running full streak resets.
 func (b *SendBudget) Sent() {

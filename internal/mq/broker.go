@@ -36,20 +36,6 @@ func (t ExchangeType) String() string {
 	}
 }
 
-// ParseExchangeType converts a wire-protocol string to an ExchangeType.
-func ParseExchangeType(s string) (ExchangeType, error) {
-	switch s {
-	case "direct":
-		return Direct, nil
-	case "fanout":
-		return Fanout, nil
-	case "topic":
-		return Topic, nil
-	default:
-		return 0, fmt.Errorf("mq: unknown exchange type %q", s)
-	}
-}
-
 // Broker-level errors callers may match with errors.Is.
 var (
 	ErrExchangeNotFound = errors.New("mq: exchange not found")
@@ -209,14 +195,11 @@ type Broker struct {
 	// tries consulted by the publish path under liveMu's read lock.
 	// liveCount gates the hot path — zero subscribers costs one atomic
 	// load per publish.
-	liveMu        sync.RWMutex
-	liveTries     map[string]*liveNode
-	liveSubs      map[*LiveSub]struct{}
-	liveCount     atomic.Int64
-	liveDelivered atomic.Uint64
-	liveDropped   atomic.Uint64
-	liveShed      atomic.Uint64
-	liveHooks     atomic.Pointer[LiveHooks]
+	liveMu    sync.RWMutex
+	liveTries map[string]*liveNode
+	liveSubs  map[*LiveSub]struct{}
+	liveCount atomic.Int64
+	liveHooks atomic.Pointer[LiveHooks]
 
 	hooks atomic.Pointer[Hooks]
 }
@@ -517,14 +500,10 @@ func (b *Broker) route(exchangeName, key string) ([]*queue, []string, error) {
 	return queues, exchanges, nil
 }
 
-// Publish routes a message. It returns the number of queues the
-// message was delivered to (0 when unroutable, which is not an error).
-func (b *Broker) Publish(exchangeName, routingKey string, headers map[string]string, body []byte) (int, error) {
-	return b.PublishAt(exchangeName, routingKey, headers, body, time.Now())
-}
-
-// PublishAt is Publish with an explicit publish timestamp, used by the
-// simulation to stamp virtual time.
+// PublishAt routes a message stamped at: the receive time for a live
+// publish, virtual time in the simulation. It returns the number of
+// queues the message was delivered to (0 when unroutable, which is not
+// an error).
 //
 // The message body and headers are shared copy-on-write across every
 // destination queue: the broker never mutates them after publish, and
@@ -743,17 +722,6 @@ func (b *Broker) AckGet(queueName string, tag uint64) error {
 	return q.ack(tag)
 }
 
-// NackGet rejects a delivery obtained via Get.
-func (b *Broker) NackGet(queueName string, tag uint64, requeue bool) error {
-	b.mu.RLock()
-	q, ok := b.queues[queueName]
-	b.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("nack %q: %w", queueName, ErrQueueNotFound)
-	}
-	return q.nack(tag, requeue)
-}
-
 // QueueStats snapshots one queue's counters.
 func (b *Broker) QueueStats(queueName string) (QueueStats, error) {
 	b.mu.RLock()
@@ -787,18 +755,6 @@ func (b *Broker) Queues() []string {
 	defer b.mu.RUnlock()
 	names := make([]string, 0, len(b.queues))
 	for n := range b.queues {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Exchanges returns the sorted exchange names.
-func (b *Broker) Exchanges() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	names := make([]string, 0, len(b.exchanges))
-	for n := range b.exchanges {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func mustDeclare(t *testing.T, b *Broker, exchange string, typ ExchangeType, queues ...string) {
@@ -58,7 +59,7 @@ func TestDirectRouting(t *testing.T) {
 	if err := b.BindQueue("q2", "d", "blue"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := b.Publish("d", "red", nil, []byte("m"))
+	n, err := b.PublishAt("d", "red", nil, []byte("m"), time.Now())
 	if err != nil || n != 1 {
 		t.Fatalf("Publish red: n=%d err=%v, want 1", n, err)
 	}
@@ -79,7 +80,7 @@ func TestFanoutRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := b.Publish("f", "ignored", nil, []byte("m"))
+	n, err := b.PublishAt("f", "ignored", nil, []byte("m"), time.Now())
 	if err != nil || n != 3 {
 		t.Fatalf("fanout delivered to %d queues (err=%v), want 3", n, err)
 	}
@@ -98,11 +99,11 @@ func TestTopicRouting(t *testing.T) {
 	if err := b.BindQueue("feedback", "t", "SC.*.feedback.#"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := b.Publish("t", "SC.mob1.feedback.FR75013", nil, []byte("m"))
+	n, err := b.PublishAt("t", "SC.mob1.feedback.FR75013", nil, []byte("m"), time.Now())
 	if err != nil || n != 3 {
 		t.Fatalf("delivered to %d queues (err=%v), want 3", n, err)
 	}
-	n, err = b.Publish("t", "SC.mob1.obs.FR92120", nil, []byte("m"))
+	n, err = b.PublishAt("t", "SC.mob1.obs.FR92120", nil, []byte("m"), time.Now())
 	if err != nil || n != 1 {
 		t.Fatalf("delivered to %d queues (err=%v), want 1 (all)", n, err)
 	}
@@ -126,12 +127,12 @@ func TestExchangeToExchangeChain(t *testing.T) {
 	if err := b.BindQueue("GF", "GFX", "#"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := b.Publish("E.mob1", "SC.mob1.obs.FR75013", nil, []byte("m"))
+	n, err := b.PublishAt("E.mob1", "SC.mob1.obs.FR75013", nil, []byte("m"), time.Now())
 	if err != nil || n != 1 {
 		t.Fatalf("chain delivered to %d queues (err=%v), want 1", n, err)
 	}
 	// Spoofed client id must be filtered at the first hop.
-	n, err = b.Publish("E.mob1", "SC.mob2.obs.FR75013", nil, []byte("m"))
+	n, err = b.PublishAt("E.mob1", "SC.mob2.obs.FR75013", nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("spoofed key delivered to %d queues (err=%v), want 0", n, err)
 	}
@@ -151,7 +152,7 @@ func TestExchangeCycleTerminates(t *testing.T) {
 	if err := b.BindQueue("q", "b", ""); err != nil {
 		t.Fatal(err)
 	}
-	n, err := b.Publish("a", "k", nil, []byte("m"))
+	n, err := b.PublishAt("a", "k", nil, []byte("m"), time.Now())
 	if err != nil || n != 1 {
 		t.Fatalf("cyclic topology delivered %d (err=%v), want exactly 1", n, err)
 	}
@@ -161,14 +162,14 @@ func TestPublishUnroutableAndMissing(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
 	mustDeclare(t, b, "x", Topic)
-	n, err := b.Publish("x", "nobody.listens", nil, []byte("m"))
+	n, err := b.PublishAt("x", "nobody.listens", nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("unroutable publish: n=%d err=%v", n, err)
 	}
 	if st := b.Stats(); st.Unroutable != 1 {
 		t.Fatalf("unroutable counter = %d, want 1", st.Unroutable)
 	}
-	_, err = b.Publish("missing", "k", nil, nil)
+	_, err = b.PublishAt("missing", "k", nil, nil, time.Now())
 	if !errors.Is(err, ErrExchangeNotFound) {
 		t.Fatalf("publish to missing exchange = %v, want ErrExchangeNotFound", err)
 	}
@@ -184,7 +185,7 @@ func TestDeleteQueueRemovesBindings(t *testing.T) {
 	if err := b.DeleteQueue("q"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := b.Publish("x", "k", nil, []byte("m"))
+	n, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("publish after queue delete: n=%d err=%v, want 0", n, err)
 	}
@@ -208,7 +209,7 @@ func TestDeleteExchangeRemovesExchangeBindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	// src's binding to dst must be gone; publish is simply unroutable.
-	n, err := b.Publish("src", "k", nil, []byte("m"))
+	n, err := b.PublishAt("src", "k", nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("publish after exchange delete: n=%d err=%v", n, err)
 	}
@@ -224,7 +225,7 @@ func TestUnbindQueue(t *testing.T) {
 	if err := b.UnbindQueue("q", "x", "a.#"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := b.Publish("x", "a.b", nil, []byte("m"))
+	n, err := b.PublishAt("x", "a.b", nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("publish after unbind: n=%d err=%v", n, err)
 	}
@@ -239,7 +240,7 @@ func TestDuplicateBindingCollapsed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := b.Publish("x", "k", nil, []byte("m"))
+	n, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestBrokerClose(t *testing.T) {
 	if err := b.DeclareQueue("q2", QueueOptions{}); !errors.Is(err, ErrBrokerClosed) {
 		t.Fatalf("declare after close = %v, want ErrBrokerClosed", err)
 	}
-	if _, err := b.Publish("x", "k", nil, nil); !errors.Is(err, ErrBrokerClosed) && !errors.Is(err, ErrExchangeNotFound) {
+	if _, err := b.PublishAt("x", "k", nil, nil, time.Now()); !errors.Is(err, ErrBrokerClosed) && !errors.Is(err, ErrExchangeNotFound) {
 		t.Fatalf("publish after close = %v", err)
 	}
 	b.Close() // idempotent
@@ -285,7 +286,7 @@ func TestConcurrentPublishAndConsume(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
-				if _, err := b.Publish("x", "k", nil, []byte(fmt.Sprintf("%d-%d", p, i))); err != nil {
+				if _, err := b.PublishAt("x", "k", nil, []byte(fmt.Sprintf("%d-%d", p, i)), time.Now()); err != nil {
 					t.Errorf("publish: %v", err)
 					return
 				}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,12 +58,13 @@ type transport struct {
 }
 
 // Conn is a client connection to a broker Server. It multiplexes
-// synchronous RPCs (declare, bind, publish, ...) and asynchronous
-// deliveries over one TCP connection, mirroring an AMQP channel.
+// synchronous RPCs (publish, consume, ack, queue stats) and
+// asynchronous deliveries over one TCP connection, mirroring an AMQP
+// channel. Topology is not its business: the server provisions every
+// exchange, queue and binding in process.
 //
 // A Conn opened with DialResilient survives transport failures: it
-// reconnects with exponential backoff, replays its topology journal
-// (exchanges, queues, bindings, consumers declared on the conn), and
+// reconnects with exponential backoff, re-attaches its consumers, and
 // retries publishes with idempotency tokens the broker dedupes — see
 // reconnect.go.
 type Conn struct {
@@ -81,17 +81,15 @@ type Conn struct {
 	consumerSet map[*RemoteConsumer]struct{} // authoritative subscriptions
 	consumers   map[uint64]*RemoteConsumer   // current-session id routing
 	orphans     map[uint64][]Delivery        // deliveries racing consumer registration
-	journal     []journalEntry
 	closeErr    error
 	connected   chan struct{} // closed whenever state == stateConnected
 
 	// Flow control (server-pushed opFlow frames): the set of queues
 	// asking publishers to pause and a channel closed when the set
-	// empties. Publishes gate on it for up to flowWait before
+	// empties. Publishes gate on it for up to defaultFlowWait before
 	// proceeding anyway (advisory backpressure never deadlocks).
 	flowPaused map[string]struct{}
 	flowResume chan struct{}
-	flowWait   time.Duration
 
 	closeOnce sync.Once
 	closedCh  chan struct{} // closed on Close / permanent failure
@@ -100,9 +98,7 @@ type Conn struct {
 	tokenSeq    atomic.Uint64
 
 	reconnects     atomic.Uint64
-	replayedTopo   atomic.Uint64
 	publishRetries atomic.Uint64
-	hooks          atomic.Pointer[ConnHooks]
 
 	wg sync.WaitGroup // read loops + reconnect loop
 }
@@ -146,12 +142,8 @@ func dialConn(addr string, cfg *ReconnectConfig) (*Conn, error) {
 		closedCh:    make(chan struct{}),
 		flowPaused:  make(map[string]struct{}),
 		flowResume:  flowResume,
-		flowWait:    defaultFlowWait,
 		tokenPrefix: strconv.FormatInt(time.Now().UnixNano(), 36) + "." +
 			strconv.FormatUint(_connNonce.Add(1), 36),
-	}
-	if cfg != nil {
-		c.hooks.Store(&cfg.Hooks)
 	}
 	c.installTransport(nc)
 	return c, nil
@@ -200,17 +192,6 @@ func (c *Conn) Close() error {
 	}
 	c.wg.Wait()
 	return err
-}
-
-// Err returns the error that terminated the connection, nil while it
-// is alive (connected or reconnecting).
-func (c *Conn) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != stateClosed {
-		return nil
-	}
-	return c.closeErr
 }
 
 // failAllLocked transitions to closed, waking every pending RPC and
@@ -286,16 +267,8 @@ func (c *Conn) readLoop(tr *transport) {
 		switch f.Op {
 		case opFlow:
 			c.mu.Lock()
-			changed := c.applyFlowLocked(f.Queue, f.Paused)
+			c.applyFlowLocked(f.Queue, f.Paused)
 			c.mu.Unlock()
-			if changed {
-				h := c.hooks.Load()
-				if f.Paused {
-					h.flowPaused(f.Queue)
-				} else {
-					h.flowResumed(f.Queue)
-				}
-			}
 		case opDeliver:
 			d := Delivery{
 				Message: Message{
@@ -344,27 +317,25 @@ func (c *Conn) readLoop(tr *transport) {
 
 // applyFlowLocked updates the paused-queue set, maintaining the
 // invariant that flowResume is a closed channel exactly when the set
-// is empty. Returns whether the state actually changed. Caller holds
-// c.mu.
-func (c *Conn) applyFlowLocked(queue string, paused bool) bool {
+// is empty. Caller holds c.mu.
+func (c *Conn) applyFlowLocked(queue string, paused bool) {
 	if paused {
 		if _, ok := c.flowPaused[queue]; ok {
-			return false
+			return
 		}
 		if len(c.flowPaused) == 0 {
 			c.flowResume = make(chan struct{})
 		}
 		c.flowPaused[queue] = struct{}{}
-		return true
+		return
 	}
 	if _, ok := c.flowPaused[queue]; !ok {
-		return false
+		return
 	}
 	delete(c.flowPaused, queue)
 	if len(c.flowPaused) == 0 {
 		close(c.flowResume)
 	}
-	return true
 }
 
 // clearFlowLocked forgets all pause state and releases gated
@@ -378,46 +349,25 @@ func (c *Conn) clearFlowLocked() {
 }
 
 // flowGate holds a publish while the broker has any queue paused, up
-// to flowWait. The gate is advisory: on timeout (or a closed conn) the
-// publish proceeds and takes its chances with the queue's MaxLen.
+// to defaultFlowWait. The gate is advisory: on timeout (or a closed
+// conn) the publish proceeds and takes its chances with the queue's
+// MaxLen.
 func (c *Conn) flowGate() {
 	c.mu.Lock()
 	ch := c.flowResume
-	wait := c.flowWait
 	c.mu.Unlock()
 	select {
 	case <-ch:
 		return
 	default:
 	}
-	t := time.NewTimer(wait)
+	t := time.NewTimer(defaultFlowWait)
 	defer t.Stop()
 	select {
 	case <-ch:
 	case <-t.C:
 	case <-c.closedCh:
 	}
-}
-
-// FlowPausedQueues returns the queues currently asking publishers to
-// pause, sorted (snapshot for tests and gauges).
-func (c *Conn) FlowPausedQueues() []string {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.flowPaused))
-	for q := range c.flowPaused {
-		names = append(names, q)
-	}
-	c.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// SetFlowWait overrides how long publishes wait on flow pause before
-// proceeding (default 2s). Zero or negative means do not wait.
-func (c *Conn) SetFlowWait(d time.Duration) {
-	c.mu.Lock()
-	c.flowWait = d
-	c.mu.Unlock()
 }
 
 // sendNoReply writes a frame without a correlation id; the server's
@@ -447,7 +397,7 @@ func (c *Conn) unregisterPending(corr uint64) {
 
 // transportRPC runs one request/response exchange over an explicit
 // transport. It is the shared engine of rpc (current transport) and
-// topology replay (a transport not yet promoted to connected).
+// consumer re-attachment (a transport not yet promoted to connected).
 func (c *Conn) transportRPC(tr *transport, f *frame) (*frame, error) {
 	c.mu.Lock()
 	if c.state == stateClosed {
@@ -516,99 +466,10 @@ func (c *Conn) rpc(f *frame) (*frame, error) {
 	return c.transportRPC(tr, f)
 }
 
-// DeclareExchange declares an exchange on the remote broker.
-func (c *Conn) DeclareExchange(name string, typ ExchangeType) error {
-	_, err := c.rpc(&frame{Op: opDeclareExchange, Exchange: name, ExchangeType: typ.String()})
-	if err == nil {
-		c.journalAdd(journalEntry{op: opDeclareExchange, exchange: name, exchangeType: typ.String()})
-	}
-	return err
-}
-
-// DeleteExchange deletes a remote exchange.
-func (c *Conn) DeleteExchange(name string) error {
-	_, err := c.rpc(&frame{Op: opDeleteExchange, Exchange: name})
-	if err == nil {
-		c.journalDeleteExchange(name)
-	}
-	return err
-}
-
-// DeclareQueue declares a remote queue.
-func (c *Conn) DeclareQueue(name string, opts QueueOptions) error {
-	_, err := c.rpc(&frame{
-		Op:            opDeclareQueue,
-		Queue:         name,
-		MaxLen:        opts.MaxLen,
-		TTLMillis:     opts.TTL.Milliseconds(),
-		Exclusive:     opts.Exclusive,
-		HighWatermark: opts.HighWatermark,
-		LowWatermark:  opts.LowWatermark,
-	})
-	if err == nil {
-		c.journalAdd(journalEntry{
-			op:            opDeclareQueue,
-			queue:         name,
-			maxLen:        opts.MaxLen,
-			ttlMillis:     opts.TTL.Milliseconds(),
-			exclusive:     opts.Exclusive,
-			highWatermark: opts.HighWatermark,
-			lowWatermark:  opts.LowWatermark,
-		})
-	}
-	return err
-}
-
-// DeleteQueue deletes a remote queue.
-func (c *Conn) DeleteQueue(name string) error {
-	_, err := c.rpc(&frame{Op: opDeleteQueue, Queue: name})
-	if err == nil {
-		c.journalDeleteQueue(name)
-	}
-	return err
-}
-
-// BindQueue binds a remote queue to an exchange.
-func (c *Conn) BindQueue(queueName, exchangeName, pattern string) error {
-	_, err := c.rpc(&frame{Op: opBindQueue, Queue: queueName, Exchange: exchangeName, Pattern: pattern})
-	if err == nil {
-		c.journalAdd(journalEntry{op: opBindQueue, queue: queueName, exchange: exchangeName, pattern: pattern})
-	}
-	return err
-}
-
-// BindExchange binds exchange dst to receive from src.
-func (c *Conn) BindExchange(dstExchange, srcExchange, pattern string) error {
-	_, err := c.rpc(&frame{Op: opBindExchange, Exchange: dstExchange, SrcExchange: srcExchange, Pattern: pattern})
-	if err == nil {
-		c.journalAdd(journalEntry{op: opBindExchange, exchange: dstExchange, srcExchange: srcExchange, pattern: pattern})
-	}
-	return err
-}
-
-// UnbindQueue removes a remote binding.
-func (c *Conn) UnbindQueue(queueName, exchangeName, pattern string) error {
-	_, err := c.rpc(&frame{Op: opUnbindQueue, Queue: queueName, Exchange: exchangeName, Pattern: pattern})
-	if err == nil {
-		c.journalRemove(journalEntry{op: opBindQueue, queue: queueName, exchange: exchangeName, pattern: pattern})
-	}
-	return err
-}
-
-// Publish publishes a message; it returns the number of destination
-// queues. On a resilient conn the publish carries an idempotency
-// token and is retried across reconnects; the broker dedupes
-// redeliveries, so a retried publish lands at most once.
-func (c *Conn) Publish(exchangeName, routingKey string, headers map[string]string, body []byte) (int, error) {
-	f := &frame{Op: opPublish, Exchange: exchangeName, RoutingKey: routingKey, Headers: headers, Body: body}
-	resp, err := c.publishRPC(f)
-	if err != nil {
-		return 0, err
-	}
-	return resp.Delivered, nil
-}
-
-// PublishAt publishes with an explicit timestamp (virtual-time sims).
+// PublishAt publishes a message stamped at and returns the number of
+// destination queues. On a resilient conn the publish carries an
+// idempotency token and is retried across reconnects; the broker
+// dedupes redeliveries, so a retried publish lands at most once.
 func (c *Conn) PublishAt(exchangeName, routingKey string, headers map[string]string, body []byte, at time.Time) (int, error) {
 	f := &frame{Op: opPublish, Exchange: exchangeName, RoutingKey: routingKey, Headers: headers, Body: body, PublishedAt: at}
 	resp, err := c.publishRPC(f)
@@ -638,42 +499,6 @@ func (c *Conn) PublishBatch(exchangeName string, items []PublishItem) (int, erro
 		return 0, err
 	}
 	return resp.Delivered, nil
-}
-
-// Get fetches one message from a remote queue (basic.get).
-func (c *Conn) Get(queueName string) (Delivery, bool, error) {
-	resp, err := c.rpc(&frame{Op: opGet, Queue: queueName})
-	if err != nil {
-		return Delivery{}, false, err
-	}
-	if !resp.Found {
-		return Delivery{}, false, nil
-	}
-	return Delivery{
-		Message: Message{
-			ID:          resp.MessageID,
-			Exchange:    resp.Exchange,
-			RoutingKey:  resp.RoutingKey,
-			Headers:     resp.Headers,
-			Body:        resp.Body,
-			PublishedAt: resp.PublishedAt,
-			Redelivered: resp.Redelivered,
-		},
-		Tag:   resp.Tag,
-		Queue: resp.Queue,
-	}, true, nil
-}
-
-// Ack acknowledges a Get delivery.
-func (c *Conn) Ack(queueName string, tag uint64) error {
-	_, err := c.rpc(&frame{Op: opAck, Queue: queueName, Tag: tag})
-	return err
-}
-
-// Nack rejects a Get delivery.
-func (c *Conn) Nack(queueName string, tag uint64, requeue bool) error {
-	_, err := c.rpc(&frame{Op: opNack, Queue: queueName, Tag: tag, Requeue: requeue})
-	return err
 }
 
 // QueueStats fetches remote queue counters.

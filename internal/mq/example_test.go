@@ -2,18 +2,40 @@ package mq_test
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/urbancivics/goflow/internal/mq"
 )
 
-func ExampleTopicMatch() {
-	fmt.Println(mq.TopicMatch("SC.*.feedback.FR75013", "SC.mob1.feedback.FR75013"))
-	fmt.Println(mq.TopicMatch("SC.mob1.#", "SC.mob1.obs.FR75013"))
-	fmt.Println(mq.TopicMatch("SC.mob1.#", "SC.mob2.obs.FR75013"))
+func ExampleBroker_BindQueue() {
+	// Topic patterns: "*" matches one word, "#" zero or more.
+	broker := mq.NewBroker()
+	defer broker.Close()
+	if err := broker.DeclareExchange("SC", mq.Topic); err != nil {
+		fmt.Println(err)
+	}
+	for queue, pattern := range map[string]string{
+		"feedback": "SC.*.feedback.FR75013",
+		"mob1":     "SC.mob1.#",
+	} {
+		if err := broker.DeclareQueue(queue, mq.QueueOptions{}); err != nil {
+			fmt.Println(err)
+		}
+		if err := broker.BindQueue(queue, "SC", pattern); err != nil {
+			fmt.Println(err)
+		}
+	}
+	for _, key := range []string{"SC.mob1.feedback.FR75013", "SC.mob1.obs.FR75013", "SC.mob2.obs.FR75013"} {
+		n, err := broker.PublishAt("SC", key, nil, nil, time.Now())
+		if err != nil {
+			fmt.Println(err)
+		}
+		fmt.Println(key, "reached", n, "queue(s)")
+	}
 	// Output:
-	// true
-	// true
-	// false
+	// SC.mob1.feedback.FR75013 reached 2 queue(s)
+	// SC.mob1.obs.FR75013 reached 1 queue(s)
+	// SC.mob2.obs.FR75013 reached 0 queue(s)
 }
 
 func ExampleBroker() {
@@ -34,7 +56,7 @@ func ExampleBroker() {
 	must(broker.BindExchange("SC", "E.mob1", "SC.mob1.#"))
 	must(broker.BindQueue("GF", "SC", "#"))
 
-	n, err := broker.Publish("E.mob1", "SC.mob1.obs.FR75013", nil, []byte(`{"spl":61.5}`))
+	n, err := broker.PublishAt("E.mob1", "SC.mob1.obs.FR75013", nil, []byte(`{"spl":61.5}`), time.Now())
 	must(err)
 	fmt.Println("delivered to", n, "queue(s)")
 

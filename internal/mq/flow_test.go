@@ -3,6 +3,7 @@ package mq
 import (
 	"bytes"
 	"log"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -33,7 +34,7 @@ func TestQueueWatermarkTransitions(t *testing.T) {
 
 	// 3 messages: below the high watermark, no pause.
 	for i := 0; i < 3; i++ {
-		if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+		if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,7 +42,7 @@ func TestQueueWatermarkTransitions(t *testing.T) {
 		t.Fatalf("paused fired %d times below watermark", got)
 	}
 	// 4th message reaches the high watermark: one pause.
-	if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+	if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if got := paused.Load(); got != 1 {
@@ -51,7 +52,7 @@ func TestQueueWatermarkTransitions(t *testing.T) {
 		t.Fatalf("PausedQueues = %v, want [q]", got)
 	}
 	// More publishes while paused do not re-fire.
-	if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+	if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if got := paused.Load(); got != 1 {
@@ -103,45 +104,34 @@ func TestFlowRoundTripOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	pub.SetFlowWait(time.Millisecond) // the test asserts state, not blocking
 
-	if err := pub.DeclareExchange("x", Direct); err != nil {
+	if err := b.DeclareExchange("x", Direct); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.DeclareQueue("q", QueueOptions{HighWatermark: 8, LowWatermark: 4}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 8, LowWatermark: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.BindQueue("q", "x", "k"); err != nil {
+	if err := b.BindQueue("q", "x", "k"); err != nil {
 		t.Fatal(err)
 	}
 
 	for i := 0; i < 8; i++ {
-		if _, err := pub.Publish("x", "k", nil, []byte("m")); err != nil {
+		if _, err := pub.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "publisher observes pause", func() bool {
-		q := pub.FlowPausedQueues()
+		q := pausedQueues(pub)
 		return len(q) == 1 && q[0] == "q"
 	})
 
-	// Drain via Get/Ack on a second connection until the low watermark.
-	drain, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drain.Close()
+	// Drain on a second connection past the low watermark.
+	rc := drainer(t, srv)
 	for i := 0; i < 4; i++ {
-		d, found, err := drain.Get("q")
-		if err != nil || !found {
-			t.Fatalf("get %d: found=%v err=%v", i, found, err)
-		}
-		if err := drain.Ack("q", d.Tag); err != nil {
-			t.Fatal(err)
-		}
+		ackNext(t, rc)
 	}
 	waitFor(t, "publisher observes resume", func() bool {
-		return len(pub.FlowPausedQueues()) == 0
+		return len(pausedQueues(pub)) == 0
 	})
 }
 
@@ -165,7 +155,7 @@ func TestFlowSnapshotOnConnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+		if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,13 +169,13 @@ func TestFlowSnapshotOnConnect(t *testing.T) {
 	}
 	defer late.Close()
 	waitFor(t, "late connection got the snapshot", func() bool {
-		q := late.FlowPausedQueues()
+		q := pausedQueues(late)
 		return len(q) == 1 && q[0] == "q"
 	})
 }
 
-// TestFlowGateBlocksPublish: with a long flow wait, a publish issued
-// while paused completes only after the resume arrives.
+// TestFlowGateBlocksPublish: a publish issued while paused completes
+// when the resume arrives, well before the gate's own timeout.
 func TestFlowGateBlocksPublish(t *testing.T) {
 	b := NewBroker()
 	srv, err := NewServer(b, "127.0.0.1:0")
@@ -199,27 +189,26 @@ func TestFlowGateBlocksPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	pub.SetFlowWait(30 * time.Second)
 
-	if err := pub.DeclareExchange("x", Direct); err != nil {
+	if err := b.DeclareExchange("x", Direct); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.DeclareQueue("q", QueueOptions{HighWatermark: 2, LowWatermark: 1}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 2, LowWatermark: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.BindQueue("q", "x", "k"); err != nil {
+	if err := b.BindQueue("q", "x", "k"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := pub.Publish("x", "k", nil, []byte("m")); err != nil {
+		if _, err := pub.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "pause observed", func() bool { return len(pub.FlowPausedQueues()) == 1 })
+	waitFor(t, "pause observed", func() bool { return len(pausedQueues(pub)) == 1 })
 
 	published := make(chan error, 1)
 	go func() {
-		_, err := pub.Publish("x", "k", nil, []byte("gated"))
+		_, err := pub.PublishAt("x", "k", nil, []byte("gated"), time.Now())
 		published <- err
 	}()
 	select {
@@ -228,26 +217,16 @@ func TestFlowGateBlocksPublish(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	// Drain to the low watermark; the gated publish must complete.
-	drain, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drain.Close()
-	d, found, err := drain.Get("q")
-	if err != nil || !found {
-		t.Fatalf("get: found=%v err=%v", found, err)
-	}
-	if err := drain.Ack("q", d.Tag); err != nil {
-		t.Fatal(err)
-	}
+	// Drain to the low watermark; the resume must release the gated
+	// publish well inside the rest of defaultFlowWait.
+	ackNext(t, drainer(t, srv))
 	select {
 	case err := <-published:
 		if err != nil {
 			t.Fatalf("gated publish failed: %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("gated publish never completed after resume")
+	case <-time.After(defaultFlowWait / 2):
+		t.Fatal("gated publish not released by the resume")
 	}
 }
 
@@ -285,7 +264,7 @@ func TestOverflowHookAndRateLimitedWarn(t *testing.T) {
 
 	publishN := func(n int) {
 		for i := 0; i < n; i++ {
-			if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+			if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -336,5 +315,46 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// pausedQueues is the sorted set of queues c was asked to pause for.
+func pausedQueues(c *Conn) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	names := make([]string, 0, len(c.flowPaused))
+	for q := range c.flowPaused {
+		names = append(names, q)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// drainer consumes q, one delivery in flight at a time, on a connection
+// of its own.
+func drainer(t *testing.T, srv *Server) *RemoteConsumer {
+	t.Helper()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	rc, err := c.Consume("q", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
+
+// ackNext acknowledges rc's next delivery.
+func ackNext(t *testing.T, rc *RemoteConsumer) {
+	t.Helper()
+	select {
+	case d := <-rc.C():
+		if err := rc.Ack(d.Tag); err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delivery to drain")
 	}
 }

@@ -24,8 +24,11 @@ func rawDial(t *testing.T, s *Server) net.Conn {
 // normal request on a fresh connection.
 func serverStillServes(t *testing.T, s *Server) {
 	t.Helper()
+	if err := s.broker.DeclareQueue("liveness", QueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	c := dialTest(t, s)
-	if err := c.DeclareExchange("liveness", Topic); err != nil {
+	if _, err := c.QueueStats("liveness"); err != nil {
 		t.Fatalf("server no longer serves: %v", err)
 	}
 }
@@ -84,7 +87,10 @@ func TestServerSurvivesMalformedJSONFrame(t *testing.T) {
 }
 
 func TestServerSurvivesUnknownOp(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	c := dialTest(t, s)
 	// Reach through the RPC plumbing with an op the server does not
 	// know; it must answer with an error frame, not drop us.
@@ -92,7 +98,7 @@ func TestServerSurvivesUnknownOp(t *testing.T) {
 		t.Fatal("unknown op must return an error")
 	}
 	// Same connection still works.
-	if err := c.DeclareExchange("x", Topic); err != nil {
+	if _, err := c.QueueStats("q"); err != nil {
 		t.Fatal(err)
 	}
 }

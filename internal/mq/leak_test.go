@@ -38,20 +38,20 @@ func TestServerCloseLeaksNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.DeclareExchange("x", Fanout); err != nil {
+		if err := broker.DeclareExchange("x", Fanout); err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.DeclareQueue("q", QueueOptions{}); err != nil {
+		if err := broker.DeclareQueue("q", QueueOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := conn.BindQueue("q", "x", ""); err != nil {
+		if err := broker.BindQueue("q", "x", ""); err != nil {
 			t.Fatal(err)
 		}
 		rc, err := conn.Consume("q", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Publish("x", "k", nil, []byte("m")); err != nil {
+		if _, err := conn.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		select {

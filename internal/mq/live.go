@@ -49,31 +49,20 @@ type LiveSubOptions struct {
 	Budget SendBudget
 }
 
-// LiveSubStats snapshots one subscription's counters.
-type LiveSubStats struct {
-	Delivered uint64 `json:"delivered"`
-	Dropped   uint64 `json:"dropped"`
-	Shed      bool   `json:"shed"`
-}
-
 // LiveSub is one live subscriber: a bounded mailbox fed by the
 // publish path. Receive from C(); Done() closes when the subscription
 // ends (Close, shed, or broker close). C() is never closed — after
 // Done, drain C() for events already mailed and then stop.
 type LiveSub struct {
-	b        *Broker
-	exchange string
-	patterns []string
+	b *Broker
 
 	ch   chan Message
 	done chan struct{}
 
 	budget SendBudget
 
-	closed    atomic.Bool
-	shedFlag  atomic.Bool
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
+	closed   atomic.Bool
+	shedFlag atomic.Bool
 
 	// nodes are the trie nodes holding this sub, kept for O(patterns)
 	// removal. Guarded by b.liveMu.
@@ -86,24 +75,9 @@ func (s *LiveSub) C() <-chan Message { return s.ch }
 // Done closes when the subscription is over.
 func (s *LiveSub) Done() <-chan struct{} { return s.done }
 
-// Exchange returns the subscribed exchange name.
-func (s *LiveSub) Exchange() string { return s.exchange }
-
-// Patterns returns the subscribed topic patterns.
-func (s *LiveSub) Patterns() []string { return s.patterns }
-
 // Shed reports whether the broker disconnected this subscriber for
 // exceeding its send budget.
 func (s *LiveSub) Shed() bool { return s.shedFlag.Load() }
-
-// Stats snapshots the subscription counters.
-func (s *LiveSub) Stats() LiveSubStats {
-	return LiveSubStats{
-		Delivered: s.delivered.Load(),
-		Dropped:   s.dropped.Load(),
-		Shed:      s.shedFlag.Load(),
-	}
-}
 
 // Close ends the subscription: it is removed from the fan-out index
 // and Done() closes. Idempotent; safe from any goroutine.
@@ -212,30 +186,6 @@ type LiveHooks struct {
 // SetLiveHooks installs live fan-out observers (zero value detaches).
 func (b *Broker) SetLiveHooks(h LiveHooks) { b.liveHooks.Store(&h) }
 
-// LiveStats aggregates the broker's live-subscription counters.
-type LiveStats struct {
-	// Subscribers is the number of live subscriptions currently
-	// attached.
-	Subscribers int `json:"subscribers"`
-	// Delivered counts events enqueued into live mailboxes.
-	Delivered uint64 `json:"delivered"`
-	// Dropped counts events dropped on full mailboxes.
-	Dropped uint64 `json:"dropped"`
-	// Shed counts subscriptions disconnected for exceeding their send
-	// budget.
-	Shed uint64 `json:"shed"`
-}
-
-// LiveStats snapshots the live-subscription counters.
-func (b *Broker) LiveStats() LiveStats {
-	return LiveStats{
-		Subscribers: int(b.liveCount.Load()),
-		Delivered:   b.liveDelivered.Load(),
-		Dropped:     b.liveDropped.Load(),
-		Shed:        b.liveShed.Load(),
-	}
-}
-
 // SubscribeLive attaches a live subscriber to an exchange: every
 // message that traverses the exchange (published to it directly or
 // forwarded into it over exchange-to-exchange bindings) and matches
@@ -254,12 +204,10 @@ func (b *Broker) SubscribeLive(exchange string, patterns []string, opts LiveSubO
 		buffer = 256
 	}
 	s := &LiveSub{
-		b:        b,
-		exchange: exchange,
-		patterns: append([]string(nil), patterns...),
-		ch:       make(chan Message, buffer),
-		done:     make(chan struct{}),
-		budget:   opts.Budget,
+		b:      b,
+		ch:     make(chan Message, buffer),
+		done:   make(chan struct{}),
+		budget: opts.Budget,
 	}
 	b.mu.RLock()
 	closed := b.closed
@@ -277,7 +225,7 @@ func (b *Broker) SubscribeLive(exchange string, patterns []string, opts LiveSubO
 		b.liveTries[exchange] = root
 	}
 	var scratch []string
-	for _, p := range s.patterns {
+	for _, p := range patterns {
 		scratch = splitWordsInto(scratch[:0], p)
 		s.nodes = append(s.nodes, root.insert(scratch, s))
 	}
@@ -375,8 +323,6 @@ func (b *Broker) fanoutLive(exchanges []string, msg *Message) {
 			reached++
 			select {
 			case s.ch <- *msg:
-				s.delivered.Add(1)
-				b.liveDelivered.Add(1)
 				if s.budget != nil {
 					s.budget.Sent()
 				}
@@ -384,8 +330,6 @@ func (b *Broker) fanoutLive(exchanges []string, msg *Message) {
 					h.Delivered()
 				}
 			default:
-				s.dropped.Add(1)
-				b.liveDropped.Add(1)
 				if h != nil && h.Dropped != nil {
 					h.Dropped()
 				}
@@ -400,7 +344,6 @@ func (b *Broker) fanoutLive(exchanges []string, msg *Message) {
 		// Close takes the live write lock; mark the shed before Done
 		// closes so the subscriber can tell shed from a plain close.
 		if s.shedFlag.CompareAndSwap(false, true) {
-			b.liveShed.Add(1)
 			if h != nil && h.Shed != nil {
 				h.Shed()
 			}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
 // BenchmarkLiveFanout10k measures per-event fan-out latency with 10k
@@ -23,6 +24,7 @@ func BenchmarkLiveFanout10k(b *testing.B) {
 	if err := br.DeclareExchange("GFX", Topic); err != nil {
 		b.Fatal(err)
 	}
+	lc := countLive(br)
 
 	var wg sync.WaitGroup
 	quit := make(chan struct{})
@@ -48,7 +50,7 @@ func BenchmarkLiveFanout10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := "sc.c1.obs.Z" + strconv.Itoa(i%nZones)
-		if _, err := br.Publish("GFX", key, nil, nil); err != nil {
+		if _, err := br.PublishAt("GFX", key, nil, nil, time.Now()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,8 +58,7 @@ func BenchmarkLiveFanout10k(b *testing.B) {
 	close(quit)
 	wg.Wait()
 
-	st := br.LiveStats()
-	b.ReportMetric(float64(st.Delivered)/float64(b.N), "delivered/event")
-	b.ReportMetric(float64(st.Dropped), "dropped")
-	b.ReportMetric(float64(st.Shed), "shed")
+	b.ReportMetric(float64(lc.delivered.Load())/float64(b.N), "delivered/event")
+	b.ReportMetric(float64(lc.dropped.Load()), "dropped")
+	b.ReportMetric(float64(lc.shed.Load()), "shed")
 }

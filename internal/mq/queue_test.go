@@ -25,7 +25,7 @@ func newTestQueue(t *testing.T, opts QueueOptions) (*Broker, string) {
 func publishN(t *testing.T, b *Broker, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, err := b.Publish("x", "k", nil, []byte{byte(i)}); err != nil {
+		if _, err := b.PublishAt("x", "k", nil, []byte{byte(i)}, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,16 +67,19 @@ func TestGetEmptyQueue(t *testing.T) {
 func TestNackRequeueMarksRedelivered(t *testing.T) {
 	b, q := newTestQueue(t, QueueOptions{})
 	publishN(t, b, 1)
-	d, _, err := b.Get(q)
+	c, err := b.Consume(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.NackGet(q, d.Tag, true); err != nil {
+	d := <-c.C()
+	if err := c.Nack(d.Tag, true); err != nil {
 		t.Fatal(err)
 	}
-	d2, found, err := b.Get(q)
-	if err != nil || !found {
-		t.Fatalf("redelivery: found=%v err=%v", found, err)
+	var d2 Delivery
+	select {
+	case d2 = <-c.C():
+	case <-time.After(2 * time.Second):
+		t.Fatal("requeued message not redelivered")
 	}
 	if !d2.Redelivered {
 		t.Fatal("requeued message must be marked redelivered")
@@ -89,11 +92,12 @@ func TestNackRequeueMarksRedelivered(t *testing.T) {
 func TestNackDropDiscards(t *testing.T) {
 	b, q := newTestQueue(t, QueueOptions{})
 	publishN(t, b, 1)
-	d, _, err := b.Get(q)
+	c, err := b.Consume(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.NackGet(q, d.Tag, false); err != nil {
+	d := <-c.C()
+	if err := c.Nack(d.Tag, false); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := b.QueueStats(q)

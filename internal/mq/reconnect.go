@@ -16,9 +16,6 @@ import (
 //
 //   - automatic reconnect with exponential backoff + seeded jitter
 //     and a bounded attempt budget per outage;
-//   - a topology journal (exchanges, queues, bindings declared on
-//     this conn) replayed on every new transport, so a restarted
-//     broker is re-provisioned transparently;
 //   - consumer re-attachment: subscriptions are re-issued on the new
 //     session and resume from the broker-side buffer (the dead
 //     session's unacked deliveries are requeued server-side);
@@ -53,10 +50,6 @@ type ReconnectConfig struct {
 	// one-way partitions that black-hole responses
 	// (0 = DefaultRPCTimeout).
 	RPCTimeout time.Duration
-	// Hooks observes recovery events (reconnects, topology replay,
-	// publish retries); wire them to metrics with
-	// goflow.Metrics.InstrumentConn.
-	Hooks ConnHooks
 }
 
 // Resilience defaults.
@@ -89,63 +82,11 @@ func (cfg *ReconnectConfig) applyDefaults() {
 	}
 }
 
-// ConnHooks observes a resilient connection's recovery events. All
-// fields are optional; the zero value is inert.
-type ConnHooks struct {
-	// Reconnected fires after a reconnect completes (topology
-	// replayed, conn usable again) with the number of dial attempts
-	// the outage took.
-	Reconnected func(attempts int)
-	// TopologyReplayed fires once per reconnect with the number of
-	// journal entries (declares, bindings) plus consumers replayed.
-	TopologyReplayed func(entries int)
-	// PublishRetried fires every time a publish frame is re-sent
-	// after a transport failure.
-	PublishRetried func()
-	// FlowPaused / FlowResumed fire when the server asks this
-	// connection's publishers to pause / resume for a queue.
-	FlowPaused  func(queue string)
-	FlowResumed func(queue string)
-}
-
-func (h *ConnHooks) reconnected(attempts int) {
-	if h != nil && h.Reconnected != nil {
-		h.Reconnected(attempts)
-	}
-}
-
-func (h *ConnHooks) topologyReplayed(n int) {
-	if h != nil && h.TopologyReplayed != nil {
-		h.TopologyReplayed(n)
-	}
-}
-
-func (h *ConnHooks) publishRetried() {
-	if h != nil && h.PublishRetried != nil {
-		h.PublishRetried()
-	}
-}
-
-func (h *ConnHooks) flowPaused(queue string) {
-	if h != nil && h.FlowPaused != nil {
-		h.FlowPaused(queue)
-	}
-}
-
-func (h *ConnHooks) flowResumed(queue string) {
-	if h != nil && h.FlowResumed != nil {
-		h.FlowResumed(queue)
-	}
-}
-
 // ConnStats snapshots a connection's recovery counters.
 type ConnStats struct {
 	// Reconnects counts completed recoveries (transport replaced and
-	// topology replayed).
+	// consumers re-attached).
 	Reconnects uint64 `json:"reconnects"`
-	// ReplayedTopology counts journal entries and consumers replayed
-	// across all reconnects.
-	ReplayedTopology uint64 `json:"replayedTopology"`
 	// PublishRetries counts publish frames re-sent after failures.
 	PublishRetries uint64 `json:"publishRetries"`
 }
@@ -153,21 +94,14 @@ type ConnStats struct {
 // Stats snapshots the recovery counters.
 func (c *Conn) Stats() ConnStats {
 	return ConnStats{
-		Reconnects:       c.reconnects.Load(),
-		ReplayedTopology: c.replayedTopo.Load(),
-		PublishRetries:   c.publishRetries.Load(),
+		Reconnects:     c.reconnects.Load(),
+		PublishRetries: c.publishRetries.Load(),
 	}
 }
 
-// SetConnHooks installs recovery-event observers (atomic swap; safe
-// while the conn is live).
-func (c *Conn) SetConnHooks(h ConnHooks) {
-	c.hooks.Store(&h)
-}
-
 // DialResilient connects to a broker server with automatic recovery:
-// reconnect + backoff, topology replay, consumer re-attachment and
-// idempotent publish retry. See ReconnectConfig for tuning.
+// reconnect + backoff, consumer re-attachment and idempotent publish
+// retry. See ReconnectConfig for tuning.
 func DialResilient(addr string, cfg ReconnectConfig) (*Conn, error) {
 	cfg.applyDefaults()
 	return dialConn(addr, &cfg)
@@ -241,7 +175,6 @@ func (c *Conn) publishRPC(f *frame) (*frame, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			c.publishRetries.Add(1)
-			c.hooks.Load().publishRetried()
 		}
 		if err := c.WaitConnected(0); err != nil {
 			if lastErr != nil {
@@ -263,111 +196,6 @@ func (c *Conn) publishRPC(f *frame) (*frame, error) {
 	}
 }
 
-// journalEntry is one recorded topology declaration, replayed on
-// every reconnect.
-type journalEntry struct {
-	op            string
-	exchange      string
-	exchangeType  string
-	queue         string
-	srcExchange   string
-	pattern       string
-	maxLen        int
-	ttlMillis     int64
-	exclusive     bool
-	highWatermark int
-	lowWatermark  int
-}
-
-func (e *journalEntry) frame() *frame {
-	return &frame{
-		Op:            e.op,
-		Exchange:      e.exchange,
-		ExchangeType:  e.exchangeType,
-		Queue:         e.queue,
-		SrcExchange:   e.srcExchange,
-		Pattern:       e.pattern,
-		MaxLen:        e.maxLen,
-		TTLMillis:     e.ttlMillis,
-		Exclusive:     e.exclusive,
-		HighWatermark: e.highWatermark,
-		LowWatermark:  e.lowWatermark,
-	}
-}
-
-// journalAdd records a successful declaration, collapsing exact
-// duplicates (idempotent redeclares must not grow the replay).
-// Single-shot conns skip journaling entirely.
-func (c *Conn) journalAdd(e journalEntry) {
-	if c.cfg == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, have := range c.journal {
-		if have == e {
-			return
-		}
-	}
-	c.journal = append(c.journal, e)
-}
-
-// journalRemove drops entries equal to e.
-func (c *Conn) journalRemove(e journalEntry) {
-	if c.cfg == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.journal[:0]
-	for _, have := range c.journal {
-		if have != e {
-			kept = append(kept, have)
-		}
-	}
-	c.journal = kept
-}
-
-// journalDeleteExchange drops the exchange's declaration and every
-// binding that references it.
-func (c *Conn) journalDeleteExchange(name string) {
-	if c.cfg == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.journal[:0]
-	for _, e := range c.journal {
-		switch {
-		case e.op == opDeclareExchange && e.exchange == name:
-		case e.op == opBindQueue && e.exchange == name:
-		case e.op == opBindExchange && (e.exchange == name || e.srcExchange == name):
-		default:
-			kept = append(kept, e)
-		}
-	}
-	c.journal = kept
-}
-
-// journalDeleteQueue drops the queue's declaration and its bindings.
-func (c *Conn) journalDeleteQueue(name string) {
-	if c.cfg == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.journal[:0]
-	for _, e := range c.journal {
-		switch {
-		case e.op == opDeclareQueue && e.queue == name:
-		case e.op == opBindQueue && e.queue == name:
-		default:
-			kept = append(kept, e)
-		}
-	}
-	c.journal = kept
-}
-
 // backoffDelay computes the wait before reconnect attempt n (0-based)
 // of an outage: immediate first try, then exponential with jitter.
 func backoffDelay(cfg *ReconnectConfig, rng *rand.Rand, attempt int) time.Duration {
@@ -382,8 +210,8 @@ func backoffDelay(cfg *ReconnectConfig, rng *rand.Rand, attempt int) time.Durati
 }
 
 // reconnectLoop drives one outage to resolution: dial with backoff,
-// replay topology and consumers over the fresh transport, then
-// promote it to connected. Exhausting the attempt budget (or Close)
+// re-attach consumers over the fresh transport, then promote it to
+// connected. Exhausting the attempt budget (or Close)
 // fails the conn permanently.
 func (c *Conn) reconnectLoop(cause error) {
 	defer c.wg.Done()
@@ -416,7 +244,7 @@ func (c *Conn) reconnectLoop(cause error) {
 				_ = nc.Close()
 				return
 			}
-			err = c.replayTopology(tr)
+			err = c.reattachConsumers(tr)
 			if err == nil {
 				c.mu.Lock()
 				if c.state == stateClosed {
@@ -428,7 +256,6 @@ func (c *Conn) reconnectLoop(cause error) {
 				close(c.connected)
 				c.mu.Unlock()
 				c.reconnects.Add(1)
-				c.hooks.Load().reconnected(attempts)
 				return
 			}
 			_ = nc.Close()
@@ -449,14 +276,11 @@ func (c *Conn) reconnectLoop(cause error) {
 	}
 }
 
-// replayTopology re-provisions a fresh transport: journal entries in
-// declaration order, then consumer re-attachments. The conn stays in
-// the reconnecting state throughout, so only this goroutine issues
-// RPCs on tr.
-func (c *Conn) replayTopology(tr *transport) error {
+// reattachConsumers re-issues every subscription on a fresh transport.
+// The conn stays in the reconnecting state throughout, so only this
+// goroutine issues RPCs on tr.
+func (c *Conn) reattachConsumers(tr *transport) error {
 	c.mu.Lock()
-	entries := make([]journalEntry, len(c.journal))
-	copy(entries, c.journal)
 	rcs := make([]*RemoteConsumer, 0, len(c.consumerSet))
 	for rc := range c.consumerSet {
 		rcs = append(rcs, rc)
@@ -468,13 +292,6 @@ func (c *Conn) replayTopology(tr *transport) error {
 	// Deterministic re-attach order (map iteration is not).
 	sort.Slice(rcs, func(i, j int) bool { return rcs[i].id.Load() < rcs[j].id.Load() })
 
-	replayed := 0
-	for i := range entries {
-		if _, err := c.transportRPC(tr, entries[i].frame()); err != nil {
-			return err
-		}
-		replayed++
-	}
 	for _, rc := range rcs {
 		resp, err := c.transportRPC(tr, &frame{Op: opConsume, Queue: rc.queue, Prefetch: rc.prefetch})
 		if err != nil {
@@ -483,9 +300,6 @@ func (c *Conn) replayTopology(tr *transport) error {
 		c.mu.Lock()
 		c.attachConsumerLocked(resp.ConsumerID, rc)
 		c.mu.Unlock()
-		replayed++
 	}
-	c.replayedTopo.Add(uint64(replayed))
-	c.hooks.Load().topologyReplayed(replayed)
 	return nil
 }

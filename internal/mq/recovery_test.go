@@ -12,8 +12,8 @@ import (
 )
 
 // Recovery-path tests: typed lifecycle errors, rpc-racing-close,
-// reconnect with topology replay, consumer re-attachment, idempotent
-// publish retry, reconnect latency, and goroutine hygiene.
+// reconnect with consumer re-attachment, idempotent publish retry,
+// reconnect latency, and goroutine hygiene.
 
 // bouncer is a dialer that records every transport it opens so tests
 // can kill the current one and force a reconnect.
@@ -46,18 +46,15 @@ func (b *bouncer) dials() int {
 	return len(b.conns)
 }
 
-// dialResilientTest opens a resilient conn with fast test timings and
-// a hook channel that signals completed reconnects.
-func dialResilientTest(t *testing.T, s *Server, b *bouncer, tweak func(*ReconnectConfig)) (*Conn, chan int) {
+// dialResilientTest opens a resilient conn with fast test timings.
+func dialResilientTest(t *testing.T, s *Server, b *bouncer, tweak func(*ReconnectConfig)) *Conn {
 	t.Helper()
-	reconnected := make(chan int, 16)
 	cfg := ReconnectConfig{
 		Dialer:      b.dial,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		Seed:        1,
 		RPCTimeout:  2 * time.Second,
-		Hooks:       ConnHooks{Reconnected: func(attempts int) { reconnected <- attempts }},
 	}
 	if tweak != nil {
 		tweak(&cfg)
@@ -67,29 +64,45 @@ func dialResilientTest(t *testing.T, s *Server, b *bouncer, tweak func(*Reconnec
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	return c, reconnected
+	return c
 }
 
-func waitReconnected(t *testing.T, ch chan int) int {
+// waitReconnects waits until c has completed n recoveries. It polls
+// with a short sleep (a spinning poll would starve the network poller),
+// so BenchmarkReconnectReattach reads the reconnect plus up to one
+// timer tick.
+func waitReconnects(t testing.TB, c *Conn, n uint64) {
 	t.Helper()
-	select {
-	case attempts := <-ch:
-		return attempts
-	case <-time.After(5 * time.Second):
-		t.Fatal("reconnect did not complete within 5s")
-		return 0
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Reconnects < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("reconnect %d did not complete within 5s", n)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-func declareTopology(t *testing.T, c *Conn) {
+// connErr is the error that ended c, nil while it is alive.
+func connErr(c *Conn) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.state != stateClosed {
+		return nil
+	}
+	return c.closeErr
+}
+
+// declareTopology provisions what the tests publish to and consume
+// from, in process, as the server does.
+func declareTopology(t testing.TB, b *Broker) {
 	t.Helper()
-	if err := c.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BindQueue("q", "x", ""); err != nil {
+	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -100,23 +113,20 @@ func TestClosedConnReturnsTypedErrors(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Publish("x", "k", nil, []byte("m")); !errors.Is(err, ErrClosed) {
+	if _, err := c.PublishAt("x", "k", nil, []byte("m"), time.Now()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Publish after Close: %v, want ErrClosed", err)
 	}
-	if err := c.DeclareExchange("x", Fanout); !errors.Is(err, ErrClosed) {
-		t.Fatalf("DeclareExchange after Close: %v, want ErrClosed", err)
+	if _, err := c.QueueStats("q"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("QueueStats after Close: %v, want ErrClosed", err)
 	}
 	if _, err := c.Consume("q", 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Consume after Close: %v, want ErrClosed", err)
 	}
-	if _, _, err := c.Get("q"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Get after Close: %v, want ErrClosed", err)
-	}
 	if err := c.WaitConnected(10 * time.Millisecond); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WaitConnected after Close: %v, want ErrClosed", err)
 	}
-	if err := c.Err(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Err after Close: %v, want ErrClosed", err)
+	if err := connErr(c); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closing error after Close: %v, want ErrClosed", err)
 	}
 	// Close is idempotent.
 	if err := c.Close(); err != nil {
@@ -136,13 +146,16 @@ func TestSingleShotTransportDeathFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	if err := c.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close() // kills the transport under the single-shot conn
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := c.Publish("x", "k", nil, []byte("m"))
+		_, err := c.PublishAt("x", "k", nil, []byte("m"), time.Now())
 		if errors.Is(err, ErrClosed) {
 			break
 		}
@@ -151,17 +164,17 @@ func TestSingleShotTransportDeathFailsClosed(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.Err(); err == nil {
-		t.Fatal("Err() = nil after transport death")
+	if err := connErr(c); err == nil {
+		t.Fatal("no closing error after transport death")
 	}
 }
 
 func TestReconnectingConnFailsFastTyped(t *testing.T) {
-	_, s := startServer(t)
+	broker, s := startServer(t)
 	b := &bouncer{}
 	gate := make(chan struct{})
 	var dials atomic.Int32
-	c, reconnected := dialResilientTest(t, s, b, func(cfg *ReconnectConfig) {
+	c := dialResilientTest(t, s, b, func(cfg *ReconnectConfig) {
 		inner := cfg.Dialer
 		cfg.Dialer = func(addr string) (net.Conn, error) {
 			if dials.Add(1) > 1 {
@@ -170,37 +183,37 @@ func TestReconnectingConnFailsFastTyped(t *testing.T) {
 			return inner(addr)
 		}
 	})
-	declareTopology(t, c)
+	declareTopology(t, broker)
 	b.killCurrent()
 
-	// While the redial is gated, RPCs must fail fast with
-	// ErrReconnecting — not hang, not panic.
+	// While the redial is gated, RPCs other than publishes must fail
+	// fast with ErrReconnecting — not hang, not panic.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := c.DeclareExchange("y", Fanout)
+		_, err := c.QueueStats("q")
 		if errors.Is(err, ErrReconnecting) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("DeclareExchange during outage: %v, want ErrReconnecting", err)
+			t.Fatalf("QueueStats during outage: %v, want ErrReconnecting", err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("Err() during reconnect = %v, want nil (conn still alive)", err)
+	if err := connErr(c); err != nil {
+		t.Fatalf("closing error during reconnect = %v, want nil (conn still alive)", err)
 	}
 	close(gate)
-	waitReconnected(t, reconnected)
-	if err := c.DeclareExchange("y", Fanout); err != nil {
-		t.Fatalf("declare after recovery: %v", err)
+	waitReconnects(t, c, 1)
+	if _, err := c.QueueStats("q"); err != nil {
+		t.Fatalf("queue stats after recovery: %v", err)
 	}
 }
 
 func TestRPCRacingCloseNoPanicNoHang(t *testing.T) {
-	_, s := startServer(t)
+	broker, s := startServer(t)
 	b := &bouncer{}
-	c, _ := dialResilientTest(t, s, b, nil)
-	declareTopology(t, c)
+	c := dialResilientTest(t, s, b, nil)
+	declareTopology(t, broker)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -208,7 +221,7 @@ func TestRPCRacingCloseNoPanicNoHang(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				_, err := c.Publish("x", "k", nil, []byte(fmt.Sprintf("g%d-%d", g, i)))
+				_, err := c.PublishAt("x", "k", nil, []byte(fmt.Sprintf("g%d-%d", g, i)), time.Now())
 				if err != nil {
 					if !errors.Is(err, ErrClosed) && !errors.Is(err, ErrReconnecting) {
 						t.Errorf("racing publish: unexpected error %v", err)
@@ -223,22 +236,22 @@ func TestRPCRacingCloseNoPanicNoHang(t *testing.T) {
 		t.Fatalf("Close during racing publishes: %v", err)
 	}
 	wg.Wait() // must not hang
-	if _, err := c.Publish("x", "k", nil, []byte("after")); !errors.Is(err, ErrClosed) {
+	if _, err := c.PublishAt("x", "k", nil, []byte("after"), time.Now()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("publish after racing close: %v, want ErrClosed", err)
 	}
 }
 
-func TestReconnectReplaysTopologyAndConsumers(t *testing.T) {
-	_, s := startServer(t)
+func TestReconnectReattachesConsumers(t *testing.T) {
+	broker, s := startServer(t)
 	b := &bouncer{}
-	c, reconnected := dialResilientTest(t, s, b, nil)
-	declareTopology(t, c)
+	c := dialResilientTest(t, s, b, nil)
+	declareTopology(t, broker)
 	rc, err := c.Consume("q", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := c.Publish("x", "k", nil, []byte("before")); err != nil {
+	if _, err := c.PublishAt("x", "k", nil, []byte("before"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -254,14 +267,11 @@ func TestReconnectReplaysTopologyAndConsumers(t *testing.T) {
 	}
 
 	b.killCurrent()
-	attempts := waitReconnected(t, reconnected)
-	if attempts < 1 {
-		t.Fatalf("reconnect reported %d attempts", attempts)
-	}
+	waitReconnects(t, c, 1)
 
-	// The same exchange/queue/binding and the same consumer must work
-	// on the new transport without any re-declaration by the caller.
-	if _, err := c.Publish("x", "k", nil, []byte("after")); err != nil {
+	// The same consumer must work on the new transport without the
+	// caller subscribing again.
+	if _, err := c.PublishAt("x", "k", nil, []byte("after"), time.Now()); err != nil {
 		t.Fatalf("publish after reconnect: %v", err)
 	}
 	select {
@@ -280,27 +290,23 @@ func TestReconnectReplaysTopologyAndConsumers(t *testing.T) {
 	if st.Reconnects != 1 {
 		t.Fatalf("Reconnects = %d, want 1", st.Reconnects)
 	}
-	// 3 journal entries (exchange, queue, binding) + 1 consumer.
-	if st.ReplayedTopology != 4 {
-		t.Fatalf("ReplayedTopology = %d, want 4", st.ReplayedTopology)
-	}
 	if b.dials() != 2 {
 		t.Fatalf("dialed %d transports, want 2", b.dials())
 	}
 }
 
 func TestReconnectRedeliversUnackedInOrder(t *testing.T) {
-	_, s := startServer(t)
+	broker, s := startServer(t)
 	b := &bouncer{}
-	c, reconnected := dialResilientTest(t, s, b, nil)
-	declareTopology(t, c)
+	c := dialResilientTest(t, s, b, nil)
+	declareTopology(t, broker)
 	rc, err := c.Consume("q", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 5
 	for i := 0; i < n; i++ {
-		if _, err := c.Publish("x", "k", nil, []byte(fmt.Sprintf("m%d", i))); err != nil {
+		if _, err := c.PublishAt("x", "k", nil, []byte(fmt.Sprintf("m%d", i)), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,7 +324,7 @@ func TestReconnectRedeliversUnackedInOrder(t *testing.T) {
 	}
 
 	b.killCurrent()
-	waitReconnected(t, reconnected)
+	waitReconnects(t, c, 1)
 
 	// The server requeued the dead session's unacked messages; the
 	// re-attached consumer must get all of them, redelivered, in the
@@ -374,7 +380,6 @@ func TestPublishRetryDedupesOnLostResponse(t *testing.T) {
 	broker, s := startServer(t)
 	var first *readHole
 	var dials atomic.Int32
-	reconnected := make(chan int, 4)
 	c, err := DialResilient(s.Addr(), ReconnectConfig{
 		Dialer: func(addr string) (net.Conn, error) {
 			nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -390,27 +395,26 @@ func TestPublishRetryDedupesOnLostResponse(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		RPCTimeout:  100 * time.Millisecond,
 		Seed:        1,
-		Hooks:       ConnHooks{Reconnected: func(a int) { reconnected <- a }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
-	declareTopology(t, c)
+	declareTopology(t, broker)
 
 	// From here on the broker receives our frames but we never see the
 	// responses: the publish must time out, reconnect, and re-send with
 	// the same idempotency token; the broker must answer the retry from
 	// its dedup window without enqueueing a second copy.
 	first.block.Store(true)
-	n, err := c.Publish("x", "k", nil, []byte("once"))
+	n, err := c.PublishAt("x", "k", nil, []byte("once"), time.Now())
 	if err != nil {
 		t.Fatalf("publish across lost response: %v", err)
 	}
 	if n != 1 {
 		t.Fatalf("publish delivered to %d queues, want 1 (memoized count)", n)
 	}
-	waitReconnected(t, reconnected)
+	waitReconnects(t, c, 1)
 
 	st := c.Stats()
 	if st.PublishRetries == 0 {
@@ -487,10 +491,10 @@ func TestBrokerPublishTokenDedup(t *testing.T) {
 }
 
 func TestReconnectBudgetExhaustedFailsClosed(t *testing.T) {
-	_, s := startServer(t)
+	broker, s := startServer(t)
 	b := &bouncer{}
 	var dials atomic.Int32
-	c, _ := dialResilientTest(t, s, b, func(cfg *ReconnectConfig) {
+	c := dialResilientTest(t, s, b, func(cfg *ReconnectConfig) {
 		inner := cfg.Dialer
 		cfg.MaxAttempts = 2
 		cfg.Dialer = func(addr string) (net.Conn, error) {
@@ -500,24 +504,32 @@ func TestReconnectBudgetExhaustedFailsClosed(t *testing.T) {
 			return inner(addr)
 		}
 	})
-	declareTopology(t, c)
+	declareTopology(t, broker)
 	b.killCurrent()
+	// The conn is connected until its read loop sees the dead transport.
+	deadline := time.Now().Add(5 * time.Second)
+	for connErr(c) == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("conn did not give up after its reconnect budget")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := c.WaitConnected(5 * time.Second); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WaitConnected after exhausted budget: %v, want ErrClosed", err)
 	}
-	if _, err := c.Publish("x", "k", nil, []byte("m")); !errors.Is(err, ErrClosed) {
+	if _, err := c.PublishAt("x", "k", nil, []byte("m"), time.Now()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Publish after exhausted budget: %v, want ErrClosed", err)
 	}
-	if err := c.Err(); err == nil || !errors.Is(err, ErrClosed) {
-		t.Fatalf("Err() = %v, want wrapped ErrClosed with attempt context", err)
+	if err := connErr(c); err == nil || !errors.Is(err, ErrClosed) {
+		t.Fatalf("closing error = %v, want wrapped ErrClosed with attempt context", err)
 	}
 }
 
 func TestReconnectAndReplayAreFast(t *testing.T) {
-	_, s := startServer(t)
+	broker, s := startServer(t)
 	b := &bouncer{}
-	c, reconnected := dialResilientTest(t, s, b, nil)
-	declareTopology(t, c)
+	c := dialResilientTest(t, s, b, nil)
+	declareTopology(t, broker)
 	rc, err := c.Consume("q", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -525,20 +537,20 @@ func TestReconnectAndReplayAreFast(t *testing.T) {
 	defer func() { _ = rc.Cancel() }()
 
 	// Fault-free local reconnect: the acceptance bar is <10ms for
-	// reconnect + full topology replay; assert a loose multiple to
+	// reconnect + consumer re-attachment; assert a loose multiple to
 	// stay robust on loaded CI machines (the benchmark below measures
 	// the real figure).
 	start := time.Now()
 	b.killCurrent()
-	waitReconnected(t, reconnected)
+	waitReconnects(t, c, 1)
 	elapsed := time.Since(start)
-	t.Logf("reconnect + replay of 3 entries + 1 consumer took %v", elapsed)
+	t.Logf("reconnect + re-attach of 1 consumer took %v", elapsed)
 	if elapsed > 500*time.Millisecond {
 		t.Fatalf("reconnect took %v, want well under 500ms", elapsed)
 	}
 }
 
-func BenchmarkReconnectReplay(b *testing.B) {
+func BenchmarkReconnectReattach(b *testing.B) {
 	broker := NewBroker()
 	s, err := NewServer(broker, "127.0.0.1:0")
 	if err != nil {
@@ -547,33 +559,23 @@ func BenchmarkReconnectReplay(b *testing.B) {
 	defer broker.Close()
 	defer s.Close()
 	bn := &bouncer{}
-	reconnected := make(chan int, 1)
 	c, err := DialResilient(s.Addr(), ReconnectConfig{
 		Dialer:      bn.dial,
 		BackoffBase: time.Millisecond,
 		Seed:        1,
-		Hooks:       ConnHooks{Reconnected: func(int) { reconnected <- 1 }},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.DeclareExchange("x", Fanout); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.DeclareQueue("q", QueueOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	if err := c.BindQueue("q", "x", ""); err != nil {
-		b.Fatal(err)
-	}
+	declareTopology(b, broker)
 	if _, err := c.Consume("q", 4); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bn.killCurrent()
-		<-reconnected
+		waitReconnects(b, c, uint64(i+1))
 	}
 }
 
@@ -586,25 +588,15 @@ func TestRecoveryCycleLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := &bouncer{}
-		reconnected := make(chan int, 4)
 		c, err := DialResilient(s.Addr(), ReconnectConfig{
 			Dialer:      b.dial,
 			BackoffBase: time.Millisecond,
 			Seed:        int64(round + 1),
-			Hooks:       ConnHooks{Reconnected: func(int) { reconnected <- 1 }},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.DeclareExchange("x", Fanout); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.DeclareQueue("q", QueueOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.BindQueue("q", "x", ""); err != nil {
-			t.Fatal(err)
-		}
+		declareTopology(t, broker)
 		rc, err := c.Consume("q", 4)
 		if err != nil {
 			t.Fatal(err)
@@ -613,12 +605,8 @@ func TestRecoveryCycleLeaksNoGoroutines(t *testing.T) {
 		// reconnect loops must all be reaped.
 		for cycle := 0; cycle < 2; cycle++ {
 			b.killCurrent()
-			select {
-			case <-reconnected:
-			case <-time.After(5 * time.Second):
-				t.Fatal("reconnect timed out")
-			}
-			if _, err := c.Publish("x", "k", nil, []byte("m")); err != nil {
+			waitReconnects(t, c, uint64(cycle+1))
+			if _, err := c.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 				t.Fatal(err)
 			}
 			select {
@@ -639,30 +627,5 @@ func TestRecoveryCycleLeaksNoGoroutines(t *testing.T) {
 	after := stableGoroutines(t)
 	if after > before+3 {
 		t.Fatalf("recovery cycles leaked goroutines: %d -> %d", before, after)
-	}
-}
-
-func TestJournalCollapsesAndPrunes(t *testing.T) {
-	_, s := startServer(t)
-	b := &bouncer{}
-	c, _ := dialResilientTest(t, s, b, nil)
-	declareTopology(t, c)
-	// Idempotent redeclares must not grow the replay.
-	declareTopology(t, c)
-	c.mu.Lock()
-	n := len(c.journal)
-	c.mu.Unlock()
-	if n != 3 {
-		t.Fatalf("journal has %d entries after redeclare, want 3", n)
-	}
-	// Deleting the exchange prunes its declaration and its binding.
-	if err := c.DeleteExchange("x"); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Lock()
-	n = len(c.journal)
-	c.mu.Unlock()
-	if n != 1 { // only the queue declaration remains
-		t.Fatalf("journal has %d entries after DeleteExchange, want 1", n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // Property tests on broker routing invariants.
@@ -56,11 +57,11 @@ func TestRoutingDeliversExactlyMatchingQueues(t *testing.T) {
 		// Expected destinations from the reference matcher.
 		expected := make(map[string]bool)
 		for _, s := range specs {
-			if TopicMatch(s.pattern, key) {
+			if topicMatch(s.pattern, key) {
 				expected[s.queue] = true
 			}
 		}
-		n, err := b.Publish("x", key, nil, []byte("m"))
+		n, err := b.PublishAt("x", key, nil, []byte("m"), time.Now())
 		if err != nil {
 			return false
 		}
@@ -111,7 +112,7 @@ func TestRoutingConservation(t *testing.T) {
 		routedSum := 0
 		for i := 0; i < total; i++ {
 			key := fmt.Sprintf("k%d.m", rng.Intn(5)) // k3/k4 unroutable
-			n, err := b.Publish("x", key, nil, []byte{byte(i)})
+			n, err := b.PublishAt("x", key, nil, []byte{byte(i)}, time.Now())
 			if err != nil {
 				return false
 			}

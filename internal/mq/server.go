@@ -215,57 +215,15 @@ func (s *Server) handleConn(cs *connState) {
 }
 
 // dispatch executes one request frame and returns the response frame.
+// The ops are the ones a phone, a subscriber or a load generator sends:
+// publish, publish-batch, consume, cancel, ack and nack of a consumer's
+// delivery, and queue-stats. Topology is provisioned in process by the
+// server that owns the broker, never over the wire.
 func (s *Server) dispatch(cs *connState, f *frame, nextConsumerID *uint64) *frame {
 	ok := func() *frame { return &frame{Op: opOK, Corr: f.Corr} }
 	fail := func(err error) *frame { return &frame{Op: opError, Corr: f.Corr, Error: err.Error()} }
 
 	switch f.Op {
-	case opDeclareExchange:
-		typ, err := ParseExchangeType(f.ExchangeType)
-		if err != nil {
-			return fail(err)
-		}
-		if err := s.broker.DeclareExchange(f.Exchange, typ); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opDeleteExchange:
-		if err := s.broker.DeleteExchange(f.Exchange); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opDeclareQueue:
-		opts := QueueOptions{
-			MaxLen:        f.MaxLen,
-			TTL:           time.Duration(f.TTLMillis) * time.Millisecond,
-			Exclusive:     f.Exclusive,
-			HighWatermark: f.HighWatermark,
-			LowWatermark:  f.LowWatermark,
-		}
-		if err := s.broker.DeclareQueue(f.Queue, opts); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opDeleteQueue:
-		if err := s.broker.DeleteQueue(f.Queue); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opBindQueue:
-		if err := s.broker.BindQueue(f.Queue, f.Exchange, f.Pattern); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opBindExchange:
-		if err := s.broker.BindExchange(f.Exchange, f.SrcExchange, f.Pattern); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opUnbindQueue:
-		if err := s.broker.UnbindQueue(f.Queue, f.Exchange, f.Pattern); err != nil {
-			return fail(err)
-		}
-		return ok()
 	case opPublish:
 		at := f.PublishedAt
 		if at.IsZero() {
@@ -323,56 +281,20 @@ func (s *Server) dispatch(cs *connState, f *frame, nextConsumerID *uint64) *fram
 			c.Cancel()
 		}
 		return ok()
-	case opGet:
-		d, found, err := s.broker.Get(f.Queue)
+	case opAck, opNack:
+		cs.mu.Lock()
+		c, found := cs.consumers[f.ConsumerID]
+		cs.mu.Unlock()
+		if !found {
+			return fail(errors.New("mq: unknown consumer"))
+		}
+		var err error
+		if f.Op == opAck {
+			err = c.Ack(f.Tag)
+		} else {
+			err = c.Nack(f.Tag, f.Requeue)
+		}
 		if err != nil {
-			return fail(err)
-		}
-		resp := ok()
-		resp.Found = found
-		if found {
-			resp.Queue = d.Queue
-			resp.Tag = d.Tag
-			resp.Exchange = d.Exchange
-			resp.RoutingKey = d.RoutingKey
-			resp.Headers = d.Headers
-			resp.Body = d.Body
-			resp.PublishedAt = d.PublishedAt
-			resp.MessageID = d.ID
-			resp.Redelivered = d.Redelivered
-		}
-		return resp
-	case opAck:
-		if f.ConsumerID != 0 {
-			cs.mu.Lock()
-			c, found := cs.consumers[f.ConsumerID]
-			cs.mu.Unlock()
-			if !found {
-				return fail(errors.New("mq: unknown consumer"))
-			}
-			if err := c.Ack(f.Tag); err != nil {
-				return fail(err)
-			}
-			return ok()
-		}
-		if err := s.broker.AckGet(f.Queue, f.Tag); err != nil {
-			return fail(err)
-		}
-		return ok()
-	case opNack:
-		if f.ConsumerID != 0 {
-			cs.mu.Lock()
-			c, found := cs.consumers[f.ConsumerID]
-			cs.mu.Unlock()
-			if !found {
-				return fail(errors.New("mq: unknown consumer"))
-			}
-			if err := c.Nack(f.Tag, f.Requeue); err != nil {
-				return fail(err)
-			}
-			return ok()
-		}
-		if err := s.broker.NackGet(f.Queue, f.Tag, f.Requeue); err != nil {
 			return fail(err)
 		}
 		return ok()

@@ -65,31 +65,37 @@ func TestWireOversizedFrameRejected(t *testing.T) {
 	}
 }
 
-func TestRemoteDeclarePublishGet(t *testing.T) {
-	_, s := startServer(t)
+func TestRemotePublishConsumeAck(t *testing.T) {
+	b, s := startServer(t)
 	c := dialTest(t, s)
 
-	if err := c.DeclareExchange("x", Topic); err != nil {
+	if err := b.DeclareExchange("x", Topic); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BindQueue("q", "x", "a.#"); err != nil {
+	if err := b.BindQueue("q", "x", "a.#"); err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.Publish("x", "a.b", map[string]string{"h": "v"}, []byte("hello"))
+	n, err := c.PublishAt("x", "a.b", map[string]string{"h": "v"}, []byte("hello"), time.Now())
 	if err != nil || n != 1 {
 		t.Fatalf("remote publish: n=%d err=%v", n, err)
 	}
-	d, found, err := c.Get("q")
-	if err != nil || !found {
-		t.Fatalf("remote get: found=%v err=%v", found, err)
+	rc, err := c.Consume("q", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Delivery
+	select {
+	case d = <-rc.C():
+	case <-time.After(5 * time.Second):
+		t.Fatal("no remote delivery")
 	}
 	if string(d.Body) != "hello" || d.Headers["h"] != "v" || d.RoutingKey != "a.b" {
 		t.Fatalf("delivery mismatch: %+v", d)
 	}
-	if err := c.Ack("q", d.Tag); err != nil {
+	if err := rc.Ack(d.Tag); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.QueueStats("q")
@@ -104,26 +110,26 @@ func TestRemoteDeclarePublishGet(t *testing.T) {
 func TestRemoteErrorsPropagate(t *testing.T) {
 	_, s := startServer(t)
 	c := dialTest(t, s)
-	if _, err := c.Publish("missing", "k", nil, nil); err == nil {
+	if _, err := c.PublishAt("missing", "k", nil, nil, time.Now()); err == nil {
 		t.Fatal("publish to missing exchange must fail remotely")
 	}
-	if err := c.BindQueue("q", "x", "p"); err == nil {
-		t.Fatal("bind with missing endpoints must fail remotely")
+	if _, err := c.Consume("missing", 1); err == nil {
+		t.Fatal("consume from a missing queue must fail remotely")
 	}
 }
 
 func TestRemoteConsume(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	pub := dialTest(t, s)
 	sub := dialTest(t, s)
 
-	if err := pub.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.BindQueue("q", "x", ""); err != nil {
+	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
 	rc, err := sub.Consume("q", 8)
@@ -132,7 +138,7 @@ func TestRemoteConsume(t *testing.T) {
 	}
 	const total = 50
 	for i := 0; i < total; i++ {
-		if _, err := pub.Publish("x", "k", nil, []byte(fmt.Sprintf("m%d", i))); err != nil {
+		if _, err := pub.PublishAt("x", "k", nil, []byte(fmt.Sprintf("m%d", i)), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,13 +166,13 @@ func TestRemoteConsume(t *testing.T) {
 func TestRemoteConsumerDisconnectRequeues(t *testing.T) {
 	b, s := startServer(t)
 	pub := dialTest(t, s)
-	if err := pub.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.BindQueue("q", "x", ""); err != nil {
+	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,7 +183,7 @@ func TestRemoteConsumerDisconnectRequeues(t *testing.T) {
 	if _, err := sub.Consume("q", 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pub.Publish("x", "k", nil, []byte("m")); err != nil {
+	if _, err := pub.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the mobile session without acking: the message must come
@@ -201,15 +207,15 @@ func TestRemoteConsumerDisconnectRequeues(t *testing.T) {
 }
 
 func TestRemoteConcurrentClients(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	setup := dialTest(t, s)
-	if err := setup.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := setup.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := setup.BindQueue("q", "x", ""); err != nil {
+	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
 	const (
@@ -228,7 +234,7 @@ func TestRemoteConcurrentClients(t *testing.T) {
 			}
 			defer func() { _ = c.Close() }()
 			for j := 0; j < each; j++ {
-				if _, err := c.Publish("x", "k", nil, []byte{byte(i), byte(j)}); err != nil {
+				if _, err := c.PublishAt("x", "k", nil, []byte{byte(i), byte(j)}, time.Now()); err != nil {
 					t.Errorf("publish: %v", err)
 					return
 				}
@@ -246,16 +252,20 @@ func TestRemoteConcurrentClients(t *testing.T) {
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	c := dialTest(t, s)
-	if err := c.DeclareExchange("x", Topic); err != nil {
+	if _, err := c.QueueStats("q"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	// Subsequent RPCs must fail, not hang.
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- c.DeclareExchange("y", Topic)
+		_, err := c.QueueStats("q")
+		errCh <- err
 	}()
 	select {
 	case err := <-errCh:
@@ -270,15 +280,15 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 // TestRemotePublishBatch sends a whole batch in one wire frame and
 // verifies per-message routing and delivery counts.
 func TestRemotePublishBatch(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	c := dialTest(t, s)
-	if err := c.DeclareExchange("x", Topic); err != nil {
+	if err := b.DeclareExchange("x", Topic); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BindQueue("q", "x", "a.*"); err != nil {
+	if err := b.BindQueue("q", "x", "a.*"); err != nil {
 		t.Fatal(err)
 	}
 	at := time.Date(2016, 3, 1, 10, 0, 0, 0, time.UTC)
@@ -293,25 +303,28 @@ func TestRemotePublishBatch(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("batch delivered %d, want 2", n)
 	}
-	d, found, err := c.Get("q")
-	if err != nil || !found {
-		t.Fatalf("get: found=%v err=%v", found, err)
+	rc, err := c.Consume("q", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(d.Body) != "m1" || !d.PublishedAt.Equal(at) {
+	next := func() Delivery {
+		t.Helper()
+		select {
+		case d := <-rc.C():
+			if err := rc.Ack(d.Tag); err != nil {
+				t.Fatal(err)
+			}
+			return d
+		case <-time.After(5 * time.Second):
+			t.Fatal("no delivery")
+			return Delivery{}
+		}
+	}
+	if d := next(); string(d.Body) != "m1" || !d.PublishedAt.Equal(at) {
 		t.Fatalf("first delivery = %q at %v", d.Body, d.PublishedAt)
 	}
-	if err := c.Ack("q", d.Tag); err != nil {
-		t.Fatal(err)
-	}
-	d, found, err = c.Get("q")
-	if err != nil || !found {
-		t.Fatalf("get 2: found=%v err=%v", found, err)
-	}
-	if string(d.Body) != "m3" || d.PublishedAt.IsZero() {
+	if d := next(); string(d.Body) != "m3" || d.PublishedAt.IsZero() {
 		t.Fatalf("second delivery = %q at %v", d.Body, d.PublishedAt)
-	}
-	if err := c.Ack("q", d.Tag); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -323,18 +336,18 @@ func TestRemotePublishBatch(t *testing.T) {
 func TestSessionBufferDrainsInOrderAfterDisconnect(t *testing.T) {
 	b, s := startServer(t)
 	pub := dialTest(t, s)
-	if err := pub.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.DeclareQueue("q", QueueOptions{}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.BindQueue("q", "x", ""); err != nil {
+	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
 	const total = 10
 	for i := 0; i < total; i++ {
-		if _, err := pub.Publish("x", "k", nil, []byte(fmt.Sprintf("m%d", i))); err != nil {
+		if _, err := pub.PublishAt("x", "k", nil, []byte(fmt.Sprintf("m%d", i)), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -71,7 +71,7 @@ func TestStatsSamplingDoesNotStallPublishers(t *testing.T) {
 		go func() {
 			defer pubWG.Done()
 			for i := 0; i < perPublisher; i++ {
-				if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+				if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 					t.Errorf("publish: %v", err)
 					return
 				}
@@ -121,7 +121,7 @@ func TestQueueStatsFastMatchesLocked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := b.Publish("x", "k", nil, []byte("m")); err != nil {
+		if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,10 @@ func TestHooksObserveBrokerEvents(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("get: %v %v", found, err)
 	}
-	if err := b.NackGet("q", d.Tag, false); err != nil {
+	b.mu.RLock()
+	q := b.queues["q"]
+	b.mu.RUnlock()
+	if err := q.nack(d.Tag, false); err != nil {
 		t.Fatal(err)
 	}
 	// Let the last ready message expire.

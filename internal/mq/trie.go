@@ -11,7 +11,7 @@ import "strings"
 //   - fanout exchanges keep the flat destination list;
 //   - topic exchanges compile their patterns into a trie keyed by
 //     dot-segment, so a publish walks O(len(key words)) trie edges
-//     instead of running TopicMatch against every binding.
+//     instead of matching every binding's pattern in turn.
 //
 // The trie is the pre-computed subscription index the paper's
 // scalability lesson calls for (§6, "do scale the server side"): with
@@ -19,7 +19,7 @@ import "strings"
 // scan makes routing cost grow with the fleet while the trie keeps it
 // proportional to the key length.
 //
-// TopicMatch (topic.go) remains the reference matcher; the property
+// topicMatch (topic_test.go) is the reference matcher; the property
 // tests in trie_test.go assert the trie agrees with it on random
 // patterns, including the `#` edge cases.
 
@@ -172,6 +172,13 @@ func (ex *exchange) reindex() {
 func (ex *exchange) addBinding(bd binding) {
 	ex.bindings = append(ex.bindings, bd)
 	ex.idx.insert(ex.typ, bd)
+}
+
+func splitWords(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ".")
 }
 
 // splitWordsInto splits a routing key into dst (reused scratch) to

@@ -54,7 +54,7 @@ func TestTrieAgreesWithTopicMatch(t *testing.T) {
 		got := trieMatches(root, key)
 		for i, p := range patterns {
 			name := fmt.Sprintf("q%d", i)
-			if want := TopicMatch(p, key); want != got[name] {
+			if want := topicMatch(p, key); want != got[name] {
 				t.Fatalf("pattern %q key %q: trie=%v TopicMatch=%v (patterns=%v)",
 					p, key, got[name], want, patterns)
 			}
@@ -94,7 +94,7 @@ func TestTrieEdgeCases(t *testing.T) {
 		if got := trieMatches(root, c.key)["q0"]; got != c.want {
 			t.Errorf("pattern %q key %q: trie=%v want=%v", c.pattern, c.key, got, c.want)
 		}
-		if got := TopicMatch(c.pattern, c.key); got != c.want {
+		if got := topicMatch(c.pattern, c.key); got != c.want {
 			t.Errorf("pattern %q key %q: TopicMatch=%v want=%v (reference disagrees with table)",
 				c.pattern, c.key, got, c.want)
 		}
@@ -125,7 +125,7 @@ func TestRouteCacheCounters(t *testing.T) {
 	invsAfterSetup := invs
 
 	for i := 0; i < 5; i++ {
-		if _, err := b.Publish("x", "a.b", nil, []byte("m")); err != nil {
+		if _, err := b.PublishAt("x", "a.b", nil, []byte("m"), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestRouteCacheCounters(t *testing.T) {
 	if invs != invsAfterSetup+1 {
 		t.Fatalf("invalidations = %d, want %d", invs, invsAfterSetup+1)
 	}
-	if _, err := b.Publish("x", "a.b", nil, []byte("m")); err != nil {
+	if _, err := b.PublishAt("x", "a.b", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if st := b.Stats(); st.RouteCacheMisses != 2 {
@@ -174,13 +174,13 @@ func TestBindUnbindInvalidatesRoutes(t *testing.T) {
 		if err := b.BindQueue("q1", "x", "k"); err != nil {
 			t.Fatal(err)
 		}
-		if n, _ := b.Publish("x", "k", nil, []byte("m")); n != 2 {
+		if n, _ := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); n != 2 {
 			t.Fatalf("iter %d: delivered %d after bind, want 2", i, n)
 		}
 		if err := b.UnbindQueue("q1", "x", "k"); err != nil {
 			t.Fatal(err)
 		}
-		if n, _ := b.Publish("x", "k", nil, []byte("m")); n != 1 {
+		if n, _ := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); n != 1 {
 			t.Fatalf("iter %d: delivered %d after unbind, want 1 (stale route)", i, n)
 		}
 	}
@@ -224,7 +224,7 @@ func TestConcurrentBindUnbindPublish(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		n, err := b.Publish("x", "a.b", nil, []byte("m"))
+		n, err := b.PublishAt("x", "a.b", nil, []byte("m"), time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestConcurrentBindUnbindPublish(t *testing.T) {
 
 	// Quiescent check: with the binder stopped in the unbound state,
 	// publishes must settle on exactly q0.
-	if n, _ := b.Publish("x", "a.b", nil, []byte("m")); n != 1 {
+	if n, _ := b.PublishAt("x", "a.b", nil, []byte("m"), time.Now()); n != 1 {
 		t.Fatalf("post-race publish delivered %d, want 1", n)
 	}
 }

@@ -127,18 +127,18 @@ func TestTTLExpiryBeforeDispatch(t *testing.T) {
 }
 
 func TestTTLOverWire(t *testing.T) {
-	_, s := startServer(t)
+	b, s := startServer(t)
 	c := dialTest(t, s)
-	if err := c.DeclareQueue("q", QueueOptions{TTL: 250 * time.Millisecond}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{TTL: 250 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeclareExchange("x", Fanout); err != nil {
+	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BindQueue("q", "x", ""); err != nil {
+	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Publish("x", "k", nil, []byte("m")); err != nil {
+	if _, err := c.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh: visible.

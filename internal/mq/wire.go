@@ -2,6 +2,7 @@ package mq
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -18,26 +19,24 @@ import (
 // length prefixes.
 const maxFrameBytes = 16 << 20
 
+// smallFrameBytes is the largest payload read into one buffer sized
+// from its length prefix. A larger payload's buffer grows only as its
+// bytes arrive, so four bytes from a peer cannot make the reader
+// allocate maxFrameBytes.
+const smallFrameBytes = 64 << 10
+
 // Frame ops.
 const (
-	opDeclareExchange = "declare-exchange"
-	opDeleteExchange  = "delete-exchange"
-	opDeclareQueue    = "declare-queue"
-	opDeleteQueue     = "delete-queue"
-	opBindQueue       = "bind-queue"
-	opBindExchange    = "bind-exchange"
-	opUnbindQueue     = "unbind-queue"
-	opPublish         = "publish"
-	opPublishBatch    = "publish-batch"
-	opConsume         = "consume"
-	opCancel          = "cancel"
-	opGet             = "get"
-	opAck             = "ack"
-	opNack            = "nack"
-	opQueueStats      = "queue-stats"
-	opOK              = "ok"
-	opError           = "error"
-	opDeliver         = "deliver"
+	opPublish      = "publish"
+	opPublishBatch = "publish-batch"
+	opConsume      = "consume"
+	opCancel       = "cancel"
+	opAck          = "ack"
+	opNack         = "nack"
+	opQueueStats   = "queue-stats"
+	opOK           = "ok"
+	opError        = "error"
+	opDeliver      = "deliver"
 	// opFlow is pushed by the server (no correlation id) when a queue
 	// crosses its flow watermarks: Paused=true asks publishers to stop,
 	// Paused=false resumes them. A snapshot of currently paused queues
@@ -51,38 +50,27 @@ type frame struct {
 	Corr  uint64 `json:"corr,omitempty"`
 	Error string `json:"error,omitempty"`
 
-	Exchange     string            `json:"exchange,omitempty"`
-	ExchangeType string            `json:"exchangeType,omitempty"`
-	Queue        string            `json:"queue,omitempty"`
-	SrcExchange  string            `json:"srcExchange,omitempty"`
-	Pattern      string            `json:"pattern,omitempty"`
-	RoutingKey   string            `json:"routingKey,omitempty"`
-	Headers      map[string]string `json:"headers,omitempty"`
-	Body         []byte            `json:"body,omitempty"`
-	PublishedAt  time.Time         `json:"publishedAt,omitempty"`
-	MaxLen       int               `json:"maxLen,omitempty"`
-	TTLMillis    int64             `json:"ttlMillis,omitempty"`
-	Exclusive    bool              `json:"exclusive,omitempty"`
-	Prefetch     int               `json:"prefetch,omitempty"`
-	ConsumerID   uint64            `json:"consumerId,omitempty"`
-	Tag          uint64            `json:"tag,omitempty"`
-	Requeue      bool              `json:"requeue,omitempty"`
-	Delivered    int               `json:"delivered,omitempty"`
-	Found        bool              `json:"found,omitempty"`
-	MessageID    uint64            `json:"messageId,omitempty"`
-	Redelivered  bool              `json:"redelivered,omitempty"`
-	Stats        *QueueStats       `json:"stats,omitempty"`
-	Items        []PublishItem     `json:"items,omitempty"`
+	Exchange    string            `json:"exchange,omitempty"`
+	Queue       string            `json:"queue,omitempty"`
+	RoutingKey  string            `json:"routingKey,omitempty"`
+	Headers     map[string]string `json:"headers,omitempty"`
+	Body        []byte            `json:"body,omitempty"`
+	PublishedAt time.Time         `json:"publishedAt,omitempty"`
+	Prefetch    int               `json:"prefetch,omitempty"`
+	ConsumerID  uint64            `json:"consumerId,omitempty"`
+	Tag         uint64            `json:"tag,omitempty"`
+	Requeue     bool              `json:"requeue,omitempty"`
+	Delivered   int               `json:"delivered,omitempty"`
+	MessageID   uint64            `json:"messageId,omitempty"`
+	Redelivered bool              `json:"redelivered,omitempty"`
+	Stats       *QueueStats       `json:"stats,omitempty"`
+	Items       []PublishItem     `json:"items,omitempty"`
 	// Token is a publish idempotency token: a republish carrying a
 	// token the broker has seen inside its dedup window returns the
 	// original delivery count without enqueueing again.
 	Token string `json:"token,omitempty"`
 	// Paused carries the flow-control state of Queue in opFlow frames.
 	Paused bool `json:"paused,omitempty"`
-	// HighWatermark / LowWatermark carry queue flow thresholds in
-	// declare-queue frames.
-	HighWatermark int `json:"highWatermark,omitempty"`
-	LowWatermark  int `json:"lowWatermark,omitempty"`
 }
 
 // writeJSONFrame encodes v and writes it as one length-prefixed frame,
@@ -113,8 +101,8 @@ func readJSONFrame(r *bufio.Reader, v any) (int, error) {
 	if n > maxFrameBytes {
 		return len(lenBuf), fmt.Errorf("mq: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return len(lenBuf), err
 	}
 	total := len(lenBuf) + int(n)
@@ -122,6 +110,32 @@ func readJSONFrame(r *bufio.Reader, v any) (int, error) {
 		return total, fmt.Errorf("decode frame: %w", err)
 	}
 	return total, nil
+}
+
+// readPayload reads exactly n bytes. A payload above smallFrameBytes
+// is read a chunk at a time and joined once all of it has arrived, so
+// a frame cut short costs the bytes that came plus one chunk.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	if n <= smallFrameBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var chunks [][]byte
+	for left := n; left > 0; {
+		c := make([]byte, min(left, smallFrameBytes))
+		if _, err := io.ReadFull(r, c); err != nil {
+			if err == io.EOF && left < n {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		left -= len(c)
+	}
+	return bytes.Join(chunks, nil), nil
 }
 
 // writeFrame encodes and writes one broker frame.

@@ -58,9 +58,6 @@ func New(src Source, cfg Config, clock simclock.Clock) *Forecaster {
 // SetHooks attaches telemetry hooks (nil detaches).
 func (f *Forecaster) SetHooks(h *Hooks) { f.hooks = h }
 
-// Model returns the forecaster's model.
-func (f *Forecaster) Model() Model { return f.model }
-
 // Horizon returns the forecast horizon.
 func (f *Forecaster) Horizon() time.Duration { return f.model.cfg.Horizon }
 

@@ -120,9 +120,6 @@ type Model struct{ cfg Config }
 // NewModel validates cfg and fills defaults.
 func NewModel(cfg Config) Model { return Model{cfg: cfg.withDefaults()} }
 
-// Config returns the model's effective (default-filled) configuration.
-func (m Model) Config() Config { return m.cfg }
-
 // ForecastZone fits one zone's forecast from its trailing bucket
 // series. Buckets must be ascending by start (what the series bucket
 // readers return). ok is false for cold zones: fewer than MinBuckets

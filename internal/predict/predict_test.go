@@ -3,6 +3,7 @@ package predict
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,20 +262,18 @@ func TestSchedulerRunOnceAnnouncesAndCaches(t *testing.T) {
 	if len(announced) != 4 {
 		t.Fatalf("announce callback saw %d zones, want 4", len(announced))
 	}
-	if latest := s.Latest(); len(latest) != 4 {
-		t.Fatalf("Latest() holds %d zones, want 4", len(latest))
-	}
 }
 
 func TestSchedulerStartStop(t *testing.T) {
 	f := New(dbSource{seedDB(t)}, Config{}, simclock.NewSim(t0))
-	s := NewScheduler(f, 10*time.Millisecond, nil)
+	var swept atomic.Bool
+	s := NewScheduler(f, 10*time.Millisecond, func(map[string]Forecast) { swept.Store(true) })
 	s.Start()
 	s.Start() // idempotent
 	time.Sleep(50 * time.Millisecond)
 	s.Stop()
 	s.Stop() // idempotent
-	if s.Latest() == nil {
+	if !swept.Load() {
 		t.Fatal("scheduler never swept")
 	}
 }

@@ -98,9 +98,6 @@ func NewRerouter(zones *geo.ZoneGrid, f *Forecaster, cfg RerouteConfig) *Reroute
 	return &Rerouter{zones: zones, f: f, cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective (default-filled) configuration.
-func (r *Rerouter) Config() RerouteConfig { return r.cfg }
-
 // QuietRoute scores the straight origin→destination path under the
 // current forecasts and proposes a quieter alternative when the
 // default's predicted exposure crosses the threshold.

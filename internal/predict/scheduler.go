@@ -19,10 +19,9 @@ type Scheduler struct {
 	interval time.Duration
 	announce func(map[string]Forecast)
 
-	mu     sync.Mutex
-	latest map[string]Forecast
-	stop   chan struct{}
-	done   chan struct{}
+	mu   sync.Mutex
+	stop chan struct{}
+	done chan struct{}
 }
 
 // NewScheduler builds a scheduler sweeping every interval (default
@@ -76,27 +75,16 @@ func (s *Scheduler) loop(stop, done chan struct{}) {
 	}
 }
 
-// RunOnce performs one sweep: forecast every warm zone, remember the
-// result, announce it. Safe to call concurrently with the loop and
+// RunOnce performs one sweep: forecast every warm zone and announce
+// the result. Safe to call concurrently with the loop and
 // directly from experiment drivers.
 func (s *Scheduler) RunOnce(ctx context.Context) (map[string]Forecast, error) {
 	fcs, err := s.f.Sweep(ctx)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.latest = fcs
-	s.mu.Unlock()
 	if s.announce != nil && len(fcs) > 0 {
 		s.announce(fcs)
 	}
 	return fcs, nil
-}
-
-// Latest returns the most recent sweep's forecasts (nil before the
-// first sweep).
-func (s *Scheduler) Latest() map[string]Forecast {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.latest
 }

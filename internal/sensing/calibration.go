@@ -95,8 +95,8 @@ func (db *CalibrationDB) Models() []string {
 	return models
 }
 
-// EntryCount returns the number of entries for a model.
-func (db *CalibrationDB) EntryCount(model string) int {
+// entryCount returns the number of entries for a model.
+func (db *CalibrationDB) entryCount(model string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.entries[model])

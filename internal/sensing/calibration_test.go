@@ -83,7 +83,7 @@ func TestCalibrationModelsAndCounts(t *testing.T) {
 	if len(models) != 2 || models[0] != "A" || models[1] != "B" {
 		t.Fatalf("Models() = %v", models)
 	}
-	if db.EntryCount("B") != 2 || db.EntryCount("A") != 1 || db.EntryCount("Z") != 0 {
+	if db.entryCount("B") != 2 || db.entryCount("A") != 1 || db.entryCount("Z") != 0 {
 		t.Fatal("entry counts wrong")
 	}
 }

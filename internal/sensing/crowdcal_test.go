@@ -144,7 +144,7 @@ func TestCrowdCalResultApplyToDB(t *testing.T) {
 	if err != nil || got != 2.5 {
 		t.Fatalf("db bias A = %v, %v", got, err)
 	}
-	if db.EntryCount("B") != 1 {
+	if db.entryCount("B") != 1 {
 		t.Fatal("crowd entry for B missing")
 	}
 }

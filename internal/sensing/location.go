@@ -57,8 +57,8 @@ func ParseProvider(s string) (Provider, error) {
 	}
 }
 
-// Providers lists the localizing providers (excluding ProviderNone).
-func Providers() []Provider {
+// providers lists the localizing providers (excluding ProviderNone).
+func providers() []Provider {
 	return []Provider{ProviderGPS, ProviderNetwork, ProviderFused}
 }
 
@@ -71,9 +71,9 @@ type ProviderMix struct {
 	Fused   float64 `json:"fused"`
 }
 
-// DefaultOpportunisticMix reproduces the overall provider shares of
+// defaultOpportunisticMix reproduces the overall provider shares of
 // Section 5.1: 7% GPS, 86% network, 7% fused.
-func DefaultOpportunisticMix() ProviderMix {
+func defaultOpportunisticMix() ProviderMix {
 	return ProviderMix{GPS: 0.07, Network: 0.86, Fused: 0.07}
 }
 

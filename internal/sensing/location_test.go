@@ -8,7 +8,7 @@ import (
 )
 
 func TestProviderStringParseRoundTrip(t *testing.T) {
-	for _, p := range append(Providers(), ProviderNone) {
+	for _, p := range append(providers(), ProviderNone) {
 		got, err := ParseProvider(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParseProvider(%q) = %v, %v", p.String(), got, err)
@@ -21,7 +21,7 @@ func TestProviderStringParseRoundTrip(t *testing.T) {
 
 func TestDefaultMixSampleShares(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	mix := DefaultOpportunisticMix()
+	mix := defaultOpportunisticMix()
 	counts := map[Provider]int{}
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func TestDefaultMixSampleShares(t *testing.T) {
 func TestShiftTowardGPSConservesMass(t *testing.T) {
 	f := func(points uint8) bool {
 		p := float64(points%100) / 100
-		base := DefaultOpportunisticMix()
+		base := defaultOpportunisticMix()
 		shifted := base.ShiftTowardGPS(p)
 		before := base.GPS + base.Network + base.Fused
 		after := shifted.GPS + shifted.Network + shifted.Fused
@@ -51,7 +51,7 @@ func TestShiftTowardGPSConservesMass(t *testing.T) {
 }
 
 func TestMixForMode(t *testing.T) {
-	base := DefaultOpportunisticMix()
+	base := defaultOpportunisticMix()
 	if got := MixForMode(base, Opportunistic); got != base {
 		t.Fatal("opportunistic mode must keep the base mix")
 	}

@@ -78,7 +78,7 @@ func TestObservationRoundTripProperty(t *testing.T) {
 		o.Loc = &Location{
 			Point:     geo.Point{Lat: float64(lat % 90), Lon: float64(lon % 180)},
 			AccuracyM: float64(acc%2000) + 1,
-			Provider:  Providers()[rng.Intn(3)],
+			Provider:  providers()[rng.Intn(3)],
 		}
 		data, err := o.Encode()
 		if err != nil {

@@ -45,9 +45,9 @@ func (p MicProfile) SampleRawSPL(rng *rand.Rand, ambientShiftDB float64) float64
 	return clampSPL(v)
 }
 
-// TrueSPL converts a raw measurement back to a calibrated estimate by
+// trueSPL converts a raw measurement back to a calibrated estimate by
 // removing the model bias.
-func (p MicProfile) TrueSPL(raw float64) float64 {
+func (p MicProfile) trueSPL(raw float64) float64 {
 	return clampSPL(raw - p.BiasDB)
 }
 

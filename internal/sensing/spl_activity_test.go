@@ -53,11 +53,11 @@ func TestSampleRawSPLBimodal(t *testing.T) {
 
 func TestTrueSPLRemovesBias(t *testing.T) {
 	p := testProfile()
-	if got := p.TrueSPL(40); got != 35 {
+	if got := p.trueSPL(40); got != 35 {
 		t.Fatalf("TrueSPL(40) = %v, want 35", got)
 	}
 	// Clamped below zero.
-	if got := p.TrueSPL(2); got != 0 {
+	if got := p.trueSPL(2); got != 0 {
 		t.Fatalf("TrueSPL(2) = %v, want 0 (clamped)", got)
 	}
 }

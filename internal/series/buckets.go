@@ -98,8 +98,3 @@ func (db *DB) zoneBucketsLocked(zone string, af, at int64, use *memoUse) []Bucke
 	}
 	return out
 }
-
-// BucketWidth reports the rollup bucket width.
-func (db *DB) BucketWidth() time.Duration {
-	return time.Duration(db.bucketMs) * time.Millisecond
-}

@@ -275,13 +275,6 @@ func (db *DB) sealLocked(pt *partition) *Chunk {
 	return ch
 }
 
-// Watermark returns the highest WAL LSN observed.
-func (db *DB) Watermark() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.watermark
-}
-
 // SetWatermark raises the watermark without appending — the backfill
 // path uses it after scanning a snapshot-loaded store, so the WAL tail
 // that produced the snapshot is not re-fed on top.
@@ -369,18 +362,6 @@ func (db *DB) Stats() Stats {
 		st.RollupBuckets += len(zm)
 	}
 	return st
-}
-
-// Zones returns the zone ids with rollup data, sorted.
-func (db *DB) Zones() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.rollups))
-	for z := range db.rollups {
-		out = append(out, z)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // sortedParts returns the partitions in time order. Caller holds a

@@ -501,8 +501,8 @@ func TestPersistCheckpointOpenRoundTrip(t *testing.T) {
 	}
 	requireRollupsEqual(t, naiveRollups(append(append([]Point{}, pts...), more...), 5*time.Minute),
 		db3.rollupsSnapshot(), "second generation")
-	if db3.Watermark() != uint64(len(pts)+len(more)) {
-		t.Fatalf("watermark: want %d, got %d", len(pts)+len(more), db3.Watermark())
+	if db3.Stats().Watermark != uint64(len(pts)+len(more)) {
+		t.Fatalf("watermark: want %d, got %d", len(pts)+len(more), db3.Stats().Watermark)
 	}
 }
 
@@ -575,7 +575,7 @@ func TestTornCheckpointRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: reopen after torn checkpoint: %v", budget, err)
 		}
-		wm := re.Watermark()
+		wm := re.Stats().Watermark
 		if tornErr == nil && wm != uint64(len(pts)) {
 			t.Fatalf("budget %d: checkpoint succeeded but watermark %d != %d", budget, wm, len(pts))
 		}

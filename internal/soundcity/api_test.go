@@ -277,7 +277,7 @@ func TestUserAPIFeedbackRouting(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("feedback not routed: found=%v err=%v", found, err)
 	}
-	f, err := DecodeFeedback(d.Body)
+	f, err := decodeFeedback(d.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

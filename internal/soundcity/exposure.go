@@ -170,7 +170,7 @@ func BuildExposureReport(userID string, obs []*sensing.Observation, calib *sensi
 	return report, nil
 }
 
-// ParseDay is a helper validating dashboard day strings.
-func ParseDay(s string) (time.Time, error) {
+// parseDay is a helper validating dashboard day strings.
+func parseDay(s string) (time.Time, error) {
 	return time.Parse("2006-01-02", s)
 }

@@ -120,10 +120,10 @@ func TestBuildExposureReportNoData(t *testing.T) {
 }
 
 func TestParseDay(t *testing.T) {
-	if _, err := ParseDay("2016-03-01"); err != nil {
+	if _, err := parseDay("2016-03-01"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseDay("01/03/2016"); err == nil {
+	if _, err := parseDay("01/03/2016"); err == nil {
 		t.Fatal("wrong format must fail")
 	}
 }

@@ -229,7 +229,7 @@ func TestFeedbackValidateAndRouting(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("feedback not delivered: %v %v", found, err)
 	}
-	got, err := DecodeFeedback(d.Body)
+	got, err := decodeFeedback(d.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFeedbackValidateAndRouting(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("missing timestamp must fail")
 	}
-	if _, err := DecodeFeedback([]byte("{bad")); err == nil {
+	if _, err := decodeFeedback([]byte("{bad")); err == nil {
 		t.Fatal("bad JSON must fail")
 	}
 }

@@ -8,13 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/docstore"
 	"github.com/urbancivics/goflow/internal/geo"
 	"github.com/urbancivics/goflow/internal/goflow"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/predict"
 	"github.com/urbancivics/goflow/internal/sensing"
-	"github.com/urbancivics/goflow/internal/series"
 	"github.com/urbancivics/goflow/internal/simclock"
 	"github.com/urbancivics/goflow/internal/storage"
 )
@@ -39,9 +37,11 @@ type quietRouteEnv struct {
 func newQuietRouteEnv(t *testing.T) *quietRouteEnv {
 	t.Helper()
 	broker := mq.NewBroker()
-	store := docstore.NewStore()
-	engine := storage.NewLocal(store)
-	engine.AttachSeries(series.New(series.Options{}), goflow.ObservationsCollection)
+	engine, err := storage.OpenLocal(storage.LocalOptions{Series: &storage.SeriesOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := engine.Store()
 	grid := geo.ParisZones()
 	server, err := goflow.NewServer(goflow.ServerConfig{
 		Broker:  broker,

@@ -215,13 +215,12 @@ func TestLegacyGobLogWithBinaryTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.EnsureIndex("calibration", "model")
-	l.Store().Drop("calibration")
 	live := typedDump(t, l.Store())
 	if err := l.Close(); err != nil { // the crash: no checkpoint
 		t.Fatal(err)
 	}
-	if gob, bin := walFormats(t, dir); gob != 10 || bin != 7 {
-		t.Fatalf("log holds %d gob + %d binary records, want 10 + 7", gob, bin)
+	if gob, bin := walFormats(t, dir); gob != 10 || bin != 6 {
+		t.Fatalf("log holds %d gob + %d binary records, want 10 + 6", gob, bin)
 	}
 	if segs, _ := filepath.Glob(filepath.Join(dir, "*.wal")); len(segs) != 1 {
 		t.Fatalf("segments = %v, want the fixture's one", segs)
@@ -231,7 +230,7 @@ func TestLegacyGobLogWithBinaryTail(t *testing.T) {
 	if got := typedDump(t, l.Store()); got != live {
 		t.Fatalf("mixed log recovered to\n%s\nwant\n%s", got, live)
 	}
-	want := docstore.FormatStats{DecodedGob: 10, DecodedBin: 7, RestoredGob: 1}
+	want := docstore.FormatStats{DecodedGob: 10, DecodedBin: 6, RestoredGob: 1}
 	if fs := l.Store().FormatStats(); fs != want {
 		t.Fatalf("format stats = %+v, want %+v", fs, want)
 	}

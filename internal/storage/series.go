@@ -64,23 +64,6 @@ type RollupReader interface {
 // Series returns the engine's series DB (nil when none is attached).
 func (l *Local) Series() *series.DB { return l.series }
 
-// AttachSeries wires an already-open series DB to the engine: inserts
-// into the observed collection feed it from now on, and documents
-// already in the store are backfilled (at LSN 0) when the series is
-// empty. This is the path for engines built with NewLocal; OpenLocal
-// does the equivalent — with WAL-replay ordering — itself.
-func (l *Local) AttachSeries(db *series.DB, col string) {
-	if col == "" {
-		col = "observations"
-	}
-	l.series = db
-	l.seriesCol = col
-	if st := db.Stats(); st.Points == 0 && st.Watermark == 0 {
-		l.backfillSeries(col)
-	}
-	l.observeSeries(col)
-}
-
 // observeSeries registers the ingest observer that feeds the series.
 // The observer delivers one whole mutation per call (a full
 // InsertMany batch under a single LSN), and the points are handed to

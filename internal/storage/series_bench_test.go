@@ -90,21 +90,18 @@ func BenchmarkObservationIngest(b *testing.B) {
 		{"wal=none/series=true", true, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			var l *Local
+			opts := LocalOptions{Policy: wal.FsyncNone}
 			if cfg.withWAL {
-				var err error
-				l, err = OpenLocal(LocalOptions{WALDir: b.TempDir(), Policy: wal.FsyncNone})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer l.Close()
-			} else {
-				l = NewLocal(docstore.NewStore())
+				opts.WALDir = b.TempDir()
 			}
 			if cfg.withSeries {
-				db := series.New(series.Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
-				l.AttachSeries(db, "observations")
+				opts.Series = &SeriesOptions{Options: series.Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute}}
 			}
+			l, err := OpenLocal(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer l.Close()
 			rng := rand.New(rand.NewSource(23))
 			ms := (7 * 24 * time.Hour).Milliseconds()
 			b.ReportAllocs()

@@ -38,7 +38,7 @@ func BenchmarkWALAppend(b *testing.B) {
 					go func(n int) {
 						defer wg.Done()
 						for i := 0; i < n; i++ {
-							if _, err := w.Log(1, benchPayload); err != nil {
+							if _, err := w.log(1, benchPayload); err != nil {
 								b.Error(err)
 								return
 							}

@@ -59,7 +59,7 @@ func TestResetRestartsNumbering(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 20; i++ {
-		if _, err := w.Log(1, []byte("payload payload payload")); err != nil {
+		if _, err := w.log(1, []byte("payload payload payload")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestResetRestartsNumbering(t *testing.T) {
 	if got := w.Stats().Segments; got != 1 {
 		t.Fatalf("segments after reset = %d, want 1", got)
 	}
-	lsn, err := w.Log(1, []byte("after"))
+	lsn, err := w.log(1, []byte("after"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestReadFromRanges(t *testing.T) {
 	defer w.Close()
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := w.Log(byte(i%5), []byte(fmt.Sprintf("record %03d padpadpadpadpadpadpadpadpadpadpadpadpadpadpadpadpadpadpad", i))); err != nil {
+		if _, err := w.log(byte(i%5), []byte(fmt.Sprintf("record %03d padpadpadpadpadpadpadpadpadpadpadpadpadpadpadpadpadpadpad", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func TestReadFromTruncated(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 30; i++ {
-		if _, err := w.Log(0, []byte("record that fills segments quickly......")); err != nil {
+		if _, err := w.log(0, []byte("record that fills segments quickly......")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestDurableNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.Log(0, []byte("one")); err != nil {
+	if _, err := w.log(0, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +139,7 @@ func TestDurableNotify(t *testing.T) {
 		<-ch
 		woke <- w.DurableLSN()
 	}()
-	if _, err := w.Log(0, []byte("two")); err != nil {
+	if _, err := w.log(0, []byte("two")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -164,7 +164,7 @@ func TestCorruptionErrorLocalizes(t *testing.T) {
 	// SegmentBytes=1 seals a segment per flush, so LSN 1 lands in a
 	// sealed segment we can damage.
 	for i := 0; i < 3; i++ {
-		if _, err := w.Log(0, []byte(fmt.Sprintf("record %d", i))); err != nil {
+		if _, err := w.log(0, []byte(fmt.Sprintf("record %d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -560,8 +560,8 @@ func (w *WAL) Append(typ byte, payload []byte) (*Ticket, error) {
 	return t, nil
 }
 
-// Log appends one record and waits for its commit.
-func (w *WAL) Log(typ byte, payload []byte) (uint64, error) {
+// log appends one record and waits for its commit.
+func (w *WAL) log(typ byte, payload []byte) (uint64, error) {
 	t, err := w.Append(typ, payload)
 	if err != nil {
 		return 0, err

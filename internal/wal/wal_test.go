@@ -85,7 +85,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	}
 	const n = 100
 	for i := 0; i < n; i++ {
-		lsn, err := w.Log(byte(i%7), []byte(fmt.Sprintf("record %d", i)))
+		lsn, err := w.log(byte(i%7), []byte(fmt.Sprintf("record %d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	}
 	// Appends continue the LSN sequence where the previous process
 	// stopped.
-	lsn, err := w2.Log(0, []byte("after reopen"))
+	lsn, err := w2.log(0, []byte("after reopen"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestConcurrentAppendContiguity(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := w.Log(1, []byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
+				if _, err := w.log(1, []byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -177,7 +177,7 @@ func TestSegmentRotation(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := w.Log(0, []byte(fmt.Sprintf("rotating record %02d", i))); err != nil {
+		if _, err := w.log(0, []byte(fmt.Sprintf("rotating record %02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func TestCheckpointTruncate(t *testing.T) {
 	}
 	defer w.Close()
 	for i := 0; i < 20; i++ {
-		if _, err := w.Log(0, []byte("before checkpoint")); err != nil {
+		if _, err := w.log(0, []byte("before checkpoint")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestCheckpointTruncate(t *testing.T) {
 		t.Fatalf("Rotate cut = %d, want 21", cut)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := w.Log(0, []byte("after checkpoint")); err != nil {
+		if _, err := w.log(0, []byte("after checkpoint")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +257,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := w.Log(0, []byte(fmt.Sprintf("record %d", i))); err != nil {
+		if _, err := w.log(0, []byte(fmt.Sprintf("record %d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +289,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	// The torn record's LSN is reused by the next append — the torn
 	// record was never acknowledged, so it never existed.
-	lsn, err := w2.Log(0, []byte("record 11 again"))
+	lsn, err := w2.log(0, []byte("record 11 again"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestSealedCorruptionIsHardError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := w.Log(0, []byte(fmt.Sprintf("record %02d", i))); err != nil {
+		if _, err := w.log(0, []byte(fmt.Sprintf("record %02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,7 +363,7 @@ func TestStickyFailureAfterTear(t *testing.T) {
 	defer w.Close()
 	var firstErr error
 	for i := 0; i < 50; i++ {
-		if _, err := w.Log(0, make([]byte, 83)); err != nil { // 100-byte frames
+		if _, err := w.log(0, make([]byte, 83)); err != nil { // 100-byte frames
 			firstErr = err
 			break
 		}
