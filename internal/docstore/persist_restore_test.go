@@ -2,7 +2,10 @@ package docstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -138,4 +141,83 @@ func TestSnapshotRestoreAfterDeletes(t *testing.T) {
 			t.Fatalf("%s: deleted post-restore doc still visible through index (%d docs)", c.name, len(got))
 		}
 	}
+}
+
+// resealSnapshot returns b with the checksums of its header and of
+// every whole collection block recomputed, so that the fuzzer's
+// mutations reach the block decoder instead of stopping at a CRC.
+func resealSnapshot(b []byte) []byte {
+	b = bytes.Clone(b)
+	if len(b) < snapshotHeaderSize || string(b[:len(snapshotMagic)]) != snapshotMagic {
+		return b
+	}
+	sum := snapshotHeaderSize - 4
+	binary.LittleEndian.PutUint32(b[sum:], crc32.Checksum(b[:sum], castagnoli))
+	for off := snapshotHeaderSize; off+snapshotFrameSize <= len(b); {
+		size := binary.LittleEndian.Uint64(b[off:])
+		body := off + snapshotFrameSize
+		if size > uint64(len(b)-body) {
+			break
+		}
+		end := body + int(size)
+		binary.LittleEndian.PutUint32(b[off+8:], crc32.Checksum(b[body:end], castagnoli))
+		off = end
+	}
+	return b
+}
+
+// FuzzSnapshotRestore: Store.Restore never panics on arbitrary bytes,
+// as they come and with their checksums made right, and a snapshot it
+// accepts re-saves to bytes that restore and save to the same bytes
+// again.
+func FuzzSnapshotRestore(f *testing.F) {
+	s := NewStore()
+	c := s.Collection("c")
+	c.EnsureIndex("zone")
+	if _, err := c.Insert(kindsDoc()); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Collection("other").InsertMany([]Doc{{"zone": "z", "spl": 61.5}, {"zone": "y"}}); err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap.Bytes())
+	f.Add(snap.Bytes()[:snap.Len()/2])
+	empty := bytes.Buffer{}
+	if err := NewStore().Snapshot(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+	if gob, err := os.ReadFile("testdata/legacy-gob/data/snapshot.gob"); err == nil {
+		f.Add(gob)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < len(snapshotMagic) || string(in[:len(snapshotMagic)]) != snapshotMagic {
+			return // a legacy gob snapshot: gob's decoder is the standard library's to fuzz
+		}
+		for _, b := range [][]byte{in, resealSnapshot(in)} {
+			s := NewStore()
+			if err := s.Restore(bytes.NewReader(b)); err != nil {
+				continue
+			}
+			var saved bytes.Buffer
+			if err := s.Snapshot(&saved); err != nil {
+				t.Fatalf("an accepted snapshot does not save: %v", err)
+			}
+			again := NewStore()
+			if err := again.Restore(bytes.NewReader(saved.Bytes())); err != nil {
+				t.Fatalf("a saved snapshot does not restore: %v", err)
+			}
+			var resaved bytes.Buffer
+			if err := again.Snapshot(&resaved); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+				t.Fatalf("not a fixed point:\n saved   %x\n resaved %x", saved.Bytes(), resaved.Bytes())
+			}
+		}
+	})
 }

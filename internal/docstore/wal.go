@@ -116,23 +116,32 @@ type WALRecovery struct {
 // already holds the latest snapshot (or a fresh one if none exists),
 // before AttachWAL and before serving traffic. Replayed mutations
 // bypass the hooks and the commit log.
+//
+// Recovery runs the two halves of ApplyRecord as wal.Replay's two
+// stages: the reader goroutine decodes each record while this one
+// applies the records before it, in LSN order. The outcome — the
+// store, the observer's calls, the counts and the error — is that of
+// calling ApplyRecord on each record in turn.
 func RecoverWAL(s *Store, w *wal.WAL) (WALRecovery, error) {
 	if s.commitLog.Load() != nil {
 		return WALRecovery{}, ErrCommitLogAttached
 	}
 	start := time.Now()
 	n := 0
-	err := w.Replay(func(lsn uint64, typ byte, payload []byte) error {
-		if err := s.ApplyRecord(lsn, typ, payload); err != nil {
+	err := wal.Replay(w, func(lsn uint64, typ byte, payload []byte) (*Mutation, error) {
+		m, err := s.decodeRecord(typ, payload)
+		if err != nil {
+			return nil, fmt.Errorf("lsn %d: %w", lsn, err)
+		}
+		return m, nil
+	}, func(lsn uint64, m *Mutation) error {
+		if err := s.applyMutation(lsn, m); err != nil {
 			return fmt.Errorf("lsn %d: %w", lsn, err)
 		}
 		n++
 		return nil
 	})
-	if err != nil {
-		return WALRecovery{Records: n, Duration: time.Since(start)}, err
-	}
-	return WALRecovery{Records: n, Duration: time.Since(start)}, nil
+	return WALRecovery{Records: n, Duration: time.Since(start)}, err
 }
 
 // ApplyRecord decodes one WAL record — type byte and payload, read
@@ -149,16 +158,33 @@ func RecoverWAL(s *Store, w *wal.WAL) (WALRecovery, error) {
 // replicated inserts fire the collection's ingest observer with it, so
 // derived views (the series engine) recover in step with the store.
 // Callers replaying a log must apply records in LSN order — observer
-// ordering comes from the single replay goroutine here, not from a
-// lock.
+// ordering comes from the single apply goroutine, not from a lock.
 func (s *Store) ApplyRecord(lsn uint64, typ byte, payload []byte) error {
-	m, err := decodeMutation(payload, &s.applyShapes)
+	m, err := s.decodeRecord(typ, payload)
 	if err != nil {
 		return err
+	}
+	return s.applyMutation(lsn, m)
+}
+
+// decodeRecord is ApplyRecord's first half: it decodes a record into
+// the mutation applyMutation takes. It reads nothing of the store but
+// its shape cache, so it may run ahead of the apply, on another
+// goroutine.
+func (s *Store) decodeRecord(typ byte, payload []byte) (*Mutation, error) {
+	m, err := decodeMutation(payload, &s.applyShapes)
+	if err != nil {
+		return nil, err
 	}
 	if m.Op == 0 {
 		m.Op = MutationOp(typ)
 	}
+	return m, nil
+}
+
+// applyMutation is ApplyRecord's second half: it applies a decoded
+// record and counts it by format.
+func (s *Store) applyMutation(lsn uint64, m *Mutation) error {
 	s.decoded[m.format].Add(1)
 	switch m.Op {
 	case OpInsert, OpInsertMany:

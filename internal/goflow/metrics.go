@@ -338,7 +338,7 @@ func (m *Metrics) InstrumentWAL(w *wal.WAL) {
 	replayedRecords := m.reg.Gauge("wal_replayed_records",
 		"Records replayed by the last crash recovery.")
 	replaySeconds := m.reg.Gauge("wal_replay_seconds",
-		"Wall time of the last crash-recovery replay.")
+		"Wall time of the last crash-recovery replay, first read to last apply.")
 	w.SetHooks(wal.Hooks{
 		Appended: func(n, b int) {
 			records.Add(uint64(n))

@@ -301,7 +301,8 @@ func (l *Local) Close() error {
 	return l.wal.Close()
 }
 
-// ReplayInfo reports the last WAL recovery, for operator logs.
+// ReplayInfo reports the last WAL recovery, for operator logs: the
+// records replayed and the time from the first read to the last apply.
 func (l *Local) ReplayInfo() (records int, d time.Duration) {
 	if l.wal == nil {
 		return 0, 0

@@ -35,14 +35,15 @@ func recoverObservation(i int) Doc {
 	}
 }
 
-// crashedObservationLog leaves in dir what `dashboard-read` recovers
-// from: n observation-shaped documents logged in bodies of 500 and never
-// checkpointed, under the ingest path's seven indexes and with the
-// series view attached. It returns the options that reopen it and the
-// log's size.
-func crashedObservationLog(tb testing.TB, dir string, n int) (LocalOptions, uint64) {
+// crashedObservationLog leaves in dir n observation-shaped documents
+// logged perRecord to a WAL record and never checkpointed, under the
+// ingest path's seven indexes and with the series view attached: with
+// perRecord 500 it is what `dashboard-read` recovers from (REST bodies
+// of 500), with 1 what the broker's ingest loop leaves (one Insert per
+// observation). It returns the options that reopen it and the log's
+// size.
+func crashedObservationLog(tb testing.TB, dir string, n, perRecord int) (LocalOptions, uint64) {
 	tb.Helper()
-	const perBody = 500
 	opts := LocalOptions{WALDir: dir, Policy: wal.FsyncNone, Series: &SeriesOptions{}}
 	l, err := OpenLocal(opts)
 	if err != nil {
@@ -51,8 +52,14 @@ func crashedObservationLog(tb testing.TB, dir string, n int) (LocalOptions, uint
 	for _, f := range []string{"deviceModel", "appId", "userId", "provider", "mode", "appVersion", "zone"} {
 		l.EnsureIndex("observations", f)
 	}
-	for off := 0; off < n; off += perBody {
-		body := make([]Doc, perBody)
+	for off := 0; off < n; off += perRecord {
+		if perRecord == 1 {
+			if _, err := l.Insert("observations", recoverObservation(off)); err != nil {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		body := make([]Doc, perRecord)
 		for i := range body {
 			body[i] = recoverObservation(off + i)
 		}
@@ -84,7 +91,7 @@ func liveHeap() uint64 {
 // 1 560 B, most of it hash-table buckets; packed it measures about 640.
 func TestResidentBytesPerDocument(t *testing.T) {
 	const n = 20_000
-	opts, _ := crashedObservationLog(t, t.TempDir(), n)
+	opts, _ := crashedObservationLog(t, t.TempDir(), n, 500)
 	before := liveHeap()
 	l, err := OpenLocal(opts)
 	if err != nil {
@@ -114,34 +121,40 @@ func TestResidentBytesPerDocument(t *testing.T) {
 	}
 }
 
-// BenchmarkRecover50k is crash recovery as `dashboard-read` sets it
-// up: 50 000 observation-shaped documents logged in bodies of 500 and
-// never checkpointed, the ingest path's seven indexes, the series view
-// attached — then OpenLocal replays the log. It reports documents per
-// second, the log's bytes per document and the live heap a recovered
-// engine holds.
+// BenchmarkRecover50k is crash recovery of 50 000 observation-shaped
+// documents, never checkpointed, under the ingest path's seven indexes
+// and with the series view attached: OpenLocal replays the log. Two
+// log shapes: records=500 is the one `dashboard-read` sets up (REST
+// bodies of 500, one record each), records=1 the broker path's (one
+// record per observation), where the per-record costs of replay show.
+// It reports documents per second, the log's bytes per document and
+// the live heap a recovered engine holds.
 func BenchmarkRecover50k(b *testing.B) {
 	const n = 50_000
-	opts, logBytes := crashedObservationLog(b, b.TempDir(), n)
-	before := liveHeap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := OpenLocal(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if got := r.Stats("observations").Docs; got != n {
-			b.Fatalf("recovered %d documents, want %d", got, n)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(liveHeap()-before)/(1<<20), "live-MiB")
-		}
-		if err := r.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
+	for _, perRecord := range []int{500, 1} {
+		b.Run(fmt.Sprintf("records=%d", perRecord), func(b *testing.B) {
+			opts, logBytes := crashedObservationLog(b, b.TempDir(), n, perRecord)
+			before := liveHeap()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := OpenLocal(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := r.Stats("observations").Docs; got != n {
+					b.Fatalf("recovered %d documents, want %d", got, n)
+				}
+				if i == b.N-1 {
+					b.ReportMetric(float64(liveHeap()-before)/(1<<20), "live-MiB")
+				}
+				if err := r.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+			b.ReportMetric(float64(logBytes)/n, "logB/doc")
+		})
 	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
-	b.ReportMetric(float64(logBytes)/n, "logB/doc")
 }

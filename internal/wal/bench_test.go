@@ -82,7 +82,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		err := r.Replay(func(uint64, byte, []byte) error { n++; return nil })
+		err := Replay(r, skipRecord, func(uint64, struct{}) error { n++; return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestReplayTimeBudget(t *testing.T) {
 	defer r.Close()
 	start := time.Now()
 	n := 0
-	if err := r.Replay(func(uint64, byte, []byte) error { n++; return nil }); err != nil {
+	if err := Replay(r, skipRecord, func(uint64, struct{}) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)

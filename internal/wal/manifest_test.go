@@ -98,7 +98,7 @@ func TestResetRestartsNumbering(t *testing.T) {
 	}
 	defer w2.Close()
 	var replayed []uint64
-	if err := w2.Replay(func(lsn uint64, _ byte, _ []byte) error {
+	if err := Replay(w2, skipRecord, func(lsn uint64, _ struct{}) error {
 		replayed = append(replayed, lsn)
 		return nil
 	}); err != nil {

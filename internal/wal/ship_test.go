@@ -188,7 +188,7 @@ func TestCorruptionErrorLocalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	err = w2.Replay(func(uint64, byte, []byte) error { return nil })
+	err = Replay(w2, skipRecord, func(uint64, struct{}) error { return nil })
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("replay over damaged sealed segment = %v, want *CorruptionError", err)

@@ -252,7 +252,9 @@ type Stats struct {
 	Bytes   uint64
 	// Fsyncs counts segment fsync calls since Open.
 	Fsyncs uint64
-	// ReplayedRecords and ReplayDuration describe the last Replay.
+	// ReplayedRecords and ReplayDuration describe the last Replay:
+	// the records applied, and the time from its first read to its
+	// last apply.
 	ReplayedRecords int
 	ReplayDuration  time.Duration
 }
@@ -891,19 +893,121 @@ func (w *WAL) Reset(next uint64) error {
 	return nil
 }
 
+// Replay runs in two stages. A reader goroutine reads each segment,
+// checks every record's CRC and LSN order and decodes its payload;
+// the caller's goroutine applies the decoded records in LSN order. The
+// reader hands records over in batches of about replayBatchBytes of
+// log, so a log of one-document records pays one handoff per hundred
+// or so records rather than one each, and it runs at most replayDepth
+// batches ahead of the apply stage: enough to keep both cores busy
+// through a record that is slow to apply, and a bound on how many
+// decoded records wait in memory.
+const (
+	replayBatchBytes = 32 << 10
+	replayDepth      = 4
+)
+
+// replayBatch is one handoff from the reader stage: records decoded in
+// LSN order and, on the last batch of a failed read, the failure that
+// ended it, which comes after every record in the batch.
+type replayBatch[T any] struct {
+	lsns []uint64
+	vals []T
+	err  error
+}
+
 // Replay streams every record in the log, sealed segments first, in
-// strictly contiguous LSN order. It must run before the first Append —
-// typically straight after Open. fn's payload aliases an internal
-// buffer and must not be retained. Corruption here is a hard error:
-// Open already truncated the only legitimate damage (the torn tail of
-// the final segment), so anything Replay trips over means a sealed
-// segment was damaged outside the crash model.
-func (w *WAL) Replay(fn func(lsn uint64, typ byte, payload []byte) error) error {
+// strictly contiguous LSN order, through two stages: decode runs on a
+// reader goroutine one stage ahead, apply on the caller's goroutine in
+// LSN order. It must run before the first Append — typically straight
+// after Open. decode's payload aliases a read buffer and must not be
+// retained. Corruption here is a hard error: Open already truncated
+// the only legitimate damage (the torn tail of the final segment), so
+// anything Replay trips over means a sealed segment was damaged
+// outside the crash model.
+//
+// The result is the one a loop that decoded and applied each record in
+// turn would give: the first failure in LSN order — a read error, a
+// *CorruptionError, a decode or an apply error — is returned, every
+// record before it has been applied and none after it. The reader has
+// exited by the time Replay returns, on every path. Stats reports the
+// replay's duration from the first read to the last apply.
+func Replay[T any](w *WAL, decode func(lsn uint64, typ byte, payload []byte) (T, error), apply func(lsn uint64, v T) error) error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	start := time.Now()
-	n := 0
 	segs := append(append([]segInfo(nil), w.sealed...), w.seg.info())
+	batches := make(chan replayBatch[T], replayDepth)
+	stop := make(chan struct{})
+	go readLog(segs, decode, batches, stop)
+	defer func() {
+		close(stop)
+		for range batches { // wait for the reader to exit
+		}
+	}()
+	n := 0
+	for b := range batches {
+		for i, lsn := range b.lsns {
+			if err := apply(lsn, b.vals[i]); err != nil {
+				return err
+			}
+			n++
+		}
+		if b.err != nil {
+			return b.err
+		}
+	}
+	w.replayed = n
+	w.replayDur = time.Since(start)
+	return nil
+}
+
+// readLog is Replay's reader stage. It sends the decoded records of
+// segs to batches and closes it when the log ends, at the first
+// failure, or once stop is closed.
+func readLog[T any](segs []segInfo, decode func(lsn uint64, typ byte, payload []byte) (T, error), batches chan<- replayBatch[T], stop <-chan struct{}) {
+	defer close(batches)
+	var b replayBatch[T]
+	send := func() bool {
+		select {
+		case batches <- b:
+			b = replayBatch[T]{}
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	size := 0
+	err := scanLog(segs, func(rec Record, sz int) error {
+		v, err := decode(rec.LSN, rec.Type, rec.Payload)
+		if err != nil {
+			return err
+		}
+		b.lsns = append(b.lsns, rec.LSN)
+		b.vals = append(b.vals, v)
+		if size += sz; size >= replayBatchBytes {
+			if !send() {
+				return errStopped
+			}
+			size = 0
+		}
+		return nil
+	})
+	if err == errStopped {
+		return
+	}
+	if b.err = err; b.err != nil || len(b.lsns) > 0 {
+		send()
+	}
+}
+
+// errStopped ends a scan whose reader was told to stop.
+var errStopped = errors.New("wal: replay stopped")
+
+// scanLog calls fn with every record of segs and its size in the log,
+// in order, after checking that the segments and the records in them
+// follow each other without a gap.
+func scanLog(segs []segInfo, fn func(rec Record, sz int) error) error {
 	prev := segs[0].firstLSN - 1
 	for _, s := range segs {
 		if s.firstLSN != prev+1 {
@@ -923,16 +1027,13 @@ func (w *WAL) Replay(fn func(lsn uint64, typ byte, payload []byte) error) error 
 				return &CorruptionError{Segment: s.path, Offset: int64(off), LastLSN: prev,
 					Err: fmt.Errorf("lsn %d out of sequence (want %d)", rec.LSN, prev+1)}
 			}
-			if err := fn(rec.LSN, rec.Type, rec.Payload); err != nil {
+			if err := fn(rec, sz); err != nil {
 				return err
 			}
 			prev = rec.LSN
-			n++
 			off += sz
 		}
 	}
-	w.replayed = n
-	w.replayDur = time.Since(start)
 	return nil
 }
 

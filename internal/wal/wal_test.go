@@ -16,8 +16,10 @@ import (
 func replayAll(t *testing.T, w *WAL) []Record {
 	t.Helper()
 	var out []Record
-	err := w.Replay(func(lsn uint64, typ byte, payload []byte) error {
-		out = append(out, Record{LSN: lsn, Type: typ, Payload: append([]byte(nil), payload...)})
+	err := Replay(w, func(lsn uint64, typ byte, payload []byte) (Record, error) {
+		return Record{LSN: lsn, Type: typ, Payload: append([]byte(nil), payload...)}, nil
+	}, func(_ uint64, r Record) error {
+		out = append(out, r)
 		return nil
 	})
 	if err != nil {
@@ -25,6 +27,9 @@ func replayAll(t *testing.T, w *WAL) []Record {
 	}
 	return out
 }
+
+// skipRecord is a Replay decode stage that keeps nothing of a record.
+func skipRecord(uint64, byte, []byte) (struct{}, error) { return struct{}{}, nil }
 
 func TestFsyncPolicyRoundtrip(t *testing.T) {
 	for _, p := range []FsyncPolicy{FsyncGrouped, FsyncAlways, FsyncNone} {
@@ -328,7 +333,7 @@ func TestSealedCorruptionIsHardError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	err = w2.Replay(func(uint64, byte, []byte) error { return nil })
+	err = Replay(w2, skipRecord, func(uint64, struct{}) error { return nil })
 	if err == nil {
 		t.Fatal("replay over corrupt sealed segment succeeded, want hard error")
 	}
