@@ -203,6 +203,7 @@ func (r *Router) SeriesStats() (series.Stats, bool) {
 		agg.SealedBytes += st.SealedBytes
 		agg.Zones += st.Zones
 		agg.RollupBuckets += st.RollupBuckets
+		agg.RollupBytes += st.RollupBytes
 		if st.Watermark > agg.Watermark {
 			agg.Watermark = st.Watermark
 		}

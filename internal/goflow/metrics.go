@@ -407,6 +407,8 @@ func (m *Metrics) InstrumentSeries(db *series.DB) {
 		"Zones with at least one rollup bucket.")
 	buckets := m.reg.Gauge("series_rollup_buckets",
 		"Live (zone, time-bucket) rollup aggregates.")
+	rollupBytes := m.reg.Gauge("series_rollup_bytes",
+		"Resident bytes of the rollup cells and their spilled histograms.")
 	watermark := m.reg.Gauge("series_watermark_lsn",
 		"Highest commit-log LSN folded into the series engine.")
 	db.SetHooks(&series.Hooks{
@@ -445,6 +447,7 @@ func (m *Metrics) InstrumentSeries(db *series.DB) {
 		chunkBytes.Set(float64(st.SealedBytes))
 		zones.Set(float64(st.Zones))
 		buckets.Set(float64(st.RollupBuckets))
+		rollupBytes.Set(float64(st.RollupBytes))
 		watermark.Set(float64(st.Watermark))
 	})
 }

@@ -15,19 +15,21 @@ import "sync"
 // traffic — far longer than any retry burst.
 const dedupWindow = 1 << 14
 
-// publishDedup is a fixed-size FIFO token memo.
+// publishDedup is a FIFO token memo of at most dedupWindow tokens. It
+// grows with the tokens it holds, so a broker whose publishers send
+// none pays for none.
 type publishDedup struct {
 	mu   sync.Mutex
 	seen map[string]int // token -> delivery count of the original publish
-	ring []string       // eviction order
+	// ring is the eviction order. It grows by append up to dedupWindow;
+	// from then on next is the oldest token, the one the next record
+	// replaces.
+	ring []string
 	next int
 }
 
 func newPublishDedup() *publishDedup {
-	return &publishDedup{
-		seen: make(map[string]int, dedupWindow),
-		ring: make([]string, dedupWindow),
-	}
+	return &publishDedup{seen: make(map[string]int)}
 }
 
 // lookup returns the memoized delivery count for token.
@@ -47,10 +49,12 @@ func (d *publishDedup) record(token string, delivered int) {
 		d.seen[token] = delivered
 		return
 	}
-	if old := d.ring[d.next]; old != "" {
-		delete(d.seen, old)
+	if len(d.ring) < dedupWindow {
+		d.ring = append(d.ring, token)
+	} else {
+		delete(d.seen, d.ring[d.next])
+		d.ring[d.next] = token
+		d.next = (d.next + 1) % dedupWindow
 	}
-	d.ring[d.next] = token
-	d.next = (d.next + 1) % len(d.ring)
 	d.seen[token] = delivered
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -139,6 +140,42 @@ func BenchmarkAppend(b *testing.B) {
 					Zone:  zs[i%zones],
 				})
 			}
+		})
+	}
+}
+
+// BenchmarkRollupResident prices the part of the store that grows for
+// ever: what the rollups keep on the heap once retention has dropped
+// every raw chunk. 150 zones over 4 h of 5-minute buckets, fed about
+// three points a bucket (sparse, the dashboard-read shape, where cells
+// stay inline) or forty (dense, where every cell spills). It reports
+// live heap per bucket — cells, spilled histograms, maps and memo
+// slots — and in all.
+func BenchmarkRollupResident(b *testing.B) {
+	const zones, span = 150, 4 * time.Hour
+	buckets := zones * int(span/(5*time.Minute))
+	for _, tc := range []struct {
+		name      string
+		perBucket int
+	}{{"sparse", 3}, {"dense", 40}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var live uint64
+			var st Stats
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
+				benchFill(db, buckets*tc.perBucket, span, zones)
+				db.ApplyRetention(testBase.Add(span + time.Hour))
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				live = after.HeapAlloc - before.HeapAlloc
+				st = db.Stats()
+				runtime.KeepAlive(db)
+			}
+			b.ReportMetric(float64(live)/float64(st.RollupBuckets), "B/bucket")
+			b.ReportMetric(float64(live)/(1<<20), "live-MiB")
 		})
 	}
 }

@@ -15,8 +15,9 @@ import (
 
 // Bucket is one continuous-aggregate bucket of one zone, narrowed to
 // what a level over time needs — 24 bytes a bucket where the whole Agg,
-// histogram included, is 536. Two partial Buckets of one start (two
-// shards) merge by adding both fields, as Agg.Merge adds them.
+// histogram included, is 528 (a 576-byte allocation). Two partial
+// Buckets of one start (two shards) merge by adding both fields, as
+// Agg.Merge adds them.
 type Bucket struct {
 	Start  int64   // bucket start, Unix ms
 	Count  uint64  // observations in the bucket

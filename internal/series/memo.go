@@ -20,7 +20,8 @@ import (
 // windowMemo is one zone's rollups inside one partition window.
 // Immutable once published.
 type windowMemo struct {
-	// sum is the window's buckets merged in ascending start order.
+	// sum is the window's buckets merged in ascending start order,
+	// held dense: it is the operand of every read that spans the window.
 	sum Agg
 	// buckets is the window's non-empty buckets, ascending.
 	buckets []Bucket
@@ -71,7 +72,7 @@ func (db *DB) dirtyLocked(zone string, win int64) {
 // starts in [w0, w1) and holds data, ascending, filling the missing
 // ones. w0 is window-aligned, zm the zone's buckets. Caller holds a
 // lock.
-func (db *DB) windowsLocked(dst []*windowMemo, zone string, zm map[int64]*Agg, w0, w1 int64, use *memoUse) []*windowMemo {
+func (db *DB) windowsLocked(dst []*windowMemo, zone string, zm map[int64]*cell, w0, w1 int64, use *memoUse) []*windowMemo {
 	wm := db.memos[zone]
 	if (w1-w0)/db.windowMs <= int64(len(wm)) {
 		for w := w0; w < w1; w += db.windowMs {
@@ -100,7 +101,7 @@ func (db *DB) windowsLocked(dst []*windowMemo, zone string, zm map[int64]*Agg, w
 
 // memoLocked returns the memo in s, computing and publishing it from
 // the window's buckets when it is missing.
-func (db *DB) memoLocked(zm map[int64]*Agg, s *memoSlot, win int64, use *memoUse) *windowMemo {
+func (db *DB) memoLocked(zm map[int64]*cell, s *memoSlot, win int64, use *memoUse) *windowMemo {
 	if m := s.Load(); m != nil {
 		use.hits++
 		return m
@@ -108,9 +109,9 @@ func (db *DB) memoLocked(zm map[int64]*Agg, s *memoSlot, win int64, use *memoUse
 	use.fills++
 	m := &windowMemo{buckets: make([]Bucket, 0, min(int(db.windowMs/db.bucketMs), len(zm)))}
 	for b := win; b < win+db.windowMs; b += db.bucketMs {
-		if a := zm[b]; a != nil {
-			m.sum.Merge(a)
-			m.buckets = append(m.buckets, Bucket{Start: b, Count: a.Count, Energy: a.Energy})
+		if c := zm[b]; c != nil {
+			c.mergeInto(&m.sum)
+			m.buckets = append(m.buckets, Bucket{Start: b, Count: c.count, Energy: c.energy})
 		}
 	}
 	s.Store(m)

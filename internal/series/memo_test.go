@@ -178,7 +178,8 @@ func (p *memoProgram) refAggregate(zone string, lo, hi int64) Agg {
 		af, at = hi, hi // all edge
 	}
 	for _, b := range p.sortedStarts(zone, af, at) {
-		mergeFullLoop(&want, p.db.rollups[zone][b])
+		a := p.db.rollups[zone][b].agg()
+		mergeFullLoop(&want, &a)
 	}
 	for _, edge := range [][2]int64{{lo, af}, {at, hi}} {
 		for _, pt := range p.fed {
@@ -193,7 +194,7 @@ func (p *memoProgram) refAggregate(zone string, lo, hi int64) Agg {
 func (p *memoProgram) refBuckets(zone string, from, to int64) []Bucket {
 	var out []Bucket
 	for _, b := range p.sortedStarts(zone, alignDown(from, p.db.bucketMs), to) {
-		a := p.db.rollups[zone][b]
+		a := p.db.rollups[zone][b].agg()
 		out = append(out, Bucket{Start: b, Count: a.Count, Energy: a.Energy})
 	}
 	return out

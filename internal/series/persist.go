@@ -199,6 +199,31 @@ type rollupFile struct {
 	Rollups map[string]map[int64]Agg
 }
 
+// readRollups reads the rollups file at path, which must belong to
+// epoch. gob makes a map at the size the stream claims before it reads
+// an entry, so the payload is walked once with the rollups skipped —
+// a skipped map costs one byte at least per entry it claims, so a claim
+// the file cannot back fails there — and only then decoded: no count
+// larger than the file reaches an allocation.
+func readRollups(path string, epoch uint64) (map[string]map[int64]Agg, error) {
+	body, err := readFrame(path)
+	if err != nil {
+		return nil, err
+	}
+	var head struct{ Epoch uint64 }
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&head); err != nil {
+		return nil, fmt.Errorf("series: rollups: decode: %w", err)
+	}
+	if head.Epoch != epoch {
+		return nil, fmt.Errorf("series: rollups epoch %d != manifest epoch %d", head.Epoch, epoch)
+	}
+	var rf rollupFile
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rf); err != nil {
+		return nil, fmt.Errorf("series: rollups: decode: %w", err)
+	}
+	return rf.Rollups, nil
+}
+
 // Open loads the DB persisted under opts.Dir (a fresh empty DB when
 // nothing is there yet). A missing or corrupt rollups file is
 // rebuilt from the chunks (lossy only when retention has already aged
@@ -257,17 +282,16 @@ func Open(opts Options) (*DB, error) {
 	for _, pt := range db.parts {
 		sort.Slice(pt.sealed, func(i, j int) bool { return pt.sealed[i].Seq < pt.sealed[j].Seq })
 	}
-	var rf rollupFile
-	rerr := readGobFrame(filepath.Join(opts.Dir, man.RollupsFile), &rf)
-	if rerr == nil && rf.Epoch != man.Epoch {
-		rerr = fmt.Errorf("series: rollups epoch %d != manifest epoch %d", rf.Epoch, man.Epoch)
-	}
+	rollups, rerr := readRollups(filepath.Join(opts.Dir, man.RollupsFile), man.Epoch)
 	if rerr == nil {
-		for zone, zm := range rf.Rollups {
-			dst := make(map[int64]*Agg, len(zm))
+		for zone, zm := range rollups {
+			dst := make(map[int64]*cell, len(zm))
 			for b, a := range zm {
-				cp := a
-				dst[b] = &cp
+				c := cellOf(&a)
+				if c.hist != nil {
+					db.spilled++
+				}
+				dst[b] = c
 			}
 			db.rollups[zone] = dst
 		}
@@ -325,18 +349,33 @@ func (db *DB) CheckpointVia(wrap func(io.Writer) io.Writer) error {
 			}
 		}
 	}
-	// Deep-copy the rollups under the lock, encode and write off it:
-	// sealed chunks are immutable so only the aggregates need a
+	// Copy the cells under the lock — with their dense histograms,
+	// which appends bump in place — and expand, encode and write them
+	// off it: sealed chunks are immutable so only the aggregates need a
 	// consistent snapshot.
-	rf := rollupFile{Epoch: man.Epoch, Rollups: make(map[string]map[int64]Agg, len(db.rollups))}
+	cells := make(map[string]map[int64]cell, len(db.rollups))
 	for zone, zm := range db.rollups {
+		dst := make(map[int64]cell, len(zm))
+		for b, c := range zm {
+			cp := *c
+			if c.hist != nil {
+				h := *c.hist
+				cp.hist = &h
+			}
+			dst[b] = cp
+		}
+		cells[zone] = dst
+	}
+	db.mu.Unlock()
+
+	rf := rollupFile{Epoch: man.Epoch, Rollups: make(map[string]map[int64]Agg, len(cells))}
+	for zone, zm := range cells {
 		dst := make(map[int64]Agg, len(zm))
-		for b, a := range zm {
-			dst[b] = *a
+		for b, c := range zm {
+			dst[b] = c.agg()
 		}
 		rf.Rollups[zone] = dst
 	}
-	db.mu.Unlock()
 
 	for _, ch := range unsaved {
 		path := filepath.Join(db.opts.Dir, chunksDir, chunkRef{Part: ch.Part, Seq: ch.Seq}.file())
@@ -387,7 +426,8 @@ func (db *DB) ResetTo(lsn uint64) error {
 	}
 	db.mu.Lock()
 	db.parts = make(map[int64]*partition)
-	db.rollups = make(map[string]map[int64]*Agg)
+	db.rollups = make(map[string]map[int64]*cell)
+	db.spilled = 0
 	db.resetMemosLocked()
 	db.watermark = lsn
 	db.retentionFloor = 0

@@ -105,8 +105,8 @@ func (db *DB) sumRollupsLocked(zone string, af, at int64, agg *Agg, use *memoUse
 		w0, w1 = at, at
 	}
 	for b := af; b < w0; b += db.bucketMs {
-		if a := zm[b]; a != nil {
-			agg.Merge(a)
+		if c := zm[b]; c != nil {
+			c.mergeInto(agg)
 		}
 	}
 	if w0 < w1 {
@@ -116,8 +116,8 @@ func (db *DB) sumRollupsLocked(zone string, af, at int64, agg *Agg, use *memoUse
 		}
 	}
 	for b := w1; b < at; b += db.bucketMs {
-		if a := zm[b]; a != nil {
-			agg.Merge(a)
+		if c := zm[b]; c != nil {
+			c.mergeInto(agg)
 		}
 	}
 }

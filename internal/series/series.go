@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Point is one observation in the series: when, how loud, where.
@@ -127,9 +128,12 @@ type DB struct {
 	mu    sync.RWMutex
 	parts map[int64]*partition
 	// rollups is the continuous aggregate: zone → bucket start (Unix
-	// ms) → aggregate. Nested maps keep the per-bucket update at
-	// ingest and the per-bucket lookup at query time O(1).
-	rollups map[string]map[int64]*Agg
+	// ms) → aggregate, stored as a cell (cell.go). Nested maps keep
+	// the per-bucket update at ingest and the per-bucket lookup at
+	// query time O(1).
+	rollups map[string]map[int64]*cell
+	// spilled counts the cells in rollups holding a dense histogram.
+	spilled int
 	// memos is derived from rollups: zone → partition window start →
 	// what that window's buckets add up to (memo.go). A slot exists for
 	// every window that holds a bucket.
@@ -160,7 +164,7 @@ func New(opts Options) *DB {
 		windowMs: opts.ChunkWindow.Milliseconds(),
 		bucketMs: opts.RollupBucket.Milliseconds(),
 		parts:    make(map[int64]*partition),
-		rollups:  make(map[string]map[int64]*Agg),
+		rollups:  make(map[string]map[int64]*cell),
 		memos:    make(map[string]map[int64]*memoSlot),
 	}
 }
@@ -220,18 +224,7 @@ func (db *DB) AppendBatch(lsn uint64, pts []Point) {
 			sealedPoints += ch.Count
 			sealedBytes += ch.bytes()
 		}
-		zm := db.rollups[p.Zone]
-		if zm == nil {
-			zm = make(map[int64]*Agg)
-			db.rollups[p.Zone] = zm
-		}
-		bucket := alignDown(p.TS, db.bucketMs)
-		a := zm[bucket]
-		if a == nil {
-			a = &Agg{}
-			zm[bucket] = a
-		}
-		a.Add(p.Value)
+		db.addRollupLocked(p.TS, p.Value, p.Zone)
 		db.dirtyLocked(p.Zone, start)
 		db.points++
 	}
@@ -331,12 +324,15 @@ func (db *DB) ApplyRetention(cutoff time.Time) int {
 
 // Stats is a point-in-time summary of the DB.
 type Stats struct {
-	Points         uint64 `json:"points"`
-	Partitions     int    `json:"partitions"`
-	SealedChunks   int    `json:"sealedChunks"`
-	SealedBytes    int64  `json:"sealedBytes"`
-	Zones          int    `json:"zones"`
-	RollupBuckets  int    `json:"rollupBuckets"`
+	Points        uint64 `json:"points"`
+	Partitions    int    `json:"partitions"`
+	SealedChunks  int    `json:"sealedChunks"`
+	SealedBytes   int64  `json:"sealedBytes"`
+	Zones         int    `json:"zones"`
+	RollupBuckets int    `json:"rollupBuckets"`
+	// RollupBytes is what the rollups hold resident: a cell per bucket
+	// plus a dense histogram per spilled one (map overhead aside).
+	RollupBytes    int64  `json:"rollupBytes"`
 	Watermark      uint64 `json:"watermark"`
 	RetentionFloor int64  `json:"retentionFloor"`
 }
@@ -361,6 +357,8 @@ func (db *DB) Stats() Stats {
 	for _, zm := range db.rollups {
 		st.RollupBuckets += len(zm)
 	}
+	st.RollupBytes = int64(st.RollupBuckets)*int64(unsafe.Sizeof(cell{})) +
+		int64(db.spilled)*int64(unsafe.Sizeof([HistBins]uint32{}))
 	return st
 }
 
@@ -385,30 +383,36 @@ func (db *DB) sortedParts() []*partition {
 // durability rests on the (CRC-checked, atomically replaced) rollups
 // file.
 func (db *DB) rebuildRollupsLocked() {
-	db.rollups = make(map[string]map[int64]*Agg)
-	add := func(ts int64, v float64, zone string) {
-		zm := db.rollups[zone]
-		if zm == nil {
-			zm = make(map[int64]*Agg)
-			db.rollups[zone] = zm
-		}
-		bucket := alignDown(ts, db.bucketMs)
-		a := zm[bucket]
-		if a == nil {
-			a = &Agg{}
-			zm[bucket] = a
-		}
-		a.Add(v)
-	}
+	db.rollups = make(map[string]map[int64]*cell)
+	db.spilled = 0
 	for _, pt := range db.sortedParts() {
 		for _, ch := range pt.sealed {
-			_ = ch.points(add)
+			_ = ch.points(db.addRollupLocked)
 		}
 		if pt.active != nil {
-			_ = pt.active.points(add)
+			_ = pt.active.points(db.addRollupLocked)
 		}
 	}
 	db.resetMemosLocked()
+}
+
+// addRollupLocked folds one point into its (zone, bucket) cell. Caller
+// holds the write lock or owns the DB.
+func (db *DB) addRollupLocked(ts int64, v float64, zone string) {
+	zm := db.rollups[zone]
+	if zm == nil {
+		zm = make(map[int64]*cell)
+		db.rollups[zone] = zm
+	}
+	bucket := alignDown(ts, db.bucketMs)
+	c := zm[bucket]
+	if c == nil {
+		c = &cell{}
+		zm[bucket] = c
+	}
+	if c.add(v) {
+		db.spilled++
+	}
 }
 
 // h loads the hooks (nil when none are attached).

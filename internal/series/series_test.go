@@ -97,8 +97,8 @@ func (db *DB) rollupsSnapshot() map[string]map[int64]*Agg {
 	out := make(map[string]map[int64]*Agg, len(db.rollups))
 	for z, zm := range db.rollups {
 		dst := make(map[int64]*Agg, len(zm))
-		for b, a := range zm {
-			cp := *a
+		for b, c := range zm {
+			cp := c.agg()
 			dst[b] = &cp
 		}
 		out[z] = dst
