@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -112,16 +111,42 @@ func (e *encoder) str(s string) {
 
 // packed writes a document from its stored form, whose names are
 // already in the order a doc is written in: the same bytes as doc gives
-// for the same document, with no key to collect or sort.
+// for the same document, with no key to collect or sort, and its
+// numbers, bools and times written from their words.
 func (e *encoder) packed(p *packed) error {
-	e.uvarint(uint64(len(p.vals)))
-	for i, k := range p.shape.names {
+	sh := p.shape
+	e.uvarint(uint64(len(sh.names)))
+	for i, k := range sh.names {
 		e.str(k)
-		if err := e.value(p.vals[i]); err != nil {
+		if sh.kinds[i] != kindAny {
+			e.scalar(p.scalarAt(i))
+		} else if err := e.value(p.vals[sh.at[i]]); err != nil {
 			return fmt.Errorf("field %q: %w", k, err)
 		}
 	}
 	return nil
+}
+
+// scalar writes a value held in words, tag and operand.
+func (e *encoder) scalar(s scalar) {
+	switch s.kind {
+	case kindFloat64:
+		e.buf = binary.LittleEndian.AppendUint64(append(e.buf, tagFloat64), s.w0)
+	case kindInt:
+		e.buf = append(e.buf, tagInt)
+		e.varint(int64(s.w0))
+	case kindInt64:
+		e.buf = append(e.buf, tagInt64)
+		e.varint(int64(s.w0))
+	case kindBool:
+		e.buf = append(e.buf, tagFalse+byte(s.w0))
+	case kindTime:
+		sec, nsec, off := s.timeParts()
+		e.buf = append(e.buf, tagTime)
+		e.varint(sec)
+		e.uvarint(uint64(nsec))
+		e.varint(off)
+	}
 }
 
 // doc writes a document held as a map: update fields, nested values,
@@ -168,20 +193,6 @@ func (e *encoder) value(v any) error {
 	switch t := v.(type) {
 	case nil:
 		e.buf = append(e.buf, tagNil)
-	case bool:
-		if t {
-			e.buf = append(e.buf, tagTrue)
-		} else {
-			e.buf = append(e.buf, tagFalse)
-		}
-	case int:
-		e.buf = append(e.buf, tagInt)
-		e.varint(int64(t))
-	case int64:
-		e.buf = append(e.buf, tagInt64)
-		e.varint(t)
-	case float64:
-		e.buf = binary.LittleEndian.AppendUint64(append(e.buf, tagFloat64), math.Float64bits(t))
 	case string:
 		e.buf = append(e.buf, tagString)
 		e.str(t)
@@ -189,12 +200,6 @@ func (e *encoder) value(v any) error {
 		e.buf = append(e.buf, tagBytes)
 		e.uvarint(uint64(len(t)))
 		e.buf = append(e.buf, t...)
-	case time.Time:
-		_, off := t.Zone()
-		e.buf = append(e.buf, tagTime)
-		e.varint(t.Unix())
-		e.uvarint(uint64(t.Nanosecond()))
-		e.varint(int64(off))
 	case map[string]any:
 		e.buf = append(e.buf, tagMap)
 		return e.doc(t)
@@ -207,7 +212,19 @@ func (e *encoder) value(v any) error {
 			}
 		}
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
+		if s := scalarOf(v); s.kind != kindAny {
+			e.scalar(s)
+			return nil
+		}
+		tm, ok := v.(time.Time) // one whose zone offset words cannot hold
+		if !ok {
+			return fmt.Errorf("%w: %T", ErrUnsupportedValue, v)
+		}
+		_, off := tm.Zone()
+		e.buf = append(e.buf, tagTime)
+		e.varint(tm.Unix())
+		e.uvarint(uint64(tm.Nanosecond()))
+		e.varint(int64(off))
 	}
 	return nil
 }
@@ -279,11 +296,18 @@ type cowMap[V any] struct {
 	m  atomic.Pointer[map[string]V]
 }
 
-// get looks up a key still in the input buffer; the conversion in the
-// index expression does not allocate.
-func (c *cowMap[V]) get(b []byte) (v V, ok bool) {
+// getBytes looks up a key still in the input buffer; the conversion
+// in the index expression does not allocate.
+func (c *cowMap[V]) getBytes(b []byte) (v V, ok bool) {
 	if m := c.m.Load(); m != nil {
 		v, ok = (*m)[string(b)]
+	}
+	return v, ok
+}
+
+func (c *cowMap[V]) get(s string) (v V, ok bool) {
+	if m := c.m.Load(); m != nil {
+		v, ok = (*m)[s]
 	}
 	return v, ok
 }
@@ -321,7 +345,9 @@ func (c *cowMap[V]) add(s string, v V, limit int) (stored V, full bool) {
 
 // internField is one known field name and the string values seen under
 // it, each held already boxed so that storing it in a document copies
-// an interface word pair instead of allocating a string header.
+// an interface word pair instead of allocating a string header. The
+// decoder and Collection's writes (pack) share the tables, so a
+// document inserted live costs what a recovered one does.
 type internField struct {
 	name   string
 	values cowMap[any]
@@ -333,33 +359,71 @@ var internFields cowMap[*internField]
 // fieldFor returns the shared entry for a field name, or nil when the
 // name is too long or the table is full.
 func fieldFor(raw []byte) *internField {
-	if f, ok := internFields.get(raw); ok {
+	if f, ok := internFields.getBytes(raw); ok {
 		return f
 	}
 	if len(raw) > maxInternLen {
 		return nil
 	}
-	s := string(raw)
-	f, full := internFields.add(s, &internField{name: s}, maxInternFields)
+	return addField(string(raw))
+}
+
+// fieldNamed is fieldFor for a name held as a string.
+func fieldNamed(name string) *internField {
+	if f, ok := internFields.get(name); ok {
+		return f
+	}
+	if len(name) > maxInternLen {
+		return nil
+	}
+	return addField(name)
+}
+
+func addField(name string) *internField {
+	f, full := internFields.add(name, &internField{name: name}, maxInternFields)
 	if full {
 		return nil
 	}
 	return f
 }
 
+// tracks reports whether the field's table may hold a value of n
+// bytes.
+func (f *internField) tracks(n int) bool {
+	return f != nil && n <= maxInternLen && !f.closed.Load()
+}
+
 // box returns s as an interface value, shared with every earlier
 // document that held the same value under this field when tracked.
 func (f *internField) box(raw []byte) any {
-	if f == nil || len(raw) > maxInternLen || f.closed.Load() {
+	if !f.tracks(len(raw)) {
 		return string(raw)
 	}
-	if v, ok := f.values.get(raw); ok {
+	if v, ok := f.values.getBytes(raw); ok {
 		return v
 	}
 	s := string(raw)
-	v, full := f.values.add(s, any(s), maxInternValues)
+	return f.add(s, s)
+}
+
+// share is box for a value already boxed: v, which holds s, when the
+// field does not track s, and the shared box otherwise — v itself
+// when s is new.
+func (f *internField) share(s string, v any) any {
+	if !f.tracks(len(s)) {
+		return v
+	}
+	if shared, ok := f.values.get(s); ok {
+		return shared
+	}
+	return f.add(s, v)
+}
+
+// add puts v, which holds s, in the table, unless s is there already.
+func (f *internField) add(s string, v any) any {
+	v, full := f.values.add(s, v, maxInternValues)
 	if full {
-		// A decoder already past the closed check may still add one
+		// A caller already past the closed check may still add one
 		// entry to the emptied map; it is never read again.
 		f.closed.Store(true)
 		f.values.m.Store(nil)
@@ -384,14 +448,13 @@ type decoder struct {
 	dict []dictEntry
 	seen map[string]struct{} // literals so far: a repeat should have been an index
 	// shapes, when set, has the documents of an insert decoded straight
-	// into stored form (see stored) and finds them their shapes; names
-	// is the scratch their keys are gathered in.
+	// into stored form (see stored) and finds them their shapes; names,
+	// kinds, vals and words are the scratch a document is gathered in.
 	shapes *shapeCache
 	names  []string
-	// The last non-UTC zone built, so a batch stamped in one zone
-	// shares one Location.
-	zoneOff int64
-	zone    *time.Location
+	kinds  []kind
+	vals   []any
+	words  []uint64
 }
 
 var decoderPool = sync.Pool{New: func() any { return &decoder{seen: make(map[string]struct{})} }}
@@ -406,7 +469,7 @@ func (d *decoder) release() {
 	clear(d.dict)
 	clear(d.seen)
 	clear(d.names)
-	*d = decoder{dict: d.dict[:0], seen: d.seen, names: d.names[:0]}
+	*d = decoder{dict: d.dict[:0], seen: d.seen, names: d.names[:0], kinds: d.kinds[:0], vals: d.vals[:0], words: d.words[:0]}
 	decoderPool.Put(d)
 }
 
@@ -515,26 +578,77 @@ func (d *decoder) doc() Doc {
 
 // stored reads a document into stored form. Its keys arrive in the
 // order a shape keeps them, so they are the shape's names as read: no
-// map is built and nothing is sorted. It applies every check doc does.
+// map is built and nothing is sorted. Numbers, bools and times go
+// straight into words, unboxed. It applies every check doc does.
 func (d *decoder) stored() packed {
 	n := d.count(2)
-	vals := make([]any, n)
-	d.names = d.names[:0]
-	for i := range vals {
-		if d.err != nil {
-			break
-		}
+	d.names, d.kinds, d.vals, d.words = d.names[:0], d.kinds[:0], d.vals[:0], d.words[:0]
+	for i := uint64(0); i < n && d.err == nil; i++ {
 		k := d.str(posKey, nil)
 		if i > 0 && k.s <= d.names[i-1] {
 			d.fail("field %q out of order after %q", k.s, d.names[i-1])
 		}
 		d.names = append(d.names, k.s)
-		vals[i] = d.value(k.field)
+		if s, ok := d.scalar(); ok {
+			d.kinds, d.words = append(d.kinds, s.kind), append(d.words, s.w0)
+			if s.kind == kindTime {
+				d.words = append(d.words, s.w1)
+			}
+		} else {
+			d.kinds, d.vals = append(d.kinds, kindAny), append(d.vals, d.value(k.field))
+		}
 	}
+	defer clear(d.vals)
 	if d.err != nil {
 		return packed{}
 	}
-	return packed{shape: d.shapes.find(d.names), vals: vals}
+	p := d.shapes.find(d.names, d.kinds).alloc()
+	copy(p.vals, d.vals)
+	copy(p.words, d.words)
+	return p
+}
+
+// scalar reads one tagged value that words hold, unless the next tag
+// is of another kind, which it leaves unread.
+func (d *decoder) scalar() (scalar, bool) {
+	if len(d.b) == 0 {
+		return scalar{}, false
+	}
+	switch d.b[0] {
+	case tagFalse, tagTrue:
+		return scalar{kind: kindBool, w0: uint64(d.take(1)[0] - tagFalse)}, true
+	case tagInt:
+		d.take(1)
+		v := d.varint()
+		if int64(int(v)) != v {
+			d.fail("int %d overflows this platform", v)
+		}
+		return scalar{kind: kindInt, w0: uint64(v)}, true
+	case tagInt64:
+		d.take(1)
+		return scalar{kind: kindInt64, w0: uint64(d.varint())}, true
+	case tagFloat64:
+		d.take(1)
+		if len(d.b) < 8 {
+			d.fail("truncated float64")
+			return scalar{}, true
+		}
+		return scalar{kind: kindFloat64, w0: binary.LittleEndian.Uint64(d.take(8))}, true
+	case tagTime:
+		b := d.b
+		d.take(1)
+		sec, nsec, off := d.varint(), d.uvarint(), d.varint()
+		if nsec >= 1e9 || int64(int(off)) != off {
+			d.fail("time out of range (ns %d, zone offset %d)", nsec, off)
+			return scalar{}, true
+		}
+		if int64(int32(off)) != off {
+			d.b = b // a zone offset words cannot hold: value reads it
+			return scalar{}, false
+		}
+		return scalar{kind: kindTime, w0: uint64(sec), w1: nsec | uint64(uint32(off))<<32}, true
+	}
+	return scalar{}, false
 }
 
 // value reads one tagged value; f is the field it sits under, for
@@ -544,45 +658,22 @@ func (d *decoder) value(f *internField) any {
 		d.fail("truncated")
 		return nil
 	}
+	if s, ok := d.scalar(); ok {
+		if d.err != nil {
+			return nil
+		}
+		return s.box()
+	}
 	switch tag := d.take(1)[0]; tag {
 	case tagNil:
 		return nil
-	case tagFalse:
-		return false
-	case tagTrue:
-		return true
-	case tagInt:
-		v := d.varint()
-		if int64(int(v)) != v {
-			d.fail("int %d overflows this platform", v)
-		}
-		return int(v)
-	case tagInt64:
-		return d.varint()
-	case tagFloat64:
-		if len(d.b) < 8 {
-			d.fail("truncated float64")
-			return nil
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(d.take(8)))
 	case tagString:
 		return d.str(posValue, f).boxed
 	case tagBytes:
 		return bytes.Clone(d.take(d.count(1)))
-	case tagTime:
+	case tagTime: // a zone offset words cannot hold, checked by scalar
 		sec, nsec, off := d.varint(), d.uvarint(), d.varint()
-		if nsec >= 1e9 || int64(int(off)) != off {
-			d.fail("time out of range (ns %d, zone offset %d)", nsec, off)
-			return nil
-		}
-		t := time.Unix(sec, int64(nsec))
-		if off == 0 {
-			return t.UTC()
-		}
-		if d.zone == nil || d.zoneOff != off {
-			d.zoneOff, d.zone = off, time.FixedZone("", int(off))
-		}
-		return t.In(d.zone)
+		return time.Unix(sec, int64(nsec)).In(time.FixedZone("", int(off)))
 	case tagMap:
 		return d.doc()
 	case tagSlice:

@@ -32,6 +32,20 @@ func kindsDoc() Doc {
 	}
 }
 
+// kindSplitDocs are documents whose field "v" holds a value of another
+// kind in each — float64, int, int64, a time in two zone offsets, a
+// string, nil, a map — so that one record's documents, of one field
+// set, fall into as many shapes as there are kinds.
+func kindSplitDocs() []Doc {
+	at := time.Date(2016, 6, 21, 18, 30, 15, 123456789, time.UTC)
+	vs := []any{61.5, 7, int64(-1) << 40, at, at.In(time.FixedZone("", -9*3600-30*60)), "v", nil, map[string]any{"v": 1.0}}
+	docs := make([]Doc, len(vs))
+	for i, v := range vs {
+		docs[i] = Doc{IDField: fmt.Sprintf("k%d", i), "v": v, "zone": "z"}
+	}
+	return docs
+}
+
 // everyOp is one mutation of each kind.
 func everyOp() []*Mutation {
 	return []*Mutation{
@@ -247,6 +261,11 @@ func FuzzMutationDecode(f *testing.F) {
 		f.Add(payload)
 		f.Add(payload[:len(payload)/2])
 	}
+	split, err := EncodeMutation(&Mutation{Op: OpInsertMany, Collection: "c", Docs: kindSplitDocs()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(split)
 	f.Add(append([]byte{0, codecVersion, byte(OpInsertMany), 0, 1}, binary.AppendUvarint(nil, 1<<30)...))
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -396,7 +415,7 @@ func TestInterningIsBounded(t *testing.T) {
 	if shared("boundedID", "id-0") {
 		t.Fatal("a field past maxInternValues distinct values is still tracked")
 	}
-	f, _ := internFields.get([]byte("boundedID"))
+	f, _ := internFields.get("boundedID")
 	if f == nil || !f.closed.Load() || f.values.m.Load() != nil {
 		t.Fatalf("overflowed field kept its table: %+v", f)
 	}

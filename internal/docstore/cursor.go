@@ -81,7 +81,7 @@ func (c *Collection) resumeSeqLocked(ctx context.Context, afterID string) (uint6
 		if !e.live() {
 			continue
 		}
-		if o, auto := parseAutoID(e.id); auto && o > ord {
+		if o, auto := parseAutoID(e.id()); auto && o > ord {
 			return e.seq, nil
 		}
 	}

@@ -292,13 +292,13 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 // and indexes it. Caller holds the write lock and has verified the id
 // is free.
 func (c *Collection) appendLocked(id string, p packed) {
-	e := &entry{seq: c.nextSeq, id: id, packed: p}
+	e := &entry{seq: c.nextSeq, packed: p}
 	c.nextSeq++
 	c.docs[id] = e
 	c.order = append(c.order, e)
 	c.inserted++
 	for _, ie := range c.indexList {
-		ie.idx.add(e, e.value(ie.field))
+		ie.idx.add(e, e.fieldKey(ie.field))
 	}
 }
 
@@ -347,8 +347,8 @@ func (c *Collection) Update(id string, fields Doc) error {
 func (c *Collection) setLocked(e *entry, fields Doc) {
 	for k, v := range fields {
 		if idx, has := c.indexes[k]; has && k != IDField {
-			idx.remove(e, e.value(k))
-			idx.add(e, v)
+			idx.remove(e, e.fieldKey(k))
+			idx.add(e, keyOf(v))
 		}
 	}
 	e.set(&c.shapes, fields)
@@ -384,7 +384,7 @@ func (c *Collection) Unset(id string, fields ...string) error {
 func (c *Collection) unsetLocked(e *entry, fields []string) {
 	for _, k := range fields {
 		if idx, has := c.indexes[k]; has && k != IDField {
-			idx.remove(e, e.value(k))
+			idx.remove(e, e.fieldKey(k))
 		}
 	}
 	e.unset(&c.shapes, fields)
@@ -421,9 +421,9 @@ func (c *Collection) Delete(id string) error {
 // posting lists hold only live entries and are keyed by seq, so
 // compaction leaves them alone). Caller holds the write lock.
 func (c *Collection) removeLocked(e *entry) {
-	delete(c.docs, e.id)
+	delete(c.docs, e.id())
 	for _, ie := range c.indexList {
-		ie.idx.remove(e, e.value(ie.field))
+		ie.idx.remove(e, e.fieldKey(ie.field))
 	}
 	e.packed = packed{}
 	c.deleted++
@@ -498,7 +498,7 @@ func (c *Collection) FindIDsContext(ctx context.Context, filter Doc) ([]string, 
 	err := c.view(ctx, filter, func(m *matcher) (bool, error) {
 		list, indexUsed := c.planLocked(filter, 0)
 		return indexUsed, scan(ctx, list, m, func(e *entry) bool {
-			ids = append(ids, e.id)
+			ids = append(ids, e.id())
 			return true
 		})
 	})
@@ -581,7 +581,7 @@ func (c *Collection) indexCandidatesLocked(filter Doc) ([]*entry, bool) {
 		if _, isPred := v.(Predicate); isPred {
 			continue // predicates scan (funcs are not index keys)
 		}
-		list := ie.idx.lookup(v)
+		list := ie.idx.lookup(keyOf(v))
 		if !found || len(list) < len(best) {
 			best, found = list, true
 		}
@@ -663,7 +663,11 @@ func (c *Collection) findRows(ctx context.Context, afterID string, filter Doc, o
 			return indexUsed, err
 		}
 		if opts.SortField != "" {
-			sortEntries(hits, opts.SortField, opts.SortDesc)
+			k := 0
+			if opts.Limit > 0 {
+				k = max(opts.Skip, 0) + opts.Limit
+			}
+			hits = sortEntries(hits, opts.SortField, opts.SortDesc, k)
 		}
 		if opts.Skip > 0 {
 			hits = hits[min(opts.Skip, len(hits)):]
@@ -685,19 +689,17 @@ func (c *Collection) findRows(ctx context.Context, afterID string, filter Doc, o
 
 // sortEntries orders hits by field in either direction, equal keys
 // keeping insertion order: (key, seq) is a total order, so an unstable
-// sort gives the stable answer. Keys are read out of the documents
-// once, not once per comparison.
-func sortEntries(hits []*entry, field string, desc bool) {
+// sort gives the stable answer. It returns the first k of that order —
+// all of it when k is 0 — in hits' own array. Each document's key is
+// read once, from its words for a number or a time (see valueKey), and
+// only the k least are kept while the rest stream past.
+func sortEntries(hits []*entry, field string, desc bool, k int) []*entry {
 	type keyed struct {
-		key any
+		key valueKey
 		e   *entry
 	}
-	ks := make([]keyed, len(hits))
-	for i, e := range hits {
-		ks[i] = keyed{e.value(field), e}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		c := compareValues(a.key, b.key)
+	order := func(a, b keyed) int {
+		c := compareKeys(a.key, b.key)
 		if desc {
 			c = -c
 		}
@@ -705,10 +707,47 @@ func sortEntries(hits []*entry, field string, desc bool) {
 			c = cmp.Compare(a.e.seq, b.e.seq)
 		}
 		return c
-	})
-	for i, k := range ks {
-		hits[i] = k.e
 	}
+	if k <= 0 || k > len(hits) {
+		k = len(hits)
+	}
+	// ks is a max-heap of the k least keys met so far, until it is
+	// sorted at the end.
+	ks := make([]keyed, 0, k)
+	down := func(i int) {
+		for {
+			top, l, r := i, 2*i+1, 2*i+2
+			if l < len(ks) && order(ks[l], ks[top]) > 0 {
+				top = l
+			}
+			if r < len(ks) && order(ks[r], ks[top]) > 0 {
+				top = r
+			}
+			if top == i {
+				return
+			}
+			ks[i], ks[top] = ks[top], ks[i]
+			i = top
+		}
+	}
+	for _, e := range hits {
+		kd := keyed{e.fieldKey(field), e}
+		if len(ks) < k {
+			if ks = append(ks, kd); len(ks) == k && k < len(hits) {
+				for i := k/2 - 1; i >= 0; i-- {
+					down(i)
+				}
+			}
+		} else if order(kd, ks[0]) < 0 {
+			ks[0] = kd
+			down(0)
+		}
+	}
+	slices.SortFunc(ks, order)
+	for i, kd := range ks {
+		hits[i] = kd.e
+	}
+	return hits[:k]
 }
 
 // findOne returns the first matching document, ErrNotFound when none
@@ -748,7 +787,7 @@ func (c *Collection) addIndexLocked(field string) {
 	idx := newIndex()
 	for _, e := range c.order {
 		if e.live() {
-			idx.add(e, e.value(field))
+			idx.add(e, e.fieldKey(field))
 		}
 	}
 	c.indexes[field] = idx

@@ -435,8 +435,8 @@ func TestCanonKeyAgreesWithCompare(t *testing.T) {
 		if compareValues(p[0], p[1]) != 0 {
 			t.Fatalf("%v and %v should compare equal", p[0], p[1])
 		}
-		if canonKey(p[0]) != canonKey(p[1]) {
-			t.Fatalf("canonKey(%v) != canonKey(%v)", p[0], p[1])
+		if a, b := appendCanonKey(nil, keyOf(p[0])), appendCanonKey(nil, keyOf(p[1])); string(a) != string(b) {
+			t.Fatalf("index keys of %v and %v differ: %q, %q", p[0], p[1], a, b)
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package docstore
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -37,9 +40,14 @@ type matcher struct {
 	docPreds []func(d *packed) bool
 }
 
+// fieldPred is one test of a field. Every filter operator tests the
+// field's ordering key (see valueKey), which a stored number, bool or
+// time gives without being boxed; a Predicate, which is handed the
+// value itself, is the one that boxes.
 type fieldPred struct {
 	field string
-	pred  func(v any, present bool) bool
+	test  func(k valueKey, present bool) bool
+	fn    Predicate // instead of test
 }
 
 // compileOr compiles {"$or": [filter, filter, ...]}: the document
@@ -85,16 +93,14 @@ func compileFilter(filter Doc) (*matcher, error) {
 			continue
 		}
 		if pred, isPred := cond.(Predicate); isPred {
-			m.preds = append(m.preds, fieldPred{field, func(v any, _ bool) bool {
-				return pred(v)
-			}})
+			m.preds = append(m.preds, fieldPred{field: field, fn: pred})
 			continue
 		}
 		opDoc, isOp := cond.(map[string]any)
 		if !isOp {
-			want := cond
-			m.preds = append(m.preds, fieldPred{field, func(v any, present bool) bool {
-				return present && compareValues(v, want) == 0
+			want := keyOf(cond)
+			m.preds = append(m.preds, fieldPred{field: field, test: func(k valueKey, present bool) bool {
+				return present && compareKeys(k, want) == 0
 			}})
 			continue
 		}
@@ -103,76 +109,63 @@ func compileFilter(filter Doc) (*matcher, error) {
 			if err != nil {
 				return nil, fmt.Errorf("field %q: %w", field, err)
 			}
-			m.preds = append(m.preds, fieldPred{field, p})
+			m.preds = append(m.preds, fieldPred{field: field, test: p})
 		}
 	}
 	return m, nil
 }
 
-func compileOp(op string, arg any) (func(v any, present bool) bool, error) {
+func compileOp(op string, arg any) (func(k valueKey, present bool) bool, error) {
+	// A range operator asks of the field first that it is there, of
+	// arg's rank (so ranges do not match across types).
+	want := keyOf(arg)
 	switch op {
 	case "$eq":
-		return func(v any, present bool) bool {
-			return present && compareValues(v, arg) == 0
+		return func(k valueKey, present bool) bool {
+			return present && compareKeys(k, want) == 0
 		}, nil
 	case "$ne":
-		return func(v any, present bool) bool {
-			return !present || compareValues(v, arg) != 0
+		return func(k valueKey, present bool) bool {
+			return !present || compareKeys(k, want) != 0
 		}, nil
 	case "$gt":
-		return func(v any, present bool) bool {
-			return present && comparable2(v, arg) && compareValues(v, arg) > 0
+		return func(k valueKey, present bool) bool {
+			return present && k.rank == want.rank && compareKeys(k, want) > 0
 		}, nil
 	case "$gte":
-		return func(v any, present bool) bool {
-			return present && comparable2(v, arg) && compareValues(v, arg) >= 0
+		return func(k valueKey, present bool) bool {
+			return present && k.rank == want.rank && compareKeys(k, want) >= 0
 		}, nil
 	case "$lt":
-		return func(v any, present bool) bool {
-			return present && comparable2(v, arg) && compareValues(v, arg) < 0
+		return func(k valueKey, present bool) bool {
+			return present && k.rank == want.rank && compareKeys(k, want) < 0
 		}, nil
 	case "$lte":
-		return func(v any, present bool) bool {
-			return present && comparable2(v, arg) && compareValues(v, arg) <= 0
+		return func(k valueKey, present bool) bool {
+			return present && k.rank == want.rank && compareKeys(k, want) <= 0
 		}, nil
-	case "$in":
+	case "$in", "$nin":
 		list, ok := arg.([]any)
 		if !ok {
-			return nil, fmt.Errorf("docstore: $in wants a list, got %T", arg)
+			return nil, fmt.Errorf("docstore: %s wants a list, got %T", op, arg)
 		}
-		return func(v any, present bool) bool {
-			if !present {
-				return false
-			}
-			for _, e := range list {
-				if compareValues(v, e) == 0 {
-					return true
-				}
-			}
-			return false
-		}, nil
-	case "$nin":
-		list, ok := arg.([]any)
-		if !ok {
-			return nil, fmt.Errorf("docstore: $nin wants a list, got %T", arg)
+		keys := make([]valueKey, len(list))
+		for i, e := range list {
+			keys[i] = keyOf(e)
 		}
-		return func(v any, present bool) bool {
-			if !present {
-				return true
-			}
-			for _, e := range list {
-				if compareValues(v, e) == 0 {
-					return false
-				}
-			}
-			return true
-		}, nil
+		in := func(k valueKey) bool {
+			return slices.ContainsFunc(keys, func(e valueKey) bool { return compareKeys(k, e) == 0 })
+		}
+		if op == "$in" {
+			return func(k valueKey, present bool) bool { return present && in(k) }, nil
+		}
+		return func(k valueKey, present bool) bool { return !present || !in(k) }, nil
 	case "$exists":
 		want, ok := arg.(bool)
 		if !ok {
 			return nil, fmt.Errorf("docstore: $exists wants a bool, got %T", arg)
 		}
-		return func(_ any, present bool) bool {
+		return func(_ valueKey, present bool) bool {
 			return present == want
 		}, nil
 	case "$prefix":
@@ -180,8 +173,8 @@ func compileOp(op string, arg any) (func(v any, present bool) bool, error) {
 		if !ok {
 			return nil, fmt.Errorf("docstore: $prefix wants a string, got %T", arg)
 		}
-		return func(v any, present bool) bool {
-			s, isStr := v.(string)
+		return func(k valueKey, present bool) bool {
+			s, isStr := k.v.(string)
 			return present && isStr && strings.HasPrefix(s, prefix)
 		}, nil
 	default:
@@ -191,8 +184,14 @@ func compileOp(op string, arg any) (func(v any, present bool) bool, error) {
 
 func (m *matcher) matches(d *packed) bool {
 	for _, fp := range m.preds {
-		v, present := d.get(fp.field)
-		if !fp.pred(v, present) {
+		if fp.fn != nil {
+			if !fp.fn(d.value(fp.field)) {
+				return false
+			}
+			continue
+		}
+		k, present := d.key(fp.field)
+		if !fp.test(k, present) {
 			return false
 		}
 	}
@@ -204,65 +203,119 @@ func (m *matcher) matches(d *packed) bool {
 	return true
 }
 
-// typeRank orders values of different kinds for stable sorts:
-// missing < nil < bool < number < time < string < other.
-func typeRank(v any) int {
-	switch v.(type) {
+// valueKey is a value as the store orders it: its rank among the kinds
+// (missing < nil < bool < number < time < string < other) and what
+// orders it within its rank. Numbers compare numerically across
+// int/float widths, so a number's key is its float64; times compare by
+// instant, as time.Time.Before does; strings lexically; values of
+// other kinds compare equal, so sorts stay stable. A stored number,
+// bool or time gives its key from its words (packed.key), without
+// being boxed.
+type valueKey struct {
+	v any // rank 4: the string
+	// x is, for ranks 1 and 2, the number's float64 bits (false 0, true
+	// 1) and, for rank 3, the time's seconds since the year 1 — the form
+	// time.Time.Before compares — whose nanoseconds are nsec.
+	x    uint64
+	nsec int32
+	rank int8
+}
+
+func numKey(rank int8, f float64) valueKey { return valueKey{rank: rank, x: math.Float64bits(f)} }
+
+// num is a rank 1 or 2 key's number.
+func (k valueKey) num() float64 { return math.Float64frombits(k.x) }
+
+// unixToInternal is the seconds from the year 1 to the Unix epoch.
+const unixToInternal int64 = (1969*365 + 1969/4 - 1969/100 + 1969/400) * 24 * 60 * 60
+
+// keyOf returns the key of a value.
+func keyOf(v any) valueKey {
+	if _, ok := v.(string); ok { // the kind most keys are of
+		return valueKey{rank: 4, v: v}
+	}
+	switch t := v.(type) {
 	case nil:
-		return 0
+		return valueKey{rank: 0}
 	case bool:
-		return 1
-	case int, int32, int64, uint, uint32, uint64, float32, float64:
-		return 2
+		return numKey(1, b2f(t))
+	case int:
+		return numKey(2, float64(t))
+	case int32:
+		return numKey(2, float64(t))
+	case int64:
+		return numKey(2, float64(t))
+	case uint:
+		return numKey(2, float64(t))
+	case uint32:
+		return numKey(2, float64(t))
+	case uint64:
+		return numKey(2, float64(t))
+	case float32:
+		return numKey(2, float64(t))
+	case float64:
+		return numKey(2, t)
 	case time.Time:
-		return 3
-	case string:
-		return 4
+		return timeKey(t.Unix(), int64(t.Nanosecond()))
 	default:
-		return 5
+		return valueKey{rank: 5}
 	}
 }
 
-// comparable2 reports whether the two values live in the same ordered
-// domain (so that range operators do not accidentally match across
-// types).
-func comparable2(a, b any) bool {
-	return typeRank(a) == typeRank(b)
+// scalarKey is keyOf(s.box()), read from the words.
+func scalarKey(s scalar) valueKey {
+	switch s.kind {
+	case kindFloat64:
+		return valueKey{rank: 2, x: s.w0}
+	case kindInt, kindInt64:
+		return numKey(2, float64(int64(s.w0)))
+	case kindBool:
+		return numKey(1, float64(s.w0))
+	default:
+		sec, nsec, _ := s.timeParts()
+		return timeKey(sec, nsec)
+	}
 }
 
-// CompareValues orders two document values with the same rules Find's
-// sort uses. Exported so a shard router can merge the sorted partial
-// results of a fanned-out scan without re-implementing the ordering.
-func CompareValues(a, b any) int { return compareValues(a, b) }
+func timeKey(unixSec, nsec int64) valueKey {
+	return valueKey{rank: 3, x: uint64(unixSec + unixToInternal), nsec: int32(nsec)}
+}
 
-// compareValues orders two document values. Numbers compare
-// numerically across int/float widths; times by instant; strings
-// lexically. Values of different kinds order by typeRank.
-func compareValues(a, b any) int {
-	ra, rb := typeRank(a), typeRank(b)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
+func b2f(b bool) float64 {
+	if b {
 		return 1
 	}
-	switch ra {
-	case 0:
-		return 0
-	case 1:
-		ab, _ := a.(bool)
-		bb, _ := b.(bool)
-		switch {
-		case ab == bb:
-			return 0
-		case !ab:
-			return -1
-		default:
-			return 1
-		}
-	case 2:
-		fa, fb := toFloat(a), toFloat(b)
-		switch {
+	return 0
+}
+
+// key returns the key of a field and whether the document has it.
+func (p *packed) key(name string) (valueKey, bool) {
+	i := p.shape.index(name)
+	if i < 0 {
+		return valueKey{}, false
+	}
+	if p.shape.kinds[i] == kindAny {
+		return keyOf(p.vals[p.shape.at[i]]), true
+	}
+	return scalarKey(p.scalarAt(i)), true
+}
+
+// fieldKey is key for callers to whom an absent field reads as nil:
+// the index files a document without the field with the nils, and the
+// sort orders it with them.
+func (p *packed) fieldKey(name string) valueKey {
+	k, _ := p.key(name)
+	return k
+}
+
+// compareKeys orders two keys.
+func compareKeys(a, b valueKey) int {
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
+	}
+	switch a.rank {
+	case 1, 2:
+		switch fa, fb := a.num(), b.num(); {
 		case fa < fb:
 			return -1
 		case fa > fb:
@@ -271,45 +324,21 @@ func compareValues(a, b any) int {
 			return 0
 		}
 	case 3:
-		ta, _ := a.(time.Time)
-		tb, _ := b.(time.Time)
-		switch {
-		case ta.Before(tb):
-			return -1
-		case ta.After(tb):
-			return 1
-		default:
-			return 0
+		if c := cmp.Compare(int64(a.x), int64(b.x)); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.nsec, b.nsec)
 	case 4:
-		sa, _ := a.(string)
-		sb, _ := b.(string)
-		return strings.Compare(sa, sb)
+		return strings.Compare(a.v.(string), b.v.(string))
 	default:
-		// Unordered kinds compare equal so sorts stay stable.
 		return 0
 	}
 }
 
-func toFloat(v any) float64 {
-	switch t := v.(type) {
-	case int:
-		return float64(t)
-	case int32:
-		return float64(t)
-	case int64:
-		return float64(t)
-	case uint:
-		return float64(t)
-	case uint32:
-		return float64(t)
-	case uint64:
-		return float64(t)
-	case float32:
-		return float64(t)
-	case float64:
-		return t
-	default:
-		return 0
-	}
-}
+// CompareValues orders two document values with the same rules Find's
+// sort uses. Exported so a shard router can merge the sorted partial
+// results of a fanned-out scan without re-implementing the ordering.
+func CompareValues(a, b any) int { return compareValues(a, b) }
+
+// compareValues orders two document values; see valueKey.
+func compareValues(a, b any) int { return compareKeys(keyOf(a), keyOf(b)) }

@@ -83,7 +83,7 @@ func TestInsertObserverSeesLSNOrder(t *testing.T) {
 	s.SetIngestObserver("obs", func(lsn uint64, docs Batch) {
 		ns := make([]any, docs.Len())
 		for i := range ns {
-			ns[i] = docs.Field(i, "n")
+			ns[i] = docs.Row(i).Value("n")
 		}
 		got = append(got, seen{lsn, ns})
 	})

@@ -1,9 +1,6 @@
 package docstore
 
-import (
-	"strconv"
-	"time"
-)
+import "strconv"
 
 // entry is one stored document and its place in insertion order. The
 // collection's id map, its order slice and every posting list share
@@ -14,10 +11,9 @@ type entry struct {
 	// Collection.order and never reused or renumbered, so it survives
 	// order compaction and orders any two entries of a collection.
 	seq uint64
-	id  string
-	// The document, in stored form (shape.go). Its shape is nil once the
-	// document is deleted; the entry then stays in Collection.order as a
-	// tombstone until compaction.
+	// The document, in stored form (shape.go); its id is its _id slot.
+	// Its shape is nil once the document is deleted; the entry then
+	// stays in Collection.order as a tombstone until compaction.
 	packed
 }
 
@@ -59,47 +55,51 @@ func newIndex() *index {
 	return &index{byValue: make(map[string]*postings)}
 }
 
-// canonKey folds equal-comparing values (e.g. int 3 and float64 3.0)
-// to the same index key, matching compareValues semantics.
-func canonKey(v any) string {
-	switch t := v.(type) {
-	case nil:
-		return "n:"
-	case bool:
-		if t {
-			return "b:1"
+// appendCanonKey appends the index key of a value's key: the value's
+// rank and, within it, a string that is equal exactly when the values
+// compare equal — so int 3 and float64 3.0 share one, as compareValues
+// has them equal.
+func appendCanonKey(dst []byte, k valueKey) []byte {
+	switch k.rank {
+	case 0:
+		return append(dst, "n:"...)
+	case 1:
+		if k.num() != 0 {
+			return append(dst, "b:1"...)
 		}
-		return "b:0"
-	case int, int32, int64, uint, uint32, uint64, float32, float64:
-		return "f:" + strconv.FormatFloat(toFloat(v), 'g', -1, 64)
-	case time.Time:
-		return "t:" + strconv.FormatInt(t.UnixNano(), 10)
-	case string:
-		return "s:" + t
+		return append(dst, "b:0"...)
+	case 2:
+		return strconv.AppendFloat(append(dst, "f:"...), k.num(), 'g', -1, 64)
+	case 3:
+		// time.Time.UnixNano's arithmetic, wrapping where it wraps.
+		return strconv.AppendInt(append(dst, "t:"...), (int64(k.x)-unixToInternal)*1e9+int64(k.nsec), 10)
+	case 4:
+		return append(append(dst, "s:"...), k.v.(string)...)
 	default:
-		return "x:" // unindexable kinds share one bucket; scan filters
+		return append(dst, "x:"...) // unindexable kinds share one bucket; scan filters
 	}
 }
 
-// get returns v's posting list, or nil. String values — the
-// overwhelmingly common indexed kind — take a fast path where the
-// canonical key is built inside the map access so the concatenation
-// never escapes to the heap.
-func (ix *index) get(v any) *postings {
-	if s, ok := v.(string); ok {
-		return ix.byValue["s:"+s]
+// get returns the posting list of the values whose key is k, or nil.
+// The canonical key is built on the stack and converted inside the map
+// access, so a lookup allocates nothing; string values — the
+// overwhelmingly common indexed kind — skip even the buffer.
+func (ix *index) get(k valueKey) *postings {
+	if k.rank == 4 {
+		return ix.byValue["s:"+k.v.(string)]
 	}
-	return ix.byValue[canonKey(v)]
+	var buf [40]byte
+	return ix.byValue[string(appendCanonKey(buf[:0], k))]
 }
 
-// add indexes e under v. A newly inserted entry has the highest seq
-// and is appended; an update that moves an older entry between values
-// inserts it at its seq position. A key string is only materialized
-// when a new value bucket is created.
-func (ix *index) add(e *entry, v any) {
-	p := ix.get(v)
+// add indexes e under the value whose key is k. A newly inserted entry
+// has the highest seq and is appended; an update that moves an older
+// entry between values inserts it at its seq position. A key string is
+// only materialized when a new value bucket is created.
+func (ix *index) add(e *entry, k valueKey) {
+	p := ix.get(k)
 	if p == nil {
-		ix.byValue[canonKey(v)] = &postings{list: []*entry{e}}
+		ix.byValue[string(appendCanonKey(nil, k))] = &postings{list: []*entry{e}}
 		return
 	}
 	n := len(p.list)
@@ -113,9 +113,9 @@ func (ix *index) add(e *entry, v any) {
 	p.list[i] = e
 }
 
-// remove drops e from v's posting list, if it is there.
-func (ix *index) remove(e *entry, v any) {
-	p := ix.get(v)
+// remove drops e from the posting list of k, if it is there.
+func (ix *index) remove(e *entry, k valueKey) {
+	p := ix.get(k)
 	if p == nil {
 		return
 	}
@@ -124,7 +124,8 @@ func (ix *index) remove(e *entry, v any) {
 		return
 	}
 	if len(p.list) == 1 {
-		delete(ix.byValue, canonKey(v))
+		var buf [40]byte
+		delete(ix.byValue, string(appendCanonKey(buf[:0], k)))
 		return
 	}
 	copy(p.list[i:], p.list[i+1:])
@@ -132,10 +133,11 @@ func (ix *index) remove(e *entry, v any) {
 	p.list = p.list[:len(p.list)-1]
 }
 
-// lookup returns the posting list of v itself, not a copy: callers
-// hold the collection lock while they walk it and must not modify it.
-func (ix *index) lookup(v any) []*entry {
-	if p := ix.get(v); p != nil {
+// lookup returns the posting list of the values whose key is k itself,
+// not a copy: callers hold the collection lock while they walk it and
+// must not modify it.
+func (ix *index) lookup(k valueKey) []*entry {
+	if p := ix.get(k); p != nil {
 		return p.list
 	}
 	return nil

@@ -46,9 +46,10 @@ type Batch struct{ docs []packed }
 // Len is the number of documents.
 func (b Batch) Len() int { return len(b.docs) }
 
-// Field returns the value document i holds under name, nil when it has
-// no such field. A map or slice value is the stored one.
-func (b Batch) Field(i int, name string) any { return b.docs[i].value(name) }
+// Row returns document i as a Row, whose typed getters (Fields) read
+// its fields as it keeps them. It is valid only during the observer's
+// call, like the Batch.
+func (b Batch) Row(i int) Row { return Row{b.docs[i]} }
 
 // ingestObsBox wraps the observer map for atomic.Pointer storage.
 type ingestObsBox struct{ byCol map[string]IngestObserver }

@@ -114,7 +114,7 @@ func (c *Collection) encodeSnapshot(e *encoder) error {
 			continue
 		}
 		if err := e.packed(&en.packed); err != nil {
-			return fmt.Errorf("document %q: %w", en.id, err)
+			return fmt.Errorf("document %q: %w", en.id(), err)
 		}
 	}
 	return nil
@@ -232,7 +232,7 @@ func (s *Store) decodeSnapshot(body []byte) (*Collection, error) {
 		if d.err != nil {
 			break
 		}
-		id, _ := doc.value(IDField).(string)
+		id := doc.id()
 		if _, dup := c.docs[id]; dup || id == "" {
 			d.fail("document %d: missing or repeated _id %q", len(c.order), id)
 		}
@@ -255,7 +255,7 @@ func (s *Store) decodeSnapshot(body []byte) (*Collection, error) {
 // restoreLocked appends a restored document without counting it as an
 // insert. Caller owns the collection (it is not yet published).
 func (c *Collection) restoreLocked(id string, p packed) {
-	e := &entry{seq: c.nextSeq, id: id, packed: p}
+	e := &entry{seq: c.nextSeq, packed: p}
 	c.nextSeq++
 	c.docs[id] = e
 	c.order = append(c.order, e)

@@ -166,10 +166,24 @@ func resealSnapshot(b []byte) []byte {
 	return b
 }
 
+// snapshotBlocks returns the collection block bodies of a snapshot
+// Restore accepted.
+func snapshotBlocks(b []byte) [][]byte {
+	var blocks [][]byte
+	for off := snapshotHeaderSize; off < len(b); {
+		size := int(binary.LittleEndian.Uint64(b[off:]))
+		body := off + snapshotFrameSize
+		blocks = append(blocks, b[body:body+size])
+		off = body + size
+	}
+	return blocks
+}
+
 // FuzzSnapshotRestore: Store.Restore never panics on arbitrary bytes,
-// as they come and with their checksums made right, and a snapshot it
-// accepts re-saves to bytes that restore and save to the same bytes
-// again.
+// as they come and with their checksums made right; each collection
+// block of a snapshot it accepts decodes and encodes to the same bytes,
+// and the snapshot re-saves to bytes that restore and save to the same
+// bytes again.
 func FuzzSnapshotRestore(f *testing.F) {
 	s := NewStore()
 	c := s.Collection("c")
@@ -178,6 +192,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	if _, err := s.Collection("other").InsertMany([]Doc{{"zone": "z", "spl": 61.5}, {"zone": "y"}}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Collection("split").InsertMany(kindSplitDocs()); err != nil {
 		f.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -202,6 +219,21 @@ func FuzzSnapshotRestore(f *testing.F) {
 			s := NewStore()
 			if err := s.Restore(bytes.NewReader(b)); err != nil {
 				continue
+			}
+			// Each collection block decodes and encodes to its own bytes.
+			for _, body := range snapshotBlocks(b) {
+				c, err := s.decodeSnapshot(body)
+				if err != nil {
+					t.Fatalf("a block of an accepted snapshot does not decode: %v", err)
+				}
+				e := getEncoder()
+				if err := c.encodeSnapshot(e); err != nil {
+					t.Fatalf("a restored block does not encode: %v", err)
+				}
+				if !bytes.Equal(e.buf, body) {
+					t.Fatalf("block not canonical:\n in  %x\n out %x", body, e.buf)
+				}
+				e.release()
 			}
 			var saved bytes.Buffer
 			if err := s.Snapshot(&saved); err != nil {

@@ -13,18 +13,20 @@ import (
 )
 
 // Row is one stored document handed out as it is stored — its shape and
-// its value slice — instead of rebuilt as a Doc. A stored value slice
-// is never written after its insert (an update swaps in a new one, see
-// packed.set), so a Row stays valid, and keeps reading the document as
-// it was when the read ran, after the collection's lock is released and
-// whatever happens to the document later. In return a Row is read-only:
-// a map or slice that Value returns is the stored one and must not be
-// modified. Doc gives a copy the caller owns; AppendJSON is the way to
-// the wire that builds nothing in between. DESIGN.md §9 "Way out".
+// its two slices — instead of rebuilt as a Doc. A stored document's
+// slices are never written after its insert (an update swaps in new
+// ones, see packed.set), so a Row stays valid, and keeps reading the
+// document as it was when the read ran, after the collection's lock is
+// released and whatever happens to the document later. In return a Row
+// is read-only: a map or slice that Value returns is the stored one and
+// must not be modified. Doc gives a copy the caller owns; AppendJSON is
+// the way to the wire that builds nothing in between. DESIGN.md §9
+// "Way out".
 type Row struct{ p packed }
 
 // Value returns the value of a field, nil when the row has no such
-// field.
+// field. A number, bool or time is boxed for the call; a time reads in
+// its canonical zone (see scalar.time).
 func (r Row) Value(name string) any { return r.p.value(name) }
 
 // Names returns the row's field names in ascending order. The slice is
@@ -36,9 +38,9 @@ func (r Row) Names() []string { return r.p.shape.names }
 // when a projection is given.
 func (r Row) Doc(projection []string) Doc {
 	if len(projection) == 0 {
-		out := make(Doc, len(r.p.vals))
+		out := make(Doc, len(r.p.shape.names))
 		for i, name := range r.p.shape.names {
-			out[name] = cloneValue(r.p.vals[i])
+			out[name] = cloneValue(r.p.slot(i))
 		}
 		return out
 	}
@@ -92,7 +94,12 @@ func (r Row) AppendJSON(dst []byte, keep func(name string) bool) ([]byte, error)
 			dst = append(jsonenc.AppendString(dst, name), ':')
 		}
 		var err error
-		if dst, err = appendJSONValue(dst, r.p.vals[i]); err != nil {
+		if sh.kinds[i] != kindAny {
+			dst, err = appendJSONScalar(dst, r.p.scalarAt(i))
+		} else {
+			dst, err = appendJSONValue(dst, r.p.vals[sh.at[i]])
+		}
+		if err != nil {
 			return dst, fmt.Errorf("field %q: %w", name, err)
 		}
 	}
@@ -109,6 +116,21 @@ func quoteNames(names []string) []string {
 	return quoted
 }
 
+// appendJSONScalar appends a value held in words as encoding/json
+// encodes it, by jsonenc's rules, from the words.
+func appendJSONScalar(dst []byte, s scalar) ([]byte, error) {
+	switch s.kind {
+	case kindFloat64:
+		return jsonenc.AppendFloat(dst, s.float())
+	case kindInt, kindInt64:
+		return strconv.AppendInt(dst, int64(s.w0), 10), nil
+	case kindBool:
+		return strconv.AppendBool(dst, s.w0 != 0), nil
+	default:
+		return jsonenc.AppendTime(dst, s.time())
+	}
+}
+
 // appendJSONValue appends v as encoding/json encodes it. The kinds an
 // observation is made of are written directly, by jsonenc's rules for
 // the scalars; any other kind is left to the encoder.
@@ -118,16 +140,9 @@ func appendJSONValue(dst []byte, v any) ([]byte, error) {
 		return append(dst, "null"...), nil
 	case string:
 		return jsonenc.AppendString(dst, t), nil
-	case bool:
-		return strconv.AppendBool(dst, t), nil
-	case int:
-		return strconv.AppendInt(dst, int64(t), 10), nil
-	case int64:
-		return strconv.AppendInt(dst, t, 10), nil
-	case float64:
-		return jsonenc.AppendFloat(dst, t)
-	case time.Time:
-		return jsonenc.AppendTime(dst, t)
+	}
+	if s := scalarOf(v); s.kind != kindAny {
+		return appendJSONScalar(dst, s)
 	}
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -158,7 +173,7 @@ func NewFields(names ...string) *Fields {
 func (f *Fields) In(r Row) FieldValues {
 	sh := r.p.shape
 	if slots, ok := f.slots.Load(sh); ok {
-		return FieldValues{slots: slots.([]int), vals: r.p.vals}
+		return FieldValues{slots: slots.([]int), p: r.p}
 	}
 	slots := make([]int, len(f.names))
 	for i, name := range f.names {
@@ -167,21 +182,80 @@ func (f *Fields) In(r Row) FieldValues {
 	if sh.quoted != nil {
 		f.slots.Store(sh, slots)
 	}
-	return FieldValues{slots: slots, vals: r.p.vals}
+	return FieldValues{slots: slots, p: r.p}
 }
 
 // FieldValues is the values one row holds under the names of a Fields
-// list.
+// list. At boxes a number, bool or time for the call; the typed getters
+// read it from where the row keeps it.
 type FieldValues struct {
 	slots []int
-	vals  []any
+	p     packed
 }
 
 // At returns the value of the list's i-th name, nil when the row has no
 // such field. Like Row.Value it returns the stored value.
 func (v FieldValues) At(i int) any {
 	if s := v.slots[i]; s >= 0 {
-		return v.vals[s]
+		return v.p.slot(s)
 	}
 	return nil
+}
+
+// Float returns the list's i-th field as a float64 when the row holds
+// a float64, an int or an int64 there.
+func (v FieldValues) Float(i int) (float64, bool) { return v.p.floatAt(v.slots[i]) }
+
+// Time returns the list's i-th field when the row holds a time there.
+func (v FieldValues) Time(i int) (time.Time, bool) { return v.p.timeAt(v.slots[i]) }
+
+// String returns the list's i-th field when the row holds a string
+// there.
+func (v FieldValues) String(i int) (string, bool) { return v.p.stringAt(v.slots[i]) }
+
+// Bool returns the list's i-th field when the row holds a bool there.
+func (v FieldValues) Bool(i int) (bool, bool) { return v.p.boolAt(v.slots[i]) }
+
+// floatAt returns slot i (-1 for none) as a float64 when it holds a
+// float64, an int or an int64.
+func (p *packed) floatAt(i int) (float64, bool) {
+	if i < 0 {
+		return 0, false
+	}
+	switch p.shape.kinds[i] {
+	case kindFloat64:
+		return p.scalarAt(i).float(), true
+	case kindInt, kindInt64:
+		return float64(int64(p.scalarAt(i).w0)), true
+	}
+	return 0, false
+}
+
+// timeAt returns slot i (-1 for none) when it holds a time.
+func (p *packed) timeAt(i int) (time.Time, bool) {
+	if i < 0 {
+		return time.Time{}, false
+	}
+	if p.shape.kinds[i] == kindTime {
+		return p.scalarAt(i).time(), true
+	}
+	t, ok := p.slot(i).(time.Time) // a zone offset words cannot hold
+	return t, ok
+}
+
+// stringAt returns slot i (-1 for none) when it holds a string.
+func (p *packed) stringAt(i int) (string, bool) {
+	if i < 0 || p.shape.kinds[i] != kindAny {
+		return "", false
+	}
+	s, ok := p.vals[p.shape.at[i]].(string)
+	return s, ok
+}
+
+// boolAt returns slot i (-1 for none) when it holds a bool.
+func (p *packed) boolAt(i int) (bool, bool) {
+	if i < 0 || p.shape.kinds[i] != kindBool {
+		return false, false
+	}
+	return p.scalarAt(i).w0 != 0, true
 }

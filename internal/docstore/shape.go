@@ -2,28 +2,188 @@ package docstore
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Stored form. A collection does not keep its documents as maps: a
 // hash table per document is most of what a stored observation would
 // weigh. A stored document is a pointer to a shape — its field names,
-// sorted, shared by every document of the process with the same field
-// set — and one slice holding its values in that order. Writes are
+// sorted, and the kind of value each holds, shared by every document
+// of the process with the same fields of the same kinds — and two
+// slices: the words its numbers, bools and times are written in, and
+// the interface values of the rest (strings, nil, maps, slices). The
+// word slice holds no pointer, so the collector does not look inside
+// it, and a scalar costs its word instead of a heap box. Writes are
 // packed on the way in; reads hand the form out as a read-only Row
 // (row.go) or build a Doc from one. DESIGN.md §9 "Stored form" has the
 // rationale.
 
-// shape is a set of field names in ascending order. It is immutable
-// once built, so any number of documents, collections and goroutines
-// share one.
+// kind is how a slot of a shape holds its value.
+type kind uint8
+
+const (
+	kindAny     kind = iota // an interface value in vals
+	kindFloat64             // one word: the IEEE 754 bits
+	kindInt                 // one word: the two's complement bits
+	kindInt64               // one word: the two's complement bits
+	kindBool                // one word: 0 or 1
+	kindTime                // two words: Unix seconds; nanoseconds | zone offset seconds<<32
+)
+
+// scalar is a value held in words: its kind and its one or two words.
+type scalar struct {
+	kind   kind
+	w0, w1 uint64
+}
+
+// scalarOf returns v as words, or kindAny when v is held as itself. A
+// time whose zone offset does not fit 32 bits is held as itself.
+func scalarOf(v any) scalar {
+	switch t := v.(type) {
+	case float64:
+		return scalar{kind: kindFloat64, w0: math.Float64bits(t)}
+	case int:
+		return scalar{kind: kindInt, w0: uint64(t)}
+	case int64:
+		return scalar{kind: kindInt64, w0: uint64(t)}
+	case bool:
+		if t {
+			return scalar{kind: kindBool, w0: 1}
+		}
+		return scalar{kind: kindBool}
+	case time.Time:
+		if _, off := t.Zone(); int(int32(off)) == off {
+			return scalar{kind: kindTime, w0: uint64(t.Unix()), w1: uint64(t.Nanosecond()) | uint64(uint32(off))<<32}
+		}
+	}
+	return scalar{}
+}
+
+// box returns the value the words hold.
+func (s scalar) box() any {
+	switch s.kind {
+	case kindFloat64:
+		return s.float()
+	case kindInt:
+		return int(s.w0)
+	case kindInt64:
+		return int64(s.w0)
+	case kindBool:
+		return s.w0 != 0
+	default:
+		return s.time()
+	}
+}
+
+// float is a kindFloat64's value.
+func (s scalar) float() float64 { return math.Float64frombits(s.w0) }
+
+// timeParts are a kindTime's Unix seconds, nanoseconds and zone offset.
+func (s scalar) timeParts() (sec, nsec, off int64) {
+	return int64(s.w0), int64(uint32(s.w1)), int64(int32(s.w1 >> 32))
+}
+
+// time is a kindTime's value, in its canonical zone: UTC for offset 0,
+// else the process's shared unnamed zone of its offset. That is the
+// time the document codec decodes, so a document reads the same
+// whether it was inserted in this process or recovered.
+func (s scalar) time() time.Time {
+	sec, nsec, off := s.timeParts()
+	t := time.Unix(sec, nsec)
+	if off == 0 {
+		return t.UTC()
+	}
+	return t.In(fixedZone(off))
+}
+
+// The unnamed fixed zones canonical times are read in, one per offset,
+// shared process-wide up to maxZones offsets (every real one fits);
+// past that each read builds its own.
+const maxZones = 256
+
+var zones struct {
+	mu sync.Mutex // serialises writers
+	m  atomic.Pointer[map[int64]*time.Location]
+}
+
+func fixedZone(off int64) *time.Location {
+	if m := zones.m.Load(); m != nil {
+		if loc, ok := (*m)[off]; ok {
+			return loc
+		}
+	}
+	loc := time.FixedZone("", int(off))
+	zones.mu.Lock()
+	defer zones.mu.Unlock()
+	old := zones.m.Load()
+	if old != nil {
+		if cur, ok := (*old)[off]; ok {
+			return cur
+		}
+		if len(*old) >= maxZones {
+			return loc
+		}
+	}
+	next := map[int64]*time.Location{off: loc}
+	if old != nil {
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	zones.m.Store(&next)
+	return loc
+}
+
+// shape is a set of field names in ascending order and the kind of
+// value each holds. It is immutable once built, so any number of
+// documents, collections and goroutines share one.
 type shape struct {
 	names []string
+	kinds []kind
+	// at is where each slot's value sits: its index in vals for
+	// kindAny, of its first word in words otherwise.
+	at []int32
+	// nvals and nwords are the lengths of a document's two slices.
+	nvals, nwords int
+	// idAt is the index in vals of the _id, -1 when the shape holds no
+	// string _id.
+	idAt int
+	// interns is, for each kindAny slot, the codec's intern table of its
+	// field (nil past the table's bounds), which pack puts strings
+	// through.
+	interns []*internField
 	// quoted is each name as a JSON object key, colon included, for
 	// Row.AppendJSON. It is built when the registry takes the shape and
 	// is nil for a private one, which is not worth caching for.
 	quoted []string
+}
+
+// newShape lays out a shape of names holding kinds, which it copies.
+func newShape(names []string, kinds []kind) *shape {
+	sh := &shape{names: slices.Clone(names), kinds: slices.Clone(kinds), at: make([]int32, len(names)), idAt: -1,
+		interns: make([]*internField, len(names))}
+	for i, k := range kinds {
+		switch k {
+		case kindAny:
+			if names[i] == IDField {
+				sh.idAt = sh.nvals
+			}
+			sh.at[i] = int32(sh.nvals)
+			sh.nvals++
+			sh.interns[i] = fieldNamed(names[i])
+		case kindTime:
+			sh.at[i] = int32(sh.nwords)
+			sh.nwords += 2
+		default:
+			sh.at[i] = int32(sh.nwords)
+			sh.nwords++
+		}
+	}
+	return sh
 }
 
 // index returns the slot of name, or -1 when the shape lacks it.
@@ -32,6 +192,11 @@ func (s *shape) index(name string) int {
 		return i
 	}
 	return -1
+}
+
+// is reports whether the shape is exactly names holding kinds.
+func (s *shape) is(names []string, kinds []kind) bool {
+	return slices.Equal(s.names, names) && slices.Equal(s.kinds, kinds)
 }
 
 // The shape registry is process-wide and, like the intern tables of
@@ -43,7 +208,8 @@ const (
 	maxShapeKey = 1024
 )
 
-// shapes maps a shape's key — its names, each length-prefixed — to it.
+// shapes maps a shape's key — each name, length-prefixed, and its
+// kind — to it.
 var shapes cowMap[*shape]
 
 // ShapeCount reports how many shapes the process has registered. It
@@ -52,18 +218,19 @@ var shapes cowMap[*shape]
 func ShapeCount() int { return shapes.len() }
 
 // internShape returns the shape whose names are exactly names, which
-// are sorted and distinct; they are copied if a shape has to be made.
-func internShape(names []string) *shape {
+// are sorted and distinct, holding kinds; both are copied if a shape
+// has to be made.
+func internShape(names []string, kinds []kind) *shape {
 	var buf [256]byte
 	key := buf[:0]
-	for _, n := range names {
-		key = append(binary.AppendUvarint(key, uint64(len(n))), n...)
+	for i, n := range names {
+		key = append(append(binary.AppendUvarint(key, uint64(len(n))), n...), byte(kinds[i]))
 	}
-	if sh, ok := shapes.get(key); ok {
+	if sh, ok := shapes.getBytes(key); ok {
 		return sh
 	}
-	sh := &shape{names: slices.Clone(names)}
-	if len(key) > maxShapeKey || shapes.len() >= maxShapes {
+	sh := newShape(names, kinds)
+	if len(key)-len(names) > maxShapeKey || shapes.len() >= maxShapes {
 		return sh
 	}
 	sh.quoted = quoteNames(sh.names)
@@ -87,36 +254,124 @@ func (sc *shapeCache) remember(sh *shape) {
 	sc.recent[sc.next.Add(1)%uint32(len(sc.recent))].Store(sh)
 }
 
-// find returns the shape whose names are exactly names (sorted and
-// distinct; not retained).
-func (sc *shapeCache) find(names []string) *shape {
+// find returns the shape of names (sorted and distinct) holding kinds;
+// neither is retained.
+func (sc *shapeCache) find(names []string, kinds []kind) *shape {
 	for i := range sc.recent {
-		if sh := sc.recent[i].Load(); sh != nil && slices.Equal(sh.names, names) {
+		if sh := sc.recent[i].Load(); sh != nil && sh.is(names, kinds) {
 			return sh
 		}
 	}
-	sh := internShape(names)
+	sh := internShape(names, kinds)
 	sc.remember(sh)
 	return sh
 }
 
+// packed is one document in stored form: the value of field
+// shape.names[i] is vals[shape.at[i]] or sits in words from
+// shape.at[i] on, as shape.kinds[i] says. The slices belong to the
+// document; the shape does not.
+type packed struct {
+	shape *shape
+	vals  []any
+	words []uint64
+}
+
+// alloc returns an empty document of shape sh.
+func (sh *shape) alloc() packed {
+	p := packed{shape: sh}
+	if sh.nvals > 0 {
+		p.vals = make([]any, sh.nvals)
+	}
+	if sh.nwords > 0 {
+		p.words = make([]uint64, sh.nwords)
+	}
+	return p
+}
+
+// scalarAt returns the words of slot i, which does not hold kindAny.
+func (p *packed) scalarAt(i int) scalar {
+	at, k := p.shape.at[i], p.shape.kinds[i]
+	s := scalar{kind: k, w0: p.words[at]}
+	if k == kindTime {
+		s.w1 = p.words[at+1]
+	}
+	return s
+}
+
+// slot returns the value of slot i, boxing it when it sits in words.
+func (p *packed) slot(i int) any {
+	if p.shape.kinds[i] == kindAny {
+		return p.vals[p.shape.at[i]]
+	}
+	return p.scalarAt(i).box()
+}
+
+// put writes v into slot i of a document being built, as the shape's
+// kind for the slot says (the caller has matched the two). A string is
+// interned under its field.
+func (p *packed) put(i int, v any) {
+	at := p.shape.at[i]
+	if p.shape.kinds[i] == kindAny {
+		if s, ok := v.(string); ok {
+			v = p.shape.interns[i].share(s, v)
+		}
+		p.vals[at] = v
+		return
+	}
+	s := scalarOf(v)
+	p.words[at] = s.w0
+	if s.kind == kindTime {
+		p.words[at+1] = s.w1
+	}
+}
+
+// copySlot copies slot j of src into slot i of a document being built,
+// which holds the same kind there.
+func (p *packed) copySlot(i int, src *packed, j int) {
+	at, from := p.shape.at[i], src.shape.at[j]
+	switch p.shape.kinds[i] {
+	case kindAny:
+		p.vals[at] = src.vals[from]
+	case kindTime:
+		copy(p.words[at:at+2], src.words[from:from+2])
+	default:
+		p.words[at] = src.words[from]
+	}
+}
+
+// id returns the document's _id, "" when it has no string one.
+func (p *packed) id() string {
+	if a := p.shape.idAt; a >= 0 {
+		s, _ := p.vals[a].(string)
+		return s
+	}
+	return ""
+}
+
 // pack returns the stored form of d with id as its _id, whatever d
-// holds there. The values are deep copies when clone is set and d's own
-// otherwise; d itself is only read.
+// holds there. Maps and slices are deep copies when clone is set and
+// d's own otherwise; d itself is only read.
 func (sc *shapeCache) pack(d Doc, id string, clone bool) packed {
 	n := len(d)
 	if _, hasID := d[IDField]; !hasID {
 		n++
 	}
-	p := packed{vals: make([]any, n)}
+	// The values in shape order, gathered while a shape is matched.
+	var buf [24]any
+	var vals []any
+	var sh *shape
 	for i := range sc.recent {
-		// A shape of n names, each of them the id or a field of d, has
-		// exactly d's fields and the id.
-		if sh := sc.recent[i].Load(); sh != nil && len(sh.names) == n && p.fill(sh, d, id) {
-			break
+		// A shape of n names, each of them the id or a field of d of the
+		// slot's kind, has exactly d's fields and the id.
+		if c := sc.recent[i].Load(); c != nil && len(c.names) == n {
+			if vals = gather(c, d, id, buf[:0]); vals != nil {
+				sh = c
+				break
+			}
 		}
 	}
-	if p.shape == nil {
+	if sh == nil {
 		names := make([]string, 0, n)
 		for k := range d {
 			names = append(names, k)
@@ -125,48 +380,52 @@ func (sc *shapeCache) pack(d Doc, id string, clone bool) packed {
 			names = append(names, IDField)
 		}
 		slices.Sort(names)
-		sh := internShape(names)
-		sc.remember(sh)
-		p.fill(sh, d, id)
-	}
-	if clone {
-		for i, v := range p.vals {
-			p.vals[i] = cloneValue(v)
+		kinds := make([]kind, n)
+		for i, name := range names {
+			if name != IDField {
+				kinds[i] = scalarOf(d[name]).kind
+			}
 		}
+		sh = internShape(names, kinds)
+		sc.remember(sh)
+		vals = gather(sh, d, id, buf[:0])
 	}
+	p := sh.alloc()
+	for i, v := range vals {
+		if clone {
+			v = cloneValue(v)
+		}
+		p.put(i, v)
+	}
+	clear(vals)
 	return p
 }
 
-// packed is one document in stored form: vals[i] is the value of field
-// shape.names[i]. The slice belongs to the document; the shape does not.
-type packed struct {
-	shape *shape
-	vals  []any
-}
-
-// fill takes sh as p's shape and, in sh's order, id and d's other
-// values as its values — unless d lacks one of sh's fields other than
-// the id, which is reported and leaves p without a shape.
-func (p *packed) fill(sh *shape, d Doc, id string) bool {
+// gather appends to vals, in sh's order, id and d's other values, or
+// returns nil when d lacks one of sh's fields other than the id or
+// holds one of another kind.
+func gather(sh *shape, d Doc, id string, vals []any) []any {
 	for i, name := range sh.names {
 		v, ok := d[name]
 		if name == IDField {
+			if sh.kinds[i] != kindAny {
+				return nil
+			}
 			if v != id { // else d's own boxed copy serves
 				v = id
 			}
-		} else if !ok {
-			return false
+		} else if !ok || scalarOf(v).kind != sh.kinds[i] {
+			return nil
 		}
-		p.vals[i] = v
+		vals = append(vals, v)
 	}
-	p.shape = sh
-	return true
+	return vals
 }
 
 // get returns the value of a field and whether the document has it.
 func (p *packed) get(name string) (any, bool) {
 	if i := p.shape.index(name); i >= 0 {
-		return p.vals[i], true
+		return p.slot(i), true
 	}
 	return nil, false
 }
@@ -178,30 +437,38 @@ func (p *packed) value(name string) any {
 }
 
 // set merges deep copies of fields into the document, the _id
-// excepted. The document's value slice is never written: rows handed
-// out by earlier reads alias it (see Row), and an update is rare where
-// a read is not, so the update pays for a new slice — of the same shape
-// when the document has every field, of the shape that has the new ones
-// too otherwise — which takes the old one's place.
+// excepted. The document's slices are never written: rows handed out
+// by earlier reads alias them (see Row), and an update is rare where a
+// read is not, so the update pays for new ones — of the same shape when
+// the document has every field with values of the same kinds, of the
+// shape that has the new fields and kinds otherwise — which take the
+// old ones' place.
 func (p *packed) set(sc *shapeCache, fields Doc) {
-	var added []string
+	names := slices.Clone(p.shape.names)
 	for k := range fields {
 		if k != IDField && p.shape.index(k) < 0 {
-			added = append(added, k)
+			names = append(names, k)
 		}
 	}
-	next := packed{shape: p.shape}
-	if len(added) > 0 {
-		names := append(added, p.shape.names...)
-		slices.Sort(names)
-		next.shape = sc.find(names)
+	slices.Sort(names)
+	given := func(name string) (any, bool) {
+		v, ok := fields[name]
+		return v, ok && name != IDField
 	}
-	next.vals = make([]any, len(next.shape.names))
-	for i, name := range next.shape.names {
-		if v, given := fields[name]; given && name != IDField {
-			next.vals[i] = cloneValue(v)
+	kinds := make([]kind, len(names))
+	for i, name := range names {
+		if v, ok := given(name); ok {
+			kinds[i] = scalarOf(v).kind
 		} else {
-			next.vals[i] = p.value(name)
+			kinds[i] = p.shape.kinds[p.shape.index(name)]
+		}
+	}
+	next := sc.find(names, kinds).alloc()
+	for i, name := range next.shape.names {
+		if v, ok := given(name); ok {
+			next.put(i, cloneValue(v))
+		} else {
+			next.copySlot(i, p, p.shape.index(name))
 		}
 	}
 	*p = next
@@ -210,21 +477,19 @@ func (p *packed) set(sc *shapeCache, fields Doc) {
 // unset removes fields from the document, the _id excepted; removing
 // any it has moves it to the shape without them.
 func (p *packed) unset(sc *shapeCache, fields []string) {
-	stays := func(name string) bool { return name == IDField || !slices.Contains(fields, name) }
-	n := 0
-	for _, name := range p.shape.names {
-		if stays(name) {
-			n++
+	var names []string
+	var kinds []kind
+	for i, name := range p.shape.names {
+		if name == IDField || !slices.Contains(fields, name) {
+			names, kinds = append(names, name), append(kinds, p.shape.kinds[i])
 		}
 	}
-	if n == len(p.vals) {
+	if len(names) == len(p.shape.names) {
 		return
 	}
-	names, vals := make([]string, 0, n), make([]any, 0, n)
-	for i, name := range p.shape.names {
-		if stays(name) {
-			names, vals = append(names, name), append(vals, p.vals[i])
-		}
+	next := sc.find(names, kinds).alloc()
+	for i, name := range names {
+		next.copySlot(i, p, p.shape.index(name))
 	}
-	*p = packed{shape: sc.find(names), vals: vals}
+	*p = next
 }

@@ -84,7 +84,7 @@ func refMatches(filter, d Doc) bool {
 			ops = map[string]any{"$eq": cond}
 		}
 		for op, arg := range ops {
-			ordered := present && typeRank(v) == typeRank(arg)
+			ordered := present && keyOf(v).rank == keyOf(arg).rank
 			var ok bool
 			switch op {
 			case "$eq":
@@ -416,18 +416,18 @@ func (p *storedRun) check() {
 			continue
 		}
 		names := e.shape.names
-		if len(names) != len(e.vals) || !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
-			t.Fatalf("document %s: %d values under names %q", e.id, len(e.vals), names)
+		if len(e.vals) != e.shape.nvals || len(e.words) != e.shape.nwords || !slices.IsSorted(names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+			t.Fatalf("document %s: %d values and %d words under names %q", e.id(), len(e.vals), len(e.words), names)
 		}
-		set := strings.Join(names, "\x00")
+		set := fmt.Sprint(strings.Join(names, "\x00"), e.shape.kinds)
 		if sh, seen := p.shapes[set]; seen && sh != e.shape {
-			t.Fatalf("document %s: field set %q is held under a second shape", e.id, names)
+			t.Fatalf("document %s: field set %q of kinds %v is held under a second shape", e.id(), names, e.shape.kinds)
 		}
 		p.shapes[set] = e.shape
 		if other, shared := slots[&e.vals[0]]; shared {
-			t.Fatalf("documents %s and %s share one value slice", other, e.id)
+			t.Fatalf("documents %s and %s share one value slice", other, e.id())
 		}
-		slots[&e.vals[0]] = e.id
+		slots[&e.vals[0]] = e.id()
 	}
 }
 
@@ -456,6 +456,7 @@ func TestStoredFormMatchesMapModel(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			emptyShapeRegistry(t)
 			p := &storedRun{t: t, rng: rand.New(rand.NewSource(seed)), col: propCol, dir: t.TempDir(),
 				store: NewStore(), ref: newRefModel(), shapes: map[string]*shape{}}
 			p.w = openWAL(t, p.dir, wal.Options{Policy: wal.FsyncNone})
@@ -465,6 +466,7 @@ func TestStoredFormMatchesMapModel(t *testing.T) {
 		})
 	}
 	t.Run("legacy-gob", func(t *testing.T) {
+		emptyShapeRegistry(t)
 		// gob restores a time in the machine's zone when the offsets
 		// agree; the model's are parsed into fixed zones.
 		defer func(l *time.Location) { time.Local = l }(time.Local)
@@ -893,17 +895,26 @@ func TestStoredFormConcurrentShapeTransitions(t *testing.T) {
 	wg.Wait()
 }
 
+// emptyShapeRegistry gives the test an empty shape registry and puts
+// the process's back when it ends. The registry is process-wide and
+// bounded, and the property tests fill it with the shapes of the
+// kinds they draw: a test that needs room in it, or that every field
+// set it meets be registered, starts from none.
+func emptyShapeRegistry(t testing.TB) {
+	saved := shapes.m.Load()
+	shapes.m.Store(nil)
+	t.Cleanup(func() { shapes.m.Store(saved) })
+}
+
 // TestShapeRegistryIsBounded: documents with pairwise-distinct field
 // names — the workload that defeats shape sharing — fill the registry
 // to its constant and no further, and are stored, found, snapshotted
 // and restored like any others; so is a document whose names alone
 // exceed what the registry will key.
 func TestShapeRegistryIsBounded(t *testing.T) {
-	savedShapes, savedFields := shapes.m.Load(), internFields.m.Load()
-	t.Cleanup(func() {
-		shapes.m.Store(savedShapes)
-		internFields.m.Store(savedFields)
-	})
+	emptyShapeRegistry(t)
+	savedFields := internFields.m.Load()
+	t.Cleanup(func() { internFields.m.Store(savedFields) })
 	const n = 10_000
 	s := NewStore()
 	c := s.Collection("wide")
@@ -980,8 +991,7 @@ func TestShapeRegistryIsBounded(t *testing.T) {
 // meet the same new field sets at the same time — shards recovering
 // side by side — come away with one shape per set.
 func TestShapesInternedOnceUnderConcurrency(t *testing.T) {
-	saved := shapes.m.Load()
-	t.Cleanup(func() { shapes.m.Store(saved) })
+	emptyShapeRegistry(t)
 	const workers, sets = 8, 40
 	got := make([][]*shape, workers)
 	var wg sync.WaitGroup
@@ -991,7 +1001,7 @@ func TestShapesInternedOnceUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			var sc shapeCache
 			for i := 0; i < sets; i++ {
-				got[g] = append(got[g], sc.find([]string{IDField, fmt.Sprintf("once-%d", i), "zone"}))
+				got[g] = append(got[g], sc.find([]string{IDField, fmt.Sprintf("once-%d", i), "zone"}, make([]kind, 3)))
 			}
 		}(g)
 	}

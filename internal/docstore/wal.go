@@ -193,7 +193,7 @@ func (s *Store) applyMutation(lsn uint64, m *Mutation) error {
 		for i := range m.packed {
 			// Every document the store logs carries the id it is stored
 			// under, which for a single insert is also the record's.
-			id, _ := m.packed[i].value(IDField).(string)
+			id := m.packed[i].id()
 			if id == "" || (m.Op == OpInsert && id != m.ID) {
 				return fmt.Errorf("docstore: replay %s without its id", m.Op)
 			}
@@ -253,8 +253,8 @@ func (c *Collection) replayInsert(id string, p packed) {
 	advanceIDCounter(id)
 	if e, ok := c.docs[id]; ok {
 		for _, ie := range c.indexList {
-			ie.idx.remove(e, e.value(ie.field))
-			ie.idx.add(e, p.value(ie.field))
+			ie.idx.remove(e, e.fieldKey(ie.field))
+			ie.idx.add(e, p.fieldKey(ie.field))
 		}
 		e.packed = p
 		return

@@ -293,74 +293,82 @@ const (
 	ofProvider
 )
 
+// Errors of ObservationFromRow and FillObservation.
+var (
+	errNoUserID      = errors.New("goflow: document without userId")
+	errNoDeviceModel = errors.New("goflow: document without deviceModel")
+	errNoSPL         = errors.New("goflow: document without spl")
+	errNoSensedAt    = errors.New("goflow: document without sensedAt")
+)
+
 // ObservationFromRow rebuilds a sensing.Observation from its stored
 // form (the inverse of the ingest flattening). Server-side analyses —
 // background jobs, the SoundCity exposure dashboards — use it to run
-// the sensing-layer algorithms on stored data. Where the fields sit in
-// a row is looked up once per shape (docstore.Fields), not per row.
+// the sensing-layer algorithms on stored data.
 func ObservationFromRow(r docstore.Row) (*sensing.Observation, error) {
-	d := observationFields.In(r)
 	o := &sensing.Observation{}
-	var ok bool
-	if o.UserID, ok = d.At(ofUserID).(string); !ok {
-		return nil, errors.New("goflow: document without userId")
-	}
-	if o.DeviceModel, ok = d.At(ofDeviceModel).(string); !ok {
-		return nil, errors.New("goflow: document without deviceModel")
-	}
-	o.AppVersion, _ = d.At(ofAppVersion).(string)
-	modeStr, _ := d.At(ofMode).(string)
-	mode, err := sensing.ParseMode(modeStr)
-	if err != nil {
+	if err := FillObservation(o, r); err != nil {
 		return nil, err
 	}
-	o.Mode = mode
-	if o.SPL, ok = docFloat(d.At(ofSPL)); !ok {
-		return nil, errors.New("goflow: document without spl")
+	return o, nil
+}
+
+// FillObservation is ObservationFromRow into an Observation the caller
+// holds, so a fold over a page of rows rebuilds each in the same one:
+// o is overwritten, and o.Loc, when set, is reused for a localized
+// row. Where the fields sit in a row is looked up once per shape
+// (docstore.Fields), not per row, and each is read typed, as the row
+// keeps it: nothing is allocated for a well-formed row.
+func FillObservation(o *sensing.Observation, r docstore.Row) error {
+	d := observationFields.In(r)
+	loc := o.Loc
+	*o = sensing.Observation{}
+	var ok bool
+	if o.UserID, ok = d.String(ofUserID); !ok {
+		return errNoUserID
 	}
-	actStr, _ := d.At(ofActivity).(string)
+	if o.DeviceModel, ok = d.String(ofDeviceModel); !ok {
+		return errNoDeviceModel
+	}
+	o.AppVersion, _ = d.String(ofAppVersion)
+	modeStr, _ := d.String(ofMode)
+	mode, err := sensing.ParseMode(modeStr)
+	if err != nil {
+		return err
+	}
+	o.Mode = mode
+	if o.SPL, ok = d.Float(ofSPL); !ok {
+		return errNoSPL
+	}
+	actStr, _ := d.String(ofActivity)
 	if act, err := sensing.ParseActivity(actStr); err == nil {
 		o.Activity = act
 	} else {
 		o.Activity = sensing.ActivityUnknown
 	}
-	if conf, ok := docFloat(d.At(ofActivityConf)); ok {
+	if conf, ok := d.Float(ofActivityConf); ok {
 		o.ActivityConfidence = conf
 	}
-	if o.SensedAt, ok = d.At(ofSensedAt).(time.Time); !ok {
-		return nil, errors.New("goflow: document without sensedAt")
+	if o.SensedAt, ok = d.Time(ofSensedAt); !ok {
+		return errNoSensedAt
 	}
-	o.ReceivedAt, _ = d.At(ofReceivedAt).(time.Time)
-	if localized, _ := d.At(ofLocalized).(bool); localized {
-		lat, latOK := docFloat(d.At(ofLat))
-		lon, lonOK := docFloat(d.At(ofLon))
-		acc, accOK := docFloat(d.At(ofAccuracyM))
-		providerStr, _ := d.At(ofProvider).(string)
+	o.ReceivedAt, _ = d.Time(ofReceivedAt)
+	if localized, _ := d.Bool(ofLocalized); localized {
+		lat, latOK := d.Float(ofLat)
+		lon, lonOK := d.Float(ofLon)
+		acc, accOK := d.Float(ofAccuracyM)
+		providerStr, _ := d.String(ofProvider)
 		provider, err := sensing.ParseProvider(providerStr)
 		if latOK && lonOK && accOK && err == nil {
-			o.Loc = &sensing.Location{
-				Point:     geo.Point{Lat: lat, Lon: lon},
-				AccuracyM: acc,
-				Provider:  provider,
+			if loc == nil {
+				loc = &sensing.Location{}
 			}
+			*loc = sensing.Location{Point: geo.Point{Lat: lat, Lon: lon}, AccuracyM: acc, Provider: provider}
+			o.Loc = loc
 		}
 	}
 	if err := o.Validate(); err != nil {
-		return nil, fmt.Errorf("rebuild observation: %w", err)
+		return fmt.Errorf("rebuild observation: %w", err)
 	}
-	return o, nil
-}
-
-// docFloat accepts the numeric kinds a document may carry.
-func docFloat(v any) (float64, bool) {
-	switch t := v.(type) {
-	case float64:
-		return t, true
-	case int:
-		return float64(t), true
-	case int64:
-		return float64(t), true
-	default:
-		return 0, false
-	}
+	return nil
 }

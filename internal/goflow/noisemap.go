@@ -111,6 +111,9 @@ func (dm *DataManager) Noisemap(ctx context.Context, from, to time.Time) ([]Nois
 	return out, nil
 }
 
+// noiseFields are the fields scanNoise reads.
+var noiseFields = docstore.NewFields("zone", "spl")
+
 // scanNoise is the fallback path: aggregate observation documents by
 // zone with the exact arithmetic the series engine uses (same
 // quantization, same histogram), so switching an engine to rollups
@@ -134,8 +137,9 @@ func (dm *DataManager) scanNoise(ctx context.Context, zone string, from, to time
 		// series.PointFromObservation — the two paths must produce the
 		// same zone set or switching an engine to rollups would change
 		// the noisemap's rows, not just its latency.
-		z, _ := r.Value("zone").(string)
-		spl, ok := docFloat(r.Value("spl"))
+		f := noiseFields.In(r)
+		z, _ := f.String(0)
+		spl, ok := f.Float(1)
 		if !ok {
 			continue
 		}

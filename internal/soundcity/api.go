@@ -146,15 +146,16 @@ func (a *userAPI) myExposure(w http.ResponseWriter, r *http.Request) {
 		writeUserErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	obs := make([]*sensing.Observation, 0, len(rows))
+	// One Observation serves every row: the report is a fold.
+	fold := newExposureFold(client.AnonID, a.calib)
+	var o sensing.Observation
 	for _, row := range rows {
-		o, err := goflow.ObservationFromRow(row)
-		if err != nil {
+		if goflow.FillObservation(&o, row) != nil {
 			continue // tolerate legacy documents
 		}
-		obs = append(obs, o)
+		fold.add(&o)
 	}
-	report, err := BuildExposureReport(client.AnonID, obs, a.calib)
+	report, err := fold.report()
 	if err != nil {
 		writeUserErr(w, http.StatusNotFound, "no contributions yet")
 		return

@@ -68,7 +68,12 @@ func LAeq(levelsDB []float64) (float64, error) {
 	for _, l := range levelsDB {
 		sum += math.Pow(10, l/10)
 	}
-	return 10 * math.Log10(sum/float64(len(levelsDB))), nil
+	return laeqOf(sum, len(levelsDB)), nil
+}
+
+// laeqOf is LAeq of n levels whose energies, 10^(L/10), sum to sum.
+func laeqOf(sum float64, n int) float64 {
+	return 10 * math.Log10(sum/float64(n))
 }
 
 // DayExposure is one day's summary for the user dashboard.
@@ -100,72 +105,112 @@ type ExposureReport struct {
 // from their calibrated observations. The calibration database, when
 // non-nil, removes the device-model bias first (Section 5.2).
 func BuildExposureReport(userID string, obs []*sensing.Observation, calib *sensing.CalibrationDB) (*ExposureReport, error) {
-	byDay := make(map[string][]float64)
+	f := newExposureFold(userID, calib)
 	for _, o := range obs {
-		if o.UserID != userID {
-			continue
-		}
-		level := o.SPL
-		if calib != nil {
-			if corrected, err := calib.Calibrate(o); err == nil {
-				level = corrected
-			}
-		}
-		day := o.SensedAt.Format("2006-01-02")
-		byDay[day] = append(byDay[day], level)
+		f.add(o)
 	}
-	if len(byDay) == 0 {
-		return nil, fmt.Errorf("soundcity: no observations for user %q", userID)
-	}
-	days := make([]string, 0, len(byDay))
-	for d := range byDay {
-		days = append(days, d)
-	}
-	sort.Strings(days)
+	return f.report()
+}
 
-	report := &ExposureReport{UserID: userID}
-	byMonth := make(map[string][]float64)
-	monthDays := make(map[string]int)
-	for _, d := range days {
-		levels := byDay[d]
-		laeq, err := LAeq(levels)
-		if err != nil {
-			return nil, err
+// exposureFold builds an ExposureReport one observation at a time, so
+// that a caller rebuilding observations from stored rows can reuse one
+// Observation for all of them. It keeps each day's energies (10^(L/10)
+// per level, the terms of LAeq's sum) in arrival order; a month sums
+// the same energies in the same order LAeq would over its days' levels,
+// so the report is bit for bit the one LAeq over grouped levels gives.
+type exposureFold struct {
+	userID string
+	calib  *sensing.CalibrationDB
+	days   []dayFold
+	// byDate maps a calendar date, as dateKey packs it, to its day.
+	byDate map[int64]int
+}
+
+// dayFold is one day's levels as the fold keeps them.
+type dayFold struct {
+	day      string // "2015-09-14"
+	energies []float64
+	peak     float64
+}
+
+func newExposureFold(userID string, calib *sensing.CalibrationDB) *exposureFold {
+	return &exposureFold{userID: userID, calib: calib, byDate: make(map[int64]int)}
+}
+
+// dateKey packs a calendar date into one integer, distinct per date.
+func dateKey(year int, month time.Month, day int) int64 {
+	return int64(year)<<9 | int64(month)<<5 | int64(day)
+}
+
+// add folds in o, unless it is another user's. o is not retained.
+func (f *exposureFold) add(o *sensing.Observation) {
+	if o.UserID != f.userID {
+		return
+	}
+	level := o.SPL
+	if f.calib != nil {
+		if corrected, err := f.calib.Calibrate(o); err == nil {
+			level = corrected
 		}
-		peak := levels[0]
-		for _, l := range levels[1:] {
-			if l > peak {
-				peak = l
-			}
+	}
+	// The day is the sensing time's date in its own zone, formatted once
+	// per date.
+	y, m, d := o.SensedAt.Date()
+	i, ok := f.byDate[dateKey(y, m, d)]
+	if !ok {
+		i = len(f.days)
+		f.byDate[dateKey(y, m, d)] = i
+		f.days = append(f.days, dayFold{day: o.SensedAt.Format("2006-01-02"), peak: level})
+	}
+	day := &f.days[i]
+	day.energies = append(day.energies, math.Pow(10, level/10))
+	if level > day.peak {
+		day.peak = level
+	}
+}
+
+// report returns the report of what was folded in, an error when none
+// of it was the user's.
+func (f *exposureFold) report() (*ExposureReport, error) {
+	if len(f.days) == 0 {
+		return nil, fmt.Errorf("soundcity: no observations for user %q", f.userID)
+	}
+	sort.Slice(f.days, func(i, j int) bool { return f.days[i].day < f.days[j].day })
+	report := &ExposureReport{UserID: f.userID}
+	for _, d := range f.days {
+		sum := 0.0
+		for _, e := range d.energies {
+			sum += e
 		}
+		laeq := laeqOf(sum, len(d.energies))
 		report.Daily = append(report.Daily, DayExposure{
-			Day:          d,
+			Day:          d.day,
 			LAeqDB:       laeq,
-			PeakDB:       peak,
+			PeakDB:       d.peak,
 			Band:         BandOf(laeq),
-			Measurements: len(levels),
+			Measurements: len(d.energies),
 		})
-		month := d[:7]
-		byMonth[month] = append(byMonth[month], levels...)
-		monthDays[month]++
 	}
-	months := make([]string, 0, len(byMonth))
-	for m := range byMonth {
-		months = append(months, m)
-	}
-	sort.Strings(months)
-	for _, m := range months {
-		laeq, err := LAeq(byMonth[m])
-		if err != nil {
-			return nil, err
+	// Days sorted by date are grouped by month, and the months come in
+	// order.
+	for first := 0; first < len(f.days); {
+		month := f.days[first].day[:7]
+		end, sum, n := first, 0.0, 0
+		for ; end < len(f.days) && f.days[end].day[:7] == month; end++ {
+			for _, e := range f.days[end].energies {
+				sum += e
+			}
+			n += len(f.days[end].energies)
 		}
+		laeq := laeqOf(sum, n)
 		report.Monthly = append(report.Monthly, MonthExposure{
-			Month:        m,
+			Month:        month,
 			LAeqDB:       laeq,
 			Band:         BandOf(laeq),
-			Days:         monthDays[m],
-			Measurements: len(byMonth[m]),
+			Days:         end - first,
+			Measurements: n,
 		})
+		first = end
 	}
 	return report, nil
 }

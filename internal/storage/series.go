@@ -76,7 +76,7 @@ func (l *Local) observeSeries(col string) {
 	l.store.SetIngestObserver(col, func(lsn uint64, docs docstore.Batch) {
 		pts := make([]series.Point, 0, docs.Len())
 		for i := 0; i < docs.Len(); i++ {
-			if p, ok := series.PointFromFields(docs.Field(i, "sensedAt"), docs.Field(i, "spl"), docs.Field(i, "zone")); ok {
+			if p, ok := rowPoint(docs.Row(i)); ok {
 				pts = append(pts, p)
 			}
 		}
@@ -84,19 +84,49 @@ func (l *Local) observeSeries(col string) {
 	})
 }
 
+// backfillPage is how many documents backfillSeries reads at a time.
+const backfillPage = 4096
+
 // backfillSeries scans the observed collection into the series at LSN
 // 0 — the bootstrap path when the series is enabled over a store that
-// already holds data (snapshot-loaded, or built without a series).
+// already holds data (snapshot-loaded, or built without a series). It
+// walks the collection in insertion order a page of rows at a time,
+// reads the three fields typed, and appends each page as one batch.
 func (l *Local) backfillSeries(col string) {
-	docs, err := l.store.Collection(col).Find(nil, docstore.FindOptions{})
-	if err != nil {
-		return
-	}
-	for _, d := range docs {
-		if p, ok := series.PointFromObservation(d); ok {
-			l.series.Append(0, p)
+	c := l.store.Collection(col)
+	var pts []series.Point
+	for after := ""; ; {
+		rows, err := c.FindRowsAfterContext(context.Background(), after, nil, backfillPage)
+		if err != nil || len(rows) == 0 {
+			return
 		}
+		pts = pts[:0]
+		for _, r := range rows {
+			if p, ok := rowPoint(r); ok {
+				pts = append(pts, p)
+			}
+		}
+		l.series.AppendBatch(0, pts)
+		after, _ = rows[len(rows)-1].Value(docstore.IDField).(string)
 	}
+}
+
+// pointFields are the fields a series point is read from.
+var pointFields = docstore.NewFields("sensedAt", "spl", "zone")
+
+// rowPoint is series.PointFromFields of the row's fields, read typed as
+// the store keeps them. Only a row whose sensedAt is not a time or
+// whose spl is not a float64, int or int64 has them boxed for the
+// general rules.
+func rowPoint(r docstore.Row) (series.Point, bool) {
+	f := pointFields.In(r)
+	ts, tsOK := f.Time(0)
+	v, vOK := f.Float(1)
+	if !tsOK || !vOK {
+		return series.PointFromFields(f.At(0), f.At(1), f.At(2))
+	}
+	zone, _ := f.String(2)
+	return series.Point{TS: ts.UnixMilli(), Value: v, Zone: zone}, true
 }
 
 // SeriesZoneAggregate implements SeriesQuerier.

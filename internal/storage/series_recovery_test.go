@@ -378,3 +378,111 @@ func TestSeriesRetentionThroughCheckpoint(t *testing.T) {
 		t.Fatalf("aligned rollup answer changed under retention: %+v vs %+v", agg1, agg2)
 	}
 }
+
+// TestSeriesBackfillOf20kDocuments: a series enabled over a store of
+// 20 000 observations — several of backfillSeries' pages — is
+// backfilled with every point the documents carry, typed or not: a
+// sensedAt held as an RFC 3339 string, an int spl and a missing zone
+// take the general rules, and a document without spl gives no point.
+func TestSeriesBackfillOf20kDocuments(t *testing.T) {
+	dir := t.TempDir()
+	docs := genObsDocs(20, 20_000, 20*time.Hour, []string{"z1", "z2", "z3"})
+	for i, d := range docs {
+		switch i % 97 {
+		case 1:
+			d["sensedAt"] = d["sensedAt"].(time.Time).Format(time.RFC3339Nano)
+		case 2:
+			d["spl"] = int(d["spl"].(float64))
+		case 3:
+			delete(d, "zone")
+		case 4:
+			delete(d, "spl")
+		}
+	}
+	l, err := OpenLocal(LocalOptions{WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(docs); off += 500 {
+		body := make([]Doc, 500)
+		for i := range body {
+			body[i] = cloneDoc(docs[off+i])
+		}
+		if _, err := l.InsertMany("observations", body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := OpenLocal(seriesLocalOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var want uint64
+	for _, d := range docs {
+		if _, ok := series.PointFromObservation(d); ok {
+			want++
+		}
+	}
+	if st, _ := l2.SeriesStats(); st.Points != want {
+		t.Fatalf("backfilled points: want %d, got %d", want, st.Points)
+	}
+	requireNoisemapMatches(t, l2, docs, "backfill of 20 000")
+}
+
+// cloneDoc copies a flat document.
+func cloneDoc(d Doc) Doc {
+	out := make(Doc, len(d))
+	for k, v := range d {
+		out[k] = v
+	}
+	return out
+}
+
+// TestSeriesObserverAllocs: the series observer reads each document's
+// three fields typed, so feeding it an InsertMany of 50 observations
+// costs the batch's allocations, not a box per field per document: the
+// same InsertMany into a store without the series allocates at most
+// 15 fewer times per batch (the slice of points and the series' own
+// amortized growth), as many as when every number and time was boxed
+// at rest.
+func TestSeriesObserverAllocs(t *testing.T) {
+	const runs = 20
+	bodies := func() [][]Doc {
+		out := make([][]Doc, runs+1)
+		for r := range out {
+			out[r] = make([]Doc, 50)
+			for i := range out[r] {
+				out[r][i] = recoverObservation(r*50 + i)
+			}
+		}
+		return out
+	}
+	allocs := func(opts LocalOptions) float64 {
+		l, err := OpenLocal(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		body, r := bodies(), 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := l.InsertMany("observations", body[r]); err != nil {
+				t.Fatal(err)
+			}
+			r++
+		})
+	}
+	// The first store to meet the documents' strings interns them; the
+	// two measured meet them interned.
+	allocs(LocalOptions{})
+	got, base := allocs(LocalOptions{Series: &SeriesOptions{}}), allocs(LocalOptions{})
+	t.Logf("an InsertMany of 50 allocates %.1f times with the series, %.1f without", got, base)
+	if got-base > 15 {
+		t.Errorf("the series observer costs %.1f allocations per batch of 50, want at most 15", got-base)
+	}
+}
