@@ -72,7 +72,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.metricsInterval, "metrics-interval", 30*time.Second, "period between metric snapshot log lines (0 disables)")
 	fs.IntVar(&o.live.Buffer, "live-buffer", 256, "per-socket live mailbox capacity: events past it are dropped, the client catches up with ?cursor=")
 	fs.DurationVar(&o.live.SendBudget, "live-send-budget", 5*time.Second, "how long a live socket's mailbox may stay continuously full before the consumer is disconnected")
-	fs.IntVar(&o.live.MaxSockets, "live-max-sockets", 1024, "concurrent live push subscriptions (WebSocket + SSE)")
+	fs.IntVar(&o.live.MaxSockets, "live-max-sockets", 1024, "concurrent live push subscriptions (SSE streams)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead log directory: mutations are durable before they are acknowledged (per -fsync-policy), and checkpoints publish <wal-dir>/snapshot.gob and truncate the log (memory-only store when empty)")
 	fs.StringVar(&o.fsyncPolicy, "fsync-policy", "grouped", "WAL fsync policy: grouped (group commit), always (per record) or none (no fsync)")
 	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", 0, "period between checkpoints (0 = checkpoint only on shutdown)")

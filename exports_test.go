@@ -13,15 +13,19 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// The API-surface guard: every exported function or method of a serving
-// package is reached from the program, not only from its tests. A
-// function that only a test calls is either wired into what the binaries
-// serve, unexported, or deleted (DESIGN.md, "API surface").
+// The API-surface guards: every exported function or method of a serving
+// package is reached from the program, not only from its tests, and
+// every exported option field is both set and read by it. A function
+// that only a test calls is either wired into what the binaries serve,
+// unexported, or deleted; an option only a test sets becomes a constant
+// (DESIGN.md, "API surface").
 
 const modulePath = "github.com/urbancivics/goflow"
 
@@ -47,19 +51,14 @@ var exportExceptions = map[string]string{
 	// check dedup hits and forced reconnects.
 	"mq.Broker.Stats": "chaos suite reads dedup hits",
 	"mq.Conn.Stats":   "chaos suite reads forced reconnects",
-	// Feedback triggering at proper times: the DESIGN.md §3 extension
-	// experiment, not yet behind a route.
-	"soundcity.NewFeedbackTrigger":       "extension experiment (DESIGN.md §3)",
-	"soundcity.FeedbackTrigger.Consider": "extension experiment (DESIGN.md §3)",
-	"soundcity.BuildSensitivityProfile":  "extension experiment (DESIGN.md §3)",
-	"soundcity.DefaultTriggerPolicy":     "extension experiment (DESIGN.md §3)",
 }
 
 func TestNoTestOnlyExports(t *testing.T) {
-	unused, err := testOnlyExports()
+	prog, err := loadProgram()
 	if err != nil {
 		t.Fatal(err)
 	}
+	unused := testOnlyExports(prog)
 	var found []string
 	seen := map[string]bool{}
 	for _, u := range unused {
@@ -77,6 +76,59 @@ func TestNoTestOnlyExports(t *testing.T) {
 			t.Errorf("exception %s names no unused export; remove it here and in DESIGN.md", name)
 		}
 	}
+}
+
+// optionExceptions are the exported option fields kept although no
+// non-test file sets them, keyed "pkg.Type.Field". DESIGN.md ("API
+// surface") names the same entries.
+var optionExceptions = map[string]string{
+	// Clock and seed seams: a test or a simulator injects a clock or a
+	// seed; the binary runs the wall clock and the default seed.
+	"series.Options.Now":       "clock seam",
+	"goflow.LiveConfig.Now":    "clock seam",
+	"cluster.NodeOptions.Seed": "seed seam",
+	// Fault-injection seams the chaos and crash suites plug into.
+	"mq.ReconnectConfig.Dialer": "fault-injection seam: the chaos suite dials through faulty conns",
+	"wal.Options.WrapSegment":   "fault-injection seam: torn-write segments",
+	// Seals one segment per flush for tests outside package storage.
+	"storage.LocalOptions.SegmentBytes": "cross-package test seam: one segment per flush",
+	// Broker flow control waits for acknowledged-is-durable confirms
+	// (ROADMAP item 1) before it is wired or deleted.
+	"mq.QueueOptions.HighWatermark": "flow control, decided after durable confirms",
+}
+
+// TestOptionFieldsSetAndRead is the guard on options: every exported
+// field of an exported *Config, *Options or *Policy struct in a serving
+// package is set by some non-test file and read by some non-test file.
+// A knob only tests turn becomes a constant, or goes with the feature
+// it gates (DESIGN.md, "API surface").
+func TestOptionFieldsSetAndRead(t *testing.T) {
+	prog, err := loadProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := optionFields(prog)
+	var found []string
+	seen := map[string]bool{}
+	for _, f := range fields {
+		if f.sets > 0 && f.reads > 0 {
+			continue
+		}
+		seen[f.name] = true
+		if _, ok := optionExceptions[f.name]; !ok {
+			found = append(found, fmt.Sprintf("%s (%s): %d non-test sets, %d non-test reads", f.name, f.pos, f.sets, f.reads))
+		}
+	}
+	if len(found) > 0 {
+		t.Errorf("%d option fields are never set or never read outside tests; make each a constant or delete it with what it gates:\n\t%s",
+			len(found), strings.Join(found, "\n\t"))
+	}
+	for name := range optionExceptions {
+		if !seen[name] {
+			t.Errorf("option exception %s names no unset or unread field; remove it here and in DESIGN.md", name)
+		}
+	}
+	t.Logf("%d exported option fields, %d listed exceptions", len(fields), len(optionExceptions))
 }
 
 type unusedExport struct {
@@ -116,13 +168,23 @@ func goList(dir string) ([]listedPackage, error) {
 	}
 }
 
-// testOnlyExports type-checks the non-test files of the module and of
-// the benchmark module (cmd/goflow-load, which calls the layers
-// directly) and returns the serving packages' exported functions and
-// methods that none of those files references. A method counts as
-// referenced when its type implements an interface, named or literal,
-// that carries the method: the call goes through the interface.
-func testOnlyExports() ([]unusedExport, error) {
+// program is the one type-check pass both guards read: the non-test
+// files of the module and of the benchmark module (cmd/goflow-load,
+// which calls the layers directly), checked from source in dependency
+// order.
+type program struct {
+	fset *token.FileSet
+	pkgs []checkedPackage
+}
+
+type checkedPackage struct {
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// loadProgram type-checks the program once per test binary.
+var loadProgram = sync.OnceValues(func() (*program, error) {
 	root, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -142,7 +204,7 @@ func testOnlyExports() ([]unusedExport, error) {
 		}
 	}
 
-	fset := token.NewFileSet()
+	prog := &program{fset: token.NewFileSet()}
 	exportData := map[string]string{}
 	for _, p := range pkgs {
 		if p.Standard {
@@ -150,7 +212,7 @@ func testOnlyExports() ([]unusedExport, error) {
 		}
 	}
 	imp := &moduleImporter{
-		std: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		std: importer.ForCompiler(prog.fset, "gc", func(path string) (io.ReadCloser, error) {
 			if f, ok := exportData[path]; ok && f != "" {
 				return os.Open(f)
 			}
@@ -158,27 +220,13 @@ func testOnlyExports() ([]unusedExport, error) {
 		}),
 		checked: map[string]*types.Package{},
 	}
-	serving := map[string]bool{}
-	for _, name := range servingPackages {
-		serving[modulePath+"/internal/"+name] = true
-	}
-
-	used := map[*types.Func]bool{}
-	bodies := map[*types.Func][2]token.Pos{} // a declaration's own span: recursion is not a caller
-	var ifaces []*types.Interface
-	var candidates []*types.Func
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-			ifaces = append(ifaces, it)
-		}
-	}
 	for _, p := range pkgs {
 		if p.Standard {
 			continue
 		}
 		var files []*ast.File
 		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(prog.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
 				return nil, err
 			}
@@ -190,23 +238,49 @@ func testOnlyExports() ([]unusedExport, error) {
 			Uses:  map[*ast.Ident]types.Object{},
 		}
 		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		pkg, err := conf.Check(p.ImportPath, prog.fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
 		}
 		imp.checked[p.ImportPath] = pkg
+		prog.pkgs = append(prog.pkgs, checkedPackage{files: files, pkg: pkg, info: info})
+	}
+	return prog, nil
+})
 
-		for _, tv := range info.Types {
+// serving reports whether pkg is one of servingPackages.
+func serving(pkg *types.Package) bool {
+	name, ok := strings.CutPrefix(pkg.Path(), modulePath+"/internal/")
+	return ok && slices.Contains(servingPackages, name)
+}
+
+// testOnlyExports returns the serving packages' exported functions and
+// methods that no non-test file of the program references. A method
+// counts as referenced when its type implements an interface, named or
+// literal, that carries the method: the call goes through the
+// interface.
+func testOnlyExports(prog *program) []unusedExport {
+	used := map[*types.Func]bool{}
+	bodies := map[*types.Func][2]token.Pos{} // a declaration's own span: recursion is not a caller
+	var ifaces []*types.Interface
+	var candidates []*types.Func
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, p := range prog.pkgs {
+		for _, tv := range p.info.Types {
 			if tv.IsType() {
 				addIface(tv.Type)
 			}
 		}
-		for _, obj := range info.Defs {
+		for _, obj := range p.info.Defs {
 			if tn, ok := obj.(*types.TypeName); ok {
 				addIface(tn.Type())
 			}
 		}
-		for _, dep := range pkg.Imports() {
+		for _, dep := range p.pkg.Imports() {
 			if strings.HasPrefix(dep.Path(), modulePath) {
 				continue
 			}
@@ -216,18 +290,18 @@ func testOnlyExports() ([]unusedExport, error) {
 				}
 			}
 		}
-		if serving[p.ImportPath] {
-			for _, f := range files {
+		if serving(p.pkg) {
+			for _, f := range p.files {
 				for _, d := range f.Decls {
 					if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && exportedReceiver(fd) {
-						fn := info.Defs[fd.Name].(*types.Func)
+						fn := p.info.Defs[fd.Name].(*types.Func)
 						bodies[fn] = [2]token.Pos{fd.Pos(), fd.End()}
 						candidates = append(candidates, fn)
 					}
 				}
 			}
 		}
-		for id, obj := range info.Uses {
+		for id, obj := range p.info.Uses {
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
@@ -275,10 +349,104 @@ func testOnlyExports() ([]unusedExport, error) {
 		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
 			name = fn.Pkg().Name() + "." + receiverName(recv.Type()) + "." + fn.Name()
 		}
-		unused = append(unused, unusedExport{name: name, pos: fset.Position(fn.Pos())})
+		unused = append(unused, unusedExport{name: name, pos: prog.fset.Position(fn.Pos())})
 	}
 	sort.Slice(unused, func(i, j int) bool { return unused[i].name < unused[j].name })
-	return unused, nil
+	return unused
+}
+
+type optionField struct {
+	name        string
+	pos         token.Position
+	sets, reads int
+}
+
+// optionFields counts the non-test sets and reads of every exported
+// field of the serving packages' exported *Config, *Options and *Policy
+// structs. A set is a key of a keyed literal, a position in an unkeyed
+// one, the target of an assignment or of ++/--, or the operand of &x.F
+// (how flags bind); every other use is a read.
+func optionFields(prog *program) []*optionField {
+	counts := map[*types.Var]*optionField{}
+	var fields []*optionField
+	for _, p := range prog.pkgs {
+		if !serving(p.pkg) {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					counts[f] = &optionField{name: p.pkg.Name() + "." + name + "." + f.Name(), pos: prog.fset.Position(f.Pos())}
+					fields = append(fields, counts[f])
+				}
+			}
+		}
+	}
+	for _, p := range prog.pkgs {
+		setAt := map[*ast.Ident]bool{}
+		setSel := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				setAt[sel.Sel] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setSel(lhs)
+					}
+				case *ast.IncDecStmt:
+					setSel(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setSel(n.X)
+					}
+				case *ast.CompositeLit:
+					t := p.info.Types[n].Type
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							setAt[kv.Key.(*ast.Ident)] = true
+						} else if c := counts[st.Field(i).Origin()]; c != nil {
+							c.sets++
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() {
+				continue
+			}
+			c := counts[v.Origin()]
+			switch {
+			case c == nil:
+			case setAt[id]:
+				c.sets++
+			default:
+				c.reads++
+			}
+		}
+	}
+	return fields
 }
 
 // implementsDeclared reports whether fn is a method whose receiver type

@@ -43,9 +43,6 @@ type Config struct {
 	// BufferSize is the emission threshold: 1 reproduces the
 	// unbuffered versions, 10 the buffered v1.3.
 	BufferSize int
-	// MaxQueue bounds the offline queue; 0 = unbounded. When full
-	// the oldest observations are dropped (counted in Stats).
-	MaxQueue int
 	// DeferToWiFi holds emissions back while only a cellular bearer
 	// is available — the cellular radio's wake cost dominates the
 	// energy bill (Figure 16's 3G penalty) — until either WiFi
@@ -65,9 +62,6 @@ func (c Config) Validate() error {
 	}
 	if c.BufferSize < 1 {
 		return errors.New("client: buffer size must be >= 1")
-	}
-	if c.MaxQueue < 0 {
-		return errors.New("client: max queue must be >= 0")
 	}
 	if c.MaxDefer < 0 {
 		return errors.New("client: max defer must be >= 0")
@@ -100,7 +94,6 @@ type Stats struct {
 	Sent          int `json:"sent"`
 	Batches       int `json:"batches"`
 	FailedFlushes int `json:"failedFlushes"`
-	Dropped       int `json:"dropped"`
 	// Deferred counts emissions held back waiting for WiFi.
 	Deferred int `json:"deferred"`
 	// CellularBatches counts batches that went out over cellular.
@@ -149,14 +142,6 @@ func (u *Uploader) Record(o *sensing.Observation) error {
 	u.stats.Recorded++
 	if u.hooks.Recorded != nil {
 		u.hooks.Recorded()
-	}
-	if u.cfg.MaxQueue > 0 && len(u.queue) > u.cfg.MaxQueue {
-		drop := len(u.queue) - u.cfg.MaxQueue
-		u.queue = append(u.queue[:0], u.queue[drop:]...)
-		u.stats.Dropped += drop
-		if u.hooks.Dropped != nil {
-			u.hooks.Dropped(drop)
-		}
 	}
 	return nil
 }

@@ -34,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no client id", func(c *Config) { c.ClientID = "" }, true},
 		{"no app id", func(c *Config) { c.AppID = "" }, true},
 		{"zero buffer", func(c *Config) { c.BufferSize = 0 }, true},
-		{"negative queue", func(c *Config) { c.MaxQueue = -1 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -216,39 +215,6 @@ func TestTransportFailureKeepsQueue(t *testing.T) {
 	sent, err := u.Flush(now, true)
 	if err != nil || sent != 1 {
 		t.Fatalf("recovery flush: sent=%d err=%v", sent, err)
-	}
-}
-
-func TestMaxQueueDropsOldest(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.MaxQueue = 3
-	u, err := NewUploader(cfg, &RecordingTransport{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := time.Date(2016, 1, 1, 12, 0, 0, 0, time.UTC)
-	for i := 0; i < 5; i++ {
-		if err := u.Record(testObs(base.Add(time.Duration(i) * time.Minute))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(u.queue) != 3 {
-		t.Fatalf("pending = %d, want 3", len(u.queue))
-	}
-	if u.Stats().Dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", u.Stats().Dropped)
-	}
-	sent, err := u.Flush(base, true)
-	if err != nil || sent != 3 {
-		t.Fatal(err)
-	}
-	// The survivors are the newest.
-	tr, ok := u.transport.(*RecordingTransport)
-	if !ok {
-		t.Fatal("unexpected transport type")
-	}
-	if !tr.Records[0].SensedAt.Equal(base.Add(2 * time.Minute)) {
-		t.Fatalf("oldest survivor sensed at %v, want +2m", tr.Records[0].SensedAt)
 	}
 }
 

@@ -8,9 +8,6 @@ package client
 type Hooks struct {
 	// Recorded fires for each observation accepted by Record.
 	Recorded func()
-	// Dropped fires when the offline queue overflows MaxQueue, with
-	// the number of oldest observations discarded.
-	Dropped func(n int)
 	// Attempt fires when the policy calls for an emission attempt
 	// (after ShouldEmit, before connectivity/bearer checks).
 	Attempt func()

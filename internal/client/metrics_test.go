@@ -23,18 +23,17 @@ func (f *flakyTransport) Send(batch []*sensing.Observation, at time.Time) error 
 }
 
 func TestUploaderHooks(t *testing.T) {
-	var recorded, attempts, sentBatches, sentObs, failed, deferred, retried, dropped int
+	var recorded, attempts, sentBatches, sentObs, failed, deferred, retried int
 	tr := &flakyTransport{fail: 1}
 	u, err := NewUploader(Config{
 		ClientID: "c1", AppID: "SC", Version: "1.3",
-		BufferSize: 2, MaxQueue: 3, DeferToWiFi: true, MaxDefer: time.Hour,
+		BufferSize: 2, DeferToWiFi: true, MaxDefer: time.Hour,
 	}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u.SetHooks(Hooks{
 		Recorded: func() { recorded++ },
-		Dropped:  func(n int) { dropped += n },
 		Attempt:  func() { attempts++ },
 		Sent:     func(batch int) { sentBatches++; sentObs += batch },
 		Failed:   func() { failed++ },
@@ -61,15 +60,8 @@ func TestUploaderHooks(t *testing.T) {
 	if n, err := u.FlushOn(now.Add(20*time.Minute), true, BearerWiFi); err != nil || n != 2 {
 		t.Fatalf("flush = %d, %v", n, err)
 	}
-	// Overflow the MaxQueue=3 offline queue by one.
-	for i := 0; i < 4; i++ {
-		if err := u.Record(testObs(now.Add(time.Duration(30+i) * time.Minute))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if recorded != 6 {
-		t.Errorf("recorded = %d, want 6", recorded)
+	if recorded != 2 {
+		t.Errorf("recorded = %d, want 2", recorded)
 	}
 	if attempts != 3 {
 		t.Errorf("attempts = %d, want 3", attempts)
@@ -84,13 +76,10 @@ func TestUploaderHooks(t *testing.T) {
 	if sentBatches != 1 || sentObs != 2 {
 		t.Errorf("sent = %d batches / %d obs, want 1/2", sentBatches, sentObs)
 	}
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
 
 	// Hook counts agree with the uploader's own stats.
 	st := u.Stats()
-	if st.Recorded != recorded || st.Sent != sentObs || st.Dropped != dropped ||
+	if st.Recorded != recorded || st.Sent != sentObs ||
 		st.Deferred != deferred || st.FailedFlushes != failed {
 		t.Errorf("stats %+v disagree with hooks", st)
 	}

@@ -114,16 +114,18 @@ type NodeOptions struct {
 	// wins an election and its leader engine is serving — the server
 	// wiring starts ingest here.
 	OnLead func(term uint64)
-	// AckTimeout bounds how long a write waits for its follower quorum
-	// while this node leads (default 5s). The quorum is majority-1 of
-	// the group — the minimum that makes the zero-acked-loss invariant
-	// hold across elections (rule 2 above).
-	AckTimeout time.Duration
 	// Logf receives the node's election and replication lines; nil
 	// discards them.
 	Logf func(format string, args ...any)
 	// Metrics receives cluster counters when non-nil.
 	Metrics *Metrics
+
+	// ackTimeout bounds how long a write waits for its follower quorum
+	// while this node leads (0 = ackTimeout, 5s; the chaos tests
+	// shorten it). The quorum is majority-1 of the group — the minimum
+	// that makes the zero-acked-loss invariant hold across elections
+	// (rule 2 above).
+	ackTimeout time.Duration
 }
 
 // Node is one member of a self-healing replication group.
@@ -714,7 +716,7 @@ func (n *Node) lead(term uint64) {
 	}
 	ldr, err := newLeader(n.local, leaderOptions{
 		SyncFollowers: majority(len(n.opt.Peers)+1) - 1,
-		AckTimeout:    n.opt.AckTimeout,
+		AckTimeout:    n.opt.ackTimeout,
 		Heartbeat:     n.opt.LeaseTTL / 4,
 		Term:          term,
 		OnDepose:      n.onDeposed,

@@ -143,7 +143,7 @@ func startGroup(t *testing.T, dir string, seed int64, ttl time.Duration) *testGr
 			Listener:      &chaosListener{Listener: listeners[name], cn: g.cn, name: name},
 			AdvertiseAddr: g.addrs[name],
 			LeaseTTL:      ttl,
-			AckTimeout:    ttl,
+			ackTimeout:    ttl,
 			Seed:          seed*31 + int64(i),
 			Dial:          g.cn.dialer(name),
 			Logf:          t.Logf,

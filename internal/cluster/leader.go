@@ -26,6 +26,9 @@ const (
 	maxBatchBytes   = 1 << 20
 )
 
+// ackTimeout bounds how long a write waits for its follower quorum.
+const ackTimeout = 5 * time.Second
+
 // leaderOptions configure newLeader.
 type leaderOptions struct {
 	// SyncFollowers is how many followers must acknowledge a record
@@ -33,7 +36,7 @@ type leaderOptions struct {
 	// group: 0 for a one-member group, whose writes are acknowledged on
 	// local fsync alone.
 	SyncFollowers int
-	// AckTimeout bounds the quorum wait (default 5s).
+	// AckTimeout bounds the quorum wait (0 = ackTimeout).
 	AckTimeout time.Duration
 	// Heartbeat caps a long-polled fetch: a caught-up follower gets an
 	// empty batch after at most this long, carrying the leader's
@@ -95,7 +98,7 @@ func newLeader(local *storage.Local, opt leaderOptions) (*leader, error) {
 		return nil, errors.New("cluster: leader requires a WAL-backed engine")
 	}
 	if opt.AckTimeout <= 0 {
-		opt.AckTimeout = 5 * time.Second
+		opt.AckTimeout = ackTimeout
 	}
 	if opt.SnapChunkBytes <= 0 {
 		opt.SnapChunkBytes = 256 << 10

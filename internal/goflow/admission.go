@@ -1,6 +1,7 @@
 package goflow
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"net"
@@ -59,126 +60,81 @@ type AdmissionHooks struct {
 	BreakerChange func(from, to guard.BreakerState)
 }
 
-// AdmissionConfig parameterizes NewAdmission. The zero value enables
-// every guard with defaults sized for a single-node deployment.
+// AdmissionConfig parameterizes NewAdmission. The zero value is what
+// the server runs: every guard on, at the constants below. Its fields
+// are unexported; the tests of this package set them to drive one guard
+// at a time.
 type AdmissionConfig struct {
-	// RatePerDevice is the sustained ingest requests/second allowed
-	// per device key (X-Device-ID header, else client IP). 0 uses
-	// DefaultRatePerDevice; negative disables rate limiting.
-	RatePerDevice float64
-	// RateBurst is the token-bucket burst (0 = 4x the rate).
-	RateBurst float64
-	// Concurrency bounds in-flight requests per class; 0 entries use
-	// DefaultConcurrency.
-	Concurrency map[guard.Class]int
-	// MaxWaiting bounds the semaphore wait queue per class
-	// (0 = same as the concurrency limit).
-	MaxWaiting int
-	// ShedTarget is the p99 latency above which shedding starts
-	// (0 = DefaultShedTarget; negative disables the shedder).
-	ShedTarget time.Duration
-	// BreakerFailures trips the query breaker after that many
-	// consecutive backend failures (0 = 5; negative disables).
-	BreakerFailures int
-	// BreakerOpenFor is the breaker cooldown (0 = 5s).
-	BreakerOpenFor time.Duration
-	// Timeout bounds each admitted request's context; the deadline
-	// propagates through the data manager into docstore scans
-	// (0 = DefaultRequestTimeout; negative disables).
-	Timeout time.Duration
-	// RetryAfter is the hint attached to shed responses (0 = 1s).
-	RetryAfter time.Duration
-	// Seed feeds the breaker's deterministic probe jitter.
-	Seed int64
-	// Now overrides the clock for tests.
-	Now func() time.Time
+	ratePerDevice   float64 // negative disables rate limiting
+	rateBurst       float64 // 0 = 4x the rate
+	concurrency     map[guard.Class]int
+	shedTarget      time.Duration
+	breakerFailures int
+	breakerOpenFor  time.Duration
+	timeout         time.Duration
+	seed            int64
+	now             func() time.Time
 }
 
-// Defaults for AdmissionConfig zero values.
+// The guards' constants: what the server runs, and what each zero
+// AdmissionConfig field stands for.
 const (
-	DefaultRatePerDevice  = 50.0
-	DefaultConcurrency    = 64
-	DefaultShedTarget     = 250 * time.Millisecond
-	DefaultRequestTimeout = 10 * time.Second
+	// defaultRatePerDevice is the sustained ingest requests/second
+	// allowed per device key (X-Device-ID header, else client IP); the
+	// token bucket holds four seconds of it.
+	defaultRatePerDevice = 50.0
+	// defaultConcurrency bounds in-flight requests per class; as many
+	// more may wait for a slot.
+	defaultConcurrency = 64
+	// defaultShedTarget is the p99 latency above which shedding starts.
+	defaultShedTarget = 250 * time.Millisecond
+	// defaultBreakerFailures consecutive query-path failures open the
+	// breaker for defaultBreakerOpenFor.
+	defaultBreakerFailures = 5
+	defaultBreakerOpenFor  = 5 * time.Second
+	// defaultRequestTimeout bounds each admitted request's context; the
+	// deadline propagates through the data manager into docstore scans.
+	defaultRequestTimeout = 10 * time.Second
+	// retryAfter is the hint attached to shed responses.
+	retryAfter = time.Second
 )
 
 // NewAdmission builds the guard chain.
 func NewAdmission(cfg AdmissionConfig) *Admission {
-	rate := cfg.RatePerDevice
-	if rate == 0 {
-		rate = DefaultRatePerDevice
-	}
+	rate := cmp.Or(cfg.ratePerDevice, defaultRatePerDevice)
 	if rate < 0 {
 		rate = 0 // guard.RateLimiter treats 0 as unlimited
 	}
-	burst := cfg.RateBurst
-	if burst == 0 {
-		burst = 4 * rate
-	}
-	target := cfg.ShedTarget
-	if target == 0 {
-		target = DefaultShedTarget
-	}
-	if target < 0 {
-		target = 0 // guard.Shedder treats 0 as disabled
-	}
-	retryAfter := cfg.RetryAfter
-	if retryAfter == 0 {
-		retryAfter = time.Second
-	}
-	failures := cfg.BreakerFailures
-	if failures == 0 {
-		failures = 5
-	}
-	openFor := cfg.BreakerOpenFor
-	if openFor == 0 {
-		openFor = 5 * time.Second
-	}
-	timeout := cfg.Timeout
-	if timeout == 0 {
-		timeout = DefaultRequestTimeout
-	}
-	if timeout < 0 {
-		timeout = 0
-	}
+	openFor := cmp.Or(cfg.breakerOpenFor, defaultBreakerOpenFor)
 	a := &Admission{
 		limiter: guard.NewRateLimiter(guard.RateLimiterConfig{
 			Rate:  rate,
-			Burst: burst,
-			Now:   cfg.Now,
+			Burst: cmp.Or(cfg.rateBurst, 4*rate),
+			Now:   cfg.now,
 		}),
 		shedder: guard.NewShedder(guard.ShedderConfig{
-			Target:     target,
+			Target:     cmp.Or(cfg.shedTarget, defaultShedTarget),
 			RetryAfter: retryAfter,
-			Now:        cfg.Now,
+			Now:        cfg.now,
 		}),
 		sems:    make(map[guard.Class]*guard.Semaphore, 3),
-		timeout: timeout,
+		timeout: cmp.Or(cfg.timeout, defaultRequestTimeout),
 	}
-	if cfg.BreakerFailures >= 0 {
-		a.breaker = guard.NewBreaker(guard.BreakerConfig{
-			FailureThreshold: failures,
-			OpenFor:          openFor,
-			Jitter:           openFor / 5,
-			Seed:             cfg.Seed,
-			Now:              cfg.Now,
-			OnStateChange: func(from, to guard.BreakerState) {
-				if a.hooks.BreakerChange != nil {
-					a.hooks.BreakerChange(from, to)
-				}
-			},
-		})
-	}
+	a.breaker = guard.NewBreaker(guard.BreakerConfig{
+		FailureThreshold: cmp.Or(cfg.breakerFailures, defaultBreakerFailures),
+		OpenFor:          openFor,
+		Jitter:           openFor / 5,
+		Seed:             cfg.seed,
+		Now:              cfg.now,
+		OnStateChange: func(from, to guard.BreakerState) {
+			if a.hooks.BreakerChange != nil {
+				a.hooks.BreakerChange(from, to)
+			}
+		},
+	})
 	for _, c := range guard.Classes() {
-		limit := cfg.Concurrency[c]
-		if limit <= 0 {
-			limit = DefaultConcurrency
-		}
-		maxWait := cfg.MaxWaiting
-		if maxWait <= 0 {
-			maxWait = limit
-		}
-		a.sems[c] = guard.NewSemaphore(limit, maxWait)
+		limit := cmp.Or(cfg.concurrency[c], defaultConcurrency)
+		a.sems[c] = guard.NewSemaphore(limit, limit)
 	}
 	return a
 }
@@ -191,7 +147,7 @@ func (a *Admission) SetHooks(h AdmissionHooks) { a.hooks = h }
 // during graceful shutdown.
 func (a *Admission) SetDraining(v bool) { a.draining.Store(v) }
 
-// Breaker exposes the query-path breaker (nil when disabled).
+// Breaker exposes the query-path breaker.
 func (a *Admission) Breaker() *guard.Breaker { return a.breaker }
 
 // Shedder exposes the latency-driven shedder.
@@ -253,12 +209,8 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 }
 
 // Guard wraps an API handler with the admission chain for one
-// priority class. A nil Admission passes requests straight through,
-// so handlers never need to nil-check.
+// priority class.
 func (a *Admission) Guard(class guard.Class, next http.HandlerFunc) http.HandlerFunc {
-	if a == nil {
-		return next
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if a.draining.Load() {
 			a.reject(class, "draining")
@@ -280,7 +232,7 @@ func (a *Admission) Guard(class guard.Class, next http.HandlerFunc) http.Handler
 			rejectHTTP(w, err, time.Second)
 			return
 		}
-		useBreaker := a.breaker != nil && class == guard.ClassQuery
+		useBreaker := class == guard.ClassQuery
 		if useBreaker {
 			if err := a.breaker.Allow(); err != nil {
 				a.reject(class, "breaker_open")
@@ -296,11 +248,9 @@ func (a *Admission) Guard(class guard.Class, next http.HandlerFunc) http.Handler
 		}
 		defer sem.Release()
 
-		if a.timeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), a.timeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
+		ctx, cancel := context.WithTimeout(r.Context(), a.timeout)
+		defer cancel()
+		r = r.WithContext(ctx)
 		if a.hooks.Admitted != nil {
 			a.hooks.Admitted(class)
 		}
@@ -327,9 +277,6 @@ func (a *Admission) Guard(class guard.Class, next http.HandlerFunc) http.Handler
 // Stream concurrency is bounded by the hub's MaxSockets and slow
 // consumers by per-socket send budgets instead.
 func (a *Admission) AdmitLive() error {
-	if a == nil {
-		return nil
-	}
 	if a.draining.Load() {
 		a.reject(guard.ClassLive, "draining")
 		return guard.Reject(guard.ErrDraining, time.Second)

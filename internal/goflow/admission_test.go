@@ -49,7 +49,7 @@ func newGuardedServer(t *testing.T, admission AdmissionConfig) (*Server, *httpte
 	server, err := NewServer(ServerConfig{
 		Broker:    broker,
 		Data:      storage.NewLocal(docstore.NewStore()),
-		Admission: admission,
+		admission: admission,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +212,9 @@ func TestIngestPayloadCap413(t *testing.T) {
 func TestAdmissionRateLimit429(t *testing.T) {
 	clk := newAdmClock()
 	server, ts := newGuardedServer(t, AdmissionConfig{
-		RatePerDevice: 1,
-		RateBurst:     2,
-		Now:           clk.Now,
+		ratePerDevice: 1,
+		rateBurst:     2,
+		now:           clk.Now,
 	})
 	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
 		t.Fatal(err)
@@ -257,8 +257,8 @@ func TestAdmissionRateLimit429(t *testing.T) {
 func TestAdmissionShedsAnalyticsFirst(t *testing.T) {
 	clk := newAdmClock()
 	server, ts := newGuardedServer(t, AdmissionConfig{
-		ShedTarget: 100 * time.Millisecond,
-		Now:        clk.Now,
+		shedTarget: 100 * time.Millisecond,
+		now:        clk.Now,
 	})
 	if _, err := server.RegisterApp("SC", "SoundCity", DataPolicy{}); err != nil {
 		t.Fatal(err)
@@ -323,10 +323,10 @@ func TestAdmissionBreakerTripsAndRecovers(t *testing.T) {
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
 		Data:   storage.NewLocal(docstore.NewStore()),
-		Admission: AdmissionConfig{
-			BreakerFailures: 3,
-			BreakerOpenFor:  time.Second,
-			Now:             clk.Now,
+		admission: AdmissionConfig{
+			breakerFailures: 3,
+			breakerOpenFor:  time.Second,
+			now:             clk.Now,
 		},
 	})
 	if err != nil {
@@ -397,8 +397,8 @@ func TestDeadlinePropagationEndToEnd(t *testing.T) {
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
 		Data:   storage.NewLocal(store),
-		Admission: AdmissionConfig{
-			Timeout: 50 * time.Millisecond,
+		admission: AdmissionConfig{
+			timeout: 50 * time.Millisecond,
 		},
 	})
 	if err != nil {

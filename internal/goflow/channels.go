@@ -86,7 +86,7 @@ func (c *Channels) ProvisionClient(appID, clientID string) (exchangeName, queueN
 	if err = c.broker.DeclareExchange(exchangeName, mq.Topic); err != nil {
 		return "", "", fmt.Errorf("client exchange: %w", err)
 	}
-	if err = c.broker.DeclareQueue(queueName, mq.QueueOptions{MaxLen: 10000, Exclusive: true}); err != nil {
+	if err = c.broker.DeclareQueue(queueName, mq.QueueOptions{MaxLen: 10000}); err != nil {
 		return "", "", fmt.Errorf("client queue: %w", err)
 	}
 	// The client-id filter: only keys carrying this client's id pass

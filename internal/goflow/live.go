@@ -17,7 +17,7 @@ import (
 )
 
 // Live subscription layer: instead of polling GET /v1/observations,
-// a dashboard opens a WebSocket or SSE stream on /v1/live and the
+// a dashboard opens an SSE stream on /v1/live/sse and the
 // broker's compiled trie fans matching messages straight onto the
 // socket. Delivery over the stream is at-most-once — a full mailbox
 // drops, a hopeless consumer is shed — and the cursor API is the
@@ -184,7 +184,7 @@ func livePatterns(patterns []string, app, datatype, zone string) ([]string, erro
 	return []string{part(app) + ".*." + part(datatype) + "." + zone}, nil
 }
 
-// LiveEvent is the JSON shape pushed over WebSocket and SSE frames.
+// LiveEvent is the JSON shape pushed in each SSE data line.
 type LiveEvent struct {
 	App         string          `json:"app"`
 	Client      string          `json:"client,omitempty"`
@@ -198,7 +198,7 @@ type LiveEvent struct {
 // liveEventFromMessage decodes a broker message into the push shape.
 // The routing key carries "<app>.<client>.<datatype>.<zone>"; bodies
 // that are not valid JSON are re-encoded as a JSON string so the
-// frame stays parseable.
+// event stays parseable.
 func liveEventFromMessage(m *mq.Message) LiveEvent {
 	ev := LiveEvent{RoutingKey: m.RoutingKey, PublishedAt: m.PublishedAt}
 	parts := strings.SplitN(m.RoutingKey, ".", 4)

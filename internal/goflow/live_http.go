@@ -12,14 +12,13 @@ import (
 
 // HTTP surface of the live layer:
 //
-//	GET /v1/live/ws      WebSocket push stream
 //	GET /v1/live/sse     Server-Sent Events push stream
 //	GET /v1/live/latest  latest-per-zone cache snapshot
 //
-// Both streams accept the same selection parameters: either repeated
-// pattern=<topic pattern> (raw broker syntax, * = one word, # = any
-// tail), or the structured app=, datatype=, zone= trio compiled onto
-// the canonical "<app>.<client>.<datatype>.<zone>" key shape.
+// The stream accepts either repeated pattern=<topic pattern> (raw
+// broker syntax, * = one word, # = any tail), or the structured app=,
+// datatype=, zone= trio compiled onto the canonical
+// "<app>.<client>.<datatype>.<zone>" key shape.
 //
 // Stream handlers do NOT go through Admission.Guard: a stream holds
 // its connection for minutes, and parking it in the per-request
@@ -36,101 +35,26 @@ func livePatternsFromRequest(r *http.Request) ([]string, error) {
 
 // liveSubscribe runs admission and attaches a hub subscription,
 // writing the HTTP error itself when it fails.
-func (h *apiHandler) liveSubscribe(w http.ResponseWriter, r *http.Request) (sub liveSubHandle, ok bool) {
-	hub := h.server.Live
-	if hub == nil {
-		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "live subscriptions disabled"})
-		return liveSubHandle{}, false
-	}
+func (h *apiHandler) liveSubscribe(w http.ResponseWriter, r *http.Request) (sub *mq.LiveSub, ok bool) {
 	if err := h.server.Guard.AdmitLive(); err != nil {
 		rejectHTTP(w, err, time.Second)
-		return liveSubHandle{}, false
+		return nil, false
 	}
 	patterns, err := livePatternsFromRequest(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return liveSubHandle{}, false
+		return nil, false
 	}
-	s, err := hub.Subscribe(patterns)
+	sub, err = h.server.Live.Subscribe(patterns)
 	if err != nil {
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, ErrLiveLimit) {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeJSON(w, status, map[string]string{"error": err.Error()})
-		return liveSubHandle{}, false
+		return nil, false
 	}
-	return liveSubHandle{hub: hub, sub: s}, true
-}
-
-// liveSubHandle pairs a subscription with its owning hub for release.
-type liveSubHandle struct {
-	hub *LiveHub
-	sub *mq.LiveSub
-}
-
-// liveWS upgrades to WebSocket and streams matching events as text
-// frames. A reader goroutine answers pings and notices client closes;
-// every exit path closes the connection, which in turn ends the
-// reader — no goroutine outlives the socket.
-func (h *apiHandler) liveWS(w http.ResponseWriter, r *http.Request) {
-	handle, ok := h.liveSubscribe(w, r)
-	if !ok {
-		return
-	}
-	sub := handle.sub
-	ws, err := wsUpgrade(w, r, liveWriteTimeout(handle.hub))
-	if err != nil {
-		handle.hub.Release(sub)
-		return
-	}
-	defer handle.hub.Release(sub)
-	defer ws.Close()
-
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			op, payload, err := ws.ReadFrame()
-			if err != nil {
-				return
-			}
-			switch op {
-			case wsOpClose:
-				return
-			case wsOpPing:
-				if ws.WritePong(payload) != nil {
-					return
-				}
-			}
-		}
-	}()
-
-	ctx := r.Context()
-	for {
-		select {
-		case m := <-sub.C():
-			data, merr := json.Marshal(liveEventFromMessage(&m))
-			if merr != nil {
-				continue
-			}
-			if ws.WriteText(data) != nil {
-				return
-			}
-		case <-sub.Done():
-			code, reason := uint16(wsCloseGoingAway), "server draining"
-			if sub.Shed() {
-				code, reason = wsCloseTryLater, "send budget exhausted; reconnect and catch up with cursor"
-			}
-			_ = ws.WriteClose(code, reason)
-			return
-		case <-readerDone:
-			return
-		case <-ctx.Done():
-			_ = ws.WriteClose(wsCloseGoingAway, "")
-			return
-		}
-	}
+	return sub, true
 }
 
 // liveSSE streams matching events as Server-Sent Events — the
@@ -141,12 +65,12 @@ func (h *apiHandler) liveSSE(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "streaming unsupported on this connection"})
 		return
 	}
-	handle, ok := h.liveSubscribe(w, r)
+	hub := h.server.Live
+	sub, ok := h.liveSubscribe(w, r)
 	if !ok {
 		return
 	}
-	sub := handle.sub
-	defer handle.hub.Release(sub)
+	defer hub.Release(sub)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -154,7 +78,7 @@ func (h *apiHandler) liveSSE(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	rc := http.NewResponseController(w)
-	timeout := liveWriteTimeout(handle.hub)
+	timeout := liveWriteTimeout(hub)
 	ctx := r.Context()
 	for {
 		select {
@@ -183,9 +107,9 @@ func (h *apiHandler) liveSSE(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// liveWriteTimeout bounds each frame/event write: the send budget's
-// grace when one is configured, a conservative default otherwise. A
-// peer that cannot absorb a frame within the time we would tolerate a
+// liveWriteTimeout bounds each event write: the send budget's grace
+// when one is configured, a conservative default otherwise. A peer
+// that cannot absorb an event within the time we would tolerate a
 // full mailbox has no claim on the writer.
 func liveWriteTimeout(hub *LiveHub) time.Duration {
 	if t := hub.Config().SendBudget; t > 0 {
@@ -198,10 +122,6 @@ func liveWriteTimeout(hub *LiveHub) time.Duration {
 // zone with ?zone=.
 func (h *apiHandler) liveLatest(w http.ResponseWriter, r *http.Request) {
 	cache := h.server.LiveCache
-	if cache == nil {
-		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "latest cache disabled"})
-		return
-	}
 	if zone := r.URL.Query().Get("zone"); zone != "" {
 		e, ok := cache.Zone(zone)
 		if !ok {

@@ -2,15 +2,11 @@ package goflow
 
 import (
 	"bufio"
-	"crypto/rand"
-	"encoding/base64"
-	"encoding/binary"
+	"context"
 	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/textproto"
 	"net/url"
 	"runtime"
 	"strings"
@@ -50,8 +46,8 @@ func goflowStableGoroutines(t *testing.T) int {
 // newLiveAPI builds a server with the live layer configured, the
 // SoundCity-style app registered, one logged-in client, ingest
 // running, and the REST API served over a real HTTP listener (live
-// streams need genuine flushing and hijacking, which
-// httptest.ResponseRecorder cannot do).
+// streams need genuine flushing, which httptest.ResponseRecorder
+// cannot do).
 func newLiveAPI(t *testing.T, cfg LiveConfig) (*Server, *mq.Broker, *httptest.Server, *Client) {
 	t.Helper()
 	broker := mq.NewBroker()
@@ -177,122 +173,6 @@ func eventSPL(t *testing.T, ev LiveEvent) float64 {
 		t.Fatalf("live event body: %v", err)
 	}
 	return o.SPL
-}
-
-// wsTestClient is a minimal masked-frame WebSocket client for
-// exercising the real RFC 6455 handshake and framing.
-type wsTestClient struct {
-	conn net.Conn
-	br   *bufio.Reader
-}
-
-func dialWS(t *testing.T, ts *httptest.Server, path string) *wsTestClient {
-	t.Helper()
-	u, err := url.Parse(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", u.Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	var nonce [16]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		t.Fatal(err)
-	}
-	key := base64.StdEncoding.EncodeToString(nonce[:])
-	req := "GET " + path + " HTTP/1.1\r\n" +
-		"Host: " + u.Host + "\r\n" +
-		"Upgrade: websocket\r\n" +
-		"Connection: keep-alive, Upgrade\r\n" +
-		"Sec-WebSocket-Key: " + key + "\r\n" +
-		"Sec-WebSocket-Version: 13\r\n\r\n"
-	if _, err := conn.Write([]byte(req)); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	status, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("handshake response: %v", err)
-	}
-	if !strings.Contains(status, "101") {
-		t.Fatalf("handshake status = %q, want 101", strings.TrimSpace(status))
-	}
-	hdr, err := textproto.NewReader(br).ReadMIMEHeader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := hdr.Get("Sec-Websocket-Accept"), wsAcceptKey(key); got != want {
-		t.Fatalf("Sec-WebSocket-Accept = %q, want %q", got, want)
-	}
-	return &wsTestClient{conn: conn, br: br}
-}
-
-// writeFrame sends one masked client frame (RFC 6455 requires clients
-// to mask).
-func (c *wsTestClient) writeFrame(t *testing.T, opcode byte, payload []byte) {
-	t.Helper()
-	if len(payload) >= 126 {
-		t.Fatalf("test client frames stay under 126 bytes, got %d", len(payload))
-	}
-	mask := [4]byte{0x2a, 0x17, 0x99, 0x5c}
-	frame := []byte{0x80 | opcode, 0x80 | byte(len(payload))}
-	frame = append(frame, mask[:]...)
-	for i, b := range payload {
-		frame = append(frame, b^mask[i%4])
-	}
-	if _, err := c.conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// readFrame reads one unmasked server frame.
-func (c *wsTestClient) readFrame(t *testing.T, timeout time.Duration) (opcode byte, payload []byte, err error) {
-	t.Helper()
-	_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
-	var hdr [2]byte
-	if _, err = io.ReadFull(c.br, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	if hdr[1]&0x80 != 0 {
-		t.Fatal("server frame must not be masked")
-	}
-	length := uint64(hdr[1] & 0x7F)
-	switch length {
-	case 126:
-		var ext [2]byte
-		if _, err = io.ReadFull(c.br, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		length = uint64(binary.BigEndian.Uint16(ext[:]))
-	case 127:
-		var ext [8]byte
-		if _, err = io.ReadFull(c.br, ext[:]); err != nil {
-			return 0, nil, err
-		}
-		length = binary.BigEndian.Uint64(ext[:])
-	}
-	payload = make([]byte, length)
-	if _, err = io.ReadFull(c.br, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0] & 0x0F, payload, nil
-}
-
-// mustReadText reads frames until a text frame arrives.
-func (c *wsTestClient) mustReadText(t *testing.T) []byte {
-	t.Helper()
-	for {
-		op, payload, err := c.readFrame(t, 5*time.Second)
-		if err != nil {
-			t.Fatalf("read ws frame: %v", err)
-		}
-		if op == wsOpText {
-			return payload
-		}
-	}
 }
 
 // docSPLs extracts the spl column from a cursor/observations response.
@@ -423,71 +303,10 @@ func TestLiveSSEFiltersByZone(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// WebSocket: handshake, push, ping/pong, close paths
+// SSE: shed and early-exit paths
 // ---------------------------------------------------------------------------
 
-func TestLiveWebSocketPushPingAndClientClose(t *testing.T) {
-	before := goflowStableGoroutines(t)
-	server, broker, ts, cl := newLiveAPI(t, LiveConfig{})
-
-	ws := dialWS(t, ts, "/v1/live/ws?app=SC")
-	publishLiveObs(t, broker, cl, "FR75013", 55)
-	var ev LiveEvent
-	if err := json.Unmarshal(ws.mustReadText(t), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.App != "SC" || ev.Zone != "FR75013" {
-		t.Fatalf("ws event = %+v", ev)
-	}
-	if got := eventSPL(t, ev); got != 55 {
-		t.Fatalf("ws event spl = %v", got)
-	}
-
-	// Control traffic: ping answered with an echoing pong.
-	ws.writeFrame(t, wsOpPing, []byte("hi"))
-	op, payload, err := ws.readFrame(t, 5*time.Second)
-	if err != nil || op != wsOpPong || string(payload) != "hi" {
-		t.Fatalf("pong = op %#x payload %q err %v", op, payload, err)
-	}
-
-	// Client-initiated close tears the socket down server-side.
-	ws.writeFrame(t, wsOpClose, nil)
-	ws.conn.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for server.Live.Sockets() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("socket not released after client close: %d live", server.Live.Sockets())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	ts.Close()
-	server.Shutdown()
-	if after := goflowStableGoroutines(t); after > before+3 {
-		t.Fatalf("goroutines leaked on the client-close path: %d -> %d", before, after)
-	}
-}
-
-func TestLiveWebSocketDrainSendsGoingAway(t *testing.T) {
-	server, _, ts, _ := newLiveAPI(t, LiveConfig{})
-	ws := dialWS(t, ts, "/v1/live/ws?app=SC")
-	server.Live.Close()
-	op, payload, err := ws.readFrame(t, 5*time.Second)
-	if err != nil {
-		t.Fatalf("expected a close frame, got %v", err)
-	}
-	if op != wsOpClose || len(payload) < 2 {
-		t.Fatalf("drain frame = op %#x payload %q", op, payload)
-	}
-	if code := binary.BigEndian.Uint16(payload); code != wsCloseGoingAway {
-		t.Fatalf("drain close code = %d, want %d", code, wsCloseGoingAway)
-	}
-	if reason := string(payload[2:]); reason != "server draining" {
-		t.Fatalf("drain reason = %q", reason)
-	}
-}
-
-func TestLiveWebSocketShedCloseCode(t *testing.T) {
+func TestLiveSSEShedEndEvent(t *testing.T) {
 	// Buffer 1 and a negative budget: the first full-mailbox event
 	// sheds. A 256-message batch fans out faster than the writer can
 	// drain a one-slot mailbox through a socket, so the shed fires
@@ -495,7 +314,7 @@ func TestLiveWebSocketShedCloseCode(t *testing.T) {
 	server, broker, ts, cl := newLiveAPI(t, LiveConfig{Buffer: 1, SendBudget: -1})
 	reg := obs.NewRegistry()
 	NewMetrics(reg).InstrumentLive(server)
-	ws := dialWS(t, ts, "/v1/live/ws?app=SC")
+	stream := openSSE(t, ts.URL+"/v1/live/sse?app=SC")
 
 	o := obsAt(t, "A", 50, true, time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
 	body, err := o.Encode()
@@ -510,23 +329,15 @@ func TestLiveWebSocketShedCloseCode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Delivered events may precede the close; the close must carry the
-	// try-later code pointing the client at the cursor API.
-	for {
-		op, payload, err := ws.readFrame(t, 5*time.Second)
-		if err != nil {
-			t.Fatalf("expected a shed close frame, got %v", err)
+	// Delivered events may precede the end; the end must name the shed,
+	// which sends the client to the cursor API.
+	select {
+	case reason := <-stream.end:
+		if reason != "shed" {
+			t.Fatalf("end reason = %q, want shed", reason)
 		}
-		if op != wsOpClose {
-			continue
-		}
-		if code := binary.BigEndian.Uint16(payload); code != wsCloseTryLater {
-			t.Fatalf("shed close code = %d, want %d", code, wsCloseTryLater)
-		}
-		if reason := string(payload[2:]); !strings.Contains(reason, "cursor") {
-			t.Fatalf("shed reason %q must point at the cursor API", reason)
-		}
-		break
+	case <-time.After(5 * time.Second):
+		t.Fatal("no end event after the shed")
 	}
 	if shed := reg.Counter("live_shed_total", "").Value(); shed != 1 {
 		t.Fatalf("live_shed_total = %d, want 1", shed)
@@ -540,27 +351,62 @@ func TestLiveWebSocketShedCloseCode(t *testing.T) {
 	}
 }
 
-func TestLiveWebSocketBadHandshakeLeaksNothing(t *testing.T) {
+// TestLiveSSEEarlyExitLeaksNothing: a stream refused before any event
+// is written (a bad selection) leaves no subscription attached and no
+// goroutine behind.
+func TestLiveSSEEarlyExitLeaksNothing(t *testing.T) {
 	before := goflowStableGoroutines(t)
 	server, _, ts, _ := newLiveAPI(t, LiveConfig{})
-	// Plain GET without upgrade headers: refused before any
-	// subscription or hijack, with the subscription released.
-	resp, err := http.Get(ts.URL + "/v1/live/ws")
+	resp, err := http.Get(ts.URL + "/v1/live/sse?pattern=")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad handshake = %d, want 400", resp.StatusCode)
+		t.Fatalf("empty pattern = %d, want 400", resp.StatusCode)
 	}
 	if server.Live.Sockets() != 0 {
-		t.Fatalf("failed upgrade left %d subscriptions attached", server.Live.Sockets())
+		t.Fatalf("refused stream left %d subscriptions attached", server.Live.Sockets())
 	}
+
 	ts.Close()
 	server.Shutdown()
 	if after := goflowStableGoroutines(t); after > before+3 {
-		t.Fatalf("goroutines leaked on the failed-upgrade path: %d -> %d", before, after)
+		t.Fatalf("goroutines leaked on the refused-stream path: %d -> %d", before, after)
+	}
+}
+
+// TestLiveSSEPushAndClientHangUp: a published observation reaches an
+// open stream, and a client that hangs up releases its socket with no
+// goroutine left behind.
+func TestLiveSSEPushAndClientHangUp(t *testing.T) {
+	before := goflowStableGoroutines(t)
+	server, broker, ts, cl := newLiveAPI(t, LiveConfig{})
+
+	stream := openSSE(t, ts.URL+"/v1/live/sse?app=SC")
+	publishLiveObs(t, broker, cl, "FR75013", 55)
+	ev := stream.recv(t)
+	if ev.App != "SC" || ev.Zone != "FR75013" {
+		t.Fatalf("sse event = %+v", ev)
+	}
+	if got := eventSPL(t, ev); got != 55 {
+		t.Fatalf("sse event spl = %v", got)
+	}
+
+	stream.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for server.Live.Sockets() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("socket not released after client hang-up: %d live", server.Live.Sockets())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	ts.Close()
+	server.Shutdown()
+	if after := goflowStableGoroutines(t); after > before+3 {
+		t.Fatalf("goroutines leaked on the client hang-up path: %d -> %d", before, after)
 	}
 }
 
@@ -818,6 +664,45 @@ func TestLiveSSEDrainSendsEndEvent(t *testing.T) {
 	server.Shutdown()
 	if after := goflowStableGoroutines(t); after > before+3 {
 		t.Fatalf("goroutines leaked on the drain path: %d -> %d", before, after)
+	}
+}
+
+// TestLiveSSEShutdownEndsOpenStreams: a graceful shutdown ends every
+// open stream with reason "draining" instead of waiting on idle
+// dashboards, releases their sockets, and refuses new subscribers.
+func TestLiveSSEShutdownEndsOpenStreams(t *testing.T) {
+	server, _, ts, _ := newLiveAPI(t, LiveConfig{})
+	streams := []*sseClient{
+		openSSE(t, ts.URL+"/v1/live/sse?app=SC"),
+		openSSE(t, ts.URL+"/v1/live/sse?app=SC&zone=FR75013"),
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := server.ShutdownContext(ctx); err != nil {
+		t.Fatalf("shutdown with idle streams open: %v", err)
+	}
+	for i, stream := range streams {
+		select {
+		case reason := <-stream.end:
+			if reason != "draining" {
+				t.Fatalf("stream %d end reason = %q, want draining", i, reason)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream %d got no end event on shutdown", i)
+		}
+	}
+	if n := server.Live.Sockets(); n != 0 {
+		t.Fatalf("%d sockets still attached after shutdown", n)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/live/sse?app=SC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("subscribe after shutdown = %d, want 503", resp.StatusCode)
 	}
 }
 

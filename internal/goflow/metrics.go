@@ -33,7 +33,6 @@ type Metrics struct {
 	acked      *obs.CounterVec
 	nacked     *obs.CounterVec
 	dropped    *obs.CounterVec
-	expired    *obs.CounterVec
 	queueReady *obs.GaugeVec
 	queueCount *obs.GaugeVec
 	conns      *obs.Gauge
@@ -88,8 +87,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Deliveries rejected, by queue class.", "queue"),
 		dropped: reg.CounterVec("mq_dropped_total",
 			"Messages dropped by overflow or nack, by queue class.", "queue"),
-		expired: reg.CounterVec("mq_expired_total",
-			"Messages expired by TTL, by queue class.", "queue"),
 		queueReady: reg.GaugeVec("mq_queue_ready",
 			"Ready messages summed over the queues of a class.", "queue"),
 		queueCount: reg.GaugeVec("mq_queue_count",
@@ -224,7 +221,6 @@ func (m *Metrics) InstrumentBroker(b *mq.Broker) {
 	acked := queueClassed(m.acked)
 	nacked := queueClassed(m.nacked)
 	dropped := queueClassed(m.dropped)
-	expired := queueClassed(m.expired)
 	overflowed := queueClassed(m.droppedOverflow)
 	flowPaused := queueClassed(m.flowPaused)
 	flowResumed := queueClassed(m.flowResumed)
@@ -241,11 +237,8 @@ func (m *Metrics) InstrumentBroker(b *mq.Broker) {
 		Nacked: func(q string, requeue bool) {
 			nacked.forQueue(q).Inc()
 		},
-		Dropped:    func(q string) { dropped.forQueue(q).Inc() },
-		Overflowed: func(q string) { overflowed.forQueue(q).Inc() },
-		Expired: func(q string, n int) {
-			expired.forQueue(q).Add(uint64(n))
-		},
+		Dropped:               func(q string) { dropped.forQueue(q).Inc() },
+		Overflowed:            func(q string) { overflowed.forQueue(q).Inc() },
 		FlowPaused:            func(q string) { flowPaused.forQueue(q).Inc() },
 		FlowResumed:           func(q string) { flowResumed.forQueue(q).Inc() },
 		ConnOpened:            func() { m.conns.Inc() },
@@ -296,16 +289,14 @@ func (m *Metrics) InstrumentAdmission(a *Admission) {
 		for _, c := range guard.Classes() {
 			m.guardInflight.With(c.String()).Set(float64(a.InFlight(c)))
 		}
-		if b := a.Breaker(); b != nil {
-			var v float64
-			switch b.State() {
-			case guard.BreakerHalfOpen:
-				v = 1
-			case guard.BreakerOpen:
-				v = 2
-			}
-			m.breakerState.Set(v)
+		var v float64
+		switch a.Breaker().State() {
+		case guard.BreakerHalfOpen:
+			v = 1
+		case guard.BreakerOpen:
+			v = 2
 		}
+		m.breakerState.Set(v)
 	})
 }
 
@@ -527,14 +518,12 @@ func (m *Metrics) InstrumentLive(s *Server) {
 		Shed:      shed.Inc,
 	})
 	m.reg.OnCollect(func() {
-		if s.Live != nil {
-			connected.Set(float64(s.Live.Sockets()))
-			// The counter family is monotonic; the hub's total only
-			// moves forward, so Set-via-delta is safe here.
-			cur := s.Live.CatchupReads()
-			if prev := catchups.Value(); cur > prev {
-				catchups.Add(cur - prev)
-			}
+		connected.Set(float64(s.Live.Sockets()))
+		// The counter family is monotonic; the hub's total only moves
+		// forward, so Set-via-delta is safe here.
+		cur := s.Live.CatchupReads()
+		if prev := catchups.Value(); cur > prev {
+			catchups.Add(cur - prev)
 		}
 	})
 }

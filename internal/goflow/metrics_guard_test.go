@@ -35,9 +35,9 @@ func TestGuardAndFlowMetricsExposition(t *testing.T) {
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
 		Data:   storage.NewLocal(store),
-		Admission: AdmissionConfig{
-			RatePerDevice: 1,
-			RateBurst:     1,
+		admission: AdmissionConfig{
+			ratePerDevice: 1,
+			rateBurst:     1,
 		},
 	})
 	if err != nil {

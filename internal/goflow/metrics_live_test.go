@@ -1,7 +1,6 @@
 package goflow
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -90,11 +89,11 @@ func TestLiveMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestLiveWebSocketThroughInstrumentedHandler upgrades a WebSocket
-// through NewInstrumentedHTTPHandler — the handler goflow-server mounts
-// — not the bare one: the obs status recorder must pass the hijack
-// through (it used to answer 500) and count the upgrade as a 1xx.
-func TestLiveWebSocketThroughInstrumentedHandler(t *testing.T) {
+// TestLiveSSEThroughInstrumentedHandler streams SSE through
+// NewInstrumentedHTTPHandler — the handler goflow-server mounts — not
+// the bare one: the obs status recorder must pass each flush through
+// and count the stream as a 2xx once it ends.
+func TestLiveSSEThroughInstrumentedHandler(t *testing.T) {
 	broker := mq.NewBroker()
 	store := docstore.NewStore()
 	server, err := NewServer(ServerConfig{Broker: broker, Data: storage.NewLocal(store)})
@@ -120,21 +119,16 @@ func TestLiveWebSocketThroughInstrumentedHandler(t *testing.T) {
 		broker.Close()
 	})
 
-	ws := dialWS(t, ts, "/v1/live/ws?app=SC")
+	stream := openSSE(t, ts.URL+"/v1/live/sse?app=SC")
 	publishLiveObs(t, broker, cl, "FR75013", 55)
-	var ev LiveEvent
-	if err := json.Unmarshal(ws.mustReadText(t), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.App != "SC" || ev.Zone != "FR75013" {
-		t.Fatalf("ws event = %+v", ev)
+	if ev := stream.recv(t); ev.App != "SC" || ev.Zone != "FR75013" {
+		t.Fatalf("sse event = %+v", ev)
 	}
 
 	// The request is counted when its handler returns, i.e. once the
-	// socket is gone.
-	ws.writeFrame(t, wsOpClose, nil)
-	ws.conn.Close()
-	want := `http_requests_total{route="GET /v1/live/ws",class="1xx"} 1`
+	// client has hung up.
+	stream.Close()
+	want := `http_requests_total{route="GET /v1/live/sse",class="2xx"} 1`
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, err := http.Get(ts.URL + "/metrics")

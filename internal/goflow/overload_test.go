@@ -63,14 +63,14 @@ func TestOverloadGracefulDegradation(t *testing.T) {
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
 		Data:   storage.NewLocal(docstore.NewStore()),
-		Admission: AdmissionConfig{
-			RatePerDevice:   -1, // fairness is tested elsewhere; this suite isolates shedding
-			ShedTarget:      shedTarget,
-			Concurrency:     map[guard.Class]int{guard.ClassIngest: 16, guard.ClassQuery: 8, guard.ClassAnalytics: 4},
-			BreakerFailures: 3,
-			BreakerOpenFor:  time.Second,
-			Seed:            42,
-			Now:             clk.Now,
+		admission: AdmissionConfig{
+			ratePerDevice:   -1, // fairness is tested elsewhere; this suite isolates shedding
+			shedTarget:      shedTarget,
+			concurrency:     map[guard.Class]int{guard.ClassIngest: 16, guard.ClassQuery: 8, guard.ClassAnalytics: 4},
+			breakerFailures: 3,
+			breakerOpenFor:  time.Second,
+			seed:            42,
+			now:             clk.Now,
 		},
 	})
 	if err != nil {

@@ -67,7 +67,6 @@ func (h *apiHandler) register(mux *http.ServeMux) {
 	// Live streams admit themselves (AdmitLive inside — see
 	// live_http.go for why they bypass the Guard wrapper); the latest
 	// cache is an ordinary bounded query.
-	mux.HandleFunc("GET /v1/live/ws", h.liveWS)
 	mux.HandleFunc("GET /v1/live/sse", h.liveSSE)
 	mux.HandleFunc("GET /v1/live/latest", g(guard.ClassQuery, h.liveLatest))
 }
@@ -376,9 +375,7 @@ func (h *apiHandler) observationsCursor(w http.ResponseWriter, r *http.Request, 
 		writeErr(w, err)
 		return
 	}
-	if h.server.Live != nil {
-		h.server.Live.RecordCatchup()
-	}
+	h.server.Live.RecordCatchup()
 	nextCursor := ""
 	if lastID != "" {
 		nextCursor = EncodeCursor(lastID)

@@ -30,8 +30,8 @@ type Server struct {
 	// Guard is the REST admission chain; every API route except the
 	// health probe passes through it.
 	Guard *Admission
-	// Live owns push subscriptions (WebSocket/SSE fan-out off the
-	// broker trie); closed first at drain time.
+	// Live owns push subscriptions (SSE fan-out off the broker trie);
+	// closed first at drain time.
 	Live *LiveHub
 	// LiveCache is the latest-per-zone view behind GET /v1/live/latest.
 	// It is fed by the series point observer when a series DB is
@@ -83,9 +83,9 @@ type ServerConfig struct {
 	Clock simclock.Clock
 	// MaxConcurrentJobs bounds background-job parallelism.
 	MaxConcurrentJobs int
-	// Admission parameterizes the REST overload guards; the zero
-	// value enables every guard with defaults.
-	Admission AdmissionConfig
+	// admission lets this package's tests move the REST overload
+	// guards off their constants.
+	admission AdmissionConfig
 	// Live parameterizes push subscriptions; the zero value enables
 	// them with defaults.
 	Live LiveConfig
@@ -95,9 +95,6 @@ type ServerConfig struct {
 	// (storage.RollupReader) — i.e. a series view attached; otherwise
 	// NewServer fails rather than silently serving no forecasts.
 	Predict *predict.Config
-	// RerouteCfg parameterizes the quiet-path rerouter (zero value =
-	// defaults); only read when Predict is set.
-	RerouteCfg predict.RerouteConfig
 }
 
 // NewServer builds a server and provisions the GoFlow broker
@@ -134,7 +131,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		Data:      dm,
 		Analytics: NewAnalytics(),
 		Jobs:      NewJobs(dm, cfg.MaxConcurrentJobs),
-		Guard:     NewAdmission(cfg.Admission),
+		Guard:     NewAdmission(cfg.admission),
 		Live:      NewLiveHub(cfg.Broker, cfg.Live),
 		LiveCache: NewLatestCache(),
 		broker:    cfg.Broker,
@@ -146,7 +143,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, errors.New("goflow: forecasting needs a storage engine with a series view (bucket rollup reads)")
 		}
 		s.Predict = predict.New(src, *cfg.Predict, cfg.Clock)
-		s.Reroute = predict.NewRerouter(cfg.Zones, s.Predict, cfg.RerouteCfg)
+		s.Reroute = predict.NewRerouter(cfg.Zones, s.Predict)
 	}
 	return s, nil
 }
@@ -330,12 +327,10 @@ func (s *Server) Shutdown() {
 // the queue still holds is lost when the process exits.
 func (s *Server) ShutdownContext(ctx context.Context) error {
 	s.Guard.SetDraining(true)
-	// End live streams first: each client gets a going-away close and
-	// reconnects elsewhere, catching up over the cursor API — idle
-	// dashboards must not hold the drain open.
-	if s.Live != nil {
-		s.Live.Close()
-	}
+	// End live streams first: each client gets an end event (reason
+	// "draining") and reconnects elsewhere, catching up over the cursor
+	// API — idle dashboards must not hold the drain open.
+	s.Live.Close()
 	s.mu.Lock()
 	consumer := s.consumer
 	done := s.done

@@ -44,7 +44,7 @@ const (
 	// ClassAnalytics covers analytics, exports and background jobs —
 	// recomputable work that is shed first under pressure.
 	ClassAnalytics
-	// ClassLive covers live push subscriptions (WebSocket/SSE fan-out).
+	// ClassLive covers live push subscriptions (SSE fan-out).
 	// A dropped live event is recoverable — the client catches up over
 	// the cursor API — so live work shares the bottom shed rank with
 	// analytics and never displaces ingest or queries.

@@ -577,7 +577,7 @@ type PublishItem struct {
 // each destination queue takes its lock once for all the messages it
 // receives, instead of once per message. Per-message semantics are
 // preserved — every item is routed by its own key, counted and
-// reported to hooks individually, and MaxLen/TTL drops behave as if
+// reported to hooks individually, and MaxLen drops behave as if
 // the items had been published back to back.
 //
 // It returns the total number of deliveries (sum over items of the
@@ -735,10 +735,7 @@ func (b *Broker) QueueStats(queueName string) (QueueStats, error) {
 
 // QueueStatsFast snapshots one queue's counters without touching the
 // queue mutex: every field is read from atomics, so high-frequency
-// metric sampling cannot stall publishers or consumers. Unlike
-// QueueStats it does not run the lazy TTL sweep, so Ready may briefly
-// include messages whose TTL has elapsed but that no operation has
-// touched yet.
+// metric sampling cannot stall publishers or consumers.
 func (b *Broker) QueueStatsFast(queueName string) (QueueStats, error) {
 	b.mu.RLock()
 	q, ok := b.queues[queueName]

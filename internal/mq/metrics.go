@@ -37,8 +37,6 @@ type Hooks struct {
 	// wire-level flow frames. Fire under the queue lock.
 	FlowPaused  func(queue string)
 	FlowResumed func(queue string)
-	// Expired fires when the TTL sweep discards n messages.
-	Expired func(queue string, n int)
 	// ConnOpened / ConnClosed track TCP connections on the wire server.
 	ConnOpened func()
 	ConnClosed func()
@@ -109,12 +107,6 @@ func (h *Hooks) flowPaused(queue string) {
 func (h *Hooks) flowResumed(queue string) {
 	if h != nil && h.FlowResumed != nil {
 		h.FlowResumed(queue)
-	}
-}
-
-func (h *Hooks) expired(queue string, n int) {
-	if h != nil && h.Expired != nil {
-		h.Expired(queue, n)
 	}
 }
 

@@ -23,25 +23,17 @@ type QueueOptions struct {
 	// MaxLen bounds the number of ready messages; 0 means unbounded.
 	// When full, the oldest ready message is dropped (the mobile
 	// buffering semantics: fresher observations win).
-	MaxLen int `json:"maxLen,omitempty"`
-	// TTL expires ready messages older than this (by publish time);
-	// 0 disables expiry. Expired messages are lazily dropped when the
-	// queue is touched — the notification-queue semantics: a phone
-	// reconnecting after a week does not want week-old zone feedback.
-	TTL time.Duration `json:"ttl,omitempty"`
-	// Exclusive marks a per-client private queue (informational; the
-	// broker does not enforce connection affinity).
-	Exclusive bool `json:"exclusive,omitempty"`
+	MaxLen int
 	// HighWatermark pauses publishers when the ready depth reaches it
 	// (a wire-level `flow` frame asks them to stop); 0 disables flow
 	// control. Backpressure replaces silent unbounded buffering: the
 	// deployment lesson is that a consumer outage otherwise turns the
 	// broker into an unbounded buffer that falls over later, all at
 	// once.
-	HighWatermark int `json:"highWatermark,omitempty"`
+	HighWatermark int
 	// LowWatermark resumes publishers once the ready depth drains back
 	// to it. Defaults to HighWatermark/2; clamped below HighWatermark.
-	LowWatermark int `json:"lowWatermark,omitempty"`
+	LowWatermark int
 }
 
 // QueueStats is a point-in-time snapshot of queue state.
@@ -54,7 +46,6 @@ type QueueStats struct {
 	Delivered uint64 `json:"delivered"`
 	Acked     uint64 `json:"acked"`
 	Dropped   uint64 `json:"dropped"`
-	Expired   uint64 `json:"expired"`
 }
 
 // queue is a broker-internal message queue with competing consumers
@@ -76,7 +67,7 @@ type queue struct {
 	nextTag   uint64
 	closed    bool
 
-	// now stamps expiry checks; overridable in tests.
+	// now stamps overflow warnings; overridable in tests.
 	now func() time.Time
 
 	// hooks aliases the owning broker's hook slot; nil-safe.
@@ -102,7 +93,6 @@ type queue struct {
 	delivered atomic.Uint64
 	acked     atomic.Uint64
 	dropped   atomic.Uint64
-	expired   atomic.Uint64
 }
 
 func newQueue(name string, opts QueueOptions, hooks *atomic.Pointer[Hooks], flowFn func(string, bool)) *queue {
@@ -130,31 +120,6 @@ func (q *queue) h() *Hooks {
 		return nil
 	}
 	return q.hooks.Load()
-}
-
-// expireLocked lazily drops ready messages older than the TTL.
-// Caller holds q.mu. h is the caller's hook snapshot.
-func (q *queue) expireLocked(h *Hooks) {
-	if q.opts.TTL <= 0 {
-		return
-	}
-	cutoff := q.now().Add(-q.opts.TTL)
-	n := 0
-	for {
-		msg, ok := q.ready.front()
-		if !ok || !msg.PublishedAt.Before(cutoff) {
-			// Messages are ordered by publish time; the first fresh
-			// one ends the sweep.
-			break
-		}
-		q.ready.dropFront()
-		q.readyN.Add(-1)
-		q.expired.Add(1)
-		n++
-	}
-	if n > 0 {
-		h.expired(q.name, n)
-	}
 }
 
 // publish enqueues a message and dispatches it to a consumer with
@@ -266,7 +231,6 @@ func (q *queue) updateFlowLocked(h *Hooks) {
 // the operations that move the ready depth.
 func (q *queue) dispatchLocked(h *Hooks) {
 	defer q.updateFlowLocked(h)
-	q.expireLocked(h)
 	if len(q.consumers) == 0 {
 		return
 	}
@@ -310,7 +274,6 @@ func (q *queue) get() (Delivery, bool, error) {
 		return Delivery{}, false, ErrQueueClosed
 	}
 	h := q.h()
-	q.expireLocked(h)
 	defer q.updateFlowLocked(h)
 	msg, ok := q.ready.popFront()
 	if !ok {
@@ -422,15 +385,11 @@ func (q *queue) close() {
 	q.unackedN.Store(0)
 }
 
-// stats snapshots queue counters, running the lazy TTL sweep first so
-// Ready reflects only live messages (the behaviour QueueStats
-// documents and the TTL tests rely on).
+// stats snapshots queue counters under the queue lock.
 func (q *queue) stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	h := q.h()
-	q.expireLocked(h)
-	q.updateFlowLocked(h)
+	q.updateFlowLocked(q.h())
 	return QueueStats{
 		Name:      q.name,
 		Ready:     q.ready.len(),
@@ -440,13 +399,12 @@ func (q *queue) stats() QueueStats {
 		Delivered: q.delivered.Load(),
 		Acked:     q.acked.Load(),
 		Dropped:   q.dropped.Load(),
-		Expired:   q.expired.Load(),
 	}
 }
 
-// statsFast snapshots queue counters from atomics only: no mutex, no
-// TTL sweep. Fields may be mutually torn by a few in-flight messages,
-// which is fine for monitoring.
+// statsFast snapshots queue counters from atomics only, with no mutex.
+// Fields may be mutually torn by a few in-flight messages, which is
+// fine for monitoring.
 func (q *queue) statsFast() QueueStats {
 	return QueueStats{
 		Name:      q.name,
@@ -457,7 +415,6 @@ func (q *queue) statsFast() QueueStats {
 		Delivered: q.delivered.Load(),
 		Acked:     q.acked.Load(),
 		Dropped:   q.dropped.Load(),
-		Expired:   q.expired.Load(),
 	}
 }
 

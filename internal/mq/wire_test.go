@@ -224,7 +224,7 @@ func TestWireGoldenServerFrames(t *testing.T) {
 		t.Fatalf("ack reply:\n got %q\nwant %q", got, want)
 	}
 	rs.send(goldenRequests[4])
-	if got, want := rs.next(), onWire(`{"op":"ok","corr":5,"publishedAt":"0001-01-01T00:00:00Z","stats":{"name":"GF","ready":0,"unacked":0,"consumers":1,"published":1,"delivered":1,"acked":1,"dropped":0,"expired":0}}`); got != want {
+	if got, want := rs.next(), onWire(`{"op":"ok","corr":5,"publishedAt":"0001-01-01T00:00:00Z","stats":{"name":"GF","ready":0,"unacked":0,"consumers":1,"published":1,"delivered":1,"acked":1,"dropped":0}}`); got != want {
 		t.Fatalf("queue-stats reply:\n got %q\nwant %q", got, want)
 	}
 	if len(rs.flows) == 0 {

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"net"
 	"net/http"
 	"strconv"
 )
@@ -37,22 +35,11 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards streaming flushes (the NDJSON/CSV export path).
+// Flush forwards streaming flushes (the live SSE stream).
 func (sr *statusRecorder) Flush() {
 	if f, ok := sr.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// Hijack forwards a connection takeover (the WebSocket upgrade) and
-// records it as 101: after it the handler writes the handshake on the
-// raw connection, past this recorder.
-func (sr *statusRecorder) Hijack() (net.Conn, *bufio.ReadWriter, error) {
-	conn, rw, err := http.NewResponseController(sr.ResponseWriter).Hijack()
-	if err == nil && sr.status == 0 {
-		sr.status = http.StatusSwitchingProtocols
-	}
-	return conn, rw, err
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer's

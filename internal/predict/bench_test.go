@@ -78,7 +78,7 @@ func BenchmarkQuietRoute(b *testing.B) {
 	grid := geo.ParisZones()
 	src := corridorSource{grid: grid, loudRow: grid.Rows() / 2, gapCol: 0, loudDB: 85, quietDB: 50, history: 36}
 	f := New(src, Config{}, simclock.NewSim(t0))
-	r := NewRerouter(grid, f, RerouteConfig{})
+	r := NewRerouter(grid, f)
 	from, to := journeyEndpoints(grid)
 	ctx := context.Background()
 	b.ReportAllocs()

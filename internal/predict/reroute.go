@@ -22,39 +22,22 @@ import (
 // deployment area's zone grid.
 var ErrOutsideArea = errors.New("predict: origin or destination outside the deployment area")
 
-// RerouteConfig parameterizes the rerouter.
-type RerouteConfig struct {
-	// ThresholdDB is the predicted path LAeq above which an
-	// alternative is searched for (default 65 — the boundary of
-	// soundcity's "high" health band).
-	ThresholdDB float64
-	// UnknownDB is the exposure assumed for zones with no forecast
-	// (default 45: cold zones have little sensed activity, which in a
-	// crowd-sensed map correlates with quiet).
-	UnknownDB float64
-	// MinGainDB is the minimum predicted improvement an alternative
-	// must offer to be proposed (default 1).
-	MinGainDB float64
-	// MaxDetour caps the alternative's length as a multiple of the
-	// default path's (default 2.5).
-	MaxDetour float64
-}
-
-func (c RerouteConfig) withDefaults() RerouteConfig {
-	if c.ThresholdDB <= 0 {
-		c.ThresholdDB = 65
-	}
-	if c.UnknownDB <= 0 {
-		c.UnknownDB = 45
-	}
-	if c.MinGainDB <= 0 {
-		c.MinGainDB = 1
-	}
-	if c.MaxDetour <= 1 {
-		c.MaxDetour = 2.5
-	}
-	return c
-}
+// The rerouter's constants.
+const (
+	// thresholdDB is the predicted path LAeq above which an alternative
+	// is searched for: the boundary of soundcity's "high" health band.
+	thresholdDB = 65.0
+	// unknownDB is the exposure assumed for zones with no forecast:
+	// cold zones have little sensed activity, which in a crowd-sensed
+	// map correlates with quiet.
+	unknownDB = 45.0
+	// minGainDB is the minimum predicted improvement an alternative
+	// must offer to be proposed.
+	minGainDB = 1.0
+	// maxDetour caps the alternative's length as a multiple of the
+	// default path's.
+	maxDetour = 2.5
+)
 
 // Path is one candidate route scored by predicted exposure.
 type Path struct {
@@ -90,12 +73,11 @@ type RouteSuggestion struct {
 type Rerouter struct {
 	zones *geo.ZoneGrid
 	f     *Forecaster
-	cfg   RerouteConfig
 }
 
 // NewRerouter builds a rerouter over the forecaster's predictions.
-func NewRerouter(zones *geo.ZoneGrid, f *Forecaster, cfg RerouteConfig) *Rerouter {
-	return &Rerouter{zones: zones, f: f, cfg: cfg.withDefaults()}
+func NewRerouter(zones *geo.ZoneGrid, f *Forecaster) *Rerouter {
+	return &Rerouter{zones: zones, f: f}
 }
 
 // QuietRoute scores the straight origin→destination path under the
@@ -125,24 +107,24 @@ func (r *Rerouter) quietRoute(ctx context.Context, from, to geo.Point) (RouteSug
 		if f, ok := fcs[zone]; ok {
 			return f.ValueDB
 		}
-		return r.cfg.UnknownDB
+		return unknownDB
 	}
 
 	sug := RouteSuggestion{
-		ThresholdDB: r.cfg.ThresholdDB,
+		ThresholdDB: thresholdDB,
 		GeneratedAt: asOf,
 		Target:      asOf.Add(r.f.Horizon()),
 		Default:     r.scoreSegment(from, to, level),
 	}
-	if sug.Default.LAeqDB < r.cfg.ThresholdDB {
+	if sug.Default.LAeqDB < thresholdDB {
 		return sug, nil
 	}
 	alt, ok := r.search(fr, fc, tr, tc, from, to, level)
 	if !ok {
 		return sug, nil
 	}
-	if alt.LAeqDB <= sug.Default.LAeqDB-r.cfg.MinGainDB &&
-		(sug.Default.LengthM == 0 || alt.LengthM <= r.cfg.MaxDetour*sug.Default.LengthM) {
+	if alt.LAeqDB <= sug.Default.LAeqDB-minGainDB &&
+		(sug.Default.LengthM == 0 || alt.LengthM <= maxDetour*sug.Default.LengthM) {
 		sug.Alternative = &alt
 		sug.Rerouted = true
 	}
@@ -237,7 +219,7 @@ func (r *Rerouter) search(fr, fc, tr, tc int, from, to geo.Point, level func(str
 	for row := 0; row < rows; row++ {
 		for col := 0; col < cols; col++ {
 			l := level(r.zones.ZoneOf(row, col))
-			penalty[row*cols+col] = 1 + math.Pow(10, (l-r.cfg.ThresholdDB)/10)
+			penalty[row*cols+col] = 1 + math.Pow(10, (l-thresholdDB)/10)
 		}
 	}
 

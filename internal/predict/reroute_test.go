@@ -82,7 +82,7 @@ func corridorRerouter(t *testing.T, loudDB, quietDB float64) (*Rerouter, *geo.Zo
 		history: 6,
 	}
 	f := New(src, Config{}, simclock.NewSim(t0))
-	return NewRerouter(grid, f, RerouteConfig{}), grid
+	return NewRerouter(grid, f), grid
 }
 
 // journey endpoints: south-center to north-center, forced across the
@@ -100,20 +100,20 @@ func TestQuietRouteProposesQuieterPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sug.Default.LAeqDB < r.cfg.ThresholdDB {
+	if sug.Default.LAeqDB < thresholdDB {
 		t.Fatalf("default path through an 85 dB corridor scored %.1f dB, expected above the %.0f dB threshold",
-			sug.Default.LAeqDB, r.cfg.ThresholdDB)
+			sug.Default.LAeqDB, thresholdDB)
 	}
 	if !sug.Rerouted || sug.Alternative == nil {
 		t.Fatalf("expected a reroute, got %+v", sug)
 	}
-	if sug.Alternative.LAeqDB > sug.Default.LAeqDB-r.cfg.MinGainDB {
+	if sug.Alternative.LAeqDB > sug.Default.LAeqDB-minGainDB {
 		t.Fatalf("alternative %.1f dB is not materially quieter than default %.1f dB",
 			sug.Alternative.LAeqDB, sug.Default.LAeqDB)
 	}
-	if sug.Alternative.LengthM > r.cfg.MaxDetour*sug.Default.LengthM {
+	if sug.Alternative.LengthM > maxDetour*sug.Default.LengthM {
 		t.Fatalf("alternative length %.0f m exceeds the detour budget (%.1fx of %.0f m)",
-			sug.Alternative.LengthM, r.cfg.MaxDetour, sug.Default.LengthM)
+			sug.Alternative.LengthM, maxDetour, sug.Default.LengthM)
 	}
 	// The alternative still has to cross the corridor row somewhere —
 	// but must spend less of its length there. Both paths start and
@@ -135,7 +135,7 @@ func TestQuietRouteNoRerouteWhenQuiet(t *testing.T) {
 	if sug.Rerouted || sug.Alternative != nil {
 		t.Fatalf("quiet default path must not reroute, got %+v", sug)
 	}
-	if sug.Default.LAeqDB >= r.cfg.ThresholdDB {
+	if sug.Default.LAeqDB >= thresholdDB {
 		t.Fatalf("default path scored %.1f dB, expected below threshold", sug.Default.LAeqDB)
 	}
 }
@@ -147,13 +147,13 @@ func TestQuietRouteUniformlyLoudNoAlternative(t *testing.T) {
 	grid := geo.ParisZones()
 	src := corridorSource{grid: grid, loudRow: -1, gapCol: -1, loudDB: 0, quietDB: 80, history: 6}
 	f := New(src, Config{}, simclock.NewSim(t0))
-	r := NewRerouter(grid, f, RerouteConfig{})
+	r := NewRerouter(grid, f)
 	from, to := journeyEndpoints(grid)
 	sug, err := r.QuietRoute(context.Background(), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sug.Default.LAeqDB < r.cfg.ThresholdDB {
+	if sug.Default.LAeqDB < thresholdDB {
 		t.Fatalf("uniform 80 dB city must cross the threshold, got %.1f", sug.Default.LAeqDB)
 	}
 	if sug.Rerouted {

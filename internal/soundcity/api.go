@@ -37,7 +37,6 @@ type userAPI struct {
 	store  *docstore.Store
 	broker *mq.Broker
 	zones  *geo.ZoneGrid
-	calib  *sensing.CalibrationDB
 	trips  *JourneyStore
 }
 
@@ -52,8 +51,6 @@ type APIConfig struct {
 	Broker *mq.Broker
 	// Zones derives feedback zones; nil defaults to Paris.
 	Zones *geo.ZoneGrid
-	// Calibration corrects exposure reports; nil reports raw levels.
-	Calibration *sensing.CalibrationDB
 }
 
 // NewUserAPI builds the user-facing handler.
@@ -69,7 +66,6 @@ func NewUserAPI(cfg APIConfig) (http.Handler, error) {
 		store:  cfg.Store,
 		broker: cfg.Broker,
 		zones:  cfg.Zones,
-		calib:  cfg.Calibration,
 		trips:  NewJourneyStore(cfg.Store, cfg.Broker, cfg.Zones),
 	}
 	mux := http.NewServeMux()
@@ -146,8 +142,9 @@ func (a *userAPI) myExposure(w http.ResponseWriter, r *http.Request) {
 		writeUserErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// One Observation serves every row: the report is a fold.
-	fold := newExposureFold(client.AnonID, a.calib)
+	// One Observation serves every row: the report is a fold, over the
+	// levels as stored (no calibration database is served).
+	fold := newExposureFold(client.AnonID, nil)
 	var o sensing.Observation
 	for _, row := range rows {
 		if goflow.FillObservation(&o, row) != nil {

@@ -28,10 +28,9 @@ type Local struct {
 	snapshotPath string
 
 	// series is the optional time-partitioned view with continuous
-	// aggregates, fed by the ingest observer on seriesCol (see
+	// aggregates, fed by the ingest observer on seriesCollection (see
 	// series.go in this package).
-	series    *series.DB
-	seriesCol string
+	series *series.DB
 
 	// checkpointMu serializes Checkpoint so an interval loop, a
 	// triggered job and shutdown never interleave rotate/save/truncate.
@@ -122,13 +121,12 @@ func OpenLocal(opts LocalOptions) (*Local, error) {
 			return nil, err
 		}
 		l.series = sdb
-		l.seriesCol = opts.Series.collection()
 		st := sdb.Stats()
 		fresh := st.Points == 0 && st.Watermark == 0
-		snapHasDocs := l.store.Collection(l.seriesCol).Stats().Docs > 0
+		snapHasDocs := l.store.Collection(seriesCollection).Stats().Docs > 0
 		backfill = fresh && snapHasDocs
 		if !backfill {
-			l.observeSeries(l.seriesCol)
+			l.observeSeries()
 		}
 	}
 	if opts.WALDir != "" {
@@ -146,11 +144,11 @@ func OpenLocal(opts LocalOptions) (*Local, error) {
 		}
 	}
 	if backfill {
-		l.backfillSeries(l.seriesCol)
+		l.backfillSeries()
 		if l.wal != nil {
 			l.series.SetWatermark(l.wal.LastLSN())
 		}
-		l.observeSeries(l.seriesCol)
+		l.observeSeries()
 	}
 	return l, nil
 }

@@ -17,17 +17,10 @@ import (
 // SeriesOptions enable the series engine on a Local.
 type SeriesOptions struct {
 	series.Options
-	// Collection is the observed docstore collection (default
-	// "observations").
-	Collection string
 }
 
-func (o SeriesOptions) collection() string {
-	if o.Collection == "" {
-		return "observations"
-	}
-	return o.Collection
-}
+// seriesCollection is the docstore collection the series observes.
+const seriesCollection = "observations"
 
 // SeriesQuerier is the optional query surface a storage engine exposes
 // when a series view is attached. Callers discover it by type
@@ -71,9 +64,9 @@ func (l *Local) Series() *series.DB { return l.series }
 // replay, skipped — as a unit; feeding them point by point would make
 // the shared LSN look like a replay after the first point and drop
 // the rest of the batch.
-func (l *Local) observeSeries(col string) {
+func (l *Local) observeSeries() {
 	db := l.series
-	l.store.SetIngestObserver(col, func(lsn uint64, docs docstore.Batch) {
+	l.store.SetIngestObserver(seriesCollection, func(lsn uint64, docs docstore.Batch) {
 		pts := make([]series.Point, 0, docs.Len())
 		for i := 0; i < docs.Len(); i++ {
 			if p, ok := rowPoint(docs.Row(i)); ok {
@@ -92,8 +85,8 @@ const backfillPage = 4096
 // already holds data (snapshot-loaded, or built without a series). It
 // walks the collection in insertion order a page of rows at a time,
 // reads the three fields typed, and appends each page as one batch.
-func (l *Local) backfillSeries(col string) {
-	c := l.store.Collection(col)
+func (l *Local) backfillSeries() {
+	c := l.store.Collection(seriesCollection)
 	var pts []series.Point
 	for after := ""; ; {
 		rows, err := c.FindRowsAfterContext(context.Background(), after, nil, backfillPage)

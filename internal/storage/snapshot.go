@@ -187,7 +187,7 @@ func (l *Local) ImportSnapshot(stagingPath string, lsn uint64) error {
 		if err := l.series.ResetTo(lsn); err != nil {
 			return fmt.Errorf("storage: reset series after import: %w", err)
 		}
-		l.backfillSeries(l.seriesCol)
+		l.backfillSeries()
 	}
 	return nil
 }
