@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/urbancivics/goflow/internal/jsonenc"
 )
 
 // Document codec: the one binary encoding of Doc and Mutation, used
@@ -111,17 +113,24 @@ func (e *encoder) str(s string) {
 
 // packed writes a document from its stored form, whose names are
 // already in the order a doc is written in: the same bytes as doc gives
-// for the same document, with no key to collect or sort, and its
-// numbers, bools and times written from their words.
+// for the same document, with no key to collect or sort, its numbers,
+// bools and times written from their words and its coded strings from
+// their tables.
 func (e *encoder) packed(p *packed) error {
 	sh := p.shape
 	e.uvarint(uint64(len(sh.names)))
 	for i, k := range sh.names {
 		e.str(k)
-		if sh.kinds[i] != kindAny {
+		switch sh.kinds[i] {
+		case kindAny:
+			if err := e.value(p.vals[sh.at[i]]); err != nil {
+				return fmt.Errorf("field %q: %w", k, err)
+			}
+		case kindCode:
+			e.buf = append(e.buf, tagString)
+			e.str(p.codeAt(i).s)
+		default:
 			e.scalar(p.scalarAt(i))
-		} else if err := e.value(p.vals[sh.at[i]]); err != nil {
-			return fmt.Errorf("field %q: %w", k, err)
 		}
 	}
 	return nil
@@ -276,13 +285,16 @@ func (e *encoder) mutation(m *Mutation) error {
 
 // Interning. A recovered store holds the same few field names and
 // enumeration-like values (app, mode, provider, zone …) once per
-// document; the decoder shares one copy of each instead. The tables are
-// process-wide caches, built lazily and read without locks
-// (copy-on-write), bounded by the three constants below: a field name
-// past the first maxInternFields, a field's value past its first
-// maxInternValues distinct ones, or any string longer than
-// maxInternLen is simply allocated per document as before. A field
-// whose values overflow (ids, free text) stops being tracked.
+// document; the decoder shares one copy of each instead, and a stored
+// document holds such a value as its one-byte code in its field's
+// table (shape.go, kindCode). The tables are process-wide caches,
+// built lazily and read without locks (copy-on-write), bounded by the
+// three constants below: a field name past the first maxInternFields,
+// a field's value past its first maxInternValues distinct ones, or any
+// string longer than maxInternLen is simply allocated per document as
+// before. A field whose values overflow (ids, free text) is closed: it
+// keeps every code it gave out, and its new values are not tracked.
+// The _id is never tracked: each document has its own.
 const (
 	maxInternFields = 256
 	maxInternValues = 256
@@ -320,8 +332,20 @@ func (c *cowMap[V]) len() int {
 }
 
 // add stores v under s unless s is present (the stored value wins) or
-// the map already holds limit entries (full is reported).
+// the map already holds limit entries (full is reported, and v
+// returned).
 func (c *cowMap[V]) add(s string, v V, limit int) (stored V, full bool) {
+	if stored, full = c.addFunc(s, limit, func(int) V { return v }); full {
+		return v, true
+	}
+	return stored, false
+}
+
+// addFunc is add of the value made by newV, which is called with the
+// number of entries before it, under the writers' lock and before the
+// map that holds its value is published. A full map makes nothing and
+// returns the zero value.
+func (c *cowMap[V]) addFunc(s string, limit int, newV func(n int) V) (stored V, full bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var old map[string]V
@@ -332,8 +356,9 @@ func (c *cowMap[V]) add(s string, v V, limit int) (stored V, full bool) {
 		return cur, false
 	}
 	if len(old) >= limit {
-		return v, true
+		return stored, true
 	}
+	v := newV(len(old))
 	next := make(map[string]V, len(old)+1)
 	for k, ov := range old {
 		next[k] = ov
@@ -345,13 +370,27 @@ func (c *cowMap[V]) add(s string, v V, limit int) (stored V, full bool) {
 
 // internField is one known field name and the string values seen under
 // it, each held already boxed so that storing it in a document copies
-// an interface word pair instead of allocating a string header. The
-// decoder and Collection's writes (pack) share the tables, so a
-// document inserted live costs what a recovered one does.
+// an interface word pair instead of allocating a string header, and
+// numbered in the order the table met them. The decoder and
+// Collection's writes (pack) share the tables, so a document inserted
+// live costs what a recovered one does.
 type internField struct {
 	name   string
-	values cowMap[any]
-	closed atomic.Bool // values overflowed: no longer tracked
+	values cowMap[*internValue]
+	// codes is the values by code, allocated with the first. A value is
+	// written to it, once, before the map that hands out its code is
+	// published: whoever holds a code finds its value here, without a
+	// lock.
+	codes  *[maxInternValues]*internValue
+	closed atomic.Bool // maxInternValues codes given out: new values are not tracked
+}
+
+// internValue is one value of a field's table.
+type internValue struct {
+	s      string
+	box    any    // s as an interface value, shared by every document holding it
+	quoted string // s as Row.AppendJSON writes it
+	code   uint8  // the value's index in the table's codes
 }
 
 var internFields cowMap[*internField]
@@ -387,49 +426,76 @@ func addField(name string) *internField {
 	return f
 }
 
+// InternClosedFields reports how many fields have given out all their
+// codes. A closed field keeps the values it has; a value it meets for
+// the first time is stored boxed, 16 bytes and its own string per
+// document instead of one byte, so a rise of this count explains a
+// rise in the bytes a stored document weighs.
+func InternClosedFields() int {
+	n := 0
+	if m := internFields.m.Load(); m != nil {
+		for _, f := range *m {
+			if f.closed.Load() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // tracks reports whether the field's table may hold a value of n
 // bytes.
 func (f *internField) tracks(n int) bool {
-	return f != nil && n <= maxInternLen && !f.closed.Load()
+	return f != nil && n <= maxInternLen && f.name != IDField
 }
 
-// box returns s as an interface value, shared with every earlier
-// document that held the same value under this field when tracked.
-func (f *internField) box(raw []byte) any {
-	if !f.tracks(len(raw)) {
-		return string(raw)
+// code returns the table's value s, adding v, which holds s, when s is
+// new and the table has room; nil when the table does not track s.
+func (f *internField) code(s string, v any) *internValue {
+	if !f.tracks(len(s)) {
+		return nil
 	}
-	if v, ok := f.values.getBytes(raw); ok {
-		return v
+	if iv, ok := f.values.get(s); ok {
+		return iv
+	}
+	return f.add(s, v)
+}
+
+// codeBytes is code for a value still in the input buffer, which is
+// only copied when the table takes it.
+func (f *internField) codeBytes(raw []byte) *internValue {
+	if !f.tracks(len(raw)) {
+		return nil
+	}
+	if iv, ok := f.values.getBytes(raw); ok {
+		return iv
 	}
 	s := string(raw)
 	return f.add(s, s)
 }
 
-// share is box for a value already boxed: v, which holds s, when the
-// field does not track s, and the shared box otherwise — v itself
-// when s is new.
-func (f *internField) share(s string, v any) any {
-	if !f.tracks(len(s)) {
-		return v
+// add puts s, boxed in v, in the table under the next code, unless s
+// is there already; nil when the table is closed.
+func (f *internField) add(s string, v any) *internValue {
+	if f.closed.Load() {
+		return nil
 	}
-	if shared, ok := f.values.get(s); ok {
-		return shared
+	iv, full := f.values.addFunc(s, maxInternValues, func(n int) *internValue {
+		iv := &internValue{s: s, box: v, quoted: string(jsonenc.AppendString(nil, s)), code: uint8(n)}
+		if f.codes == nil {
+			f.codes = new([maxInternValues]*internValue)
+		}
+		f.codes[n] = iv
+		return iv
+	})
+	if full {
+		f.closed.Store(true)
 	}
-	return f.add(s, v)
+	return iv
 }
 
-// add puts v, which holds s, in the table, unless s is there already.
-func (f *internField) add(s string, v any) any {
-	v, full := f.values.add(s, v, maxInternValues)
-	if full {
-		// A caller already past the closed check may still add one
-		// entry to the emptied map; it is never read again.
-		f.closed.Store(true)
-		f.values.m.Store(nil)
-	}
-	return v
-}
+// value returns the value whose code is c.
+func (f *internField) value(c uint8) *internValue { return f.codes[c] }
 
 // dictEntry is one string of the record being decoded, with the shared
 // forms it has been resolved to so far.
@@ -437,6 +503,19 @@ type dictEntry struct {
 	s     string
 	field *internField // once used as a field name
 	boxed any          // once used as a value
+	// coded is the value in the table of in, the field the value was
+	// last coded under (nil when that table does not track it).
+	in    *internField
+	coded *internValue
+}
+
+// codeIn returns the entry's value in f's table, nil when f does not
+// track it.
+func (e *dictEntry) codeIn(f *internField) *internValue {
+	if e.in != f {
+		e.in, e.coded = f, f.code(e.s, e.boxed)
+	}
+	return e.coded
 }
 
 // decoder holds the per-record state of one decoding. The first
@@ -449,12 +528,14 @@ type decoder struct {
 	seen map[string]struct{} // literals so far: a repeat should have been an index
 	// shapes, when set, has the documents of an insert decoded straight
 	// into stored form (see stored) and finds them their shapes; names,
-	// kinds, vals and words are the scratch a document is gathered in.
+	// kinds, vals, words and codes are the scratch a document is
+	// gathered in.
 	shapes *shapeCache
 	names  []string
 	kinds  []kind
 	vals   []any
 	words  []uint64
+	codes  []uint8
 }
 
 var decoderPool = sync.Pool{New: func() any { return &decoder{seen: make(map[string]struct{})} }}
@@ -469,7 +550,7 @@ func (d *decoder) release() {
 	clear(d.dict)
 	clear(d.seen)
 	clear(d.names)
-	*d = decoder{dict: d.dict[:0], seen: d.seen, names: d.names[:0], kinds: d.kinds[:0], vals: d.vals[:0], words: d.words[:0]}
+	*d = decoder{dict: d.dict[:0], seen: d.seen, names: d.names[:0], kinds: d.kinds[:0], vals: d.vals[:0], words: d.words[:0], codes: d.codes[:0]}
 	decoderPool.Put(d)
 }
 
@@ -547,8 +628,12 @@ func (d *decoder) str(pos int, f *internField) *dictEntry {
 				e.s = e.field.name
 			}
 		case posValue:
-			e.boxed = f.box(raw)
-			e.s = e.boxed.(string)
+			if e.in, e.coded = f, f.codeBytes(raw); e.coded != nil {
+				e.s, e.boxed = e.coded.s, e.coded.box
+			} else {
+				e.s = string(raw)
+				e.boxed = e.s
+			}
 		}
 		if pos == posPlain || (pos == posKey && e.field == nil) {
 			e.s = string(raw)
@@ -579,23 +664,32 @@ func (d *decoder) doc() Doc {
 // stored reads a document into stored form. Its keys arrive in the
 // order a shape keeps them, so they are the shape's names as read: no
 // map is built and nothing is sorted. Numbers, bools and times go
-// straight into words, unboxed. It applies every check doc does.
+// straight into words, unboxed, and a string its field's table codes
+// goes in as its code. It applies every check doc does.
 func (d *decoder) stored() packed {
 	n := d.count(2)
-	d.names, d.kinds, d.vals, d.words = d.names[:0], d.kinds[:0], d.vals[:0], d.words[:0]
+	d.names, d.kinds, d.vals, d.words, d.codes = d.names[:0], d.kinds[:0], d.vals[:0], d.words[:0], d.codes[:0]
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		k := d.str(posKey, nil)
 		if i > 0 && k.s <= d.names[i-1] {
 			d.fail("field %q out of order after %q", k.s, d.names[i-1])
 		}
 		d.names = append(d.names, k.s)
+		f := k.field
 		if s, ok := d.scalar(); ok {
 			d.kinds, d.words = append(d.kinds, s.kind), append(d.words, s.w0)
 			if s.kind == kindTime {
 				d.words = append(d.words, s.w1)
 			}
+		} else if len(d.b) > 0 && d.b[0] == tagString && f.tracks(0) { // a string f may code
+			d.take(1)
+			if v := d.str(posValue, f); d.err == nil && v.codeIn(f) != nil {
+				d.kinds, d.codes = append(d.kinds, kindCode), append(d.codes, v.coded.code)
+			} else {
+				d.kinds, d.vals = append(d.kinds, kindAny), append(d.vals, v.boxed)
+			}
 		} else {
-			d.kinds, d.vals = append(d.kinds, kindAny), append(d.vals, d.value(k.field))
+			d.kinds, d.vals = append(d.kinds, kindAny), append(d.vals, d.value(f))
 		}
 	}
 	defer clear(d.vals)
@@ -605,6 +699,9 @@ func (d *decoder) stored() packed {
 	p := d.shapes.find(d.names, d.kinds).alloc()
 	copy(p.vals, d.vals)
 	copy(p.words, d.words)
+	for j, c := range d.codes {
+		p.setCode(p.shape.codesAt+int32(j), c)
+	}
 	return p
 }
 

@@ -379,9 +379,35 @@ func TestDecodeConcurrentInterning(t *testing.T) {
 	}
 }
 
-// TestInterningIsBounded: a field stops being tracked once it has shown
-// more than maxInternValues distinct values, long strings never are,
-// and the field table stops growing at maxInternFields.
+// TestCowMapAddWhenFull: a present key keeps its value, and a full map
+// refuses a new one and hands it back — internShape returns the
+// caller's shape when the registry filled under it — while addFunc
+// makes nothing.
+func TestCowMapAddWhenFull(t *testing.T) {
+	var c cowMap[*int]
+	one, two := new(int), new(int)
+	if got, full := c.add("a", one, 1); got != one || full {
+		t.Fatalf("first add = %p, %v", got, full)
+	}
+	if got, full := c.add("a", two, 1); got != one || full {
+		t.Fatalf("add of a present key = %p, %v; want the stored %p", got, full, one)
+	}
+	if got, full := c.add("b", two, 1); got != two || !full {
+		t.Fatalf("add to a full map = %p, %v; want %p back, full", got, full, two)
+	}
+	made := false
+	if got, full := c.addFunc("b", 1, func(int) *int { made = true; return two }); got != nil || !full || made {
+		t.Fatalf("addFunc on a full map = %p, %v, made %v", got, full, made)
+	}
+	if c.len() != 1 {
+		t.Fatalf("map holds %d keys, want 1", c.len())
+	}
+}
+
+// TestInterningIsBounded: a field stops taking values once it has shown
+// more than maxInternValues distinct ones, but keeps sharing (and
+// coding) those it took; long strings and ids are never tracked, and
+// the field table stops growing at maxInternFields.
 func TestInterningIsBounded(t *testing.T) {
 	// The test fills the process-wide field table; hand the next test
 	// the one this test found.
@@ -409,15 +435,30 @@ func TestInterningIsBounded(t *testing.T) {
 	if long := string(bytes.Repeat([]byte("x"), maxInternLen+1)); shared("boundedEnum", long) {
 		t.Fatal("a value longer than maxInternLen was interned")
 	}
+	if shared(IDField, "id-0") {
+		t.Fatal("an _id was interned")
+	}
+	closedBefore := InternClosedFields()
 	for i := 0; i <= maxInternValues; i++ {
 		decode(Doc{"boundedID": fmt.Sprintf("id-%d", i)})
 	}
-	if shared("boundedID", "id-0") {
-		t.Fatal("a field past maxInternValues distinct values is still tracked")
+	if shared("boundedID", fmt.Sprintf("id-%d", maxInternValues)) || shared("boundedID", "id-new") {
+		t.Fatal("a field past maxInternValues distinct values still takes new ones")
+	}
+	if !shared("boundedID", "id-0") || !shared("boundedID", fmt.Sprintf("id-%d", maxInternValues-1)) {
+		t.Fatal("a closed field gave up a value it had taken")
 	}
 	f, _ := internFields.get("boundedID")
-	if f == nil || !f.closed.Load() || f.values.m.Load() != nil {
-		t.Fatalf("overflowed field kept its table: %+v", f)
+	if f == nil || !f.closed.Load() || f.values.len() != maxInternValues {
+		t.Fatalf("overflowed field is not closed with its %d values: %+v", maxInternValues, f)
+	}
+	for c := 0; c < maxInternValues; c++ {
+		if iv := f.value(uint8(c)); iv == nil || int(iv.code) != c || iv.s != fmt.Sprintf("id-%d", c) {
+			t.Fatalf("code %d holds %+v", c, iv)
+		}
+	}
+	if got := InternClosedFields(); got != closedBefore+1 {
+		t.Fatalf("closed fields %d -> %d, want one more", closedBefore, got)
 	}
 	for i := 0; i < 2*maxInternFields; i++ {
 		decode(Doc{fmt.Sprintf("boundedField%d", i): "v"})

@@ -294,8 +294,11 @@ func (p *packed) key(name string) (valueKey, bool) {
 	if i < 0 {
 		return valueKey{}, false
 	}
-	if p.shape.kinds[i] == kindAny {
+	switch p.shape.kinds[i] {
+	case kindAny:
 		return keyOf(p.vals[p.shape.at[i]]), true
+	case kindCode:
+		return valueKey{rank: 4, v: p.codeAt(i).box}, true
 	}
 	return scalarKey(p.scalarAt(i)), true
 }

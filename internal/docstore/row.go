@@ -94,10 +94,13 @@ func (r Row) AppendJSON(dst []byte, keep func(name string) bool) ([]byte, error)
 			dst = append(jsonenc.AppendString(dst, name), ':')
 		}
 		var err error
-		if sh.kinds[i] != kindAny {
-			dst, err = appendJSONScalar(dst, r.p.scalarAt(i))
-		} else {
+		switch sh.kinds[i] {
+		case kindAny:
 			dst, err = appendJSONValue(dst, r.p.vals[sh.at[i]])
+		case kindCode:
+			dst = append(dst, r.p.codeAt(i).quoted...)
+		default:
+			dst, err = appendJSONScalar(dst, r.p.scalarAt(i))
 		}
 		if err != nil {
 			return dst, fmt.Errorf("field %q: %w", name, err)
@@ -245,11 +248,17 @@ func (p *packed) timeAt(i int) (time.Time, bool) {
 
 // stringAt returns slot i (-1 for none) when it holds a string.
 func (p *packed) stringAt(i int) (string, bool) {
-	if i < 0 || p.shape.kinds[i] != kindAny {
+	if i < 0 {
 		return "", false
 	}
-	s, ok := p.vals[p.shape.at[i]].(string)
-	return s, ok
+	switch p.shape.kinds[i] {
+	case kindCode:
+		return p.codeAt(i).s, true
+	case kindAny:
+		s, ok := p.vals[p.shape.at[i]].(string)
+		return s, ok
+	}
+	return "", false
 }
 
 // boolAt returns slot i (-1 for none) when it holds a bool.

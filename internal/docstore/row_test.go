@@ -135,7 +135,8 @@ func TestRowAppendJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		slices.Sort(names)
 		for _, name := range names {
-			kinds = append(kinds, scalarOf(d[name]).kind)
+			k, _ := kindOf(fieldNamed(name), d[name])
+			kinds = append(kinds, k)
 		}
 		typed[fmt.Sprint(i%len(sets), kinds)] = true
 		if _, err := c.Insert(d); err != nil {

@@ -14,13 +14,15 @@ import (
 // weigh. A stored document is a pointer to a shape — its field names,
 // sorted, and the kind of value each holds, shared by every document
 // of the process with the same fields of the same kinds — and two
-// slices: the words its numbers, bools and times are written in, and
-// the interface values of the rest (strings, nil, maps, slices). The
-// word slice holds no pointer, so the collector does not look inside
-// it, and a scalar costs its word instead of a heap box. Writes are
-// packed on the way in; reads hand the form out as a read-only Row
-// (row.go) or build a Doc from one. DESIGN.md §9 "Stored form" has the
-// rationale.
+// slices: the words its numbers, bools and times are written in,
+// followed by the one-byte codes of its strings that their fields'
+// intern tables hold (codec.go), and the interface values of the rest
+// (the _id, other strings, nil, maps, slices). The word slice holds no
+// pointer, so the collector does not look inside it, and a scalar
+// costs its word, an enumerated string its byte, instead of a heap box
+// or an interface slot. Writes are packed on the way in; reads hand
+// the form out as a read-only Row (row.go) or build a Doc from one.
+// DESIGN.md §9 "Stored form" has the rationale.
 
 // kind is how a slot of a shape holds its value.
 type kind uint8
@@ -32,6 +34,7 @@ const (
 	kindInt64               // one word: the two's complement bits
 	kindBool                // one word: 0 or 1
 	kindTime                // two words: Unix seconds; nanoseconds | zone offset seconds<<32
+	kindCode                // one byte of the codes after the words: a string's code in its field's table
 )
 
 // scalar is a value held in words: its kind and its one or two words.
@@ -145,16 +148,20 @@ type shape struct {
 	names []string
 	kinds []kind
 	// at is where each slot's value sits: its index in vals for
-	// kindAny, of its first word in words otherwise.
+	// kindAny, of its byte in words (read as little-endian bytes) for
+	// kindCode, of its first word in words otherwise.
 	at []int32
 	// nvals and nwords are the lengths of a document's two slices.
 	nvals, nwords int
+	// codesAt is the byte in words of the first code: the codes follow
+	// the scalars' words, in slot order, eight to a word.
+	codesAt int32
 	// idAt is the index in vals of the _id, -1 when the shape holds no
 	// string _id.
 	idAt int
-	// interns is, for each kindAny slot, the codec's intern table of its
-	// field (nil past the table's bounds), which pack puts strings
-	// through.
+	// interns is, for each kindAny and kindCode slot, the codec's intern
+	// table of its field (nil past the tables' bounds): what a code is
+	// the code of, and what pack asks whether a string has one.
 	interns []*internField
 	// quoted is each name as a JSON object key, colon included, for
 	// Row.AppendJSON. It is built when the registry takes the shape and
@@ -166,6 +173,7 @@ type shape struct {
 func newShape(names []string, kinds []kind) *shape {
 	sh := &shape{names: slices.Clone(names), kinds: slices.Clone(kinds), at: make([]int32, len(names)), idAt: -1,
 		interns: make([]*internField, len(names))}
+	var ncodes int32
 	for i, k := range kinds {
 		switch k {
 		case kindAny:
@@ -175,6 +183,10 @@ func newShape(names []string, kinds []kind) *shape {
 			sh.at[i] = int32(sh.nvals)
 			sh.nvals++
 			sh.interns[i] = fieldNamed(names[i])
+		case kindCode:
+			sh.at[i] = ncodes // placed past the words below
+			ncodes++
+			sh.interns[i] = fieldNamed(names[i])
 		case kindTime:
 			sh.at[i] = int32(sh.nwords)
 			sh.nwords += 2
@@ -183,6 +195,13 @@ func newShape(names []string, kinds []kind) *shape {
 			sh.nwords++
 		}
 	}
+	sh.codesAt = int32(sh.nwords) * 8
+	for i, k := range kinds {
+		if k == kindCode {
+			sh.at[i] += sh.codesAt
+		}
+	}
+	sh.nwords += int(ncodes+7) / 8
 	return sh
 }
 
@@ -299,30 +318,57 @@ func (p *packed) scalarAt(i int) scalar {
 	return s
 }
 
-// slot returns the value of slot i, boxing it when it sits in words.
+// codeAt returns the table's value of slot i, which holds kindCode.
+func (p *packed) codeAt(i int) *internValue {
+	return p.shape.interns[i].value(p.code(p.shape.at[i]))
+}
+
+// code returns the code at byte at of the words.
+func (p *packed) code(at int32) uint8 { return uint8(p.words[at>>3] >> (at & 7 * 8)) }
+
+// setCode writes c at byte at of the words of a document being built.
+func (p *packed) setCode(at int32, c uint8) { p.words[at>>3] |= uint64(c) << (at & 7 * 8) }
+
+// slot returns the value of slot i, boxing it when it sits in words;
+// a coded string is its table's shared box.
 func (p *packed) slot(i int) any {
-	if p.shape.kinds[i] == kindAny {
+	switch p.shape.kinds[i] {
+	case kindAny:
 		return p.vals[p.shape.at[i]]
+	case kindCode:
+		return p.codeAt(i).box
 	}
 	return p.scalarAt(i).box()
 }
 
-// put writes v into slot i of a document being built, as the shape's
-// kind for the slot says (the caller has matched the two). A string is
-// interned under its field.
+// kindOf returns the kind a slot whose field's table is f holds v as,
+// and v as put takes it: for kindCode, v's value in the table, which
+// takes v if it is new and the table has room; v itself otherwise.
+func kindOf(f *internField, v any) (kind, any) {
+	if s, ok := v.(string); ok {
+		if iv := f.code(s, v); iv != nil {
+			return kindCode, iv
+		}
+		return kindAny, v
+	}
+	return scalarOf(v).kind, v
+}
+
+// put writes v, as kindOf returned it, into slot i of a document being
+// built, whose shape has the kind kindOf returned there.
 func (p *packed) put(i int, v any) {
 	at := p.shape.at[i]
-	if p.shape.kinds[i] == kindAny {
-		if s, ok := v.(string); ok {
-			v = p.shape.interns[i].share(s, v)
-		}
+	switch p.shape.kinds[i] {
+	case kindAny:
 		p.vals[at] = v
-		return
-	}
-	s := scalarOf(v)
-	p.words[at] = s.w0
-	if s.kind == kindTime {
-		p.words[at+1] = s.w1
+	case kindCode:
+		p.setCode(at, v.(*internValue).code)
+	default:
+		s := scalarOf(v)
+		p.words[at] = s.w0
+		if s.kind == kindTime {
+			p.words[at+1] = s.w1
+		}
 	}
 }
 
@@ -333,6 +379,8 @@ func (p *packed) copySlot(i int, src *packed, j int) {
 	switch p.shape.kinds[i] {
 	case kindAny:
 		p.vals[at] = src.vals[from]
+	case kindCode:
+		p.setCode(at, src.code(from))
 	case kindTime:
 		copy(p.words[at:at+2], src.words[from:from+2])
 	default:
@@ -383,7 +431,7 @@ func (sc *shapeCache) pack(d Doc, id string, clone bool) packed {
 		kinds := make([]kind, n)
 		for i, name := range names {
 			if name != IDField {
-				kinds[i] = scalarOf(d[name]).kind
+				kinds[i], _ = kindOf(fieldNamed(name), d[name])
 			}
 		}
 		sh = internShape(names, kinds)
@@ -401,9 +449,9 @@ func (sc *shapeCache) pack(d Doc, id string, clone bool) packed {
 	return p
 }
 
-// gather appends to vals, in sh's order, id and d's other values, or
-// returns nil when d lacks one of sh's fields other than the id or
-// holds one of another kind.
+// gather appends to vals, in sh's order, id and d's other values as
+// put takes them, or returns nil when d lacks one of sh's fields other
+// than the id or holds one of another kind.
 func gather(sh *shape, d Doc, id string, vals []any) []any {
 	for i, name := range sh.names {
 		v, ok := d[name]
@@ -414,8 +462,13 @@ func gather(sh *shape, d Doc, id string, vals []any) []any {
 			if v != id { // else d's own boxed copy serves
 				v = id
 			}
-		} else if !ok || scalarOf(v).kind != sh.kinds[i] {
+		} else if !ok {
 			return nil
+		} else {
+			var k kind
+			if k, v = kindOf(sh.interns[i], v); k != sh.kinds[i] {
+				return nil
+			}
 		}
 		vals = append(vals, v)
 	}
@@ -451,24 +504,26 @@ func (p *packed) set(sc *shapeCache, fields Doc) {
 		}
 	}
 	slices.Sort(names)
-	given := func(name string) (any, bool) {
-		v, ok := fields[name]
-		return v, ok && name != IDField
-	}
 	kinds := make([]kind, len(names))
+	// vals is each given field's value as put takes it; from is, for
+	// every other field, its slot in the old shape (-1 for a given one).
+	vals := make([]any, len(names))
+	from := make([]int, len(names))
 	for i, name := range names {
-		if v, ok := given(name); ok {
-			kinds[i] = scalarOf(v).kind
+		if v, ok := fields[name]; ok && name != IDField {
+			kinds[i], vals[i] = kindOf(fieldNamed(name), cloneValue(v))
+			from[i] = -1
 		} else {
-			kinds[i] = p.shape.kinds[p.shape.index(name)]
+			from[i] = p.shape.index(name)
+			kinds[i] = p.shape.kinds[from[i]]
 		}
 	}
 	next := sc.find(names, kinds).alloc()
-	for i, name := range next.shape.names {
-		if v, ok := given(name); ok {
-			next.put(i, cloneValue(v))
+	for i, j := range from {
+		if j < 0 {
+			next.put(i, vals[i])
 		} else {
-			next.copySlot(i, p, p.shape.index(name))
+			next.copySlot(i, p, j)
 		}
 	}
 	*p = next

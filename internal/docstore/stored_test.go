@@ -194,6 +194,43 @@ type storedRun struct {
 	// shapes is every field set a stored document has been seen with,
 	// and the shape it had it under.
 	shapes map[string]*shape
+	// enum, when set, is a field most new documents and some updates
+	// hold a string of enumPool under; overflow closes its table.
+	enum     string
+	enumPool []string
+	// logged, when set, is every payload the store has logged, and
+	// check holds the records from checkedLog on, and the snapshot, to
+	// the map encoder's bytes for the model's documents.
+	logged     *[][]byte
+	checkedLog int
+}
+
+// teeLog is the WAL's commit log keeping a copy of each payload.
+type teeLog struct {
+	w        *wal.WAL
+	payloads *[][]byte
+}
+
+func (l teeLog) Log(m *Mutation) (CommitTicket, error) {
+	payload, err := EncodeMutation(m)
+	if err != nil {
+		return nil, err
+	}
+	*l.payloads = append(*l.payloads, payload)
+	tk, err := l.w.Append(byte(m.Op), payload)
+	if err != nil {
+		return nil, err
+	}
+	return tk, nil
+}
+
+// attach makes the run's WAL s's commit log.
+func (p *storedRun) attach(s *Store) {
+	if p.logged == nil {
+		AttachWAL(s, p.w)
+		return
+	}
+	s.SetCommitLog(teeLog{p.w, p.logged})
 }
 
 func (p *storedRun) c() *Collection { return p.store.Collection(p.col) }
@@ -225,11 +262,43 @@ func (p *storedRun) newDoc() Doc {
 	case 2:
 		d = Doc{"only": p.rng.Intn(3)}
 	}
+	if p.enum != "" && p.rng.Intn(8) > 0 {
+		d[p.enum] = p.enumPool[p.rng.Intn(len(p.enumPool))]
+	}
 	if p.rng.Intn(2) == 0 {
 		p.nextKey++
 		d[IDField] = fmt.Sprintf("k%d", p.nextKey)
 	}
 	return d
+}
+
+// overflow inserts documents holding more distinct new values of the
+// enum field than its table has codes left, so that the table closes,
+// and adds to the pool values the table coded before it closed, values
+// it met as it closed and values it has never met: from then on
+// documents of one field set hold the field coded or boxed.
+func (p *storedRun) overflow() {
+	f := fieldNamed(p.enum)
+	if f == nil || f.closed.Load() {
+		p.t.Fatalf("field %q has no open table to close", p.enum)
+	}
+	batch := make([]Doc, maxInternValues)
+	for i := range batch {
+		batch[i] = Doc{p.enum: fmt.Sprintf("burst-%03d", i), "n": float64(i % 5)}
+	}
+	copies := make([]Doc, len(batch))
+	for i := range batch {
+		copies[i] = cloneDoc(batch[i])
+	}
+	ids, err := p.c().InsertMany(batch)
+	p.must(err)
+	for i, id := range ids {
+		p.ref.insert(id, copies[i])
+	}
+	if !f.closed.Load() {
+		p.t.Fatalf("%d new values left the table of %q open", len(batch), p.enum)
+	}
+	p.enumPool = append(p.enumPool, "burst-000", fmt.Sprintf("burst-%03d", maxInternValues-1), "late-0", "late-1", "late-2")
 }
 
 func (p *storedRun) remove(ids ...string) {
@@ -270,6 +339,9 @@ func (p *storedRun) step() {
 			}
 			if rng.Intn(3) == 0 {
 				fields[fmt.Sprintf("new%d", rng.Intn(3))] = genValue(rng, 0)
+			}
+			if p.enum != "" && rng.Intn(3) == 0 {
+				fields[p.enum] = p.enumPool[rng.Intn(len(p.enumPool))]
 			}
 			if rng.Intn(10) == 0 {
 				fields[IDField] = "ignored"
@@ -332,7 +404,7 @@ func (p *storedRun) step() {
 		restored := NewStore()
 		p.must(restored.RestoreExact(&buf))
 		p.store.SetCommitLog(nil)
-		AttachWAL(restored, p.w)
+		p.attach(restored)
 		p.store = restored
 	default: // replay the whole log into a fresh store
 		p.store.SetCommitLog(nil)
@@ -344,7 +416,7 @@ func (p *storedRun) step() {
 		}
 		_, err := RecoverWAL(recovered, p.w)
 		p.must(err)
-		AttachWAL(recovered, p.w)
+		p.attach(recovered)
 		p.store = recovered
 	}
 }
@@ -407,6 +479,12 @@ func (p *storedRun) check() {
 			docs = page(docs[limit-1][IDField].(string))
 		}
 	}
+	if p.enum != "" {
+		p.checkEnum()
+	}
+	if p.logged != nil {
+		p.checkBytes()
+	}
 
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -431,6 +509,147 @@ func (p *storedRun) check() {
 	}
 }
 
+// checkEnum holds the reads of the enum field to the model for a value
+// of the pool drawn at random — coded, boxed, or held by no document:
+// equality and its index plan, counts, sorts by the field, ranges,
+// prefixes and cursor walks.
+func (p *storedRun) checkEnum() {
+	t, rng, c := p.t, p.rng, p.c()
+	t.Helper()
+	ctx := context.Background()
+	v := p.enumPool[rng.Intn(len(p.enumPool))]
+	filter := Doc{p.enum: v}
+	want := p.ref.ids(filter)
+	ids, err := c.FindIDs(filter)
+	p.must(err)
+	n, err := c.CountContext(ctx, filter)
+	p.must(err)
+	if !slices.Equal(ids, want) || n != len(want) {
+		t.Fatalf("%s = %q: FindIDs %v, Count %d; model %v", p.enum, v, ids, n, want)
+	}
+	// The plan: the index's posting list for v is the documents holding v.
+	c.mu.RLock()
+	list, indexed := c.indexCandidatesLocked(filter)
+	var planned []string
+	for _, e := range list {
+		if e.live() {
+			planned = append(planned, e.id())
+		}
+	}
+	c.mu.RUnlock()
+	if !indexed || !slices.Equal(planned, want) {
+		t.Fatalf("%s = %q: index plan %v (indexed %v), model %v", p.enum, v, planned, indexed, want)
+	}
+	other := p.enumPool[rng.Intn(len(p.enumPool))]
+	for _, f := range []Doc{
+		{p.enum: map[string]any{"$exists": true}},
+		{p.enum: map[string]any{"$in": []any{v, other}}},
+		{p.enum: map[string]any{"$gte": v}},
+		{p.enum: map[string]any{"$prefix": v[:2]}},
+	} {
+		opts := FindOptions{SortField: p.enum, SortDesc: rng.Intn(2) == 0, Skip: rng.Intn(3), Limit: 20}
+		if rng.Intn(2) == 0 {
+			opts.Projection = []string{p.enum}
+		}
+		docs, err := c.Find(f, opts)
+		p.must(err)
+		if want := p.ref.find(f, opts); !reflect.DeepEqual(docs, want) {
+			t.Fatalf("filter %v, Find %+v\n store %v\n model %v", f, opts, docs, want)
+		}
+	}
+	f, anchor := Doc{p.enum: map[string]any{"$in": []any{v, other}}}, ""
+	for {
+		docs, err := c.FindAfterContext(ctx, anchor, f, 5)
+		p.must(err)
+		if want := p.ref.after(anchor, f, 5); !reflect.DeepEqual(docs, want) {
+			t.Fatalf("filter %v, FindAfter(%q)\n store %v\n model %v", f, anchor, docs, want)
+		}
+		if len(docs) < 5 {
+			break
+		}
+		anchor = docs[4][IDField].(string)
+	}
+}
+
+// checkBytes holds what the store writes to the map encoder's and
+// encoding/json's bytes for the model's documents: each insert record
+// logged since the last check (the other records are written from the
+// caller's maps, not from the stored form), the snapshot, and every
+// row's AppendJSON.
+func (p *storedRun) checkBytes() {
+	t := p.t
+	t.Helper()
+	for _, payload := range (*p.logged)[p.checkedLog:] {
+		m, err := decodeMutation(payload, nil)
+		p.must(err)
+		want := &Mutation{Op: m.Op, Collection: m.Collection, ID: m.ID}
+		switch m.Op {
+		case OpInsert:
+			want.Doc = p.ref.docs[m.ID]
+		case OpInsertMany:
+			for _, d := range m.Docs {
+				want.Docs = append(want.Docs, p.ref.docs[d[IDField].(string)])
+			}
+		default:
+			continue
+		}
+		enc, err := EncodeMutation(want)
+		p.must(err)
+		if !bytes.Equal(payload, enc) {
+			t.Fatalf("%s record:\n stored form %x\n map encoder %x", m.Op, payload, enc)
+		}
+	}
+	p.checkedLog = len(*p.logged)
+
+	c := p.c()
+	if names := p.store.Collections(); slices.Equal(names, []string{p.col}) {
+		e := &encoder{dict: make(map[string]uint64)}
+		c.mu.RLock()
+		e.str(c.name)
+		e.uvarint(c.inserted)
+		e.uvarint(c.updated)
+		e.uvarint(uint64(len(c.indexList)))
+		for _, ie := range c.indexList {
+			e.str(ie.field)
+		}
+		c.mu.RUnlock()
+		e.uvarint(uint64(len(p.ref.order)))
+		for _, id := range p.ref.order {
+			p.must(e.doc(p.ref.docs[id]))
+		}
+		if got, want := snapshotBytes(t, p.store), snapshotFile(e.buf); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot:\n stored form %x\n map encoder %x", got, want)
+		}
+	}
+
+	rows, err := c.FindRowsContext(context.Background(), nil, FindOptions{})
+	p.must(err)
+	for _, r := range rows {
+		id := r.Value(IDField).(string)
+		got, err := r.AppendJSON(nil, nil)
+		p.must(err)
+		want, err := json.Marshal(p.ref.docs[id])
+		p.must(err)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("document %s:\n AppendJSON    %s\n encoding/json %s", id, got, want)
+		}
+	}
+}
+
+// snapshotFile is a snapshot file of the given collection blocks, laid
+// out as persist.go documents it.
+func snapshotFile(blocks ...[]byte) []byte {
+	out := append([]byte(snapshotMagic), codecVersion)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(blocks)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	for _, b := range blocks {
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(b)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(b, castagnoli))
+		out = append(out, b...)
+	}
+	return out
+}
+
 // TestStoredFormMatchesMapModel runs seeded programs of every mutation,
 // snapshot restores and whole-log replays against a collection and the
 // map model, comparing every kind of read after every step. The last
@@ -446,6 +665,10 @@ func TestStoredFormMatchesMapModel(t *testing.T) {
 		defer func() { _ = p.w.Close() }()
 		p.check()
 		for i := 0; i < steps; i++ {
+			if p.enum != "" && i == steps/2 {
+				p.overflow()
+				p.check()
+			}
 			p.step()
 			p.check()
 		}
@@ -458,13 +681,47 @@ func TestStoredFormMatchesMapModel(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			emptyShapeRegistry(t)
 			p := &storedRun{t: t, rng: rand.New(rand.NewSource(seed)), col: propCol, dir: t.TempDir(),
-				store: NewStore(), ref: newRefModel(), shapes: map[string]*shape{}}
+				store: NewStore(), ref: newRefModel(), shapes: map[string]*shape{}, logged: new([][]byte)}
 			p.w = openWAL(t, p.dir, wal.Options{Policy: wal.FsyncNone})
-			AttachWAL(p.store, p.w)
+			p.attach(p.store)
 			p.c().EnsureIndex("a")
 			run(p)
 		})
 	}
+	// Halfway through, the table of a field every document may hold
+	// closes: before, its values are coded; after, documents of one
+	// field set hold it coded or boxed, and every read, index plan and
+	// byte written must not tell the two apart. The test starts from
+	// empty intern tables, so the field's table is open whatever ran
+	// before it in the process.
+	t.Run("table-closes", func(t *testing.T) {
+		emptyInternTables(t)
+		p := &storedRun{t: t, rng: rand.New(rand.NewSource(5)), col: propCol, dir: t.TempDir(),
+			store: NewStore(), ref: newRefModel(), shapes: map[string]*shape{}, logged: new([][]byte),
+			enum: "e", enumPool: []string{"e0", "e1", "e2", "e3", "e4"}}
+		p.w = openWAL(t, p.dir, wal.Options{Policy: wal.FsyncNone})
+		p.attach(p.store)
+		p.c().EnsureIndex("a")
+		p.c().EnsureIndex(p.enum)
+		run(p)
+		held := map[string]map[kind]bool{}
+		for _, sh := range p.shapes {
+			if i := sh.index(p.enum); i >= 0 {
+				names := strings.Join(sh.names, "\x00")
+				if held[names] == nil {
+					held[names] = map[kind]bool{}
+				}
+				held[names][sh.kinds[i]] = true
+			}
+		}
+		both := false
+		for _, kinds := range held {
+			both = both || kinds[kindCode] && kinds[kindAny]
+		}
+		if !both {
+			t.Fatalf("no field set held %q both coded and boxed: %v", p.enum, held)
+		}
+	})
 	t.Run("legacy-gob", func(t *testing.T) {
 		emptyShapeRegistry(t)
 		// gob restores a time in the machine's zone when the offsets
@@ -521,6 +778,253 @@ func TestStoredFormMatchesMapModel(t *testing.T) {
 		p.ref.unset("kinds", "empty-bytes")
 		run(p)
 	})
+}
+
+// TestRecoveryAcrossTableBoundaries: a log written where a field's
+// table closed at one value is replayed where it closes at another —
+// codes belong to the process and are never written — and the
+// recovered store answers exactly as the store that wrote the log,
+// bytes included, though it holds other documents' values coded.
+func TestRecoveryAcrossTableBoundaries(t *testing.T) {
+	emptyInternTables(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := openWAL(t, dir, wal.Options{Policy: wal.FsyncNone})
+	src := NewStore()
+	AttachWAL(src, w)
+	c := src.Collection("obs")
+	c.EnsureIndex("zone")
+	// 300 zones the writer meets one by one (its table closes at the
+	// 257th), then 100 documents back in zones it met before and after.
+	const n = 400
+	zone := func(i int) string {
+		if i < 300 {
+			return fmt.Sprintf("z%03d", i)
+		}
+		return fmt.Sprintf("z%03d", (i-300)*3)
+	}
+	var batch []Doc
+	for i := 0; i < n; i++ {
+		d := Doc{IDField: fmt.Sprintf("d%03d", i), "zone": zone(i), "spl": float64(40 + i%50), "mode": []string{"walk", "ride"}[i%2]}
+		if i%3 == 0 {
+			if _, err := c.Insert(d); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if batch = append(batch, d); len(batch) == 7 || i == n-1 {
+			if _, err := c.InsertMany(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = nil
+		}
+	}
+	if err := c.Update("d010", Doc{"zone": "z299", "note": "moved"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Unset("d011", "mode"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A process of its own: fresh tables, the zone table holding a
+	// hundred other values first, so it closes after z155.
+	internFields.m.Store(nil)
+	shapes.m.Store(nil)
+	zf := fieldNamed("zone")
+	for i := 0; i < 100; i++ {
+		s := fmt.Sprintf("elsewhere-%d", i)
+		zf.code(s, s)
+	}
+	dst := NewStore()
+	w = openWAL(t, dir, wal.Options{Policy: wal.FsyncNone})
+	defer w.Close()
+	if _, err := RecoverWAL(dst, w); err != nil {
+		t.Fatal(err)
+	}
+	r := dst.Collection("obs")
+
+	kindOfZone := func(c *Collection, id string) kind {
+		rows, err := c.FindRowsContext(ctx, Doc{IDField: id}, FindOptions{})
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("%s: %d rows, %v", id, len(rows), err)
+		}
+		sh := rows[0].p.shape
+		return sh.kinds[sh.index("zone")]
+	}
+	if kindOfZone(c, "d200") != kindCode || kindOfZone(r, "d200") != kindAny || kindOfZone(c, "d100") != kindCode || kindOfZone(r, "d100") != kindCode {
+		t.Fatal("the two stores do not hold the zones of d100 and d200 as the tables' bounds say")
+	}
+	same := func(what string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s\n recovered %v\n written   %v", what, got, want)
+		}
+	}
+	for _, f := range []Doc{nil, {"zone": "z000"}, {"zone": "z150"}, {"zone": "z200"}, {"zone": "z299"}, {"zone": "z999"},
+		{"zone": map[string]any{"$in": []any{"z120", "z270"}}}, {"zone": map[string]any{"$gte": "z155"}, "mode": "ride"}} {
+		for _, opts := range []FindOptions{{}, {SortField: "zone", SortDesc: true, Skip: 3, Limit: 50}, {SortField: "zone", Projection: []string{"zone"}}} {
+			got, err := r.Find(f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.Find(f, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("Find(%v, %+v)", f, opts), got, want)
+		}
+		got, _ := r.CountContext(ctx, f)
+		want, _ := c.CountContext(ctx, f)
+		same(fmt.Sprintf("Count(%v)", f), got, want)
+		for anchor := ""; ; {
+			got, err := r.FindAfterContext(ctx, anchor, f, 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := c.FindAfterContext(ctx, anchor, f, 30)
+			same(fmt.Sprintf("FindAfter(%q, %v)", anchor, f), got, want)
+			if len(got) < 30 {
+				break
+			}
+			anchor = got[29][IDField].(string)
+		}
+	}
+	gotRows, _ := r.FindRowsContext(ctx, nil, FindOptions{})
+	wantRows, _ := c.FindRowsContext(ctx, nil, FindOptions{})
+	if len(gotRows) != n || len(wantRows) != n {
+		t.Fatalf("%d recovered rows, %d written, want %d", len(gotRows), len(wantRows), n)
+	}
+	for i := range gotRows {
+		got, err := gotRows[i].AppendJSON(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := wantRows[i].AppendJSON(nil, nil)
+		same("row", string(got), string(want))
+	}
+	if !bytes.Equal(snapshotBytes(t, dst), snapshotBytes(t, src)) {
+		t.Fatal("the recovered store snapshots to other bytes than the store that wrote the log")
+	}
+}
+
+// TestStoredFormConcurrentCoding (for -race): writers store documents
+// whose values their field's table meets for the first time — more
+// than it has codes, so it closes midway — some inserted live, some
+// decoded from records by stores recovering side by side, while readers
+// resolve the code or box of every document they find.
+func TestStoredFormConcurrentCoding(t *testing.T) {
+	emptyInternTables(t)
+	ctx := context.Background()
+	const writers, per = 4, 120
+	value := func(id string) string { return "v-" + id }
+	doc := func(g, i int) Doc {
+		id := fmt.Sprintf("w%d-%03d", g, i)
+		return Doc{IDField: id, "v": value(id), "g": g}
+	}
+	// Writers 0 and 1 insert into live; 2 and 3 apply records to a
+	// store each.
+	liveStore := NewStore()
+	live := liveStore.Collection("coding")
+	live.EnsureIndex("v")
+	applied := []*Store{NewStore(), NewStore()}
+	var payloads [writers][][]byte
+	for g := 2; g < writers; g++ {
+		for i := 0; i < per; i++ {
+			d := doc(g, i)
+			p, err := EncodeMutation(&Mutation{Op: OpInsert, Collection: "coding", ID: d[IDField].(string), Doc: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloads[g] = append(payloads[g], p)
+		}
+	}
+	read := func(c *Collection) bool {
+		rows, err := c.FindRowsContext(ctx, nil, FindOptions{})
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		for _, row := range rows {
+			id, _ := row.Value(IDField).(string)
+			want := value(id)
+			out, err := row.AppendJSON(nil, nil)
+			if got := row.Value("v"); got != want || err != nil || !bytes.Contains(out, []byte(`"v":"`+want+`"`)) {
+				t.Errorf("document %s reads v = %v, writes %s (%v)", id, got, out, err)
+				return false
+			}
+		}
+		if len(rows) > 0 {
+			id := rows[len(rows)-1].Value(IDField).(string)
+			if ids, err := c.FindIDs(Doc{"v": value(id)}); err != nil || !slices.Equal(ids, []string{id}) {
+				t.Errorf("documents of %s's value: %v, %v", id, ids, err)
+				return false
+			}
+		}
+		return true
+	}
+	done := make(chan struct{})
+	var rg, wg sync.WaitGroup
+	for _, c := range []*Collection{live, applied[0].Collection("coding"), applied[1].Collection("coding")} {
+		rg.Add(1)
+		go func(c *Collection) {
+			defer rg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !read(c) {
+					return
+				}
+			}
+		}(c)
+	}
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				var err error
+				switch {
+				case g >= 2:
+					err = applied[g-2].ApplyRecord(uint64(i+1), byte(OpInsert), payloads[g][i])
+				case i%2 == 0:
+					_, err = live.Insert(doc(g, i))
+				default:
+					_, err = live.InsertMany([]Doc{doc(g, i)})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	if f := fieldNamed("v"); f == nil || !f.closed.Load() {
+		t.Fatal("the table of v did not close")
+	}
+	held := map[kind]int{}
+	for _, s := range append(applied, liveStore) {
+		c := s.Collection("coding")
+		if !read(c) {
+			return
+		}
+		c.mu.RLock()
+		for _, e := range c.order {
+			held[e.shape.kinds[e.shape.index("v")]]++
+		}
+		c.mu.RUnlock()
+	}
+	if held[kindCode] != maxInternValues || held[kindAny] != writers*per-maxInternValues {
+		t.Fatalf("v held as %v, want %d coded and the rest boxed", held, maxInternValues)
+	}
 }
 
 // untyped is the inverse of the fixture's typed dump ("int64:7").
@@ -895,6 +1399,17 @@ func TestStoredFormConcurrentShapeTransitions(t *testing.T) {
 	wg.Wait()
 }
 
+// emptyInternTables gives the test empty intern tables and an empty
+// shape registry, and puts the process's back when it ends. A test that
+// must reach a field's coded values, or close its table, on purpose
+// does so whatever earlier tests left in the process's tables.
+func emptyInternTables(t testing.TB) {
+	emptyShapeRegistry(t)
+	saved := internFields.m.Load()
+	internFields.m.Store(nil)
+	t.Cleanup(func() { internFields.m.Store(saved) })
+}
+
 // emptyShapeRegistry gives the test an empty shape registry and puts
 // the process's back when it ends. The registry is process-wide and
 // bounded, and the property tests fill it with the shapes of the
@@ -1107,13 +1622,7 @@ func TestStoredFormEncodesCanonically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := append([]byte(snapshotMagic), codecVersion)
-	want = binary.LittleEndian.AppendUint32(want, 1)
-	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(want, castagnoli))
-	want = binary.LittleEndian.AppendUint64(want, uint64(len(e.buf)))
-	want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(e.buf, castagnoli))
-	want = append(want, e.buf...)
-	if got := snapshotBytes(t, s); !bytes.Equal(got, want) {
+	if got, want := snapshotBytes(t, s), snapshotFile(e.buf); !bytes.Equal(got, want) {
 		t.Errorf("snapshot:\n stored form %x\n map encoder %x", got, want)
 	}
 }

@@ -49,31 +49,34 @@ func NewDataManagerEngine(data storage.Engine, accounts *Accounts, zones *geo.Zo
 // Ingest validates, anonymizes and stores one observation published
 // by clientID for appID; it returns the stored document id.
 func (dm *DataManager) Ingest(appID, clientID string, o *sensing.Observation, receivedAt time.Time) (string, error) {
+	return dm.ingestAnon(appID, dm.accounts.Anonymize(clientID), o, receivedAt)
+}
+
+// ingestAnon is Ingest with the contributor already anonymized, for a
+// caller that records the anonymous id elsewhere too.
+func (dm *DataManager) ingestAnon(appID, anonID string, o *sensing.Observation, receivedAt time.Time) (string, error) {
 	if o == nil {
 		return "", errors.New("goflow: nil observation")
 	}
 	if err := o.Validate(); err != nil {
 		return "", fmt.Errorf("ingest: %w", err)
 	}
-	doc := dm.toDoc(appID, clientID, o, receivedAt)
-	id, err := dm.data.Insert(ObservationsCollection, doc)
+	id, err := dm.data.Insert(ObservationsCollection, dm.toDocAnon(appID, anonID, o, receivedAt))
 	if err != nil {
 		return "", fmt.Errorf("store observation: %w", err)
 	}
 	return id, nil
 }
 
-// IngestBatch validates, anonymizes and stores a run of observations
-// from one client through a single store operation; it returns the
-// ids of the stored documents. On the first invalid observation the
-// valid prefix is still stored and the error returned, mirroring
-// Ingest called in a loop. Anonymization runs once for the whole
-// batch.
-func (dm *DataManager) IngestBatch(appID, clientID string, observations []*sensing.Observation, receivedAt []time.Time) ([]string, error) {
+// ingestBatch validates and stores a run of observations from one
+// contributor, already anonymized as anonID, through a single store
+// operation; it returns the ids of the stored documents. On the first
+// invalid observation the valid prefix is still stored and the error
+// returned, mirroring Ingest called in a loop.
+func (dm *DataManager) ingestBatch(appID, anonID string, observations []*sensing.Observation, receivedAt []time.Time) ([]string, error) {
 	if len(observations) == 0 {
 		return nil, nil
 	}
-	anonID := dm.accounts.Anonymize(clientID)
 	docs := make([]docstore.Doc, 0, len(observations))
 	var buildErr error
 	for i, o := range observations {
@@ -94,14 +97,9 @@ func (dm *DataManager) IngestBatch(appID, clientID string, observations []*sensi
 	return ids, buildErr
 }
 
-// toDoc flattens an observation into a document. The contributor is
-// stored under the anonymized id only (CNIL privacy policy).
-func (dm *DataManager) toDoc(appID, clientID string, o *sensing.Observation, receivedAt time.Time) docstore.Doc {
-	return dm.toDocAnon(appID, dm.accounts.Anonymize(clientID), o, receivedAt)
-}
-
-// toDocAnon is toDoc with the contributor already anonymized — batch
-// ingest resolves the anonymous id once instead of per observation.
+// toDocAnon flattens an observation into a document. The contributor
+// is stored under the anonymized id only (CNIL privacy policy), which
+// the caller resolves once for the document and its analytics.
 func (dm *DataManager) toDocAnon(appID, anonID string, o *sensing.Observation, receivedAt time.Time) docstore.Doc {
 	doc := docstore.Doc{
 		"appId":        appID,

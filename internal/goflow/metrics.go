@@ -562,10 +562,16 @@ func (m *Metrics) InstrumentStore(s *docstore.Store) {
 	// a workload gives every document its own and so defeats the sharing
 	// the stored form's size rests on.
 	shapes := m.reg.Gauge("docstore_shapes", "Document shapes (distinct field sets) registered by the process.")
+	// How many fields have met more distinct strings than their intern
+	// table codes: from then on a new value of theirs is stored boxed,
+	// so each document holding one weighs more. Zero while every
+	// enumerated field fits its table.
+	closed := m.reg.Gauge("docstore_intern_closed_fields", "Fields whose intern table gave out all its codes; their new values are stored boxed.")
 	var mu sync.Mutex
 	var last docstore.FormatStats
 	m.reg.OnCollect(func() {
 		shapes.Set(float64(docstore.ShapeCount()))
+		closed.Set(float64(docstore.InternClosedFields()))
 		mu.Lock()
 		defer mu.Unlock()
 		now := s.FormatStats()

@@ -202,8 +202,10 @@ func TestRouteCacheMetricsExposition(t *testing.T) {
 // TestFormatMetricsExposition checks the read-format counters: records
 // and snapshots the store read back before the registry existed show
 // up on the first scrape, under the format they were in, and a second
-// scrape does not count them again. Beside them sits docstore_shapes,
-// the process's shape count (at least the one these documents have).
+// scrape does not count them again. Beside them sit docstore_shapes,
+// the process's shape count (at least the one these documents have),
+// and docstore_intern_closed_fields, the fields whose codes ran out (at
+// least the one this test closes).
 func TestFormatMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
 	w, err := wal.Open(dir, wal.Options{Policy: wal.FsyncNone})
@@ -245,10 +247,22 @@ func TestFormatMetricsExposition(t *testing.T) {
 		server.Shutdown()
 		broker.Close()
 	})
+	// A field of this test's own meets one value more than its table
+	// codes. The intern tables are the process's: a second run of the
+	// test finds the field closed already.
+	wide := docstore.NewStore().Collection("wide")
+	for i := 0; i <= 256; i++ {
+		if _, err := wide.Insert(docstore.Doc{"closedByFormatMetricsTest": fmt.Sprint("v", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	reg := obs.NewRegistry()
 	Instrument(reg, server, store)
 	if docstore.ShapeCount() == 0 {
 		t.Fatal("no shape registered by a store that holds documents")
+	}
+	if docstore.InternClosedFields() == 0 {
+		t.Fatal("no closed field after one field met 257 values")
 	}
 	for scrape := 0; scrape < 2; scrape++ {
 		var buf bytes.Buffer
@@ -261,6 +275,7 @@ func TestFormatMetricsExposition(t *testing.T) {
 			`docstore_snapshots_restored_total{format="bin1"} 1`,
 			`docstore_snapshots_restored_total{format="gob"} 0`,
 			fmt.Sprintf("docstore_shapes %d\n", docstore.ShapeCount()),
+			fmt.Sprintf("docstore_intern_closed_fields %d\n", docstore.InternClosedFields()),
 		} {
 			if !strings.Contains(buf.String(), want) {
 				t.Errorf("scrape %d: /metrics missing %q; got:\n%s", scrape, want, grepLines(buf.String(), "docstore_"))

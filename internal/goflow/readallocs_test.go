@@ -24,7 +24,7 @@ func (d discardWriter) WriteHeader(int)             {}
 func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // readPathStore is a DataManager holding n observations ingested
-// through IngestBatch in bodies of 50, spread over four zones — one of
+// through ingestBatch in bodies of 50, spread over four zones — one of
 // them holds half — and over n minutes, half of them localized; it
 // returns the zones, the busiest first.
 func readPathStore(t *testing.T, n int) (*DataManager, []string) {
@@ -45,7 +45,7 @@ func readPathStore(t *testing.T, n int) (*DataManager, []string) {
 			o.Loc.Point = points[max(0, k%6-2)]
 			obs[i], at[i] = o, o.SensedAt.Add(time.Second)
 		}
-		if _, err := dm.IngestBatch("SC", "client-1", obs, at); err != nil {
+		if _, err := dm.ingestBatch("SC", dm.accounts.Anonymize("client-1"), obs, at); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -245,10 +245,11 @@ func (s *Server) ingestDelivery(m mq.Message) error {
 	if !m.PublishedAt.IsZero() {
 		receivedAt = m.PublishedAt
 	}
-	if _, err := s.Data.Ingest(appID, clientID, obs, receivedAt); err != nil {
+	anonID := s.Accounts.Anonymize(clientID)
+	if _, err := s.Data.ingestAnon(appID, anonID, obs, receivedAt); err != nil {
 		return err
 	}
-	s.Analytics.RecordIngest(appID, s.Accounts.Anonymize(clientID), obs.DeviceModel, obs.Localized(), receivedAt)
+	s.Analytics.RecordIngest(appID, anonID, obs.DeviceModel, obs.Localized(), receivedAt)
 	if s.onIngest != nil {
 		s.onIngest(appID)
 	}
@@ -268,16 +269,17 @@ func (s *Server) BulkIngest(appID, clientID string, observations []*sensing.Obse
 	receivedAt := make([]time.Time, len(observations))
 	for i, o := range observations {
 		if o == nil {
-			continue // IngestBatch reports the error at this index
+			continue // ingestBatch reports the error at this index
 		}
 		receivedAt[i] = o.ReceivedAt
 		if receivedAt[i].IsZero() {
 			receivedAt[i] = o.SensedAt
 		}
 	}
-	ids, err := s.Data.IngestBatch(appID, clientID, observations, receivedAt)
+	anonID := s.Accounts.Anonymize(clientID)
+	ids, err := s.Data.ingestBatch(appID, anonID, observations, receivedAt)
 	stored := len(ids)
-	s.Analytics.RecordIngestBatch(appID, s.Accounts.Anonymize(clientID), observations[:stored], receivedAt[:stored])
+	s.Analytics.RecordIngestBatch(appID, anonID, observations[:stored], receivedAt[:stored])
 	if s.onIngest != nil {
 		for i := 0; i < stored; i++ {
 			s.onIngest(appID)

@@ -50,7 +50,7 @@ func storedFormOf(t *testing.T, e storage.Engine) storedForm {
 
 // TestOneStoredFormAcrossRestarts: an observation reads the same —
 // every field's value, times included, and its JSON byte for byte —
-// inserted live through IngestBatch, recovered from its WAL record,
+// inserted live through ingestBatch, recovered from its WAL record,
 // restored from a checkpoint, and applied on a follower. The times
 // handed to the live insert carry a monotonic reading, the machine's
 // zone or a named one: at rest a time is its instant and zone offset,
@@ -78,7 +78,7 @@ func TestOneStoredFormAcrossRestarts(t *testing.T) {
 		obs[i] = obsAt(t, "LGE NEXUS 5", 50+float64(i), i%2 == 0, at)
 		received[i] = now.Add(time.Duration(i) * time.Millisecond)
 	}
-	if _, err := dm.IngestBatch("SC", "client-1", obs, received); err != nil {
+	if _, err := dm.ingestBatch("SC", dm.accounts.Anonymize("client-1"), obs, received); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dm.Ingest("SC", "client-2", obsAt(t, "M", 61, true, now.In(cest)), now); err != nil {
