@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -18,19 +19,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scale := flag.Float64("scale", 0.01, "fraction of the published 23M-observation study to simulate")
-	seed := flag.Int64("seed", 42, "random seed")
-	only := flag.String("only", "", "comma-separated experiment ids to print (default all)")
-	extensions := flag.Bool("extensions", true, "also run the Section 8 future-work experiments (ext1-ext4)")
-	csvDir := flag.String("csv", "", "also write one CSV per experiment into this directory")
-	flag.Parse()
+// run parses args, runs the suite and prints the transcript to stdout.
+// results/ holds the transcript and CSVs of the default run.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	scale := fs.Float64("scale", 0.01, "fraction of the published 23M-observation study to simulate")
+	seed := fs.Int64("seed", 42, "random seed")
+	only := fs.String("only", "", "comma-separated experiment ids to print (default all)")
+	extensions := fs.Bool("extensions", true, "also run the Section 8 future-work experiments (ext1-ext4)")
+	csvDir := fs.String("csv", "", "also write one CSV per experiment into this directory")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2, as flag.Parse does
 
 	suite := experiment.Suite{Scale: *scale, Seed: *seed, Extensions: *extensions}
 	results, err := suite.RunAll()
@@ -55,7 +60,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d CSV files to %s\n", len(paths), *csvDir)
+		fmt.Fprintf(stderr, "wrote %d CSV files to %s\n", len(paths), *csvDir)
 	}
-	return experiment.RenderAll(os.Stdout, results)
+	return experiment.RenderAll(stdout, results)
 }

@@ -31,7 +31,6 @@ import (
 	"github.com/urbancivics/goflow/internal/geo"
 	"github.com/urbancivics/goflow/internal/mq"
 	"github.com/urbancivics/goflow/internal/sensing"
-	"github.com/urbancivics/goflow/internal/soundcity"
 )
 
 func main() {
@@ -70,7 +69,7 @@ func run(args []string) error {
 }
 
 func cmdLogin(httpAddr string) error {
-	resp, err := http.Post(httpAddr+"/v1/apps/"+soundcity.AppID+"/login", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(httpAddr+"/v1/apps/"+sensing.SoundCityAppID+"/login", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		return err
 	}
@@ -131,10 +130,10 @@ func cmdPublish(mqAddr string, args []string) error {
 			Provider:  sensing.ProviderGPS,
 		}
 	}
-	transport := client.NewMQTransport(conn, *exchange, soundcity.AppID, *clientID)
+	transport := client.NewMQTransport(conn, *exchange, sensing.SoundCityAppID, *clientID)
 	uploader, err := client.NewUploader(client.Config{
 		ClientID:   *clientID,
-		AppID:      soundcity.AppID,
+		AppID:      sensing.SoundCityAppID,
 		Version:    "1.3",
 		BufferSize: 1,
 	}, transport)
@@ -207,7 +206,7 @@ func cmdQuery(httpAddr string, args []string) error {
 		params.Set("provider", *provider)
 	}
 	params.Set("limit", fmt.Sprint(*limit))
-	resp, err := http.Get(httpAddr + "/v1/apps/" + soundcity.AppID + "/observations?" + params.Encode())
+	resp, err := http.Get(httpAddr + "/v1/apps/" + sensing.SoundCityAppID + "/observations?" + params.Encode())
 	if err != nil {
 		return err
 	}
@@ -239,7 +238,7 @@ func cmdExport(httpAddr string, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	resp, err := http.Get(httpAddr + "/v1/apps/" + soundcity.AppID + "/observations/export?format=" + url.QueryEscape(*format))
+	resp, err := http.Get(httpAddr + "/v1/apps/" + sensing.SoundCityAppID + "/observations/export?format=" + url.QueryEscape(*format))
 	if err != nil {
 		return err
 	}

@@ -20,23 +20,23 @@ import (
 	"testing"
 )
 
-// The API-surface guards: every exported function or method of a serving
-// package is reached from the program, not only from its tests, and
-// every exported option field is both set and read by it. A function
-// that only a test calls is either wired into what the binaries serve,
-// unexported, or deleted; an option only a test sets becomes a constant
-// (DESIGN.md, "API surface").
+// The API-surface guards. The serving packages are what the shipped
+// binaries link, and TestServingBoundary keeps the experiment side out
+// of goflow-server and the server out of goflow-client. Every exported
+// function or method of a serving package is reached from the program,
+// not only from its tests, and every exported option field is set by
+// the program outside its own package and read by it. A function that
+// only a test calls is either wired into what the binaries serve,
+// unexported, or deleted; an option only its own package or a test sets
+// becomes a constant (DESIGN.md, "API surface").
 
 const modulePath = "github.com/urbancivics/goflow"
 
-// servingPackages are the packages the binaries are built from. The
-// experiment-side packages (device, analysis, adaptive, assim,
-// experiment) export helpers for the paper's figure benches, and faults,
-// simclock and storage/enginetest are test infrastructure; none is here.
-var servingPackages = []string{
-	"client", "cluster", "docstore", "geo", "goflow", "guard", "jsonenc",
-	"mq", "obs", "predict", "sensing", "series", "soundcity", "storage", "wal",
-}
+// servingBinaries are the binaries the project ships. The serving
+// packages are the module packages either one links, read from the
+// same go list pass that feeds the type-check: the linker, not a hand
+// list, decides what counts as serving code.
+var servingBinaries = []string{"cmd/goflow-server", "cmd/goflow-client"}
 
 // exportExceptions are the exports kept with no non-test caller, keyed
 // "pkg.Func" or "pkg.Type.Method". DESIGN.md ("API surface") names the
@@ -51,6 +51,11 @@ var exportExceptions = map[string]string{
 	// check dedup hits and forced reconnects.
 	"mq.Broker.Stats": "chaos suite reads dedup hits",
 	"mq.Conn.Stats":   "chaos suite reads forced reconnects",
+	// The simulated clock: the server links simclock for its Clock
+	// interface, and the tests of goflow, predict, soundcity, cluster
+	// and the benchmark's pacer (cmd/goflow-load) run on a Sim.
+	"simclock.NewSim":      "test clock: goflow, predict, soundcity and cluster tests",
+	"simclock.Sim.Advance": "test clock: the benchmark's pacer test advances it",
 }
 
 func TestNoTestOnlyExports(t *testing.T) {
@@ -79,29 +84,37 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // optionExceptions are the exported option fields kept although no
-// non-test file sets them, keyed "pkg.Type.Field". DESIGN.md ("API
-// surface") names the same entries.
+// non-test file outside their own package sets them, keyed
+// "pkg.Type.Field". Each is a seam a test of another package sets, and
+// its reason names that test. DESIGN.md ("API surface") names the same
+// entries.
 var optionExceptions = map[string]string{
-	// Clock and seed seams: a test or a simulator injects a clock or a
-	// seed; the binary runs the wall clock and the default seed.
-	"series.Options.Now":       "clock seam",
-	"goflow.LiveConfig.Now":    "clock seam",
-	"cluster.NodeOptions.Seed": "seed seam",
-	// Fault-injection seams the chaos and crash suites plug into.
-	"mq.ReconnectConfig.Dialer": "fault-injection seam: the chaos suite dials through faulty conns",
-	"wal.Options.WrapSegment":   "fault-injection seam: torn-write segments",
-	// Seals one segment per flush for tests outside package storage.
-	"storage.LocalOptions.SegmentBytes": "cross-package test seam: one segment per flush",
+	// The chaos suite dials through faulty conns and shrinks the
+	// recovery budget so its nemesis schedule runs in seconds.
+	"mq.ReconnectConfig.Dialer":         "faults.TestChaosExactlyOnceDelivery dials through faulty conns",
+	"mq.ReconnectConfig.MaxAttempts":    "faults.TestChaosExactlyOnceDelivery retries forever",
+	"mq.ReconnectConfig.BackoffBase":    "faults.TestChaosExactlyOnceDelivery backs off from 1ms",
+	"mq.ReconnectConfig.BackoffMax":     "faults.TestChaosExactlyOnceDelivery caps backoff at 20ms",
+	"mq.ReconnectConfig.Seed":           "faults.TestChaosExactlyOnceDelivery replays its jitter by seed",
+	"mq.ReconnectConfig.PublishRetries": "faults.TestChaosExactlyOnceDelivery outlasts its partitions",
+	"mq.ReconnectConfig.RPCTimeout":     "faults.TestChaosExactlyOnceDelivery detects black holes in 150ms",
+	// Crash and truncation seams of the storage stack.
+	"wal.Options.WrapSegment":           "docstore.TestWALKillRecover tears segment writes",
+	"storage.LocalOptions.SegmentBytes": "cluster.TestSnapshotRejoinAfterTruncation seals a segment per flush",
+	// The clock the quiet-route tests pin their forecasts to.
+	"goflow.ServerConfig.Clock": "soundcity.TestQuietRouteEndToEnd pins the forecast instant",
 	// Broker flow control waits for acknowledged-is-durable confirms
 	// (ROADMAP item 1) before it is wired or deleted.
-	"mq.QueueOptions.HighWatermark": "flow control, decided after durable confirms",
+	"mq.QueueOptions.HighWatermark": "goflow.TestGuardAndFlowMetricsExposition; flow control waits on durable confirms",
 }
 
 // TestOptionFieldsSetAndRead is the guard on options: every exported
 // field of an exported *Config, *Options or *Policy struct in a serving
-// package is set by some non-test file and read by some non-test file.
-// A knob only tests turn becomes a constant, or goes with the feature
-// it gates (DESIGN.md, "API surface").
+// package is set by some non-test file outside its own package and read
+// by some non-test file. A knob only its own package sets, or only
+// tests turn, becomes a constant, an unexported field its package's
+// tests set, or goes with the feature it gates (DESIGN.md, "API
+// surface").
 func TestOptionFieldsSetAndRead(t *testing.T) {
 	prog, err := loadProgram()
 	if err != nil {
@@ -120,7 +133,7 @@ func TestOptionFieldsSetAndRead(t *testing.T) {
 		}
 	}
 	if len(found) > 0 {
-		t.Errorf("%d option fields are never set or never read outside tests; make each a constant or delete it with what it gates:\n\t%s",
+		t.Errorf("%d option fields are never set outside their package or never read outside tests; make each a constant or delete it with what it gates:\n\t%s",
 			len(found), strings.Join(found, "\n\t"))
 	}
 	for name := range optionExceptions {
@@ -129,6 +142,40 @@ func TestOptionFieldsSetAndRead(t *testing.T) {
 		}
 	}
 	t.Logf("%d exported option fields, %d listed exceptions", len(fields), len(optionExceptions))
+}
+
+// experimentPackages are the figure-bench packages and the test
+// infrastructure: none of them may reach the server binary.
+var experimentPackages = []string{
+	"internal/adaptive", "internal/analysis", "internal/assim", "internal/device",
+	"internal/experiment", "internal/faults", "internal/storage/enginetest",
+}
+
+// clientPackages are all the module packages the phone-side CLI may
+// link: the client library, the observation model and what they stand
+// on. The server stack stays out of it.
+var clientPackages = []string{
+	"internal/client", "internal/geo", "internal/jsonenc", "internal/mq", "internal/sensing",
+}
+
+// TestServingBoundary pins the line the linker draws: goflow-server
+// links none of the experiment side, and goflow-client links nothing
+// of the server beyond the broker's wire.
+func TestServingBoundary(t *testing.T) {
+	prog, err := loadProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dep := range prog.links["cmd/goflow-server"] {
+		if slices.Contains(experimentPackages, strings.TrimPrefix(dep, modulePath+"/")) {
+			t.Errorf("goflow-server links %s", dep)
+		}
+	}
+	for _, dep := range prog.links["cmd/goflow-client"] {
+		if !slices.Contains(clientPackages, strings.TrimPrefix(dep, modulePath+"/")) {
+			t.Errorf("goflow-client links %s, which is not one of %v", dep, clientPackages)
+		}
+	}
 }
 
 type unusedExport struct {
@@ -142,12 +189,14 @@ type listedPackage struct {
 	GoFiles    []string
 	Standard   bool
 	Export     string
+	Deps       []string
 }
 
 // goList lists the packages of ./... in dir and everything they import,
-// in dependency order, with the compiler's export data for each.
+// in dependency order, with the compiler's export data and the
+// transitive imports of each.
 func goList(dir string) ([]listedPackage, error) {
-	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Standard,Export", "./...")
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Standard,Export,Deps", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -175,6 +224,10 @@ func goList(dir string) ([]listedPackage, error) {
 type program struct {
 	fset *token.FileSet
 	pkgs []checkedPackage
+	// links holds the module packages each of servingBinaries links,
+	// keyed by the binary's directory; serving is their union.
+	links   map[string][]string
+	serving map[string]bool
 }
 
 type checkedPackage struct {
@@ -204,11 +257,27 @@ var loadProgram = sync.OnceValues(func() (*program, error) {
 		}
 	}
 
-	prog := &program{fset: token.NewFileSet()}
+	prog := &program{fset: token.NewFileSet(), links: map[string][]string{}, serving: map[string]bool{}}
 	exportData := map[string]string{}
 	for _, p := range pkgs {
 		if p.Standard {
 			exportData[p.ImportPath] = p.Export
+		}
+		for _, bin := range servingBinaries {
+			if p.ImportPath != modulePath+"/"+bin {
+				continue
+			}
+			for _, dep := range p.Deps {
+				if strings.HasPrefix(dep, modulePath+"/") {
+					prog.links[bin] = append(prog.links[bin], dep)
+					prog.serving[dep] = true
+				}
+			}
+		}
+	}
+	for _, bin := range servingBinaries {
+		if prog.links[bin] == nil {
+			return nil, fmt.Errorf("go list did not list %s", bin)
 		}
 	}
 	imp := &moduleImporter{
@@ -248,12 +317,6 @@ var loadProgram = sync.OnceValues(func() (*program, error) {
 	return prog, nil
 })
 
-// serving reports whether pkg is one of servingPackages.
-func serving(pkg *types.Package) bool {
-	name, ok := strings.CutPrefix(pkg.Path(), modulePath+"/internal/")
-	return ok && slices.Contains(servingPackages, name)
-}
-
 // testOnlyExports returns the serving packages' exported functions and
 // methods that no non-test file of the program references. A method
 // counts as referenced when its type implements an interface, named or
@@ -290,7 +353,7 @@ func testOnlyExports(prog *program) []unusedExport {
 				}
 			}
 		}
-		if serving(p.pkg) {
+		if prog.serving[p.pkg.Path()] {
 			for _, f := range p.files {
 				for _, d := range f.Decls {
 					if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && exportedReceiver(fd) {
@@ -365,12 +428,14 @@ type optionField struct {
 // field of the serving packages' exported *Config, *Options and *Policy
 // structs. A set is a key of a keyed literal, a position in an unkeyed
 // one, the target of an assignment or of ++/--, or the operand of &x.F
-// (how flags bind); every other use is a read.
+// (how flags bind); every other use is a read. Only a set from outside
+// the field's own package counts: a default the package fills in
+// itself is a constant, not an option.
 func optionFields(prog *program) []*optionField {
 	counts := map[*types.Var]*optionField{}
 	var fields []*optionField
 	for _, p := range prog.pkgs {
-		if !serving(p.pkg) {
+		if !prog.serving[p.pkg.Path()] {
 			continue
 		}
 		scope := p.pkg.Scope()
@@ -423,8 +488,8 @@ func optionFields(prog *program) []*optionField {
 					for i, elt := range n.Elts {
 						if kv, ok := elt.(*ast.KeyValueExpr); ok {
 							setAt[kv.Key.(*ast.Ident)] = true
-						} else if c := counts[st.Field(i).Origin()]; c != nil {
-							c.sets++
+						} else if f := st.Field(i).Origin(); counts[f] != nil && f.Pkg() != p.pkg {
+							counts[f].sets++
 						}
 					}
 				}
@@ -440,7 +505,9 @@ func optionFields(prog *program) []*optionField {
 			switch {
 			case c == nil:
 			case setAt[id]:
-				c.sets++
+				if v.Pkg() != p.pkg {
+					c.sets++
+				}
 			default:
 				c.reads++
 			}

@@ -83,31 +83,3 @@ func Pearson(xs, ys []float64) (float64, error) {
 	}
 	return cov / math.Sqrt(vx*vy), nil
 }
-
-// LinearRegression fits y = intercept + slope*x by ordinary least
-// squares. ok is false when the fit is degenerate — fewer than two
-// points, zero variance in x, or non-finite inputs — so callers fall
-// back to a trend-free model instead of extrapolating garbage.
-func LinearRegression(xs, ys []float64) (slope, intercept float64, ok bool) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, false
-	}
-	for i := range xs {
-		if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) || math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
-			return 0, 0, false
-		}
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var cov, vx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		cov += dx * (ys[i] - my)
-		vx += dx * dx
-	}
-	if vx == 0 {
-		return 0, 0, false
-	}
-	slope = cov / vx
-	intercept = my - slope*mx
-	return slope, intercept, true
-}

@@ -1,7 +1,6 @@
 package assim
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -90,13 +89,9 @@ func TestTrustWeightedAssimilation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Trust-weighted: sigma per user from truth discovery. The trust
-	// cells must co-locate users in space, so key by grid cell.
-	trust, err := sensing.EstimateTrust(sObs, sensing.TrustOptions{
-		Cell: func(o *sensing.Observation) (string, bool) {
-			return fmt.Sprintf("h%d", o.SensedAt.Hour()), true
-		},
-	})
+	// Trust-weighted: sigma per user from truth discovery, over cells
+	// keyed by hour of day.
+	trust, err := sensing.EstimateTrust(sObs, sensing.TrustOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,12 +104,6 @@ type NodeOptions struct {
 	// and a silent follower's ack stops pinning the leader's log after
 	// 10×TTL.
 	LeaseTTL time.Duration
-	// Dial overrides the transport (nil = TCP with a LeaseTTL-bounded
-	// timeout).
-	Dial func(addr string) (net.Conn, error)
-	// Seed seeds the candidacy jitter (0 = derived from the name), so
-	// chaos tests reproduce by seed.
-	Seed int64
 	// OnLead fires (from the node's tick goroutine) after this node
 	// wins an election and its leader engine is serving — the server
 	// wiring starts ingest here.
@@ -126,6 +120,13 @@ type NodeOptions struct {
 	// that makes the zero-acked-loss invariant hold across elections
 	// (rule 2 above).
 	ackTimeout time.Duration
+	// dial opens replication connections: TCP with a LeaseTTL-bounded
+	// timeout unless the chaos tests route it through a partitionable
+	// network.
+	dial func(addr string) (net.Conn, error)
+	// seed seeds the candidacy jitter (0 = derived from the name), so
+	// the chaos tests reproduce by seed.
+	seed int64
 }
 
 // Node is one member of a self-healing replication group.
@@ -193,13 +194,13 @@ func StartNode(local *storage.Local, opt NodeOptions) (*Node, error) {
 	if opt.AdvertiseAddr == "" {
 		opt.AdvertiseAddr = opt.Listener.Addr().String()
 	}
-	if opt.Dial == nil {
+	if opt.dial == nil {
 		ttl := opt.LeaseTTL
-		opt.Dial = func(addr string) (net.Conn, error) {
+		opt.dial = func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, ttl)
 		}
 	}
-	seed := opt.Seed
+	seed := opt.seed
 	if seed == 0 {
 		for _, c := range opt.Name {
 			seed = seed*131 + int64(c)
@@ -458,7 +459,7 @@ func (n *Node) probe() (name, addr string, term uint64) {
 // roundTrip sends one frame to addr and reads one response, bounded by
 // the lease TTL.
 func (n *Node) roundTrip(addr string, req *mq.ReplFrame) (*mq.ReplFrame, error) {
-	nc, err := n.opt.Dial(addr)
+	nc, err := n.opt.dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +495,7 @@ func (n *Node) adoptLeader(name, addr string, term uint64) {
 	f, err := startFollower(n.local, followerOptions{
 		Name:          n.opt.Name,
 		Addr:          addr,
-		Dial:          n.opt.Dial,
+		Dial:          n.opt.dial,
 		RetryInterval: n.opt.LeaseTTL / 8,
 		Term:          fterm,
 		OnTerm:        n.observeWireTerm,

@@ -144,8 +144,8 @@ func startGroup(t *testing.T, dir string, seed int64, ttl time.Duration) *testGr
 			AdvertiseAddr: g.addrs[name],
 			LeaseTTL:      ttl,
 			ackTimeout:    ttl,
-			Seed:          seed*31 + int64(i),
-			Dial:          g.cn.dialer(name),
+			seed:          seed*31 + int64(i),
+			dial:          g.cn.dialer(name),
 			Logf:          t.Logf,
 		})
 		if err != nil {

@@ -179,6 +179,9 @@ func (f *follower) run(ctx context.Context) {
 		first = false
 		if f.needSnap.Load() {
 			if err := f.bootstrapSnapshot(ctx); err != nil {
+				if ctx.Err() == nil {
+					f.opt.Logf("cluster: follower %s: snapshot bootstrap: %v", f.opt.Name, err)
+				}
 				continue
 			}
 			f.needSnap.Store(false)

@@ -62,7 +62,7 @@ func TestClusterMergedForecastEqualsMergedRollupForecast(t *testing.T) {
 
 	// Hand-merge the shard buckets in the same fixed shard order the
 	// Router uses.
-	window := asOf.Add(-predict.DefaultWindow)
+	window := asOf.Add(-predict.Window)
 	merged := make(map[string]map[int64]*series.Bucket)
 	for _, s := range shards {
 		rr := s.(storage.RollupReader)

@@ -45,8 +45,10 @@ func (f *follower) stagingPaths() (staging, meta string, ok bool) {
 }
 
 // bootstrapSnapshot runs one snapshot-transfer attempt: resume (or
-// start) the download, and import when complete. Any error leaves the
-// stage on disk for the next attempt.
+// start) the download, and import when complete. A transfer error
+// leaves the stage on disk for the next attempt to resume; a complete
+// stage that fails to import is discarded, so the next attempt
+// downloads it afresh instead of importing the same bytes forever.
 func (f *follower) bootstrapSnapshot(ctx context.Context) error {
 	staging, metaPath, ok := f.stagingPaths()
 	if !ok {
@@ -173,7 +175,9 @@ func (f *follower) bootstrapSnapshot(ctx context.Context) error {
 	}
 
 	if err := f.local.ImportSnapshot(staging, meta.SnapLSN); err != nil {
-		return err
+		_ = os.Remove(staging)
+		_ = os.Remove(metaPath)
+		return fmt.Errorf("cluster: import staged snapshot (lsn %d, %d bytes; stage discarded): %w", meta.SnapLSN, total, err)
 	}
 	_ = os.Remove(metaPath)
 	f.applied.Store(meta.SnapLSN)

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -193,13 +194,26 @@ func sentFrames(t *testing.T, mu *sync.Mutex, buf *bytes.Buffer) []*mq.ReplFrame
 // — then converge to a state byte-identical to a replica that never
 // crashed. The resume is asserted on the wire: the restarted
 // follower's snapshot request carries exactly the staged byte count.
+//
+// The damaged case flips one staged byte before the restart: the
+// resumed stage completes but fails the import's checks, and the
+// follower must discard it and download the snapshot again from zero
+// rather than re-import the same bytes forever.
 func TestSnapshotTransferInterruptedResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test; skipped in -short")
 	}
-	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+	cases := []struct {
+		seed    int64
+		damaged bool
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {5, false}, {1, true}}
+	for _, c := range cases {
+		seed := c.seed
+		name := fmt.Sprintf("seed=%d", seed)
+		if c.damaged {
+			name += ",damaged-stage"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			mts := NewMetrics(obs.NewRegistry())
 			ldr := startTestLeader(t, openSnapShard(t, filepath.Join(dir, "leader")), leaderOptions{
@@ -279,6 +293,9 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 			if staged <= 0 || staged >= int64(size) {
 				t.Fatalf("staged %d bytes of %d; tear did not land mid-transfer", staged, size)
 			}
+			if c.damaged {
+				flipByte(t, staging, staged/2)
+			}
 
 			// Attempt 2: restart on the same directory, snooping the wire.
 			var mu sync.Mutex
@@ -301,17 +318,19 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 
 			// The restarted follower asked the leader to resume at the
 			// staged offset — the torn bytes were never re-transferred.
-			resumed := false
+			// A damaged stage is then discarded and fetched from zero.
+			var offsets []int64
 			for _, f := range sentFrames(t, &mu, &sent) {
 				if f.Op == mq.ReplOpSnap {
-					if f.Offset != staged {
-						t.Fatalf("snapshot request offset = %d, want staged %d", f.Offset, staged)
-					}
-					resumed = true
+					offsets = append(offsets, f.Offset)
 				}
 			}
-			if !resumed {
-				t.Fatal("restarted follower never sent a snapshot request")
+			want := []int64{staged}
+			if c.damaged {
+				want = append(want, 0)
+			}
+			if !slices.Equal(offsets, want) {
+				t.Fatalf("snapshot request offsets = %v, want %v", offsets, want)
 			}
 
 			// Converged, and byte-identical to a replica that never tore.
@@ -325,5 +344,23 @@ func TestSnapshotTransferInterruptedResume(t *testing.T) {
 				t.Fatalf("torn-and-resumed state differs from fresh replica:\nrejoined %d bytes, fresh %d bytes", len(got), len(want))
 			}
 		})
+	}
+}
+
+// flipByte inverts the byte at off in the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
+
+	"github.com/urbancivics/goflow/internal/fsys"
 )
 
 // Snapshot persistence: the store serializes every collection
@@ -331,54 +332,15 @@ func (s *Store) SaveFile(path string) error {
 // or short write never corrupts the previous on-disk snapshot — the
 // rename is skipped on any error, so path keeps its old contents.
 func (s *Store) SaveFileVia(path string, wrap func(io.Writer) io.Writer) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".docstore-*.tmp")
-	if err != nil {
-		return fmt.Errorf("snapshot temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() { _ = os.Remove(tmpName) }() // no-op after a successful rename
-	var w io.Writer = tmp
-	if wrap != nil {
-		w = wrap(tmp)
-	}
-	if err := s.Snapshot(w); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("close snapshot: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("publish snapshot: %w", err)
-	}
-	// The rename published the snapshot against a process crash, but
-	// only a directory fsync makes the new directory entry itself
-	// durable: without it, power loss after the rename can roll the
-	// directory back to the old (now unlinked) snapshot — or to
-	// nothing at all on some filesystems.
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("sync snapshot directory: %w", err)
+	if err := fsys.WriteFileAtomic(path, ".docstore-*.tmp", func(w io.Writer) error {
+		if wrap != nil {
+			w = wrap(w)
+		}
+		return s.Snapshot(w)
+	}); err != nil {
+		return fmt.Errorf("save snapshot: %w", err)
 	}
 	return nil
-}
-
-// syncDir fsyncs a directory so a rename inside it survives power
-// loss, not just process crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // LoadFile loads a snapshot from path into the store.

@@ -9,7 +9,6 @@ import (
 	"github.com/urbancivics/goflow/internal/adaptive"
 	"github.com/urbancivics/goflow/internal/assim"
 	"github.com/urbancivics/goflow/internal/device"
-	"github.com/urbancivics/goflow/internal/predict"
 	"github.com/urbancivics/goflow/internal/sensing"
 )
 
@@ -187,7 +186,7 @@ func ExtStream(seed int64) (*Result, error) {
 // persistence baseline ("T+30 equals the latest bucket") on the same
 // instants.
 func ExtForecast(seed int64) (*Result, error) {
-	res, err := predict.RunEval(predict.EvalConfig{Seed: seed})
+	res, err := RunEval(EvalConfig{Seed: seed})
 	if err != nil {
 		return nil, err
 	}

@@ -47,8 +47,8 @@ type LiveConfig struct {
 	SendBudget time.Duration
 	// MaxSockets caps concurrent live subscriptions (default 1024).
 	MaxSockets int
-	// Now overrides the budget clock for tests.
-	Now func() time.Time
+	// now overrides the budget clock for this package's tests.
+	now func() time.Time
 }
 
 func (c LiveConfig) withDefaults() LiveConfig {
@@ -122,7 +122,7 @@ func (h *LiveHub) Subscribe(patterns []string) (*mq.LiveSub, error) {
 	}
 	sub, err := h.broker.SubscribeLive(GoFlowExchange, patterns, mq.LiveSubOptions{
 		Buffer: h.cfg.Buffer,
-		Budget: guard.NewSendBudget(h.cfg.SendBudget, h.cfg.Now),
+		Budget: guard.NewSendBudget(h.cfg.SendBudget, h.cfg.now),
 	})
 	if err != nil {
 		h.mu.Unlock()

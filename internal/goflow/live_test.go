@@ -438,7 +438,7 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 	server, err := NewServer(ServerConfig{
 		Broker: broker,
 		Data:   storage.NewLocal(docstore.NewStore()),
-		Live:   LiveConfig{Buffer: 1, SendBudget: 5 * time.Second, Now: clk.Now},
+		Live:   LiveConfig{Buffer: 1, SendBudget: 5 * time.Second, now: clk.Now},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,6 +66,9 @@ func (s *Server) SetIngestHooks(onIngest func(appID string), onReject func()) {
 	s.onReject = onReject
 }
 
+// maxConcurrentJobs bounds background-job parallelism.
+const maxConcurrentJobs = 2
+
 // ServerConfig parameterizes NewServer.
 type ServerConfig struct {
 	// Broker is the messaging substrate (required).
@@ -76,13 +79,8 @@ type ServerConfig struct {
 	// unchanged; sharding and replication are invisible above the
 	// Engine seam.
 	Data storage.Engine
-	// Zones derives observation zone ids; nil defaults to the Paris
-	// grid.
-	Zones *geo.ZoneGrid
 	// Clock stamps ReceivedAt; nil defaults to the system clock.
 	Clock simclock.Clock
-	// MaxConcurrentJobs bounds background-job parallelism.
-	MaxConcurrentJobs int
 	// admission lets this package's tests move the REST overload
 	// guards off their constants.
 	admission AdmissionConfig
@@ -107,14 +105,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Data == nil {
 		return nil, errors.New("goflow: server needs a storage engine")
 	}
-	if cfg.Zones == nil {
-		cfg.Zones = geo.ParisZones()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real()
-	}
-	if cfg.MaxConcurrentJobs <= 0 {
-		cfg.MaxConcurrentJobs = 2
 	}
 	accounts, err := NewAccounts()
 	if err != nil {
@@ -124,13 +116,14 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	dm := NewDataManagerEngine(cfg.Data, accounts, cfg.Zones)
+	zones := geo.ParisZones()
+	dm := NewDataManagerEngine(cfg.Data, accounts, zones)
 	s := &Server{
 		Accounts:  accounts,
 		Channels:  channels,
 		Data:      dm,
 		Analytics: NewAnalytics(),
-		Jobs:      NewJobs(dm, cfg.MaxConcurrentJobs),
+		Jobs:      NewJobs(dm, maxConcurrentJobs),
 		Guard:     NewAdmission(cfg.admission),
 		Live:      NewLiveHub(cfg.Broker, cfg.Live),
 		LiveCache: NewLatestCache(),
@@ -143,7 +136,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, errors.New("goflow: forecasting needs a storage engine with a series view (bucket rollup reads)")
 		}
 		s.Predict = predict.New(src, *cfg.Predict, cfg.Clock)
-		s.Reroute = predict.NewRerouter(cfg.Zones, s.Predict)
+		s.Reroute = predict.NewRerouter(zones, s.Predict)
 	}
 	return s, nil
 }

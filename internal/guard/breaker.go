@@ -50,9 +50,6 @@ type BreakerConfig struct {
 	// Seed seeds the jitter source. The same (Seed, trip sequence)
 	// yields the same cool-downs.
 	Seed int64
-	// HalfOpenProbes is how many concurrent probes half-open admits.
-	// Defaults to 1.
-	HalfOpenProbes int
 	// Now overrides the clock for tests. Defaults to time.Now.
 	Now func() time.Time
 	// OnStateChange, when non-nil, observes transitions. Called
@@ -60,6 +57,9 @@ type BreakerConfig struct {
 	// into the breaker.
 	OnStateChange func(from, to BreakerState)
 }
+
+// halfOpenProbes is how many concurrent probes half-open admits.
+const halfOpenProbes = 1
 
 // Breaker is a generic closed/open/half-open circuit breaker. Callers
 // bracket each protected operation with Allow and Record:
@@ -86,9 +86,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.OpenFor <= 0 {
 		cfg.OpenFor = 5 * time.Second
 	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -111,7 +108,7 @@ func (b *Breaker) State() BreakerState {
 // Allow reports whether a protected call may proceed. In the open
 // state it returns a *Rejection wrapping ErrBreakerOpen whose
 // RetryAfter is the remaining cool-down. In half-open it admits up to
-// HalfOpenProbes concurrent probes and rejects the rest.
+// halfOpenProbes concurrent probes and rejects the rest.
 func (b *Breaker) Allow() error {
 	now := b.cfg.Now()
 	b.mu.Lock()
@@ -120,7 +117,7 @@ func (b *Breaker) Allow() error {
 	switch b.state {
 	case BreakerClosed:
 	case BreakerHalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 		} else {
 			err = Reject(ErrBreakerOpen, b.cfg.OpenFor)

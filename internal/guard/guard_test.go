@@ -93,7 +93,7 @@ func TestRateLimiterUnlimitedAndEviction(t *testing.T) {
 		t.Fatal("Rate=0 should admit everything")
 	}
 
-	l := NewRateLimiter(RateLimiterConfig{Rate: 1, Burst: 1, MaxKeys: 2, Now: clk.Now})
+	l := NewRateLimiter(RateLimiterConfig{Rate: 1, Burst: 1, maxKeys: 2, Now: clk.Now})
 	l.Allow("a")
 	clk.Advance(time.Second)
 	l.Allow("b")
@@ -202,16 +202,16 @@ func TestShedderDegradesByClass(t *testing.T) {
 	clk := newFakeClock()
 	sh := NewShedder(ShedderConfig{
 		Target:     50 * time.Millisecond,
-		Window:     10 * time.Second,
-		MinSamples: 5,
+		window:     10 * time.Second,
+		minSamples: 5,
 		RetryAfter: 2 * time.Second,
 		Now:        clk.Now,
 	})
 
-	// Below MinSamples: everything admitted regardless of latency.
+	// Below minSamples: everything admitted regardless of latency.
 	sh.Observe(time.Second)
 	if err := sh.Admit(ClassAnalytics); err != nil {
-		t.Fatalf("Admit below MinSamples = %v, want nil", err)
+		t.Fatalf("Admit below minSamples = %v, want nil", err)
 	}
 
 	// Healthy latencies: all classes admitted.
@@ -277,7 +277,7 @@ func TestShedderDegradesByClass(t *testing.T) {
 
 func TestShedderP99(t *testing.T) {
 	clk := newFakeClock()
-	sh := NewShedder(ShedderConfig{Target: time.Millisecond, MinSamples: 10, Now: clk.Now})
+	sh := NewShedder(ShedderConfig{Target: time.Millisecond, minSamples: 10, Now: clk.Now})
 	for i := 1; i <= 100; i++ {
 		sh.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -300,7 +300,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreaker(BreakerConfig{
 		FailureThreshold: 3,
 		OpenFor:          time.Second,
-		HalfOpenProbes:   1,
 		Now:              clk.Now,
 		OnStateChange: func(from, to BreakerState) {
 			transitions = append(transitions, from.String()+"->"+to.String())

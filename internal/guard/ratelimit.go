@@ -12,16 +12,18 @@ type RateLimiterConfig struct {
 	// Burst is the bucket capacity: how many requests a key may issue
 	// back-to-back after an idle period. Values < 1 are raised to 1.
 	Burst float64
-	// MaxKeys bounds the number of tracked keys; when exceeded the
-	// stalest bucket is evicted. Defaults to DefaultMaxKeys. The bound
-	// keeps a device-ID-spoofing client from growing server memory.
-	MaxKeys int
 	// Now overrides the clock for tests. Defaults to time.Now.
 	Now func() time.Time
+
+	// maxKeys bounds the number of tracked keys; when exceeded the
+	// stalest bucket is evicted. The bound keeps a device-ID-spoofing
+	// client from growing server memory. Defaults to defaultMaxKeys;
+	// a test of this package lowers it.
+	maxKeys int
 }
 
-// DefaultMaxKeys bounds tracked rate-limiter keys unless overridden.
-const DefaultMaxKeys = 65536
+// defaultMaxKeys bounds tracked rate-limiter keys.
+const defaultMaxKeys = 65536
 
 // RateLimiter is a token-bucket rate limiter keyed by an opaque string
 // (device ID, client IP). Each key refills at Rate tokens/second up to
@@ -44,8 +46,8 @@ func NewRateLimiter(cfg RateLimiterConfig) *RateLimiter {
 	if cfg.Burst < 1 {
 		cfg.Burst = 1
 	}
-	if cfg.MaxKeys <= 0 {
-		cfg.MaxKeys = DefaultMaxKeys
+	if cfg.maxKeys <= 0 {
+		cfg.maxKeys = defaultMaxKeys
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -67,7 +69,7 @@ func (l *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
 
 	b := l.buckets[key]
 	if b == nil {
-		if len(l.buckets) >= l.cfg.MaxKeys {
+		if len(l.buckets) >= l.cfg.maxKeys {
 			l.evictStalestLocked()
 		}
 		b = &bucket{tokens: l.cfg.Burst, last: now}
@@ -99,7 +101,7 @@ func (l *RateLimiter) keys() int {
 }
 
 // evictStalestLocked removes the bucket touched longest ago. A linear
-// scan is fine: eviction only happens at the MaxKeys ceiling, which a
+// scan is fine: eviction only happens at the maxKeys ceiling, which a
 // well-behaved deployment never reaches.
 func (l *RateLimiter) evictStalestLocked() {
 	var (

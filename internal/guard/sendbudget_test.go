@@ -56,7 +56,7 @@ func TestLiveClassSharesBottomShedRank(t *testing.T) {
 	clk := newFakeClock()
 	sh := NewShedder(ShedderConfig{
 		Target:     50 * time.Millisecond,
-		MinSamples: 5,
+		minSamples: 5,
 		Now:        clk.Now,
 	})
 	for i := 0; i < 30; i++ {

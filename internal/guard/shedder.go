@@ -14,18 +14,19 @@ type ShedderConfig struct {
 	// class up. Ingest is only shed beyond numClasses*Target — i.e.
 	// last, per the "never drop sensed observations until last" rule.
 	Target time.Duration
-	// Window is the moving window over which p99 is computed.
-	// Defaults to 10s.
-	Window time.Duration
-	// MinSamples is the minimum number of observations in the window
-	// before the shedder acts; below it everything is admitted.
-	// Defaults to 20.
-	MinSamples int
 	// RetryAfter is the back-off hint attached to shed decisions.
 	// Defaults to 1s.
 	RetryAfter time.Duration
 	// Now overrides the clock for tests. Defaults to time.Now.
 	Now func() time.Time
+
+	// window is the moving window over which p99 is computed: 10s
+	// unless a test of this package moves it.
+	window time.Duration
+	// minSamples is the minimum number of observations in the window
+	// before the shedder acts; below it everything is admitted: 20
+	// unless a test of this package moves it.
+	minSamples int
 }
 
 // Shedder is an adaptive load shedder driven by a moving p99-latency
@@ -56,11 +57,11 @@ type latencySample struct {
 // NewShedder builds a shedder. A zero Target disables shedding: Admit
 // always accepts.
 func NewShedder(cfg ShedderConfig) *Shedder {
-	if cfg.Window <= 0 {
-		cfg.Window = 10 * time.Second
+	if cfg.window <= 0 {
+		cfg.window = 10 * time.Second
 	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 20
+	if cfg.minSamples <= 0 {
+		cfg.minSamples = 20
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -112,7 +113,7 @@ func (s *Shedder) Admit(c Class) error {
 	// Pressure 1 sheds the least important rank (analytics and live),
 	// 2 also sheds queries, 3 sheds everything including ingest.
 	pressure := 0
-	if n >= s.cfg.MinSamples {
+	if n >= s.cfg.minSamples {
 		atOrAbove := n - p99Rank(n) + 1 // samples at or above the p99
 		for pressure < numShedRanks && s.reached[pressure] >= atOrAbove {
 			pressure++
@@ -147,14 +148,14 @@ func shedRank(c Class) int {
 }
 
 // P99 returns the current moving-window p99 latency, or 0 when the
-// window holds fewer than MinSamples observations.
+// window holds fewer than minSamples observations.
 func (s *Shedder) P99() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked(s.cfg.Now())
 	window := s.samples[s.head:]
 	n := len(window)
-	if n < s.cfg.MinSamples {
+	if n < s.cfg.minSamples {
 		return 0
 	}
 	ds := make([]time.Duration, n)
@@ -166,7 +167,7 @@ func (s *Shedder) P99() time.Duration {
 }
 
 func (s *Shedder) pruneLocked(now time.Time) {
-	cutoff := now.Add(-s.cfg.Window)
+	cutoff := now.Add(-s.cfg.window)
 	for s.head < len(s.samples) && s.samples[s.head].at.Before(cutoff) {
 		s.tallyLocked(s.samples[s.head].d, -1)
 		s.head++

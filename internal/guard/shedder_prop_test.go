@@ -17,7 +17,7 @@ type sortShedder struct {
 }
 
 func (r *sortShedder) prune() {
-	cutoff := r.cfg.Now().Add(-r.cfg.Window)
+	cutoff := r.cfg.Now().Add(-r.cfg.window)
 	i := 0
 	for i < len(r.samples) && r.samples[i].at.Before(cutoff) {
 		i++
@@ -33,7 +33,7 @@ func (r *sortShedder) observe(d time.Duration) {
 func (r *sortShedder) p99() time.Duration {
 	r.prune()
 	n := len(r.samples)
-	if n < r.cfg.MinSamples {
+	if n < r.cfg.minSamples {
 		return 0
 	}
 	ds := make([]time.Duration, n)
@@ -73,8 +73,8 @@ func TestShedderMatchesSortedWindow(t *testing.T) {
 		clk := newFakeClock()
 		cfg := ShedderConfig{
 			Target:     target,
-			Window:     time.Duration(1+rng.Intn(10)) * time.Second,
-			MinSamples: 1 + rng.Intn(30),
+			window:     time.Duration(1+rng.Intn(10)) * time.Second,
+			minSamples: 1 + rng.Intn(30),
 			RetryAfter: time.Second,
 			Now:        clk.Now,
 		}
@@ -86,9 +86,9 @@ func TestShedderMatchesSortedWindow(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			switch r := rng.Intn(100); {
 			case r < 2:
-				clk.Advance(cfg.Window + time.Second) // empty the window
+				clk.Advance(cfg.window + time.Second) // empty the window
 			case r < 30:
-				clk.Advance(time.Duration(rng.Int63n(int64(cfg.Window / 20))))
+				clk.Advance(time.Duration(rng.Int63n(int64(cfg.window / 20))))
 			case r < 33:
 				scale = time.Duration(1+rng.Intn(5)) * target / 2
 			}

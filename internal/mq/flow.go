@@ -7,7 +7,7 @@ import (
 
 // Per-queue flow control: when a queue's ready depth reaches its
 // HighWatermark the broker asks publishers to pause, and resumes them
-// once the depth drains to the LowWatermark. Transitions surface in
+// once the depth drains to half of it. Transitions surface in
 // three places: the Hooks.FlowPaused/FlowResumed metrics events, the
 // FlowSub subscription the wire server broadcasts to connections as
 // `flow` frames, and Broker.PausedQueues for snapshots (a freshly

@@ -25,7 +25,7 @@ func TestQueueWatermarkTransitions(t *testing.T) {
 	if err := b.DeclareExchange("x", Direct); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 4, LowWatermark: 2}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.BindQueue("q", "x", "k"); err != nil {
@@ -108,7 +108,7 @@ func TestFlowRoundTripOnWire(t *testing.T) {
 	if err := b.DeclareExchange("x", Direct); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 8, LowWatermark: 4}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.BindQueue("q", "x", "k"); err != nil {
@@ -193,7 +193,7 @@ func TestFlowGateBlocksPublish(t *testing.T) {
 	if err := b.DeclareExchange("x", Direct); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 2, LowWatermark: 1}); err != nil {
+	if err := b.DeclareQueue("q", QueueOptions{HighWatermark: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.BindQueue("q", "x", "k"); err != nil {
@@ -290,19 +290,13 @@ func TestOverflowHookAndRateLimitedWarn(t *testing.T) {
 	}
 }
 
-// TestWatermarkDefaults checks LowWatermark derivation.
+// TestWatermarkDefaults checks the low watermark's derivation.
 func TestWatermarkDefaults(t *testing.T) {
-	q := newQueue("q", QueueOptions{HighWatermark: 10}, nil, nil)
-	if q.opts.LowWatermark != 5 {
-		t.Fatalf("default LowWatermark = %d, want 5", q.opts.LowWatermark)
-	}
-	q = newQueue("q", QueueOptions{HighWatermark: 4, LowWatermark: 9}, nil, nil)
-	if q.opts.LowWatermark != 3 {
-		t.Fatalf("clamped LowWatermark = %d, want 3", q.opts.LowWatermark)
-	}
-	q = newQueue("q", QueueOptions{HighWatermark: 1}, nil, nil)
-	if q.opts.LowWatermark != 0 {
-		t.Fatalf("LowWatermark for HW=1 = %d, want 0", q.opts.LowWatermark)
+	for _, c := range []struct{ hw, low int }{{10, 5}, {4, 2}, {3, 1}, {1, 0}} {
+		q := newQueue("q", QueueOptions{HighWatermark: c.hw}, nil, nil)
+		if got := q.lowWatermark(); got != c.low {
+			t.Fatalf("low watermark for HW=%d = %d, want %d", c.hw, got, c.low)
+		}
 	}
 }
 

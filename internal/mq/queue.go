@@ -29,11 +29,9 @@ type QueueOptions struct {
 	// control. Backpressure replaces silent unbounded buffering: the
 	// deployment lesson is that a consumer outage otherwise turns the
 	// broker into an unbounded buffer that falls over later, all at
-	// once.
+	// once. Publishers resume once the ready depth drains back to half
+	// of it (lowWatermark).
 	HighWatermark int
-	// LowWatermark resumes publishers once the ready depth drains back
-	// to it. Defaults to HighWatermark/2; clamped below HighWatermark.
-	LowWatermark int
 }
 
 // QueueStats is a point-in-time snapshot of queue state.
@@ -96,14 +94,6 @@ type queue struct {
 }
 
 func newQueue(name string, opts QueueOptions, hooks *atomic.Pointer[Hooks], flowFn func(string, bool)) *queue {
-	if opts.HighWatermark > 0 {
-		if opts.LowWatermark <= 0 {
-			opts.LowWatermark = opts.HighWatermark / 2
-		}
-		if opts.LowWatermark >= opts.HighWatermark {
-			opts.LowWatermark = opts.HighWatermark - 1
-		}
-	}
 	return &queue{
 		name:    name,
 		opts:    opts,
@@ -199,6 +189,10 @@ func (q *queue) warnOverflowLocked(n int) {
 	q.overflowSinceWarn = 0
 }
 
+// lowWatermark is the ready depth at which paused publishers resume:
+// half the high watermark, so always below it.
+func (q *queue) lowWatermark() int { return q.opts.HighWatermark / 2 }
+
 // updateFlowLocked detects watermark crossings on the ready depth and
 // publishes pause/resume transitions to hooks and the broker's flow
 // subscribers. Caller holds q.mu.
@@ -215,7 +209,7 @@ func (q *queue) updateFlowLocked(h *Hooks) {
 		if q.flowFn != nil {
 			q.flowFn(q.name, true)
 		}
-	case q.paused && n <= q.opts.LowWatermark:
+	case q.paused && n <= q.lowWatermark():
 		q.paused = false
 		h.flowResumed(q.name)
 		if q.flowFn != nil {

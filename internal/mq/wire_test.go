@@ -175,7 +175,7 @@ func TestWireGoldenServerFrames(t *testing.T) {
 	// A queue over its high watermark: a new session learns it from a
 	// flow frame pushed right after accept (and maybe a second one from
 	// the broadcast of the transition itself).
-	if err := b.DeclareQueue("Q.full", QueueOptions{HighWatermark: 1, LowWatermark: 0}); err != nil {
+	if err := b.DeclareQueue("Q.full", QueueOptions{HighWatermark: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.BindQueue("Q.full", "E.mob1", "full"); err != nil {

@@ -75,7 +75,7 @@ func (f *Forecaster) ZoneForecast(ctx context.Context, zone string) (Forecast, b
 // deterministic entry point the evaluation harness drives.
 func (f *Forecaster) ZoneForecastAt(ctx context.Context, zone string, asOf time.Time) (Forecast, bool, error) {
 	start := time.Now()
-	buckets, has, err := f.src.SeriesZoneBuckets(ctx, zone, asOf.Add(-f.model.cfg.Window), asOf)
+	buckets, has, err := f.src.SeriesZoneBuckets(ctx, zone, asOf.Add(-Window), asOf)
 	if err != nil {
 		return Forecast{}, false, err
 	}
@@ -98,7 +98,7 @@ func (f *Forecaster) Sweep(ctx context.Context) (map[string]Forecast, error) {
 // SweepAt is Sweep at an explicit asOf instant.
 func (f *Forecaster) SweepAt(ctx context.Context, asOf time.Time) (map[string]Forecast, error) {
 	start := time.Now()
-	all, has, err := f.src.SeriesAllBuckets(ctx, asOf.Add(-f.model.cfg.Window), asOf)
+	all, has, err := f.src.SeriesAllBuckets(ctx, asOf.Add(-Window), asOf)
 	if err != nil {
 		return nil, err
 	}

@@ -23,20 +23,29 @@ import (
 	"math"
 	"time"
 
-	"github.com/urbancivics/goflow/internal/analysis"
 	"github.com/urbancivics/goflow/internal/series"
 )
 
-// Defaults. Horizon and bucket mirror City-flow (T+30 over 5-minute
-// buckets); the window is long enough for the regression to see a
-// trend but short enough that yesterday does not drag on now.
+// The model's constants. Horizon and bucket mirror City-flow (T+30
+// over 5-minute buckets); the window is long enough for the regression
+// to see a trend but short enough that yesterday does not drag on now.
 const (
-	DefaultHorizon    = 30 * time.Minute
-	DefaultWindow     = 3 * time.Hour
-	DefaultBucket     = 5 * time.Minute
-	DefaultAlpha      = 0.35
-	DefaultBlend      = 0.5
-	DefaultMinBuckets = 4
+	// DefaultHorizon is the forecast target when Config.Horizon is 0.
+	DefaultHorizon = 30 * time.Minute
+	// Window is the trailing history the model fits over.
+	Window = 3 * time.Hour
+	// Bucket is the rollup bucket width of the underlying series.
+	// Bucket LAeq values are anchored at bucket centers.
+	Bucket = 5 * time.Minute
+	// alpha is the EWMA smoothing factor in (0, 1]; higher weighs
+	// recent buckets more.
+	alpha = 0.35
+	// blend is the weight of the regression term in (0, 1]; 1 is pure
+	// trend extrapolation.
+	blend = 0.5
+	// minBuckets is the number of non-empty buckets in the window
+	// below which a zone is cold and gets no forecast.
+	minBuckets = 4
 
 	// Forecast values are clamped to the physically plausible dB
 	// range; a regression extrapolated off six noisy buckets must not
@@ -49,42 +58,11 @@ const (
 type Config struct {
 	// Horizon is how far ahead the forecast targets (default 30m).
 	Horizon time.Duration
-	// Window is the trailing history the model fits over (default 3h).
-	Window time.Duration
-	// Bucket is the rollup bucket width of the underlying series
-	// (default 5m). Bucket LAeq values are anchored at bucket centers.
-	Bucket time.Duration
-	// Alpha is the EWMA smoothing factor in (0, 1]; higher weighs
-	// recent buckets more (default 0.35).
-	Alpha float64
-	// Blend is the weight of the regression term in (0, 1]; 1 is pure
-	// trend extrapolation (default 0.5, zero/out-of-range values take
-	// the default — a near-zero Blend degenerates to pure EWMA).
-	Blend float64
-	// MinBuckets is the minimum number of non-empty buckets in the
-	// window below which a zone is cold and gets no forecast
-	// (default 4).
-	MinBuckets int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Horizon <= 0 {
 		c.Horizon = DefaultHorizon
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = DefaultBucket
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.Blend <= 0 || c.Blend > 1 {
-		c.Blend = DefaultBlend
-	}
-	if c.MinBuckets <= 0 {
-		c.MinBuckets = DefaultMinBuckets
 	}
 	return c
 }
@@ -115,10 +93,13 @@ type Forecast struct {
 
 // Model fits forecasts from bucket series. The zero value is unusable;
 // build with NewModel.
-type Model struct{ cfg Config }
+type Model struct {
+	cfg   Config
+	blend float64 // the constant blend; a test turns it to pure trend
+}
 
 // NewModel validates cfg and fills defaults.
-func NewModel(cfg Config) Model { return Model{cfg: cfg.withDefaults()} }
+func NewModel(cfg Config) Model { return Model{cfg: cfg.withDefaults(), blend: blend} }
 
 // ForecastZone fits one zone's forecast from its trailing bucket
 // series. Buckets must be ascending by start (what the series bucket
@@ -134,7 +115,7 @@ func (m Model) ForecastZone(zone string, buckets []series.Bucket, asOf time.Time
 	times := make([]float64, 0, len(buckets))
 	vals := make([]float64, 0, len(buckets))
 	asOfMs := asOf.UnixMilli()
-	halfBucket := float64(cfg.Bucket.Milliseconds()) / 2
+	halfBucket := float64(Bucket.Milliseconds()) / 2
 	for i := range buckets {
 		b := &buckets[i]
 		if b.Count == 0 || b.Start >= asOfMs {
@@ -151,14 +132,14 @@ func (m Model) ForecastZone(zone string, buckets []series.Bucket, asOf time.Time
 		times = append(times, t)
 		vals = append(vals, v)
 	}
-	if len(vals) < cfg.MinBuckets {
+	if len(vals) < minBuckets {
 		return Forecast{}, false
 	}
 
 	// EWMA in time order over the usable buckets.
 	ewma := vals[0]
 	for _, v := range vals[1:] {
-		ewma = cfg.Alpha*v + (1-cfg.Alpha)*ewma
+		ewma = alpha*v + (1-alpha)*ewma
 	}
 
 	last := vals[len(vals)-1]
@@ -174,7 +155,7 @@ func (m Model) ForecastZone(zone string, buckets []series.Bucket, asOf time.Time
 	// Regression term, extrapolated to the target and clamped near the
 	// window's observed range so a steep fit over few points cannot
 	// run away.
-	slope, intercept, fit := analysis.LinearRegression(times, vals)
+	slope, intercept, fit := linearRegression(times, vals)
 	if fit {
 		lo, hi := vals[0], vals[0]
 		for _, v := range vals[1:] {
@@ -184,7 +165,7 @@ func (m Model) ForecastZone(zone string, buckets []series.Bucket, asOf time.Time
 		xTarget := cfg.Horizon.Hours()
 		lr := intercept + slope*xTarget
 		lr = math.Max(lo-5, math.Min(hi+5, lr))
-		out.ValueDB = cfg.Blend*lr + (1-cfg.Blend)*ewma
+		out.ValueDB = m.blend*lr + (1-m.blend)*ewma
 		out.TrendDBPerHour = slope
 		out.Basis = "ewma-lr"
 	} else {
@@ -193,4 +174,40 @@ func (m Model) ForecastZone(zone string, buckets []series.Bucket, asOf time.Time
 	}
 	out.ValueDB = math.Max(minForecastDB, math.Min(maxForecastDB, out.ValueDB))
 	return out, true
+}
+
+// linearRegression fits y = intercept + slope*x by ordinary least
+// squares. ok is false when the fit is degenerate — fewer than two
+// points, zero variance in x, or non-finite inputs — so callers fall
+// back to a trend-free model instead of extrapolating garbage.
+func linearRegression(xs, ys []float64) (slope, intercept float64, ok bool) {
+	if len(xs) != len(ys) || len(xs) < 2 {
+		return 0, 0, false
+	}
+	for i := range xs {
+		if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) || math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
+			return 0, 0, false
+		}
+	}
+	mx, my := mean(xs), mean(ys)
+	var cov, vx float64
+	for i := range xs {
+		dx := xs[i] - mx
+		cov += dx * (ys[i] - my)
+		vx += dx * dx
+	}
+	if vx == 0 {
+		return 0, 0, false
+	}
+	slope = cov / vx
+	intercept = my - slope*mx
+	return slope, intercept, true
+}
+
+func mean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }

@@ -163,7 +163,9 @@ func TestForecastDegenerateRegressionFallsBackToEWMA(t *testing.T) {
 }
 
 func TestForecastClampsRunawayExtrapolation(t *testing.T) {
-	fc, ok := NewModel(Config{Blend: 1}).ForecastZone("z",
+	m := NewModel(Config{})
+	m.blend = 1
+	fc, ok := m.ForecastZone("z",
 		mkBuckets([]float64{40, 60, 80, 100, 115, 119}, 3), t0)
 	if !ok {
 		t.Fatal("expected forecast")

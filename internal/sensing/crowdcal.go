@@ -27,47 +27,35 @@ import (
 
 // CrowdCalOptions tune CrowdCalibrate.
 type CrowdCalOptions struct {
-	// Cell maps an observation to its co-location cell id; return
-	// ok=false to exclude the observation. Nil defaults to the hour
-	// of day (coarse but always available).
-	Cell func(o *Observation) (string, bool)
 	// Anchors are models with known biases (dB) from reference
 	// calibration; when non-empty the estimated biases are shifted so
 	// the anchors match their known values on average.
 	Anchors map[string]float64
-	// MaxIter bounds the median-polish iterations (default 25).
-	MaxIter int
-	// Tol is the convergence threshold on the max bias change per
-	// iteration in dB (default 0.01).
-	Tol float64
-	// MinObsPerModel drops models with fewer observations
-	// (default 10).
-	MinObsPerModel int
-	// MinModelsPerCell drops cells observed by fewer distinct models
-	// — a cell seen by one model carries no cross-model information
-	// (default 2).
-	MinModelsPerCell int
+
+	// cell maps an observation to its co-location cell id; ok=false
+	// excludes the observation. Nil is hourCell; a test of this
+	// package keys cells its own way.
+	cell func(o *Observation) (string, bool)
 }
 
-func (o CrowdCalOptions) withDefaults() CrowdCalOptions {
-	if o.Cell == nil {
-		o.Cell = func(obs *Observation) (string, bool) {
-			return fmt.Sprintf("h%02d", obs.SensedAt.Hour()), true
-		}
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 25
-	}
-	if o.Tol <= 0 {
-		o.Tol = 0.01
-	}
-	if o.MinObsPerModel <= 0 {
-		o.MinObsPerModel = 10
-	}
-	if o.MinModelsPerCell <= 0 {
-		o.MinModelsPerCell = 2
-	}
-	return o
+// Crowd-calibration constants.
+const (
+	// crowdCalMaxIter bounds the median-polish iterations.
+	crowdCalMaxIter = 25
+	// crowdCalTol is the convergence threshold on the max bias change
+	// per iteration, in dB.
+	crowdCalTol = 0.01
+	// minObsPerModel drops models with fewer observations.
+	minObsPerModel = 10
+	// minModelsPerCell drops cells observed by fewer distinct models:
+	// a cell seen by one model carries no cross-model information.
+	minModelsPerCell = 2
+)
+
+// hourCell keys an observation's co-location cell by its hour of day:
+// coarse but always available.
+func hourCell(o *Observation) (string, bool) {
+	return fmt.Sprintf("h%02d", o.SensedAt.Hour()), true
 }
 
 // CrowdCalResult reports the calibration outcome.
@@ -88,7 +76,9 @@ var ErrInsufficientOverlap = errors.New("sensing: insufficient cross-model overl
 
 // CrowdCalibrate estimates per-model biases from raw observations.
 func CrowdCalibrate(obs []*Observation, opts CrowdCalOptions) (*CrowdCalResult, error) {
-	opts = opts.withDefaults()
+	if opts.cell == nil {
+		opts.cell = hourCell
+	}
 
 	type sample struct {
 		model string
@@ -98,7 +88,7 @@ func CrowdCalibrate(obs []*Observation, opts CrowdCalOptions) (*CrowdCalResult, 
 	perModel := make(map[string]int)
 	samples := make([]sample, 0, len(obs))
 	for _, o := range obs {
-		cell, ok := opts.Cell(o)
+		cell, ok := opts.cell(o)
 		if !ok {
 			continue
 		}
@@ -108,7 +98,7 @@ func CrowdCalibrate(obs []*Observation, opts CrowdCalOptions) (*CrowdCalResult, 
 	// Filter thin models.
 	keepModel := make(map[string]bool, len(perModel))
 	for m, n := range perModel {
-		if n >= opts.MinObsPerModel {
+		if n >= minObsPerModel {
 			keepModel[m] = true
 		}
 	}
@@ -127,7 +117,7 @@ func CrowdCalibrate(obs []*Observation, opts CrowdCalOptions) (*CrowdCalResult, 
 	}
 	keepCell := make(map[string]bool, len(modelsInCell))
 	for c, set := range modelsInCell {
-		if len(set) >= opts.MinModelsPerCell {
+		if len(set) >= minModelsPerCell {
 			keepCell[c] = true
 		}
 	}
@@ -151,7 +141,7 @@ func CrowdCalibrate(obs []*Observation, opts CrowdCalOptions) (*CrowdCalResult, 
 		byCell[s.cell] = append(byCell[s.cell], i)
 	}
 	iterations := 0
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < crowdCalMaxIter; iter++ {
 		iterations = iter + 1
 		// Ambients given biases.
 		for cell, idxs := range byCell {
@@ -174,7 +164,7 @@ func CrowdCalibrate(obs []*Observation, opts CrowdCalOptions) (*CrowdCalResult, 
 			}
 			biases[model] = next
 		}
-		if maxDelta < opts.Tol {
+		if maxDelta < crowdCalTol {
 			break
 		}
 	}

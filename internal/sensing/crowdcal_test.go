@@ -105,7 +105,7 @@ func TestCrowdCalibrateInsufficientData(t *testing.T) {
 func TestCrowdCalibrateFiltersThinModels(t *testing.T) {
 	obs := crowdObs(t, map[string]float64{"A": 0, "B": 3}, 10, 25, 1, 5)
 	// Add a model with only 2 observations: excluded by
-	// MinObsPerModel.
+	// minObsPerModel.
 	thin := crowdObs(t, map[string]float64{"THIN": 20}, 1, 2, 1, 6)
 	res, err := CrowdCalibrate(append(obs, thin...), CrowdCalOptions{})
 	if err != nil {
@@ -122,7 +122,7 @@ func TestCrowdCalibrateCustomCellFunc(t *testing.T) {
 	// A cell function using minute buckets (here constant) still
 	// works because all observations collapse into shared cells.
 	res, err := CrowdCalibrate(obs, CrowdCalOptions{
-		Cell: func(o *Observation) (string, bool) {
+		cell: func(o *Observation) (string, bool) {
 			return fmt.Sprintf("z%d", o.SensedAt.Hour()%4), true
 		},
 	})

@@ -15,6 +15,12 @@ import (
 	"github.com/urbancivics/goflow/internal/geo"
 )
 
+// SoundCityAppID is the SoundCity application/exchange id ("SC" in
+// Figure 3). It is defined here, beside the observation model, so the
+// phone-side client names the app without linking the server;
+// soundcity.AppID is the same constant.
+const SoundCityAppID = "SC"
+
 // Mode is the sensing mode that produced an observation (Section 4.2
 // of the paper).
 type Mode int

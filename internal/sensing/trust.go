@@ -2,7 +2,6 @@ package sensing
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -25,40 +24,24 @@ import (
 //
 // repeated until the weights stabilize.
 
-// TrustOptions tune EstimateTrust.
+// TrustOptions tune EstimateTrust. Observations co-locate by hour of
+// day (hourCell), matching crowd-calibration.
 type TrustOptions struct {
-	// Cell maps an observation to its co-location cell (nil defaults
-	// to the hour of day, matching crowd-calibration).
-	Cell func(o *Observation) (string, bool)
 	// Calibration removes per-model bias before comparing users; nil
 	// compares raw levels (model bias then pollutes user residuals,
 	// so calibrate first when possible).
 	Calibration *CalibrationDB
-	// MaxIter bounds the reweighting iterations (default 20).
-	MaxIter int
-	// Tol is the convergence threshold on weight change (default 1e-4).
-	Tol float64
-	// MinObsPerUser drops users with fewer observations (default 5).
-	MinObsPerUser int
 }
 
-func (o TrustOptions) withDefaults() TrustOptions {
-	if o.Cell == nil {
-		o.Cell = func(obs *Observation) (string, bool) {
-			return fmt.Sprintf("h%02d", obs.SensedAt.Hour()), true
-		}
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 20
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-4
-	}
-	if o.MinObsPerUser <= 0 {
-		o.MinObsPerUser = 5
-	}
-	return o
-}
+// Truth-discovery constants.
+const (
+	// trustMaxIter bounds the reweighting iterations.
+	trustMaxIter = 20
+	// trustTol is the convergence threshold on weight change.
+	trustTol = 1e-4
+	// minObsPerUser drops users with fewer observations.
+	minObsPerUser = 5
+)
 
 // TrustResult reports per-user reliability.
 type TrustResult struct {
@@ -77,12 +60,10 @@ var ErrNoTrustData = errors.New("sensing: not enough data for trust estimation")
 
 // EstimateTrust runs the iterative truth-discovery weighting.
 func EstimateTrust(obs []*Observation, opts TrustOptions) (*TrustResult, error) {
-	opts = opts.withDefaults()
-
 	perUser := make(map[string]int)
 	samples := make([]trustSample, 0, len(obs))
 	for _, o := range obs {
-		cell, ok := opts.Cell(o)
+		cell, ok := hourCell(o)
 		if !ok {
 			continue
 		}
@@ -98,7 +79,7 @@ func EstimateTrust(obs []*Observation, opts TrustOptions) (*TrustResult, error) 
 	users := make([]string, 0, len(perUser))
 	keep := make(map[string]bool, len(perUser))
 	for u, n := range perUser {
-		if n >= opts.MinObsPerUser {
+		if n >= minObsPerUser {
 			keep[u] = true
 			users = append(users, u)
 		}
@@ -129,7 +110,7 @@ func EstimateTrust(obs []*Observation, opts TrustOptions) (*TrustResult, error) 
 	const eps = 0.25 // dB², floors the error so perfect users don't dominate
 
 	iterations := 0
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < trustMaxIter; iter++ {
 		iterations = iter + 1
 		// Weighted-median consensus per cell.
 		consensus := make(map[string]float64, len(byCell))
@@ -161,7 +142,7 @@ func EstimateTrust(obs []*Observation, opts TrustOptions) (*TrustResult, error) 
 		for u := range weights {
 			weights[u] /= mean
 		}
-		if maxDelta < opts.Tol {
+		if maxDelta < trustTol {
 			break
 		}
 	}

@@ -48,7 +48,7 @@ func BenchmarkSeriesQuery(b *testing.B) {
 	for _, n := range benchSizes {
 		// Rollup path: 5-minute buckets, the aligned window is pure
 		// aggregate merging.
-		db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
+		db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
 		benchFill(db, n, spread, 64)
 		b.Run(fmt.Sprintf("n=%d/path=rollup", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -105,7 +105,7 @@ func BenchmarkSeriesQuery(b *testing.B) {
 		// no window ever covers one, so the same query runs entirely as
 		// an edge scan — decode the overlapping chunks, sparse index
 		// pruning the rest.
-		ch := New(Options{ChunkWindow: time.Hour, RollupBucket: spread})
+		ch := New(Options{chunkWindow: time.Hour, RollupBucket: spread})
 		benchFill(ch, n, spread, 64)
 		b.Run(fmt.Sprintf("n=%d/path=chunks", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -124,7 +124,7 @@ func BenchmarkSeriesQuery(b *testing.B) {
 func BenchmarkAppend(b *testing.B) {
 	for _, zones := range []int{1, 150} {
 		b.Run(fmt.Sprintf("zones=%d", zones), func(b *testing.B) {
-			db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
+			db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
 			zs := make([]string, zones)
 			for i := range zs {
 				zs[i] = fmt.Sprintf("FR75%03d", i+1)
@@ -165,7 +165,7 @@ func BenchmarkRollupResident(b *testing.B) {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
+				db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
 				benchFill(db, buckets*tc.perBucket, span, zones)
 				db.ApplyRetention(testBase.Add(span + time.Hour))
 				runtime.GC()

@@ -148,10 +148,10 @@ func TestCheckpointRetentionUsesInjectedClock(t *testing.T) {
 	simNow := testBase.Add(24 * time.Hour)
 	opts := Options{
 		Dir:          t.TempDir(),
-		ChunkWindow:  time.Hour,
+		chunkWindow:  time.Hour,
 		RollupBucket: 5 * time.Minute,
 		Retention:    2 * time.Hour,
-		Now:          func() time.Time { return simNow },
+		now:          func() time.Time { return simNow },
 	}
 	db, err := Open(opts)
 	if err != nil {

@@ -264,7 +264,7 @@ func frame(body []byte) []byte {
 // the rollups the checkpoint wrote.
 func FuzzRollupsFile(f *testing.F) {
 	src := f.TempDir()
-	opts := Options{Dir: src, ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute}
+	opts := Options{Dir: src, chunkWindow: time.Hour, RollupBucket: 5 * time.Minute}
 	db, err := Open(opts)
 	if err != nil {
 		f.Fatal(err)
@@ -312,7 +312,7 @@ func FuzzRollupsFile(f *testing.F) {
 	}}))
 	f.Add(gobBytes(f, rollupFile{Epoch: man.Epoch + 1, Rollups: written}))
 
-	bucketMs, windowMs := opts.RollupBucket.Milliseconds(), opts.ChunkWindow.Milliseconds()
+	bucketMs, windowMs := opts.RollupBucket.Milliseconds(), opts.chunkWindow.Milliseconds()
 	windows := [][2]int64{
 		{at, at + bucketMs},
 		{at + bucketMs, at + 11*bucketMs},
@@ -336,7 +336,7 @@ func FuzzRollupsFile(f *testing.F) {
 		if err != nil {
 			want = written
 		}
-		got, err := Open(Options{Dir: dir, ChunkWindow: opts.ChunkWindow, RollupBucket: opts.RollupBucket})
+		got, err := Open(Options{Dir: dir, chunkWindow: opts.chunkWindow, RollupBucket: opts.RollupBucket})
 		if err != nil {
 			t.Fatalf("Open over a rollups file: %v", err)
 		}

@@ -81,7 +81,7 @@ func TestLegacyInterleavedFixture(t *testing.T) {
 	opts := func(dir string) Options {
 		return Options{
 			Dir:            dir,
-			ChunkWindow:    time.Duration(g.ChunkWindowMs) * time.Millisecond,
+			chunkWindow:    time.Duration(g.ChunkWindowMs) * time.Millisecond,
 			RollupBucket:   time.Duration(g.RollupBucketMs) * time.Millisecond,
 			MaxChunkPoints: g.MaxChunkPoints,
 		}

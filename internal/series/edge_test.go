@@ -67,7 +67,7 @@ func TestEdgeAnswersMatchNaiveRecomputation(t *testing.T) {
 	zones := []string{"FR75001", "FR75002", "FR75003", "FR75004", ""}
 	const spread = 6 * time.Hour
 	pts := genPoints(61, 12000, spread, zones)
-	opts := Options{Dir: t.TempDir(), ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 53}
+	opts := Options{Dir: t.TempDir(), chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 53}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestEdgeAnswersMatchNaiveRecomputation(t *testing.T) {
 // iteration order, so 500 identical calls agree bit for bit with each
 // other and with the recomputation from the stream.
 func TestStraddlingEdgeHasOneAnswer(t *testing.T) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute})
 	boundary := testBase.Add(11 * time.Hour)
 	lo, hi := boundary.Add(-90*time.Second), boundary.Add(90*time.Second)
 	rng := rand.New(rand.NewSource(3))

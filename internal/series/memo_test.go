@@ -350,7 +350,7 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			p := &memoProgram{
 				t: t, rng: rand.New(rand.NewSource(seed)), span: 30 * time.Hour,
-				opts: Options{Dir: t.TempDir(), ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 48},
+				opts: Options{Dir: t.TempDir(), chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 48},
 			}
 			var err error
 			if p.db, err = Open(p.opts); err != nil {
@@ -465,7 +465,7 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 // shrink, bucket series stay ascending. Once the appender stops, the
 // tiered answer equals the flat merge.
 func TestWindowMemoConcurrentReaders(t *testing.T) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 256})
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 256})
 	p := &memoProgram{t: t, rng: rand.New(rand.NewSource(9)), db: db, span: 8 * time.Hour}
 	base, span := testBase.UnixMilli(), p.span.Milliseconds()
 	for i := 0; i < 2000; i++ {

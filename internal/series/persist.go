@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/urbancivics/goflow/internal/fsys"
 )
 
 // Persistence. A checkpoint publishes three kinds of file under Dir:
@@ -418,9 +420,8 @@ func (db *DB) ResetTo(lsn uint64) error {
 		if err := os.Remove(filepath.Join(db.opts.Dir, manifestName)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("series: reset manifest: %w", err)
 		}
-		if d, err := os.Open(db.opts.Dir); err == nil {
-			_ = d.Sync()
-			_ = d.Close()
+		if err := fsys.SyncDir(db.opts.Dir); err != nil {
+			return fmt.Errorf("series: reset: %w", err)
 		}
 		sweepStrays(db.opts.Dir, nil)
 	}
@@ -482,40 +483,19 @@ func writeGobFrame(path string, payload any, wrap func(io.Writer) io.Writer) err
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(body)))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(body, castagnoli))
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".series-*.tmp")
-	if err != nil {
-		return fmt.Errorf("temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() { _ = os.Remove(tmpName) }() // no-op after a successful rename
-	var w io.Writer = tmp
-	if wrap != nil {
-		w = wrap(tmp)
-	}
-	if _, err := w.Write(hdr[:]); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("write: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("rename: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+	// The temp prefix is what sweepStrays recognises.
+	return fsys.WriteFileAtomic(path, ".series-*.tmp", func(w io.Writer) error {
+		if wrap != nil {
+			w = wrap(w)
+		}
+		if _, err := w.Write(hdr[:]); err != nil {
+			return fmt.Errorf("write: %w", err)
+		}
+		if _, err := w.Write(body); err != nil {
+			return fmt.Errorf("write: %w", err)
+		}
+		return nil
+	})
 }
 
 // readGobFrame reads and verifies a CRC-framed gob payload. Missing

@@ -58,13 +58,13 @@ type Options struct {
 	// Dir is where checkpoints persist chunks and rollups ("" = memory
 	// only; Checkpoint is then a no-op).
 	Dir string
-	// ChunkWindow is the time-partition width (default 1h). It must be
-	// a multiple of RollupBucket so every rollup bucket lives in
+	// chunkWindow is the time-partition width: 1h unless a test of
+	// this package moves it. It must be a multiple of RollupBucket so every rollup bucket lives in
 	// exactly one partition; a window that is not is rounded up to the
 	// next multiple (withDefaults), so hand-set flags like
 	// -rollup-interval 7m cannot silently break the retention
 	// alignment invariant.
-	ChunkWindow time.Duration
+	chunkWindow time.Duration
 	// RollupBucket is the continuous-aggregate bucket width (default
 	// 5m).
 	RollupBucket time.Duration
@@ -74,16 +74,16 @@ type Options struct {
 	// Retention drops raw chunks older than this at checkpoints (0 =
 	// keep raw data forever). Rollups are always kept.
 	Retention time.Duration
-	// Now supplies the current time for the retention cutoff at
-	// checkpoints (nil = time.Now). Deterministic experiment runs and
-	// retention tests inject a simulated clock here so "older than
-	// Retention" is measured against simulated time, not the wall.
-	Now func() time.Time
+	// now supplies the current time for the retention cutoff at
+	// checkpoints (nil = time.Now). Retention tests of this package
+	// inject a simulated clock here so "older than Retention" is
+	// measured against simulated time, not the wall.
+	now func() time.Time
 }
 
 func (o Options) withDefaults() Options {
-	if o.ChunkWindow <= 0 {
-		o.ChunkWindow = time.Hour
+	if o.chunkWindow <= 0 {
+		o.chunkWindow = time.Hour
 	}
 	if o.RollupBucket <= 0 {
 		o.RollupBucket = 5 * time.Minute
@@ -92,8 +92,8 @@ func (o Options) withDefaults() Options {
 	// comment: round the window up so it is a multiple of the bucket
 	// (a bucket straddling two partitions would break retention's
 	// answers-never-change guarantee).
-	if rem := o.ChunkWindow % o.RollupBucket; rem != 0 {
-		o.ChunkWindow += o.RollupBucket - rem
+	if rem := o.chunkWindow % o.RollupBucket; rem != 0 {
+		o.chunkWindow += o.RollupBucket - rem
 	}
 	if o.MaxChunkPoints <= 0 {
 		o.MaxChunkPoints = 65536
@@ -101,7 +101,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// partition is one ChunkWindow of raw data: an active (mutable)
+// partition is one chunkWindow of raw data: an active (mutable)
 // builder plus the sealed chunks behind it.
 type partition struct {
 	start   int64 // window start, Unix ms
@@ -161,7 +161,7 @@ func New(opts Options) *DB {
 	opts = opts.withDefaults()
 	return &DB{
 		opts:     opts,
-		windowMs: opts.ChunkWindow.Milliseconds(),
+		windowMs: opts.chunkWindow.Milliseconds(),
 		bucketMs: opts.RollupBucket.Milliseconds(),
 		parts:    make(map[int64]*partition),
 		rollups:  make(map[string]map[int64]*cell),
@@ -420,8 +420,8 @@ func (db *DB) h() *Hooks { return db.hooks.Load() }
 
 // now reads the injected clock (wall time when none was configured).
 func (db *DB) now() time.Time {
-	if db.opts.Now != nil {
-		return db.opts.Now()
+	if db.opts.now != nil {
+		return db.opts.now()
 	}
 	return time.Now()
 }

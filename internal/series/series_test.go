@@ -107,26 +107,26 @@ func (db *DB) rollupsSnapshot() map[string]map[int64]*Agg {
 }
 
 // TestChunkWindowRoundedToBucketMultiple pins the alignment
-// invariant Options documents: a ChunkWindow that is not a multiple
+// invariant Options documents: a chunkWindow that is not a multiple
 // of RollupBucket (e.g. -rollup-interval 7m against the default 1h
 // window) is rounded up so no rollup bucket can straddle two
 // partitions, which retention's answers-never-change guarantee
 // depends on.
 func TestChunkWindowRoundedToBucketMultiple(t *testing.T) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 7 * time.Minute})
-	if want := 63 * time.Minute; db.opts.ChunkWindow != want {
-		t.Fatalf("ChunkWindow: want %v, got %v", want, db.opts.ChunkWindow)
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 7 * time.Minute})
+	if want := 63 * time.Minute; db.opts.chunkWindow != want {
+		t.Fatalf("chunkWindow: want %v, got %v", want, db.opts.chunkWindow)
 	}
 	if db.windowMs%db.bucketMs != 0 {
 		t.Fatalf("window %dms is not a multiple of bucket %dms", db.windowMs, db.bucketMs)
 	}
 	// A bucket wider than the window swallows it whole.
-	if db2 := New(Options{ChunkWindow: time.Minute, RollupBucket: 5 * time.Minute}); db2.opts.ChunkWindow != 5*time.Minute {
-		t.Fatalf("ChunkWindow: want 5m, got %v", db2.opts.ChunkWindow)
+	if db2 := New(Options{chunkWindow: time.Minute, RollupBucket: 5 * time.Minute}); db2.opts.chunkWindow != 5*time.Minute {
+		t.Fatalf("chunkWindow: want 5m, got %v", db2.opts.chunkWindow)
 	}
 	// Already-aligned options are untouched.
-	if db3 := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute}); db3.opts.ChunkWindow != time.Hour {
-		t.Fatalf("aligned ChunkWindow changed: %v", db3.opts.ChunkWindow)
+	if db3 := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute}); db3.opts.chunkWindow != time.Hour {
+		t.Fatalf("aligned chunkWindow changed: %v", db3.opts.chunkWindow)
 	}
 }
 
@@ -321,7 +321,7 @@ func TestPercentileWithinBinWidth(t *testing.T) {
 func TestRollupsMatchNaiveRecomputation(t *testing.T) {
 	zones := []string{"FR75001", "FR75002", "FR75003", "FR75004", ""}
 	pts := genPoints(42, 20000, 6*time.Hour, zones)
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64})
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64})
 	for i, p := range pts {
 		db.Append(uint64(i+1), p)
 	}
@@ -391,7 +391,7 @@ func TestRollupsMatchNaiveRecomputation(t *testing.T) {
 }
 
 func TestChunkSkippingPrunesOutOfRangeChunks(t *testing.T) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 32})
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 32})
 	var scanned, skipped int
 	db.SetHooks(&Hooks{Query: func(_ string, _ time.Duration, sc, sk int) { scanned, skipped = sc, sk }})
 	pts := genPoints(5, 4000, 4*time.Hour, []string{"a", "b"})
@@ -413,7 +413,7 @@ func TestChunkSkippingPrunesOutOfRangeChunks(t *testing.T) {
 }
 
 func TestQueryHonorsContextCancellation(t *testing.T) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 16})
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 16})
 	pts := genPoints(9, 2000, time.Hour, []string{"a"})
 	for i, p := range pts {
 		db.Append(uint64(i+1), p)
@@ -428,7 +428,7 @@ func TestQueryHonorsContextCancellation(t *testing.T) {
 }
 
 func TestRetentionKeepsRollupAnswers(t *testing.T) {
-	db := New(Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64})
+	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64})
 	pts := genPoints(21, 8000, 6*time.Hour, []string{"x", "y", "z"})
 	for i, p := range pts {
 		db.Append(uint64(i+1), p)
@@ -460,7 +460,7 @@ func TestRetentionKeepsRollupAnswers(t *testing.T) {
 
 func TestPersistCheckpointOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64}
+	opts := Options{Dir: dir, chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +508,7 @@ func TestPersistCheckpointOpenRoundTrip(t *testing.T) {
 
 func TestCorruptRollupsFileRebuildsFromChunks(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64}
+	opts := Options{Dir: dir, chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64}
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +553,7 @@ func TestTornCheckpointRecovery(t *testing.T) {
 	first, rest := pts[:600], pts[600:]
 	for _, budget := range []int{0, 1, 17, 256, 1024, 4096, 16384, 1 << 20} {
 		dir := t.TempDir()
-		opts := Options{Dir: dir, ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64}
+		opts := Options{Dir: dir, chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 64}
 		db, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)

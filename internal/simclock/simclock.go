@@ -56,12 +56,3 @@ func (s *Sim) Advance(d time.Duration) time.Time {
 	}
 	return s.now
 }
-
-// SetTo jumps the clock to t if t is after the current instant.
-func (s *Sim) SetTo(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.After(s.now) {
-		s.now = t
-	}
-}

@@ -39,19 +39,6 @@ func TestSimAdvanceNegativeIgnored(t *testing.T) {
 	}
 }
 
-func TestSimSetToOnlyForward(t *testing.T) {
-	start := time.Date(2015, 7, 1, 0, 0, 0, 0, time.UTC)
-	s := NewSim(start)
-	s.SetTo(start.Add(time.Hour))
-	if want := start.Add(time.Hour); !s.Now().Equal(want) {
-		t.Fatalf("SetTo forward: Now() = %v, want %v", s.Now(), want)
-	}
-	s.SetTo(start) // backwards, ignored
-	if want := start.Add(time.Hour); !s.Now().Equal(want) {
-		t.Fatal("SetTo must never move the clock backwards")
-	}
-}
-
 func TestSimConcurrentAdvance(t *testing.T) {
 	s := NewSim(time.Unix(0, 0))
 	var wg sync.WaitGroup

@@ -49,8 +49,6 @@ type APIConfig struct {
 	Store *docstore.Store
 	// Broker routes feedback; nil disables feedback submission.
 	Broker *mq.Broker
-	// Zones derives feedback zones; nil defaults to Paris.
-	Zones *geo.ZoneGrid
 }
 
 // NewUserAPI builds the user-facing handler.
@@ -58,15 +56,13 @@ func NewUserAPI(cfg APIConfig) (http.Handler, error) {
 	if cfg.Server == nil || cfg.Store == nil {
 		return nil, errors.New("soundcity: user API needs a server and a store")
 	}
-	if cfg.Zones == nil {
-		cfg.Zones = geo.ParisZones()
-	}
+	zones := geo.ParisZones() // feedback zones
 	api := &userAPI{
 		server: cfg.Server,
 		store:  cfg.Store,
 		broker: cfg.Broker,
-		zones:  cfg.Zones,
-		trips:  NewJourneyStore(cfg.Store, cfg.Broker, cfg.Zones),
+		zones:  zones,
+		trips:  NewJourneyStore(cfg.Store, cfg.Broker, zones),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /me/observations", api.myObservations)

@@ -10,10 +10,11 @@ import (
 	"fmt"
 
 	"github.com/urbancivics/goflow/internal/goflow"
+	"github.com/urbancivics/goflow/internal/sensing"
 )
 
 // AppID is the SoundCity application/exchange id ("SC" in Figure 3).
-const AppID = "SC"
+const AppID = sensing.SoundCityAppID
 
 // AppName is the display name.
 const AppName = "SoundCity"

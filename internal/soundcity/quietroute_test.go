@@ -46,7 +46,6 @@ func newQuietRouteEnv(t *testing.T) *quietRouteEnv {
 	server, err := goflow.NewServer(goflow.ServerConfig{
 		Broker:  broker,
 		Data:    engine,
-		Zones:   grid,
 		Clock:   simclock.NewSim(quietRouteAsOf),
 		Predict: &predict.Config{},
 	})

@@ -95,7 +95,7 @@ func BenchmarkObservationIngest(b *testing.B) {
 				opts.WALDir = b.TempDir()
 			}
 			if cfg.withSeries {
-				opts.Series = &SeriesOptions{Options: series.Options{ChunkWindow: time.Hour, RollupBucket: 5 * time.Minute}}
+				opts.Series = &SeriesOptions{Options: series.Options{RollupBucket: 5 * time.Minute}}
 			}
 			l, err := OpenLocal(opts)
 			if err != nil {

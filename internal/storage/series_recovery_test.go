@@ -85,7 +85,6 @@ func seriesLocalOpts(dir string) LocalOptions {
 	return LocalOptions{
 		WALDir: dir,
 		Series: &SeriesOptions{Options: series.Options{
-			ChunkWindow:    time.Hour,
 			RollupBucket:   5 * time.Minute,
 			MaxChunkPoints: 64,
 		}},

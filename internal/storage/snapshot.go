@@ -2,10 +2,13 @@ package storage
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"github.com/urbancivics/goflow/internal/fsys"
 )
 
 // Snapshot export/import: the storage half of replication snapshot
@@ -22,19 +25,6 @@ import (
 // already holds, and docstore replay is idempotent; the truncation,
 // which is what makes a too-high claim dangerous, never runs before
 // the sidecar is durable.
-
-// syncDir fsyncs a directory so renames inside it survive power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // lsnSidecar returns the sidecar path for the engine's snapshot.
 func (l *Local) lsnSidecar() string { return l.snapshotPath + ".lsn" }
@@ -58,29 +48,11 @@ func (l *Local) loadSnapLSN() {
 // saveSnapLSN durably publishes the covered LSN (temp + rename +
 // directory sync, like every other commit point in this package).
 func (l *Local) saveSnapLSN(lsn uint64) error {
-	dir := filepath.Dir(l.lsnSidecar())
-	tmp, err := os.CreateTemp(dir, ".snaplsn-*.tmp")
-	if err != nil {
-		return fmt.Errorf("storage: snapshot lsn temp: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() { _ = os.Remove(tmpName) }()
-	if _, err := fmt.Fprintf(tmp, "%d\n", lsn); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("storage: write snapshot lsn: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("storage: sync snapshot lsn: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("storage: close snapshot lsn: %w", err)
-	}
-	if err := os.Rename(tmpName, l.lsnSidecar()); err != nil {
-		return fmt.Errorf("storage: publish snapshot lsn: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("storage: sync snapshot dir: %w", err)
+	if err := fsys.WriteFileAtomic(l.lsnSidecar(), ".snaplsn-*.tmp", func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "%d\n", lsn)
+		return err
+	}); err != nil {
+		return fmt.Errorf("storage: save snapshot lsn: %w", err)
 	}
 	l.snapLSN.Store(lsn)
 	return nil
@@ -157,8 +129,8 @@ func (l *Local) ImportSnapshot(stagingPath string, lsn uint64) error {
 		if err := os.Rename(stagingPath, l.snapshotPath); err != nil {
 			return fmt.Errorf("storage: publish imported snapshot: %w", err)
 		}
-		if err := syncDir(filepath.Dir(l.snapshotPath)); err != nil {
-			return fmt.Errorf("storage: sync snapshot dir: %w", err)
+		if err := fsys.SyncDir(filepath.Dir(l.snapshotPath)); err != nil {
+			return fmt.Errorf("storage: %w", err)
 		}
 		if err := l.saveSnapLSN(lsn); err != nil {
 			return err

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+
+	"github.com/urbancivics/goflow/internal/fsys"
 )
 
 // Manifest is the log's side-channel metadata file: the durable
@@ -47,28 +50,13 @@ func SaveManifest(dir string, m Manifest) error {
 	fmt.Fprintf(&buf, "%08x\n", crc32.Checksum(body, castagnoli))
 	buf.Write(body)
 
-	path := filepath.Join(dir, manifestName)
-	tmp, err := os.CreateTemp(dir, ".manifest-*.tmp")
-	if err != nil {
-		return fmt.Errorf("wal: manifest temp file: %w", err)
+	if err := fsys.WriteFileAtomic(filepath.Join(dir, manifestName), ".manifest-*.tmp", func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	}); err != nil {
+		return fmt.Errorf("wal: save manifest: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer func() { _ = os.Remove(tmpName) }() // no-op after the rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: write manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return fmt.Errorf("wal: sync manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("wal: close manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("wal: publish manifest: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // LoadManifest reads the manifest from the log directory. The second

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"github.com/urbancivics/goflow/internal/fsys"
 )
 
 // Segment files. The log is a directory of fixed-prefix files named
@@ -91,9 +93,9 @@ func createSegment(dir string, firstLSN uint64, wrap func(io.Writer) io.Writer) 
 	if err != nil {
 		return nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := fsys.SyncDir(dir); err != nil {
 		_ = f.Close()
-		return nil, err
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return newSegment(path, firstLSN, f, 0, wrap), nil
 }
@@ -127,21 +129,4 @@ func (s *segment) close() error { return s.file.Close() }
 // info returns the segment's sealed-segment descriptor.
 func (s *segment) info() segInfo {
 	return segInfo{firstLSN: s.firstLSN, path: s.path, size: s.size}
-}
-
-// syncDir fsyncs a directory so renames, creations and removals inside
-// it survive power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("wal: sync dir %s: %w", dir, err)
-	}
-	return nil
 }

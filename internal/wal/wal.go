@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/urbancivics/goflow/internal/fsys"
 )
 
 // FsyncPolicy selects when appended records are fsynced.
@@ -92,15 +94,6 @@ type Options struct {
 	SegmentBytes int64
 	// Policy is the fsync policy (default FsyncGrouped).
 	Policy FsyncPolicy
-	// MaxBatch flushes a group-commit batch early once this many
-	// records are pending (default 128).
-	MaxBatch int
-	// MaxDelay bounds how long a record appended fire-and-forget
-	// (Append without Wait) can sit in the buffer before the backstop
-	// committer flushes it (default 2ms). Waited appends never depend
-	// on it: the waiters themselves drive the flush, so batching
-	// comes from concurrency, not from a timer.
-	MaxDelay time.Duration
 	// WrapSegment, when non-nil, wraps each segment file's write path
 	// — the fault-injection seam crash tests use to tear writes at a
 	// byte budget (same pattern as docstore.SaveFileVia). Sync still
@@ -113,14 +106,21 @@ func (o *Options) withDefaults() Options {
 	if out.SegmentBytes <= 0 {
 		out.SegmentBytes = 64 << 20
 	}
-	if out.MaxBatch <= 0 {
-		out.MaxBatch = 128
-	}
-	if out.MaxDelay <= 0 {
-		out.MaxDelay = 2 * time.Millisecond
-	}
 	return out
 }
+
+// Group-commit constants.
+const (
+	// maxBatch flushes a group-commit batch early once this many
+	// records are pending.
+	maxBatch = 128
+	// maxDelay bounds how long a record appended fire-and-forget
+	// (Append without Wait) can sit in the buffer before the backstop
+	// committer flushes it. Waited appends never depend on it: the
+	// waiters themselves drive the flush, so batching comes from
+	// concurrency, not from a timer.
+	maxDelay = 2 * time.Millisecond
+)
 
 // Hooks receives log events for instrumentation. All fields are
 // optional; callbacks must be fast and must not call back into the
@@ -553,7 +553,7 @@ func (w *WAL) Append(typ byte, payload []byte) (*Ticket, error) {
 		default:
 		}
 	}
-	if n >= w.opt.MaxBatch {
+	if n >= maxBatch {
 		select {
 		case w.full <- struct{}{}:
 		default:
@@ -573,13 +573,13 @@ func (w *WAL) log(typ byte, payload []byte) (uint64, error) {
 
 // committer is the backstop flush loop. Waited appends commit through
 // their own Wait calls; the committer exists so records appended
-// fire-and-forget still reach the disk within MaxDelay (immediately
+// fire-and-forget still reach the disk within maxDelay (immediately
 // under FsyncNone, where no waiter will ever flush and the buffer
 // must not grow unbounded).
 func (w *WAL) committer() {
 	defer close(w.done)
 	sync := w.opt.Policy != FsyncNone
-	delay := w.opt.MaxDelay
+	delay := maxDelay
 	if w.opt.Policy == FsyncNone {
 		delay = 0
 	}
@@ -824,8 +824,8 @@ func (w *WAL) TruncateBefore(lsn uint64) (int, error) {
 		n++
 	}
 	if n > 0 {
-		if err := syncDir(w.dir); err != nil {
-			return n, err
+		if err := fsys.SyncDir(w.dir); err != nil {
+			return n, fmt.Errorf("wal: %w", err)
 		}
 		if h := w.h(); h != nil && h.Truncated != nil {
 			h.Truncated(n)
@@ -882,7 +882,8 @@ func (w *WAL) Reset(next uint64) error {
 		return err
 	}
 	w.seg = seg
-	if err := syncDir(w.dir); err != nil {
+	if err := fsys.SyncDir(w.dir); err != nil {
+		err = fmt.Errorf("wal: %w", err)
 		w.fail(err)
 		return err
 	}
