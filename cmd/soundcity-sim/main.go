@@ -94,13 +94,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// The uploader counts for itself; its Stats are read at every
+	// scrape, from the reporter's goroutine too.
 	clientRecorded := reg.Counter("client_recorded_total", "Observations recorded by the simulated uploader.")
 	clientSent := reg.Counter("client_sent_total", "Observations emitted by the simulated uploader.")
 	clientFailed := reg.Counter("client_failed_flushes_total", "Failed emission attempts of the simulated uploader.")
-	uploader.SetHooks(client.Hooks{
-		Recorded: func() { clientRecorded.Inc() },
-		Sent:     func(batch int) { clientSent.Add(uint64(batch)) },
-		Failed:   func() { clientFailed.Inc() },
+	reg.OnCollect(func() {
+		st := uploader.Stats()
+		clientRecorded.Set(uint64(st.Recorded))
+		clientSent.Set(uint64(st.Sent))
+		clientFailed.Set(uint64(st.FailedFlushes))
 	})
 	n := *brokerSample
 	if n > len(observations) {

@@ -95,18 +95,22 @@ func run() error {
 	fmt.Printf("journey %s shared publicly in zone %s\n", id, zone)
 
 	// The neighbour's queue received the announcement.
-	delivery, found, err := broker.Get(neighbour.Queue)
+	consumer, err := broker.Consume(neighbour.Queue, 1)
 	if err != nil {
 		return err
 	}
-	if !found {
+	defer consumer.Cancel()
+	var delivery mq.Delivery
+	select {
+	case delivery = <-consumer.C():
+	case <-time.After(time.Second):
 		return fmt.Errorf("no journey notification delivered to %s", neighbour.Queue)
 	}
 	var note map[string]any
 	if err := json.Unmarshal(delivery.Body, &note); err != nil {
 		return err
 	}
-	if err := broker.AckGet(neighbour.Queue, delivery.Tag); err != nil {
+	if err := consumer.Ack(delivery.Tag); err != nil {
 		return err
 	}
 	fmt.Printf("neighbour notified: new public journey %v in %v\n", note["journeyId"], note["zone"])

@@ -22,9 +22,11 @@ import (
 
 // The API-surface guards. The serving packages are what the shipped
 // binaries link, and TestServingBoundary keeps the experiment side out
-// of goflow-server and the server out of goflow-client. Every exported
-// function or method of a serving package is reached from the program,
-// not only from its tests, and every exported option field is set by
+// of goflow-server and the server out of goflow-client. Every function
+// or method of a serving package — exported, or unexported — is
+// reached from the program, not only from its tests; no serving
+// package declares a hook struct; and every exported option field is
+// set by
 // the program outside its own package and read by it. A function that
 // only a test calls is either wired into what the binaries serve,
 // unexported, or deleted; an option only its own package or a test sets
@@ -47,10 +49,9 @@ var exportExceptions = map[string]string{
 	"goflow.Accounts.RemoveClient":      "erasure route: forgets a client's account",
 	"goflow.Channels.Unsubscribe":       "erasure route: tears down a client's channels",
 	"goflow.DataManager.DeleteUserData": "erasure route: deletes a contributor's observations",
-	// The broker's counters, read by the internal/faults chaos suite to
-	// check dedup hits and forced reconnects.
-	"mq.Broker.Stats": "chaos suite reads dedup hits",
-	"mq.Conn.Stats":   "chaos suite reads forced reconnects",
+	// The connection's counters, read by the internal/faults chaos
+	// suite to check forced reconnects.
+	"mq.Conn.Stats": "chaos suite reads forced reconnects",
 	// The simulated clock: the server links simclock for its Clock
 	// interface, and the tests of goflow, predict, soundcity, cluster
 	// and the benchmark's pacer (cmd/goflow-load) run on a Sim.
@@ -73,12 +74,61 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	if len(found) > 0 {
-		t.Errorf("%d exported functions have no non-test caller; wire each into the program, unexport it or delete it:\n\t%s",
+		t.Errorf("%d functions have no non-test caller; wire each into the program, delete it, or (unexported) move it into a _test.go file:\n\t%s",
 			len(found), strings.Join(found, "\n\t"))
 	}
 	for name := range exportExceptions {
 		if !seen[name] {
 			t.Errorf("exception %s names no unused export; remove it here and in DESIGN.md", name)
+		}
+	}
+}
+
+// hookExceptions are the hook structs a serving package keeps, keyed
+// "pkg.Type". DESIGN.md §5 names the same entries.
+var hookExceptions = map[string]string{
+	"mq.LiveHooks": "the live fan-out latency is timed inside the publish path; goes with mq/live.go (ROADMAP item 3)",
+}
+
+// TestNoHookStructs keeps every count at one site: a serving package
+// counts into its own atomics or obs values, and no struct of
+// callbacks relays its events to a second counter. It fails on a type
+// named Hooks or ending in Hooks, and on a SetHooks or SetIngestHooks
+// function or method, in a serving package.
+func TestNoHookStructs(t *testing.T) {
+	prog, err := loadProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, p := range prog.pkgs {
+		if !prog.serving[p.pkg.Path()] {
+			continue
+		}
+		for id, obj := range p.info.Defs {
+			var name string
+			switch obj.(type) {
+			case *types.TypeName:
+				if obj.Parent() == p.pkg.Scope() && strings.HasSuffix(id.Name, "Hooks") {
+					name = p.pkg.Name() + "." + id.Name
+				}
+			case *types.Func:
+				if id.Name == "SetHooks" || id.Name == "SetIngestHooks" {
+					name = p.pkg.Name() + "." + id.Name
+				}
+			}
+			if name == "" {
+				continue
+			}
+			seen[name] = true
+			if _, ok := hookExceptions[name]; !ok {
+				t.Errorf("%s (%s): count the event where it happens and let /metrics read it; no hook struct relays it", name, prog.fset.Position(id.Pos()))
+			}
+		}
+	}
+	for name := range hookExceptions {
+		if !seen[name] {
+			t.Errorf("exception %s names no hook struct; remove it here and in DESIGN.md", name)
 		}
 	}
 }
@@ -317,11 +367,11 @@ var loadProgram = sync.OnceValues(func() (*program, error) {
 	return prog, nil
 })
 
-// testOnlyExports returns the serving packages' exported functions and
-// methods that no non-test file of the program references. A method
-// counts as referenced when its type implements an interface, named or
-// literal, that carries the method: the call goes through the
-// interface.
+// testOnlyExports returns the serving packages' functions and methods
+// — exported ones of the package's API, and every unexported one —
+// that no non-test file of the program references. A method counts as
+// referenced when its type implements an interface, named or literal,
+// that carries the method: the call goes through the interface.
 func testOnlyExports(prog *program) []unusedExport {
 	used := map[*types.Func]bool{}
 	bodies := map[*types.Func][2]token.Pos{} // a declaration's own span: recursion is not a caller
@@ -356,7 +406,11 @@ func testOnlyExports(prog *program) []unusedExport {
 		if prog.serving[p.pkg.Path()] {
 			for _, f := range p.files {
 				for _, d := range f.Decls {
-					if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() && exportedReceiver(fd) {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
+						continue
+					}
+					if !fd.Name.IsExported() || exportedReceiver(fd) {
 						fn := p.info.Defs[fd.Name].(*types.Func)
 						bodies[fn] = [2]token.Pos{fd.Pos(), fd.End()}
 						candidates = append(candidates, fn)

@@ -18,6 +18,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/urbancivics/goflow/internal/sensing"
@@ -88,7 +89,9 @@ const (
 	BearerCellular
 )
 
-// Stats counts uploader activity.
+// Stats counts uploader activity. The uploader counts into atomics,
+// so Stats may be read from any goroutine — a metrics scrape — while
+// the sensing loop runs.
 type Stats struct {
 	Recorded      int `json:"recorded"`
 	Sent          int `json:"sent"`
@@ -107,12 +110,12 @@ type Uploader struct {
 	cfg       Config
 	transport Transport
 	queue     []*sensing.Observation
-	stats     Stats
 	// retryPending marks that an emission attempt failed and the
 	// queue must be retried at the next cycle regardless of size
 	// (the paper's "sent at the next cycle" rule).
 	retryPending bool
-	hooks        Hooks
+
+	recorded, sent, batches, failedFlushes, deferred, cellularBatches atomic.Int64
 }
 
 // NewUploader builds an uploader.
@@ -139,10 +142,7 @@ func (u *Uploader) Record(o *sensing.Observation) error {
 		return fmt.Errorf("record: %w", err)
 	}
 	u.queue = append(u.queue, o)
-	u.stats.Recorded++
-	if u.hooks.Recorded != nil {
-		u.hooks.Recorded()
-	}
+	u.recorded.Add(1)
 	return nil
 }
 
@@ -178,46 +178,28 @@ func (u *Uploader) FlushOn(now time.Time, connected bool, bearer Bearer) (int, e
 	if !u.ShouldEmit() {
 		return 0, nil
 	}
-	if u.hooks.Attempt != nil {
-		u.hooks.Attempt()
-	}
-	if u.retryPending && u.hooks.Retried != nil {
-		u.hooks.Retried()
-	}
 	if !connected {
 		u.retryPending = true
-		u.stats.FailedFlushes++
-		if u.hooks.Failed != nil {
-			u.hooks.Failed()
-		}
+		u.failedFlushes.Add(1)
 		return 0, nil
 	}
 	if u.cfg.DeferToWiFi && bearer == BearerCellular && !u.deferDeadlinePassed(now) {
 		u.retryPending = true // keep trying every cycle
-		u.stats.Deferred++
-		if u.hooks.Deferred != nil {
-			u.hooks.Deferred()
-		}
+		u.deferred.Add(1)
 		return 0, nil
 	}
 	batch := u.queue
 	if err := u.transport.Send(batch, now); err != nil {
 		u.retryPending = true
-		u.stats.FailedFlushes++
-		if u.hooks.Failed != nil {
-			u.hooks.Failed()
-		}
+		u.failedFlushes.Add(1)
 		return 0, fmt.Errorf("flush %d observations: %w", len(batch), err)
 	}
 	u.queue = nil
 	u.retryPending = false
-	u.stats.Sent += len(batch)
-	u.stats.Batches++
+	u.sent.Add(int64(len(batch)))
+	u.batches.Add(1)
 	if bearer == BearerCellular {
-		u.stats.CellularBatches++
-	}
-	if u.hooks.Sent != nil {
-		u.hooks.Sent(len(batch))
+		u.cellularBatches.Add(1)
 	}
 	return len(batch), nil
 }
@@ -232,4 +214,13 @@ func (u *Uploader) deferDeadlinePassed(now time.Time) bool {
 }
 
 // Stats snapshots uploader counters.
-func (u *Uploader) Stats() Stats { return u.stats }
+func (u *Uploader) Stats() Stats {
+	return Stats{
+		Recorded:        int(u.recorded.Load()),
+		Sent:            int(u.sent.Load()),
+		Batches:         int(u.batches.Load()),
+		FailedFlushes:   int(u.failedFlushes.Load()),
+		Deferred:        int(u.deferred.Load()),
+		CellularBatches: int(u.cellularBatches.Load()),
+	}
+}

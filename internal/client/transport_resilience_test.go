@@ -88,12 +88,16 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 
 	// Drain the server-side queue and verify exactly-once arrival.
 	seen := make(map[int]bool)
+	consumer, err := broker.Consume("Q.goflow", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer consumer.Cancel()
 	for len(seen) < batches*perBatch {
-		d, ok, err := broker.Get("Q.goflow")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		var d mq.Delivery
+		select {
+		case d = <-consumer.C():
+		case <-time.After(time.Second):
 			t.Fatalf("queue drained early: %d/%d observations", len(seen), batches*perBatch)
 		}
 		o, err := sensing.DecodeObservation(d.Body)
@@ -105,12 +109,12 @@ func TestMQTransportSurvivesTransportBounce(t *testing.T) {
 			t.Fatalf("observation %d uploaded twice", v)
 		}
 		seen[v] = true
-		if err := broker.AckGet("Q.goflow", d.Tag); err != nil {
+		if err := consumer.Ack(d.Tag); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok, err := broker.Get("Q.goflow"); err != nil || ok {
-		t.Fatalf("queue should be empty after drain (ok=%v err=%v)", ok, err)
+	if st, err := broker.QueueStats("Q.goflow"); err != nil || st.Ready != 0 || st.Unacked != 0 {
+		t.Fatalf("queue should be empty after drain (%+v, err=%v)", st, err)
 	}
 	if st := conn.Stats(); st.Reconnects < 1 {
 		t.Fatalf("expected at least one reconnect, got %+v", st)

@@ -56,10 +56,7 @@ func TestMQTransportEndToEnd(t *testing.T) {
 		t.Fatalf("GF ready = %d, want 2", st.Ready)
 	}
 	// The payload decodes back into the observation with headers.
-	d, found, err := broker.Get("GF")
-	if err != nil || !found {
-		t.Fatal("expected a delivery")
-	}
+	d := nextDelivery(t, broker, "GF")
 	obs, err := sensing.DecodeObservation(d.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +64,26 @@ func TestMQTransportEndToEnd(t *testing.T) {
 	if obs.AppVersion != "1.2.9" || d.Headers["clientId"] != "mob1" {
 		t.Fatalf("delivery mismatch: %+v headers=%v", obs, d.Headers)
 	}
-	if err := broker.AckGet("GF", d.Tag); err != nil {
+}
+
+// nextDelivery consumes the next message of queue and acks it,
+// failing the test when none arrives within a second.
+func nextDelivery(t *testing.T, b *mq.Broker, queue string) mq.Delivery {
+	t.Helper()
+	c, err := b.Consume(queue, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer c.Cancel()
+	select {
+	case d := <-c.C():
+		if err := c.Ack(d.Tag); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	case <-time.After(time.Second):
+		t.Fatalf("no delivery on %s", queue)
+		return mq.Delivery{}
 	}
 }
 
@@ -209,10 +224,7 @@ func TestMQTransportBatchDeliversThroughTopology(t *testing.T) {
 	if st.Ready != 2 {
 		t.Fatalf("GF ready = %d, want 2", st.Ready)
 	}
-	d, found, err := broker.Get("GF")
-	if err != nil || !found {
-		t.Fatal("expected a delivery")
-	}
+	d := nextDelivery(t, broker, "GF")
 	if d.Headers["clientId"] != "mob9" || d.Headers["appVersion"] != "2.0" {
 		t.Fatalf("headers = %v", d.Headers)
 	}

@@ -36,7 +36,7 @@ func BenchmarkFollowerCatchup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := startTestFollower(b, openShard(b, filepath.Join(dir, fmt.Sprintf("f%d", i))), followerOptions{Name: "bench", Addr: ldr.addr()})
-		for f.appliedLSN() < target {
+		for f.applied.Load() < target {
 			time.Sleep(time.Millisecond)
 		}
 		b.StopTimer()

@@ -120,10 +120,6 @@ func startFollower(local *storage.Local, opts followerOptions) (*follower, error
 	return f, nil
 }
 
-// appliedLSN is the highest leader LSN this follower has durably
-// applied.
-func (f *follower) appliedLSN() uint64 { return f.applied.Load() }
-
 // lastContact is the wall time of the last successful leader exchange.
 func (f *follower) lastContact() time.Time {
 	return time.Unix(0, f.contactNanos.Load())

@@ -283,12 +283,6 @@ func (a *ackTracker) update(name string, lsn uint64) {
 	a.mu.Unlock()
 }
 
-func (a *ackTracker) get(name string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.acked[name]
-}
-
 // expireLocked drops followers whose last contact precedes the
 // retention window. Caller holds mu.
 func (a *ackTracker) expireLocked() {

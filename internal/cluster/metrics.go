@@ -3,9 +3,9 @@ package cluster
 import "github.com/urbancivics/goflow/internal/obs"
 
 // Metrics are the cluster's observability counters, registered on the
-// shared obs registry by the server wiring (nil disables them — every
-// use site is nil-guarded, the same hook-struct pattern the docstore
-// and WAL instrumentation follow).
+// shared obs registry by the server wiring and counted where the event
+// happens (nil disables them — every use site is nil-guarded, as the
+// docstore's and the WAL's own metrics are).
 type Metrics struct {
 	// RouterFanouts counts fanned-out batch inserts.
 	RouterFanouts *obs.Counter

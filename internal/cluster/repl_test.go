@@ -138,9 +138,9 @@ func closeFollower(f *follower) error {
 func waitCaughtUp(t testing.TB, f *follower, lsn uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for f.appliedLSN() < lsn {
+	for f.applied.Load() < lsn {
 		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at lsn %d, want %d", f.appliedLSN(), lsn)
+			t.Fatalf("follower stuck at lsn %d, want %d", f.applied.Load(), lsn)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -217,7 +217,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	fdir := filepath.Join(dir, "follower")
 	f := startTestFollower(t, openShard(t, fdir), followerOptions{Name: "f1", Addr: ldr.addr()})
 	waitCaughtUp(t, f, lw.WAL().LastLSN())
-	resumeFrom := f.appliedLSN()
+	resumeFrom := f.applied.Load()
 	if err := closeFollower(f); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	}
 	f2 := startTestFollower(t, openShard(t, fdir), followerOptions{Name: "f1", Addr: ldr.addr()})
 	defer func() { _ = closeFollower(f2) }()
-	if got := f2.appliedLSN(); got != resumeFrom {
+	if got := f2.applied.Load(); got != resumeFrom {
 		t.Fatalf("restarted follower resumed at lsn %d, want its durable %d", got, resumeFrom)
 	}
 	waitCaughtUp(t, f2, lw.WAL().LastLSN())
@@ -257,8 +257,8 @@ func TestSyncReplicationAcks(t *testing.T) {
 		t.Fatalf("sync insert with live follower: %v", err)
 	}
 	// The ack implies the follower durably has the record.
-	if f.appliedLSN() < lw.WAL().LastLSN() {
-		t.Fatalf("insert acked at leader lsn %d but follower applied only %d", lw.WAL().LastLSN(), f.appliedLSN())
+	if f.applied.Load() < lw.WAL().LastLSN() {
+		t.Fatalf("insert acked at leader lsn %d but follower applied only %d", lw.WAL().LastLSN(), f.applied.Load())
 	}
 	if _, err := f.local.Get("obs", id); err != nil {
 		t.Fatalf("acked doc missing on follower: %v", err)
@@ -334,4 +334,10 @@ func TestLeaderCheckpointRetainsFollowerTail(t *testing.T) {
 	if len(recs) == 0 || recs[0].LSN != acked+1 {
 		t.Fatalf("checkpoint truncated the follower's tail: read %d records from lsn %d", len(recs), acked+1)
 	}
+}
+
+func (a *ackTracker) get(name string) uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.acked[name]
 }

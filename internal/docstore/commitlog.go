@@ -1,6 +1,6 @@
 package docstore
 
-// Commit log seam: the durability counterpart of Hooks. When a
+// Commit log seam: the durability counterpart of the metrics. When a
 // CommitLog is attached, every mutation is logged before the method
 // returns — Log is invoked with the owning collection's lock held
 // (immediately after validation, so the log order is exactly the apply
@@ -140,15 +140,6 @@ func (s *Store) SetCommitLog(cl CommitLog) {
 		return
 	}
 	s.commitLog.Store(&commitLogBox{cl: cl})
-}
-
-// logStore logs a store-level mutation (drop) when a log is attached.
-func (s *Store) logStore(m *Mutation) (CommitTicket, error) {
-	box := s.commitLog.Load()
-	if box == nil {
-		return nil, nil
-	}
-	return box.cl.Log(m)
 }
 
 // logLocked logs a collection mutation when a log is attached; the

@@ -39,8 +39,8 @@ type Store struct {
 	mu          sync.RWMutex
 	collections map[string]*Collection
 
-	// hooks is shared with every collection; see SetHooks.
-	hooks atomic.Pointer[Hooks]
+	// metrics is shared with every collection; see Instrument.
+	metrics atomic.Pointer[storeMetrics]
 
 	// commitLog is shared with every collection; see SetCommitLog.
 	commitLog atomic.Pointer[commitLogBox]
@@ -72,19 +72,6 @@ func (s *Store) Collection(name string) *Collection {
 	c := newCollection(name, s)
 	s.collections[name] = c
 	return c
-}
-
-// drop removes a collection and its documents. Nothing serves it; the
-// tests use it to put the log's drop record through replay.
-func (s *Store) drop(name string) {
-	s.mu.Lock()
-	delete(s.collections, name)
-	s.mu.Unlock()
-	// Best effort: drop has no error return, so a commit-log failure
-	// here cannot be surfaced; the in-memory drop stands either way.
-	if tk, err := s.logStore(&Mutation{Op: OpDrop, Collection: name}); err == nil {
-		_ = commitWait(tk)
-	}
 }
 
 // Collections lists collection names sorted.
@@ -123,10 +110,10 @@ type Collection struct {
 	updated  uint64
 	deleted  uint64 // tombstones in order since the last compaction
 
-	// hooks, commitLog and ingestObs alias the owning store's slots so
-	// SetHooks, SetCommitLog and SetIngestObserver apply to all
+	// metrics, commitLog and ingestObs alias the owning store's slots
+	// so Instrument, SetCommitLog and SetIngestObserver apply to all
 	// collections atomically.
-	hooks     *atomic.Pointer[Hooks]
+	metrics   *atomic.Pointer[storeMetrics]
 	commitLog *atomic.Pointer[commitLogBox]
 	ingestObs *atomic.Pointer[ingestObsBox]
 }
@@ -143,7 +130,7 @@ func newCollection(name string, s *Store) *Collection {
 		name:      name,
 		docs:      make(map[string]*entry),
 		indexes:   make(map[string]*index),
-		hooks:     &s.hooks,
+		metrics:   &s.metrics,
 		commitLog: &s.commitLog,
 		ingestObs: &s.ingestObs,
 	}
@@ -164,8 +151,8 @@ func nextID() string {
 // log attached the insert is durable when Insert returns nil (see
 // SetCommitLog for the failure semantics).
 func (c *Collection) Insert(doc Doc) (string, error) {
-	if h := c.h(); h != nil && h.Insert != nil {
-		defer func(start time.Time) { h.Insert(c.name, time.Since(start)) }(time.Now())
+	if m := c.metrics.Load(); m != nil {
+		defer m.observe(c.name, "insert", time.Now())
 	}
 	id, _ := doc[IDField].(string)
 	if id == "" {
@@ -200,10 +187,10 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 
 // InsertMany inserts docs in order under a single lock acquisition,
 // stopping at the first error and returning the ids inserted so far.
-// Documents after the failing one are not inserted. The Insert hook
-// fires once per stored document, each event carrying an equal share
-// of the batch duration, so per-op counters and totals stay
-// consistent with a sequence of Insert calls.
+// Documents after the failing one are not inserted. The insert timing
+// counts once per stored document, each carrying an equal share of the
+// batch duration, so per-op counts and totals stay consistent with a
+// sequence of Insert calls.
 //
 // Unlike Insert, InsertMany takes ownership of the documents: ids are
 // assigned in place and the values — nested maps and slices included —
@@ -214,14 +201,8 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 	if len(docs) == 0 {
 		return nil, nil
 	}
-	h := c.h()
-	if h != nil && h.Insert == nil {
-		h = nil
-	}
-	var start time.Time
-	if h != nil {
-		start = time.Now()
-	}
+	m := c.metrics.Load()
+	start := m.start()
 	c.mu.Lock()
 	// Validation pre-pass: mint ids and find the first duplicate, so
 	// the accepted prefix is known — and logged as one commit-log
@@ -279,10 +260,11 @@ func (c *Collection) InsertMany(docs []Doc) ([]string, error) {
 	if err := commitWait(tk); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("insert many: commit: %w", err)
 	}
-	if h != nil && len(ids) > 0 {
+	if m != nil && len(ids) > 0 {
 		per := time.Since(start) / time.Duration(len(ids))
+		h := m.opDuration.With(c.name, "insert")
 		for range ids {
-			h.Insert(c.name, per)
+			h.ObserveDuration(per)
 		}
 	}
 	return ids, firstErr
@@ -320,8 +302,8 @@ func (c *Collection) Get(id string) (Doc, error) {
 // Update merges fields into the document with the given id (shallow
 // merge; set a field to nil via Unset).
 func (c *Collection) Update(id string, fields Doc) error {
-	if h := c.h(); h != nil && h.Update != nil {
-		defer func(start time.Time) { h.Update(c.name, time.Since(start)) }(time.Now())
+	if m := c.metrics.Load(); m != nil {
+		defer m.observe(c.name, "update", time.Now())
 	}
 	c.mu.Lock()
 	e, ok := c.docs[id]
@@ -357,8 +339,8 @@ func (c *Collection) setLocked(e *entry, fields Doc) {
 
 // Unset removes fields from a document.
 func (c *Collection) Unset(id string, fields ...string) error {
-	if h := c.h(); h != nil && h.Update != nil {
-		defer func(start time.Time) { h.Update(c.name, time.Since(start)) }(time.Now())
+	if m := c.metrics.Load(); m != nil {
+		defer m.observe(c.name, "update", time.Now())
 	}
 	c.mu.Lock()
 	e, ok := c.docs[id]
@@ -393,8 +375,8 @@ func (c *Collection) unsetLocked(e *entry, fields []string) {
 
 // Delete removes the document with the given id.
 func (c *Collection) Delete(id string) error {
-	if h := c.h(); h != nil && h.Delete != nil {
-		defer func(start time.Time) { h.Delete(c.name, time.Since(start)) }(time.Now())
+	if m := c.metrics.Load(); m != nil {
+		defer m.observe(c.name, "delete", time.Now())
 	}
 	c.mu.Lock()
 	e, ok := c.docs[id]
@@ -515,7 +497,7 @@ func (c *Collection) FindIDsContext(ctx context.Context, filter Doc) ([]string, 
 const scanCtxCheckEvery = 256
 
 // view is the frame every filtered read runs in: it compiles filter,
-// runs fn under the read lock and reports the query to the Query hook.
+// runs fn under the read lock and counts the query in the store metrics.
 // fn returns whether a secondary index pruned its scan.
 func (c *Collection) view(ctx context.Context, filter Doc, fn func(m *matcher) (indexUsed bool, err error)) error {
 	m, err := compileFilter(filter)
@@ -525,13 +507,12 @@ func (c *Collection) view(ctx context.Context, filter Doc, fn func(m *matcher) (
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	start := time.Now()
+	mt := c.metrics.Load()
+	start := mt.start()
 	c.mu.RLock()
 	indexUsed, err := fn(m)
 	c.mu.RUnlock()
-	if h := c.h(); h != nil && h.Query != nil {
-		h.Query(c.name, time.Since(start), indexUsed)
-	}
+	mt.query(c.name, start, indexUsed)
 	return err
 }
 
@@ -748,19 +729,6 @@ func sortEntries(hits []*entry, field string, desc bool, k int) []*entry {
 		hits[i] = kd.e
 	}
 	return hits[:k]
-}
-
-// findOne returns the first matching document, ErrNotFound when none
-// matches.
-func (c *Collection) findOne(filter Doc) (Doc, error) {
-	docs, err := c.Find(filter, FindOptions{Limit: 1})
-	if err != nil {
-		return nil, err
-	}
-	if len(docs) == 0 {
-		return nil, ErrNotFound
-	}
-	return docs[0], nil
 }
 
 // EnsureIndex creates an equality index on field (idempotent).

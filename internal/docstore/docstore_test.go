@@ -557,3 +557,38 @@ func TestOrFilterValidation(t *testing.T) {
 		t.Fatal("$or branch with unknown operator must fail")
 	}
 }
+
+// findOne returns the first matching document, ErrNotFound when none
+// matches.
+func (c *Collection) findOne(filter Doc) (Doc, error) {
+	docs, err := c.Find(filter, FindOptions{Limit: 1})
+	if err != nil {
+		return nil, err
+	}
+	if len(docs) == 0 {
+		return nil, ErrNotFound
+	}
+	return docs[0], nil
+}
+
+// drop removes a collection and its documents. Nothing serves it; the
+// tests use it to put the log's drop record through replay.
+func (s *Store) drop(name string) {
+	s.mu.Lock()
+	delete(s.collections, name)
+	s.mu.Unlock()
+	// Best effort: drop has no error return, so a commit-log failure
+	// here cannot be surfaced; the in-memory drop stands either way.
+	if tk, err := s.logStore(&Mutation{Op: OpDrop, Collection: name}); err == nil {
+		_ = commitWait(tk)
+	}
+}
+
+// logStore logs a store-level mutation (drop) when a log is attached.
+func (s *Store) logStore(m *Mutation) (CommitTicket, error) {
+	box := s.commitLog.Load()
+	if box == nil {
+		return nil, nil
+	}
+	return box.cl.Log(m)
+}

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"github.com/urbancivics/goflow/internal/obs"
 )
 
 // countingCommitLog records every Log call so tests can assert which
@@ -25,14 +26,14 @@ func (l *countingCommitLog) Log(m *Mutation) (CommitTicket, error) {
 }
 
 // TestInsertManyEmptyShortCircuits: an empty (or nil) batch must not
-// emit a WAL record, fire hooks, or touch indexes — a noisy client
+// emit a WAL record, time an insert, or touch indexes — a noisy client
 // flushing an empty buffer should cost the store nothing.
 func TestInsertManyEmptyShortCircuits(t *testing.T) {
 	s := NewStore()
 	cl := &countingCommitLog{}
 	s.SetCommitLog(cl)
-	var hookFires atomic.Int64
-	s.SetHooks(Hooks{Insert: func(string, time.Duration) { hookFires.Add(1) }})
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
 	c := s.Collection("obs")
 	c.EnsureIndex("zone")
 	base := cl.logs.Load() // EnsureIndex itself logs one record
@@ -49,8 +50,8 @@ func TestInsertManyEmptyShortCircuits(t *testing.T) {
 	if got := cl.logs.Load() - base; got != 0 {
 		t.Fatalf("empty InsertMany emitted %d commit-log records, want 0", got)
 	}
-	if got := hookFires.Load(); got != 0 {
-		t.Fatalf("empty InsertMany fired %d insert hooks, want 0", got)
+	if got := reg.HistogramVec("docstore_op_duration_seconds", "", nil, "collection", "op").With("obs", "insert").Count(); got != 0 {
+		t.Fatalf("empty InsertMany timed %d inserts, want 0", got)
 	}
 	if st := c.Stats(); st.Inserted != 0 || st.Docs != 0 {
 		t.Fatalf("empty InsertMany mutated the collection: %+v", st)

@@ -2,30 +2,19 @@ package docstore
 
 import (
 	"testing"
-	"time"
+
+	"github.com/urbancivics/goflow/internal/obs"
 )
 
+// TestHooksObserveOperations checks that an instrumented store times
+// each operation into docstore_op_duration_seconds and counts each
+// query's index outcome, for collections created after Instrument too.
 func TestHooksObserveOperations(t *testing.T) {
-	type queryObs struct {
-		collection string
-		indexUsed  bool
-	}
-	var inserts, updates, deletes []string
-	var queries []queryObs
+	reg := obs.NewRegistry()
 	s := NewStore()
-	s.SetHooks(Hooks{
-		Insert: func(col string, d time.Duration) {
-			if d < 0 {
-				t.Errorf("negative duration for insert on %s", col)
-			}
-			inserts = append(inserts, col)
-		},
-		Query: func(col string, d time.Duration, indexUsed bool) {
-			queries = append(queries, queryObs{col, indexUsed})
-		},
-		Update: func(col string, d time.Duration) { updates = append(updates, col) },
-		Delete: func(col string, d time.Duration) { deletes = append(deletes, col) },
-	})
+	s.Instrument(reg)
+	ops := reg.HistogramVec("docstore_op_duration_seconds", "Document store operation latency.", nil, "collection", "op")
+	queries := reg.CounterVec("docstore_queries_total", "Queries by collection and index outcome.", "collection", "index")
 
 	c := s.Collection("obsv")
 	c.EnsureIndex("client")
@@ -49,36 +38,32 @@ func TestHooksObserveOperations(t *testing.T) {
 	if err := c.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-
-	if len(inserts) != 2 || inserts[0] != "obsv" {
-		t.Fatalf("inserts = %v, want 2x obsv", inserts)
-	}
-	want := []queryObs{{"obsv", true}, {"obsv", false}}
-	if len(queries) != 2 || queries[0] != want[0] || queries[1] != want[1] {
-		t.Fatalf("queries = %v, want %v", queries, want)
-	}
-	if len(updates) != 1 || len(deletes) != 1 {
-		t.Fatalf("updates/deletes = %d/%d, want 1/1", len(updates), len(deletes))
-	}
-
-	// Hooks apply to collections created after SetHooks too, and the
-	// zero Hooks detaches.
-	s.SetHooks(Hooks{})
-	c2 := s.Collection("other")
-	if _, err := c2.Insert(Doc{"x": 1}); err != nil {
+	if _, err := s.Collection("other").InsertMany([]Doc{{"x": 1}, {"x": 2}, {"x": 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if len(inserts) != 2 {
-		t.Fatalf("detached hooks still firing: %v", inserts)
+
+	for _, w := range []struct {
+		col, op string
+		n       uint64
+	}{{"obsv", "insert", 2}, {"obsv", "query", 2}, {"obsv", "update", 1}, {"obsv", "delete", 1}, {"other", "insert", 3}} {
+		if got := ops.With(w.col, w.op).Count(); got != w.n {
+			t.Errorf("%s %s timings = %d, want %d", w.col, w.op, got, w.n)
+		}
+	}
+	if hit, miss := queries.With("obsv", "hit").Value(), queries.With("obsv", "miss").Value(); hit != 1 || miss != 1 {
+		t.Fatalf("queries hit/miss = %d/%d, want 1/1", hit, miss)
 	}
 }
 
 func TestNilHooksSafe(t *testing.T) {
-	// A store without SetHooks must work exactly as before.
+	// A store that was never instrumented must work exactly as before.
 	s := NewStore()
 	c := s.Collection("c")
 	id, err := c.Insert(Doc{"v": 1})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.InsertMany([]Doc{{"v": 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.FindIDs(nil); err != nil {

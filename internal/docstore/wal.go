@@ -115,7 +115,7 @@ type WALRecovery struct {
 // RecoverWAL replays every record of w into s. Call it on a store that
 // already holds the latest snapshot (or a fresh one if none exists),
 // before AttachWAL and before serving traffic. Replayed mutations
-// bypass the hooks and the commit log.
+// bypass the operation metrics and the commit log.
 //
 // Recovery runs the two halves of ApplyRecord as wal.Replay's two
 // stages: the reader goroutine decodes each record while this one
@@ -147,8 +147,9 @@ func RecoverWAL(s *Store, w *wal.WAL) (WALRecovery, error) {
 // ApplyRecord decodes one WAL record — type byte and payload, read
 // back from the local log or shipped by a replication leader — and
 // applies it with the idempotent semantics documented at the top of
-// this file, bypassing hooks and the commit log. It is the one apply
-// path of WAL recovery and of log-shipping replication; because
+// this file, bypassing the operation metrics and the commit log. It
+// is the one apply path of WAL recovery and of log-shipping
+// replication; because
 // application is idempotent, a re-shipped record (after a follower
 // reconnect) simply converges. The documents of an insert are decoded
 // straight into the stored form; only the records of a legacy gob log

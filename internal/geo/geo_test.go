@@ -132,3 +132,21 @@ func clampLat(v float64) float64 {
 func clampLon(v float64) float64 {
 	return math.Mod(math.Abs(v), 170)
 }
+
+// center returns the box center.
+func (b BBox) center() Point {
+	return Point{
+		Lat: (b.Min.Lat + b.Max.Lat) / 2,
+		Lon: (b.Min.Lon + b.Max.Lon) / 2,
+	}
+}
+
+// expand grows the box so it contains p.
+func (b BBox) expand(p Point) BBox {
+	out := b
+	out.Min.Lat = math.Min(out.Min.Lat, p.Lat)
+	out.Min.Lon = math.Min(out.Min.Lon, p.Lon)
+	out.Max.Lat = math.Max(out.Max.Lat, p.Lat)
+	out.Max.Lon = math.Max(out.Max.Lon, p.Lon)
+	return out
+}

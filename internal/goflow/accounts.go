@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 )
@@ -159,18 +158,6 @@ func (a *Accounts) App(id string) (*App, error) {
 	}
 	cp := *app
 	return &cp, nil
-}
-
-// appIDs returns all registered app ids sorted.
-func (a *Accounts) appIDs() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	ids := make([]string, 0, len(a.apps))
-	for id := range a.apps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // RegisterClient creates a client account for an app and derives its

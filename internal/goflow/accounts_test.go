@@ -2,6 +2,7 @@ package goflow
 
 import (
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -131,4 +132,16 @@ func TestRoleString(t *testing.T) {
 	if RoleClient.String() != "client" || RoleManager.String() != "manager" || RoleAdmin.String() != "admin" {
 		t.Fatal("role names wrong")
 	}
+}
+
+// appIDs returns all registered app ids sorted.
+func (a *Accounts) appIDs() []string {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	ids := make([]string, 0, len(a.apps))
+	for id := range a.apps {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }

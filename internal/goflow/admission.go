@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/urbancivics/goflow/internal/guard"
+	"github.com/urbancivics/goflow/internal/obs"
 )
 
 // Admission is the server-side overload protection of the REST layer:
@@ -41,23 +42,20 @@ type Admission struct {
 	sems     map[guard.Class]*guard.Semaphore
 	timeout  time.Duration
 	draining atomic.Bool
+	// now times admitted handlers, on the clock the shedder's window
+	// and the breaker run on.
+	now func() time.Time
 
-	// hooks observes admission decisions for metrics; the zero value
-	// is inert.
-	hooks AdmissionHooks
+	// metrics counts admission decisions once Instrument attached a
+	// registry (before the server serves); nil until then.
+	metrics *admissionMetrics
 }
 
-// AdmissionHooks observes guard decisions. Nil funcs are skipped.
-type AdmissionHooks struct {
-	// Admitted fires when a request passes every guard.
-	Admitted func(class guard.Class)
-	// Rejected fires with the guard that refused: "draining",
-	// "rate_limited", "overloaded", "breaker_open" or "queue_full".
-	Rejected func(class guard.Class, reason string)
-	// Observed fires with the handler latency of admitted requests.
-	Observed func(class guard.Class, d time.Duration)
-	// BreakerChange fires on query-path breaker transitions.
-	BreakerChange func(from, to guard.BreakerState)
+// admissionMetrics are the guard_* counters and latencies.
+type admissionMetrics struct {
+	admitted *obs.CounterVec
+	rejected *obs.CounterVec
+	latency  *obs.HistogramVec
 }
 
 // AdmissionConfig parameterizes NewAdmission. The zero value is what
@@ -106,16 +104,21 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		rate = 0 // guard.RateLimiter treats 0 as unlimited
 	}
 	openFor := cmp.Or(cfg.breakerOpenFor, defaultBreakerOpenFor)
+	now := cfg.now
+	if now == nil {
+		now = time.Now
+	}
 	a := &Admission{
+		now: now,
 		limiter: guard.NewRateLimiter(guard.RateLimiterConfig{
 			Rate:  rate,
 			Burst: cmp.Or(cfg.rateBurst, 4*rate),
-			Now:   cfg.now,
+			Now:   now,
 		}),
 		shedder: guard.NewShedder(guard.ShedderConfig{
 			Target:     cmp.Or(cfg.shedTarget, defaultShedTarget),
 			RetryAfter: retryAfter,
-			Now:        cfg.now,
+			Now:        now,
 		}),
 		sems:    make(map[guard.Class]*guard.Semaphore, 3),
 		timeout: cmp.Or(cfg.timeout, defaultRequestTimeout),
@@ -125,12 +128,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		OpenFor:          openFor,
 		Jitter:           openFor / 5,
 		Seed:             cfg.seed,
-		Now:              cfg.now,
-		OnStateChange: func(from, to guard.BreakerState) {
-			if a.hooks.BreakerChange != nil {
-				a.hooks.BreakerChange(from, to)
-			}
-		},
+		Now:              now,
 	})
 	for _, c := range guard.Classes() {
 		limit := cmp.Or(cfg.concurrency[c], defaultConcurrency)
@@ -139,16 +137,10 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	return a
 }
 
-// SetHooks installs decision observers. Call before serving traffic.
-func (a *Admission) SetHooks(h AdmissionHooks) { a.hooks = h }
-
 // SetDraining flips the draining flag: while set, every guarded
 // request is refused with 503 so load balancers and clients move on
 // during graceful shutdown.
 func (a *Admission) SetDraining(v bool) { a.draining.Store(v) }
-
-// Breaker exposes the query-path breaker.
-func (a *Admission) Breaker() *guard.Breaker { return a.breaker }
 
 // Shedder exposes the latency-driven shedder.
 func (a *Admission) Shedder() *guard.Shedder { return a.shedder }
@@ -251,16 +243,17 @@ func (a *Admission) Guard(class guard.Class, next http.HandlerFunc) http.Handler
 		ctx, cancel := context.WithTimeout(r.Context(), a.timeout)
 		defer cancel()
 		r = r.WithContext(ctx)
-		if a.hooks.Admitted != nil {
-			a.hooks.Admitted(class)
+		m := a.metrics
+		if m != nil {
+			m.admitted.With(class.String()).Inc()
 		}
 		rec := &statusRecorder{ResponseWriter: w}
-		start := time.Now()
+		start := a.now()
 		next(rec, r)
-		elapsed := time.Since(start)
+		elapsed := a.now().Sub(start)
 		a.shedder.Observe(elapsed)
-		if a.hooks.Observed != nil {
-			a.hooks.Observed(class, elapsed)
+		if m != nil {
+			m.latency.With(class.String()).ObserveDuration(elapsed)
 		}
 		if useBreaker {
 			a.breaker.Record(rec.status < http.StatusInternalServerError)
@@ -285,14 +278,51 @@ func (a *Admission) AdmitLive() error {
 		a.reject(guard.ClassLive, "overloaded")
 		return err
 	}
-	if a.hooks.Admitted != nil {
-		a.hooks.Admitted(guard.ClassLive)
+	if m := a.metrics; m != nil {
+		m.admitted.With(guard.ClassLive.String()).Inc()
 	}
 	return nil
 }
 
+// reject counts a refusal by the guard that refused: "draining",
+// "rate_limited", "overloaded", "breaker_open" or "queue_full".
 func (a *Admission) reject(class guard.Class, reason string) {
-	if a.hooks.Rejected != nil {
-		a.hooks.Rejected(class, reason)
+	if m := a.metrics; m != nil {
+		m.rejected.With(class.String(), reason).Inc()
 	}
+}
+
+// instrument registers the guard_* families on reg: decisions and
+// handler latencies are counted here from now on, and the shedder's
+// p99, the in-flight counts and the breaker state are read at every
+// scrape.
+func (a *Admission) instrument(reg *obs.Registry) {
+	a.metrics = &admissionMetrics{
+		admitted: reg.CounterVec("guard_admitted_total",
+			"API requests admitted past every guard, by priority class.", "class"),
+		rejected: reg.CounterVec("guard_rejected_total",
+			"API requests refused by an admission guard, by class and guard.", "class", "reason"),
+		latency: reg.HistogramVec("guard_latency_seconds",
+			"Handler latency of admitted requests, by priority class.", nil, "class"),
+	}
+	inflight := reg.GaugeVec("guard_inflight",
+		"Admitted, unfinished API requests, by priority class.", "class")
+	p99 := reg.Gauge("guard_p99_seconds",
+		"Moving-window p99 handler latency driving the load shedder.")
+	breaker := reg.Gauge("guard_breaker_state",
+		"Query-path circuit breaker state (0 closed, 1 half-open, 2 open).")
+	reg.OnCollect(func() {
+		p99.Set(a.shedder.P99().Seconds())
+		for _, c := range guard.Classes() {
+			inflight.With(c.String()).Set(float64(a.InFlight(c)))
+		}
+		var v float64
+		switch a.breaker.State() {
+		case guard.BreakerHalfOpen:
+			v = 1
+		case guard.BreakerOpen:
+			v = 2
+		}
+		breaker.Set(v)
+	})
 }

@@ -366,7 +366,7 @@ func TestAdmissionBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("failing request %d = %d, want 500", i, got)
 		}
 	}
-	if st := server.Guard.Breaker().State(); st != guard.BreakerOpen {
+	if st := server.Guard.breaker.State(); st != guard.BreakerOpen {
 		t.Fatalf("breaker after 3 failures = %v, want open", st)
 	}
 	before := handled
@@ -383,7 +383,7 @@ func TestAdmissionBreakerTripsAndRecovers(t *testing.T) {
 	if got := get(); got != http.StatusOK {
 		t.Fatalf("half-open probe = %d, want 200", got)
 	}
-	if st := server.Guard.Breaker().State(); st != guard.BreakerClosed {
+	if st := server.Guard.breaker.State(); st != guard.BreakerClosed {
 		t.Fatalf("breaker after probe success = %v, want closed", st)
 	}
 }

@@ -11,11 +11,12 @@ import (
 // Analytics generates statistics about app and client operations
 // (Figure 2's "crowd-sensing analytics" component): ingest counters
 // per app, per client and per device model, plus error counters.
+// They are the counts /metrics exposes as goflow_ingested_total and
+// goflow_rejected_total.
 type Analytics struct {
 	mu       sync.Mutex
 	perApp   map[string]*AppAnalytics
 	started  time.Time
-	ingested uint64
 	rejected uint64
 }
 
@@ -41,7 +42,6 @@ func NewAnalytics() *Analytics {
 func (a *Analytics) RecordIngest(appID, anonClientID, model string, localized bool, at time.Time) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.ingested++
 	st, ok := a.perApp[appID]
 	if !ok {
 		st = &AppAnalytics{
@@ -71,7 +71,6 @@ func (a *Analytics) RecordIngestBatch(appID, anonClientID string, observations [
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.ingested += uint64(len(observations))
 	st, ok := a.perApp[appID]
 	if !ok {
 		st = &AppAnalytics{
@@ -112,12 +111,24 @@ type Summary struct {
 func (a *Analytics) Summary() Summary {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	apps := make([]string, 0, len(a.perApp))
-	for id := range a.perApp {
-		apps = append(apps, id)
+	sum := Summary{Rejected: a.rejected, Apps: make([]string, 0, len(a.perApp))}
+	for id, st := range a.perApp {
+		sum.Ingested += st.Ingested
+		sum.Apps = append(sum.Apps, id)
 	}
-	sort.Strings(apps)
-	return Summary{Ingested: a.ingested, Rejected: a.rejected, Apps: apps}
+	sort.Strings(sum.Apps)
+	return sum
+}
+
+// counts snapshots the ingest count of every app and the rejections.
+func (a *Analytics) counts() (ingested map[string]uint64, rejected uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ingested = make(map[string]uint64, len(a.perApp))
+	for id, st := range a.perApp {
+		ingested[id] = st.Ingested
+	}
+	return ingested, a.rejected
 }
 
 // ForApp snapshots one app's analytics (deep copy).

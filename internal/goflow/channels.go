@@ -1,7 +1,10 @@
 package goflow
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 
 	"github.com/urbancivics/goflow/internal/mq"
@@ -46,12 +49,22 @@ type Channels struct {
 
 	mu        sync.Mutex
 	locations map[string]bool // provisioned location exchanges
+	// retiredExchanges and retiredQueues hold the final counts of the
+	// client endpoints DeprovisionClient deleted, by name class, so
+	// the per-class sums /metrics reads never go backwards.
+	retiredExchanges map[string]mq.ExchangeStats
+	retiredQueues    map[string]mq.QueueStats
 }
 
 // NewChannels builds a channel manager bound to the broker and
 // provisions the GoFlow exchange and queue.
 func NewChannels(broker *mq.Broker) (*Channels, error) {
-	c := &Channels{broker: broker, locations: make(map[string]bool)}
+	c := &Channels{
+		broker:           broker,
+		locations:        make(map[string]bool),
+		retiredExchanges: make(map[string]mq.ExchangeStats),
+		retiredQueues:    make(map[string]mq.QueueStats),
+	}
 	if err := broker.DeclareExchange(GoFlowExchange, mq.Topic); err != nil {
 		return nil, fmt.Errorf("goflow exchange: %w", err)
 	}
@@ -99,16 +112,97 @@ func (c *Channels) ProvisionClient(appID, clientID string) (exchangeName, queueN
 }
 
 // DeprovisionClient tears the client's endpoints down (logout /
-// account removal).
+// account removal), keeping what they counted.
 func (c *Channels) DeprovisionClient(clientID string) error {
-	var firstErr error
-	if err := c.broker.DeleteExchange(ClientExchange(clientID)); err != nil && firstErr == nil {
-		firstErr = err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ex, exErr := c.broker.DeleteExchange(ClientExchange(clientID))
+	if exErr == nil {
+		addExchangeCounts(c.retiredExchanges, ex)
 	}
-	if err := c.broker.DeleteQueue(ClientQueue(clientID)); err != nil && firstErr == nil {
-		firstErr = err
+	q, qErr := c.broker.DeleteQueue(ClientQueue(clientID))
+	if qErr == nil {
+		addQueueCounts(c.retiredQueues, q)
 	}
-	return firstErr
+	return cmp.Or(exErr, qErr)
+}
+
+// brokerCounts snapshots the broker with its exchange and queue
+// counters summed by name class, the retired client endpoints' final
+// counts included. queues[class].Ready sums the ready depth of the
+// class's live queues; queueCount counts them.
+func (c *Channels) brokerCounts() (st mq.BrokerStats, exchanges map[string]mq.ExchangeStats, queues map[string]mq.QueueStats, queueCount map[string]int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st = c.broker.Stats()
+	exchanges = maps.Clone(c.retiredExchanges)
+	for _, ex := range st.Exchanges {
+		addExchangeCounts(exchanges, ex)
+	}
+	queues = maps.Clone(c.retiredQueues)
+	queueCount = make(map[string]int)
+	for _, q := range st.Queues {
+		addQueueCounts(queues, q)
+		queueCount[queueClass(q.Name)]++
+	}
+	return st, exchanges, queues, queueCount
+}
+
+// addExchangeCounts adds one exchange's counters to its class's sum.
+func addExchangeCounts(sums map[string]mq.ExchangeStats, ex mq.ExchangeStats) {
+	cls := exchangeClass(ex.Name)
+	s := sums[cls]
+	s.Published += ex.Published
+	s.Unroutable += ex.Unroutable
+	sums[cls] = s
+}
+
+// addQueueCounts adds one queue's counters and ready depth to its
+// class's sum.
+func addQueueCounts(sums map[string]mq.QueueStats, q mq.QueueStats) {
+	cls := queueClass(q.Name)
+	s := sums[cls]
+	s.Ready += q.Ready
+	s.Published += q.Published
+	s.Delivered += q.Delivered
+	s.Acked += q.Acked
+	s.Nacked += q.Nacked
+	s.Dropped += q.Dropped
+	s.Overflowed += q.Overflowed
+	s.FlowPauses += q.FlowPauses
+	s.FlowResumes += q.FlowResumes
+	sums[cls] = s
+}
+
+// exchangeClass collapses an exchange name to the label value of the
+// broker families: "goflow" (GFX), "client" (E.*), "location" (loc.*)
+// or "app" (everything else). With one exchange and queue per mobile
+// client (Figure 3's topology at 3,000+ registered users), labeling by
+// name would grow the registry with the user base.
+func exchangeClass(name string) string {
+	switch {
+	case name == GoFlowExchange:
+		return "goflow"
+	case strings.HasPrefix(name, "E."):
+		return "client"
+	case strings.HasPrefix(name, "loc."):
+		return "location"
+	default:
+		return "app"
+	}
+}
+
+// queueClass collapses a queue name to "goflow" (GF), "client" (Q.*)
+// or "other".
+func queueClass(name string) string {
+	switch {
+	case name == GoFlowQueue:
+		return "goflow"
+	case strings.HasPrefix(name, "Q."):
+		return "client"
+	default:
+		return "other"
+	}
 }
 
 // Subscribe registers the client's interest in a datatype at a zone
@@ -146,14 +240,4 @@ func (c *Channels) Subscribe(appID, clientID, datatype, zone string) error {
 func (c *Channels) Unsubscribe(appID, clientID, datatype, zone string) error {
 	sel := appID + ".*." + datatype + "." + zone
 	return c.broker.UnbindQueue(ClientQueue(clientID), LocationExchange(zone), sel)
-}
-
-// routingKey builds the canonical crowd-sensing routing key:
-// "<app>.<client>.<datatype>.<zone>" (client.RoutingKey is its
-// observation case, the one phones publish).
-func routingKey(appID, clientID, datatype, zone string) string {
-	if zone == "" {
-		zone = "ZZ"
-	}
-	return appID + "." + clientID + "." + datatype + "." + zone
 }

@@ -158,3 +158,13 @@ func TestRoutingKeyZoneDefault(t *testing.T) {
 		t.Fatalf("RoutingKey = %q", got)
 	}
 }
+
+// routingKey builds the canonical crowd-sensing routing key:
+// "<app>.<client>.<datatype>.<zone>" (client.RoutingKey is its
+// observation case, the one phones publish).
+func routingKey(appID, clientID, datatype, zone string) string {
+	if zone == "" {
+		zone = "ZZ"
+	}
+	return appID + "." + clientID + "." + datatype + "." + zone
+}

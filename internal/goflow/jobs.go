@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -197,18 +196,6 @@ func (j *Jobs) Register(name string, fn JobFunc) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.registry[name] = fn
-}
-
-// names lists registered script names, sorted.
-func (j *Jobs) names() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	names := make([]string, 0, len(j.registry))
-	for n := range j.registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Submit enqueues a registered script for an app and returns the job

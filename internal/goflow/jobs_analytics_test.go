@@ -3,6 +3,7 @@ package goflow
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,4 +176,16 @@ func TestAnalyticsAggregation(t *testing.T) {
 	if _, ok := a.ForApp("GHOST"); ok {
 		t.Fatal("unknown app must report !ok")
 	}
+}
+
+// names lists registered script names, sorted.
+func (j *Jobs) names() []string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	names := make([]string, 0, len(j.registry))
+	for n := range j.registry {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }

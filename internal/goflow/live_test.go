@@ -313,7 +313,7 @@ func TestLiveSSEShedEndEvent(t *testing.T) {
 	// deterministically in practice.
 	server, broker, ts, cl := newLiveAPI(t, LiveConfig{Buffer: 1, SendBudget: -1})
 	reg := obs.NewRegistry()
-	NewMetrics(reg).InstrumentLive(server)
+	Instrument(reg, server, docstore.NewStore())
 	stream := openSSE(t, ts.URL+"/v1/live/sse?app=SC")
 
 	o := obsAt(t, "A", 50, true, time.Date(2026, 3, 1, 9, 0, 0, 0, time.UTC))
@@ -339,7 +339,7 @@ func TestLiveSSEShedEndEvent(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no end event after the shed")
 	}
-	if shed := reg.Counter("live_shed_total", "").Value(); shed != 1 {
+	if shed := scrapeCounters(t, reg)["live_shed_total"]; shed != 1 {
 		t.Fatalf("live_shed_total = %d, want 1", shed)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -448,7 +448,7 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 		broker.Close()
 	})
 	reg := obs.NewRegistry()
-	NewMetrics(reg).InstrumentLive(server)
+	Instrument(reg, server, docstore.NewStore())
 
 	slow, err := server.Live.Subscribe([]string{"SC.#"})
 	if err != nil {
@@ -524,7 +524,8 @@ func TestLiveSlowConsumerShedWithinBudget(t *testing.T) {
 	if got := len(slow.C()); got != 1 {
 		t.Fatalf("slow mailbox holds %d events, want 1", got)
 	}
-	sheds, drops := reg.Counter("live_shed_total", "").Value(), reg.Counter("live_dropped_total", "").Value()
+	counts := scrapeCounters(t, reg)
+	sheds, drops := counts["live_shed_total"], counts["live_dropped_total"]
 	if sheds != 1 || drops != 3 {
 		t.Fatalf("live_shed_total = %d, live_dropped_total = %d; want 1, 3", sheds, drops)
 	}

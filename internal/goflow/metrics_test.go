@@ -292,7 +292,7 @@ func TestFormatMetricsExposition(t *testing.T) {
 func TestWindowMemoMetricsExposition(t *testing.T) {
 	db := series.New(series.Options{})
 	reg := obs.NewRegistry()
-	NewMetrics(reg).InstrumentSeries(db)
+	db.Instrument(reg)
 	expect := func(step string, hit, fill int) {
 		t.Helper()
 		var buf bytes.Buffer
@@ -336,7 +336,7 @@ func TestWindowMemoMetricsExposition(t *testing.T) {
 func TestEdgePointsMetricsExposition(t *testing.T) {
 	db := series.New(series.Options{})
 	reg := obs.NewRegistry()
-	NewMetrics(reg).InstrumentSeries(db)
+	db.Instrument(reg)
 	expect := func(step string, decoded, kept int) {
 		t.Helper()
 		var buf bytes.Buffer

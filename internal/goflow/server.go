@@ -51,19 +51,6 @@ type Server struct {
 	mu       sync.Mutex
 	consumer *mq.Consumer
 	done     chan struct{}
-
-	// Ingest instrumentation hooks; nil funcs are skipped. Set before
-	// StartIngest — see SetIngestHooks.
-	onIngest func(appID string)
-	onReject func()
-}
-
-// SetIngestHooks installs observers for the ingest pipeline: onIngest
-// fires after each stored observation, onReject after each rejected
-// delivery. Call before StartIngest; either func may be nil.
-func (s *Server) SetIngestHooks(onIngest func(appID string), onReject func()) {
-	s.onIngest = onIngest
-	s.onReject = onReject
 }
 
 // maxConcurrentJobs bounds background-job parallelism.
@@ -202,9 +189,6 @@ func (s *Server) ingestLoop(consumer *mq.Consumer, done chan struct{}) {
 	for d := range consumer.C() {
 		if err := s.ingestDelivery(d.Message); err != nil {
 			s.Analytics.RecordRejection()
-			if s.onReject != nil {
-				s.onReject()
-			}
 			log.Printf("goflow ingest: %v", err)
 			if nackErr := consumer.Nack(d.Tag, false); nackErr != nil {
 				log.Printf("goflow ingest nack: %v", nackErr)
@@ -243,9 +227,6 @@ func (s *Server) ingestDelivery(m mq.Message) error {
 		return err
 	}
 	s.Analytics.RecordIngest(appID, anonID, obs.DeviceModel, obs.Localized(), receivedAt)
-	if s.onIngest != nil {
-		s.onIngest(appID)
-	}
 	return nil
 }
 
@@ -273,11 +254,6 @@ func (s *Server) BulkIngest(appID, clientID string, observations []*sensing.Obse
 	ids, err := s.Data.ingestBatch(appID, anonID, observations, receivedAt)
 	stored := len(ids)
 	s.Analytics.RecordIngestBatch(appID, anonID, observations[:stored], receivedAt[:stored])
-	if s.onIngest != nil {
-		for i := 0; i < stored; i++ {
-			s.onIngest(appID)
-		}
-	}
 	if err != nil {
 		return stored, fmt.Errorf("bulk ingest #%d: %w", stored, err)
 	}

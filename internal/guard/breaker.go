@@ -52,10 +52,6 @@ type BreakerConfig struct {
 	Seed int64
 	// Now overrides the clock for tests. Defaults to time.Now.
 	Now func() time.Time
-	// OnStateChange, when non-nil, observes transitions. Called
-	// outside the breaker lock; must be fast and must not call back
-	// into the breaker.
-	OnStateChange func(from, to BreakerState)
 }
 
 // halfOpenProbes is how many concurrent probes half-open admits.
@@ -96,13 +92,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // cool-down has elapsed.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
-	transition := b.advanceLocked(b.cfg.Now())
-	st := b.state
-	b.mu.Unlock()
-	if transition != nil {
-		transition()
-	}
-	return st
+	defer b.mu.Unlock()
+	b.advanceLocked(b.cfg.Now())
+	return b.state
 }
 
 // Allow reports whether a protected call may proceed. In the open
@@ -112,7 +104,8 @@ func (b *Breaker) State() BreakerState {
 func (b *Breaker) Allow() error {
 	now := b.cfg.Now()
 	b.mu.Lock()
-	transition := b.advanceLocked(now)
+	defer b.mu.Unlock()
+	b.advanceLocked(now)
 	var err error
 	switch b.state {
 	case BreakerClosed:
@@ -129,10 +122,6 @@ func (b *Breaker) Allow() error {
 		}
 		err = Reject(ErrBreakerOpen, wait)
 	}
-	b.mu.Unlock()
-	if transition != nil {
-		transition()
-	}
 	return err
 }
 
@@ -140,7 +129,7 @@ func (b *Breaker) Allow() error {
 func (b *Breaker) Record(ok bool) {
 	now := b.cfg.Now()
 	b.mu.Lock()
-	var transition func()
+	defer b.mu.Unlock()
 	switch b.state {
 	case BreakerClosed:
 		if ok {
@@ -148,7 +137,7 @@ func (b *Breaker) Record(ok bool) {
 		} else {
 			b.failures++
 			if b.failures >= b.cfg.FailureThreshold {
-				transition = b.tripLocked(now)
+				b.tripLocked(now)
 			}
 		}
 	case BreakerHalfOpen:
@@ -156,27 +145,20 @@ func (b *Breaker) Record(ok bool) {
 			b.probes--
 		}
 		if ok {
-			from := b.state
 			b.state = BreakerClosed
 			b.failures = 0
 			b.probes = 0
-			transition = b.notify(from, BreakerClosed)
 		} else {
-			transition = b.tripLocked(now)
+			b.tripLocked(now)
 		}
 	case BreakerOpen:
 		// A straggler from before the trip; outcome is stale.
 	}
-	b.mu.Unlock()
-	if transition != nil {
-		transition()
-	}
 }
 
 // tripLocked moves to open and schedules the next probe window with
-// seeded jitter. Returns the deferred state-change notification.
-func (b *Breaker) tripLocked(now time.Time) func() {
-	from := b.state
+// seeded jitter.
+func (b *Breaker) tripLocked(now time.Time) {
 	b.state = BreakerOpen
 	b.failures = 0
 	b.probes = 0
@@ -185,25 +167,12 @@ func (b *Breaker) tripLocked(now time.Time) func() {
 		cool += time.Duration(b.rng.Int63n(int64(b.cfg.Jitter)))
 	}
 	b.openUntil = now.Add(cool)
-	return b.notify(from, BreakerOpen)
 }
 
-// advanceLocked moves open→half-open once the cool-down has elapsed,
-// returning the state-change notification for the caller to run after
-// unlocking (nil when no transition happened).
-func (b *Breaker) advanceLocked(now time.Time) func() {
+// advanceLocked moves open→half-open once the cool-down has elapsed.
+func (b *Breaker) advanceLocked(now time.Time) {
 	if b.state == BreakerOpen && !now.Before(b.openUntil) {
 		b.state = BreakerHalfOpen
 		b.probes = 0
-		return b.notify(BreakerOpen, BreakerHalfOpen)
 	}
-	return nil
-}
-
-func (b *Breaker) notify(from, to BreakerState) func() {
-	cb := b.cfg.OnStateChange
-	if cb == nil || from == to {
-		return nil
-	}
-	return func() { cb(from, to) }
 }

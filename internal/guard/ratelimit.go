@@ -93,13 +93,6 @@ func (l *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
 	return false, time.Duration(need / l.cfg.Rate * float64(time.Second))
 }
 
-// keys returns the number of tracked keys.
-func (l *RateLimiter) keys() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}
-
 // evictStalestLocked removes the bucket touched longest ago. A linear
 // scan is fine: eviction only happens at the maxKeys ceiling, which a
 // well-behaved deployment never reaches.

@@ -31,18 +31,6 @@ func NewSemaphore(limit, maxWait int) *Semaphore {
 	return &Semaphore{slots: limit, limit: limit, maxWait: maxWait}
 }
 
-// tryAcquire takes a slot without waiting. It returns false when all
-// slots are busy.
-func (s *Semaphore) tryAcquire() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.slots > 0 {
-		s.slots--
-		return true
-	}
-	return false
-}
-
 // Acquire takes a slot, queueing up behind earlier waiters if none is
 // free. It returns ErrOverloaded immediately when the wait queue is
 // full, or ctx.Err() if the context ends while queued.
@@ -110,11 +98,4 @@ func (s *Semaphore) InUse() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.limit - s.slots
-}
-
-// waiting returns the current wait-queue length.
-func (s *Semaphore) waiting() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.waiters)
 }

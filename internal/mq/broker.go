@@ -3,7 +3,6 @@ package mq
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,15 +60,35 @@ type exchange struct {
 	typ      ExchangeType
 	bindings []binding
 	idx      exIndex
+
+	// published counts the messages published to this exchange (not
+	// those forwarded into it); unroutable those of them that reached
+	// no queue.
+	published  atomic.Uint64
+	unroutable atomic.Uint64
 }
 
-// BrokerStats aggregates broker counters.
-type BrokerStats struct {
-	Exchanges  int    `json:"exchanges"`
-	Queues     int    `json:"queues"`
+// ExchangeStats is a point-in-time snapshot of one exchange's
+// counters.
+type ExchangeStats struct {
+	Name       string `json:"name"`
 	Published  uint64 `json:"published"`
-	Routed     uint64 `json:"routed"`
 	Unroutable uint64 `json:"unroutable"`
+}
+
+func (ex *exchange) stats() ExchangeStats {
+	return ExchangeStats{Name: ex.name, Published: ex.published.Load(), Unroutable: ex.unroutable.Load()}
+}
+
+// BrokerStats aggregates broker counters. Every count is kept at one
+// site, in the broker, an exchange or a queue; a metrics layer reads
+// it from here.
+type BrokerStats struct {
+	// Exchanges and Queues snapshot every declared exchange and queue.
+	Exchanges []ExchangeStats `json:"exchanges"`
+	Queues    []QueueStats    `json:"queues"`
+	// Routed counts deliveries: one per queue a publish reached.
+	Routed uint64 `json:"routed"`
 	// Route-cache counters: hits resolve lock-free; misses walk the
 	// compiled indexes under the read lock; invalidations count
 	// topology generations (declare/bind/delete), not evictions.
@@ -80,6 +99,18 @@ type BrokerStats struct {
 	// token window instead of being enqueued again (client retries of
 	// a publish whose response was lost).
 	PublishDedupHits uint64 `json:"publishDedupHits"`
+	// Connections is the number of open wire-protocol connections;
+	// WireRead and WireWritten count their bytes, length prefixes
+	// included.
+	Connections int64  `json:"connections"`
+	WireRead    uint64 `json:"wireRead"`
+	WireWritten uint64 `json:"wireWritten"`
+	// LiveDelivered counts events enqueued onto live mailboxes,
+	// LiveDropped those dropped on a full one, and LiveShed the live
+	// subscriptions disconnected for exhausting their send budget.
+	LiveDelivered uint64 `json:"liveDelivered"`
+	LiveDropped   uint64 `json:"liveDropped"`
+	LiveShed      uint64 `json:"liveShed"`
 }
 
 // routeEntry is one memoized resolution: the full queue set an
@@ -88,7 +119,9 @@ type BrokerStats struct {
 // saw; a mismatch with the broker's current generation makes the
 // entry dead weight that the next miss overwrites.
 type routeEntry struct {
-	gen    uint64
+	gen uint64
+	// src is the exchange published to; it counts the publish.
+	src    *exchange
 	queues []*queue
 	// exchanges are the names of every exchange the key's resolution
 	// traversed (the published one plus exchange-to-exchange hops).
@@ -167,9 +200,7 @@ type Broker struct {
 	queues    map[string]*queue
 	closed    bool
 
-	published  atomic.Uint64
-	routed     atomic.Uint64
-	unroutable atomic.Uint64
+	routed atomic.Uint64
 
 	// topoGen is the topology generation; bumped under mu.Lock by
 	// every mutation. Cached routes are valid only for the generation
@@ -201,7 +232,11 @@ type Broker struct {
 	liveCount atomic.Int64
 	liveHooks atomic.Pointer[LiveHooks]
 
-	hooks atomic.Pointer[Hooks]
+	liveDelivered, liveDropped, liveShed atomic.Uint64
+
+	// Wire-protocol accounting, kept by the connections of server.go.
+	conns                 atomic.Int64
+	wireRead, wireWritten atomic.Uint64
 }
 
 // NewBroker returns an empty broker.
@@ -221,7 +256,6 @@ func (b *Broker) invalidateRoutes() {
 	b.topoGen.Add(1)
 	b.routes.Store(&routeCache{})
 	b.cacheInvalidations.Add(1)
-	b.currentHooks().routeCacheInvalidated()
 }
 
 // DeclareExchange creates an exchange; redeclaring with the same type
@@ -251,12 +285,15 @@ func (b *Broker) DeclareExchange(name string, typ ExchangeType) error {
 	return nil
 }
 
-// DeleteExchange removes an exchange and every binding pointing at it.
-func (b *Broker) DeleteExchange(name string) error {
+// DeleteExchange removes an exchange and every binding pointing at
+// it, returning the exchange's counters as of its deletion so a caller
+// summing them can keep them.
+func (b *Broker) DeleteExchange(name string) (ExchangeStats, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.exchanges[name]; !ok {
-		return fmt.Errorf("delete exchange %q: %w", name, ErrExchangeNotFound)
+	gone, ok := b.exchanges[name]
+	if !ok {
+		return ExchangeStats{}, fmt.Errorf("delete exchange %q: %w", name, ErrExchangeNotFound)
 	}
 	delete(b.exchanges, name)
 	for _, ex := range b.exchanges {
@@ -272,7 +309,7 @@ func (b *Broker) DeleteExchange(name string) error {
 		}
 	}
 	b.invalidateRoutes()
-	return nil
+	return gone.stats(), nil
 }
 
 // DeclareQueue creates a queue; redeclaration is idempotent (options
@@ -289,19 +326,20 @@ func (b *Broker) DeclareQueue(name string, opts QueueOptions) error {
 	if _, ok := b.queues[name]; ok {
 		return nil
 	}
-	b.queues[name] = newQueue(name, opts, &b.hooks, b.notifyFlow)
+	b.queues[name] = newQueue(name, opts, b.notifyFlow)
 	b.invalidateRoutes()
 	return nil
 }
 
 // DeleteQueue removes a queue, closing its consumers, and removes
-// bindings pointing at it.
-func (b *Broker) DeleteQueue(name string) error {
+// bindings pointing at it. It returns the queue's final counters so a
+// caller summing them can keep them.
+func (b *Broker) DeleteQueue(name string) (QueueStats, error) {
 	b.mu.Lock()
 	q, ok := b.queues[name]
 	if !ok {
 		b.mu.Unlock()
-		return fmt.Errorf("delete queue %q: %w", name, ErrQueueNotFound)
+		return QueueStats{}, fmt.Errorf("delete queue %q: %w", name, ErrQueueNotFound)
 	}
 	delete(b.queues, name)
 	for _, ex := range b.exchanges {
@@ -319,7 +357,7 @@ func (b *Broker) DeleteQueue(name string) error {
 	b.invalidateRoutes()
 	b.mu.Unlock()
 	q.close()
-	return nil
+	return q.statsFast(), nil
 }
 
 // BindQueue routes messages from exchange to queue when the pattern
@@ -389,24 +427,22 @@ func (b *Broker) UnbindQueue(queueName, exchangeName, pattern string) error {
 	return nil
 }
 
-// lookupRoute returns the memoized queue and traversed-exchange sets
-// for (exchange, key) when one exists for the given generation.
-// Lock-free and allocation-free.
-func (b *Broker) lookupRoute(exchangeName, key string, gen uint64) ([]*queue, []string, bool) {
+// lookupRoute returns the memoized route for (exchange, key) when one
+// exists for the given generation. Lock-free and allocation-free.
+func (b *Broker) lookupRoute(exchangeName, key string, gen uint64) *routeEntry {
 	rc := b.routes.Load()
 	innerAny, ok := rc.exchanges.Load(exchangeName)
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
 	entryAny, ok := innerAny.(*sync.Map).Load(key)
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
-	e := entryAny.(*routeEntry)
-	if e.gen != gen {
-		return nil, nil, false
+	if e := entryAny.(*routeEntry); e.gen == gen {
+		return e
 	}
-	return e.queues, e.exchanges, true
+	return nil
 }
 
 // resolveRoute computes the queue set for (exchange, key) by walking
@@ -414,16 +450,16 @@ func (b *Broker) lookupRoute(exchangeName, key string, gen uint64) ([]*queue, []
 // exchange-to-exchange bindings, then memoizes it under gen. gen must
 // have been read before the resolution (a topology change in between
 // leaves the entry stale-by-construction, never wrong).
-func (b *Broker) resolveRoute(exchangeName, key string, gen uint64) ([]*queue, []string, error) {
+func (b *Broker) resolveRoute(exchangeName, key string, gen uint64) (*routeEntry, error) {
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
-		return nil, nil, ErrBrokerClosed
+		return nil, ErrBrokerClosed
 	}
 	ex, ok := b.exchanges[exchangeName]
 	if !ok {
 		b.mu.RUnlock()
-		return nil, nil, fmt.Errorf("publish to %q: %w", exchangeName, ErrExchangeNotFound)
+		return nil, fmt.Errorf("publish to %q: %w", exchangeName, ErrExchangeNotFound)
 	}
 	sc := routeScratchPool.Get().(*routeScratch)
 	sc.keyWords = splitWordsInto(sc.keyWords[:0], key)
@@ -469,7 +505,7 @@ func (b *Broker) resolveRoute(exchangeName, key string, gen uint64) ([]*queue, [
 	if !ok {
 		innerAny, _ = rc.exchanges.LoadOrStore(exchangeName, &sync.Map{})
 	}
-	entry := &routeEntry{gen: gen, queues: queues, exchanges: exchanges}
+	entry := &routeEntry{gen: gen, src: ex, queues: queues, exchanges: exchanges}
 	if _, loaded := innerAny.(*sync.Map).Swap(key, entry); !loaded {
 		if rc.entries.Add(1) > routeCacheMaxEntries {
 			// Epoch eviction: swap in a fresh cache rather than track
@@ -478,26 +514,35 @@ func (b *Broker) resolveRoute(exchangeName, key string, gen uint64) ([]*queue, [
 			b.routes.CompareAndSwap(rc, &routeCache{})
 		}
 	}
-	return queues, exchanges, nil
+	return entry, nil
 }
 
-// route returns the destination queue set and the traversed exchange
-// names for one publish, preferring the memoized route and falling
-// back to resolution.
-func (b *Broker) route(exchangeName, key string) ([]*queue, []string, error) {
+// route returns the route of one publish — the exchange published to,
+// the destination queues and the traversed exchange names —,
+// preferring the memoized route and falling back to resolution.
+func (b *Broker) route(exchangeName, key string) (*routeEntry, error) {
 	gen := b.topoGen.Load()
-	if queues, exchanges, ok := b.lookupRoute(exchangeName, key, gen); ok {
+	if e := b.lookupRoute(exchangeName, key, gen); e != nil {
 		b.cacheHits.Add(1)
-		b.currentHooks().routeCacheHit()
-		return queues, exchanges, nil
+		return e, nil
 	}
-	queues, exchanges, err := b.resolveRoute(exchangeName, key, gen)
+	e, err := b.resolveRoute(exchangeName, key, gen)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b.cacheMisses.Add(1)
-	b.currentHooks().routeCacheMiss()
-	return queues, exchanges, nil
+	return e, nil
+}
+
+// countPublish counts one settled publish that reached delivered
+// queues on the exchange it was published to.
+func (b *Broker) countPublish(src *exchange, delivered int) {
+	src.published.Add(1)
+	if delivered == 0 {
+		src.unroutable.Add(1)
+	} else {
+		b.routed.Add(uint64(delivered))
+	}
 }
 
 // PublishAt routes a message stamped at: the receive time for a live
@@ -509,7 +554,7 @@ func (b *Broker) route(exchangeName, key string) ([]*queue, []string, error) {
 // destination queue: the broker never mutates them after publish, and
 // neither may consumers.
 func (b *Broker) PublishAt(exchangeName, routingKey string, headers map[string]string, body []byte, at time.Time) (int, error) {
-	queues, exchanges, err := b.route(exchangeName, routingKey)
+	e, err := b.route(exchangeName, routingKey)
 	if err != nil {
 		return 0, err
 	}
@@ -522,19 +567,13 @@ func (b *Broker) PublishAt(exchangeName, routingKey string, headers map[string]s
 		PublishedAt: at,
 	}
 	delivered := 0
-	for _, q := range queues {
+	for _, q := range e.queues {
 		if err := q.publish(&msg); err == nil {
 			delivered++
 		}
 	}
-	b.fanoutLive(exchanges, &msg)
-	b.published.Add(1)
-	if delivered == 0 {
-		b.unroutable.Add(1)
-	} else {
-		b.routed.Add(uint64(delivered))
-	}
-	b.currentHooks().published(exchangeName, delivered)
+	b.fanoutLive(e.exchanges, &msg)
+	b.countPublish(e.src, delivered)
 	return delivered, nil
 }
 
@@ -576,8 +615,8 @@ type PublishItem struct {
 // broker crossing: route resolution is memoized per distinct key and
 // each destination queue takes its lock once for all the messages it
 // receives, instead of once per message. Per-message semantics are
-// preserved — every item is routed by its own key, counted and
-// reported to hooks individually, and MaxLen drops behave as if
+// preserved — every item is routed by its own key and counted
+// individually, and MaxLen drops behave as if
 // the items had been published back to back.
 //
 // It returns the total number of deliveries (sum over items of the
@@ -596,6 +635,7 @@ func (b *Broker) PublishBatch(exchangeName string, items []PublishItem) (int, er
 	order := make([]*qbatch, 0, 4)
 	routedTo := make([]int, len(items))
 	deduped := make([]bool, len(items))
+	var src *exchange
 	for i, it := range items {
 		if it.Token != "" {
 			if n, ok := b.dedup.lookup(it.Token); ok {
@@ -607,10 +647,11 @@ func (b *Broker) PublishBatch(exchangeName string, items []PublishItem) (int, er
 				continue
 			}
 		}
-		queues, exchanges, err := b.route(exchangeName, it.RoutingKey)
+		e, err := b.route(exchangeName, it.RoutingKey)
 		if err != nil {
 			return 0, err
 		}
+		src = e.src
 		at := it.At
 		if at.IsZero() {
 			if now.IsZero() {
@@ -629,9 +670,9 @@ func (b *Broker) PublishBatch(exchangeName string, items []PublishItem) (int, er
 		// Live fan-out happens per item, in batch order, and is skipped
 		// for deduped replays above — the original publish already
 		// reached the live subscribers once.
-		b.fanoutLive(exchanges, &msg)
-		routedTo[i] = len(queues)
-		for _, q := range queues {
+		b.fanoutLive(e.exchanges, &msg)
+		routedTo[i] = len(e.queues)
+		for _, q := range e.queues {
 			qb, ok := batches[q]
 			if !ok {
 				qb = &qbatch{q: q}
@@ -651,21 +692,14 @@ func (b *Broker) PublishBatch(exchangeName string, items []PublishItem) (int, er
 		}
 	}
 	delivered := 0
-	h := b.currentHooks()
 	for i, n := range routedTo {
 		delivered += n
 		if deduped[i] {
-			// Counted (and hook-reported) when the original publish
-			// settled; a replay only contributes to the return value.
+			// Counted when the original publish settled; a replay only
+			// contributes to the return value.
 			continue
 		}
-		b.published.Add(1)
-		if n == 0 {
-			b.unroutable.Add(1)
-		} else {
-			b.routed.Add(uint64(n))
-		}
-		h.published(exchangeName, n)
+		b.countPublish(src, n)
 		if items[i].Token != "" {
 			b.dedup.record(items[i].Token, n)
 		}
@@ -698,30 +732,6 @@ func (b *Broker) Consume(queueName string, prefetch int) (*Consumer, error) {
 	return c, nil
 }
 
-// Get synchronously fetches one message from a queue (basic.get). The
-// second result is false when the queue is empty. The delivery must be
-// acked or nacked via AckGet/NackGet.
-func (b *Broker) Get(queueName string) (Delivery, bool, error) {
-	b.mu.RLock()
-	q, ok := b.queues[queueName]
-	b.mu.RUnlock()
-	if !ok {
-		return Delivery{}, false, fmt.Errorf("get %q: %w", queueName, ErrQueueNotFound)
-	}
-	return q.get()
-}
-
-// AckGet acknowledges a delivery obtained via Get.
-func (b *Broker) AckGet(queueName string, tag uint64) error {
-	b.mu.RLock()
-	q, ok := b.queues[queueName]
-	b.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("ack %q: %w", queueName, ErrQueueNotFound)
-	}
-	return q.ack(tag)
-}
-
 // QueueStats snapshots one queue's counters.
 func (b *Broker) QueueStats(queueName string) (QueueStats, error) {
 	b.mu.RLock()
@@ -746,36 +756,34 @@ func (b *Broker) QueueStatsFast(queueName string) (QueueStats, error) {
 	return q.statsFast(), nil
 }
 
-// Queues returns the sorted queue names.
-func (b *Broker) Queues() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	names := make([]string, 0, len(b.queues))
-	for n := range b.queues {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Stats snapshots broker counters. The counters are read lock-free;
-// only the exchange/queue cardinalities briefly take the shared read
-// lock, which publishers also use — sampling never blocks a publish.
+// Stats snapshots broker counters. Every counter is an atomic; only
+// listing the exchanges and queues takes the shared read lock, which
+// publishers also use — sampling never blocks a publish.
 func (b *Broker) Stats() BrokerStats {
-	b.mu.RLock()
-	exchanges, queues := len(b.exchanges), len(b.queues)
-	b.mu.RUnlock()
-	return BrokerStats{
-		Exchanges:               exchanges,
-		Queues:                  queues,
-		Published:               b.published.Load(),
+	st := BrokerStats{
 		Routed:                  b.routed.Load(),
-		Unroutable:              b.unroutable.Load(),
 		RouteCacheHits:          b.cacheHits.Load(),
 		RouteCacheMisses:        b.cacheMisses.Load(),
 		RouteCacheInvalidations: b.cacheInvalidations.Load(),
 		PublishDedupHits:        b.dedupHits.Load(),
+		Connections:             b.conns.Load(),
+		WireRead:                b.wireRead.Load(),
+		WireWritten:             b.wireWritten.Load(),
+		LiveDelivered:           b.liveDelivered.Load(),
+		LiveDropped:             b.liveDropped.Load(),
+		LiveShed:                b.liveShed.Load(),
 	}
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	st.Exchanges = make([]ExchangeStats, 0, len(b.exchanges))
+	for _, ex := range b.exchanges {
+		st.Exchanges = append(st.Exchanges, ex.stats())
+	}
+	st.Queues = make([]QueueStats, 0, len(b.queues))
+	for _, q := range b.queues {
+		st.Queues = append(st.Queues, q.statsFast())
+	}
+	return st
 }
 
 // Close shuts the broker: all queues are closed and further operations

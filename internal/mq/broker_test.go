@@ -166,8 +166,8 @@ func TestPublishUnroutableAndMissing(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Fatalf("unroutable publish: n=%d err=%v", n, err)
 	}
-	if st := b.Stats(); st.Unroutable != 1 {
-		t.Fatalf("unroutable counter = %d, want 1", st.Unroutable)
+	if _, unroutable := publishedTotals(b.Stats()); unroutable != 1 {
+		t.Fatalf("unroutable counter = %d, want 1", unroutable)
 	}
 	_, err = b.PublishAt("missing", "k", nil, nil, time.Now())
 	if !errors.Is(err, ErrExchangeNotFound) {
@@ -182,14 +182,14 @@ func TestDeleteQueueRemovesBindings(t *testing.T) {
 	if err := b.BindQueue("q", "x", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeleteQueue("q"); err != nil {
+	if _, err := b.DeleteQueue("q"); err != nil {
 		t.Fatal(err)
 	}
 	n, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now())
 	if err != nil || n != 0 {
 		t.Fatalf("publish after queue delete: n=%d err=%v, want 0", n, err)
 	}
-	if err := b.DeleteQueue("q"); !errors.Is(err, ErrQueueNotFound) {
+	if _, err := b.DeleteQueue("q"); !errors.Is(err, ErrQueueNotFound) {
 		t.Fatalf("double delete = %v, want ErrQueueNotFound", err)
 	}
 }
@@ -205,7 +205,7 @@ func TestDeleteExchangeRemovesExchangeBindings(t *testing.T) {
 	if err := b.BindQueue("q", "dst", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeleteExchange("dst"); err != nil {
+	if _, err := b.DeleteExchange("dst"); err != nil {
 		t.Fatal(err)
 	}
 	// src's binding to dst must be gone; publish is simply unroutable.

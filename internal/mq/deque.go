@@ -78,19 +78,8 @@ func (d *msgDeque) front() (*Message, bool) {
 	return &d.head.msgs[d.headIdx], true
 }
 
-// popFront removes and returns the head message.
-func (d *msgDeque) popFront() (Message, bool) {
-	if d.n == 0 {
-		return Message{}, false
-	}
-	m := d.head.msgs[d.headIdx]
-	d.dropFront()
-	return m, true
-}
-
 // dropFront discards the head message without copying it out — the
-// dispatch path has already copied it from front() and does not need
-// it back.
+// dispatch path has already copied it from front().
 func (d *msgDeque) dropFront() {
 	if d.n == 0 {
 		return

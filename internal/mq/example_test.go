@@ -60,11 +60,13 @@ func ExampleBroker() {
 	must(err)
 	fmt.Println("delivered to", n, "queue(s)")
 
-	d, ok, err := broker.Get("GF")
+	c, err := broker.Consume("GF", 1)
 	must(err)
-	fmt.Println(ok, string(d.Body))
-	must(broker.AckGet("GF", d.Tag))
+	d := <-c.C()
+	fmt.Println(string(d.Body))
+	must(c.Ack(d.Tag))
+	c.Cancel()
 	// Output:
 	// delivered to 1 queue(s)
-	// true {"spl":61.5}
+	// {"spl":61.5}
 }

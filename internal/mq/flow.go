@@ -8,7 +8,7 @@ import (
 // Per-queue flow control: when a queue's ready depth reaches its
 // HighWatermark the broker asks publishers to pause, and resumes them
 // once the depth drains to half of it. Transitions surface in
-// three places: the Hooks.FlowPaused/FlowResumed metrics events, the
+// three places: the queue's FlowPauses/FlowResumes counts, the
 // FlowSub subscription the wire server broadcasts to connections as
 // `flow` frames, and Broker.PausedQueues for snapshots (a freshly
 // accepted connection is told about queues that paused before it

@@ -5,20 +5,23 @@ import (
 	"log"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestQueueWatermarkTransitions drives the ready depth across the
-// watermarks broker-side and checks the hook + subscription events.
+// watermarks broker-side and checks the transition counts and the
+// subscription events.
 func TestQueueWatermarkTransitions(t *testing.T) {
 	b := NewBroker()
-	var paused, resumed atomic.Int64
-	b.SetHooks(Hooks{
-		FlowPaused:  func(q string) { paused.Add(1) },
-		FlowResumed: func(q string) { resumed.Add(1) },
-	})
+	flow := func() QueueStats {
+		t.Helper()
+		st, err := b.QueueStatsFast("q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	sub := b.SubscribeFlow()
 	defer b.UnsubscribeFlow(sub)
 
@@ -38,14 +41,14 @@ func TestQueueWatermarkTransitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := paused.Load(); got != 0 {
+	if got := flow().FlowPauses; got != 0 {
 		t.Fatalf("paused fired %d times below watermark", got)
 	}
 	// 4th message reaches the high watermark: one pause.
 	if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if got := paused.Load(); got != 1 {
+	if got := flow().FlowPauses; got != 1 {
 		t.Fatalf("paused fired %d times at watermark, want 1", got)
 	}
 	if got := b.PausedQueues(); len(got) != 1 || got[0] != "q" {
@@ -55,21 +58,21 @@ func TestQueueWatermarkTransitions(t *testing.T) {
 	if _, err := b.PublishAt("x", "k", nil, []byte("m"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if got := paused.Load(); got != 1 {
+	if got := flow().FlowPauses; got != 1 {
 		t.Fatalf("paused re-fired while already paused: %d", got)
 	}
 
-	// Drain via Get+Ack down to the low watermark: one resume.
+	// Drain via get+ack down to the low watermark: one resume.
 	for i := 0; i < 3; i++ {
-		d, found, err := b.Get("q")
+		d, found, err := getOne(b, "q")
 		if err != nil || !found {
 			t.Fatalf("get %d: found=%v err=%v", i, found, err)
 		}
-		if err := b.AckGet("q", d.Tag); err != nil {
+		if err := ackGot(b, "q", d.Tag); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := resumed.Load(); got != 1 {
+	if got := flow().FlowResumes; got != 1 {
 		t.Fatalf("resumed fired %d times at low watermark, want 1", got)
 	}
 	if got := b.PausedQueues(); len(got) != 0 {
@@ -231,12 +234,10 @@ func TestFlowGateBlocksPublish(t *testing.T) {
 }
 
 // TestOverflowHookAndRateLimitedWarn exercises the MaxLen overflow
-// accounting: the Overflowed hook fires per drop and the log warn is
-// rate-limited to one line per queue per minute.
+// accounting: the queue counts every drop as an overflow and the log
+// warn is rate-limited to one line per queue per minute.
 func TestOverflowHookAndRateLimitedWarn(t *testing.T) {
 	b := NewBroker()
-	var overflowed atomic.Int64
-	b.SetHooks(Hooks{Overflowed: func(q string) { overflowed.Add(1) }})
 
 	if err := b.DeclareExchange("x", Direct); err != nil {
 		t.Fatal(err)
@@ -271,8 +272,8 @@ func TestOverflowHookAndRateLimitedWarn(t *testing.T) {
 	}
 
 	publishN(5) // 3 overflow drops inside one minute
-	if got := overflowed.Load(); got != 3 {
-		t.Fatalf("Overflowed fired %d times, want 3", got)
+	if st, _ := b.QueueStatsFast("q"); st.Overflowed != 3 || st.Dropped != 3 {
+		t.Fatalf("overflowed/dropped = %d/%d, want 3/3", st.Overflowed, st.Dropped)
 	}
 	if got := strings.Count(buf.String(), "overflow"); got != 1 {
 		t.Fatalf("overflow warned %d times within a minute, want 1:\n%s", got, buf.String())
@@ -293,7 +294,7 @@ func TestOverflowHookAndRateLimitedWarn(t *testing.T) {
 // TestWatermarkDefaults checks the low watermark's derivation.
 func TestWatermarkDefaults(t *testing.T) {
 	for _, c := range []struct{ hw, low int }{{10, 5}, {4, 2}, {3, 1}, {1, 0}} {
-		q := newQueue("q", QueueOptions{HighWatermark: c.hw}, nil, nil)
+		q := newQueue("q", QueueOptions{HighWatermark: c.hw}, nil)
 		if got := q.lowWatermark(); got != c.low {
 			t.Fatalf("low watermark for HW=%d = %d, want %d", c.hw, got, c.low)
 		}

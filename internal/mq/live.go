@@ -166,21 +166,15 @@ func (n *liveNode) match(key []string, emit func(*LiveSub)) {
 	}
 }
 
-// LiveHooks observes live fan-out events for metrics. Unlike Hooks
-// these are installed separately (SetLiveHooks) so instrumenting the
-// live layer does not race with or replace broker-wide hooks.
+// LiveHooks times live fan-out for metrics; the fan-out's counts are
+// the broker's own (BrokerStats.Live*). It is the one hook the broker
+// keeps: the timing site is inside the publish path, and mq links no
+// metrics package.
 type LiveHooks struct {
 	// Fanout fires once per published message while live subscribers
 	// exist, with the number of mailboxes reached and the fan-out wall
 	// time (trie match + enqueues).
 	Fanout func(subs int, d time.Duration)
-	// Delivered fires per successful mailbox enqueue.
-	Delivered func()
-	// Dropped fires per event dropped on a full mailbox.
-	Dropped func()
-	// Shed fires when a subscriber exceeds its send budget and is
-	// disconnected.
-	Shed func()
 }
 
 // SetLiveHooks installs live fan-out observers (zero value detaches).
@@ -326,13 +320,9 @@ func (b *Broker) fanoutLive(exchanges []string, msg *Message) {
 				if s.budget != nil {
 					s.budget.Sent()
 				}
-				if h != nil && h.Delivered != nil {
-					h.Delivered()
-				}
+				b.liveDelivered.Add(1)
 			default:
-				if h != nil && h.Dropped != nil {
-					h.Dropped()
-				}
+				b.liveDropped.Add(1)
 				if s.budget != nil && s.budget.Full() {
 					sc.toShed = append(sc.toShed, s)
 				}
@@ -344,9 +334,7 @@ func (b *Broker) fanoutLive(exchanges []string, msg *Message) {
 		// Close takes the live write lock; mark the shed before Done
 		// closes so the subscriber can tell shed from a plain close.
 		if s.shedFlag.CompareAndSwap(false, true) {
-			if h != nil && h.Shed != nil {
-				h.Shed()
-			}
+			b.liveShed.Add(1)
 		}
 		s.Close()
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -315,18 +314,21 @@ func TestLiveSubscribeValidation(t *testing.T) {
 	sub.Close() // idempotent after broker close
 }
 
-// liveCounts tallies the live fan-out hooks, the counters the server
-// exports as its live_* metric families.
+// liveCounts reads the broker's live fan-out counters, the counts the
+// server exports as its live_* metric families.
 type liveCounts struct {
-	delivered, dropped, shed atomic.Uint64
+	delivered, dropped, shed liveCounter
 }
 
+// liveCounter reads one of them.
+type liveCounter func() uint64
+
+func (f liveCounter) Load() uint64 { return f() }
+
 func countLive(b *Broker) *liveCounts {
-	lc := new(liveCounts)
-	b.SetLiveHooks(LiveHooks{
-		Delivered: func() { lc.delivered.Add(1) },
-		Dropped:   func() { lc.dropped.Add(1) },
-		Shed:      func() { lc.shed.Add(1) },
-	})
-	return lc
+	return &liveCounts{
+		delivered: func() uint64 { return b.Stats().LiveDelivered },
+		dropped:   func() uint64 { return b.Stats().LiveDropped },
+		shed:      func() uint64 { return b.Stats().LiveShed },
+	}
 }

@@ -40,10 +40,24 @@ type QueueStats struct {
 	Ready     int    `json:"ready"`
 	Unacked   int    `json:"unacked"`
 	Consumers int    `json:"consumers"`
+	// Published counts the messages enqueued.
 	Published uint64 `json:"published"`
 	Delivered uint64 `json:"delivered"`
 	Acked     uint64 `json:"acked"`
-	Dropped   uint64 `json:"dropped"`
+	// Dropped counts discards: MaxLen overflow (also counted by
+	// Overflowed) or a nack without requeue.
+	Dropped uint64 `json:"dropped"`
+
+	// The counts below stay in process: the wire's queue-stats reply
+	// keeps its pinned shape.
+
+	// Nacked counts rejections, requeued or not.
+	Nacked     uint64 `json:"-"`
+	Overflowed uint64 `json:"-"`
+	// FlowPauses and FlowResumes count the crossings of the high and
+	// low watermarks.
+	FlowPauses  uint64 `json:"-"`
+	FlowResumes uint64 `json:"-"`
 }
 
 // queue is a broker-internal message queue with competing consumers
@@ -68,9 +82,6 @@ type queue struct {
 	// now stamps overflow warnings; overridable in tests.
 	now func() time.Time
 
-	// hooks aliases the owning broker's hook slot; nil-safe.
-	hooks *atomic.Pointer[Hooks]
-
 	// flowFn forwards watermark pause/resume transitions to the owning
 	// broker's flow subscribers; nil for standalone queues. Fires under
 	// q.mu, so it must not call back into the queue.
@@ -87,29 +98,24 @@ type queue struct {
 	unackedN   atomic.Int64
 	consumersN atomic.Int64
 
-	published atomic.Uint64
-	delivered atomic.Uint64
-	acked     atomic.Uint64
-	dropped   atomic.Uint64
+	published   atomic.Uint64
+	delivered   atomic.Uint64
+	acked       atomic.Uint64
+	nacked      atomic.Uint64
+	dropped     atomic.Uint64
+	overflowed  atomic.Uint64
+	flowPauses  atomic.Uint64
+	flowResumes atomic.Uint64
 }
 
-func newQueue(name string, opts QueueOptions, hooks *atomic.Pointer[Hooks], flowFn func(string, bool)) *queue {
+func newQueue(name string, opts QueueOptions, flowFn func(string, bool)) *queue {
 	return &queue{
 		name:    name,
 		opts:    opts,
 		unacked: make(map[uint64]Message),
 		now:     time.Now,
-		hooks:   hooks,
 		flowFn:  flowFn,
 	}
-}
-
-// h returns the current hooks, tolerating queues built without a slot.
-func (q *queue) h() *Hooks {
-	if q.hooks == nil {
-		return nil
-	}
-	return q.hooks.Load()
 }
 
 // publish enqueues a message and dispatches it to a consumer with
@@ -121,15 +127,14 @@ func (q *queue) publish(m *Message) error {
 	if q.closed {
 		return ErrQueueClosed
 	}
-	h := q.h()
-	q.enqueueLocked(m, h)
-	q.dispatchLocked(h)
+	q.enqueueLocked(m)
+	q.dispatchLocked()
 	return nil
 }
 
 // publishBatch enqueues a run of messages under one lock acquisition
 // and dispatches once at the end. Per-message semantics are
-// preserved: counters, hooks and MaxLen overflow drops fire for each
+// preserved: counters and MaxLen overflow drops count for each
 // message exactly as a sequence of publish calls would, and FIFO
 // order within the batch is kept.
 func (q *queue) publishBatch(msgs []Message) error {
@@ -141,31 +146,26 @@ func (q *queue) publishBatch(msgs []Message) error {
 	if q.closed {
 		return ErrQueueClosed
 	}
-	h := q.h()
 	for i := range msgs {
-		q.enqueueLocked(&msgs[i], h)
+		q.enqueueLocked(&msgs[i])
 	}
-	q.dispatchLocked(h)
+	q.dispatchLocked()
 	return nil
 }
 
 // enqueueLocked appends one message to the ready list, enforcing
-// MaxLen by dropping the oldest ready messages. Caller holds q.mu and
-// passes its hook snapshot so the hot path loads the hook pointer
-// once per operation, not once per event.
-func (q *queue) enqueueLocked(m *Message, h *Hooks) {
+// MaxLen by dropping the oldest ready messages. Caller holds q.mu.
+func (q *queue) enqueueLocked(m *Message) {
 	q.published.Add(1)
 	q.ready.pushBack(m)
 	q.readyN.Add(1)
-	h.enqueued(q.name)
 	if q.opts.MaxLen > 0 {
 		overflowed := 0
 		for q.ready.len() > q.opts.MaxLen {
 			q.ready.dropFront()
 			q.readyN.Add(-1)
 			q.dropped.Add(1)
-			h.dropped(q.name)
-			h.overflowed(q.name)
+			q.overflowed.Add(1)
 			overflowed++
 		}
 		if overflowed > 0 {
@@ -194,9 +194,9 @@ func (q *queue) warnOverflowLocked(n int) {
 func (q *queue) lowWatermark() int { return q.opts.HighWatermark / 2 }
 
 // updateFlowLocked detects watermark crossings on the ready depth and
-// publishes pause/resume transitions to hooks and the broker's flow
-// subscribers. Caller holds q.mu.
-func (q *queue) updateFlowLocked(h *Hooks) {
+// counts pause/resume transitions and publishes them to the broker's
+// flow subscribers. Caller holds q.mu.
+func (q *queue) updateFlowLocked() {
 	hw := q.opts.HighWatermark
 	if hw <= 0 {
 		return
@@ -205,13 +205,13 @@ func (q *queue) updateFlowLocked(h *Hooks) {
 	switch {
 	case !q.paused && n >= hw:
 		q.paused = true
-		h.flowPaused(q.name)
+		q.flowPauses.Add(1)
 		if q.flowFn != nil {
 			q.flowFn(q.name, true)
 		}
 	case q.paused && n <= q.lowWatermark():
 		q.paused = false
-		h.flowResumed(q.name)
+		q.flowResumes.Add(1)
 		if q.flowFn != nil {
 			q.flowFn(q.name, false)
 		}
@@ -223,8 +223,8 @@ func (q *queue) updateFlowLocked(h *Hooks) {
 // path re-evaluates the flow watermarks: dispatch is the common tail
 // of publish, ack, nack-requeue and consumer attach, which are exactly
 // the operations that move the ready depth.
-func (q *queue) dispatchLocked(h *Hooks) {
-	defer q.updateFlowLocked(h)
+func (q *queue) dispatchLocked() {
+	defer q.updateFlowLocked()
 	if len(q.consumers) == 0 {
 		return
 	}
@@ -255,31 +255,7 @@ func (q *queue) dispatchLocked(h *Hooks) {
 		q.readyN.Add(-1)
 		q.unackedN.Add(1)
 		q.delivered.Add(1)
-		h.delivered(q.name)
 	}
-}
-
-// get implements basic.get: synchronously dequeue one message (it
-// becomes unacked until Ack/Nack).
-func (q *queue) get() (Delivery, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return Delivery{}, false, ErrQueueClosed
-	}
-	h := q.h()
-	defer q.updateFlowLocked(h)
-	msg, ok := q.ready.popFront()
-	if !ok {
-		return Delivery{}, false, nil
-	}
-	q.readyN.Add(-1)
-	q.nextTag++
-	q.unacked[q.nextTag] = msg
-	q.unackedN.Add(1)
-	q.delivered.Add(1)
-	h.delivered(q.name)
-	return Delivery{Message: msg, Tag: q.nextTag, Queue: q.name}, true, nil
 }
 
 // ack discards an unacked delivery.
@@ -292,9 +268,7 @@ func (q *queue) ack(tag uint64) error {
 	delete(q.unacked, tag)
 	q.unackedN.Add(-1)
 	q.acked.Add(1)
-	h := q.h()
-	h.acked(q.name)
-	q.dispatchLocked(h)
+	q.dispatchLocked()
 	return nil
 }
 
@@ -309,16 +283,14 @@ func (q *queue) nack(tag uint64, requeue bool) error {
 	}
 	delete(q.unacked, tag)
 	q.unackedN.Add(-1)
-	h := q.h()
-	h.nacked(q.name, requeue)
+	q.nacked.Add(1)
 	if requeue {
 		m.Redelivered = true
 		q.ready.pushFront(&m)
 		q.readyN.Add(1)
-		q.dispatchLocked(h)
+		q.dispatchLocked()
 	} else {
 		q.dropped.Add(1)
-		h.dropped(q.name)
 	}
 	return nil
 }
@@ -332,7 +304,7 @@ func (q *queue) addConsumer(c *Consumer) error {
 	}
 	q.consumers = append(q.consumers, c)
 	q.consumersN.Add(1)
-	q.dispatchLocked(q.h())
+	q.dispatchLocked()
 	return nil
 }
 
@@ -362,8 +334,7 @@ func (q *queue) close() {
 	if q.paused {
 		// A deleted queue must not leave publishers paused forever.
 		q.paused = false
-		h := q.h()
-		h.flowResumed(q.name)
+		q.flowResumes.Add(1)
 		if q.flowFn != nil {
 			q.flowFn(q.name, false)
 		}
@@ -383,17 +354,10 @@ func (q *queue) close() {
 func (q *queue) stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.updateFlowLocked(q.h())
-	return QueueStats{
-		Name:      q.name,
-		Ready:     q.ready.len(),
-		Unacked:   len(q.unacked),
-		Consumers: len(q.consumers),
-		Published: q.published.Load(),
-		Delivered: q.delivered.Load(),
-		Acked:     q.acked.Load(),
-		Dropped:   q.dropped.Load(),
-	}
+	q.updateFlowLocked()
+	st := q.statsFast()
+	st.Ready, st.Unacked, st.Consumers = q.ready.len(), len(q.unacked), len(q.consumers)
+	return st
 }
 
 // statsFast snapshots queue counters from atomics only, with no mutex.
@@ -401,14 +365,18 @@ func (q *queue) stats() QueueStats {
 // fine for monitoring.
 func (q *queue) statsFast() QueueStats {
 	return QueueStats{
-		Name:      q.name,
-		Ready:     int(q.readyN.Load()),
-		Unacked:   int(q.unackedN.Load()),
-		Consumers: int(q.consumersN.Load()),
-		Published: q.published.Load(),
-		Delivered: q.delivered.Load(),
-		Acked:     q.acked.Load(),
-		Dropped:   q.dropped.Load(),
+		Name:        q.name,
+		Ready:       int(q.readyN.Load()),
+		Unacked:     int(q.unackedN.Load()),
+		Consumers:   int(q.consumersN.Load()),
+		Published:   q.published.Load(),
+		Delivered:   q.delivered.Load(),
+		Acked:       q.acked.Load(),
+		Nacked:      q.nacked.Load(),
+		Dropped:     q.dropped.Load(),
+		Overflowed:  q.overflowed.Load(),
+		FlowPauses:  q.flowPauses.Load(),
+		FlowResumes: q.flowResumes.Load(),
 	}
 }
 
@@ -507,7 +475,6 @@ func (q *queue) requeueAll(tags []uint64) {
 	sort.Slice(tags, func(i, j int) bool { return tags[i] > tags[j] })
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	h := q.h()
 	for _, tag := range tags {
 		m, ok := q.unacked[tag]
 		if !ok {
@@ -515,12 +482,12 @@ func (q *queue) requeueAll(tags []uint64) {
 		}
 		delete(q.unacked, tag)
 		q.unackedN.Add(-1)
-		h.nacked(q.name, true)
+		q.nacked.Add(1)
 		m.Redelivered = true
 		q.ready.pushFront(&m)
 		q.readyN.Add(1)
 	}
-	q.dispatchLocked(h)
+	q.dispatchLocked()
 }
 
 func (c *Consumer) closeChan() {

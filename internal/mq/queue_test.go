@@ -35,7 +35,7 @@ func TestGetAckLifecycle(t *testing.T) {
 	b, q := newTestQueue(t, QueueOptions{})
 	publishN(t, b, 2)
 
-	d1, found, err := b.Get(q)
+	d1, found, err := getOne(b, q)
 	if err != nil || !found {
 		t.Fatalf("Get: found=%v err=%v", found, err)
 	}
@@ -43,7 +43,7 @@ func TestGetAckLifecycle(t *testing.T) {
 	if st.Ready != 1 || st.Unacked != 1 {
 		t.Fatalf("after get: ready=%d unacked=%d, want 1/1", st.Ready, st.Unacked)
 	}
-	if err := b.AckGet(q, d1.Tag); err != nil {
+	if err := ackGot(b, q, d1.Tag); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = b.QueueStats(q)
@@ -51,14 +51,14 @@ func TestGetAckLifecycle(t *testing.T) {
 		t.Fatalf("after ack: unacked=%d acked=%d", st.Unacked, st.Acked)
 	}
 	// Double ack fails.
-	if err := b.AckGet(q, d1.Tag); !errors.Is(err, ErrUnknownTag) {
+	if err := ackGot(b, q, d1.Tag); !errors.Is(err, ErrUnknownTag) {
 		t.Fatalf("double ack = %v, want ErrUnknownTag", err)
 	}
 }
 
 func TestGetEmptyQueue(t *testing.T) {
 	b, q := newTestQueue(t, QueueOptions{})
-	_, found, err := b.Get(q)
+	_, found, err := getOne(b, q)
 	if err != nil || found {
 		t.Fatalf("Get on empty queue: found=%v err=%v", found, err)
 	}
@@ -114,7 +114,7 @@ func TestMaxLenDropsOldest(t *testing.T) {
 		t.Fatalf("maxlen queue: ready=%d dropped=%d, want 3/2", st.Ready, st.Dropped)
 	}
 	// The survivors are the newest messages (bodies 2,3,4).
-	d, _, err := b.Get(q)
+	d, _, err := getOne(b, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestDeleteQueueClosesConsumers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.DeleteQueue(q); err != nil {
+	if _, err := b.DeleteQueue(q); err != nil {
 		t.Fatal(err)
 	}
 	select {

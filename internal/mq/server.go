@@ -88,7 +88,7 @@ func (s *Server) acceptLoop() {
 			wg.Wait()
 			return
 		}
-		cs := &connState{conn: conn, consumers: make(map[uint64]*Consumer), hooks: s.broker.currentHooks}
+		cs := &connState{conn: conn, consumers: make(map[uint64]*Consumer), broker: s.broker}
 		s.mu.Lock()
 		s.conns[conn] = cs
 		s.mu.Unlock()
@@ -153,8 +153,8 @@ type connState struct {
 	consumers map[uint64]*Consumer
 	mu        sync.Mutex
 
-	// hooks resolves the broker's current hooks for wire accounting.
-	hooks func() *Hooks
+	// broker keeps the wire accounting.
+	broker *Broker
 }
 
 func (cs *connState) send(f *frame) error {
@@ -162,15 +162,15 @@ func (cs *connState) send(f *frame) error {
 	n, err := writeFrame(cs.conn, f)
 	cs.writeMu.Unlock()
 	if n > 0 {
-		cs.hooks().bytesWritten(n)
+		cs.broker.wireWritten.Add(uint64(n))
 	}
 	return err
 }
 
 func (s *Server) handleConn(cs *connState) {
 	defer func() { _ = cs.conn.Close() }()
-	cs.hooks().connOpened()
-	defer cs.hooks().connClosed()
+	cs.broker.conns.Add(1)
+	defer cs.broker.conns.Add(-1)
 	defer func() {
 		cs.mu.Lock()
 		consumers := make([]*Consumer, 0, len(cs.consumers))
@@ -191,7 +191,7 @@ func (s *Server) handleConn(cs *connState) {
 	for {
 		f, n, err := readFrame(r)
 		if n > 0 {
-			cs.hooks().bytesRead(n)
+			cs.broker.wireRead.Add(uint64(n))
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {

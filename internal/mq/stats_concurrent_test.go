@@ -45,12 +45,12 @@ func TestStatsSamplingDoesNotStallPublishers(t *testing.T) {
 					return
 				default:
 				}
-				st := b.Stats()
-				if st.Published < lastPublished {
-					t.Errorf("published went backwards: %d -> %d", lastPublished, st.Published)
+				published, _ := publishedTotals(b.Stats())
+				if published < lastPublished {
+					t.Errorf("published went backwards: %d -> %d", lastPublished, published)
 					return
 				}
-				lastPublished = st.Published
+				lastPublished = published
 				if _, err := b.QueueStatsFast("q"); err != nil {
 					t.Errorf("fast stats: %v", err)
 					return
@@ -84,18 +84,19 @@ func TestStatsSamplingDoesNotStallPublishers(t *testing.T) {
 	wg.Wait()
 
 	st := b.Stats()
-	if want := uint64(publishers * perPublisher); st.Published != want {
-		t.Fatalf("published = %d, want %d", st.Published, want)
+	published, unroutable := publishedTotals(st)
+	if want := uint64(publishers * perPublisher); published != want {
+		t.Fatalf("published = %d, want %d", published, want)
 	}
-	if st.Routed != st.Published || st.Unroutable != 0 {
+	if st.Routed != published || unroutable != 0 {
 		t.Fatalf("routing totals off: %+v", st)
 	}
 	qs, err := b.QueueStatsFast("q")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs.Published != st.Published {
-		t.Fatalf("queue published = %d, want %d", qs.Published, st.Published)
+	if qs.Published != published {
+		t.Fatalf("queue published = %d, want %d", qs.Published, published)
 	}
 	if qs.Ready > 100 {
 		t.Fatalf("ready %d exceeds MaxLen", qs.Ready)
@@ -103,7 +104,7 @@ func TestStatsSamplingDoesNotStallPublishers(t *testing.T) {
 	if samples.Load() == 0 {
 		t.Fatal("samplers made no progress while publishers ran")
 	}
-	t.Logf("published %d in %v with %d concurrent stat samples", st.Published, elapsed, samples.Load())
+	t.Logf("published %d in %v with %d concurrent stat samples", published, elapsed, samples.Load())
 }
 
 // TestQueueStatsFastMatchesLocked cross-checks the lock-free snapshot
@@ -125,14 +126,14 @@ func TestQueueStatsFastMatchesLocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, found, err := b.Get("q")
+	d, found, err := getOne(b, "q")
 	if err != nil || !found {
 		t.Fatalf("get: %v %v", found, err)
 	}
-	if err := b.AckGet("q", d.Tag); err != nil {
+	if err := ackGot(b, "q", d.Tag); err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := b.Get("q")
+	d2, _, err := getOne(b, "q")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,22 +155,12 @@ func TestQueueStatsFastMatchesLocked(t *testing.T) {
 	}
 }
 
-// TestHooksObserveBrokerEvents installs counting hooks and checks the
-// event stream agrees with the broker's own counters across publish,
-// deliver, ack, nack and drop.
+// TestHooksObserveBrokerEvents checks the broker's per-exchange and
+// per-queue counters across publish, deliver, ack, nack and drop —
+// the counts the server's mq_* metric families read.
 func TestHooksObserveBrokerEvents(t *testing.T) {
 	b := NewBroker()
 	defer b.Close()
-
-	var published, enqueued, delivered, acked, nacked, dropped atomic.Int64
-	b.SetHooks(Hooks{
-		Published: func(ex string, n int) { published.Add(1) },
-		Enqueued:  func(q string) { enqueued.Add(1) },
-		Delivered: func(q string) { delivered.Add(1) },
-		Acked:     func(q string) { acked.Add(1) },
-		Nacked:    func(q string, requeue bool) { nacked.Add(1) },
-		Dropped:   func(q string) { dropped.Add(1) },
-	})
 
 	if err := b.DeclareExchange("x", Fanout); err != nil {
 		t.Fatal(err)
@@ -189,14 +180,14 @@ func TestHooksObserveBrokerEvents(t *testing.T) {
 		}
 	}
 	// Deliver one and ack it, deliver another and nack-drop it.
-	d, found, err := b.Get("q")
+	d, found, err := getOne(b, "q")
 	if err != nil || !found {
 		t.Fatalf("get: %v %v", found, err)
 	}
-	if err := b.AckGet("q", d.Tag); err != nil {
+	if err := ackGot(b, "q", d.Tag); err != nil {
 		t.Fatal(err)
 	}
-	d, found, err = b.Get("q")
+	d, found, err = getOne(b, "q")
 	if err != nil || !found {
 		t.Fatalf("get: %v %v", found, err)
 	}
@@ -206,15 +197,20 @@ func TestHooksObserveBrokerEvents(t *testing.T) {
 	if err := q.nack(d.Tag, false); err != nil {
 		t.Fatal(err)
 	}
-	if published.Load() != 5 || enqueued.Load() != 5 {
-		t.Fatalf("published/enqueued = %d/%d, want 5/5", published.Load(), enqueued.Load())
+	st := b.Stats()
+	published, _ := publishedTotals(st)
+	qs, err := b.QueueStatsFast("q")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if delivered.Load() != 2 || acked.Load() != 1 || nacked.Load() != 1 {
-		t.Fatalf("delivered/acked/nacked = %d/%d/%d, want 2/1/1",
-			delivered.Load(), acked.Load(), nacked.Load())
+	if published != 5 || qs.Published != 5 {
+		t.Fatalf("published/enqueued = %d/%d, want 5/5", published, qs.Published)
+	}
+	if qs.Delivered != 2 || qs.Acked != 1 || qs.Nacked != 1 {
+		t.Fatalf("delivered/acked/nacked = %d/%d/%d, want 2/1/1", qs.Delivered, qs.Acked, qs.Nacked)
 	}
 	// 2 overflow drops + 1 nack drop.
-	if dropped.Load() != 3 {
-		t.Fatalf("dropped = %d, want 3", dropped.Load())
+	if qs.Dropped != 3 || qs.Overflowed != 2 {
+		t.Fatalf("dropped/overflowed = %d/%d, want 3/2", qs.Dropped, qs.Overflowed)
 	}
 }

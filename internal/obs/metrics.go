@@ -20,6 +20,11 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
+// Set replaces the count with one a layer keeps itself, read at scrape
+// from an OnCollect callback, so the event is counted at one site
+// only. The source must never decrease.
+func (c *Counter) Set(n uint64) { c.v.Store(n) }
+
 // Gauge is a value that can go up and down (queue depth, open
 // connections). All methods are lock-free and safe for concurrent use.
 type Gauge struct {

@@ -23,20 +23,6 @@ type Source interface {
 	SeriesAllBuckets(ctx context.Context, from, to time.Time) (map[string][]series.Bucket, bool, error)
 }
 
-// Hooks receive forecaster and rerouter telemetry. Attach via
-// Forecaster.SetHooks; nil fields are skipped.
-type Hooks struct {
-	// Sweep fires after each whole-city forecast pass with the number
-	// of forecast zones, the number of cold zones skipped, and the
-	// sweep duration.
-	Sweep func(zones, cold int, d time.Duration)
-	// Zone fires after each single-zone forecast request.
-	Zone func(ok bool, d time.Duration)
-	// Reroute fires after each quiet-route request with whether an
-	// alternative was proposed.
-	Reroute func(rerouted bool, d time.Duration)
-}
-
 // Forecaster fits per-zone forecasts over a storage engine's rollups.
 // The clock decides "now" (and thereby the trailing window), so
 // experiment runs on a simulated clock are fully deterministic.
@@ -44,7 +30,8 @@ type Forecaster struct {
 	src   Source
 	model Model
 	clock simclock.Clock
-	hooks *Hooks
+	// metrics is set by Instrument before the forecaster serves.
+	metrics *forecastMetrics
 }
 
 // New builds a forecaster over src. A nil clock means wall time.
@@ -54,9 +41,6 @@ func New(src Source, cfg Config, clock simclock.Clock) *Forecaster {
 	}
 	return &Forecaster{src: src, model: NewModel(cfg), clock: clock}
 }
-
-// SetHooks attaches telemetry hooks (nil detaches).
-func (f *Forecaster) SetHooks(h *Hooks) { f.hooks = h }
 
 // Horizon returns the forecast horizon.
 func (f *Forecaster) Horizon() time.Duration { return f.model.cfg.Horizon }
@@ -74,7 +58,7 @@ func (f *Forecaster) ZoneForecast(ctx context.Context, zone string) (Forecast, b
 // ZoneForecastAt is ZoneForecast at an explicit asOf instant — the
 // deterministic entry point the evaluation harness drives.
 func (f *Forecaster) ZoneForecastAt(ctx context.Context, zone string, asOf time.Time) (Forecast, bool, error) {
-	start := time.Now()
+	start := f.metrics.start()
 	buckets, has, err := f.src.SeriesZoneBuckets(ctx, zone, asOf.Add(-Window), asOf)
 	if err != nil {
 		return Forecast{}, false, err
@@ -83,9 +67,7 @@ func (f *Forecaster) ZoneForecastAt(ctx context.Context, zone string, asOf time.
 		return Forecast{}, false, ErrNoSeries
 	}
 	fc, ok := f.model.ForecastZone(zone, buckets, asOf)
-	if h := f.hooks; h != nil && h.Zone != nil {
-		h.Zone(ok, time.Since(start))
-	}
+	f.metrics.zone(ok, start)
 	return fc, ok, nil
 }
 
@@ -97,7 +79,7 @@ func (f *Forecaster) Sweep(ctx context.Context) (map[string]Forecast, error) {
 
 // SweepAt is Sweep at an explicit asOf instant.
 func (f *Forecaster) SweepAt(ctx context.Context, asOf time.Time) (map[string]Forecast, error) {
-	start := time.Now()
+	start := f.metrics.start()
 	all, has, err := f.src.SeriesAllBuckets(ctx, asOf.Add(-Window), asOf)
 	if err != nil {
 		return nil, err
@@ -114,8 +96,6 @@ func (f *Forecaster) SweepAt(ctx context.Context, asOf time.Time) (map[string]Fo
 			cold++
 		}
 	}
-	if h := f.hooks; h != nil && h.Sweep != nil {
-		h.Sweep(len(out), cold, time.Since(start))
-	}
+	f.metrics.sweep(len(out), cold, start)
 	return out, nil
 }

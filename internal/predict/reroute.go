@@ -84,11 +84,9 @@ func NewRerouter(zones *geo.ZoneGrid, f *Forecaster) *Rerouter {
 // current forecasts and proposes a quieter alternative when the
 // default's predicted exposure crosses the threshold.
 func (r *Rerouter) QuietRoute(ctx context.Context, from, to geo.Point) (RouteSuggestion, error) {
-	start := time.Now()
+	start := r.f.metrics.start()
 	sug, err := r.quietRoute(ctx, from, to)
-	if h := r.f.hooks; h != nil && h.Reroute != nil {
-		h.Reroute(sug.Rerouted, time.Since(start))
-	}
+	r.f.metrics.reroute(sug.Rerouted, start)
 	return sug, err
 }
 

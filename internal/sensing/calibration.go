@@ -94,10 +94,3 @@ func (db *CalibrationDB) Models() []string {
 	sort.Strings(models)
 	return models
 }
-
-// entryCount returns the number of entries for a model.
-func (db *CalibrationDB) entryCount(model string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.entries[model])
-}

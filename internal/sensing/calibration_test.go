@@ -87,3 +87,10 @@ func TestCalibrationModelsAndCounts(t *testing.T) {
 		t.Fatal("entry counts wrong")
 	}
 }
+
+// entryCount returns the number of entries for a model.
+func (db *CalibrationDB) entryCount(model string) int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.entries[model])
+}

@@ -57,11 +57,6 @@ func ParseProvider(s string) (Provider, error) {
 	}
 }
 
-// providers lists the localizing providers (excluding ProviderNone).
-func providers() []Provider {
-	return []Provider{ProviderGPS, ProviderNetwork, ProviderFused}
-}
-
 // ProviderMix is a categorical distribution over location providers
 // for localized observations. Weights need not sum to 1; they are
 // normalized at sampling time.
@@ -69,12 +64,6 @@ type ProviderMix struct {
 	GPS     float64 `json:"gps"`
 	Network float64 `json:"network"`
 	Fused   float64 `json:"fused"`
-}
-
-// defaultOpportunisticMix reproduces the overall provider shares of
-// Section 5.1: 7% GPS, 86% network, 7% fused.
-func defaultOpportunisticMix() ProviderMix {
-	return ProviderMix{GPS: 0.07, Network: 0.86, Fused: 0.07}
 }
 
 // ShiftTowardGPS returns the mix with share points moved from network

@@ -122,3 +122,14 @@ func TestAccuracyBucketLabels(t *testing.T) {
 		t.Fatalf("first label = %q", labels[0])
 	}
 }
+
+// providers lists the localizing providers (excluding ProviderNone).
+func providers() []Provider {
+	return []Provider{ProviderGPS, ProviderNetwork, ProviderFused}
+}
+
+// defaultOpportunisticMix reproduces the overall provider shares of
+// Section 5.1: 7% GPS, 86% network, 7% fused.
+func defaultOpportunisticMix() ProviderMix {
+	return ProviderMix{GPS: 0.07, Network: 0.86, Fused: 0.07}
+}

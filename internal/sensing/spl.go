@@ -45,12 +45,6 @@ func (p MicProfile) SampleRawSPL(rng *rand.Rand, ambientShiftDB float64) float64
 	return clampSPL(v)
 }
 
-// trueSPL converts a raw measurement back to a calibrated estimate by
-// removing the model bias.
-func (p MicProfile) trueSPL(raw float64) float64 {
-	return clampSPL(raw - p.BiasDB)
-}
-
 func clampSPL(v float64) float64 {
 	if v < 0 {
 		return 0

@@ -134,3 +134,9 @@ func TestQualified(t *testing.T) {
 		t.Fatal("0.8 must pass the cut")
 	}
 }
+
+// trueSPL converts a raw measurement back to a calibrated estimate by
+// removing the model bias.
+func (p MicProfile) trueSPL(raw float64) float64 {
+	return clampSPL(raw - p.BiasDB)
+}

@@ -45,7 +45,7 @@ func (db *DB) ZoneBuckets(ctx context.Context, zone string, from, to time.Time) 
 	out := db.zoneBucketsLocked(zone, af, at, &use)
 	db.mu.RUnlock()
 
-	db.queryHook("buckets", start, &edgeScan{}, use)
+	db.queryDone("buckets", start, &edgeScan{}, use)
 	return out, nil
 }
 
@@ -70,7 +70,7 @@ func (db *DB) AllBuckets(ctx context.Context, from, to time.Time) (map[string][]
 	}
 	db.mu.RUnlock()
 
-	db.queryHook("buckets-all", start, &edgeScan{}, use)
+	db.queryDone("buckets-all", start, &edgeScan{}, use)
 	return out, nil
 }
 

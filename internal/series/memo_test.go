@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/urbancivics/goflow/internal/obs"
 )
 
 // mergeFullLoop is the reference Merge: every field, all 120 bins.
@@ -356,9 +358,8 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 			if p.db, err = Open(p.opts); err != nil {
 				t.Fatal(err)
 			}
-			var hits, fills int
-			hooks := &Hooks{WindowMemo: func(h, f int) { hits += h; fills += f }}
-			p.db.SetHooks(hooks)
+			reg := obs.NewRegistry()
+			p.db.Instrument(reg)
 			base, span := testBase.UnixMilli(), p.span.Milliseconds()
 
 			// In-order appends, one point per mutation.
@@ -398,7 +399,7 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 			p.check("after retention")
 
 			p.reopen("checkpoint → Open")
-			p.db.SetHooks(hooks)
+			p.db.Instrument(reg)
 			p.check("reopened")
 			for i := 0; i < 100; i++ {
 				p.append(p.point(base + p.rng.Int63n(span)))
@@ -427,7 +428,7 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 			if p.db, err = Open(p.opts); err != nil {
 				t.Fatal(err)
 			}
-			p.db.SetHooks(hooks)
+			p.db.Instrument(reg)
 			if got := p.db.Stats().RollupBuckets; got == 0 || got >= intact {
 				t.Fatalf("%d rollup buckets after Open against %d before: not the rebuild path", got, intact)
 			}
@@ -450,7 +451,8 @@ func TestWindowMemoMatchesFlatMerge(t *testing.T) {
 			}
 			p.check("re-fed after reset")
 
-			if hits == 0 || fills == 0 {
+			memo := reg.CounterVec("series_window_memo_total", "", "result")
+			if hits, fills := memo.With("hit").Value(), memo.With("fill").Value(); hits == 0 || fills == 0 {
 				t.Fatalf("the program never exercised the memo: %d hits, %d fills", hits, fills)
 			}
 		})

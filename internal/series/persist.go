@@ -300,9 +300,7 @@ func Open(opts Options) (*DB, error) {
 		db.resetMemosLocked()
 	} else {
 		db.rebuildRollupsLocked()
-		if h := db.h(); h != nil && h.Rebuild != nil {
-			h.Rebuild()
-		}
+		db.rebuilds++
 	}
 	sweepStrays(opts.Dir, &man)
 	return db, nil
@@ -401,8 +399,9 @@ func (db *DB) CheckpointVia(wrap func(io.Writer) io.Writer) error {
 	}
 	db.mu.Unlock()
 	sweepStrays(db.opts.Dir, &man)
-	if h := db.h(); h != nil && h.Checkpoint != nil {
-		h.Checkpoint(time.Since(start), len(unsaved))
+	if m := db.metrics.Load(); m != nil {
+		m.ckptDur.ObserveDuration(time.Since(start))
+		m.ckptChunks.Add(uint64(len(unsaved)))
 	}
 	return nil
 }

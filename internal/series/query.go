@@ -44,7 +44,7 @@ func (db *DB) ZoneAggregate(ctx context.Context, zone string, from, to time.Time
 		}
 	}
 	db.mu.RUnlock()
-	db.queryHook("zone", start, &s, use)
+	db.queryDone("zone", start, &s, use)
 	if err != nil {
 		return Agg{}, err
 	}
@@ -83,7 +83,7 @@ func (db *DB) Noisemap(ctx context.Context, from, to time.Time) (map[string]Agg,
 		}
 	}
 	db.mu.RUnlock()
-	db.queryHook("noisemap", start, &s, use)
+	db.queryDone("noisemap", start, &s, use)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func (db *DB) sumRollupsLocked(zone string, af, at int64, agg *Agg, use *memoUse
 }
 
 // edgeScan is one query's walk over the raw chunks of its sub-bucket
-// edges, counting its work for the hooks.
+// edges, counting its work for the metrics.
 type edgeScan struct {
 	ctx context.Context
 	// scanned and skipped count the chunks decoded vs ruled out by the
@@ -235,18 +235,17 @@ func (s *edgeScan) fold(ch *Chunk, r *Run, lo, hi int64, agg *Agg) error {
 	return nil
 }
 
-func (db *DB) queryHook(kind string, start time.Time, s *edgeScan, use memoUse) {
-	h := db.h()
-	if h == nil {
+// queryDone records one query in the metrics, when they are attached.
+func (db *DB) queryDone(kind string, start time.Time, s *edgeScan, use memoUse) {
+	m := db.metrics.Load()
+	if m == nil {
 		return
 	}
-	if h.Query != nil {
-		h.Query(kind, time.Since(start), s.scanned, s.skipped)
-	}
-	if h.EdgePoints != nil && s.decoded > 0 {
-		h.EdgePoints(s.decoded, s.kept)
-	}
-	if h.WindowMemo != nil && use != (memoUse{}) {
-		h.WindowMemo(use.hits, use.fills)
-	}
+	m.queryDur.With(kind).ObserveDuration(time.Since(start))
+	m.scanned.Add(uint64(s.scanned))
+	m.skipped.Add(uint64(s.skipped))
+	m.edgeDecoded.Add(uint64(s.decoded))
+	m.edgeKept.Add(uint64(s.kept))
+	m.memoHit.Add(uint64(use.hits))
+	m.memoFill.Add(uint64(use.fills))
 }

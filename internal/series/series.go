@@ -119,7 +119,7 @@ type DB struct {
 	windowMs int64
 	bucketMs int64
 
-	hooks atomic.Pointer[Hooks]
+	metrics atomic.Pointer[dbMetrics]
 
 	// pointObs, when set, is called after every accepted (non-replay)
 	// AppendBatch with the batch's points; see SetPointObserver.
@@ -134,6 +134,8 @@ type DB struct {
 	rollups map[string]map[int64]*cell
 	// spilled counts the cells in rollups holding a dense histogram.
 	spilled int
+	// rebuilds counts rollup rebuilds from the chunks (see Stats).
+	rebuilds int
 	// memos is derived from rollups: zone → partition window start →
 	// what that window's buckets add up to (memo.go). A slot exists for
 	// every window that holds a bucket.
@@ -229,12 +231,11 @@ func (db *DB) AppendBatch(lsn uint64, pts []Point) {
 		db.points++
 	}
 	db.mu.Unlock()
-	if h := db.h(); h != nil {
-		if h.Append != nil {
-			h.Append(len(pts))
-		}
-		if sealedPoints > 0 && h.Seal != nil {
-			h.Seal(sealedPoints, sealedBytes)
+	if m := db.metrics.Load(); m != nil {
+		m.appended.Add(uint64(len(pts)))
+		if sealedPoints > 0 {
+			m.seals.Inc()
+			m.sealedBytes.Add(uint64(sealedBytes))
 		}
 	}
 	if fn := db.pointObs.Load(); fn != nil {
@@ -316,8 +317,9 @@ func (db *DB) ApplyRetention(cutoff time.Time) int {
 		db.retentionFloor = floor
 	}
 	db.mu.Unlock()
-	if h := db.h(); h != nil && h.Retention != nil && dropped > 0 {
-		h.Retention(dropped, droppedPoints)
+	if m := db.metrics.Load(); m != nil && dropped > 0 {
+		m.retChunks.Add(uint64(dropped))
+		m.retPoints.Add(uint64(droppedPoints))
 	}
 	return dropped
 }
@@ -335,6 +337,9 @@ type Stats struct {
 	RollupBytes    int64  `json:"rollupBytes"`
 	Watermark      uint64 `json:"watermark"`
 	RetentionFloor int64  `json:"retentionFloor"`
+	// RollupRebuilds counts rollup rebuilds from the chunks at Open
+	// (recovery mismatch or corruption).
+	RollupRebuilds int `json:"rollupRebuilds"`
 }
 
 // Stats snapshots the DB counters.
@@ -347,6 +352,7 @@ func (db *DB) Stats() Stats {
 		Zones:          len(db.rollups),
 		Watermark:      db.watermark,
 		RetentionFloor: db.retentionFloor,
+		RollupRebuilds: db.rebuilds,
 	}
 	for _, pt := range db.parts {
 		st.SealedChunks += len(pt.sealed)
@@ -414,9 +420,6 @@ func (db *DB) addRollupLocked(ts int64, v float64, zone string) {
 		db.spilled++
 	}
 }
-
-// h loads the hooks (nil when none are attached).
-func (db *DB) h() *Hooks { return db.hooks.Load() }
 
 // now reads the injected clock (wall time when none was configured).
 func (db *DB) now() time.Time {

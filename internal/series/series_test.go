@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"github.com/urbancivics/goflow/internal/faults"
+
+	"github.com/urbancivics/goflow/internal/obs"
 )
 
 var testBase = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -392,8 +394,8 @@ func TestRollupsMatchNaiveRecomputation(t *testing.T) {
 
 func TestChunkSkippingPrunesOutOfRangeChunks(t *testing.T) {
 	db := New(Options{chunkWindow: time.Hour, RollupBucket: 5 * time.Minute, MaxChunkPoints: 32})
-	var scanned, skipped int
-	db.SetHooks(&Hooks{Query: func(_ string, _ time.Duration, sc, sk int) { scanned, skipped = sc, sk }})
+	reg := obs.NewRegistry()
+	db.Instrument(reg)
 	pts := genPoints(5, 4000, 4*time.Hour, []string{"a", "b"})
 	for i, p := range pts {
 		db.Append(uint64(i+1), p)
@@ -404,10 +406,10 @@ func TestChunkSkippingPrunesOutOfRangeChunks(t *testing.T) {
 	if _, err := db.ZoneAggregate(context.Background(), "a", lo, lo.Add(30*time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if scanned == 0 {
+	if reg.Counter("series_chunks_scanned_total", "").Value() == 0 {
 		t.Fatal("edge scan decoded nothing")
 	}
-	if skipped == 0 {
+	if reg.Counter("series_chunks_skipped_total", "").Value() == 0 {
 		t.Fatal("sparse index skipped nothing — pruning is not happening")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +15,7 @@ import (
 	"github.com/urbancivics/goflow/internal/geo"
 	"github.com/urbancivics/goflow/internal/goflow"
 	"github.com/urbancivics/goflow/internal/mq"
+	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/sensing"
 	"github.com/urbancivics/goflow/internal/storage"
 )
@@ -217,8 +217,8 @@ func TestUserAPIMyExposure(t *testing.T) {
 func TestUserAPIReadsFollowTheRequestContext(t *testing.T) {
 	env := newUserAPIEnv(t)
 	env.seedObservations(t, 30)
-	var queries atomic.Int64
-	env.store.SetHooks(docstore.Hooks{Query: func(string, time.Duration, bool) { queries.Add(1) }})
+	reg := obs.NewRegistry()
+	env.store.Instrument(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, path := range []string{"/me/observations", "/me/exposure"} {
@@ -230,7 +230,7 @@ func TestUserAPIReadsFollowTheRequestContext(t *testing.T) {
 			t.Errorf("%s under a cancelled request = %d %s, want 500 naming the cancellation", path, rec.Code, rec.Body)
 		}
 	}
-	if n := queries.Load(); n != 0 {
+	if n := storeQueries(reg); n != 0 {
 		t.Errorf("cancelled requests still ran %d store scans", n)
 	}
 	// The same requests, alive, are served.
@@ -239,8 +239,8 @@ func TestUserAPIReadsFollowTheRequestContext(t *testing.T) {
 			t.Errorf("%s = %d, want 200", path, resp.StatusCode)
 		}
 	}
-	if queries.Load() == 0 {
-		t.Error("live requests ran no store scan: the hook this test counts on is not wired")
+	if storeQueries(reg) == 0 {
+		t.Error("live requests ran no store scan: the count this test reads is not wired")
 	}
 }
 
@@ -273,19 +273,13 @@ func TestUserAPIFeedbackRouting(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("feedback status = %d", resp.StatusCode)
 	}
-	d, found, err := env.broker.Get(neighbour.Queue)
-	if err != nil || !found {
-		t.Fatalf("feedback not routed: found=%v err=%v", found, err)
-	}
+	d := nextDelivery(t, env.broker, neighbour.Queue)
 	f, err := decodeFeedback(d.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Annoyance != 7 || f.Reporter != env.server.Accounts.Anonymize(env.client.ID) {
 		t.Fatalf("routed feedback = %+v", f)
-	}
-	if err := env.broker.AckGet(neighbour.Queue, d.Tag); err != nil {
-		t.Fatal(err)
 	}
 	// Invalid annoyance rejected.
 	bad, err := json.Marshal(feedbackRequest{Where: where, Annoyance: 99})

@@ -214,8 +214,3 @@ func (f *exposureFold) report() (*ExposureReport, error) {
 	}
 	return report, nil
 }
-
-// parseDay is a helper validating dashboard day strings.
-func parseDay(s string) (time.Time, error) {
-	return time.Parse("2006-01-02", s)
-}

@@ -127,3 +127,8 @@ func TestParseDay(t *testing.T) {
 		t.Fatal("wrong format must fail")
 	}
 }
+
+// parseDay is a helper validating dashboard day strings.
+func parseDay(s string) (time.Time, error) {
+	return time.Parse("2006-01-02", s)
+}

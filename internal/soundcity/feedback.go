@@ -64,12 +64,3 @@ func PublishFeedback(broker *mq.Broker, zones *geo.ZoneGrid, clientID string, f 
 	}
 	return nil
 }
-
-// decodeFeedback parses a feedback payload from a broker delivery.
-func decodeFeedback(body []byte) (*Feedback, error) {
-	var f Feedback
-	if err := json.Unmarshal(body, &f); err != nil {
-		return nil, fmt.Errorf("decode feedback: %w", err)
-	}
-	return &f, nil
-}

@@ -1,6 +1,8 @@
 package soundcity
 
 import (
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -180,13 +182,7 @@ func TestJourneyStoreAnnouncesSharedJourneys(t *testing.T) {
 	if _, err := js.Save(j, walker.ID); err != nil {
 		t.Fatal(err)
 	}
-	d, found, err := broker.Get(listener.Queue)
-	if err != nil || !found {
-		t.Fatalf("announcement not delivered: found=%v err=%v", found, err)
-	}
-	if err := broker.AckGet(listener.Queue, d.Tag); err != nil {
-		t.Fatal(err)
-	}
+	nextDelivery(t, broker, listener.Queue)
 	// Private journeys are NOT announced.
 	p, err := BuildFromObservations(server.Accounts.Anonymize(walker.ID), journeyObs(t, 3), 30*time.Second)
 	if err != nil {
@@ -195,8 +191,8 @@ func TestJourneyStoreAnnouncesSharedJourneys(t *testing.T) {
 	if _, err := js.Save(p, walker.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, err := broker.Get(listener.Queue); err != nil || found {
-		t.Fatalf("private journey announced: found=%v err=%v", found, err)
+	if st, err := broker.QueueStats(listener.Queue); err != nil || st.Ready != 0 {
+		t.Fatalf("private journey announced: %+v, %v", st, err)
 	}
 }
 
@@ -225,19 +221,13 @@ func TestFeedbackValidateAndRouting(t *testing.T) {
 	if err := PublishFeedback(broker, zones, reporter.ID, f); err != nil {
 		t.Fatal(err)
 	}
-	d, found, err := broker.Get(listener.Queue)
-	if err != nil || !found {
-		t.Fatalf("feedback not delivered: %v %v", found, err)
-	}
+	d := nextDelivery(t, broker, listener.Queue)
 	got, err := decodeFeedback(d.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Annoyance != 8 || got.Comment != f.Comment {
 		t.Fatalf("decoded feedback = %+v", got)
-	}
-	if err := broker.AckGet(listener.Queue, d.Tag); err != nil {
-		t.Fatal(err)
 	}
 
 	// Validation table.
@@ -265,4 +255,13 @@ func TestVisibilityString(t *testing.T) {
 	if Private.String() != "private" || Community.String() != "community" || Public.String() != "public" {
 		t.Fatal("visibility names wrong")
 	}
+}
+
+// decodeFeedback parses a feedback payload from a broker delivery.
+func decodeFeedback(body []byte) (*Feedback, error) {
+	var f Feedback
+	if err := json.Unmarshal(body, &f); err != nil {
+		return nil, fmt.Errorf("decode feedback: %w", err)
+	}
+	return &f, nil
 }

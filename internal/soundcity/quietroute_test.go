@@ -177,10 +177,7 @@ func TestQuietRouteEndToEnd(t *testing.T) {
 
 	// The reroute was announced on the app exchange, keyed by the
 	// journey's start zone.
-	d, ok, err := env.broker.Get("q-reroutes")
-	if err != nil || !ok {
-		t.Fatalf("no reroute announcement on the app exchange: ok=%v err=%v", ok, err)
-	}
+	d := nextDelivery(t, env.broker, "q-reroutes")
 	wantKey := AppID + "." + env.client.ID + "." + DatatypeReroute + "." + env.grid.ZoneID(from)
 	if d.Message.RoutingKey != wantKey {
 		t.Fatalf("announce key %q, want %q", d.Message.RoutingKey, wantKey)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/urbancivics/goflow/internal/docstore"
+	"github.com/urbancivics/goflow/internal/obs"
 	"github.com/urbancivics/goflow/internal/wal"
 )
 
@@ -176,8 +177,9 @@ func TestLegacyGobFixtureRecovers(t *testing.T) {
 	}
 	// Both indexes came back usable: the snapshot's and the one the log
 	// tail created.
-	var used []bool
-	l.Store().SetHooks(docstore.Hooks{Query: func(_ string, _ time.Duration, indexUsed bool) { used = append(used, indexUsed) }})
+	reg := obs.NewRegistry()
+	l.Store().Instrument(reg)
+	queries := reg.CounterVec("docstore_queries_total", "", "collection", "index")
 	for _, q := range []struct {
 		filter Doc
 		want   int
@@ -186,8 +188,8 @@ func TestLegacyGobFixtureRecovers(t *testing.T) {
 			t.Fatalf("find %v = %d docs, %v; want %d", q.filter, len(docs), err, q.want)
 		}
 	}
-	if len(used) != 2 || !used[0] || !used[1] {
-		t.Fatalf("index used per query = %v, want [true true]", used)
+	if hit, miss := queries.With("observations", "hit").Value(), queries.With("observations", "miss").Value(); hit != 2 || miss != 0 {
+		t.Fatalf("queries hit/miss = %d/%d, want 2/0", hit, miss)
 	}
 }
 

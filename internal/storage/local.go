@@ -155,7 +155,7 @@ func OpenLocal(opts LocalOptions) (*Local, error) {
 
 // Store exposes the underlying document store, for callers that need
 // collections the Engine interface does not surface (metadata
-// collections, hooks, commit-log seams).
+// collections, metrics, commit-log seams).
 func (l *Local) Store() *docstore.Store { return l.store }
 
 // WAL exposes the engine's write-ahead log (nil when none is

@@ -122,21 +122,6 @@ const (
 	maxDelay = 2 * time.Millisecond
 )
 
-// Hooks receives log events for instrumentation. All fields are
-// optional; callbacks must be fast and must not call back into the
-// log. Install with SetHooks.
-type Hooks struct {
-	// Appended fires after a flush writes records to the segment.
-	Appended func(records, bytes int)
-	// Synced fires after each segment fsync with the batch size it
-	// made durable and the fsync wall time.
-	Synced func(records int, d time.Duration)
-	// Rotated fires after the active segment is sealed and replaced.
-	Rotated func()
-	// Truncated fires after a checkpoint deletes sealed segments.
-	Truncated func(segments int)
-}
-
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("wal: closed")
 
@@ -263,9 +248,9 @@ type Stats struct {
 // concurrent use. A directory must be owned by at most one open WAL
 // in one process; the package does no cross-process locking.
 type WAL struct {
-	dir   string
-	opt   Options
-	hooks atomic.Pointer[Hooks]
+	dir     string
+	opt     Options
+	metrics atomic.Pointer[walMetrics]
 
 	// mu guards the append state: pending buffer, waiters, LSN
 	// assignment, leader election, failure and close flags. Held only
@@ -408,12 +393,6 @@ func truncateSegment(path string, size int64) error {
 	}
 	return nil
 }
-
-// SetHooks installs instrumentation hooks (pass the zero Hooks to
-// detach). Safe to call concurrently with appends.
-func (w *WAL) SetHooks(h Hooks) { w.hooks.Store(&h) }
-
-func (w *WAL) h() *Hooks { return w.hooks.Load() }
 
 // Dir returns the log directory.
 func (w *WAL) Dir() string { return w.dir }
@@ -562,15 +541,6 @@ func (w *WAL) Append(typ byte, payload []byte) (*Ticket, error) {
 	return t, nil
 }
 
-// log appends one record and waits for its commit.
-func (w *WAL) log(typ byte, payload []byte) (uint64, error) {
-	t, err := w.Append(typ, payload)
-	if err != nil {
-		return 0, err
-	}
-	return t.lsn, t.Wait()
-}
-
 // committer is the backstop flush loop. Waited appends commit through
 // their own Wait calls; the committer exists so records appended
 // fire-and-forget still reach the disk within maxDelay (immediately
@@ -644,9 +614,6 @@ func (w *WAL) flushLocked(sync, rotate bool) (cut uint64, err error) {
 		}
 		w.records.Add(uint64(len(waiters)))
 		w.bytes.Add(uint64(len(buf)))
-		if h := w.h(); h != nil && h.Appended != nil {
-			h.Appended(len(waiters), len(buf))
-		}
 	} else {
 		completeAll(waiters, nil)
 	}
@@ -672,7 +639,8 @@ func (w *WAL) commitBatch(buf []byte, waiters []*Ticket, sync bool) error {
 	}
 	w.seg.size += int64(len(buf))
 	if sync {
-		start := time.Now()
+		m := w.metrics.Load()
+		start := m.start()
 		if serr := w.seg.sync(); serr != nil {
 			serr = fmt.Errorf("wal: fsync %s: %w", w.seg.path, serr)
 			w.fail(serr)
@@ -683,9 +651,7 @@ func (w *WAL) commitBatch(buf []byte, waiters []*Ticket, sync bool) error {
 		if len(waiters) > 0 {
 			w.advanceDurable(waiters[len(waiters)-1].lsn)
 		}
-		if h := w.h(); h != nil && h.Synced != nil {
-			h.Synced(len(waiters), time.Since(start))
-		}
+		m.synced(len(waiters), start)
 	}
 	completeAll(waiters, nil)
 	return nil
@@ -697,6 +663,7 @@ func (w *WAL) commitBatch(buf []byte, waiters []*Ticket, sync bool) error {
 // per-record-durability baseline. Caller holds ioMu. An error fails
 // the WAL and every remaining ticket.
 func (w *WAL) commitEach(buf []byte, waiters []*Ticket) error {
+	m := w.metrics.Load()
 	off := 0
 	for i, t := range waiters {
 		frame := buf[off : off+t.size]
@@ -707,7 +674,7 @@ func (w *WAL) commitEach(buf []byte, waiters []*Ticket) error {
 			return werr
 		}
 		w.seg.size += int64(len(frame))
-		start := time.Now()
+		start := m.start()
 		if serr := w.seg.sync(); serr != nil {
 			serr = fmt.Errorf("wal: fsync %s: %w", w.seg.path, serr)
 			w.fail(serr)
@@ -716,9 +683,7 @@ func (w *WAL) commitEach(buf []byte, waiters []*Ticket) error {
 		}
 		w.fsyncs.Add(1)
 		w.advanceDurable(t.lsn)
-		if h := w.h(); h != nil && h.Synced != nil {
-			h.Synced(1, time.Since(start))
-		}
+		m.synced(1, start)
 		completeAll(waiters[i:i+1], nil)
 		off += t.size
 	}
@@ -777,8 +742,8 @@ func (w *WAL) rotateLocked(cut uint64) error {
 		return err
 	}
 	w.seg = seg
-	if h := w.h(); h != nil && h.Rotated != nil {
-		h.Rotated()
+	if m := w.metrics.Load(); m != nil {
+		m.rotations.Inc()
 	}
 	return nil
 }
@@ -827,8 +792,8 @@ func (w *WAL) TruncateBefore(lsn uint64) (int, error) {
 		if err := fsys.SyncDir(w.dir); err != nil {
 			return n, fmt.Errorf("wal: %w", err)
 		}
-		if h := w.h(); h != nil && h.Truncated != nil {
-			h.Truncated(n)
+		if m := w.metrics.Load(); m != nil {
+			m.truncated.Add(uint64(n))
 		}
 	}
 	return n, nil

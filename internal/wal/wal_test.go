@@ -385,3 +385,12 @@ func TestStickyFailureAfterTear(t *testing.T) {
 		t.Fatalf("append after tear = %v, want sticky ErrInjected", err)
 	}
 }
+
+// log appends one record and waits for its commit.
+func (w *WAL) log(typ byte, payload []byte) (uint64, error) {
+	t, err := w.Append(typ, payload)
+	if err != nil {
+		return 0, err
+	}
+	return t.lsn, t.Wait()
+}
